@@ -100,11 +100,7 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
     /// Open an index saved with [`DiskBBTree::save`]. The tree structure is
     /// loaded into memory; data pages are served from the page file on
     /// demand. Fails if the directory was written for a different
-    /// divergence.
-    ///
-    /// Directories written before the `Φ` column existed (no [`PHI_FILE`])
-    /// are migrated on open: the column is recomputed with one pass over
-    /// the page file. A *present but invalid* column is rejected.
+    /// divergence, or if the [`PHI_FILE`] column is missing or invalid.
     pub fn open(divergence: B, dir: &Path) -> PersistResult<Self> {
         let tree = BBTree::from_bytes(&std::fs::read(dir.join(TREE_FILE))?)?;
         if tree.divergence_name() != divergence.name() {
@@ -139,7 +135,7 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
                 "tree indexes point {orphan} which has no address in the page file"
             )));
         }
-        let phi = read_or_rebuild_phi(&divergence, dir, &store, tree.len())?;
+        let phi = read_phi(dir, tree.len())?;
         Ok(Self { divergence, tree, store: Arc::new(store), phi: Arc::new(phi) })
     }
 
@@ -322,20 +318,9 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
     }
 }
 
-/// Load the persisted `Φ` column, or migrate a pre-`Φ` directory by
-/// recomputing it from the page file (one sequential pass; the migration
-/// pool's I/O is not attributed to any query).
-fn read_or_rebuild_phi<B: DecomposableBregman>(
-    divergence: &B,
-    dir: &Path,
-    store: &PageStore,
-    expected_len: usize,
-) -> PersistResult<Vec<f64>> {
-    let path = dir.join(PHI_FILE);
-    if !path.exists() {
-        return store.derive_point_column(&mut |coords| divergence.f(coords));
-    }
-    let bytes = std::fs::read(&path)?;
+/// Load the persisted `Φ` column.
+fn read_phi(dir: &Path, expected_len: usize) -> PersistResult<Vec<f64>> {
+    let bytes = std::fs::read(dir.join(PHI_FILE))?;
     let payload = unseal(&PHI_MAGIC, PHI_VERSION, &bytes)?;
     let mut r = ByteReader::new(payload);
     let phi = r.take_f64_seq()?;
@@ -472,10 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn pre_phi_directories_are_migrated_on_open() {
-        // A directory saved before the Φ column existed (simulated by
-        // deleting phi.tbl) must open by recomputing the column from the
-        // page file and answer identically to the freshly built index.
+    fn missing_or_truncated_phi_columns_are_rejected() {
         let ds = random_dataset(220, 5, 61);
         let built = DiskBBTree::build(
             ItakuraSaito,
@@ -483,20 +465,13 @@ mod tests {
             BBTreeConfig::with_leaf_capacity(10),
             PageStoreConfig::with_page_size(1024),
         );
-        let dir = std::env::temp_dir().join(format!("bbtree-phi-mig-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("bbtree-phi-reject-{}", std::process::id()));
         built.save(&dir).unwrap();
         std::fs::remove_file(dir.join(PHI_FILE)).unwrap();
-        let migrated = DiskBBTree::open(ItakuraSaito, &dir).unwrap();
-        assert_eq!(migrated.phi().len(), built.phi().len());
-        for (a, b) in migrated.phi().iter().zip(built.phi().iter()) {
-            assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()), "{a} vs {b}");
+        match DiskBBTree::open(ItakuraSaito, &dir) {
+            Err(PersistError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+            other => panic!("expected a missing-file error, got {other:?}"),
         }
-        let mut pool_a = BufferPool::unbuffered();
-        let mut pool_b = BufferPool::unbuffered();
-        let query = ds.point(bregman::PointId(3)).to_vec();
-        let a = built.knn(&mut pool_a, &query, 9).unwrap();
-        let b = migrated.knn(&mut pool_b, &query, 9).unwrap();
-        assert_eq!(a.neighbors, b.neighbors);
 
         // A present-but-truncated Φ column is rejected, not silently used.
         let mut w = ByteWriter::new();

@@ -35,15 +35,12 @@
 //! two result lists are merged by `(divergence, id)`. The merge lives in
 //! the engine's `DeltaOverlayBackend`; this module owns the state, its
 //! invariants and its persistent form (the sealed [`DELTA_FILE`] log,
-//! replayed on open — an absent file is an empty delta, which keeps every
-//! pre-mutability index directory readable).
+//! replayed on open; a directory without one is rejected by the façade).
 //!
 //! The log format is chain-agnostic: [`DeltaSegment::to_log_bytes`]
-//! flattens every generation into one flat row sequence (the PR-5
-//! single-segment format, unchanged), and [`DeltaSegment::from_log_bytes`]
-//! replays any log — old or new — into a single sealed generation 0. Every
-//! pre-chain index directory stays readable, and directories written by
-//! this build open under older readers.
+//! flattens every generation into one flat row sequence, and
+//! [`DeltaSegment::from_log_bytes`] replays it into a single sealed
+//! generation 0.
 
 use std::collections::BTreeSet;
 use std::iter;
@@ -469,9 +466,7 @@ impl DeltaSegment {
     /// Serialize into the sealed [`DELTA_FILE`] payload (magic
     /// [`DELTA_MAGIC`], version [`DELTA_VERSION`], FNV-1a checksummed — see
     /// [`pagestore::format`]). The chain is flattened into one flat row
-    /// sequence: the on-disk format is the PR-5 single-segment layout,
-    /// unchanged, so directories written by this build open under older
-    /// readers and vice versa.
+    /// sequence, so the on-disk format does not depend on the chain shape.
     pub fn to_log_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_str(self.kind.short_name());

@@ -22,24 +22,26 @@
 //! [`BrePartitionIndex::cost_model`] returns `None` after open.
 //!
 //! The per-point `Φ(x) = Σ_j φ(x_j)` column consumed by the prepared-query
-//! refine kernel needs no dedicated field in this envelope: the persisted
-//! per-subspace `α_x` column *is* `Φ` split across disjoint, exhaustive
-//! partitions, so `open` reassembles `Φ(x) = Σ_s α_x(s)` — every
-//! pre-existing `BREPIDX1` envelope migrates transparently. (The flat
-//! baselines, which have no transform table, persist an explicit column:
-//! see `bbtree::disk::PHI_FILE` and the version-2 VA-file metadata.)
+//! refine kernel needs no dedicated field in this envelope: `open`
+//! recomputes it from the full-resolution rows in the page file. (The flat
+//! baselines persist an explicit column: see `bbtree::disk::PHI_FILE` and
+//! the VA-file metadata.)
+//!
+//! Both files have exactly one format version ([`INDEX_VERSION`] and
+//! `pagestore::file::PAGE_FILE_VERSION`); anything else is rejected with a
+//! typed [`PersistError`], and the way to migrate is to rebuild.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use bbtree::BBTree;
 use bregman::DivergenceKind;
-use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError};
+use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, PersistResult};
 use pagestore::PageStore;
 
 use crate::bbforest::BBForest;
 use crate::config::{BrePartitionConfig, PartitionCount, PartitionStrategy};
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::partition::Partitioning;
 use crate::search::{BrePartitionIndex, BuildReport};
 use crate::transform::TransformedDataset;
@@ -47,14 +49,8 @@ use crate::transform::TransformedDataset;
 /// Magic tag of the index metadata artifact.
 pub const INDEX_MAGIC: [u8; 8] = *b"BREPIDX1";
 
-/// Format version this build writes (and reads, alongside
-/// [`LEGACY_INDEX_VERSION`]). Version 2 appends the `f32_candidates`
-/// screening knob to the serialized configuration.
+/// The only format version this build writes and reads.
 pub const INDEX_VERSION: u32 = 2;
-
-/// The pre-screening-knob format, still accepted on open (the knob
-/// defaults to off).
-pub const LEGACY_INDEX_VERSION: u32 = 1;
 
 /// File name of the index metadata within an index directory.
 pub const META_FILE: &str = "index.meta";
@@ -114,13 +110,13 @@ impl BrePartitionIndex {
     /// self-describing caller (the `brepartition` façade) can cross-check a
     /// directory against its expectation — and produce a descriptive
     /// mismatch error — before paying for the full open.
-    pub fn peek_kind(dir: &Path) -> Result<DivergenceKind> {
-        let meta = std::fs::read(dir.join(META_FILE)).map_err(PersistError::from)?;
-        let (payload, _) = unseal_index(&meta)?;
+    pub fn peek_kind(dir: &Path) -> PersistResult<DivergenceKind> {
+        let meta = std::fs::read(dir.join(META_FILE))?;
+        let payload = unseal(&INDEX_MAGIC, INDEX_VERSION, &meta)?;
         let mut r = ByteReader::new(payload);
         let kind_name = r.take_str()?;
         DivergenceKind::parse(&kind_name)
-            .map_err(|_| corrupt(format!("unknown divergence kind {kind_name:?}")))
+            .map_err(|_| PersistError::Corrupt(format!("unknown divergence kind {kind_name:?}")))
     }
 
     /// Open an index directory written by [`BrePartitionIndex::save`].
@@ -130,22 +126,24 @@ impl BrePartitionIndex {
     /// restored index answers queries identically to the index that was
     /// saved — same neighbors, same candidate sets, same cold-pool I/O
     /// counters.
-    pub fn open(dir: &Path) -> Result<BrePartitionIndex> {
-        let meta = std::fs::read(dir.join(META_FILE)).map_err(PersistError::from)?;
-        let (payload, version) = unseal_index(&meta)?;
+    pub fn open(dir: &Path) -> PersistResult<BrePartitionIndex> {
+        let meta = std::fs::read(dir.join(META_FILE))?;
+        let payload = unseal(&INDEX_MAGIC, INDEX_VERSION, &meta)?;
         let mut r = ByteReader::new(payload);
 
         let kind_name = r.take_str()?;
         let kind = DivergenceKind::parse(&kind_name)
-            .map_err(|_| corrupt(format!("unknown divergence kind {kind_name:?}")))?;
-        let config = read_config(&mut r, version)?;
+            .map_err(|_| PersistError::Corrupt(format!("unknown divergence kind {kind_name:?}")))?;
+        let config = read_config(&mut r)?;
         let partitioning = read_partitioning(&mut r)?;
 
         let n = r.take_usize()?;
         let m = r.take_usize()?;
         let tuple_count = r.take_usize()?;
         if tuple_count.checked_mul(16).is_none_or(|bytes| bytes > r.remaining()) {
-            return Err(corrupt(format!("transform table of {tuple_count} tuples is truncated")));
+            return Err(PersistError::Corrupt(format!(
+                "transform table of {tuple_count} tuples is truncated"
+            )));
         }
         let mut tuples = Vec::with_capacity(tuple_count);
         for _ in 0..tuple_count {
@@ -154,9 +152,9 @@ impl BrePartitionIndex {
             tuples.push([alpha, gamma]);
         }
         let transformed = TransformedDataset::from_raw(n, m, tuples)
-            .ok_or_else(|| corrupt(format!("transform table is not {n} × {m}")))?;
+            .ok_or_else(|| PersistError::Corrupt(format!("transform table is not {n} × {m}")))?;
         if m != partitioning.len() {
-            return Err(corrupt(format!(
+            return Err(PersistError::Corrupt(format!(
                 "transforms cover {m} subspaces, partitioning has {}",
                 partitioning.len()
             )));
@@ -165,7 +163,7 @@ impl BrePartitionIndex {
         let dim_means = r.take_f64_seq()?;
         let dim_vars = r.take_f64_seq()?;
         if dim_means.len() != partitioning.dim() || dim_vars.len() != partitioning.dim() {
-            return Err(corrupt(format!(
+            return Err(PersistError::Corrupt(format!(
                 "per-dimension moments cover {} / {} dimensions, data is {}-dimensional",
                 dim_means.len(),
                 dim_vars.len(),
@@ -182,7 +180,7 @@ impl BrePartitionIndex {
 
         let tree_count = r.take_usize()?;
         if tree_count != partitioning.len() {
-            return Err(corrupt(format!(
+            return Err(PersistError::Corrupt(format!(
                 "{tree_count} subspace trees for {} partitions",
                 partitioning.len()
             )));
@@ -192,14 +190,14 @@ impl BrePartitionIndex {
             let blob = r.take_bytes()?;
             let tree = BBTree::from_bytes(blob)?;
             if tree.dim() != partitioning.subspace(s).len() {
-                return Err(corrupt(format!(
+                return Err(PersistError::Corrupt(format!(
                     "subspace {s} tree is {}-dimensional, subspace has {} dimensions",
                     tree.dim(),
                     partitioning.subspace(s).len()
                 )));
             }
             if tree.len() != n {
-                return Err(corrupt(format!(
+                return Err(PersistError::Corrupt(format!(
                     "subspace {s} tree indexes {} points, dataset has {n}",
                     tree.len()
                 )));
@@ -210,13 +208,13 @@ impl BrePartitionIndex {
 
         let store = PageStore::open(&dir.join(PAGES_FILE))?;
         if store.point_count() != n {
-            return Err(corrupt(format!(
+            return Err(PersistError::Corrupt(format!(
                 "page file holds {} points, index metadata describes {n}",
                 store.point_count()
             )));
         }
         if store.dim() != partitioning.dim() {
-            return Err(corrupt(format!(
+            return Err(PersistError::Corrupt(format!(
                 "page file records are {}-dimensional, index is {}-dimensional",
                 store.dim(),
                 partitioning.dim()
@@ -228,7 +226,7 @@ impl BrePartitionIndex {
             if let Some(orphan) =
                 tree.points_in_leaf_order().iter().find(|p| store.address_of(p.0).is_none())
             {
-                return Err(corrupt(format!(
+                return Err(PersistError::Corrupt(format!(
                     "subspace {s} tree indexes point {orphan} which has no address in the page file"
                 )));
             }
@@ -245,22 +243,6 @@ impl BrePartitionIndex {
             dim_vars,
             build,
         ))
-    }
-}
-
-fn corrupt(message: String) -> CoreError {
-    CoreError::from(PersistError::Corrupt(message))
-}
-
-/// Unseal the metadata envelope, accepting both the current and the legacy
-/// format version; returns the payload and which version it was sealed as.
-fn unseal_index(meta: &[u8]) -> Result<(&[u8], u32)> {
-    match unseal(&INDEX_MAGIC, INDEX_VERSION, meta) {
-        Ok(payload) => Ok((payload, INDEX_VERSION)),
-        Err(PersistError::UnsupportedVersion { found: LEGACY_INDEX_VERSION, .. }) => {
-            Ok((unseal(&INDEX_MAGIC, LEGACY_INDEX_VERSION, meta)?, LEGACY_INDEX_VERSION))
-        }
-        Err(e) => Err(e.into()),
     }
 }
 
@@ -287,19 +269,19 @@ fn write_config(w: &mut ByteWriter, config: &BrePartitionConfig) {
     w.put_u8(config.f32_candidates as u8);
 }
 
-fn read_config(r: &mut ByteReader<'_>, version: u32) -> Result<BrePartitionConfig> {
+fn read_config(r: &mut ByteReader<'_>) -> PersistResult<BrePartitionConfig> {
     let partitions = match r.take_u8()? {
         0 => {
             r.take_u64()?;
             PartitionCount::Auto
         }
         1 => PartitionCount::Fixed(r.take_usize()?),
-        tag => return Err(corrupt(format!("unknown partition-count tag {tag}"))),
+        tag => return Err(PersistError::Corrupt(format!("unknown partition-count tag {tag}"))),
     };
     let strategy = match r.take_u8()? {
         0 => PartitionStrategy::Pccp,
         1 => PartitionStrategy::EqualContiguous,
-        tag => return Err(corrupt(format!("unknown partition-strategy tag {tag}"))),
+        tag => return Err(PersistError::Corrupt(format!("unknown partition-strategy tag {tag}"))),
     };
     Ok(BrePartitionConfig {
         partitions,
@@ -309,15 +291,10 @@ fn read_config(r: &mut ByteReader<'_>, version: u32) -> Result<BrePartitionConfi
         buffer_pool_pages: r.take_usize()?,
         sample_size: r.take_usize()?,
         seed: r.take_u64()?,
-        // Version 1 predates the screening knob: default off.
-        f32_candidates: if version >= INDEX_VERSION {
-            match r.take_u8()? {
-                0 => false,
-                1 => true,
-                tag => return Err(corrupt(format!("unknown f32-candidates flag {tag}"))),
-            }
-        } else {
-            false
+        f32_candidates: match r.take_u8()? {
+            0 => false,
+            1 => true,
+            tag => return Err(PersistError::Corrupt(format!("unknown f32-candidates flag {tag}"))),
         },
     })
 }
@@ -330,7 +307,7 @@ fn write_partitioning(w: &mut ByteWriter, partitioning: &Partitioning) {
     }
 }
 
-fn read_partitioning(r: &mut ByteReader<'_>) -> Result<Partitioning> {
+fn read_partitioning(r: &mut ByteReader<'_>) -> PersistResult<Partitioning> {
     let m = r.take_usize()?;
     let mut subspaces = Vec::with_capacity(m.min(1 << 16));
     for _ in 0..m {
@@ -341,7 +318,7 @@ fn read_partitioning(r: &mut ByteReader<'_>) -> Result<Partitioning> {
     // corrupted partition table cannot produce an index that reads out of
     // bounds.
     Partitioning::new(subspaces)
-        .map_err(|e| corrupt(format!("invalid partitioning in metadata: {e}")))
+        .map_err(|e| PersistError::Corrupt(format!("invalid partitioning in metadata: {e}")))
 }
 
 #[cfg(test)]
@@ -457,7 +434,7 @@ mod tests {
     #[test]
     fn open_rejects_missing_and_corrupt_directories() {
         let missing = temp_dir("missing");
-        assert!(matches!(BrePartitionIndex::open(&missing), Err(CoreError::Persist(_))));
+        assert!(matches!(BrePartitionIndex::open(&missing), Err(PersistError::Io(_))));
 
         let ds = dataset(120, 8, 14);
         let config = BrePartitionConfig::default().with_partitions(2).with_leaf_capacity(8);
@@ -470,15 +447,10 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&meta_path, &bytes).unwrap();
-        match BrePartitionIndex::open(&dir) {
-            Err(CoreError::Persist(message)) => {
-                assert!(
-                    message.contains("checksum") || message.contains("corrupt"),
-                    "unexpected persist error: {message}"
-                );
-            }
-            other => panic!("expected persist error, got {other:?}"),
-        }
+        assert!(matches!(
+            BrePartitionIndex::open(&dir),
+            Err(PersistError::ChecksumMismatch { .. } | PersistError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

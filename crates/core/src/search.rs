@@ -183,10 +183,9 @@ impl BrePartitionIndex {
         build: BuildReport,
     ) -> BrePartitionIndex {
         // The Φ column is recomputed from the restored full-resolution rows
-        // (not persisted), so pre-existing envelopes migrate transparently
-        // on open and the reopened index scores bit-identically. The f32
-        // screening copy is rebuilt the same way: the store holds the exact
-        // row bits, so `x as f32` reproduces the build-time values.
+        // (not persisted), so the reopened index scores bit-identically. The
+        // f32 screening copy is rebuilt the same way: the store holds the
+        // exact row bits, so `x as f32` reproduces the build-time values.
         let phi = phi_from_store(kind, forest.store());
         let f32_rows = config.f32_candidates.then(|| {
             let store = forest.store();

@@ -548,8 +548,8 @@ impl BufferPool {
     /// `lanes` as a **lane-major block** — `lanes[i * m + j]` is coordinate
     /// `i` of the group's `j`-th point (of `m`) — and handed to `f` once
     /// per page. This is the layout the batched refine kernel
-    /// (`distance_block`) consumes: one contiguous lane per dimension,
-    /// whatever the page codec. Unknown ids are skipped.
+    /// (`distance_block`) consumes: one contiguous lane per dimension.
+    /// Unknown ids are skipped.
     ///
     /// Like [`BufferPool::read_points_with`], a failed physical read aborts
     /// the batch with a descriptive [`PageStoreError`].

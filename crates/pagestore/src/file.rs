@@ -8,7 +8,7 @@
 //! ```text
 //! offset            size        field
 //! 0                 8           magic   b"BREPPGS1"
-//! 8                 4           version u32 (= 2; version 1 still opens)
+//! 8                 4           version u32 (= 2)
 //! 12                8           payload_len u64
 //! 20                8           checksum u64 — FNV-1a 64 over the payload
 //! ── payload ──────────────────────────────────────────────────────────────
@@ -26,7 +26,7 @@
 //! build_writes u64   pages written while building the original store
 //! point_count  u64   number of point records (for validation)
 //! page_count   u64   number of pages
-//! page_layout  u8    page-codec tag (version ≥ 2 only; see below), then per page:
+//! page_codec   u8    page-codec tag, always 1 (dimension-major), then per page:
 //!   offset     u64   byte offset of the page payload within the page region
 //!   length     u64   byte length of the page payload
 //!   point_ids  u32 sequence — resident point ids in slot order
@@ -36,20 +36,14 @@
 //! single record wider than the nominal page size is stored at its true
 //! length, which is why per-page offsets are explicit.
 //!
-//! # Page-codec versioning and migration
+//! # One format
 //!
-//! Version 2 adds the one-byte `page_layout` codec tag
-//! ([`PageLayout::tag`]): `0` = row-major (record-contiguous, the only
-//! layout version 1 could express), `1` = dimension-major (lane-contiguous
-//! SoA, the default for newly built stores). The tag applies to every page
-//! payload in the file — a file never mixes codecs.
-//!
-//! Version-1 files carry no tag and are opened as row-major: the reader
-//! falls back on [`crate::format::PersistError::UnsupportedVersion`] with
-//! `found == 1` and parses the legacy metadata block unchanged. Old files
-//! therefore keep working without rewriting; re-saving a reopened store
-//! writes a version-2 file that preserves the original row-major codec
-//! (the layout travels with [`PageStoreConfig`]).
+//! Every page payload is dimension-major (see [`Page`]). The version-2
+//! metadata block still carries a codec byte; it is always
+//! [`DIM_MAJOR_CODEC_TAG`], and any other value is
+//! [`PersistError::Corrupt`]. Any other envelope version is
+//! [`PersistError::UnsupportedVersion`]: a store in another format is
+//! migrated by rebuilding it.
 //!
 //! Opening a file verifies magic, version, payload length and checksum (the
 //! checksum pass streams the payload in chunks, so the page region is never
@@ -70,20 +64,19 @@ use crate::format::{
     ENVELOPE_HEADER_BYTES,
 };
 use crate::layout::{DiskLayout, PageAddress};
-use crate::page::{Page, PageId, PageLayout};
+use crate::page::{Page, PageId};
 use crate::store::PageStoreConfig;
 use crate::PointId;
 
 /// Magic tag of a page file.
 pub const PAGE_FILE_MAGIC: [u8; 8] = *b"BREPPGS1";
 
-/// Format version this build writes (and reads, alongside
-/// [`LEGACY_PAGE_FILE_VERSION`]).
+/// The only format version this build writes and reads.
 pub const PAGE_FILE_VERSION: u32 = 2;
 
-/// The original row-major-only format, still accepted by
-/// [`crate::PageStore::open`]; see the module docs for the migration rules.
-pub const LEGACY_PAGE_FILE_VERSION: u32 = 1;
+/// The page-codec byte of the metadata block: dimension-major, the only
+/// codec.
+pub const DIM_MAJOR_CODEC_TAG: u8 = 1;
 
 /// Per-page directory entry kept in memory by a [`FileBackend`].
 #[derive(Debug, Clone)]
@@ -131,7 +124,6 @@ pub struct FileBackend {
     file: Mutex<BufReader<File>>,
     page_region_offset: u64,
     dim: usize,
-    layout: PageLayout,
     entries: Vec<PageEntry>,
     /// Per-page FNV-1a checksums computed at open time: the whole-file
     /// envelope checksum only guards the *open*; these guard every
@@ -156,21 +148,10 @@ impl FileBackend {
     pub(crate) fn open(path: &Path) -> PersistResult<(FileBackend, PageFileMeta)> {
         let mut file = File::open(path)?;
 
-        // Envelope header. Current-version files are the common case;
-        // version-1 (row-major-only) files are accepted via fallback.
         let mut header = [0u8; ENVELOPE_HEADER_BYTES];
         read_exact_or_corrupt(&mut file, &mut header, "envelope header")?;
-        let (version, (payload_len, checksum)) =
-            match read_envelope_header(&PAGE_FILE_MAGIC, PAGE_FILE_VERSION, &header) {
-                Ok(parsed) => (PAGE_FILE_VERSION, parsed),
-                Err(PersistError::UnsupportedVersion {
-                    found: LEGACY_PAGE_FILE_VERSION, ..
-                }) => (
-                    LEGACY_PAGE_FILE_VERSION,
-                    read_envelope_header(&PAGE_FILE_MAGIC, LEGACY_PAGE_FILE_VERSION, &header)?,
-                ),
-                Err(e) => return Err(e),
-            };
+        let (payload_len, checksum) =
+            read_envelope_header(&PAGE_FILE_MAGIC, PAGE_FILE_VERSION, &header)?;
         let actual_len = file.metadata()?.len();
         let expected_len = ENVELOPE_HEADER_BYTES as u64 + payload_len;
         if actual_len != expected_len {
@@ -198,7 +179,7 @@ impl FileBackend {
         }
         let mut meta_bytes = vec![0u8; meta_len as usize];
         read_exact_or_corrupt(&mut file, &mut meta_bytes, "metadata block")?;
-        let meta = parse_meta(&meta_bytes, version)?;
+        let meta = parse_meta(&meta_bytes)?;
 
         let page_region_offset = ENVELOPE_HEADER_BYTES as u64 + 8 + meta_len;
         let page_region_len = expected_len - page_region_offset;
@@ -235,7 +216,6 @@ impl FileBackend {
             file: Mutex::new(BufReader::new(file)),
             page_region_offset,
             dim: meta.dim,
-            layout: meta.config.layout,
             entries: meta.entries.clone(),
             checksums,
         };
@@ -295,13 +275,7 @@ impl StorageBackend for FileBackend {
                 path: self.path.display().to_string(),
             });
         }
-        Ok(Some(Page::from_parts(
-            id,
-            self.dim,
-            self.layout,
-            entry.point_ids.clone(),
-            Bytes::from(buf),
-        )))
+        Ok(Some(Page::from_parts(id, self.dim, entry.point_ids.clone(), Bytes::from(buf))))
     }
 
     fn size_bytes(&self) -> usize {
@@ -337,7 +311,7 @@ pub(crate) fn write_page_file(
     meta.put_u64(build_writes);
     meta.put_u64(point_count as u64);
     meta.put_u64(page_count as u64);
-    meta.put_u8(config.layout.tag());
+    meta.put_u8(DIM_MAJOR_CODEC_TAG);
     let mut region_len = 0u64;
     for i in 0..page_count {
         let page = backend.read_page(PageId(i as u32)).expect("page within count");
@@ -377,21 +351,17 @@ pub(crate) fn write_page_file(
     Ok(())
 }
 
-fn parse_meta(bytes: &[u8], version: u32) -> PersistResult<PageFileMeta> {
+fn parse_meta(bytes: &[u8]) -> PersistResult<PageFileMeta> {
     let mut r = ByteReader::new(bytes);
     let page_size = r.take_usize()?;
     let dim = r.take_usize()?;
     let build_writes = r.take_u64()?;
     let point_count = r.take_usize()?;
     let page_count = r.take_usize()?;
-    // Version 1 predates the codec tag: every legacy page is row-major.
-    let layout = if version >= PAGE_FILE_VERSION {
-        let tag = r.take_u8()?;
-        PageLayout::from_tag(tag)
-            .ok_or_else(|| PersistError::Corrupt(format!("unknown page-codec tag {tag}")))?
-    } else {
-        PageLayout::RowMajor
-    };
+    let codec = r.take_u8()?;
+    if codec != DIM_MAJOR_CODEC_TAG {
+        return Err(PersistError::Corrupt(format!("unknown page-codec tag {codec}")));
+    }
     let mut entries = Vec::with_capacity(page_count.min(1 << 20));
     let mut expected_offset = 0u64;
     for page in 0..page_count {
@@ -437,7 +407,7 @@ fn parse_meta(bytes: &[u8], version: u32) -> PersistResult<PageFileMeta> {
         }
     }
     Ok(PageFileMeta {
-        config: PageStoreConfig { page_size_bytes: page_size, layout },
+        config: PageStoreConfig { page_size_bytes: page_size },
         dim,
         build_writes,
         point_count,
@@ -603,19 +573,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_version_1_files_open_as_row_major() {
-        // Down-convert a freshly saved row-major file to the version-1 image
-        // (no codec byte) and check the migration path: it must open, serve
-        // identical records, and report the row-major codec.
-        let data: Vec<Vec<f64>> =
-            (0..10).map(|i| (0..3).map(|j| (i * 3 + j) as f64).collect()).collect();
-        let config =
-            PageStoreConfig::with_page_size(3 * 8 * 4).with_layout(crate::PageLayout::RowMajor);
-        let store = PageStore::build_sequential(config, 3, 10, |pid| &data[pid as usize]);
-        let path = temp_path("legacy-v1");
+    fn version_1_files_and_foreign_codec_tags_are_rejected() {
+        let (store, _) = sample_store();
+        let path = temp_path("one-format");
         store.save(&path).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let reseal = |bytes: &mut Vec<u8>| {
+            let checksum = crate::format::fnv1a64(&bytes[ENVELOPE_HEADER_BYTES..]);
+            bytes[20..28].copy_from_slice(&checksum.to_le_bytes());
+        };
 
-        let mut bytes = std::fs::read(&path).unwrap();
+        // The version-1 image: version field 1, no codec byte, checksum
+        // re-sealed so only the version can be the reason to refuse it.
+        let mut bytes = pristine.clone();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
         bytes[12..20].copy_from_slice(&(payload_len - 1).to_le_bytes());
@@ -623,25 +593,25 @@ mod tests {
         let meta_len = u64::from_le_bytes(bytes[meta_len_at..meta_len_at + 8].try_into().unwrap());
         bytes[meta_len_at..meta_len_at + 8].copy_from_slice(&(meta_len - 1).to_le_bytes());
         bytes.remove(ENVELOPE_HEADER_BYTES + 8 + 40); // the codec byte
-        let checksum = crate::format::fnv1a64(&bytes[ENVELOPE_HEADER_BYTES..]);
-        bytes[20..28].copy_from_slice(&checksum.to_le_bytes());
+        reseal(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            PageStore::open(&path),
+            Err(PersistError::UnsupportedVersion { found: 1, supported: PAGE_FILE_VERSION })
+        ));
 
-        let reopened = PageStore::open(&path).unwrap();
-        assert_eq!(reopened.config().layout, crate::PageLayout::RowMajor);
-        assert_eq!(reopened.point_count(), 10);
-        let mut pool = crate::BufferPool::unbuffered();
-        for pid in 0..10u32 {
-            assert_eq!(pool.read_point(&reopened, pid).unwrap(), data[pid as usize]);
+        // A current-version file whose codec byte names the row-major codec.
+        let mut bytes = pristine;
+        let codec_at = ENVELOPE_HEADER_BYTES + 8 + 40;
+        assert_eq!(bytes[codec_at], DIM_MAJOR_CODEC_TAG);
+        bytes[codec_at] = 0;
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        match PageStore::open(&path) {
+            Err(PersistError::Corrupt(message)) => assert!(message.contains("codec"), "{message}"),
+            other => panic!("expected a corrupt-codec error, got {other:?}"),
         }
-
-        // Re-saving writes a current-version file that keeps the codec.
-        let resaved = temp_path("legacy-v1-resaved");
-        reopened.save(&resaved).unwrap();
-        let again = PageStore::open(&resaved).unwrap();
-        assert_eq!(again.config(), reopened.config());
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&resaved).unwrap();
     }
 
     #[test]

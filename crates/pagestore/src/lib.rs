@@ -74,7 +74,7 @@ pub use file::FileBackend;
 pub use format::{PersistError, PersistResult};
 pub use io_stats::{AtomicIoStats, IoStats};
 pub use layout::{DiskLayout, PageAddress};
-pub use page::{Page, PageId, PageLayout};
+pub use page::{Page, PageId};
 pub use store::{PageStore, PageStoreConfig};
 
 /// Identifier of a point: a dense `u32` index, matching

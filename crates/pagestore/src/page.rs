@@ -1,6 +1,5 @@
-//! Fixed-size pages holding serialized point records, in either of two
-//! codecs: row-major (record-contiguous) or dimension-major (lane-contiguous
-//! SoA, the refine-kernel-friendly layout).
+//! Fixed-size pages holding serialized point records in the dimension-major
+//! (lane-contiguous SoA) codec the refine kernel streams.
 
 use std::sync::Arc;
 
@@ -26,44 +25,13 @@ impl std::fmt::Display for PageId {
     }
 }
 
-/// How the `f64` coordinates of a page's records are arranged in the
-/// payload. Both codecs store the same bits per coordinate; only the order
-/// differs, so the two layouts decode bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PageLayout {
-    /// One record after another: coordinate `i` of slot `s` lives at byte
-    /// `(s·dim + i)·8`. The original (format v1) layout.
-    RowMajor,
-    /// Structure-of-arrays: one contiguous *lane* per dimension —
-    /// coordinate `i` of slot `s` lives at byte `(i·count + s)·8`, where
-    /// `count` is the number of records resident in the page. This is the
-    /// layout the batched SIMD refine kernel streams, and the default for
-    /// newly built stores (format v2).
-    #[default]
-    DimMajor,
-}
-
-impl PageLayout {
-    /// Stable one-byte tag persisted in the page-file metadata.
-    pub fn tag(self) -> u8 {
-        match self {
-            PageLayout::RowMajor => 0,
-            PageLayout::DimMajor => 1,
-        }
-    }
-
-    /// Inverse of [`PageLayout::tag`].
-    pub fn from_tag(tag: u8) -> Option<PageLayout> {
-        match tag {
-            0 => Some(PageLayout::RowMajor),
-            1 => Some(PageLayout::DimMajor),
-            _ => None,
-        }
-    }
-}
-
 /// One fixed-size disk page: a header with the resident point ids followed by
 /// their little-endian `f64` coordinates, padded to the configured page size.
+///
+/// Coordinates are stored **dimension-major** (structure-of-arrays): one
+/// contiguous *lane* per dimension, so coordinate `i` of slot `s` lives at
+/// byte `(i·count + s)·8`, where `count` is the number of records resident
+/// in the page. This is the layout the batched SIMD refine kernel streams.
 ///
 /// Both the payload and the id list sit behind shared ownership, so cloning a
 /// page is cheap (two reference-count bumps). That is what lets a
@@ -74,49 +42,22 @@ impl PageLayout {
 pub struct Page {
     id: PageId,
     dim: usize,
-    layout: PageLayout,
     point_ids: Arc<[PointId]>,
     payload: Bytes,
 }
 
 impl Page {
-    /// Serialize `points` (id + coordinates) into a row-major page image
-    /// (kept for callers that build standalone pages; stores encode through
-    /// [`Page::encode_with`] with their configured layout).
+    /// Serialize `points` (id + coordinates) into a dimension-major page
+    /// image.
     ///
     /// The caller is responsible for ensuring the records fit in the page
     /// size; this constructor only encodes.
     pub fn encode(id: PageId, dim: usize, points: &[(PointId, &[f64])], page_size: usize) -> Page {
-        Self::encode_with(PageLayout::RowMajor, id, dim, points, page_size)
-    }
-
-    /// Serialize `points` (id + coordinates) into a page image in the given
-    /// codec. The two codecs hold identical coordinate bits (only the byte
-    /// order within the page differs), so decoding is layout-transparent.
-    pub fn encode_with(
-        layout: PageLayout,
-        id: PageId,
-        dim: usize,
-        points: &[(PointId, &[f64])],
-        page_size: usize,
-    ) -> Page {
         let mut buf = BytesMut::with_capacity(page_size);
-        match layout {
-            PageLayout::RowMajor => {
-                for (_, coords) in points {
-                    debug_assert_eq!(coords.len(), dim);
-                    for &v in *coords {
-                        buf.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-            }
-            PageLayout::DimMajor => {
-                for i in 0..dim {
-                    for (_, coords) in points {
-                        debug_assert_eq!(coords.len(), dim);
-                        buf.extend_from_slice(&coords[i].to_le_bytes());
-                    }
-                }
+        for i in 0..dim {
+            for (_, coords) in points {
+                debug_assert_eq!(coords.len(), dim);
+                buf.extend_from_slice(&coords[i].to_le_bytes());
             }
         }
         // Pad to the nominal page size so the simulated disk image has the
@@ -127,7 +68,6 @@ impl Page {
         Page {
             id,
             dim,
-            layout,
             point_ids: points.iter().map(|(pid, _)| *pid).collect(),
             payload: buf.freeze(),
         }
@@ -135,14 +75,8 @@ impl Page {
 
     /// Reassemble a page from its stored parts (used by storage backends
     /// when materializing a page read from a file image).
-    pub fn from_parts(
-        id: PageId,
-        dim: usize,
-        layout: PageLayout,
-        point_ids: Arc<[PointId]>,
-        payload: Bytes,
-    ) -> Page {
-        Page { id, dim, layout, point_ids, payload }
+    pub fn from_parts(id: PageId, dim: usize, point_ids: Arc<[PointId]>, payload: Bytes) -> Page {
+        Page { id, dim, point_ids, payload }
     }
 
     /// The raw serialized payload (record bytes plus padding).
@@ -153,11 +87,6 @@ impl Page {
     /// The page identifier.
     pub fn id(&self) -> PageId {
         self.id
-    }
-
-    /// The codec this page's payload is arranged in.
-    pub fn layout(&self) -> PageLayout {
-        self.layout
     }
 
     /// Number of point records stored in this page.
@@ -180,18 +109,9 @@ impl Page {
         self.payload.len()
     }
 
-    /// Byte offset of coordinate `i` of record `slot` under this layout.
-    #[inline]
-    fn coord_offset(&self, slot: usize, i: usize) -> usize {
-        match self.layout {
-            PageLayout::RowMajor => (slot * self.dim + i) * 8,
-            PageLayout::DimMajor => (i * self.point_ids.len() + slot) * 8,
-        }
-    }
-
     #[inline]
     fn coord(&self, slot: usize, i: usize) -> f64 {
-        let start = self.coord_offset(slot, i);
+        let start = (i * self.point_ids.len() + slot) * 8;
         f64::from_le_bytes(self.payload[start..start + 8].try_into().expect("8-byte chunk"))
     }
 
@@ -205,52 +125,24 @@ impl Page {
     /// Decode the coordinates of the record in the given slot into `out`.
     pub fn decode_slot_into(&self, slot: usize, out: &mut Vec<f64>) {
         out.clear();
-        match self.layout {
-            PageLayout::RowMajor => {
-                let record = 8 * self.dim;
-                let start = slot * record;
-                let bytes = &self.payload[start..start + record];
-                out.extend(
-                    bytes
-                        .chunks_exact(8)
-                        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-                );
-            }
-            PageLayout::DimMajor => {
-                out.extend((0..self.dim).map(|i| self.coord(slot, i)));
-            }
-        }
+        out.extend((0..self.dim).map(|i| self.coord(slot, i)));
     }
 
     /// Decode a set of slots as one **lane-major block**: after the call,
     /// `out[i * m + j]` is coordinate `i` of `slots[j]` (with
     /// `m = slots.len()`), i.e. one contiguous lane per dimension — the
-    /// shape the batched refine kernel consumes. Works for either codec;
-    /// for [`PageLayout::DimMajor`] a run of consecutive slots is a
-    /// straight per-lane copy.
+    /// shape the batched refine kernel consumes.
     pub fn decode_slots_into(&self, slots: &[usize], out: &mut Vec<f64>) {
-        let m = slots.len();
         out.clear();
-        out.reserve(self.dim * m);
-        match self.layout {
-            PageLayout::RowMajor => {
-                for i in 0..self.dim {
-                    for &slot in slots {
-                        out.push(self.coord(slot, i));
-                    }
-                }
-            }
-            PageLayout::DimMajor => {
-                let count = self.point_ids.len();
-                for i in 0..self.dim {
-                    let lane = i * count * 8;
-                    for &slot in slots {
-                        let start = lane + slot * 8;
-                        out.push(f64::from_le_bytes(
-                            self.payload[start..start + 8].try_into().expect("8-byte chunk"),
-                        ));
-                    }
-                }
+        out.reserve(self.dim * slots.len());
+        let count = self.point_ids.len();
+        for i in 0..self.dim {
+            let lane = i * count * 8;
+            for &slot in slots {
+                let start = lane + slot * 8;
+                out.push(f64::from_le_bytes(
+                    self.payload[start..start + 8].try_into().expect("8-byte chunk"),
+                ));
             }
         }
     }
@@ -271,7 +163,6 @@ mod tests {
         let b = vec![0.0, 7.5, -1.0];
         let page = Page::encode(PageId(3), 3, &[(10, &a), (11, &b)], 256);
         assert_eq!(page.id(), PageId(3));
-        assert_eq!(page.layout(), PageLayout::RowMajor);
         assert_eq!(page.len(), 2);
         assert!(!page.is_empty());
         assert_eq!(page.point_ids(), &[10, 11]);
@@ -281,48 +172,30 @@ mod tests {
     }
 
     #[test]
-    fn dim_major_pages_decode_identically_to_row_major() {
+    fn payload_is_lane_contiguous() {
         let a = vec![1.5, -2.25, 3.0];
         let b = vec![0.0, 7.5, -1.0];
         let c = vec![4.25, 5.0, -6.5];
         let points: &[(PointId, &[f64])] = &[(10, &a), (11, &b), (12, &c)];
-        let row = Page::encode_with(PageLayout::RowMajor, PageId(3), 3, points, 256);
-        let soa = Page::encode_with(PageLayout::DimMajor, PageId(3), 3, points, 256);
-        assert_eq!(soa.layout(), PageLayout::DimMajor);
-        assert_ne!(row.payload(), soa.payload(), "the byte layouts differ…");
-        for slot in 0..3 {
-            assert_eq!(row.decode_slot(slot), soa.decode_slot(slot), "…but the records match");
-        }
-        // The SoA payload really is lane-contiguous: lane 0 = [a0, b0, c0].
-        let lane0: Vec<f64> = soa.payload()[..24]
+        let page = Page::encode(PageId(3), 3, points, 256);
+        let payload: Vec<f64> = page.payload()[..72]
             .chunks_exact(8)
             .map(|ch| f64::from_le_bytes(ch.try_into().unwrap()))
             .collect();
-        assert_eq!(lane0, vec![1.5, 0.0, 4.25]);
+        assert_eq!(payload, vec![1.5, 0.0, 4.25, -2.25, 7.5, 5.0, 3.0, -1.0, -6.5]);
     }
 
     #[test]
-    fn decode_slots_into_is_lane_major_for_both_codecs() {
+    fn decode_slots_into_is_lane_major() {
         let a = vec![1.0, 2.0];
         let b = vec![3.0, 4.0];
         let c = vec![5.0, 6.0];
         let points: &[(PointId, &[f64])] = &[(0, &a), (1, &b), (2, &c)];
-        for layout in [PageLayout::RowMajor, PageLayout::DimMajor] {
-            let page = Page::encode_with(layout, PageId(0), 2, points, 128);
-            let mut out = vec![9.0; 3];
-            page.decode_slots_into(&[2, 0], &mut out);
-            // m = 2 slots: lane 0 = [c0, a0], lane 1 = [c1, a1].
-            assert_eq!(out, vec![5.0, 1.0, 6.0, 2.0], "{layout:?}");
-        }
-    }
-
-    #[test]
-    fn layout_tags_roundtrip() {
-        for layout in [PageLayout::RowMajor, PageLayout::DimMajor] {
-            assert_eq!(PageLayout::from_tag(layout.tag()), Some(layout));
-        }
-        assert_eq!(PageLayout::from_tag(7), None);
-        assert_eq!(PageLayout::default(), PageLayout::DimMajor);
+        let page = Page::encode(PageId(0), 2, points, 128);
+        let mut out = vec![9.0; 3];
+        page.decode_slots_into(&[2, 0], &mut out);
+        // m = 2 slots: lane 0 = [c0, a0], lane 1 = [c1, a1].
+        assert_eq!(out, vec![5.0, 1.0, 6.0, 2.0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::backend::{MemoryBackend, PageStoreError, StorageBackend};
 use crate::file::{write_page_file, FileBackend};
 use crate::format::PersistResult;
 use crate::layout::{DiskLayout, PageAddress};
-use crate::page::{Page, PageId, PageLayout};
+use crate::page::{Page, PageId};
 use crate::PointId;
 
 /// Configuration of a [`PageStore`].
@@ -15,20 +15,12 @@ use crate::PointId;
 pub struct PageStoreConfig {
     /// Nominal page size in bytes (the paper uses 32 KB–128 KB).
     pub page_size_bytes: usize,
-    /// Page codec new pages are encoded in (dimension-major SoA by
-    /// default; both codecs decode bit-identically).
-    pub layout: PageLayout,
 }
 
 impl PageStoreConfig {
-    /// A store with the given page size (and the default page codec).
+    /// A store with the given page size.
     pub fn with_page_size(page_size_bytes: usize) -> Self {
-        Self { page_size_bytes, layout: PageLayout::default() }
-    }
-
-    /// The same configuration with the given page codec.
-    pub fn with_layout(self, layout: PageLayout) -> Self {
-        Self { layout, ..self }
+        Self { page_size_bytes }
     }
 
     /// How many `dim`-dimensional `f64` records fit in one page (at least 1,
@@ -41,7 +33,7 @@ impl PageStoreConfig {
 impl Default for PageStoreConfig {
     fn default() -> Self {
         // 32 KB matches the smallest page size used in the paper's Table 4.
-        Self { page_size_bytes: 32 * 1024, layout: PageLayout::default() }
+        Self { page_size_bytes: 32 * 1024 }
     }
 }
 
@@ -92,13 +84,7 @@ impl PageStore {
             for (slot, &(pid, _)) in records.iter().enumerate() {
                 layout.set(pid, PageAddress { page: page_id, slot: slot as u32 });
             }
-            pages.push(Page::encode_with(
-                config.layout,
-                page_id,
-                dim,
-                &records,
-                config.page_size_bytes,
-            ));
+            pages.push(Page::encode(page_id, dim, &records, config.page_size_bytes));
         }
         let build_writes = pages.len() as u64;
         PageStore {
@@ -225,10 +211,9 @@ impl PageStore {
     /// Visit every stored point in id order (`0..point_count`), decoding
     /// each into a reused buffer. The page fetched last is cached, so a
     /// layout with runs of co-located ids costs one physical read per page
-    /// run. Maintenance/migration helper (e.g. rebuilding a derived
-    /// per-point column on open) — no [`crate::BufferPool`] accounting is
-    /// performed. Returns the first point id that resolves to no page, if
-    /// any.
+    /// run. Maintenance helper (e.g. exporting every row for a rebuild) —
+    /// no [`crate::BufferPool`] accounting is performed. Returns the first
+    /// point id that resolves to no page, if any.
     pub fn for_each_point(&self, f: &mut dyn FnMut(PointId, &[f64])) -> Result<(), PointId> {
         let mut coords = Vec::new();
         let mut cached: Option<(PageId, Page)> = None;
@@ -243,24 +228,6 @@ impl PageStore {
             f(pid, &coords);
         }
         Ok(())
-    }
-
-    /// Derive one scalar per stored point (in id order) from its
-    /// full-resolution coordinates — the migration path indexes use to
-    /// rebuild a persisted per-point column (e.g. the prepared-kernel `Φ`
-    /// table) from a directory that predates it. A point with no page
-    /// address is a corruption error, not a silent gap.
-    pub fn derive_point_column(
-        &self,
-        f: &mut dyn FnMut(&[f64]) -> f64,
-    ) -> crate::format::PersistResult<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.point_count());
-        self.for_each_point(&mut |_, coords| out.push(f(coords))).map_err(|pid| {
-            crate::format::PersistError::Corrupt(format!(
-                "cannot derive per-point column: point {pid} has no address in the page file"
-            ))
-        })?;
-        Ok(out)
     }
 }
 

@@ -14,15 +14,10 @@ use crate::quantizer::{Quantizer, QuantizerConfig};
 /// Magic tag of the VA-file metadata artifact.
 pub const VAFILE_MAGIC: [u8; 8] = *b"BREPVAF1";
 
-/// Format version this build writes and reads. Version 2 appends the
-/// per-point `Φ(x) = Σ_j φ(x_j)` column consumed by the prepared-query
-/// refine kernel; version-1 files (no column) are still opened, with the
-/// column recomputed from the page file ([`LEGACY_VAFILE_VERSION`]).
+/// The only format version this build writes and reads. The payload ends
+/// with the per-point `Φ(x) = Σ_j φ(x_j)` column consumed by the
+/// prepared-query refine kernel.
 pub const VAFILE_VERSION: u32 = 2;
-
-/// The pre-`Φ`-column format version this build can still open (migrating
-/// the missing column on the fly).
-pub const LEGACY_VAFILE_VERSION: u32 = 1;
 
 /// File name of the VA-file metadata within an index directory.
 pub const META_FILE: &str = "vafile.meta";
@@ -127,21 +122,11 @@ impl<B: DecomposableBregman> VaFile<B> {
     /// approximation table are loaded into memory (they are scanned on every
     /// query anyway); the full-resolution pages are served from the page
     /// file on demand. Fails if the directory was written for a different
-    /// divergence.
-    ///
-    /// Version-1 metadata (written before the `Φ` column existed) is
-    /// migrated on open: the column is recomputed with one pass over the
-    /// page file. Any other version mismatch is rejected with the usual
-    /// descriptive [`PersistError::UnsupportedVersion`].
+    /// divergence. Any other format version is rejected with
+    /// [`PersistError::UnsupportedVersion`].
     pub fn open(divergence: B, dir: &Path) -> PersistResult<Self> {
         let meta = std::fs::read(dir.join(META_FILE))?;
-        let (payload, version) = match unseal(&VAFILE_MAGIC, VAFILE_VERSION, &meta) {
-            Ok(payload) => (payload, VAFILE_VERSION),
-            Err(PersistError::UnsupportedVersion { found: LEGACY_VAFILE_VERSION, .. }) => {
-                (unseal(&VAFILE_MAGIC, LEGACY_VAFILE_VERSION, &meta)?, LEGACY_VAFILE_VERSION)
-            }
-            Err(e) => return Err(e),
-        };
+        let payload = unseal(&VAFILE_MAGIC, VAFILE_VERSION, &meta)?;
         let mut r = ByteReader::new(payload);
         let name = r.take_str()?;
         if name != divergence.name() {
@@ -173,7 +158,7 @@ impl<B: DecomposableBregman> VaFile<B> {
             }
             approximations.push(approx);
         }
-        let persisted_phi = if version >= VAFILE_VERSION { Some(r.take_f64_seq()?) } else { None };
+        let phi = r.take_f64_seq()?;
         r.expect_end()?;
         let store = PageStore::open(&dir.join(PAGES_FILE))?;
         if store.point_count() != approximations.len() {
@@ -201,21 +186,13 @@ impl<B: DecomposableBregman> VaFile<B> {
                  quantizer and page size imply {expected_pages}"
             )));
         }
-        let phi = match persisted_phi {
-            Some(phi) => {
-                if phi.len() != approximations.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "Φ column holds {} entries, approximation table holds {}",
-                        phi.len(),
-                        approximations.len()
-                    )));
-                }
-                phi
-            }
-            // Version-1 migration: rebuild the column from the page file
-            // (one sequential pass; not attributed to any query's I/O).
-            None => store.derive_point_column(&mut |coords| divergence.f(coords))?,
-        };
+        if phi.len() != approximations.len() {
+            return Err(PersistError::Corrupt(format!(
+                "Φ column holds {} entries, approximation table holds {}",
+                phi.len(),
+                approximations.len()
+            )));
+        }
         Ok(Self {
             divergence,
             quantizer,
@@ -568,16 +545,16 @@ mod tests {
     }
 
     #[test]
-    fn version_one_metadata_is_migrated_on_open() {
+    fn other_metadata_versions_are_rejected() {
         // Re-seal the metadata as a version-1 body (no Φ column): open must
-        // rebuild the column from the page file and answer identically.
+        // refuse it with the versioned error instead of rebuilding the column.
         let ds = dataset(180, 4, 55, true);
         let built = VaFile::build(
             ItakuraSaito,
             &ds,
             VaFileConfig { quantizer: QuantizerConfig { bits_per_dim: 4 }, page_size_bytes: 1024 },
         );
-        let dir = std::env::temp_dir().join(format!("vafile-v1-mig-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("vafile-v1-reject-{}", std::process::id()));
         built.save(&dir).unwrap();
         let mut w = ByteWriter::new();
         w.put_str(bregman::Divergence::name(&built.divergence));
@@ -587,26 +564,15 @@ mod tests {
         for approx in &built.approximations {
             w.put_u16_seq(approx);
         }
-        std::fs::write(
-            dir.join(META_FILE),
-            seal(&VAFILE_MAGIC, LEGACY_VAFILE_VERSION, &w.into_vec()),
-        )
-        .unwrap();
-        let migrated = VaFile::open(ItakuraSaito, &dir).unwrap();
-        assert_eq!(migrated.phi().len(), built.phi().len());
-        for (a, b) in migrated.phi().iter().zip(built.phi().iter()) {
-            assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()), "{a} vs {b}");
+        std::fs::write(dir.join(META_FILE), seal(&VAFILE_MAGIC, 1, &w.into_vec())).unwrap();
+        match VaFile::open(ItakuraSaito, &dir) {
+            Err(PersistError::UnsupportedVersion { found: 1, supported }) => {
+                assert_eq!(supported, VAFILE_VERSION);
+            }
+            other => panic!("expected version rejection, got {other:?}"),
         }
-        let mut pool_a = BufferPool::unbuffered();
-        let mut pool_b = BufferPool::unbuffered();
-        let query = ds.point(PointId(11)).to_vec();
-        let a = built.knn(&mut pool_a, &query, 7);
-        let b = migrated.knn(&mut pool_b, &query, 7);
-        assert_eq!(a.neighbors, b.neighbors);
-        assert_eq!(a.io, b.io);
 
-        // A version this build has never written is still rejected with the
-        // descriptive versioned error.
+        // So is a version from the future.
         let meta = std::fs::read(dir.join(META_FILE)).unwrap();
         let mut bad = meta.clone();
         bad[8..12].copy_from_slice(&99u32.to_le_bytes());

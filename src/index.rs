@@ -54,11 +54,11 @@
 //! External ids are stable across compactions: the delta carries the
 //! backend-internal → external id mapping, and an id, once issued, is
 //! never reused. [`Index::save`] persists the delta as a sealed
-//! [`DELTA_FILE`] log next to the spec envelope; [`Index::open`] replays it
-//! (an absent log is an empty delta, so pre-mutability directories stay
-//! readable, and the chain flattens to the original single-segment log
-//! format on disk). Batch serving sees a *consistent snapshot per batch*:
-//! the serving handle returned by [`Index::backend`] (and used by
+//! [`DELTA_FILE`] log next to the spec envelope (the chain flattens to one
+//! single-segment log); [`Index::open`] replays it, and a directory without
+//! one is rejected, since a missing log would silently drop pending inserts
+//! and revive deleted points. Batch serving sees a *consistent snapshot per
+//! batch*: the serving handle returned by [`Index::backend`] (and used by
 //! [`Index::run`]) freezes the delta at construction, so writes become
 //! visible at the next batch boundary, never in the middle of one.
 //!
@@ -93,16 +93,9 @@ use crate::spec::{IndexSpec, Method};
 /// Magic tag of the spec envelope ([`SPEC_FILE`]).
 pub const SPEC_MAGIC: [u8; 8] = *b"BREPSPC1";
 
-/// Format version of the spec envelope this build writes and reads.
-///
-/// Version 2 appended the `f32_candidates` flag byte; version 3 appends the
-/// compaction policy (background flag plus the two debt ratios). Envelopes
-/// of every earlier version remain readable; knobs they predate take their
-/// defaults.
+/// The only format version of the spec envelope this build writes and
+/// reads; any other version is rejected.
 pub const SPEC_VERSION: u32 = 3;
-
-/// Previous spec-envelope versions, still accepted by [`Index::open`].
-pub const LEGACY_SPEC_VERSIONS: [u32; 2] = [2, 1];
 
 /// File name of the spec envelope within an index directory.
 pub const SPEC_FILE: &str = "spec.meta";
@@ -604,9 +597,9 @@ impl Index {
     /// backend-level `save` call), whose artifacts disagree with its
     /// envelope, or that holds entries no backend of the spec's method
     /// writes (a foreign file dropped into the directory), fails with a
-    /// descriptive error. The delta log ([`DELTA_FILE`]) is replayed if
-    /// present; its absence means an empty delta, so directories written
-    /// before the mutability layer stay readable.
+    /// descriptive error. The delta log ([`DELTA_FILE`]) is replayed; a
+    /// missing log is an error. Every artifact has exactly one format
+    /// version, and any other is rejected with [`Error::Persist`].
     pub fn open(dir: &Path) -> Result<Index> {
         let spec = read_spec(dir)?;
         // The envelope itself round-trips through the same validation as a
@@ -615,17 +608,10 @@ impl Index {
         let entry = registry_entry(spec.method, spec.divergence)?;
         check_directory_entries(dir, &spec, entry.artifacts)?;
         let backend = (entry.open)(&spec, dir)?;
-        let delta = match std::fs::read(dir.join(DELTA_FILE)) {
-            Ok(bytes) => {
-                DeltaSegment::from_log_bytes(&bytes, spec.divergence, backend.dim(), backend.len())
-                    .map_err(Error::Core)?
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                DeltaSegment::new(spec.divergence, backend.dim(), backend.len())
-                    .map_err(Error::Core)?
-            }
-            Err(e) => return Err(Error::Persist(PersistError::Io(e))),
-        };
+        let bytes = std::fs::read(dir.join(DELTA_FILE)).map_err(PersistError::from)?;
+        let delta =
+            DeltaSegment::from_log_bytes(&bytes, spec.divergence, backend.dim(), backend.len())
+                .map_err(Error::Core)?;
         Ok(Index::from_parts(spec, backend, delta))
     }
 
@@ -1011,17 +997,9 @@ fn read_spec(dir: &Path) -> Result<IndexSpec> {
             dir.display()
         )))
     })?;
-    let (payload, version) = match unseal(&SPEC_MAGIC, SPEC_VERSION, &bytes) {
-        Ok(payload) => (payload, SPEC_VERSION),
-        Err(PersistError::UnsupportedVersion { found, .. })
-            if LEGACY_SPEC_VERSIONS.contains(&found) =>
-        {
-            (unseal(&SPEC_MAGIC, found, &bytes)?, found)
-        }
-        Err(e) => return Err(e.into()),
-    };
+    let payload = unseal(&SPEC_MAGIC, SPEC_VERSION, &bytes)?;
     let mut r = ByteReader::new(payload);
-    let spec = IndexSpec::read_from(&mut r, version)?;
+    let spec = IndexSpec::read_from(&mut r)?;
     r.expect_end()?;
     Ok(spec)
 }

@@ -72,17 +72,10 @@ use crate::spec::IndexSpec;
 /// Magic tag of the shard envelope ([`SHARDS_FILE`]).
 pub const SHARDS_MAGIC: [u8; 8] = *b"BREPSHD1";
 
-/// Format version of the shard envelope this build writes and reads.
-///
-/// Shard-envelope versions track spec-envelope versions 1:1. Version 2
-/// added the `f32_candidates` flag byte to the embedded [`IndexSpec`]
-/// payload; version 3 added the compaction policy
-/// ([`CompactionSpec`](crate::CompactionSpec)). Older envelopes remain
-/// readable; missing fields take their defaults.
+/// The only format version of the shard envelope this build writes and
+/// reads; any other version is rejected. It embeds an [`IndexSpec`]
+/// payload, so it changes whenever the spec envelope does.
 pub const SHARDS_VERSION: u32 = 3;
-
-/// Previous shard-envelope versions, still accepted on open.
-pub const LEGACY_SHARDS_VERSIONS: [u32; 2] = [2, 1];
 
 /// File name of the shard envelope within a sharded index directory.
 pub const SHARDS_FILE: &str = "shards.meta";
@@ -217,11 +210,9 @@ impl ShardSpec {
         w.put_usize(self.shards);
     }
 
-    /// Inverse of [`ShardSpec::write_to`]. `spec_version` is the
-    /// spec-envelope version of the embedded [`IndexSpec`] payload
-    /// (shard-envelope versions track spec-envelope versions 1:1).
-    pub(crate) fn read_from(r: &mut ByteReader<'_>, spec_version: u32) -> PersistResult<ShardSpec> {
-        let base = IndexSpec::read_from(r, spec_version)?;
+    /// Inverse of [`ShardSpec::write_to`].
+    pub(crate) fn read_from(r: &mut ByteReader<'_>) -> PersistResult<ShardSpec> {
+        let base = IndexSpec::read_from(r)?;
         let mode = ShardMode::from_tag(r.take_u8()?)?;
         let shards = r.take_usize()?;
         Ok(ShardSpec { base, shards, mode })
@@ -1018,17 +1009,9 @@ fn read_shard_envelope(dir: &Path) -> Result<(ShardSpec, u32)> {
             dir.display()
         )))
     })?;
-    let (payload, version) = match unseal(&SHARDS_MAGIC, SHARDS_VERSION, &bytes) {
-        Ok(payload) => (payload, SHARDS_VERSION),
-        Err(PersistError::UnsupportedVersion { found, .. })
-            if LEGACY_SHARDS_VERSIONS.contains(&found) =>
-        {
-            (unseal(&SHARDS_MAGIC, found, &bytes)?, found)
-        }
-        Err(e) => return Err(e.into()),
-    };
+    let payload = unseal(&SHARDS_MAGIC, SHARDS_VERSION, &bytes)?;
     let mut r = ByteReader::new(payload);
-    let spec = ShardSpec::read_from(&mut r, version)?;
+    let spec = ShardSpec::read_from(&mut r)?;
     let next_global = r.take_u32()?;
     r.expect_end()?;
     Ok((spec, next_global))
@@ -1061,7 +1044,7 @@ mod tests {
         spec.write_to(&mut w);
         let bytes = w.into_vec();
         let mut r = ByteReader::new(&bytes);
-        let restored = ShardSpec::read_from(&mut r, SHARDS_VERSION).unwrap();
+        let restored = ShardSpec::read_from(&mut r).unwrap();
         assert_eq!(restored, spec);
     }
 

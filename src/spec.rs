@@ -433,11 +433,8 @@ impl IndexSpec {
         w.put_f64(self.compaction.max_tombstone_ratio);
     }
 
-    /// Inverse of [`IndexSpec::write_to`]. `version` is the spec-envelope
-    /// version the payload was sealed under: version-1 envelopes predate
-    /// the `f32_candidates` knob and version-2 envelopes predate the
-    /// compaction policy; absent knobs take their defaults.
-    pub(crate) fn read_from(r: &mut ByteReader<'_>, version: u32) -> PersistResult<IndexSpec> {
+    /// Inverse of [`IndexSpec::write_to`].
+    pub(crate) fn read_from(r: &mut ByteReader<'_>) -> PersistResult<IndexSpec> {
         let method = Method::from_tag(r.take_u8()?)?;
         let kind_name = r.take_str()?;
         let divergence = DivergenceKind::parse(&kind_name)
@@ -470,21 +467,15 @@ impl IndexSpec {
             seed: r.take_u64()?,
             probability: r.take_f64()?,
             bits_per_dim: r.take_u8()?,
-            f32_candidates: if version >= 2 {
-                match r.take_u8()? {
-                    0 => false,
-                    1 => true,
-                    tag => {
-                        return Err(PersistError::Corrupt(format!(
-                            "unknown f32-candidates tag {tag}"
-                        )))
-                    }
+            f32_candidates: match r.take_u8()? {
+                0 => false,
+                1 => true,
+                tag => {
+                    return Err(PersistError::Corrupt(format!("unknown f32-candidates tag {tag}")))
                 }
-            } else {
-                false
             },
-            compaction: if version >= 3 {
-                let background = match r.take_u8()? {
+            compaction: CompactionSpec {
+                background: match r.take_u8()? {
                     0 => false,
                     1 => true,
                     tag => {
@@ -492,14 +483,9 @@ impl IndexSpec {
                             "unknown background-compaction tag {tag}"
                         )))
                     }
-                };
-                CompactionSpec {
-                    background,
-                    max_delta_ratio: r.take_f64()?,
-                    max_tombstone_ratio: r.take_f64()?,
-                }
-            } else {
-                CompactionSpec::default()
+                },
+                max_delta_ratio: r.take_f64()?,
+                max_tombstone_ratio: r.take_f64()?,
             },
         })
     }
@@ -555,7 +541,7 @@ mod tests {
         spec.write_to(&mut w);
         let bytes = w.into_vec();
         let mut r = ByteReader::new(&bytes);
-        let restored = IndexSpec::read_from(&mut r, crate::index::SPEC_VERSION).unwrap();
+        let restored = IndexSpec::read_from(&mut r).unwrap();
         assert_eq!(restored, spec);
     }
 

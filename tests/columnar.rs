@@ -1,25 +1,26 @@
 //! The columnar refine path's exactness contracts.
 //!
-//! * **Layout bit-identity**: the dimension-major (SoA) page codec and the
-//!   row-major codec produce bit-identical final top-k ids *and*
-//!   distances for every divergence — the layout only changes how decoded
-//!   coordinates reach the block kernel, never what the kernel computes —
-//!   including across a save → open cycle.
+//! * **Page codec against the source data**: every record read back through
+//!   `BufferPool::read_points_block` from a dimension-major page store —
+//!   freshly built and after save → open — equals its input row bit for
+//!   bit, and `DiskBBTree` kNN over those pages matches a brute-force scan
+//!   for every divergence.
 //! * **f32 candidate tier bit-identity**: for every `(Method,
 //!   DivergenceKind)` pair that supports it, an index with the `f32`
 //!   screening tier enabled returns ids and distances bit-identical to the
 //!   unscreened index — the tier may only *skip* candidates whose exact
 //!   distance provably exceeds the `k`-th best — before and after
 //!   mutation and a save → open cycle, and it demonstrably skips work.
-//! * **Spec-envelope migration**: a version-1 spec envelope (predating the
-//!   `f32_candidates` knob) still opens, with the knob defaulted off.
+//! * **One format per artifact**: a directory holding a spec envelope,
+//!   index metadata, VA-file metadata, page file or shard envelope of an
+//!   older format version is refused with a typed persistence error.
 
-use std::path::PathBuf;
+mod common;
 
 use brepartition::pagestore::format::{seal, unseal};
-use brepartition::pagestore::PageLayout;
 use brepartition::prelude::*;
-use brepartition::{SPEC_FILE, SPEC_MAGIC, SPEC_VERSION};
+use brepartition::{SHARDS_FILE, SPEC_FILE, SPEC_MAGIC, SPEC_VERSION};
+use common::TempDir;
 
 const DIM: usize = 12;
 
@@ -37,10 +38,6 @@ fn rows(n: usize, salt: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("brepartition-columnar-{}-{tag}", std::process::id()))
-}
-
 #[track_caller]
 fn assert_bit_identical(ctx: &str, got: &[(PointId, f64)], want: &[(PointId, f64)]) {
     assert_eq!(got.len(), want.len(), "{ctx}: neighbor count");
@@ -50,56 +47,87 @@ fn assert_bit_identical(ctx: &str, got: &[(PointId, f64)], want: &[(PointId, f64
     }
 }
 
-/// Run the layout A/B over one concrete divergence: build the same
-/// disk-resident BB-tree under both page codecs, query through cold pools,
-/// and require bit-identical answers — then again after save → open.
-fn check_layouts<B: DecomposableBregman>(divergence: B) {
+/// Read every record of `store` back through the block path and demand the
+/// source row's exact bits.
+fn assert_store_holds(ctx: &str, store: &PageStore, data: &DenseDataset) {
+    let ids: Vec<u32> = (0..data.len() as u32).collect();
+    let mut seen = 0;
+    BufferPool::unbuffered()
+        .read_points_block(store, &ids, &mut Vec::new(), &mut |members, lanes| {
+            let m = members.len();
+            for (j, &pid) in members.iter().enumerate() {
+                for (i, want) in data.row(pid as usize).iter().enumerate() {
+                    assert_eq!(lanes[i * m + j].to_bits(), want.to_bits(), "{ctx}: {pid}[{i}]");
+                }
+            }
+            seen += m;
+        })
+        .unwrap();
+    assert_eq!(seen, data.len(), "{ctx}: records read back");
+}
+
+/// Build a disk-resident BB-tree over one concrete divergence, then check
+/// its pages against the source rows and its kNN against a brute-force
+/// scan, fresh and after save → open (where the answers must also stay
+/// bit-identical). Ties are handled as in `tests/exactness.rs`: distances
+/// are compared rank by rank, and each returned id must lie at the
+/// distance it is reported at.
+fn check_against_source<B: DecomposableBregman>(divergence: B) {
     let data = DenseDataset::from_rows(&rows(90, 11)).unwrap();
     let queries = rows(8, 47);
     let tree_config = BBTreeConfig { leaf_capacity: 8, ..Default::default() };
-    let soa = DiskBBTree::build(
+    let built = DiskBBTree::build(
         divergence.clone(),
         &data,
         tree_config,
-        PageStoreConfig::with_page_size(512).with_layout(PageLayout::DimMajor),
+        PageStoreConfig::with_page_size(512),
     );
-    let aos = DiskBBTree::build(
-        divergence.clone(),
-        &data,
-        tree_config,
-        PageStoreConfig::with_page_size(512).with_layout(PageLayout::RowMajor),
-    );
-    let name = divergence.name();
-    let compare = |left: &DiskBBTree<B>, right: &DiskBBTree<B>, ctx: &str| {
-        for (qi, q) in queries.iter().enumerate() {
-            let a = left.knn(&mut BufferPool::unbuffered(), q, 9).unwrap();
-            let b = right.knn(&mut BufferPool::unbuffered(), q, 9).unwrap();
-            let a: Vec<_> = a.neighbors.iter().map(|n| (n.id, n.distance)).collect();
-            let b: Vec<_> = b.neighbors.iter().map(|n| (n.id, n.distance)).collect();
-            assert_bit_identical(&format!("{name} {ctx} query {qi}"), &a, &b);
-        }
-    };
-    compare(&soa, &aos, "built");
+    let dir = TempDir::new(&format!("columnar-{}", divergence.name()));
+    built.save(&dir).unwrap();
+    let reopened = DiskBBTree::open(divergence.clone(), &dir).unwrap();
 
-    // Both codecs survive persistence and still agree after reopening.
-    for (tag, tree) in [("soa", &soa), ("aos", &aos)] {
-        let dir = temp_dir(&format!("{name}-{tag}"));
-        tree.save(&dir).unwrap();
-        let reopened = DiskBBTree::open(divergence.clone(), &dir).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-        compare(&reopened, &soa, &format!("reopened-{tag}"));
+    let mut answers = Vec::new();
+    for (ctx, tree) in [("built", &built), ("reopened", &reopened)] {
+        let ctx = format!("{} {ctx}", divergence.name());
+        assert_store_holds(&ctx, tree.store(), &data);
+        for (qi, q) in queries.iter().enumerate() {
+            let got = tree.knn(&mut BufferPool::unbuffered(), q, 9).unwrap().neighbors;
+            answers.push(got.iter().map(|n| (n.id, n.distance)).collect::<Vec<_>>());
+            let mut scan: Vec<(usize, f64)> =
+                (0..data.len()).map(|i| (i, divergence.divergence(data.row(i), q))).collect();
+            scan.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            assert_eq!(got.len(), 9, "{ctx} query {qi}: neighbor count");
+            for (rank, (n, (_, want))) in got.iter().zip(&scan).enumerate() {
+                let own = divergence.divergence(data.row(n.id.0 as usize), q);
+                for (reference, what) in [(*want, "brute-force rank"), (own, "its own row")] {
+                    assert!(
+                        (n.distance - reference).abs() <= 1e-9 * (1.0 + reference.abs()),
+                        "{ctx} query {qi} rank {rank}: {} vs {what} {reference}",
+                        n.distance
+                    );
+                }
+            }
+            let mut ids: Vec<u32> = got.iter().map(|n| n.id.0).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), got.len(), "{ctx} query {qi}: duplicate ids");
+        }
+    }
+    let (fresh, reopened) = answers.split_at(queries.len());
+    for (qi, (a, b)) in fresh.iter().zip(reopened).enumerate() {
+        assert_bit_identical(&format!("{} reopened query {qi}", divergence.name()), b, a);
     }
 }
 
-/// The SoA page codec is an encoding change, not a numeric one: final
-/// top-k ids and distances match the row-major codec bit for bit, for
-/// every divergence family, fresh and reopened.
+/// The dimension-major page codec stores exactly the source bits and the
+/// search over it is exact, for every divergence family, fresh and
+/// reopened.
 #[test]
-fn soa_and_row_major_page_layouts_are_bit_identical() {
-    check_layouts(SquaredEuclidean);
-    check_layouts(ItakuraSaito);
-    check_layouts(Exponential);
-    check_layouts(brepartition::bregman::GeneralizedI);
+fn dim_major_pages_hold_the_source_rows_and_search_exactly() {
+    check_against_source(SquaredEuclidean);
+    check_against_source(ItakuraSaito);
+    check_against_source(Exponential);
+    check_against_source(brepartition::bregman::GeneralizedI);
 }
 
 /// The f32 screening tier never changes an answer: ids and f64 distances
@@ -185,10 +213,9 @@ fn f32_candidate_tier_is_bit_identical_and_skips_work() {
 
             // Across save → open the tier's rows are rebuilt from the page
             // file; the spec round-trips the knob, answers stay identical.
-            let dir = temp_dir(&label.replace('/', "-"));
+            let dir = TempDir::new(&format!("columnar-{}", label.replace('/', "-")));
             tiered.save(&dir).unwrap();
             let reopened = Index::open(&dir).unwrap();
-            std::fs::remove_dir_all(&dir).unwrap();
             assert!(reopened.spec().f32_candidates, "{label}: knob lost in persistence");
             let got = reopened.run(&Request::uniform(&queries, 6)).unwrap();
             for (qi, (g, w)) in got.outcomes.iter().zip(want.outcomes.iter()).enumerate() {
@@ -198,44 +225,64 @@ fn f32_candidate_tier_is_bit_identical_and_skips_work() {
     }
 }
 
-/// Legacy spec envelopes still open with the newer knobs defaulted off:
-/// version 2 predates the compaction spec (17 trailing bytes — flag +
-/// two ratios), version 1 additionally predates the `f32_candidates`
-/// flag byte.
+#[track_caller]
+fn assert_rejected<T>(ctx: &str, opened: Result<T>) {
+    match opened {
+        Err(Error::Persist(e)) => assert!(e.to_string().contains("version"), "{ctx}: {e}"),
+        Err(e) => panic!("{ctx}: expected a persistence error, got {e}"),
+        Ok(_) => panic!("{ctx}: an older format version must not open"),
+    }
+}
+
+/// Relabel a sealed artifact one format version lower, bytes unchanged.
+fn lower_version(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    bytes[8..12].copy_from_slice(&(version - 1).to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// Every artifact has exactly one format version. The genuine older spec
+/// envelopes, and every other artifact relabelled one version lower, are
+/// refused with a typed persistence error — never opened with defaulted
+/// fields, never a panic.
 #[test]
-fn version_1_spec_envelopes_still_open_with_the_tier_defaulted_off() {
+fn older_format_versions_are_rejected_on_open() {
     let data = DenseDataset::from_rows(&rows(40, 13)).unwrap();
-    let spec = IndexSpec::brepartition(DivergenceKind::ItakuraSaito)
+    let bp = IndexSpec::brepartition(DivergenceKind::ItakuraSaito)
         .with_partitions(2)
         .with_page_size(1024);
-    let index = Index::build(&spec, &data).unwrap();
-    let dir = temp_dir("spec-v1");
-    index.save(&dir).unwrap();
+    let vaf = IndexSpec::vafile(DivergenceKind::ItakuraSaito).with_page_size(1024);
 
-    // Down-convert the sealed spec envelope layer by layer and re-seal
-    // under each legacy version.
+    // Version 2 of the spec payload predates the compaction spec (17
+    // trailing bytes: flag + two ratios), version 1 additionally the
+    // `f32_candidates` flag byte.
+    let dir = TempDir::new("columnar-spec-versions");
+    Index::build(&bp, &data).unwrap().save(&dir).unwrap();
     let sealed = std::fs::read(dir.join(SPEC_FILE)).unwrap();
     let payload = unseal(&SPEC_MAGIC, SPEC_VERSION, &sealed).unwrap();
     let v2_payload = &payload[..payload.len() - 17];
     let v1_payload = &v2_payload[..v2_payload.len() - 1];
-    let q = rows(1, 99).pop().unwrap();
-    let want = index.query(&QueryRequest::new(&q, 5)).unwrap();
+    for (version, older) in [(2, v2_payload), (1, v1_payload)] {
+        std::fs::write(dir.join(SPEC_FILE), seal(&SPEC_MAGIC, version, older)).unwrap();
+        assert_rejected(&format!("{SPEC_FILE} v{version}"), Index::open(&dir));
+    }
 
-    std::fs::write(dir.join(SPEC_FILE), seal(&SPEC_MAGIC, 2, v2_payload)).unwrap();
-    let reopened = Index::open(&dir).unwrap();
-    assert!(
-        !reopened.spec().compaction.background,
-        "v2 envelopes must default background compaction off"
-    );
-    let got = reopened.query(&QueryRequest::new(&q, 5)).unwrap();
-    assert_bit_identical("v2 spec", &got.neighbors, &want.neighbors);
+    let artifacts = [
+        (bp, brepartition::core::persist::META_FILE),
+        (bp, brepartition::core::persist::PAGES_FILE),
+        (vaf, brepartition::vafile::search::META_FILE),
+        (vaf, brepartition::vafile::search::PAGES_FILE),
+    ];
+    for (spec, file) in artifacts {
+        let dir = TempDir::new("columnar-artifact-versions");
+        Index::build(&spec, &data).unwrap().save(&dir).unwrap();
+        lower_version(&dir.join(file));
+        assert_rejected(&format!("{} {file}", spec.method.short_name()), Index::open(&dir));
+    }
 
-    std::fs::write(dir.join(SPEC_FILE), seal(&SPEC_MAGIC, 1, v1_payload)).unwrap();
-    let reopened = Index::open(&dir).unwrap();
-    assert!(!reopened.spec().f32_candidates, "legacy envelopes must default the tier off");
-    assert!(!reopened.spec().compaction.background);
-    assert_eq!(reopened.spec().divergence, DivergenceKind::ItakuraSaito);
-    let got = reopened.query(&QueryRequest::new(&q, 5)).unwrap();
-    assert_bit_identical("legacy spec", &got.neighbors, &want.neighbors);
-    std::fs::remove_dir_all(&dir).unwrap();
+    let dir = TempDir::new("columnar-shards-version");
+    ShardedIndex::build(&ShardSpec::capacity(bp, 2), &data).unwrap().save(&dir).unwrap();
+    lower_version(&dir.join(SHARDS_FILE));
+    assert_rejected(SHARDS_FILE, ShardedIndex::open(&dir));
 }

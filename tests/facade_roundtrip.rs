@@ -7,10 +7,12 @@
 //! a directory saved by a different method or divergence must fail with a
 //! descriptive error, never a decode panic.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
 
 use brepartition::prelude::*;
+use common::TempDir;
 
 const PAGE: usize = 4096;
 const LEAF: usize = 16;
@@ -24,10 +26,6 @@ fn workload(n: usize, queries: usize) -> (DenseDataset, Vec<Vec<f64>>) {
         QueryWorkload::perturbed_from(&data, DivergenceKind::ItakuraSaito, queries, 0.02, 0xFACADE);
     let queries: Vec<Vec<f64>> = workload.iter().map(|q| q.to_vec()).collect();
     (data, queries)
-}
-
-fn temp_root(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("brepartition-facade-{}-{name}", std::process::id()))
 }
 
 /// The identical spec every method is driven through (method swapped in).
@@ -75,7 +73,7 @@ fn pre_redesign_backend(method: Method, data: &DenseDataset) -> Arc<dyn SearchBa
 #[test]
 fn all_four_methods_roundtrip_identically_through_the_facade() {
     let (data, queries) = workload(1_200, 96);
-    let root = temp_root("all-methods");
+    let root = TempDir::new("facade-all-methods");
 
     for method in Method::ALL {
         let spec = spec_for(method);
@@ -130,7 +128,6 @@ fn all_four_methods_roundtrip_identically_through_the_facade() {
             );
         }
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// Per-query options through the façade: probability overrides match the
@@ -172,7 +169,7 @@ fn per_query_options_route_through_the_facade() {
 #[test]
 fn open_rejects_foreign_and_mismatched_directories_descriptively() {
     let (data, _) = workload(300, 4);
-    let root = temp_root("mismatch");
+    let root = TempDir::new("facade-mismatch");
 
     // A directory with no spec envelope at all (the pre-façade layout).
     let bare = root.join("bare");
@@ -242,15 +239,13 @@ fn open_rejects_foreign_and_mismatched_directories_descriptively() {
         Err(Error::Persist(_)) => {}
         other => panic!("expected a persist error, got {other:?}"),
     }
-
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// The spec envelope survives a save → open → save → open chain.
 #[test]
 fn double_roundtrip_keeps_the_envelope_and_answers() {
     let (data, queries) = workload(400, 16);
-    let root = temp_root("double");
+    let root = TempDir::new("facade-double");
     let spec = spec_for(Method::Approximate);
     let built = Index::build(&spec, &data).unwrap();
     built.save(&root.join("first")).unwrap();
@@ -265,7 +260,6 @@ fn double_roundtrip_keeps_the_envelope_and_answers() {
     for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
         assert_eq!(x.neighbors, y.neighbors);
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// `StorageSpec::buffer_pool_pages` takes effect for every method: a
@@ -326,7 +320,7 @@ fn invalid_specs_and_configs_are_typed_errors() {
 #[test]
 fn open_rejects_a_directory_with_a_foreign_extra_file() {
     let (data, _) = workload(200, 4);
-    let root = temp_root("foreign-extra");
+    let root = TempDir::new("facade-foreign-extra");
 
     for method in Method::ALL {
         let dir = root.join(method.short_name());
@@ -349,5 +343,4 @@ fn open_rejects_a_directory_with_a_foreign_extra_file() {
         std::fs::remove_file(dir.join("stray.bin")).unwrap();
         assert!(Index::open(&dir).is_ok(), "{method}");
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }

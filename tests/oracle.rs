@@ -21,10 +21,12 @@
 //! non-cumulative Generalized-I divergence) are asserted to be exactly the
 //! known-unsupported ones and skipped.
 
+mod common;
+
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use brepartition::prelude::*;
+use common::TempDir;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -80,15 +82,6 @@ fn spec_for(method: Method, kind: DivergenceKind) -> IndexSpec {
     }
 }
 
-fn temp_root(method: Method, kind: DivergenceKind, seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "brepartition-oracle-{}-{}-{}-{seed:x}",
-        std::process::id(),
-        method.short_name(),
-        kind.short_name()
-    ))
-}
-
 #[track_caller]
 fn assert_matches_oracle(ctx: &str, index: &Index, oracle: &Oracle, query: &[f64], k: usize) {
     let got = index.query(&QueryRequest::new(query, k)).unwrap().neighbors;
@@ -129,7 +122,7 @@ fn run_interleaving(method: Method, kind: DivergenceKind, seed: u64) {
     };
     let mut issued: Vec<u32> = (0..INITIAL_POINTS as u32).collect();
     let mut expected_next = INITIAL_POINTS as u32;
-    let root = temp_root(method, kind, seed);
+    let root = TempDir::new(&format!("oracle-{}-{}", method.short_name(), kind.short_name()));
 
     for op in 0..OPS {
         let ctx = format!("{label} op {op}");
@@ -209,7 +202,6 @@ fn run_interleaving(method: Method, kind: DivergenceKind, seed: u64) {
         let want_ids: Vec<u32> = want.iter().map(|(id, _)| *id).collect();
         assert_eq!(got_ids, want_ids, "{label} batch query {qi}: ids diverged from brute force");
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[track_caller]
@@ -266,7 +258,12 @@ fn run_sharded_interleaving(mode: ShardMode, method: Method, kind: DivergenceKin
     };
     let mut issued: Vec<u32> = (0..INITIAL_POINTS as u32).collect();
     let mut expected_next = INITIAL_POINTS as u32;
-    let root = temp_root(method, kind, seed).join(format!("sharded-{}", mode.name()));
+    let root = TempDir::new(&format!(
+        "oracle-sharded-{}-{}-{}",
+        mode.name(),
+        method.short_name(),
+        kind.short_name()
+    ));
 
     for op in 0..OPS {
         let ctx = format!("{label} op {op}");
@@ -337,7 +334,6 @@ fn run_sharded_interleaving(mode: ShardMode, method: Method, kind: DivergenceKin
             );
         }
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// Helper trait: a stable per-method salt for the RNG stream (kept local so
@@ -512,10 +508,9 @@ fn oracle_concurrent_mutators_match_serial_replay() {
         for _ in 0..6 {
             index.insert(&random_row(&mut burst_rng)).unwrap();
         }
-        let dir = temp_root(Method::BrePartition, kind, seed).join("concurrent");
+        let dir = TempDir::new(&format!("oracle-concurrent-{}", kind.short_name()));
         index.save(&dir).unwrap();
         index = Index::open(&dir).unwrap();
-        std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
         assert_eq!(index.len(), ledger.live.len() + 6, "live count after reopen");
     }
 

@@ -4,10 +4,12 @@
 //! the pluggable-storage refactor. Extends the seeded harness style of
 //! `tests/engine_determinism.rs`.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
 
 use brepartition::prelude::*;
+use common::TempDir;
 
 fn hierarchical_workload(n: usize, queries: usize) -> (DenseDataset, Vec<Vec<f64>>) {
     let data =
@@ -28,10 +30,6 @@ fn build_index(data: &DenseDataset) -> BrePartitionIndex {
             .with_page_size(4096),
     )
     .unwrap()
-}
-
-fn temp_root(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("brepartition-roundtrip-{}-{name}", std::process::id()))
 }
 
 /// Run the batch on both backends and demand bit-identical neighbors,
@@ -64,7 +62,7 @@ fn brepartition_save_open_roundtrip_over_256_queries() {
     let (data, queries) = hierarchical_workload(2_000, 256);
     assert!(queries.len() >= 256);
     let index = build_index(&data);
-    let dir = temp_root("bp");
+    let dir = TempDir::new("roundtrip-bp");
     index.save(&dir).unwrap();
 
     let reopened = BrePartitionIndex::open(&dir).unwrap();
@@ -78,7 +76,6 @@ fn brepartition_save_open_roundtrip_over_256_queries() {
         &queries,
         10,
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The approximate backend reads the same persisted state (transforms and
@@ -87,7 +84,7 @@ fn brepartition_save_open_roundtrip_over_256_queries() {
 fn approximate_backend_roundtrips_over_256_queries() {
     let (data, queries) = hierarchical_workload(1_200, 256);
     let index = build_index(&data);
-    let dir = temp_root("abp");
+    let dir = TempDir::new("roundtrip-abp");
     index.save(&dir).unwrap();
     let approx = ApproximateConfig::with_probability(0.9);
     let reopened = BrePartitionIndex::open(&dir).unwrap();
@@ -99,7 +96,6 @@ fn approximate_backend_roundtrips_over_256_queries() {
         &queries,
         10,
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Both baselines round-trip through their own index directories (saved
@@ -108,7 +104,7 @@ fn approximate_backend_roundtrips_over_256_queries() {
 fn baseline_backends_roundtrip() {
     let (data, queries) = hierarchical_workload(800, 64);
     let kind = DivergenceKind::ItakuraSaito;
-    let root = temp_root("baselines");
+    let root = TempDir::new("roundtrip-baselines");
 
     let bbt =
         Index::build(&IndexSpec::bbtree(kind).with_leaf_capacity(16).with_page_size(4096), &data)
@@ -121,8 +117,6 @@ fn baseline_backends_roundtrip() {
     vaf.save(&root.join("vaf")).unwrap();
     let vaf_reopened = Index::open(&root.join("vaf")).unwrap();
     assert_identical_serving("VAF", vaf.backend(), vaf_reopened.backend(), &queries, 8);
-
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// A reopened index must keep answering exactly after a save → open → save →
@@ -131,7 +125,7 @@ fn baseline_backends_roundtrip() {
 fn double_roundtrip_is_stable() {
     let (data, queries) = hierarchical_workload(600, 32);
     let index = build_index(&data);
-    let root = temp_root("double");
+    let root = TempDir::new("roundtrip-double");
     index.save(&root.join("first")).unwrap();
     let once = BrePartitionIndex::open(&root.join("first")).unwrap();
     once.save(&root.join("second")).unwrap();
@@ -144,7 +138,6 @@ fn double_roundtrip_is_stable() {
         &queries,
         10,
     );
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// Sanity: the persisted artifacts detect corruption instead of serving
@@ -153,7 +146,7 @@ fn double_roundtrip_is_stable() {
 fn corrupted_index_directory_is_rejected() {
     let (data, _) = hierarchical_workload(400, 8);
     let index = build_index(&data);
-    let dir = temp_root("corrupt");
+    let dir = TempDir::new("roundtrip-corrupt");
     index.save(&dir).unwrap();
     let pages = dir.join("pages.bin");
     let mut bytes = std::fs::read(&pages).unwrap();
@@ -161,18 +154,17 @@ fn corrupted_index_directory_is_rejected() {
     bytes[last] ^= 0x80;
     std::fs::write(&pages, &bytes).unwrap();
     assert!(BrePartitionIndex::open(&dir).is_err(), "flipped page byte must fail the checksum");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Delta persistence: for every method, an index carrying a non-empty
 /// delta (fresh inserts *and* tombstones on both the backend and the delta
-/// side) must save → open to identical neighbor ids and distances, and an
-/// absent delta log must open as an empty delta (backward compatibility
-/// with pre-mutability directories).
+/// side) must save → open to identical neighbor ids and distances, and a
+/// directory whose delta log is missing (a save torn after `spec.meta`)
+/// must be refused rather than served with the pending writes lost.
 #[test]
 fn delta_state_roundtrips_for_all_four_methods() {
     let (data, queries) = hierarchical_workload(400, 24);
-    let root = temp_root("delta");
+    let root = TempDir::new("roundtrip-delta");
 
     for method in Method::ALL {
         let spec = IndexSpec::new(method, DivergenceKind::ItakuraSaito)
@@ -206,14 +198,17 @@ fn delta_state_roundtrips_for_all_four_methods() {
             assert_eq!(a.neighbors, b.neighbors, "{method} query {qi}: merged results diverged");
         }
 
-        // Dropping the delta log reverts the directory to its static
-        // snapshot: it must open as an empty delta over the backend.
+        // Without the log, opening would lose the 12 inserts and revive
+        // the 4 deleted points: it must fail with a typed error instead.
         std::fs::remove_file(dir.join(brepartition::DELTA_FILE)).unwrap();
-        let legacy = Index::open(&dir).unwrap();
-        assert_eq!(legacy.len(), data.len(), "{method}: absent log means empty delta");
-        assert!(legacy.delta().is_trivial(), "{method}");
+        match Index::open(&dir) {
+            Err(Error::Persist(PersistError::Io(e))) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{method}")
+            }
+            Err(e) => panic!("{method}: expected a missing-file persistence error, got {e}"),
+            Ok(_) => panic!("{method}: a directory without its delta log must not open"),
+        }
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// A compacted index (non-identity id mapping) must also round-trip: the
@@ -238,7 +233,7 @@ fn compacted_id_mapping_roundtrips() {
     assert!(!index.delta().is_trivial(), "deletes shift ids: the mapping must be explicit");
     assert!(!index.delta().has_pending_writes(), "compaction drains the delta");
 
-    let dir = temp_root("delta-compacted");
+    let dir = TempDir::new("roundtrip-delta-compacted");
     index.save(&dir).unwrap();
     let reopened = Index::open(&dir).unwrap();
     assert_eq!(reopened.len(), index.len());
@@ -253,7 +248,6 @@ fn compacted_id_mapping_roundtrips() {
     // The stable external id of the inserted row still resolves.
     assert!(index.delta().is_live(extra_id));
     assert!(reopened.delta().is_live(extra_id));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Corruption and truncation of the delta log are rejected with
@@ -271,7 +265,7 @@ fn corrupted_or_truncated_delta_log_is_rejected_descriptively() {
     let row: Vec<f64> = data.row(0).iter().map(|v| v + 0.25).collect();
     index.insert(&row).unwrap();
     index.delete(PointId(1)).unwrap();
-    let dir = temp_root("delta-corrupt");
+    let dir = TempDir::new("roundtrip-delta-corrupt");
     index.save(&dir).unwrap();
     let path = dir.join(brepartition::DELTA_FILE);
     let pristine = std::fs::read(&path).unwrap();
@@ -305,7 +299,6 @@ fn corrupted_or_truncated_delta_log_is_rejected_descriptively() {
     // The pristine log restores openability.
     std::fs::write(&path, &pristine).unwrap();
     assert!(Index::open(&dir).is_ok());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A mutated sharded index (routed inserts, deletes, one compaction)
@@ -332,7 +325,7 @@ fn sharded_directory_roundtrips_and_rejects_tampering() {
     }
     index.compact().unwrap();
 
-    let dir = temp_root("sharded");
+    let dir = TempDir::new("roundtrip-sharded");
     index.save(&dir).unwrap();
     let reopened = ShardedIndex::open(&dir).unwrap();
     assert_eq!(reopened.len(), index.len());
@@ -381,7 +374,7 @@ fn sharded_directory_roundtrips_and_rejects_tampering() {
     // caught by the id-counter cross-check ("not a shard of this index").
     let (other_data, _) = hierarchical_workload(700, 1);
     let other = ShardedIndex::build(&spec, &other_data).unwrap();
-    let other_dir = temp_root("sharded-other");
+    let other_dir = TempDir::new("roundtrip-sharded-other");
     other.save(&other_dir).unwrap();
     std::fs::remove_dir_all(dir.join("shard0001")).unwrap();
     copy_dir(&other_dir.join("shard0001"), &dir.join("shard0001"));
@@ -398,9 +391,6 @@ fn sharded_directory_roundtrips_and_rejects_tampering() {
         ShardedIndex::open(&dir.join("shard0000")).is_err(),
         "an unsharded index directory is not a sharded root"
     );
-
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&other_dir).unwrap();
 }
 
 fn copy_dir(from: &std::path::Path, to: &std::path::Path) {

@@ -13,10 +13,13 @@
 //! 2. **Neighbor-ID identity** — every *exact* method (BP, BBT, VAF),
 //!    driven through the façade on the round-trip workload, returns exactly
 //!    the ground-truth neighbor IDs, before and after a save/open cycle
-//!    (which exercises the persisted Φ column), and after migrating a
-//!    directory that predates the column.
+//!    (which exercises the persisted Φ column); a BBT directory missing
+//!    the column is refused.
+
+mod common;
 
 use brepartition::prelude::*;
+use common::TempDir;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,7 +90,7 @@ fn exact_methods_return_ground_truth_neighbor_ids_through_the_facade() {
     let (data, queries) = roundtrip_workload();
     let k = 10;
     let truth = ground_truth_knn(DivergenceKind::ItakuraSaito, &data, &queries, k, 4);
-    let root = std::env::temp_dir().join(format!("prepared-kernels-{}", std::process::id()));
+    let root = TempDir::new("prepared-kernels-ground-truth");
 
     for method in [Method::BrePartition, Method::BBTree, Method::VaFile] {
         let spec = IndexSpec::new(method, DivergenceKind::ItakuraSaito)
@@ -121,26 +124,22 @@ fn exact_methods_return_ground_truth_neighbor_ids_through_the_facade() {
             }
         }
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A BBT directory missing its Φ column is incomplete, not old: opening it
+/// fails with a typed persistence error instead of recomputing the column.
 #[test]
-fn bbt_directories_without_a_phi_column_migrate_through_the_facade() {
-    let (data, queries) = roundtrip_workload();
+fn bbt_directories_without_a_phi_column_are_rejected_through_the_facade() {
+    let (data, _) = roundtrip_workload();
     let spec =
         IndexSpec::bbtree(DivergenceKind::ItakuraSaito).with_leaf_capacity(16).with_page_size(4096);
     let built = Index::build(&spec, &data).unwrap();
-    let dir = std::env::temp_dir().join(format!("prepared-kernels-mig-{}", std::process::id()));
+    let dir = TempDir::new("prepared-kernels-no-phi");
     built.save(&dir).unwrap();
-    // Simulate a directory written before the Φ column existed.
-    std::fs::remove_file(dir.join("phi.tbl")).unwrap();
-    let migrated = Index::open(&dir).unwrap();
-    for qi in 0..8 {
-        let query = queries.row(qi);
-        let a = built.query(&QueryRequest::new(query, 9)).unwrap();
-        let b = migrated.query(&QueryRequest::new(query, 9)).unwrap();
-        assert_eq!(a.neighbors, b.neighbors);
-        assert_eq!(a.io, b.io, "migration must not change query-time I/O");
+    std::fs::remove_file(dir.join(brepartition::bbtree::disk::PHI_FILE)).unwrap();
+    match Index::open(&dir) {
+        Err(Error::Persist(_)) => {}
+        Err(e) => panic!("expected a persistence error, got {e}"),
+        Ok(_) => panic!("a BBT directory without phi.tbl must not open"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -13,11 +13,13 @@
 //!   instead of multiplying it — pinned by counting concurrently live
 //!   backend searches from inside a probe backend.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use brepartition::prelude::*;
+use common::TempDir;
 
 const DIM: usize = 8;
 
@@ -49,10 +51,6 @@ fn spec_for(method: Method, kind: DivergenceKind) -> IndexSpec {
     } else {
         spec
     }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("brepartition-sharding-{}-{tag}", std::process::id()))
 }
 
 #[track_caller]
@@ -116,10 +114,9 @@ fn capacity_mode_is_bit_identical_to_unsharded_for_every_exact_pair() {
             // Across a save → open cycle (with compaction in between on the
             // sharded side, which must not disturb global ids).
             sharded.compact().unwrap();
-            let dir = temp_dir(&label.replace('/', "-"));
+            let dir = TempDir::new(&format!("sharding-{}", label.replace('/', "-")));
             sharded.save(&dir).unwrap();
             let reopened = ShardedIndex::open(&dir).unwrap();
-            std::fs::remove_dir_all(&dir).unwrap();
             assert_eq!(reopened.len(), plain.len(), "{label}: reopened size");
             let got = reopened.run_with_budget(&Request::uniform(&queries, 9), 2).unwrap();
             for (qi, (g, w)) in got.outcomes.iter().zip(want.outcomes.iter()).enumerate() {
@@ -343,10 +340,9 @@ fn capacity_shard_emptied_by_deletes_parks_and_revives() {
     }
 
     // The parked shard survives a save → open cycle.
-    let dir = temp_dir("parked-shard");
+    let dir = TempDir::new("sharding-parked-shard");
     sharded.save(&dir).unwrap();
     let reopened = ShardedIndex::open(&dir).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(reopened.len(), sharded.len(), "reopened live size");
 
     // Reinsert until an issued id routes back to shard 0: the parked
