@@ -46,16 +46,19 @@ impl QueryBounds {
         if n == 0 || k == 0 || m != query.partitions() {
             return None;
         }
-        // Pass 1: summed upper bound per point.
-        let mut totals: Vec<(usize, f64)> = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut total = 0.0;
-            for s in 0..m {
-                total +=
-                    upper_bound_from_components(transformed.components(i, s), query.components(s));
+        // Pass 1: summed upper bound per point, subspace-major. Each point
+        // still adds its subspaces in order `0..m`, so every total is
+        // bit-identical to a point-major scan, while the inner loop streams
+        // two contiguous columns and vectorises.
+        let mut sums = vec![0.0; n];
+        for s in 0..m {
+            let q = query.components(s);
+            let (alpha, gamma) = transformed.subspace_columns(s);
+            for ((sum, &a), &g) in sums.iter_mut().zip(alpha).zip(gamma) {
+                *sum += upper_bound_from_components((a, g), q);
             }
-            totals.push((i, total));
         }
+        let mut totals: Vec<(usize, f64)> = sums.into_iter().enumerate().collect();
         // Select the k-th smallest total (or the largest if k > n).
         let kth = k.min(n) - 1;
         totals.select_nth_unstable_by(kth, |a, b| a.1.total_cmp(&b.1));
@@ -191,6 +194,66 @@ mod tests {
         let empty = DenseDataset::empty(6).unwrap();
         let empty_t = TransformedDataset::build(DivergenceKind::Exponential, &empty, &p);
         assert!(QueryBounds::determine(&empty_t, &q, 3).is_none());
+    }
+
+    /// The point-major scalar Algorithm 4 scan that the subspace-major
+    /// `determine` replaced, kept as the bit-identity reference.
+    fn point_major_reference(
+        transformed: &TransformedDataset,
+        query: &TransformedQuery,
+        k: usize,
+    ) -> QueryBounds {
+        let n = transformed.len();
+        let m = transformed.partitions();
+        let mut totals: Vec<(usize, f64)> = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut total = 0.0;
+            for s in 0..m {
+                total +=
+                    upper_bound_from_components(transformed.components(i, s), query.components(s));
+            }
+            totals.push((i, total));
+        }
+        let kth = k.min(n) - 1;
+        totals.select_nth_unstable_by(kth, |a, b| a.1.total_cmp(&b.1));
+        let (pivot_point, total) = totals[kth];
+        let per_subspace = (0..m)
+            .map(|s| {
+                upper_bound_from_components(
+                    transformed.components(pivot_point, s),
+                    query.components(s),
+                )
+            })
+            .collect();
+        QueryBounds { pivot_point, per_subspace, total }
+    }
+
+    #[test]
+    fn subspace_major_scan_is_bit_identical_to_the_point_major_reference() {
+        // n = 37 is not a multiple of any vector width; k = 50 exceeds n.
+        let n = 37;
+        let dim = 9;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..dim).map(|j| 0.3 + ((i * 7 + j * 13) % 23) as f64 * 0.37).collect())
+            .collect();
+        let ds = DenseDataset::from_rows(&rows).unwrap();
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for m in [1usize, 2, 7] {
+            let p =
+                Partitioning::new((0..m).map(|s| (s..dim).step_by(m).collect()).collect()).unwrap();
+            for kind in [DivergenceKind::ItakuraSaito, DivergenceKind::Exponential] {
+                let t = TransformedDataset::build(kind, &ds, &p);
+                for (qi, k) in [(0, 1), (5, 3), (17, 10), (36, n), (2, 50)] {
+                    let q = TransformedQuery::build(kind, ds.row(qi), &p);
+                    let got = QueryBounds::determine(&t, &q, k).unwrap();
+                    let want = point_major_reference(&t, &q, k);
+                    let at = format!("{kind} M = {m}, query {qi}, k = {k}");
+                    assert_eq!(got.pivot_point, want.pivot_point, "{at}");
+                    assert_eq!(got.total.to_bits(), want.total.to_bits(), "{at}");
+                    assert_eq!(bits(&got.per_subspace), bits(&want.per_subspace), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!   [`pagestore::format`]) holding everything the search needs besides the
 //!   data pages: the divergence kind, the build configuration, the
 //!   dimensionality partitioning, the per-point transform tuples
-//!   `P(x) = (α_x, γ_x)`, the per-dimension moments used by the approximate
-//!   extension, the construction report, and every subspace BB-tree
-//!   (serialized with [`bbtree::serial`]).
+//!   `P(x) = (α_x, γ_x)` (a point-major table; memory holds them
+//!   subspace-major, so save and open transpose), the per-dimension
+//!   moments used by the approximate extension, the construction report,
+//!   and every subspace BB-tree (serialized with [`bbtree::serial`]).
 //! * `pages.bin` — the shared page file holding the full-resolution points
 //!   in BB-forest leaf order (format in [`pagestore::file`]).
 //!
@@ -70,15 +71,19 @@ impl BrePartitionIndex {
         write_config(&mut w, self.config());
         write_partitioning(&mut w, self.partitioning());
 
-        // Transform tuples.
+        // Transform tuples, point-major (`TransformedDataset::from_point_major`
+        // reads them back).
         let transformed = self.transformed();
-        w.put_usize(transformed.len());
-        w.put_usize(transformed.partitions());
-        let tuples = transformed.raw_tuples();
-        w.put_usize(tuples.len());
-        for t in tuples {
-            w.put_f64(t[0]);
-            w.put_f64(t[1]);
+        let (n, m) = (transformed.len(), transformed.partitions());
+        w.put_usize(n);
+        w.put_usize(m);
+        w.put_usize(n * m);
+        for i in 0..n {
+            for s in 0..m {
+                let (alpha, gamma) = transformed.components(i, s);
+                w.put_f64(alpha);
+                w.put_f64(gamma);
+            }
         }
 
         w.put_f64_seq(self.dimension_means());
@@ -145,14 +150,12 @@ impl BrePartitionIndex {
                 "transform table of {tuple_count} tuples is truncated"
             )));
         }
-        let mut tuples = Vec::with_capacity(tuple_count);
-        for _ in 0..tuple_count {
-            let alpha = r.take_f64()?;
-            let gamma = r.take_f64()?;
-            tuples.push([alpha, gamma]);
+        if n.checked_mul(m) != Some(tuple_count) {
+            return Err(PersistError::Corrupt(format!("transform table is not {n} × {m}")));
         }
-        let transformed = TransformedDataset::from_raw(n, m, tuples)
-            .ok_or_else(|| PersistError::Corrupt(format!("transform table is not {n} × {m}")))?;
+        let transformed = TransformedDataset::from_point_major(n, m, || {
+            Ok::<_, PersistError>((r.take_f64()?, r.take_f64()?))
+        })?;
         if m != partitioning.len() {
             return Err(PersistError::Corrupt(format!(
                 "transforms cover {m} subspaces, partitioning has {}",
@@ -429,6 +432,56 @@ mod tests {
         }
         assert_eq!(pool_a.stats(), pool_b.stats(), "hit/miss pattern must match");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn transform_table_is_stored_point_major_and_resaves_byte_identically() {
+        let ds = dataset(203, 12, 15);
+        let config = BrePartitionConfig::default()
+            .with_partitions(3)
+            .with_leaf_capacity(8)
+            .with_page_size(1024);
+        let built = BrePartitionIndex::build(DivergenceKind::ItakuraSaito, &ds, &config).unwrap();
+        let dir = temp_dir("point-major");
+        built.save(&dir).unwrap();
+        let meta = std::fs::read(dir.join(META_FILE)).unwrap();
+
+        // The table follows the kind, config and partitioning: n, m, the
+        // tuple count, then `[α, γ]` for point 0's subspaces 0..m, point 1's,
+        // and so on, whatever the in-memory layout.
+        let payload = unseal(&INDEX_MAGIC, INDEX_VERSION, &meta).unwrap();
+        let mut r = ByteReader::new(payload);
+        r.take_str().unwrap();
+        read_config(&mut r).unwrap();
+        read_partitioning(&mut r).unwrap();
+        let t = built.transformed();
+        let (n, m) = (t.len(), t.partitions());
+        assert_eq!((r.take_usize().unwrap(), r.take_usize().unwrap()), (n, m));
+        assert_eq!(r.take_usize().unwrap(), n * m);
+        for i in 0..n {
+            for s in 0..m {
+                let (alpha, gamma) = t.components(i, s);
+                assert_eq!(
+                    r.take_f64().unwrap().to_bits(),
+                    alpha.to_bits(),
+                    "point {i} subspace {s}"
+                );
+                assert_eq!(
+                    r.take_f64().unwrap().to_bits(),
+                    gamma.to_bits(),
+                    "point {i} subspace {s}"
+                );
+            }
+        }
+
+        // Open transposes into columns; saving again transposes back.
+        let reopened = BrePartitionIndex::open(&dir).unwrap();
+        assert_eq!(reopened.transformed(), built.transformed());
+        let again = temp_dir("point-major-again");
+        reopened.save(&again).unwrap();
+        assert_eq!(std::fs::read(again.join(META_FILE)).unwrap(), meta);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&again).unwrap();
     }
 
     #[test]

@@ -16,12 +16,19 @@ use bregman::{DenseDataset, DivergenceKind};
 use crate::partition::Partitioning;
 
 /// Per-point, per-subspace tuples `P(x) = (α_x, γ_x)` for an entire dataset.
+///
+/// The tuples are stored subspace-major as two columns,
+/// `alpha[subspace * n + point]` and `gamma[subspace * n + point]`, so
+/// Algorithm 4 ([`crate::QueryBounds::determine`]) streams one contiguous
+/// run of `n` values per subspace and its per-point loop vectorises.
+/// Persistence keeps the point-major `[α, γ]` table of the file format (see
+/// [`crate::persist`]) and transposes at save and open.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransformedDataset {
     n: usize,
     m: usize,
-    /// `tuples[point * m + subspace] = [α_x, γ_x]`.
-    tuples: Vec<[f64; 2]>,
+    alpha: Vec<f64>,
+    gamma: Vec<f64>,
 }
 
 impl TransformedDataset {
@@ -34,17 +41,17 @@ impl TransformedDataset {
     ) -> TransformedDataset {
         let n = dataset.len();
         let m = partitioning.len();
-        let mut tuples = vec![[0.0; 2]; n * m];
+        let mut alpha = vec![0.0; n * m];
+        let mut gamma = vec![0.0; n * m];
         let mut scratch = Vec::new();
         for i in 0..n {
             let row = dataset.row(i);
             for (s, dims) in partitioning.subspaces().iter().enumerate() {
                 DenseDataset::gather_into(row, dims, &mut scratch);
-                let (alpha, gamma) = kind.point_components(&scratch);
-                tuples[i * m + s] = [alpha, gamma];
+                (alpha[s * n + i], gamma[s * n + i]) = kind.point_components(&scratch);
             }
         }
-        TransformedDataset { n, m, tuples }
+        TransformedDataset { n, m, alpha, gamma }
     }
 
     /// Number of points.
@@ -65,8 +72,15 @@ impl TransformedDataset {
     /// The `(α_x, γ_x)` tuple of one point in one subspace.
     #[inline]
     pub fn components(&self, point: usize, subspace: usize) -> (f64, f64) {
-        let t = self.tuples[point * self.m + subspace];
-        (t[0], t[1])
+        let at = subspace * self.n + point;
+        (self.alpha[at], self.gamma[at])
+    }
+
+    /// The `α_x` and `γ_x` columns of one subspace, indexed by point.
+    #[inline]
+    pub(crate) fn subspace_columns(&self, subspace: usize) -> (&[f64], &[f64]) {
+        let run = subspace * self.n..(subspace + 1) * self.n;
+        (&self.alpha[run.clone()], &self.gamma[run])
     }
 
     /// Sum of `α_x` over every subspace of one point (equals the full-space
@@ -84,26 +98,25 @@ impl TransformedDataset {
     /// Approximate in-memory footprint in bytes (used by construction-cost
     /// reporting).
     pub fn size_bytes(&self) -> usize {
-        self.tuples.len() * std::mem::size_of::<[f64; 2]>()
+        (self.alpha.len() + self.gamma.len()) * std::mem::size_of::<f64>()
     }
 
-    /// The raw tuple storage, `tuples[point * m + subspace] = [α_x, γ_x]`
-    /// (used by the persistence layer).
-    pub(crate) fn raw_tuples(&self) -> &[[f64; 2]] {
-        &self.tuples
-    }
-
-    /// Reassemble a transformed dataset from restored raw storage. Returns
-    /// `None` when the tuple count does not equal `n × m`.
-    pub(crate) fn from_raw(
+    /// Reassemble a transformed dataset from the point-major `(α_x, γ_x)`
+    /// sequence the persistence layer stores (point 0's subspaces `0..m`,
+    /// then point 1's, …), pulling each tuple from `next`.
+    pub(crate) fn from_point_major<E>(
         n: usize,
         m: usize,
-        tuples: Vec<[f64; 2]>,
-    ) -> Option<TransformedDataset> {
-        if n.checked_mul(m)? != tuples.len() {
-            return None;
+        mut next: impl FnMut() -> std::result::Result<(f64, f64), E>,
+    ) -> std::result::Result<TransformedDataset, E> {
+        let mut alpha = vec![0.0; n * m];
+        let mut gamma = vec![0.0; n * m];
+        for i in 0..n {
+            for s in 0..m {
+                (alpha[s * n + i], gamma[s * n + i]) = next()?;
+            }
         }
-        Some(TransformedDataset { n, m, tuples })
+        Ok(TransformedDataset { n, m, alpha, gamma })
     }
 }
 

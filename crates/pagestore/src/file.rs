@@ -45,10 +45,17 @@
 //! [`PersistError::UnsupportedVersion`]: a store in another format is
 //! migrated by rebuilding it.
 //!
-//! Opening a file verifies magic, version, payload length and checksum (the
-//! checksum pass streams the payload in chunks, so the page region is never
-//! resident in memory); afterwards only the metadata block is kept in memory
-//! and every [`StorageBackend::read_page`] seeks into the page region.
+//! # Checksums
+//!
+//! Opening a file verifies magic, version, payload length and the envelope's
+//! FNV-1a checksum (the pass streams the payload in chunks, so the page
+//! region is never resident in memory). A second pass then computes one
+//! XXH64 checksum per page; those live only in memory, no byte of the file
+//! records them. Afterwards only the metadata block and the per-page
+//! checksums are kept in memory, and every [`StorageBackend::read_page`]
+//! seeks into the page region and verifies the page it read against its
+//! checksum, so bit rot after open is a [`PageStoreError::Checksum`], never
+//! a wrong neighbour.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
@@ -60,7 +67,7 @@ use parking_lot::Mutex;
 
 use crate::backend::{PageStoreError, StorageBackend};
 use crate::format::{
-    fnv1a64, read_envelope_header, ByteReader, ByteWriter, Fnv1a64, PersistError, PersistResult,
+    read_envelope_header, xxh64, ByteReader, ByteWriter, Fnv1a64, PersistError, PersistResult,
     ENVELOPE_HEADER_BYTES,
 };
 use crate::layout::{DiskLayout, PageAddress};
@@ -125,9 +132,10 @@ pub struct FileBackend {
     page_region_offset: u64,
     dim: usize,
     entries: Vec<PageEntry>,
-    /// Per-page FNV-1a checksums computed at open time: the whole-file
-    /// envelope checksum only guards the *open*; these guard every
-    /// subsequent physical read against bit rot mid-serve.
+    /// Per-page XXH64 checksums computed at open time and kept only in
+    /// memory: the whole-file FNV-1a envelope checksum only guards the
+    /// *open*; these guard every subsequent physical read against bit rot
+    /// mid-serve.
     checksums: Vec<u64>,
 }
 
@@ -195,20 +203,15 @@ impl FileBackend {
         // Per-page checksums: one more sequential pass over the page region
         // (entries are validated contiguous above) so that bit rot *after*
         // open is caught on the page actually served — the whole-file
-        // checksum above only guards this open.
+        // checksum above only guards this open. One page is resident at a
+        // time.
         file.seek(SeekFrom::Start(page_region_offset))?;
         let mut checksums = Vec::with_capacity(meta.entries.len());
-        let mut chunk = vec![0u8; 64 * 1024];
+        let mut page = Vec::new();
         for entry in &meta.entries {
-            let mut hash = Fnv1a64::new();
-            let mut remaining = entry.length;
-            while remaining > 0 {
-                let take = (remaining as usize).min(chunk.len());
-                read_exact_or_corrupt(&mut file, &mut chunk[..take], "page payload")?;
-                hash.update(&chunk[..take]);
-                remaining -= take as u64;
-            }
-            checksums.push(hash.finish());
+            page.resize(entry.length as usize, 0);
+            read_exact_or_corrupt(&mut file, &mut page, "page payload")?;
+            checksums.push(xxh64(&page));
         }
 
         let backend = FileBackend {
@@ -266,7 +269,7 @@ impl StorageBackend for FileBackend {
                 })?;
         }
         let expected = self.checksums[id.index()];
-        let found = fnv1a64(&buf);
+        let found = xxh64(&buf);
         if found != expected {
             return Err(PageStoreError::Checksum {
                 page: id,
@@ -624,50 +627,64 @@ mod tests {
         store.save(&path).unwrap();
         let reopened = PageStore::open(&path).unwrap();
 
-        // Flip one byte inside page 0's payload *in place* after open —
-        // the envelope checksum only guards the open; mid-serve bit rot
-        // must be caught by the per-page checksums on the read path.
+        // Flip one byte of page 0's payload *in place* after open — the
+        // envelope checksum only guards the open; mid-serve bit rot must be
+        // caught by the per-page checksums on the read path. The first,
+        // middle and last byte fall in the XXH64 stripe loop and its tails.
         let meta_len = {
             let bytes = std::fs::read(&path).unwrap();
             u64::from_le_bytes(
                 bytes[ENVELOPE_HEADER_BYTES..ENVELOPE_HEADER_BYTES + 8].try_into().unwrap(),
             )
         };
-        let target = ENVELOPE_HEADER_BYTES as u64 + 8 + meta_len + 3;
-        let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
-        file.seek(SeekFrom::Start(target)).unwrap();
-        let mut byte = [0u8; 1];
-        file.read_exact(&mut byte).unwrap();
-        file.seek(SeekFrom::Start(target)).unwrap();
-        file.write_all(&[byte[0] ^ 0x01]).unwrap();
-        file.sync_all().unwrap();
-        drop(file);
+        let page_start = ENVELOPE_HEADER_BYTES as u64 + 8 + meta_len;
+        let page_len = store.raw_page(PageId(0)).unwrap().payload().len() as u64;
+        let flip = |target: u64| {
+            let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
+            file.seek(SeekFrom::Start(target)).unwrap();
+            let mut byte = [0u8; 1];
+            file.read_exact(&mut byte).unwrap();
+            file.seek(SeekFrom::Start(target)).unwrap();
+            file.write_all(&[byte[0] ^ 0x01]).unwrap();
+            file.sync_all().unwrap();
+        };
 
-        // Both batch read paths surface the corruption as a descriptive
-        // error instead of a panic or silent garbage.
-        let mut pool = BufferPool::unbuffered();
-        let mut coords = Vec::new();
-        let err = pool
-            .read_points_with(&reopened, &[0, 1], &mut coords, &mut |_, _| {
-                panic!("corrupt page must not be served")
-            })
-            .unwrap_err();
-        match &err {
-            PageStoreError::Checksum { page, expected, found, path } => {
-                assert_eq!(*page, PageId(0));
-                assert_ne!(expected, found);
-                assert!(path.contains("bit-rot"), "{path}");
+        for offset in [0, page_len / 2, page_len - 1] {
+            flip(page_start + offset);
+
+            // Both batch read paths surface the corruption as a descriptive
+            // error instead of a panic or silent garbage.
+            let mut pool = BufferPool::unbuffered();
+            let mut coords = Vec::new();
+            let err = pool
+                .read_points_with(&reopened, &[0, 1], &mut coords, &mut |_, _| {
+                    panic!("corrupt page must not be served")
+                })
+                .unwrap_err();
+            match &err {
+                PageStoreError::Checksum { page, expected, found, path } => {
+                    assert_eq!(*page, PageId(0), "byte {offset}");
+                    assert_ne!(expected, found, "byte {offset}");
+                    assert!(path.contains("bit-rot"), "{path}");
+                }
+                other => panic!("byte {offset}: expected a checksum error, got {other:?}"),
             }
-            other => panic!("expected a checksum error, got {other:?}"),
+            assert!(err.to_string().contains("checksum"), "{err}");
+            let mut lanes = Vec::new();
+            assert!(
+                matches!(
+                    pool.read_points_block(&reopened, &[0], &mut lanes, &mut |_, _| {}),
+                    Err(PageStoreError::Checksum { .. })
+                ),
+                "byte {offset}"
+            );
+            // Pages outside the flipped byte still verify and serve.
+            assert_eq!(pool.read_point(&reopened, 9).unwrap(), data[9]);
+
+            // Flipping the byte back restores the page.
+            flip(page_start + offset);
+            assert_eq!(pool.read_point(&reopened, 0).unwrap(), data[0], "byte {offset}");
         }
-        assert!(err.to_string().contains("checksum"), "{err}");
-        let mut lanes = Vec::new();
-        assert!(matches!(
-            pool.read_points_block(&reopened, &[0], &mut lanes, &mut |_, _| {}),
-            Err(PageStoreError::Checksum { .. })
-        ));
-        // Pages outside the flipped byte still verify and serve.
-        assert_eq!(pool.read_point(&reopened, 9).unwrap(), data[9]);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -142,6 +142,72 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash.finish()
 }
 
+/// XXH64 (seed 0) of a byte slice.
+///
+/// The per-page checksums of an open page file (see [`crate::file`]) use
+/// this instead of [`fnv1a64`]: FNV-1a is one dependent multiply per byte,
+/// while XXH64 folds 32 bytes per step through four independent lanes, so
+/// verifying a page on every read costs a small fraction of reading it.
+/// These checksums live only in memory; no file byte depends on them.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+    }
+    fn merge(acc: u64, lane: u64) -> u64 {
+        (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+    }
+    let u64_at = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+
+    let mut rest = bytes;
+    let mut hash = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+        let mut stripes = rest.chunks_exact(32);
+        for stripe in &mut stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, u64_at(word));
+            }
+        }
+        rest = stripes.remainder();
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for lane in v {
+            h = merge(h, lane);
+        }
+        h
+    } else {
+        P5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+
+    let mut words = rest.chunks_exact(8);
+    for word in &mut words {
+        hash = (hash ^ round(0, u64_at(word))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    rest = words.remainder();
+    if rest.len() >= 4 {
+        let word = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as u64;
+        hash = (hash ^ word.wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &byte in rest {
+        hash = (hash ^ (byte as u64).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
+}
+
 /// Wrap a payload in a sealed envelope (magic, version, length, checksum).
 pub fn seal(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ENVELOPE_HEADER_BYTES + payload.len());
@@ -508,6 +574,17 @@ mod tests {
         // Reference values of FNV-1a 64.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn xxh64_matches_reference_vectors() {
+        // Reference XXH64 values at seed 0. The 39-byte input runs one
+        // 32-byte stripe of the four-lane loop, then the 4-byte and 1-byte
+        // tails; the shorter inputs take the small-input path.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xfbce_a83c_8a37_8bf1);
     }
 
     #[test]

@@ -929,7 +929,12 @@ impl Index {
     }
 
     /// Answer one query (fresh scratch state, no worker pool).
+    ///
+    /// A query with a coordinate outside the divergence's domain fails
+    /// with [`Error::Core`] wrapping `BregmanError::OutOfDomain`, the error
+    /// an insert of that row gets.
     pub fn query(&self, request: &QueryRequest<'_>) -> Result<QueryOutcome> {
+        request.check_domain(self.divergence())?;
         let backend = self.backend();
         let mut scratch = backend.new_scratch();
         let lowered = request.as_engine_request();
@@ -950,8 +955,10 @@ impl Index {
         self.run_with(request, EngineConfig::default())
     }
 
-    /// Execute a batch with explicit engine configuration.
+    /// Execute a batch with explicit engine configuration. A batch holding
+    /// any out-of-domain query is rejected whole, as in [`Index::query`].
     pub fn run_with(&self, request: &Request<'_>, config: EngineConfig) -> Result<BatchResult> {
+        request.check_domain(self.divergence())?;
         let engine = self.engine(config)?;
         Ok(engine.run_requests(&request.as_engine_requests())?)
     }

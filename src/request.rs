@@ -6,7 +6,11 @@
 //! network payload or a memory-mapped file submits batches without cloning
 //! every row into a `Vec<Vec<f64>>` first.
 
+use bregman::{BregmanError, DivergenceKind};
+use brepartition_core::CoreError;
 use brepartition_engine::{EngineRequest, QueryOptions};
+
+use crate::error::{Error, Result};
 
 /// One kNN query: a borrowed row, its own `k`, and optional per-query
 /// search knobs.
@@ -66,6 +70,20 @@ impl<'a> QueryRequest<'a> {
     /// The engine-level request this wraps.
     pub(crate) fn as_engine_request(&self) -> EngineRequest<'a> {
         self.inner
+    }
+
+    /// Reject a query row with a coordinate outside `kind`'s domain (NaN
+    /// or ±∞ under every divergence, ≤ 0 under Itakura–Saito and the
+    /// generalized I-divergence) with the error an insert of that row
+    /// gets, before any bound or kernel sees it.
+    pub(crate) fn check_domain(&self, kind: DivergenceKind) -> Result<()> {
+        match self.query().iter().find(|&&v| !kind.in_domain_vec(&[v])) {
+            None => Ok(()),
+            Some(&value) => Err(Error::Core(CoreError::Bregman(BregmanError::OutOfDomain {
+                divergence: kind.short_name(),
+                value,
+            }))),
+        }
     }
 }
 
@@ -129,6 +147,11 @@ impl<'a> Request<'a> {
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
+    }
+
+    /// [`QueryRequest::check_domain`] for every query of the batch.
+    pub(crate) fn check_domain(&self, kind: DivergenceKind) -> Result<()> {
+        self.queries.iter().try_for_each(|q| q.check_domain(kind))
     }
 
     /// Lower the batch to engine-level requests.

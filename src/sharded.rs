@@ -665,7 +665,8 @@ impl ShardedIndex {
     }
 
     /// Answer one query: scatter to every shard sequentially (fresh scratch,
-    /// no worker pool), gather by `(distance, id)`.
+    /// no worker pool), gather by `(distance, id)`. An out-of-domain query
+    /// is rejected by the first shard's [`Index::query`].
     pub fn query(&self, request: &QueryRequest<'_>) -> Result<QueryOutcome> {
         let started = Instant::now();
         let mut neighbors_per_shard: Vec<Vec<(PointId, f64)>> =
@@ -705,8 +706,10 @@ impl ShardedIndex {
     /// global ids and gathered per query, and the aggregated report counts
     /// the work of all shards (candidates and I/O summed, latency the
     /// slowest shard's). Results are independent of the budget, and in
-    /// capacity mode independent of the shard count.
+    /// capacity mode independent of the shard count. A batch holding any
+    /// out-of-domain query is rejected whole, as in [`Index::run_with`].
     pub fn run_with_budget(&self, request: &Request<'_>, budget: usize) -> Result<BatchResult> {
+        request.check_domain(self.spec.base.divergence)?;
         let backends: Vec<Arc<dyn SearchBackend>> =
             self.shards.iter().map(|s| s.backend()).collect();
         let engine = ShardedEngine::new(backends, budget)?;
@@ -820,6 +823,9 @@ impl ShardedIndex {
     ///   fraction.
     /// * No shard answered → [`Error::Unavailable`] always.
     ///
+    /// A batch holding any out-of-domain query is rejected whole before the
+    /// fan-out, as in [`Index::run_with`]; no shard or breaker sees it.
+    ///
     /// Breaker state and availability counters persist across calls in
     /// [`ShardedIndex::health`].
     pub fn run_with_policy(
@@ -828,6 +834,7 @@ impl ShardedIndex {
         budget: usize,
         policy: &FanoutPolicy,
     ) -> Result<ResilientBatch> {
+        request.check_domain(self.spec.base.divergence)?;
         let backends =
             (0..self.shards.len()).map(|s| self.serving_backend(s)).collect::<Result<Vec<_>>>()?;
         let engine = ShardedEngine::new(backends, budget)?;

@@ -344,3 +344,71 @@ fn open_rejects_a_directory_with_a_foreign_extra_file() {
         assert!(Index::open(&dir).is_ok(), "{method}");
     }
 }
+
+/// Every façade query entry point rejects a query with a coordinate outside
+/// the divergence's domain — NaN and ±∞ under every kind, ≤ 0 under
+/// Itakura–Saito and the generalized I-divergence — with the typed error an
+/// insert of that row gets, for every registered method × kind, unsharded
+/// and sharded, single query and batch. In-domain queries still answer.
+#[test]
+fn out_of_domain_queries_are_typed_errors_for_every_method_and_kind() {
+    use brepartition::bregman::BregmanError;
+    use brepartition::core::CoreError;
+
+    let data = HierarchicalSpec { n: 120, dim: 8, clusters: 4, blocks: 2, ..Default::default() }
+        .generate();
+    let good = data.row(3).to_vec();
+    for kind in DivergenceKind::ALL {
+        let mut bad_values = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        if matches!(kind, DivergenceKind::ItakuraSaito | DivergenceKind::GeneralizedI) {
+            bad_values.extend([0.0, -1.0]);
+        }
+        for method in Method::ALL {
+            let partitioned = matches!(method, Method::BrePartition | Method::Approximate);
+            if partitioned && !kind.supports_partitioning() {
+                continue; // no such index: the spec is rejected at build
+            }
+            let spec = IndexSpec::new(method, kind)
+                .with_partitions(2)
+                .with_leaf_capacity(LEAF)
+                .with_page_size(1024)
+                .with_probability(PROBABILITY);
+            let index = Index::build(&spec, &data).unwrap();
+            let sharded = ShardedIndex::build(&ShardSpec::capacity(spec, 2), &data).unwrap();
+            for &value in &bad_values {
+                let mut row = good.clone();
+                row[5] = value;
+                let single = QueryRequest::new(&row, 3);
+                let batch = Request::batch([QueryRequest::new(&good, 3), single]);
+                let results = [
+                    ("Index::query", index.query(&single).map(drop)),
+                    ("Index::run", index.run(&batch).map(drop)),
+                    ("ShardedIndex::query", sharded.query(&single).map(drop)),
+                    ("ShardedIndex::run", sharded.run(&batch).map(drop)),
+                    (
+                        "ShardedIndex::run_with_policy",
+                        sharded.run_with_policy(&batch, 2, &FanoutPolicy::default()).map(drop),
+                    ),
+                ];
+                for (entry, result) in results {
+                    match result {
+                        Err(Error::Core(CoreError::Bregman(BregmanError::OutOfDomain {
+                            value: found,
+                            ..
+                        }))) => assert_eq!(
+                            found.to_bits(),
+                            value.to_bits(),
+                            "{method}/{kind} {entry}: wrong coordinate reported"
+                        ),
+                        other => panic!(
+                            "{method}/{kind} {entry}: coordinate {value} gave {other:?}, \
+                             expected an out-of-domain error"
+                        ),
+                    }
+                }
+            }
+            assert_eq!(index.query(&QueryRequest::new(&good, 3)).unwrap().neighbors.len(), 3);
+            assert_eq!(sharded.run(&Request::uniform(&[&good[..]], 3)).unwrap().outcomes.len(), 1);
+        }
+    }
+}
