@@ -11,7 +11,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use bregman::kernel::{phi_table, KernelScratch};
-use bregman::{DecomposableBregman, DenseDataset, PointId};
+use bregman::{BregmanError, DecomposableBregman, DenseDataset, PointId};
 use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, PersistResult};
 use pagestore::{BufferPool, IoStats, PageStore, PageStoreConfig, PageStoreError};
 
@@ -19,7 +19,6 @@ use crate::build::{BBTreeBuilder, BBTreeConfig};
 use crate::knn::Neighbor;
 use crate::node::BBTree;
 use crate::stats::SearchStats;
-use crate::variational::VariationalConfig;
 
 /// File name of the serialized tree structure within an index directory.
 pub const TREE_FILE: &str = "tree.bbt";
@@ -39,6 +38,34 @@ pub const PHI_VERSION: u32 = 1;
 /// What a range query returns: the in-radius `(id, divergence)` pairs plus
 /// the traversal and I/O counters of the scan.
 pub type RangeResult = (Vec<(PointId, f64)>, SearchStats, IoStats);
+
+/// Why a [`DiskBBTree::knn`] query failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SearchError {
+    /// The query is malformed: a [`BregmanError::DimensionMismatch`] whose
+    /// `left` is the query's length and `right` the indexed dimensionality.
+    Query(BregmanError),
+    /// A data page failed its read after open.
+    Storage(PageStoreError),
+}
+
+impl std::fmt::Display for SearchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SearchError::Query(e) => write!(f, "invalid query: {e}"),
+            SearchError::Storage(e) => write!(f, "page read failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SearchError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SearchError::Query(e) => Some(e),
+            SearchError::Storage(e) => Some(e),
+        }
+    }
+}
 
 /// Result of one disk-resident query: neighbours plus CPU and I/O cost.
 #[derive(Debug, Clone)]
@@ -164,85 +191,39 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
         &self.phi
     }
 
-    /// Exact kNN with per-query I/O accounting through `pool`. A physical
-    /// page read that fails mid-query (post-open bit rot caught by the page
-    /// file's per-page checksums, or a device error) surfaces as a
-    /// [`PageStoreError`] instead of a panic.
+    /// kNN with per-query I/O accounting through `pool`, reusing the
+    /// caller's [`KernelScratch`] (the batch-serving hot path: the
+    /// prepared-query gradient buffer and the candidate decode buffers are
+    /// reused across a whole batch).
+    ///
+    /// `leaf_budget: None` is the exact search. `Some(b)` visits at most
+    /// `b` leaves in best-first order — the paper's **Var** baseline passes
+    /// [`VariationalConfig::leaf_budget`](crate::VariationalConfig::leaf_budget)
+    /// — bounding candidates and I/O at the cost of exactness; a budget of
+    /// at least [`BBTree::leaf_count`] is the exact search.
+    ///
+    /// The traversal runs the prepared-query kernel — query-side
+    /// transcendentals hoisted once, per-candidate distance
+    /// `Φ(x) + c_q − ⟨∇φ(q), x⟩` over the tabulated `Φ` column — and
+    /// decodes each visited leaf one page group at a time as a lane-major
+    /// block refined in a single batched kernel call. A query of the wrong
+    /// dimensionality is [`SearchError::Query`]; a page read that fails
+    /// mid-query (post-open bit rot caught by the page file's per-page
+    /// checksums, or a device error) is [`SearchError::Storage`].
     pub fn knn(
         &self,
         pool: &mut BufferPool,
-        query: &[f64],
-        k: usize,
-    ) -> Result<DiskQueryResult, PageStoreError> {
-        let mut kernel = KernelScratch::default();
-        self.knn_with_scratch(pool, &mut kernel, query, k)
-    }
-
-    /// Exact kNN reusing the caller's [`KernelScratch`] (the batch-serving
-    /// hot path: the prepared-query gradient buffer and the candidate
-    /// decode buffers are reused across a whole batch).
-    pub fn knn_with_scratch(
-        &self,
-        pool: &mut BufferPool,
         kernel: &mut KernelScratch,
         query: &[f64],
         k: usize,
-    ) -> Result<DiskQueryResult, PageStoreError> {
-        self.knn_bounded_with_scratch(pool, kernel, query, k, usize::MAX)
-    }
-
-    /// Approximate kNN visiting at most `max_leaves` leaves (in best-first
-    /// order). A budget of at least [`BBTree::leaf_count`] degenerates to the
-    /// exact search; smaller budgets bound the candidates examined (and the
-    /// I/O performed) at the cost of exactness.
-    pub fn knn_with_leaf_budget(
-        &self,
-        pool: &mut BufferPool,
-        query: &[f64],
-        k: usize,
-        max_leaves: usize,
-    ) -> Result<DiskQueryResult, PageStoreError> {
-        let mut kernel = KernelScratch::default();
-        self.knn_bounded_with_scratch(pool, &mut kernel, query, k, max_leaves)
-    }
-
-    /// [`DiskBBTree::knn_with_leaf_budget`] reusing the caller's scratch.
-    pub fn knn_with_leaf_budget_scratch(
-        &self,
-        pool: &mut BufferPool,
-        kernel: &mut KernelScratch,
-        query: &[f64],
-        k: usize,
-        max_leaves: usize,
-    ) -> Result<DiskQueryResult, PageStoreError> {
-        self.knn_bounded_with_scratch(pool, kernel, query, k, max_leaves)
-    }
-
-    /// Approximate kNN using the variational early-termination rule.
-    pub fn knn_variational(
-        &self,
-        pool: &mut BufferPool,
-        query: &[f64],
-        k: usize,
-        config: &VariationalConfig,
-    ) -> Result<DiskQueryResult, PageStoreError> {
-        let max_leaves = config.leaf_budget(self.tree.leaf_count());
-        self.knn_with_leaf_budget(pool, query, k, max_leaves)
-    }
-
-    /// The shared disk search: best-first traversal with the prepared-query
-    /// kernel — query-side transcendentals hoisted once, per-candidate
-    /// distance `Φ(x) + c_q − ⟨∇φ(q), x⟩` over the tabulated `Φ` column.
-    /// Each visited leaf is decoded one page group at a time as a
-    /// lane-major block and refined in a single batched kernel call.
-    fn knn_bounded_with_scratch(
-        &self,
-        pool: &mut BufferPool,
-        kernel: &mut KernelScratch,
-        query: &[f64],
-        k: usize,
-        max_leaves: usize,
-    ) -> Result<DiskQueryResult, PageStoreError> {
+        leaf_budget: Option<usize>,
+    ) -> Result<DiskQueryResult, SearchError> {
+        if query.len() != self.tree.dim() {
+            return Err(SearchError::Query(BregmanError::DimensionMismatch {
+                left: query.len(),
+                right: self.tree.dim(),
+            }));
+        }
         let before = pool.stats();
         let mut stats = SearchStats::new();
         let KernelScratch { prepared, ids, lanes, distances, phis, .. } = kernel;
@@ -259,7 +240,7 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
             query,
             k,
             &mut stats,
-            max_leaves,
+            leaf_budget.unwrap_or(usize::MAX),
             &mut |leaf_points, offer| {
                 if read_error.is_some() {
                     return;
@@ -279,7 +260,7 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
             },
         );
         if let Some(e) = read_error {
-            return Err(e);
+            return Err(SearchError::Storage(e));
         }
         Ok(DiskQueryResult { neighbors, search: stats, io: pool.stats().since(&before) })
     }
@@ -339,6 +320,7 @@ mod tests {
     use super::*;
     use crate::knn::linear_scan_knn;
     use crate::range::linear_scan_range;
+    use crate::variational::VariationalConfig;
     use bregman::{ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -363,7 +345,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..5 {
             let query: Vec<f64> = (0..8).map(|_| rng.gen_range(0.1..10.0)).collect();
-            let result = index.knn(&mut pool, &query, 10).unwrap();
+            let result =
+                index.knn(&mut pool, &mut KernelScratch::default(), &query, 10, None).unwrap();
             let expected = linear_scan_knn(&SquaredEuclidean, &ds, &query, 10);
             assert_eq!(result.neighbors.len(), 10);
             for (g, e) in result.neighbors.iter().zip(expected.iter()) {
@@ -402,7 +385,8 @@ mod tests {
         );
         // A pool large enough to hold the whole store never re-reads a page.
         let mut pool = BufferPool::new(index.page_count());
-        let result = index.knn(&mut pool, &[5.0; 6], 5).unwrap();
+        let result =
+            index.knn(&mut pool, &mut KernelScratch::default(), &[5.0; 6], 5, None).unwrap();
         assert!(result.io.pages_read <= index.page_count() as u64);
         assert!(result.neighbors.len() == 5);
     }
@@ -445,8 +429,9 @@ mod tests {
             let query: Vec<f64> = (0..6).map(|_| rng.gen_range(0.5..8.0)).collect();
             let mut pool_a = BufferPool::unbuffered();
             let mut pool_b = BufferPool::unbuffered();
-            let a = built.knn(&mut pool_a, &query, 7).unwrap();
-            let b = reopened.knn(&mut pool_b, &query, 7).unwrap();
+            let a = built.knn(&mut pool_a, &mut KernelScratch::default(), &query, 7, None).unwrap();
+            let b =
+                reopened.knn(&mut pool_b, &mut KernelScratch::default(), &query, 7, None).unwrap();
             assert_eq!(a.neighbors, b.neighbors);
             assert_eq!(a.io, b.io, "cold-pool I/O must be identical after reopening");
             assert_eq!(a.search, b.search);
@@ -525,9 +510,34 @@ mod tests {
         );
         let mut pool = BufferPool::unbuffered();
         let config = VariationalConfig { explore_fraction: 0.1 };
-        let result = index.knn_variational(&mut pool, &[5.0; 6], 10, &config).unwrap();
         let budget = config.leaf_budget(index.tree().leaf_count());
+        let result = index
+            .knn(&mut pool, &mut KernelScratch::default(), &[5.0; 6], 10, Some(budget))
+            .unwrap();
         assert!(result.search.leaves_visited as usize <= budget);
         assert_eq!(result.neighbors.len(), 10);
+    }
+
+    #[test]
+    fn wrong_dimension_queries_are_typed_errors() {
+        let index = DiskBBTree::build(
+            SquaredEuclidean,
+            &random_dataset(120, 16, 17),
+            BBTreeConfig::with_leaf_capacity(8),
+            PageStoreConfig::with_page_size(1024),
+        );
+        for len in [8, 24] {
+            let query = vec![1.0; len];
+            for budget in [None, Some(2)] {
+                let mut pool = BufferPool::unbuffered();
+                match index.knn(&mut pool, &mut KernelScratch::default(), &query, 3, budget) {
+                    Err(SearchError::Query(BregmanError::DimensionMismatch { left, right })) => {
+                        assert_eq!((left, right), (len, 16));
+                    }
+                    other => panic!("{len}-dim query: expected a dimension error, got {other:?}"),
+                }
+                assert_eq!(pool.stats(), IoStats::default(), "rejected before any read");
+            }
+        }
     }
 }

@@ -35,7 +35,7 @@ pub mod variational;
 
 pub use ball::BregmanBall;
 pub use build::{BBTreeBuilder, BBTreeConfig};
-pub use disk::DiskBBTree;
+pub use disk::{DiskBBTree, SearchError};
 pub use knn::Neighbor;
 pub use node::{BBTree, NodeId, NodeKind};
 pub use stats::SearchStats;

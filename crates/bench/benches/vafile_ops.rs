@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the VA-file baseline: quantization, bound
 //! tables and the filter phase.
 
+use bregman::kernel::KernelScratch;
 use bregman::ItakuraSaito;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::HierarchicalSpec;
@@ -28,9 +29,10 @@ fn bench_vafile(c: &mut Criterion) {
     });
     for k in [10usize, 100] {
         group.bench_with_input(BenchmarkId::new("knn", k), &k, |b, &k| {
+            let mut kernel = KernelScratch::default();
             b.iter(|| {
                 let mut pool = BufferPool::unbuffered();
-                black_box(index.knn(&mut pool, black_box(&query), k))
+                black_box(index.knn(&mut pool, &mut kernel, black_box(&query), k, None))
             })
         });
     }

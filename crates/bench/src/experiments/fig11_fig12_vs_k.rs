@@ -10,6 +10,7 @@
 use std::time::Instant;
 
 use bbtree::{BBTreeConfig, DiskBBTree};
+use bregman::kernel::KernelScratch;
 use bregman::{DivergenceKind, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
 use brepartition_core::{BrePartitionConfig, BrePartitionIndex};
 use datagen::PaperDataset;
@@ -74,9 +75,12 @@ fn run_methods(workload: &Workload, paper_m: usize) -> Series {
         .iter()
         .map(|&k| {
             let mut pages = 0u64;
+            let mut kernel = KernelScratch::default();
             let started = Instant::now();
             for query in workload.queries.iter() {
-                pages += bp_index.knn(query, k).expect("BP query").stats.io.pages_read;
+                let mut pool = bp_index.new_buffer_pool();
+                let result = bp_index.knn(&mut pool, &mut kernel, query, k, None);
+                pages += result.expect("BP query").stats.io.pages_read;
             }
             let q = workload.queries.len() as f64;
             (pages as f64 / q, started.elapsed().as_secs_f64() * 1e3 / q)
@@ -95,11 +99,12 @@ fn run_methods(workload: &Workload, paper_m: usize) -> Series {
                 .iter()
                 .map(|&k| {
                     let mut pages = 0u64;
+                    let mut kernel = KernelScratch::default();
                     let started = Instant::now();
                     for query in workload.queries.iter() {
                         let mut pool = BufferPool::unbuffered();
-                        pages +=
-                            bbt_index.knn(&mut pool, query, k).expect("bbt query").io.pages_read;
+                        let result = bbt_index.knn(&mut pool, &mut kernel, query, k, None);
+                        pages += result.expect("bbt query").io.pages_read;
                     }
                     let q = workload.queries.len() as f64;
                     (pages as f64 / q, started.elapsed().as_secs_f64() * 1e3 / q)
@@ -114,10 +119,12 @@ fn run_methods(workload: &Workload, paper_m: usize) -> Series {
                 .iter()
                 .map(|&k| {
                     let mut pages = 0u64;
+                    let mut kernel = KernelScratch::default();
                     let started = Instant::now();
                     for query in workload.queries.iter() {
                         let mut pool = BufferPool::unbuffered();
-                        pages += vaf_index.knn(&mut pool, query, k).io.pages_read;
+                        let result = vaf_index.knn(&mut pool, &mut kernel, query, k, None);
+                        pages += result.expect("vaf query").io.pages_read;
                     }
                     let q = workload.queries.len() as f64;
                     (pages as f64 / q, started.elapsed().as_secs_f64() * 1e3 / q)

@@ -7,6 +7,7 @@
 
 use std::time::Instant;
 
+use bregman::kernel::KernelScratch;
 use brepartition_core::{BrePartitionConfig, BrePartitionIndex};
 use datagen::PaperDataset;
 
@@ -53,9 +54,11 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
             for &k in &ks {
                 let mut pages = 0u64;
                 let mut cands = 0usize;
+                let mut kernel = KernelScratch::default();
                 let started = Instant::now();
                 for query in workload.queries.iter() {
-                    let result = index.knn(query, k).expect("query");
+                    let mut pool = index.new_buffer_pool();
+                    let result = index.knn(&mut pool, &mut kernel, query, k, None).expect("query");
                     pages += result.stats.io.pages_read;
                     cands += result.stats.candidates;
                 }

@@ -3,6 +3,7 @@
 use std::time::Instant;
 
 use bbtree::{BBTreeConfig, DiskBBTree, VariationalConfig};
+use bregman::kernel::KernelScratch;
 use bregman::{
     DenseDataset, DivergenceKind, Exponential, GeneralizedI, ItakuraSaito, PointId,
     SquaredEuclidean,
@@ -130,9 +131,12 @@ impl Workbench {
         let build_seconds = build_started.elapsed().as_secs_f64();
         let mut io = 0u64;
         let mut candidates = 0usize;
+        let mut kernel = KernelScratch::default();
         let query_started = Instant::now();
         for query in workload.queries.iter() {
-            let result = index.knn(query, k).expect("BrePartition query");
+            let mut pool = index.new_buffer_pool();
+            let result =
+                index.knn(&mut pool, &mut kernel, query, k, None).expect("BrePartition query");
             io += result.stats.io.pages_read;
             candidates += result.stats.candidates;
         }
@@ -168,9 +172,12 @@ impl Workbench {
         let mut io = 0u64;
         let mut candidates = 0usize;
         let mut ratios = Vec::new();
+        let mut kernel = KernelScratch::default();
         let query_started = Instant::now();
         for (qi, query) in workload.queries.iter().enumerate() {
-            let result = index.knn_approximate(query, k, &approx).expect("ABP query");
+            let mut pool = index.new_buffer_pool();
+            let result =
+                index.knn(&mut pool, &mut kernel, query, k, Some(&approx)).expect("ABP query");
             io += result.stats.io.pages_read;
             candidates += result.stats.candidates;
             ratios.push(overall_ratio(&result.neighbors, truth.neighbors_of(qi)));
@@ -224,19 +231,17 @@ impl Workbench {
                 let build_seconds = build_started.elapsed().as_secs_f64();
                 let mut io = 0u64;
                 let mut ratios = Vec::new();
+                let mut kernel = KernelScratch::default();
+                let leaf_budget = variational.map(|(fraction, _)| {
+                    VariationalConfig { explore_fraction: fraction }
+                        .leaf_budget(index.tree().leaf_count())
+                });
                 let query_started = Instant::now();
                 for (qi, query) in workload.queries.iter().enumerate() {
                     let mut pool = BufferPool::unbuffered();
-                    let result = match variational {
-                        Some((fraction, _)) => index.knn_variational(
-                            &mut pool,
-                            query,
-                            k,
-                            &VariationalConfig { explore_fraction: fraction },
-                        ),
-                        None => index.knn(&mut pool, query, k),
-                    }
-                    .expect("bbt query");
+                    let result = index
+                        .knn(&mut pool, &mut kernel, query, k, leaf_budget)
+                        .expect("bbt query");
                     io += result.io.pages_read;
                     if let Some((_, truth)) = variational {
                         let pairs: Vec<(PointId, f64)> =
@@ -281,10 +286,12 @@ impl Workbench {
                 let build_seconds = build_started.elapsed().as_secs_f64();
                 let mut io = 0u64;
                 let mut candidates = 0usize;
+                let mut kernel = KernelScratch::default();
                 let query_started = Instant::now();
                 for query in workload.queries.iter() {
                     let mut pool = BufferPool::unbuffered();
-                    let result = index.knn(&mut pool, query, k);
+                    let result =
+                        index.knn(&mut pool, &mut kernel, query, k, None).expect("vaf query");
                     io += result.io.pages_read;
                     candidates += result.candidates;
                 }

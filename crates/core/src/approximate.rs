@@ -19,14 +19,17 @@
 //! and variances of the data:
 //! `E[β_xy] = −Σ_j E[x_j]·φ'(y_j)` and
 //! `Var[β_xy] = Σ_j Var[x_j]·φ'(y_j)²` (independence across dimensions).
+//!
+//! Exact and approximate search are one filter-refine pass that differs
+//! only in the per-subspace radii, so there is no separate approximate
+//! entry point: [`BrePartitionIndex::knn`] with `Some(&ApproximateConfig)`
+//! replaces Algorithm 4's bounds by the shrunken radii this module
+//! computes, and `p = 1` is bit-identical to the exact search.
 
 use bregman::PointId;
-use pagestore::BufferPool;
-use std::time::Instant;
 
 use crate::bound::QueryBounds;
-use crate::error::{CoreError, Result};
-use crate::search::{BrePartitionIndex, QueryResult};
+use crate::search::BrePartitionIndex;
 use crate::transform::TransformedQuery;
 
 /// Parameters of the approximate search.
@@ -116,70 +119,30 @@ fn erf(x: f64) -> f64 {
 }
 
 impl BrePartitionIndex {
-    /// Approximate kNN search with probability guarantee
-    /// `config.probability` (the paper's **ABP**). Uses a fresh,
-    /// configuration-sized buffer pool.
-    pub fn knn_approximate(
+    /// The approximate search's radii: Algorithm 4's `exact` bounds with
+    /// the Cauchy term of every subspace radius shrunk by Proposition 1's
+    /// coefficient `c` for probability guarantee `p`, i.e.
+    /// `radius_j = κ_j(t) + c·µ_j(t)` for the pivot point `t`. Returns the
+    /// shrunken bounds and `c`; [`BrePartitionIndex::knn`] filters with
+    /// them in place of the exact ones.
+    pub(crate) fn shrunken_bounds(
         &self,
         query: &[f64],
-        k: usize,
-        config: &ApproximateConfig,
-    ) -> Result<QueryResult> {
-        let mut pool = self.new_buffer_pool();
-        self.knn_approximate_with_pool(&mut pool, query, k, config)
-    }
-
-    /// Approximate kNN search reusing a caller-supplied buffer pool.
-    pub fn knn_approximate_with_pool(
-        &self,
-        pool: &mut BufferPool,
-        query: &[f64],
-        k: usize,
-        config: &ApproximateConfig,
-    ) -> Result<QueryResult> {
-        let mut kernel = bregman::kernel::KernelScratch::default();
-        self.knn_approximate_with_scratch(pool, &mut kernel, query, k, config)
-    }
-
-    /// Approximate kNN search reusing a caller-supplied buffer pool *and*
-    /// [`KernelScratch`](bregman::kernel::KernelScratch) (the batch-serving
-    /// hot path).
-    pub fn knn_approximate_with_scratch(
-        &self,
-        pool: &mut BufferPool,
-        kernel: &mut bregman::kernel::KernelScratch,
-        query: &[f64],
-        k: usize,
-        config: &ApproximateConfig,
-    ) -> Result<QueryResult> {
-        if !(config.probability > 0.0 && config.probability <= 1.0) {
-            return Err(CoreError::InvalidProbability(config.probability));
-        }
-        self.validate_query(query)?;
-        let bound_started = Instant::now();
-        let transformed_query = TransformedQuery::build(self.kind(), query, self.partitioning());
-        let Some(bounds) = QueryBounds::determine(self.transformed(), &transformed_query, k) else {
-            return Ok(QueryResult {
-                neighbors: Vec::new(),
-                stats: crate::stats::QueryStats::default(),
-                bounds: QueryBounds { pivot_point: 0, per_subspace: Vec::new(), total: 0.0 },
-                coefficient: Some(1.0),
-            });
-        };
-
+        transformed_query: &TransformedQuery,
+        exact: &QueryBounds,
+        p: f64,
+    ) -> (QueryBounds, f64) {
         // Full-space κ and µ of the pivot point t.
-        let pivot = bounds.pivot_point;
+        let pivot = exact.pivot_point;
         let (alpha_y, beta_yy, delta_y) = transformed_query.totals();
         let kappa = self.transformed().total_alpha(pivot) + alpha_y + beta_yy;
         let mu = (self.transformed().total_gamma(pivot) * delta_y).max(0.0).sqrt();
 
         // Model β_xy = −Σ_j x_j φ'(y_j) as a Normal from per-dimension
         // moments.
-        let coefficient = self.shrink_coefficient(query, kappa, mu, config.probability);
+        let coefficient = self.shrink_coefficient(query, kappa, mu, p);
 
-        // Shrink only the Cauchy term of every subspace radius:
-        // radius_j = κ_j(t) + c·µ_j(t).
-        let radii: Vec<f64> = (0..self.partitions())
+        let per_subspace: Vec<f64> = (0..self.partitions())
             .map(|s| {
                 let (alpha_x, gamma_x) = self.transformed().components(pivot, s);
                 let (a_y, b_yy, d_y) = transformed_query.components(s);
@@ -188,16 +151,9 @@ impl BrePartitionIndex {
                 kappa_j + coefficient * mu_j
             })
             .collect();
-        let bound_seconds = bound_started.elapsed().as_secs_f64();
-
-        let (neighbors, mut stats) = self.filter_and_refine(pool, kernel, query, k, &radii)?;
-        stats.bound_seconds = bound_seconds;
-        let approx_bounds = QueryBounds {
-            pivot_point: pivot,
-            per_subspace: radii,
-            total: kappa + coefficient * mu,
-        };
-        Ok(QueryResult { neighbors, stats, bounds: approx_bounds, coefficient: Some(coefficient) })
+        let bounds =
+            QueryBounds { pivot_point: pivot, per_subspace, total: kappa + coefficient * mu };
+        (bounds, coefficient)
     }
 
     /// Proposition 1: the shrink coefficient for the given query, exact
@@ -250,14 +206,6 @@ impl BrePartitionIndex {
         }
         NormalDistribution::new(mean, var.max(0.0).sqrt())
     }
-
-    /// Convenience: the union candidate count the exact search would examine
-    /// for this query, used by experiments comparing exact vs approximate
-    /// candidate sizes without running the refinement twice.
-    pub fn exact_candidate_count(&self, query: &[f64], k: usize) -> Result<usize> {
-        let result = self.knn(query, k)?;
-        Ok(result.stats.candidates)
-    }
 }
 
 /// The neighbours of an approximate result restricted to ids (helper for
@@ -270,6 +218,8 @@ pub fn neighbor_ids(neighbors: &[(PointId, f64)]) -> Vec<PointId> {
 mod tests {
     use super::*;
     use crate::config::BrePartitionConfig;
+    use crate::error::CoreError;
+    use bregman::kernel::KernelScratch;
     use bregman::{DenseDataset, DivergenceKind};
     use datagen::correlated::CorrelatedSpec;
     use datagen::ground_truth::single_query_knn;
@@ -326,7 +276,9 @@ mod tests {
         let ds = dataset(400, 16, 1);
         let idx = index(&ds);
         let query = ds.row(9).to_vec();
-        let result = idx.knn(&query, 10).unwrap();
+        let result = idx
+            .knn(&mut idx.new_buffer_pool(), &mut KernelScratch::default(), &query, 10, None)
+            .unwrap();
         let kappa = result.bounds.total; // not exactly κ, but gives a scale
         let mu = result.bounds.total.max(1.0);
         let c_low = idx.shrink_coefficient(&query, kappa, mu, 0.5);
@@ -345,7 +297,15 @@ mod tests {
         let mut recalls = Vec::new();
         for qi in [3usize, 77, 200, 431, 650] {
             let query = ds.row(qi).to_vec();
-            let approx = idx.knn_approximate(&query, 10, &config).unwrap();
+            let approx = idx
+                .knn(
+                    &mut idx.new_buffer_pool(),
+                    &mut KernelScratch::default(),
+                    &query,
+                    10,
+                    Some(&config),
+                )
+                .unwrap();
             let exact = single_query_knn(DivergenceKind::ItakuraSaito, &ds, &query, 10);
             assert_eq!(approx.neighbors.len(), 10);
             assert!(approx.coefficient.unwrap() <= 1.0);
@@ -365,8 +325,18 @@ mod tests {
         let config = ApproximateConfig::with_probability(0.7);
         for qi in [10usize, 300, 500] {
             let query = ds.row(qi).to_vec();
-            let exact = idx.knn(&query, 20).unwrap();
-            let approx = idx.knn_approximate(&query, 20, &config).unwrap();
+            let exact = idx
+                .knn(&mut idx.new_buffer_pool(), &mut KernelScratch::default(), &query, 20, None)
+                .unwrap();
+            let approx = idx
+                .knn(
+                    &mut idx.new_buffer_pool(),
+                    &mut KernelScratch::default(),
+                    &query,
+                    20,
+                    Some(&config),
+                )
+                .unwrap();
             assert!(
                 approx.stats.candidates <= exact.stats.candidates,
                 "approximate search should not enlarge the candidate set ({} > {})",
@@ -381,10 +351,24 @@ mod tests {
         let ds = dataset(700, 16, 4);
         let idx = index(&ds);
         let query = ds.row(123).to_vec();
-        let low =
-            idx.knn_approximate(&query, 10, &ApproximateConfig::with_probability(0.6)).unwrap();
-        let high =
-            idx.knn_approximate(&query, 10, &ApproximateConfig::with_probability(0.95)).unwrap();
+        let low = idx
+            .knn(
+                &mut idx.new_buffer_pool(),
+                &mut KernelScratch::default(),
+                &query,
+                10,
+                Some(&ApproximateConfig::with_probability(0.6)),
+            )
+            .unwrap();
+        let high = idx
+            .knn(
+                &mut idx.new_buffer_pool(),
+                &mut KernelScratch::default(),
+                &query,
+                10,
+                Some(&ApproximateConfig::with_probability(0.95)),
+            )
+            .unwrap();
         assert!(high.stats.candidates >= low.stats.candidates);
         assert!(high.coefficient.unwrap() >= low.coefficient.unwrap() - 1e-9);
     }
@@ -401,7 +385,13 @@ mod tests {
         let query = ds.row(0).to_vec();
         for p in [0.0, -0.5, 1.5] {
             assert!(matches!(
-                idx.knn_approximate(&query, 3, &ApproximateConfig::with_probability(p)),
+                idx.knn(
+                    &mut idx.new_buffer_pool(),
+                    &mut KernelScratch::default(),
+                    &query,
+                    3,
+                    Some(&ApproximateConfig::with_probability(p))
+                ),
                 Err(CoreError::InvalidProbability(_))
             ));
         }

@@ -24,10 +24,14 @@
 //! The approximate extension ([`approximate`]) shrinks the Cauchy term by a
 //! coefficient derived from the data distribution to meet a user-specified
 //! probability guarantee, trading a little accuracy for fewer candidates.
+//! Both run through the one search call, [`BrePartitionIndex::knn`]: its
+//! last argument is `None` for the exact search and
+//! `Some(&ApproximateConfig)` for the approximate one.
 //!
 //! # Quick start
 //!
 //! ```
+//! use bregman::kernel::KernelScratch;
 //! use bregman::{DivergenceKind, DenseDataset};
 //! use brepartition_core::{BrePartitionConfig, BrePartitionIndex};
 //!
@@ -40,7 +44,8 @@
 //! let config = BrePartitionConfig::default();
 //! let index = BrePartitionIndex::build(DivergenceKind::ItakuraSaito, &data, &config).unwrap();
 //! let query = data.row(0).to_vec();
-//! let result = index.knn(&query, 5).unwrap();
+//! let mut pool = index.new_buffer_pool();
+//! let result = index.knn(&mut pool, &mut KernelScratch::default(), &query, 5, None).unwrap();
 //! assert_eq!(result.neighbors.len(), 5);
 //! assert_eq!(result.neighbors[0].1, 0.0); // the query is a data point
 //! ```

@@ -236,6 +236,9 @@ impl BrePartitionIndex {
         }
 
         let forest = BBForest::from_parts(kind, trees, Arc::new(store), build.forest_seconds);
+        // Restoring reads every data page once (the Φ column and the f32
+        // copy are recomputed from the rows); a page that fails its read is
+        // a corrupt artifact.
         Ok(BrePartitionIndex::from_restored(
             kind,
             config,
@@ -245,7 +248,7 @@ impl BrePartitionIndex {
             dim_means,
             dim_vars,
             build,
-        ))
+        )?)
     }
 }
 
@@ -327,6 +330,7 @@ fn read_partitioning(r: &mut ByteReader<'_>) -> PersistResult<Partitioning> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bregman::kernel::KernelScratch;
     use bregman::DenseDataset;
     use datagen::correlated::CorrelatedSpec;
     use pagestore::BufferPool;
@@ -377,8 +381,18 @@ mod tests {
 
         for qi in [0usize, 33, 199, 350] {
             let query = ds.row(qi).to_vec();
-            let a = built.knn(&query, 9).unwrap();
-            let b = reopened.knn(&query, 9).unwrap();
+            let a = built
+                .knn(&mut built.new_buffer_pool(), &mut KernelScratch::default(), &query, 9, None)
+                .unwrap();
+            let b = reopened
+                .knn(
+                    &mut reopened.new_buffer_pool(),
+                    &mut KernelScratch::default(),
+                    &query,
+                    9,
+                    None,
+                )
+                .unwrap();
             assert_eq!(a.neighbors, b.neighbors, "query {qi}");
             assert_eq!(a.stats.candidates, b.stats.candidates, "query {qi}");
             assert_eq!(a.stats.io, b.stats.io, "query {qi}: cold-pool I/O must match");
@@ -400,8 +414,24 @@ mod tests {
         let reopened = BrePartitionIndex::open(&dir).unwrap();
         let approx = crate::ApproximateConfig::with_probability(0.9);
         let query = ds.row(17).to_vec();
-        let a = built.knn_approximate(&query, 8, &approx).unwrap();
-        let b = reopened.knn_approximate(&query, 8, &approx).unwrap();
+        let a = built
+            .knn(
+                &mut built.new_buffer_pool(),
+                &mut KernelScratch::default(),
+                &query,
+                8,
+                Some(&approx),
+            )
+            .unwrap();
+        let b = reopened
+            .knn(
+                &mut reopened.new_buffer_pool(),
+                &mut KernelScratch::default(),
+                &query,
+                8,
+                Some(&approx),
+            )
+            .unwrap();
         assert_eq!(a.neighbors, b.neighbors);
         assert_eq!(
             a.coefficient, b.coefficient,
@@ -426,8 +456,10 @@ mod tests {
         let mut pool_a = BufferPool::new(64);
         let mut pool_b = BufferPool::new(64);
         for _ in 0..3 {
-            let a = built.knn_with_pool(&mut pool_a, &query, 10).unwrap();
-            let b = reopened.knn_with_pool(&mut pool_b, &query, 10).unwrap();
+            let a =
+                built.knn(&mut pool_a, &mut KernelScratch::default(), &query, 10, None).unwrap();
+            let b =
+                reopened.knn(&mut pool_b, &mut KernelScratch::default(), &query, 10, None).unwrap();
             assert_eq!(a.neighbors, b.neighbors);
         }
         assert_eq!(pool_a.stats(), pool_b.stats(), "hit/miss pattern must match");

@@ -4,9 +4,10 @@
 use bbtree::{BBTreeConfig, SearchStats};
 use bregman::kernel::{KernelScratch, PreparedQuery};
 use bregman::{DenseDataset, DivergenceKind, PointId};
-use pagestore::{BufferPool, PageStore, PageStoreConfig};
+use pagestore::{BufferPool, PageStore, PageStoreConfig, PageStoreError};
 use std::time::Instant;
 
+use crate::approximate::ApproximateConfig;
 use crate::bbforest::BBForest;
 use crate::bound::QueryBounds;
 use crate::config::{BrePartitionConfig, PartitionCount, PartitionStrategy};
@@ -181,26 +182,27 @@ impl BrePartitionIndex {
         dim_means: Vec<f64>,
         dim_vars: Vec<f64>,
         build: BuildReport,
-    ) -> BrePartitionIndex {
+    ) -> std::result::Result<BrePartitionIndex, PageStoreError> {
         // The Φ column is recomputed from the restored full-resolution rows
         // (not persisted), so the reopened index scores bit-identically. The
         // f32 screening copy is rebuilt the same way: the store holds the
         // exact row bits, so `x as f32` reproduces the build-time values.
-        let phi = phi_from_store(kind, forest.store());
-        let f32_rows = config.f32_candidates.then(|| {
-            let store = forest.store();
+        let store = forest.store();
+        let phi = phi_from_store(kind, store)?;
+        let f32_rows = if config.f32_candidates {
             let dim = store.dim();
             let mut rows = vec![0.0f32; store.point_count() * dim];
-            let complete = store.for_each_point(&mut |pid, coords| {
+            store.for_each_point(&mut |pid, coords| {
                 let base = pid as usize * dim;
                 for (slot, &v) in rows[base..base + dim].iter_mut().zip(coords) {
                     *slot = v as f32;
                 }
-            });
-            debug_assert!(complete.is_ok(), "restored store is missing point addresses");
-            std::sync::Arc::new(rows)
-        });
-        BrePartitionIndex {
+            })?;
+            Some(std::sync::Arc::new(rows))
+        } else {
+            None
+        };
+        Ok(BrePartitionIndex {
             kind,
             config,
             partitioning,
@@ -212,7 +214,7 @@ impl BrePartitionIndex {
             phi,
             f32_rows,
             build,
-        }
+        })
     }
 
     /// The divergence the index answers queries for.
@@ -291,59 +293,84 @@ impl BrePartitionIndex {
         &self.phi
     }
 
-    /// Algorithm 6 (`BrePartitionSearch`): exact kNN with a fresh,
-    /// configuration-sized buffer pool (per-query I/O accounting, as in the
-    /// paper's figures).
-    pub fn knn(&self, query: &[f64], k: usize) -> Result<QueryResult> {
-        let mut pool = self.new_buffer_pool();
-        self.knn_with_pool(&mut pool, query, k)
+    /// Algorithm 6 (`BrePartitionSearch`) and its approximate extension
+    /// (Section 8, the paper's **ABP**) as one filter-refine pass, reading
+    /// pages through the caller's buffer pool and evaluating distances
+    /// through the caller's [`KernelScratch`] (the batch-serving hot path
+    /// reuses both across a batch).
+    ///
+    /// Both modes share the prologue — validate, transform the query,
+    /// Algorithm 4's bounds — and differ only in the per-subspace radii fed
+    /// to the filter: `approximate: None` is the exact search over the
+    /// bounds themselves; `Some(config)` shrinks each radius's Cauchy term
+    /// by Proposition 1's coefficient for `config.probability`, and
+    /// `p = 1` is bit-identical to the exact search. A page that fails its
+    /// read mid-refine (post-open bit rot, device error) is
+    /// [`CoreError::Persist`], never a panic.
+    pub fn knn(
+        &self,
+        pool: &mut BufferPool,
+        kernel: &mut KernelScratch,
+        query: &[f64],
+        k: usize,
+        approximate: Option<&ApproximateConfig>,
+    ) -> Result<QueryResult> {
+        if let Some(config) = approximate {
+            if !(config.probability > 0.0 && config.probability <= 1.0) {
+                return Err(CoreError::InvalidProbability(config.probability));
+            }
+        }
+        self.validate_query(query)?;
+        let bound_started = Instant::now();
+        let transformed_query = TransformedQuery::build(self.kind, query, &self.partitioning);
+        let Some(exact) = QueryBounds::determine(&self.transformed, &transformed_query, k) else {
+            return Ok(QueryResult {
+                neighbors: Vec::new(),
+                stats: QueryStats::default(),
+                bounds: QueryBounds { pivot_point: 0, per_subspace: Vec::new(), total: 0.0 },
+                coefficient: approximate.map(|_| 1.0),
+            });
+        };
+        let (bounds, coefficient) = match approximate {
+            None => (exact, None),
+            Some(config) => {
+                let (shrunk, c) =
+                    self.shrunken_bounds(query, &transformed_query, &exact, config.probability);
+                (shrunk, Some(c))
+            }
+        };
+        let bound_seconds = bound_started.elapsed().as_secs_f64();
+        let (neighbors, mut stats) =
+            self.filter_and_refine(pool, kernel, query, k, &bounds.per_subspace)?;
+        stats.bound_seconds = bound_seconds;
+        Ok(QueryResult { neighbors, stats, bounds, coefficient })
     }
 
-    /// Exact kNN reusing a caller-supplied buffer pool (warm-cache setting).
+    /// Exact [`BrePartitionIndex::knn`] with fresh kernel buffers.
     pub fn knn_with_pool(
         &self,
         pool: &mut BufferPool,
         query: &[f64],
         k: usize,
     ) -> Result<QueryResult> {
-        let mut kernel = KernelScratch::default();
-        self.knn_with_scratch(pool, &mut kernel, query, k)
+        self.knn(pool, &mut KernelScratch::default(), query, k, None)
     }
 
-    /// Exact kNN reusing a caller-supplied buffer pool *and*
-    /// [`KernelScratch`] (the batch-serving hot path: the prepared-query
-    /// and decode buffers are reused across a whole batch).
-    pub fn knn_with_scratch(
+    /// Approximate [`BrePartitionIndex::knn`] with fresh kernel buffers.
+    pub fn knn_approximate_with_pool(
         &self,
         pool: &mut BufferPool,
-        kernel: &mut KernelScratch,
         query: &[f64],
         k: usize,
+        config: &ApproximateConfig,
     ) -> Result<QueryResult> {
-        self.validate_query(query)?;
-        let bound_started = Instant::now();
-        let transformed_query = TransformedQuery::build(self.kind, query, &self.partitioning);
-        let Some(bounds) = QueryBounds::determine(&self.transformed, &transformed_query, k) else {
-            return Ok(QueryResult {
-                neighbors: Vec::new(),
-                stats: QueryStats::default(),
-                bounds: QueryBounds { pivot_point: 0, per_subspace: Vec::new(), total: 0.0 },
-                coefficient: None,
-            });
-        };
-        let bound_seconds = bound_started.elapsed().as_secs_f64();
-        let (neighbors, mut stats) =
-            self.filter_and_refine(pool, kernel, query, k, &bounds.per_subspace)?;
-        stats.bound_seconds = bound_seconds;
-        Ok(QueryResult { neighbors, stats, bounds, coefficient: None })
+        self.knn(pool, &mut KernelScratch::default(), query, k, Some(config))
     }
 
-    /// Shared filter + refine phases, parameterized by the per-subspace
-    /// radii (the exact search passes Algorithm 4's bounds, the approximate
-    /// extension passes shrunken ones). A physical page read that fails
-    /// mid-refine (post-open bit rot, device error) surfaces as
-    /// [`CoreError::Persist`] instead of a panic.
-    pub(crate) fn filter_and_refine(
+    /// Filter + refine, parameterized by the per-subspace radii (the exact
+    /// search passes Algorithm 4's bounds, the approximate extension passes
+    /// shrunken ones).
+    fn filter_and_refine(
         &self,
         pool: &mut BufferPool,
         kernel: &mut KernelScratch,
@@ -388,24 +415,21 @@ impl BrePartitionIndex {
         let KernelScratch { prepared, coords, lanes, distances, phis, .. } = kernel;
         self.kind.prepare_query_into(prepared, query);
         let mut neighbors: Vec<(PointId, f64)> = Vec::with_capacity(union.len().min(k * 4));
-        let screened = self
-            .f32_rows
-            .as_deref()
-            .map(|rows32| {
-                screen_candidates_f32(
-                    prepared,
-                    rows32,
-                    &self.phi,
-                    &union,
-                    k,
-                    pool,
-                    self.forest.store(),
-                    coords,
-                    &mut search_stats,
-                    &mut neighbors,
-                )
-            })
-            .unwrap_or(false);
+        let screened = match self.f32_rows.as_deref() {
+            Some(rows32) => screen_candidates_f32(
+                prepared,
+                rows32,
+                &self.phi,
+                &union,
+                k,
+                pool,
+                self.forest.store(),
+                coords,
+                &mut search_stats,
+                &mut neighbors,
+            )?,
+            None => false,
+        };
         if !screened {
             pool.read_points_block(self.forest.store(), &union, lanes, &mut |members, block| {
                 phis.clear();
@@ -435,7 +459,7 @@ impl BrePartitionIndex {
         Ok((neighbors, stats))
     }
 
-    pub(crate) fn validate_query(&self, query: &[f64]) -> Result<()> {
+    fn validate_query(&self, query: &[f64]) -> Result<()> {
         if query.len() != self.dim() {
             return Err(CoreError::QueryDimensionMismatch {
                 expected: self.dim(),
@@ -482,7 +506,8 @@ impl Ord for ScreenEntry {
 /// re-rank at full resolution only for candidates whose estimate cannot be
 /// ruled out. Returns `false` (leaving `neighbors` untouched) when the
 /// prepared query is the naive fallback, which has no gradient to screen
-/// with — the caller then runs the unscreened block refine.
+/// with — the caller then runs the unscreened block refine. A candidate
+/// page that fails its read aborts the screen with the read error.
 ///
 /// **Safety of the skip rule.** With the decomposed kernel the exact refine
 /// computes `d = Φ(x) + c_q − Σ_i φ'(q_i)·x_i` in the block kernel's
@@ -511,12 +536,12 @@ fn screen_candidates_f32(
     coords: &mut Vec<f64>,
     search_stats: &mut SearchStats,
     neighbors: &mut Vec<(PointId, f64)>,
-) -> bool {
+) -> std::result::Result<bool, PageStoreError> {
     let (Some(grad), Some(offset)) = (prepared.gradient(), prepared.offset()) else {
-        return false;
+        return Ok(false);
     };
     if k == 0 {
-        return true;
+        return Ok(true);
     }
     const K_REL: f64 = 1.0 / (1u64 << 20) as f64; // ≥ 16 × 2⁻²⁴
     const K_SUB: f64 = 1.0 / (1u64 << 62) as f64 / (1u64 << 38) as f64; // 2⁻¹⁰⁰
@@ -552,7 +577,7 @@ fn screen_candidates_f32(
                 continue;
             }
         }
-        if !pool.read_point_into(store, pid, coords) {
+        if !pool.read_point_into(store, pid, coords)? {
             continue;
         }
         search_stats.candidates_examined += 1;
@@ -571,7 +596,7 @@ fn screen_candidates_f32(
         }
     }
     neighbors.extend(heap.into_iter().map(|e| (PointId(e.pid), e.dist)));
-    true
+    Ok(true)
 }
 
 /// The full-space `Φ(x) = Σ_j φ(x_j)` column, evaluated over each row in
@@ -591,13 +616,13 @@ fn phi_from_rows(kind: DivergenceKind, dataset: &DenseDataset) -> Vec<f64> {
 /// [`phi_from_rows`] over the full-resolution rows laid out in a
 /// [`PageStore`] (the open-from-disk path, where the original dataset is
 /// gone but the store holds the identical row bits).
-fn phi_from_store(kind: DivergenceKind, store: &pagestore::PageStore) -> Vec<f64> {
+fn phi_from_store(
+    kind: DivergenceKind,
+    store: &PageStore,
+) -> std::result::Result<Vec<f64>, PageStoreError> {
     let mut phi = vec![0.0; store.point_count()];
-    let complete = store.for_each_point(&mut |pid, coords| {
-        phi[pid as usize] = kind.phi_sum(coords);
-    });
-    debug_assert!(complete.is_ok(), "restored store is missing point addresses");
-    phi
+    store.for_each_point(&mut |pid, coords| phi[pid as usize] = kind.phi_sum(coords))?;
+    Ok(phi)
 }
 
 /// Per-column means and variances of a dataset.
@@ -629,6 +654,7 @@ fn column_moments(dataset: &DenseDataset) -> (Vec<f64>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bregman::kernel::KernelScratch;
     use datagen::correlated::CorrelatedSpec;
     use datagen::ground_truth::single_query_knn;
 
@@ -655,7 +681,9 @@ mod tests {
         let index = BrePartitionIndex::build(DivergenceKind::ItakuraSaito, &ds, &config()).unwrap();
         for qi in [0usize, 7, 99, 250] {
             let query = ds.row(qi).to_vec();
-            let got = index.knn(&query, 10).unwrap();
+            let got = index
+                .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), &query, 10, None)
+                .unwrap();
             let expected = single_query_knn(DivergenceKind::ItakuraSaito, &ds, &query, 10);
             assert_eq!(got.neighbors.len(), 10);
             for (g, e) in got.neighbors.iter().zip(expected.iter()) {
@@ -676,7 +704,9 @@ mod tests {
         let index = BrePartitionIndex::build(DivergenceKind::Exponential, &ds, &cfg).unwrap();
         assert!(index.partitions() >= 1 && index.partitions() <= 16);
         let query = ds.row(42).to_vec();
-        let got = index.knn(&query, 5).unwrap();
+        let got = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), &query, 5, None)
+            .unwrap();
         let expected = single_query_knn(DivergenceKind::Exponential, &ds, &query, 5);
         for (g, e) in got.neighbors.iter().zip(expected.iter()) {
             assert!((g.1 - e.1).abs() < 1e-9 * (1.0 + e.1.abs()));
@@ -691,7 +721,9 @@ mod tests {
         let index = BrePartitionIndex::build(DivergenceKind::ItakuraSaito, &ds, &config()).unwrap();
         let query = ds.row(13).to_vec();
         let k = 20;
-        let got = index.knn(&query, k).unwrap();
+        let got = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), &query, k, None)
+            .unwrap();
         let expected = single_query_knn(DivergenceKind::ItakuraSaito, &ds, &query, k);
         let got_ids: std::collections::HashSet<_> =
             got.neighbors.iter().map(|(id, _)| *id).collect();
@@ -721,7 +753,9 @@ mod tests {
         let cfg = config().with_partitions(8);
         let index = BrePartitionIndex::build(DivergenceKind::ItakuraSaito, &ds, &cfg).unwrap();
         let query = ds.row(3).to_vec();
-        let got = index.knn(&query, 10).unwrap();
+        let got = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), &query, 10, None)
+            .unwrap();
         assert!(
             got.stats.candidates < ds.len(),
             "expected pruning, got {} candidates out of {}",
@@ -760,10 +794,17 @@ mod tests {
             &config().with_partitions(2),
         )
         .unwrap();
-        assert!(matches!(
-            index.knn(&[1.0, 2.0], 3),
-            Err(CoreError::QueryDimensionMismatch { expected: 8, actual: 2 })
-        ));
+        let approx = ApproximateConfig::with_probability(0.9);
+        for actual in [2, 12] {
+            for mode in [None, Some(&approx)] {
+                let query = vec![1.0; actual];
+                let mut pool = index.new_buffer_pool();
+                assert_eq!(
+                    index.knn(&mut pool, &mut KernelScratch::default(), &query, 3, mode),
+                    Err(CoreError::QueryDimensionMismatch { expected: 8, actual })
+                );
+            }
+        }
     }
 
     #[test]
@@ -776,7 +817,9 @@ mod tests {
         )
         .unwrap();
         let query = ds.row(0).to_vec();
-        let got = index.knn(&query, 500).unwrap();
+        let got = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), &query, 500, None)
+            .unwrap();
         assert_eq!(got.neighbors.len(), 60);
     }
 
@@ -807,7 +850,9 @@ mod tests {
             let cfg = config().with_strategy(strategy);
             let index = BrePartitionIndex::build(DivergenceKind::ItakuraSaito, &ds, &cfg).unwrap();
             let query = ds.row(77).to_vec();
-            let got = index.knn(&query, 8).unwrap();
+            let got = index
+                .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), &query, 8, None)
+                .unwrap();
             let expected = single_query_knn(DivergenceKind::ItakuraSaito, &ds, &query, 8);
             for (g, e) in got.neighbors.iter().zip(expected.iter()) {
                 assert!((g.1 - e.1).abs() < 1e-9 * (1.0 + e.1.abs()), "{strategy:?}");
@@ -821,10 +866,13 @@ mod tests {
         let cfg = config().with_buffer_pool_pages(0);
         let index = BrePartitionIndex::build(DivergenceKind::ItakuraSaito, &ds, &cfg).unwrap();
         let query = ds.row(5).to_vec();
-        let cold = index.knn(&query, 10).unwrap();
+        let cold = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), &query, 10, None)
+            .unwrap();
         let mut warm_pool = BufferPool::new(4096);
-        index.knn_with_pool(&mut warm_pool, &query, 10).unwrap();
-        let second = index.knn_with_pool(&mut warm_pool, &query, 10).unwrap();
+        index.knn(&mut warm_pool, &mut KernelScratch::default(), &query, 10, None).unwrap();
+        let second =
+            index.knn(&mut warm_pool, &mut KernelScratch::default(), &query, 10, None).unwrap();
         assert!(second.stats.io.pages_read <= cold.stats.io.pages_read);
         assert!(second.stats.io.cache_hits > 0);
     }

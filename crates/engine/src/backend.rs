@@ -1,7 +1,8 @@
 //! The [`SearchBackend`] abstraction: one trait over every index in the
 //! workspace, so the batch engine (and the experiment harness) can drive
 //! BrePartition, its approximate extension, the BB-tree baseline and the
-//! VA-file baseline through a single code path.
+//! VA-file baseline through a single code path: one search method,
+//! [`SearchBackend::knn_with_options`], per backend.
 //!
 //! Every backend supports two lifecycles: *build* from a dataset or *open* a
 //! previously saved index directory, so a serving process can come up
@@ -64,10 +65,11 @@ pub struct BackendAnswer {
 
 /// A kNN index that can serve concurrent batch queries.
 ///
-/// Implementations must be immutable during search: `knn` takes `&self` and
-/// threads all mutable state through the caller-owned [`Scratch`]. That
-/// contract is what lets the engine share one index across worker threads
-/// without locks.
+/// Implementations must be immutable during search: the one search method,
+/// [`SearchBackend::knn_with_options`], takes `&self` and threads all
+/// mutable state through the caller-owned [`Scratch`]. That contract is
+/// what lets the engine share one index across worker threads without
+/// locks.
 pub trait SearchBackend: Send + Sync {
     /// Short method label (e.g. `"BP"`, `"ABP(p=0.90)"`, `"BBT"`, `"VAF"`).
     fn name(&self) -> &str;
@@ -86,30 +88,22 @@ pub trait SearchBackend: Send + Sync {
     /// Fresh per-thread scratch state (a cold buffer pool).
     fn new_scratch(&self) -> Scratch;
 
-    /// Answer one kNN query using the caller's scratch state.
-    fn knn(
-        &self,
-        scratch: &mut Scratch,
-        query: &[f64],
-        k: usize,
-    ) -> Result<BackendAnswer, EngineError>;
-
-    /// Answer one kNN query honoring per-query [`QueryOptions`].
+    /// Answer one kNN query using the caller's scratch state, honoring
+    /// per-query [`QueryOptions`] (`QueryOptions::none()` is the backend's
+    /// default search).
     ///
     /// Options are typed requests: an option the backend cannot honor is
     /// rejected with [`EngineError::UnsupportedOption`] rather than silently
-    /// ignored. The default implementation supports only the empty option
-    /// set; backends override it for the knobs they expose.
+    /// ignored. A query of the wrong dimensionality, and a data page that
+    /// fails its read, are [`EngineError::Backend`] errors raised by the
+    /// index itself.
     fn knn_with_options(
         &self,
         scratch: &mut Scratch,
         query: &[f64],
         k: usize,
         options: &QueryOptions,
-    ) -> Result<BackendAnswer, EngineError> {
-        reject_unsupported(self.name(), options, false, false)?;
-        self.knn(scratch, query, k)
-    }
+    ) -> Result<BackendAnswer, EngineError>;
 
     /// Persist the backend's index to a directory, in the format its
     /// `open` constructor (and the `brepartition` façade's `Index::open`)
@@ -130,7 +124,9 @@ pub trait SearchBackend: Send + Sync {
     }
 }
 
-/// Drain a page store into a dense dataset, ordered by point id.
+/// Drain a page store into a dense dataset, ordered by point id. A page
+/// that fails its read aborts the export (and so the compaction that asked
+/// for it) with that error.
 fn export_store_rows(store: &pagestore::PageStore) -> Result<DenseDataset, EngineError> {
     let dim = store.dim();
     let mut flat = vec![0.0; store.point_count() * dim];
@@ -139,9 +135,7 @@ fn export_store_rows(store: &pagestore::PageStore) -> Result<DenseDataset, Engin
             let i = pid as usize;
             flat[i * dim..(i + 1) * dim].copy_from_slice(coords);
         })
-        .map_err(|pid| {
-            EngineError::Backend(format!("point {pid} has no address in the page file"))
-        })?;
+        .map_err(|e| EngineError::Backend(e.to_string()))?;
     DenseDataset::from_flat(dim, flat).map_err(|e| EngineError::Backend(e.to_string()))
 }
 
@@ -167,13 +161,6 @@ fn reject_unsupported(
     Ok(())
 }
 
-/// How a [`BrePartitionBackend`] searches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum BrePartitionMode {
-    Exact,
-    Approximate(ApproximateConfig),
-}
-
 /// The BrePartition index behind the [`SearchBackend`] trait, in either
 /// exact (Algorithm 6) or approximate (ABP) mode.
 ///
@@ -184,14 +171,15 @@ enum BrePartitionMode {
 #[derive(Debug, Clone)]
 pub struct BrePartitionBackend {
     index: Arc<BrePartitionIndex>,
-    mode: BrePartitionMode,
+    /// `None` serves the exact search, `Some` the approximate one.
+    approximate: Option<ApproximateConfig>,
     name: String,
 }
 
 impl BrePartitionBackend {
     /// Wrap an index for exact search.
     pub fn exact(index: impl Into<Arc<BrePartitionIndex>>) -> Self {
-        Self { index: index.into(), mode: BrePartitionMode::Exact, name: "BP".to_string() }
+        Self { index: index.into(), approximate: None, name: "BP".to_string() }
     }
 
     /// Wrap an index for approximate search at the configured probability.
@@ -200,7 +188,7 @@ impl BrePartitionBackend {
         config: ApproximateConfig,
     ) -> Self {
         let name = format!("ABP(p={:.2})", config.probability);
-        Self { index: index.into(), mode: BrePartitionMode::Approximate(config), name }
+        Self { index: index.into(), approximate: Some(config), name }
     }
 
     /// The wrapped index.
@@ -226,33 +214,6 @@ impl SearchBackend for BrePartitionBackend {
         Scratch::new(self.index.new_buffer_pool())
     }
 
-    fn knn(
-        &self,
-        scratch: &mut Scratch,
-        query: &[f64],
-        k: usize,
-    ) -> Result<BackendAnswer, EngineError> {
-        let before = scratch.pool.stats();
-        let result = match &self.mode {
-            BrePartitionMode::Exact => {
-                self.index.knn_with_scratch(&mut scratch.pool, &mut scratch.kernel, query, k)
-            }
-            BrePartitionMode::Approximate(config) => self.index.knn_approximate_with_scratch(
-                &mut scratch.pool,
-                &mut scratch.kernel,
-                query,
-                k,
-                config,
-            ),
-        }
-        .map_err(|e| EngineError::Backend(e.to_string()))?;
-        Ok(BackendAnswer {
-            neighbors: result.neighbors,
-            candidates: result.stats.candidates,
-            io: scratch.pool.stats().since(&before),
-        })
-    }
-
     fn knn_with_options(
         &self,
         scratch: &mut Scratch,
@@ -261,16 +222,14 @@ impl SearchBackend for BrePartitionBackend {
         options: &QueryOptions,
     ) -> Result<BackendAnswer, EngineError> {
         reject_unsupported(self.name(), options, true, false)?;
-        let Some(p) = options.probability else {
-            return self.knn(scratch, query, k);
-        };
         // A probability override runs this query through the approximate
         // search at guarantee `p`, whatever the backend's default mode.
+        let approximate =
+            options.probability.map(ApproximateConfig::with_probability).or(self.approximate);
         let before = scratch.pool.stats();
-        let config = ApproximateConfig::with_probability(p);
         let result = self
             .index
-            .knn_approximate_with_scratch(&mut scratch.pool, &mut scratch.kernel, query, k, &config)
+            .knn(&mut scratch.pool, &mut scratch.kernel, query, k, approximate.as_ref())
             .map_err(|e| EngineError::Backend(e.to_string()))?;
         Ok(BackendAnswer {
             neighbors: result.neighbors,
@@ -292,8 +251,6 @@ impl SearchBackend for BrePartitionBackend {
 #[derive(Debug, Clone)]
 pub struct BBTreeBackend<B: DecomposableBregman + Send + Sync> {
     tree: DiskBBTree<B>,
-    dim: usize,
-    len: usize,
     /// Points in the fullest leaf; converts a per-query candidate budget
     /// into a whole-leaf visit budget.
     max_leaf_points: usize,
@@ -312,13 +269,7 @@ impl<B: DecomposableBregman + Send + Sync> BBTreeBackend<B> {
     ) -> Self {
         let tree = DiskBBTree::build(divergence, dataset, tree_config, store_config);
         let max_leaf_points = max_leaf_points(&tree);
-        Self {
-            tree,
-            dim: dataset.dim(),
-            len: dataset.len(),
-            max_leaf_points,
-            scratch_pool_pages: 0,
-        }
+        Self { tree, max_leaf_points, scratch_pool_pages: 0 }
     }
 
     /// Open a tree saved with [`SearchBackend::save`] (or
@@ -326,10 +277,8 @@ impl<B: DecomposableBregman + Send + Sync> BBTreeBackend<B> {
     pub fn open(divergence: B, dir: &Path) -> Result<Self, EngineError> {
         let tree =
             DiskBBTree::open(divergence, dir).map_err(|e| EngineError::Backend(e.to_string()))?;
-        let dim = tree.tree().dim();
-        let len = tree.tree().len();
         let max_leaf_points = max_leaf_points(&tree);
-        Ok(Self { tree, dim, len, max_leaf_points, scratch_pool_pages: 0 })
+        Ok(Self { tree, max_leaf_points, scratch_pool_pages: 0 })
     }
 
     /// Hand out buffered scratch pools of `pages` pages (0 = unbuffered).
@@ -364,33 +313,15 @@ impl<B: DecomposableBregman + Send + Sync> SearchBackend for BBTreeBackend<B> {
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.tree.tree().dim()
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.tree.tree().len()
     }
 
     fn new_scratch(&self) -> Scratch {
         Scratch::new(BufferPool::new(self.scratch_pool_pages))
-    }
-
-    fn knn(
-        &self,
-        scratch: &mut Scratch,
-        query: &[f64],
-        k: usize,
-    ) -> Result<BackendAnswer, EngineError> {
-        check_dim(self.dim, query)?;
-        let result = self
-            .tree
-            .knn_with_scratch(&mut scratch.pool, &mut scratch.kernel, query, k)
-            .map_err(|e| EngineError::Backend(e.to_string()))?;
-        Ok(BackendAnswer {
-            neighbors: result.neighbors.iter().map(|n| (n.id, n.distance)).collect(),
-            candidates: result.search.candidates_examined as usize,
-            io: result.io,
-        })
     }
 
     fn knn_with_options(
@@ -401,22 +332,13 @@ impl<B: DecomposableBregman + Send + Sync> SearchBackend for BBTreeBackend<B> {
         options: &QueryOptions,
     ) -> Result<BackendAnswer, EngineError> {
         reject_unsupported(self.name(), options, false, true)?;
-        let Some(budget) = options.candidate_budget else {
-            return self.knn(scratch, query, k);
-        };
-        check_dim(self.dim, query)?;
         // Round the candidate budget up to whole leaves: the tree loads
         // leaves atomically, so the budget bounds leaf visits.
-        let max_leaves = budget.div_ceil(self.max_leaf_points).max(1);
+        let leaf_budget =
+            options.candidate_budget.map(|budget| budget.div_ceil(self.max_leaf_points).max(1));
         let result = self
             .tree
-            .knn_with_leaf_budget_scratch(
-                &mut scratch.pool,
-                &mut scratch.kernel,
-                query,
-                k,
-                max_leaves,
-            )
+            .knn(&mut scratch.pool, &mut scratch.kernel, query, k, leaf_budget)
             .map_err(|e| EngineError::Backend(e.to_string()))?;
         Ok(BackendAnswer {
             neighbors: result.neighbors.iter().map(|n| (n.id, n.distance)).collect(),
@@ -438,7 +360,6 @@ impl<B: DecomposableBregman + Send + Sync> SearchBackend for BBTreeBackend<B> {
 #[derive(Debug, Clone)]
 pub struct VaFileBackend<B: DecomposableBregman + Send + Sync> {
     file: VaFile<B>,
-    dim: usize,
     /// Capacity of the buffer pools handed out by `new_scratch` (0 =
     /// unbuffered, the paper's per-query I/O accounting).
     scratch_pool_pages: usize,
@@ -447,11 +368,7 @@ pub struct VaFileBackend<B: DecomposableBregman + Send + Sync> {
 impl<B: DecomposableBregman + Send + Sync> VaFileBackend<B> {
     /// Build the VA-file over a dataset.
     pub fn build(divergence: B, dataset: &DenseDataset, config: VaFileConfig) -> Self {
-        Self {
-            file: VaFile::build(divergence, dataset, config),
-            dim: dataset.dim(),
-            scratch_pool_pages: 0,
-        }
+        Self { file: VaFile::build(divergence, dataset, config), scratch_pool_pages: 0 }
     }
 
     /// Open a VA-file saved with [`SearchBackend::save`] (or
@@ -459,8 +376,7 @@ impl<B: DecomposableBregman + Send + Sync> VaFileBackend<B> {
     pub fn open(divergence: B, dir: &Path) -> Result<Self, EngineError> {
         let file =
             VaFile::open(divergence, dir).map_err(|e| EngineError::Backend(e.to_string()))?;
-        let dim = file.quantizer().dim();
-        Ok(Self { file, dim, scratch_pool_pages: 0 })
+        Ok(Self { file, scratch_pool_pages: 0 })
     }
 
     /// Hand out buffered scratch pools of `pages` pages (0 = unbuffered).
@@ -481,7 +397,7 @@ impl<B: DecomposableBregman + Send + Sync> SearchBackend for VaFileBackend<B> {
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.file.quantizer().dim()
     }
 
     fn len(&self) -> usize {
@@ -492,22 +408,6 @@ impl<B: DecomposableBregman + Send + Sync> SearchBackend for VaFileBackend<B> {
         Scratch::new(BufferPool::new(self.scratch_pool_pages))
     }
 
-    fn knn(
-        &self,
-        scratch: &mut Scratch,
-        query: &[f64],
-        k: usize,
-    ) -> Result<BackendAnswer, EngineError> {
-        check_dim(self.dim, query)?;
-        let result =
-            self.file.knn_with_scratch(&mut scratch.pool, &mut scratch.kernel, query, k, None);
-        Ok(BackendAnswer {
-            neighbors: result.neighbors,
-            candidates: result.candidates,
-            io: result.io,
-        })
-    }
-
     fn knn_with_options(
         &self,
         scratch: &mut Scratch,
@@ -516,14 +416,10 @@ impl<B: DecomposableBregman + Send + Sync> SearchBackend for VaFileBackend<B> {
         options: &QueryOptions,
     ) -> Result<BackendAnswer, EngineError> {
         reject_unsupported(self.name(), options, false, true)?;
-        check_dim(self.dim, query)?;
-        let result = self.file.knn_with_scratch(
-            &mut scratch.pool,
-            &mut scratch.kernel,
-            query,
-            k,
-            options.candidate_budget,
-        );
+        let result = self
+            .file
+            .knn(&mut scratch.pool, &mut scratch.kernel, query, k, options.candidate_budget)
+            .map_err(|e| EngineError::Backend(e.to_string()))?;
         Ok(BackendAnswer {
             neighbors: result.neighbors,
             candidates: result.candidates,
@@ -538,14 +434,4 @@ impl<B: DecomposableBregman + Send + Sync> SearchBackend for VaFileBackend<B> {
     fn export_rows(&self) -> Result<DenseDataset, EngineError> {
         export_store_rows(self.file.store())
     }
-}
-
-fn check_dim(expected: usize, query: &[f64]) -> Result<(), EngineError> {
-    if query.len() != expected {
-        return Err(EngineError::Backend(format!(
-            "query dimensionality {} does not match index dimensionality {expected}",
-            query.len()
-        )));
-    }
-    Ok(())
 }

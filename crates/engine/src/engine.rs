@@ -201,30 +201,6 @@ impl QueryEngine {
         self.metrics.bind(registry, prefix);
     }
 
-    /// Answer one ad-hoc query outside a batch (fresh scratch).
-    pub fn knn(&self, query: &[f64], k: usize) -> Result<QueryOutcome, EngineError> {
-        let mut scratch = self.backend.new_scratch();
-        scratch.pool.set_read_latency_sink(self.metrics.io_span().clone());
-        let started = Instant::now();
-        let answer = match self.backend.knn(&mut scratch, query, k) {
-            Ok(answer) => answer,
-            Err(error) => {
-                self.metrics.errors().inc();
-                return Err(error);
-            }
-        };
-        let latency = started.elapsed();
-        self.metrics.io().record(&answer.io);
-        self.metrics.queries().inc();
-        self.metrics.query_latency_ns().record_duration(latency);
-        Ok(QueryOutcome {
-            neighbors: answer.neighbors,
-            candidates: answer.candidates,
-            io: answer.io,
-            latency_seconds: latency.as_secs_f64(),
-        })
-    }
-
     /// Execute a batch of uniform queries (same `k`, no per-query options)
     /// across the worker pool. Convenience wrapper over
     /// [`QueryEngine::run_requests`].

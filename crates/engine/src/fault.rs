@@ -305,16 +305,6 @@ impl SearchBackend for FaultInjector {
         self.inner.new_scratch()
     }
 
-    fn knn(
-        &self,
-        scratch: &mut Scratch,
-        query: &[f64],
-        k: usize,
-    ) -> Result<BackendAnswer, EngineError> {
-        self.fault_gate(query, k)?;
-        self.inner.knn(scratch, query, k)
-    }
-
     fn knn_with_options(
         &self,
         scratch: &mut Scratch,
@@ -385,11 +375,12 @@ mod tests {
         fn new_scratch(&self) -> Scratch {
             Scratch::new(BufferPool::unbuffered())
         }
-        fn knn(
+        fn knn_with_options(
             &self,
             _scratch: &mut Scratch,
             _query: &[f64],
             _k: usize,
+            _options: &QueryOptions,
         ) -> Result<BackendAnswer, EngineError> {
             Ok(BackendAnswer {
                 neighbors: vec![(PointId(0), 1.0)],
@@ -421,7 +412,13 @@ mod tests {
             let mut scratch = injector.new_scratch();
             qs.iter()
                 .map(|q| {
-                    (0..4).map(|_| injector.knn(&mut scratch, q, 3).is_err()).collect::<Vec<_>>()
+                    (0..4)
+                        .map(|_| {
+                            injector
+                                .knn_with_options(&mut scratch, q, 3, &QueryOptions::none())
+                                .is_err()
+                        })
+                        .collect::<Vec<_>>()
                 })
                 .collect()
         };
@@ -447,12 +444,16 @@ mod tests {
         let state = injector.state();
         let mut scratch = injector.new_scratch();
         let qs = queries(5);
-        let outcomes: Vec<bool> =
-            qs.iter().map(|q| injector.knn(&mut scratch, q, 2).is_ok()).collect();
+        let outcomes: Vec<bool> = qs
+            .iter()
+            .map(|q| injector.knn_with_options(&mut scratch, q, 2, &QueryOptions::none()).is_ok())
+            .collect();
         assert_eq!(outcomes, vec![true, true, true, false, false]);
         // A fresh injector over the same state stays dead.
         let rewrapped = FaultInjector::with_state(Arc::new(FixedAnswer), plan, state).unwrap();
-        assert!(rewrapped.knn(&mut scratch, &qs[0], 2).is_err());
+        assert!(rewrapped
+            .knn_with_options(&mut scratch, &qs[0], 2, &QueryOptions::none())
+            .is_err());
         assert_eq!(rewrapped.state().dead_rejections(), 3);
     }
 
@@ -465,13 +466,13 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut scratch = injector.new_scratch();
-            let _ = injector.knn(&mut scratch, &q, 1);
+            let _ = injector.knn_with_options(&mut scratch, &q, 1, &QueryOptions::none());
         }));
         std::panic::set_hook(hook);
         assert!(caught.is_err(), "a panic rate of 1.0 must panic the first attempt");
         assert_eq!(injector.state().panics(), 1);
         // The second attempt is past the default depth of 1 and succeeds.
         let mut scratch = injector.new_scratch();
-        assert!(injector.knn(&mut scratch, &q, 1).is_ok());
+        assert!(injector.knn_with_options(&mut scratch, &q, 1, &QueryOptions::none()).is_ok());
     }
 }

@@ -9,8 +9,14 @@
 //!   workspace: BrePartition exact ([`BrePartitionBackend::exact`]), the
 //!   approximate extension ([`BrePartitionBackend::approximate`]), the
 //!   BB-tree baseline ([`BBTreeBackend`]) and the VA-file baseline
-//!   ([`VaFileBackend`]). Backends are immutable during search; all mutable
-//!   per-query state lives in a caller-owned [`Scratch`].
+//!   ([`VaFileBackend`]). The trait has one search method,
+//!   [`SearchBackend::knn_with_options`]: `QueryOptions::none()` is the
+//!   backend's default search, and a probability override or candidate
+//!   budget is that backend's one knob, mapped onto the index's own single
+//!   `knn` call. Each index validates the query's length itself; a wrong
+//!   length, and a data page that fails its read, come back as
+//!   [`EngineError::Backend`]. Backends are immutable during search; all
+//!   mutable per-query state lives in a caller-owned [`Scratch`].
 //! * [`QueryEngine`] — fans a batch out over a pool of worker threads. Each
 //!   worker owns its scratch (buffer pool), pulls query indices from an
 //!   atomic cursor and buffers outcomes locally; per-query results are
@@ -101,6 +107,7 @@ mod tests {
     use std::sync::Arc;
 
     use bbtree::BBTreeConfig;
+    use bregman::kernel::KernelScratch;
     use bregman::{DivergenceKind, ItakuraSaito};
     use brepartition_core::{ApproximateConfig, BrePartitionConfig, BrePartitionIndex};
     use datagen::HierarchicalSpec;
@@ -159,7 +166,10 @@ mod tests {
                 .iter()
                 .map(|q| {
                     let mut scratch = backend.new_scratch();
-                    backend.knn(&mut scratch, q, 5).unwrap().neighbors
+                    backend
+                        .knn_with_options(&mut scratch, q, 5, &QueryOptions::none())
+                        .unwrap()
+                        .neighbors
                 })
                 .collect();
             let engine =
@@ -181,6 +191,7 @@ mod tests {
         let kind = DivergenceKind::ItakuraSaito;
         let config = BrePartitionConfig::default().with_partitions(4).with_page_size(4096);
         let index = Arc::new(BrePartitionIndex::build(kind, &data, &config).unwrap());
+        let pool = || index.new_buffer_pool();
         let backend = Arc::new(BrePartitionBackend::exact(index.clone()));
         let engine =
             QueryEngine::with_config(backend, EngineConfig::default().with_threads(4)).unwrap();
@@ -191,7 +202,16 @@ mod tests {
         let batch = engine.run_requests(&requests).unwrap();
         for (i, outcome) in batch.outcomes.iter().enumerate() {
             assert_eq!(outcome.neighbors.len(), (i % 7) + 1, "query {i} ignored its own k");
-            let expected = index.knn(requests[i].query, requests[i].k).unwrap().neighbors;
+            let expected = index
+                .knn(
+                    &mut pool(),
+                    &mut KernelScratch::default(),
+                    requests[i].query,
+                    requests[i].k,
+                    None,
+                )
+                .unwrap()
+                .neighbors;
             assert_eq!(outcome.neighbors, expected, "query {i}");
         }
         assert_eq!(batch.report.k, 7, "report pins the largest k of the batch");
@@ -202,7 +222,9 @@ mod tests {
         let override_req = EngineRequest::new(&queries[0], 10)
             .with_options(QueryOptions::none().with_probability(0.9));
         let overridden = engine.run_requests(&[override_req]).unwrap();
-        let expected = index.knn_approximate(&queries[0], 10, &approx).unwrap();
+        let expected = index
+            .knn(&mut pool(), &mut KernelScratch::default(), &queries[0], 10, Some(&approx))
+            .unwrap();
         assert_eq!(overridden.outcomes[0].neighbors, expected.neighbors);
     }
 
@@ -255,7 +277,9 @@ mod tests {
         {
             let name = backend.name().to_string();
             let mut scratch = backend.new_scratch();
-            let unbounded = backend.knn(&mut scratch, &queries[0], 8).unwrap();
+            let unbounded = backend
+                .knn_with_options(&mut scratch, &queries[0], 8, &QueryOptions::none())
+                .unwrap();
             let mut scratch = backend.new_scratch();
             let bounded = backend
                 .knn_with_options(
@@ -343,8 +367,8 @@ mod tests {
         assert_eq!(engine.cumulative_io(), pagestore::IoStats::default());
         let batch = engine.run_batch(&queries, 3).unwrap();
         assert_eq!(engine.cumulative_io(), batch.report.io);
-        let single = engine.knn(&queries[0], 3).unwrap();
-        assert_eq!(single.neighbors, batch.outcomes[0].neighbors);
+        let single = engine.run_batch(&queries[..1], 3).unwrap();
+        assert_eq!(single.outcomes[0].neighbors, batch.outcomes[0].neighbors);
         assert!(engine.cumulative_io().pages_read > batch.report.io.pages_read);
     }
 
@@ -467,11 +491,12 @@ mod tests {
         fn new_scratch(&self) -> Scratch {
             Scratch::new(pagestore::BufferPool::unbuffered())
         }
-        fn knn(
+        fn knn_with_options(
             &self,
             _scratch: &mut Scratch,
             query: &[f64],
             _k: usize,
+            _options: &QueryOptions,
         ) -> Result<BackendAnswer, EngineError> {
             assert!(query[0] >= 0.0, "probe panic: poisoned query");
             Ok(BackendAnswer {
@@ -544,11 +569,12 @@ mod tests {
         fn new_scratch(&self) -> Scratch {
             Scratch::new(pagestore::BufferPool::unbuffered())
         }
-        fn knn(
+        fn knn_with_options(
             &self,
             _scratch: &mut Scratch,
             _query: &[f64],
             _k: usize,
+            _options: &QueryOptions,
         ) -> Result<BackendAnswer, EngineError> {
             if self.healthy.load(std::sync::atomic::Ordering::SeqCst) {
                 Ok(BackendAnswer {

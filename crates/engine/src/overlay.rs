@@ -112,8 +112,33 @@ impl DeltaOverlayBackend {
     pub fn delta(&self) -> &DeltaSegment {
         &self.delta
     }
+}
 
-    fn merged_knn(
+impl SearchBackend for DeltaOverlayBackend {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    /// The *live* point count (backend − tombstones + live delta rows).
+    fn len(&self) -> usize {
+        self.delta.live_len()
+    }
+
+    fn new_scratch(&self) -> Scratch {
+        self.inner.new_scratch()
+    }
+
+    /// Options pass through to the inner backend (a probability override
+    /// still runs the *backend side* approximately; the delta side is
+    /// always exact), so the overlay supports exactly the options its
+    /// backend supports — with one adjustment: a caller's candidate budget
+    /// is widened by the tombstone over-fetch margin, so tombstone-heavy
+    /// states clamp rather than silently truncate the live results.
+    fn knn_with_options(
         &self,
         scratch: &mut Scratch,
         query: &[f64],
@@ -215,50 +240,6 @@ impl DeltaOverlayBackend {
             candidates: answer.candidates + scanned,
             io: answer.io,
         })
-    }
-}
-
-impl SearchBackend for DeltaOverlayBackend {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    /// The *live* point count (backend − tombstones + live delta rows).
-    fn len(&self) -> usize {
-        self.delta.live_len()
-    }
-
-    fn new_scratch(&self) -> Scratch {
-        self.inner.new_scratch()
-    }
-
-    fn knn(
-        &self,
-        scratch: &mut Scratch,
-        query: &[f64],
-        k: usize,
-    ) -> Result<BackendAnswer, EngineError> {
-        self.merged_knn(scratch, query, k, &QueryOptions::none())
-    }
-
-    /// Options pass through to the inner backend (a probability override
-    /// still runs the *backend side* approximately; the delta side is
-    /// always exact), so the overlay supports exactly the options its
-    /// backend supports — with one adjustment: a caller's candidate budget
-    /// is widened by the tombstone over-fetch margin, so tombstone-heavy
-    /// states clamp rather than silently truncate the live results.
-    fn knn_with_options(
-        &self,
-        scratch: &mut Scratch,
-        query: &[f64],
-        k: usize,
-        options: &QueryOptions,
-    ) -> Result<BackendAnswer, EngineError> {
-        self.merged_knn(scratch, query, k, options)
     }
 
     fn save(&self, dir: &Path) -> Result<(), EngineError> {

@@ -20,10 +20,10 @@ use crate::page::{Page, PageId};
 /// A physical page read that failed *after* the store opened successfully:
 /// bit rot caught by a per-page checksum, or a device/file error underneath
 /// an open handle. Distinct from [`crate::PersistError`], which covers
-/// open/save-time failures — this is the mid-serve failure surface that the
-/// batch read paths ([`crate::BufferPool::read_points_with`] /
-/// [`crate::BufferPool::read_points_block`]) report as an error instead of
-/// panicking or serving garbage.
+/// open-time failures — this is the mid-serve failure surface every page
+/// read ([`StorageBackend::read_page`], [`crate::BufferPool::try_fetch`] and
+/// the batch paths above it) reports as an error instead of panicking or
+/// serving garbage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PageStoreError {
     /// The page payload read from storage no longer matches the checksum
@@ -79,19 +79,12 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Number of pages stored.
     fn page_count(&self) -> usize;
 
-    /// Materialize one page, or `None` for an unknown id. This is a
+    /// Materialize one page, or `Ok(None)` for an unknown id. This is a
     /// *physical* access with no accounting — indexes must go through a
-    /// [`crate::BufferPool`].
-    fn read_page(&self, id: PageId) -> Option<Page>;
-
-    /// Materialize one page like [`StorageBackend::read_page`], but report
-    /// post-open corruption or device failure as a [`PageStoreError`]
-    /// instead of panicking. `Ok(None)` still means "unknown page id".
-    /// Backends with no post-open failure mode (the in-memory simulation)
-    /// use this default.
-    fn try_read_page(&self, id: PageId) -> Result<Option<Page>, PageStoreError> {
-        Ok(self.read_page(id))
-    }
+    /// [`crate::BufferPool`]. A read that fails after open (bit rot caught
+    /// by a per-page checksum, or a device error) is a [`PageStoreError`],
+    /// never a panic and never a silently missing page.
+    fn read_page(&self, id: PageId) -> Result<Option<Page>, PageStoreError>;
 
     /// Total size of the stored page images in bytes (payloads including
     /// padding, excluding directory metadata).
@@ -121,8 +114,8 @@ impl StorageBackend for MemoryBackend {
         self.pages.len()
     }
 
-    fn read_page(&self, id: PageId) -> Option<Page> {
-        self.pages.get(id.index()).cloned()
+    fn read_page(&self, id: PageId) -> Result<Option<Page>, PageStoreError> {
+        Ok(self.pages.get(id.index()).cloned())
     }
 
     fn size_bytes(&self) -> usize {
@@ -146,7 +139,7 @@ mod tests {
         assert_eq!(backend.kind(), "memory");
         assert_eq!(backend.page_count(), 2);
         assert_eq!(backend.size_bytes(), 128);
-        assert_eq!(backend.read_page(PageId(1)).unwrap().decode_slot(0), b);
-        assert!(backend.read_page(PageId(9)).is_none());
+        assert_eq!(backend.read_page(PageId(1)).unwrap().unwrap().decode_slot(0), b);
+        assert!(backend.read_page(PageId(9)).unwrap().is_none());
     }
 }

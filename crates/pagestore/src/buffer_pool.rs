@@ -6,8 +6,7 @@
 //! `visited` bits until it finds a cold page. One sequential scan through
 //! the store therefore cannot flush the working set the way it does under
 //! plain LRU: scanned-once pages are never promoted past pages that keep
-//! getting re-referenced, and pages explicitly *pinned* (hot refine leaves)
-//! are never evicted at all.
+//! getting re-referenced.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,8 +29,6 @@ struct Node {
     page: Page,
     /// Set on every hit; cleared (once) by the eviction hand.
     visited: bool,
-    /// Pinned pages are skipped by the eviction hand.
-    pinned: bool,
     /// Neighbour toward the tail (older).
     older: usize,
     /// Neighbour toward the head (newer).
@@ -57,8 +54,6 @@ struct SieveCache {
     hand: usize,
     /// Recycled slab indices.
     free: Vec<usize>,
-    /// Number of pinned resident pages.
-    pinned: usize,
 }
 
 impl SieveCache {
@@ -71,7 +66,6 @@ impl SieveCache {
             tail: NIL,
             hand: NIL,
             free: Vec::new(),
-            pinned: 0,
         }
     }
 
@@ -86,15 +80,15 @@ impl SieveCache {
         Some(self.nodes[idx].page.clone())
     }
 
-    /// Make a page resident, evicting if full. Returns `false` when nothing
-    /// could be evicted (every resident page is pinned); the caller then
-    /// serves the page without caching it.
-    fn insert(&mut self, id: PageId, page: Page) -> bool {
+    /// Make a page resident, evicting the hand's victim if full. (Should
+    /// the bounded eviction walk ever find no victim, the page is served
+    /// without caching it.)
+    fn insert(&mut self, id: PageId, page: Page) {
         debug_assert!(self.capacity > 0, "capacity-0 pools never reach the cache");
         if self.map.len() >= self.capacity && !self.evict_one() {
-            return false;
+            return;
         }
-        let node = Node { id, page, visited: false, pinned: false, older: self.head, newer: NIL };
+        let node = Node { id, page, visited: false, older: self.head, newer: NIL };
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.nodes[idx] = node;
@@ -112,16 +106,12 @@ impl SieveCache {
         }
         self.head = idx;
         self.map.insert(id, idx);
-        true
     }
 
     /// Advance the hand from the oldest page toward the newest, clearing
-    /// `visited` bits, and evict the first cold unpinned page. Returns
-    /// `false` iff every resident page is pinned.
+    /// `visited` bits, and evict the first cold page. Returns whether a
+    /// page was evicted.
     fn evict_one(&mut self) -> bool {
-        if self.pinned >= self.map.len() {
-            return false;
-        }
         let mut cursor = if self.hand != NIL { self.hand } else { self.tail };
         // Two full passes always suffice (pass one clears every bit the
         // hand crosses); the explicit bound keeps the walk finite even if
@@ -132,9 +122,7 @@ impl SieveCache {
                 continue;
             }
             let node = &mut self.nodes[cursor];
-            if node.pinned {
-                cursor = node.newer;
-            } else if node.visited {
+            if node.visited {
                 node.visited = false;
                 cursor = node.newer;
             } else {
@@ -166,31 +154,6 @@ impl SieveCache {
         self.free.push(idx);
     }
 
-    /// Pin a resident page (no-op counterpart: [`SieveCache::unpin`]).
-    /// Returns whether the page was resident.
-    fn pin(&mut self, id: PageId) -> bool {
-        match self.map.get(&id) {
-            Some(&idx) => {
-                if !self.nodes[idx].pinned {
-                    self.nodes[idx].pinned = true;
-                    self.pinned += 1;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Make a pinned page evictable again.
-    fn unpin(&mut self, id: PageId) {
-        if let Some(&idx) = self.map.get(&id) {
-            if self.nodes[idx].pinned {
-                self.nodes[idx].pinned = false;
-                self.pinned -= 1;
-            }
-        }
-    }
-
     fn clear(&mut self) {
         self.nodes.clear();
         self.map.clear();
@@ -198,7 +161,6 @@ impl SieveCache {
         self.head = NIL;
         self.tail = NIL;
         self.hand = NIL;
-        self.pinned = 0;
     }
 }
 
@@ -249,9 +211,7 @@ enum CacheSlot {
 /// and id list are reference-counted), so the pool works identically over
 /// the in-memory backend and the file backend: a miss asks the store for a
 /// physical page, a hit serves the pool's own copy without touching the
-/// store at all. Pages can be [pinned](BufferPool::pin_page) so the
-/// eviction hand never reclaims them; when the pool is full of pinned
-/// pages, further misses are served (and counted) without caching.
+/// store at all.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
@@ -348,52 +308,11 @@ impl BufferPool {
         }
     }
 
-    /// Number of currently pinned pages.
-    pub fn pinned_pages(&self) -> usize {
-        match &self.slot {
-            CacheSlot::Private(cache) => cache.pinned,
-            CacheSlot::Shared(shared) => shared.inner.lock().pinned,
-        }
-    }
-
-    /// Fetch a page (counted as usual) and pin it: the eviction hand will
-    /// never reclaim it until [`BufferPool::unpin_page`]. Returns `false`
-    /// if the page does not exist, the pool is unbuffered, or the page
-    /// could not be made resident (pool full of pinned pages).
-    pub fn pin_page(&mut self, store: &PageStore, id: PageId) -> bool {
-        if self.capacity == 0 || self.fetch(store, id).is_none() {
-            return false;
-        }
-        match &mut self.slot {
-            CacheSlot::Private(cache) => cache.pin(id),
-            CacheSlot::Shared(shared) => shared.inner.lock().pin(id),
-        }
-    }
-
-    /// Make a pinned page ordinary (evictable) again.
-    pub fn unpin_page(&mut self, id: PageId) {
-        match &mut self.slot {
-            CacheSlot::Private(cache) => cache.unpin(id),
-            CacheSlot::Shared(shared) => shared.inner.lock().unpin(id),
-        }
-    }
-
     /// Touch a page: record the access, updating replacement state and
-    /// counters, and return the page. Returns `None` for an unknown page id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the physical read fails after a successful open (bit rot
-    /// caught by the backing file's per-page checksum, or a device error);
-    /// fallible read paths use [`BufferPool::try_fetch`] instead.
-    pub fn fetch(&mut self, store: &PageStore, id: PageId) -> Option<Page> {
-        self.try_fetch(store, id).unwrap_or_else(|e| panic!("buffer pool read failed: {e}"))
-    }
-
-    /// [`BufferPool::fetch`], but a physical read that fails (post-open bit
-    /// rot caught by a page checksum, or a device error) is reported as a
-    /// [`PageStoreError`] instead of panicking. `Ok(None)` still means
-    /// "unknown page id". A failed read is neither cached nor counted.
+    /// counters, and return the page. `Ok(None)` means "unknown page id".
+    /// A physical read that fails (post-open bit rot caught by a page
+    /// checksum, or a device error) is a [`PageStoreError`]; a failed read
+    /// is neither cached nor counted.
     pub fn try_fetch(
         &mut self,
         store: &PageStore,
@@ -447,70 +366,40 @@ impl BufferPool {
         match read_latency {
             Some(histogram) => {
                 let started = std::time::Instant::now();
-                let page = store.try_raw_page(id);
+                let page = store.raw_page(id);
                 histogram.record_duration(started.elapsed());
                 page
             }
-            None => store.try_raw_page(id),
+            None => store.raw_page(id),
         }
     }
 
-    /// Read one point through the pool, decoding its coordinates.
-    pub fn read_point(&mut self, store: &PageStore, point: PointId) -> Option<Vec<f64>> {
-        let addr = store.address_of(point)?;
-        let page = self.fetch(store, addr.page)?;
-        Some(page.decode_slot(addr.slot as usize))
-    }
-
     /// Read one point through the pool into a caller-provided buffer.
+    /// Returns `Ok(false)` for a point with no address (or on an unknown
+    /// page) and the [`PageStoreError`] of a failed physical read.
     pub fn read_point_into(
         &mut self,
         store: &PageStore,
         point: PointId,
         out: &mut Vec<f64>,
-    ) -> bool {
-        match store.address_of(point) {
-            Some(addr) => match self.fetch(store, addr.page) {
-                Some(page) => {
-                    page.decode_slot_into(addr.slot as usize, out);
-                    true
-                }
-                None => false,
-            },
-            None => false,
-        }
+    ) -> Result<bool, PageStoreError> {
+        let Some(addr) = store.address_of(point) else {
+            return Ok(false);
+        };
+        let Some(page) = self.try_fetch(store, addr.page)? else {
+            return Ok(false);
+        };
+        page.decode_slot_into(addr.slot as usize, out);
+        Ok(true)
     }
 
-    /// Read a batch of points, visiting pages in first-seen order so that
-    /// points co-located on a page cost a single physical read. Returns the
-    /// decoded points in the same order as `points`.
-    pub fn read_points(
-        &mut self,
-        store: &PageStore,
-        points: &[PointId],
-    ) -> Vec<(PointId, Vec<f64>)> {
-        let groups = store.layout().pages_for(points);
-        let mut by_id: HashMap<PointId, Vec<f64>> = HashMap::with_capacity(points.len());
-        for (page_id, members) in groups {
-            if let Some(page) = self.fetch(store, page_id) {
-                for pid in members {
-                    if let Some(slot) = page.slot_of(pid) {
-                        by_id.insert(pid, page.decode_slot(slot));
-                    }
-                }
-            }
-        }
-        points.iter().filter_map(|pid| by_id.remove(pid).map(|coords| (*pid, coords))).collect()
-    }
-
-    /// Visit a batch of points with the same first-seen page-grouped I/O
-    /// pattern as [`BufferPool::read_points`], but without allocating per
-    /// point: each point is decoded into the caller-provided `coords`
-    /// buffer and handed to `f` as a borrowed slice. Points are therefore
-    /// visited in page-major order, not in `points` order; unknown ids are
-    /// skipped. Unlike `read_points` (which returns each requested id at
-    /// most once), a duplicated id in `points` is visited once per
-    /// occurrence — callers pass deduplicated candidate lists. This is the
+    /// Visit a batch of points, grouped by page in first-seen page order so
+    /// that points co-located on a page cost a single physical read. Each
+    /// point is decoded into the caller-provided `coords` buffer and handed
+    /// to `f` as a borrowed slice, so points are visited in page-major
+    /// order, not in `points` order; unknown ids are skipped, and a
+    /// duplicated id is visited once per occurrence — callers pass
+    /// deduplicated candidate lists. This is the
     /// per-point refine path; the batched SIMD refine goes through
     /// [`BufferPool::read_points_block`].
     ///
@@ -530,8 +419,7 @@ impl BufferPool {
                 for pid in members {
                     // `pages_for` resolved every member through the layout,
                     // so the address exists; re-reading it yields the slot
-                    // in O(1) where `Page::slot_of` would scan the page's
-                    // id list per candidate.
+                    // in O(1).
                     if let Some(addr) = store.address_of(pid) {
                         page.decode_slot_into(addr.slot as usize, coords);
                         f(pid, coords);
@@ -580,37 +468,6 @@ impl BufferPool {
     }
 }
 
-/// A [`BufferPool`] behind a mutex, for experiment harnesses that issue
-/// queries from multiple threads against a shared store. (For warm serving
-/// prefer per-thread [`BufferPool`] handles over one [`SharedPageCache`]:
-/// I/O is then attributed per handle and only the page table is locked.)
-#[derive(Debug)]
-pub struct SharedBufferPool {
-    inner: Mutex<BufferPool>,
-}
-
-impl SharedBufferPool {
-    /// Wrap a pool for shared use.
-    pub fn new(pool: BufferPool) -> Self {
-        Self { inner: Mutex::new(pool) }
-    }
-
-    /// Run a closure with exclusive access to the pool.
-    pub fn with<R>(&self, f: impl FnOnce(&mut BufferPool) -> R) -> R {
-        f(&mut self.inner.lock())
-    }
-
-    /// Snapshot the current I/O counters.
-    pub fn stats(&self) -> IoStats {
-        self.inner.lock().stats()
-    }
-
-    /// Reset the I/O counters.
-    pub fn reset_stats(&self) {
-        self.inner.lock().reset_stats();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,6 +481,22 @@ mod tests {
         (s, data)
     }
 
+    /// Read one point through the pool (it must exist).
+    fn read(pool: &mut BufferPool, s: &PageStore, pid: u32) -> Vec<f64> {
+        let mut coords = Vec::new();
+        assert!(pool.read_point_into(s, pid, &mut coords).unwrap(), "point {pid}");
+        coords
+    }
+
+    /// Visit `ids` through the batched path, collecting `(id, coords)`.
+    fn read_all(pool: &mut BufferPool, s: &PageStore, ids: &[u32]) -> Vec<(u32, Vec<f64>)> {
+        let mut coords = Vec::new();
+        let mut seen = Vec::new();
+        pool.read_points_with(s, ids, &mut coords, &mut |pid, c| seen.push((pid, c.to_vec())))
+            .unwrap();
+        seen
+    }
+
     #[test]
     fn unbuffered_counts_every_access_as_physical_read() {
         let (s, data) = store(6, 2, 2);
@@ -631,7 +504,7 @@ mod tests {
         assert!(pool.is_unbuffered());
         assert_eq!(pool.capacity(), 0);
         for pid in 0..6u32 {
-            assert_eq!(pool.read_point(&s, pid).unwrap(), data[pid as usize]);
+            assert_eq!(read(&mut pool, &s, pid), data[pid as usize]);
         }
         assert_eq!(pool.stats().pages_read, 6);
         assert_eq!(pool.stats().cache_hits, 0);
@@ -644,13 +517,13 @@ mod tests {
         let (s, _) = store(6, 2, 2);
         let mut pool = BufferPool::new(0);
         for _ in 0..3 {
-            pool.read_point(&s, 0);
+            read(&mut pool, &s, 0);
         }
         assert_eq!(pool.resident_pages(), 0);
         assert_eq!(pool.stats().pages_read, 3);
         assert_eq!(pool.stats().cache_hits, 0);
         // Batched reads still coalesce points within one visit of a page…
-        let result = pool.read_points(&s, &[0, 1, 4]);
+        let result = read_all(&mut pool, &s, &[0, 1, 4]);
         assert_eq!(result.len(), 3);
         assert_eq!(pool.stats().pages_read, 5); // pages {0,1} and {4,5}
                                                 // …but the pool stays empty afterwards.
@@ -661,9 +534,9 @@ mod tests {
     fn cached_rereads_are_hits() {
         let (s, _) = store(6, 2, 2);
         let mut pool = BufferPool::new(8);
-        pool.read_point(&s, 0);
-        pool.read_point(&s, 1); // same page as 0
-        pool.read_point(&s, 2); // new page
+        read(&mut pool, &s, 0);
+        read(&mut pool, &s, 1); // same page as 0
+        read(&mut pool, &s, 2); // new page
         assert_eq!(pool.stats().pages_read, 2);
         assert_eq!(pool.stats().cache_hits, 1);
         assert_eq!(pool.resident_pages(), 2);
@@ -673,10 +546,10 @@ mod tests {
     fn eviction_reclaims_the_oldest_cold_page() {
         let (s, _) = store(8, 2, 2); // pages: {0,1},{2,3},{4,5},{6,7}
         let mut pool = BufferPool::new(2);
-        pool.read_point(&s, 0); // page 0 in
-        pool.read_point(&s, 2); // page 1 in
-        pool.read_point(&s, 4); // page 2 in, page 0 (oldest, cold) evicted
-        pool.read_point(&s, 0); // page 0 again: physical read
+        read(&mut pool, &s, 0); // page 0 in
+        read(&mut pool, &s, 2); // page 1 in
+        read(&mut pool, &s, 4); // page 2 in, page 0 (oldest, cold) evicted
+        read(&mut pool, &s, 0); // page 0 again: physical read
         assert_eq!(pool.stats().pages_read, 4);
         assert_eq!(pool.stats().cache_hits, 0);
     }
@@ -685,11 +558,11 @@ mod tests {
     fn a_hit_protects_a_page_from_the_next_eviction() {
         let (s, _) = store(8, 2, 2);
         let mut pool = BufferPool::new(2);
-        pool.read_point(&s, 0); // page 0
-        pool.read_point(&s, 2); // page 1
-        pool.read_point(&s, 1); // hit page 0: visited, survives the hand
-        pool.read_point(&s, 4); // page 2 in; hand skips page 0, evicts page 1
-        pool.read_point(&s, 0); // page 0 should still be resident
+        read(&mut pool, &s, 0); // page 0
+        read(&mut pool, &s, 2); // page 1
+        read(&mut pool, &s, 1); // hit page 0: visited, survives the hand
+        read(&mut pool, &s, 4); // page 2 in; hand skips page 0, evicts page 1
+        read(&mut pool, &s, 0); // page 0 should still be resident
         assert_eq!(pool.stats().cache_hits, 2);
         assert_eq!(pool.stats().pages_read, 3);
     }
@@ -702,60 +575,15 @@ mod tests {
         // more than `capacity` pages would have flushed it.
         let (s, _) = store(64, 2, 2); // 32 pages
         let mut pool = BufferPool::new(4);
-        pool.read_point(&s, 0); // page 0 resident
-        pool.read_point(&s, 1); // …and visited
+        read(&mut pool, &s, 0); // page 0 resident
+        read(&mut pool, &s, 1); // …and visited
         for pid in (2..64u32).step_by(2) {
-            pool.read_point(&s, pid); // scan every other page once
-            pool.read_point(&s, 0); // the hot page keeps getting hits
+            read(&mut pool, &s, pid); // scan every other page once
+            read(&mut pool, &s, 0); // the hot page keeps getting hits
         }
         // Every access to page 0 after its single fault was a hit.
         assert_eq!(pool.stats().pages_read, 32, "page 0 faulted once, 31 scan pages once");
         assert_eq!(pool.stats().cache_hits, 32);
-    }
-
-    #[test]
-    fn pinned_pages_survive_any_scan_and_unpin_restores_eviction() {
-        let (s, _) = store(32, 2, 2); // 16 pages
-        let mut pool = BufferPool::new(2);
-        assert!(pool.pin_page(&s, crate::page::PageId(0)));
-        assert_eq!(pool.pinned_pages(), 1);
-        for pid in 2..32u32 {
-            pool.read_point(&s, pid); // scan through every other page
-        }
-        // The pinned page is still served from cache…
-        let before = pool.stats();
-        pool.read_point(&s, 0);
-        assert_eq!(pool.stats().cache_hits, before.cache_hits + 1);
-        // …until unpinned, after which the hand may reclaim it.
-        pool.unpin_page(crate::page::PageId(0));
-        assert_eq!(pool.pinned_pages(), 0);
-        for pid in 2..32u32 {
-            pool.read_point(&s, pid);
-        }
-        let before = pool.stats();
-        pool.read_point(&s, 0);
-        assert_eq!(pool.stats().pages_read, before.pages_read + 1, "unpinned page was evicted");
-    }
-
-    #[test]
-    fn a_pool_full_of_pinned_pages_serves_misses_uncached() {
-        let (s, _) = store(8, 2, 2); // 4 pages
-        let mut pool = BufferPool::new(2);
-        assert!(pool.pin_page(&s, crate::page::PageId(0)));
-        assert!(pool.pin_page(&s, crate::page::PageId(1)));
-        assert_eq!(pool.pinned_pages(), 2);
-        // Both further pages are served (correctly) but cannot displace the
-        // pinned ones.
-        pool.read_point(&s, 4);
-        pool.read_point(&s, 4);
-        assert_eq!(pool.resident_pages(), 2);
-        assert_eq!(pool.stats().pages_read, 4); // 2 pins + 2 uncached misses
-                                                // Pinning a page that cannot become resident reports failure.
-        assert!(!pool.pin_page(&s, crate::page::PageId(3)));
-        // The pinned pages still hit.
-        pool.read_point(&s, 0);
-        pool.read_point(&s, 2);
-        assert_eq!(pool.stats().cache_hits, 2);
     }
 
     #[test]
@@ -767,17 +595,13 @@ mod tests {
         let (s, _) = store(8192, 2, 1); // 8192 pages
         let mut pool = BufferPool::new(8192);
         for pid in 0..8192u32 {
-            pool.read_point(&s, pid);
+            read(&mut pool, &s, pid);
         }
         assert_eq!(pool.resident_pages(), 8192);
         let started = std::time::Instant::now();
-        let mut hits = 0u64;
         for i in 0..200_000u32 {
-            if pool.read_point(&s, i % 8192).is_some() {
-                hits += 1;
-            }
+            read(&mut pool, &s, i % 8192);
         }
-        assert_eq!(hits, 200_000);
         assert_eq!(pool.stats().cache_hits, 200_000);
         assert!(
             started.elapsed() < std::time::Duration::from_secs(10),
@@ -793,9 +617,9 @@ mod tests {
         let mut pool = BufferPool::new(4);
         pool.set_read_latency_sink(sink.clone());
         assert!(pool.read_latency_sink().is_some());
-        pool.fetch(&s, PageId(0)); // miss: timed
-        pool.fetch(&s, PageId(0)); // hit: not timed
-        pool.fetch(&s, PageId(1)); // miss: timed
+        pool.try_fetch(&s, PageId(0)).unwrap(); // miss: timed
+        pool.try_fetch(&s, PageId(0)).unwrap(); // hit: not timed
+        pool.try_fetch(&s, PageId(1)).unwrap(); // miss: timed
         assert_eq!(pool.stats().pages_read, 2);
         assert_eq!(pool.stats().cache_hits, 1);
         assert_eq!(sink.count(), 2, "one sample per physical read, none for hits");
@@ -803,7 +627,7 @@ mod tests {
         // The unbuffered path is also timed.
         let mut unbuffered = BufferPool::unbuffered();
         unbuffered.set_read_latency_sink(sink.clone());
-        unbuffered.fetch(&s, PageId(0));
+        unbuffered.try_fetch(&s, PageId(0)).unwrap();
         assert_eq!(sink.count(), 3);
     }
 
@@ -814,8 +638,8 @@ mod tests {
         let mut a = BufferPool::with_shared_cache(cache.clone());
         let mut b = BufferPool::with_shared_cache(cache.clone());
         assert_eq!(a.capacity(), 4);
-        a.read_point(&s, 0); // handle A faults page 0
-        b.read_point(&s, 1); // handle B hits the page A faulted
+        read(&mut a, &s, 0); // handle A faults page 0
+        read(&mut b, &s, 1); // handle B hits the page A faulted
         assert_eq!(a.stats().pages_read, 1);
         assert_eq!(a.stats().cache_hits, 0);
         assert_eq!(b.stats().pages_read, 0);
@@ -828,7 +652,7 @@ mod tests {
     fn batched_read_costs_one_read_per_page() {
         let (s, data) = store(10, 3, 5); // pages: {0..4},{5..9}
         let mut pool = BufferPool::unbuffered();
-        let result = pool.read_points(&s, &[0, 1, 2, 7, 8]);
+        let result = read_all(&mut pool, &s, &[0, 1, 2, 7, 8]);
         assert_eq!(result.len(), 5);
         assert_eq!(pool.stats().pages_read, 2);
         for (pid, coords) in result {
@@ -837,31 +661,17 @@ mod tests {
     }
 
     #[test]
-    fn read_points_with_matches_read_points_and_io() {
+    fn read_points_with_groups_by_first_seen_page_and_skips_unknown_ids() {
         let (s, data) = store(10, 3, 5); // pages: {0..4},{5..9}
-        let ids = [7u32, 0, 1, 8, 2, 99];
-        let mut pool_a = BufferPool::unbuffered();
-        let expected = pool_a.read_points(&s, &ids);
-        let mut pool_b = BufferPool::unbuffered();
-        let mut coords = Vec::new();
-        let mut seen: Vec<(u32, Vec<f64>)> = Vec::new();
-        pool_b
-            .read_points_with(&s, &ids, &mut coords, &mut |pid, c| {
-                seen.push((pid, c.to_vec()));
-            })
-            .unwrap();
-        // Identical I/O pattern (first-seen page grouping) and identical
-        // point set; the visit order is page-major.
-        assert_eq!(pool_a.stats(), pool_b.stats());
-        assert_eq!(seen.len(), expected.len());
-        assert_eq!(
-            seen.iter().map(|(p, _)| *p).collect::<std::collections::HashSet<_>>(),
-            expected.iter().map(|(p, _)| *p).collect::<std::collections::HashSet<_>>()
-        );
+        let mut pool = BufferPool::unbuffered();
+        let seen = read_all(&mut pool, &s, &[7u32, 0, 1, 8, 2, 99]);
+        // One physical read per page; the page of the first-seen point is
+        // visited first, and within a page the members keep request order.
+        assert_eq!(pool.stats().pages_read, 2);
+        assert_eq!(seen.iter().map(|(p, _)| *p).collect::<Vec<_>>(), vec![7, 8, 0, 1, 2]);
         for (pid, c) in &seen {
             assert_eq!(c, &data[*pid as usize]);
         }
-        assert_eq!(seen[0].0, 7, "page of the first-seen point is visited first");
     }
 
     #[test]
@@ -901,41 +711,19 @@ mod tests {
         let (s, data) = store(4, 2, 2);
         let mut pool = BufferPool::new(2);
         let mut buf = Vec::new();
-        assert!(pool.read_point_into(&s, 3, &mut buf));
+        assert!(pool.read_point_into(&s, 3, &mut buf).unwrap());
         assert_eq!(buf, data[3]);
-        assert!(!pool.read_point_into(&s, 100, &mut buf));
-        assert!(pool.read_point(&s, 100).is_none());
+        assert!(!pool.read_point_into(&s, 100, &mut buf).unwrap());
     }
 
     #[test]
     fn reset_and_clear() {
         let (s, _) = store(4, 2, 2);
         let mut pool = BufferPool::new(2);
-        pool.read_point(&s, 0);
+        read(&mut pool, &s, 0);
         pool.reset_stats();
         assert_eq!(pool.stats(), IoStats::default());
         pool.clear();
         assert_eq!(pool.resident_pages(), 0);
-    }
-
-    #[test]
-    fn shared_pool_is_usable_from_threads() {
-        let (s, _) = store(16, 2, 2);
-        let shared = SharedBufferPool::new(BufferPool::new(4));
-        std::thread::scope(|scope| {
-            for t in 0..4u32 {
-                let shared = &shared;
-                let s = &s;
-                scope.spawn(move || {
-                    for i in 0..4u32 {
-                        shared.with(|pool| pool.read_point(s, t * 4 + i));
-                    }
-                });
-            }
-        });
-        let stats = shared.stats();
-        assert_eq!(stats.logical_reads(), 16);
-        shared.reset_stats();
-        assert_eq!(shared.stats(), IoStats::default());
     }
 }

@@ -240,20 +240,7 @@ impl StorageBackend for FileBackend {
         self.entries.len()
     }
 
-    /// # Panics
-    ///
-    /// Panics if the page file fails a read *after* a successful open (it
-    /// was truncated, deleted, modified — caught by the per-page checksum —
-    /// or hit a device error underneath us). The alternative — treating the
-    /// failure as "unknown page id" — would make queries silently drop
-    /// candidates and return wrong neighbors, which is strictly worse than
-    /// failing loudly. Fallible read paths use
-    /// [`StorageBackend::try_read_page`] instead.
-    fn read_page(&self, id: PageId) -> Option<Page> {
-        self.try_read_page(id).unwrap_or_else(|e| panic!("page file read failed: {e}"))
-    }
-
-    fn try_read_page(&self, id: PageId) -> Result<Option<Page>, PageStoreError> {
+    fn read_page(&self, id: PageId) -> Result<Option<Page>, PageStoreError> {
         let Some(entry) = self.entries.get(id.index()) else {
             return Ok(None);
         };
@@ -315,9 +302,17 @@ pub(crate) fn write_page_file(
     meta.put_u64(point_count as u64);
     meta.put_u64(page_count as u64);
     meta.put_u8(DIM_MAJOR_CODEC_TAG);
+    // A page that fails its read (bit rot in a file-backed source) aborts
+    // the save with the read error; the half-written target is not a valid
+    // page file, its checksum is never patched in.
+    let read = |i: usize| -> PersistResult<Page> {
+        backend.read_page(PageId(i as u32))?.ok_or_else(|| {
+            PersistError::Corrupt(format!("page {i} of {page_count} is missing from the store"))
+        })
+    };
     let mut region_len = 0u64;
     for i in 0..page_count {
-        let page = backend.read_page(PageId(i as u32)).expect("page within count");
+        let page = read(i)?;
         meta.put_u64(region_len);
         meta.put_u64(page.payload().len() as u64);
         meta.put_u32_seq(page.point_ids());
@@ -341,7 +336,7 @@ pub(crate) fn write_page_file(
     hash.update(&meta);
     out.write_all(&meta)?;
     for i in 0..page_count {
-        let page = backend.read_page(PageId(i as u32)).expect("page within count");
+        let page = read(i)?;
         hash.update(page.payload());
         out.write_all(page.payload())?;
     }
@@ -476,10 +471,10 @@ mod tests {
         for pid in 0..10u32 {
             let addr = reopened.address_of(pid).unwrap();
             assert_eq!(addr, store.address_of(pid).unwrap());
-            let page = reopened.raw_page(addr.page).unwrap();
+            let page = reopened.raw_page(addr.page).unwrap().unwrap();
             assert_eq!(page.decode_slot(addr.slot as usize), data[pid as usize]);
         }
-        assert!(reopened.raw_page(PageId(99)).is_none());
+        assert!(reopened.raw_page(PageId(99)).unwrap().is_none());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -563,8 +558,16 @@ mod tests {
         let mut mem_pool = BufferPool::unbuffered();
         let mut file_pool = BufferPool::unbuffered();
         let points: Vec<u32> = (0..10).collect();
-        let from_mem = mem_pool.read_points(&store, &points);
-        let from_file = file_pool.read_points(&reopened, &points);
+        let read_all = |pool: &mut BufferPool, store: &PageStore| {
+            let (mut coords, mut out) = (Vec::new(), Vec::new());
+            pool.read_points_with(store, &points, &mut coords, &mut |pid, c| {
+                out.push((pid, c.to_vec()))
+            })
+            .unwrap();
+            out
+        };
+        let from_mem = read_all(&mut mem_pool, &store);
+        let from_file = read_all(&mut file_pool, &reopened);
         assert_eq!(from_mem.len(), from_file.len());
         for ((mp, mc), (fp, fc)) in from_mem.iter().zip(from_file.iter()) {
             assert_eq!(mp, fp);
@@ -638,7 +641,7 @@ mod tests {
             )
         };
         let page_start = ENVELOPE_HEADER_BYTES as u64 + 8 + meta_len;
-        let page_len = store.raw_page(PageId(0)).unwrap().payload().len() as u64;
+        let page_len = store.raw_page(PageId(0)).unwrap().unwrap().payload().len() as u64;
         let flip = |target: u64| {
             let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
             file.seek(SeekFrom::Start(target)).unwrap();
@@ -678,14 +681,31 @@ mod tests {
                 ),
                 "byte {offset}"
             );
+            // So do the single-point read, the maintenance walk and a save
+            // that would copy the rotten page.
+            assert!(matches!(
+                pool.read_point_into(&reopened, 0, &mut coords),
+                Err(PageStoreError::Checksum { .. })
+            ));
+            assert!(matches!(
+                reopened.for_each_point(&mut |_, _| {}),
+                Err(PageStoreError::Checksum { .. })
+            ));
+            match reopened.save(&temp_path("bit-rot-copy")) {
+                Err(PersistError::Corrupt(message)) => assert!(message.contains("checksum")),
+                other => panic!("byte {offset}: expected a corrupt-save error, got {other:?}"),
+            }
             // Pages outside the flipped byte still verify and serve.
-            assert_eq!(pool.read_point(&reopened, 9).unwrap(), data[9]);
+            assert!(pool.read_point_into(&reopened, 9, &mut coords).unwrap());
+            assert_eq!(coords, data[9]);
 
             // Flipping the byte back restores the page.
             flip(page_start + offset);
-            assert_eq!(pool.read_point(&reopened, 0).unwrap(), data[0], "byte {offset}");
+            assert!(pool.read_point_into(&reopened, 0, &mut coords).unwrap());
+            assert_eq!(coords, data[0], "byte {offset}");
         }
         std::fs::remove_file(&path).unwrap();
+        let _ = std::fs::remove_file(temp_path("bit-rot-copy"));
     }
 
     #[test]

@@ -94,6 +94,14 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+/// A page that fails its read while an artifact is being written or
+/// restored (bit rot in the source page file) makes that artifact corrupt.
+impl From<crate::backend::PageStoreError> for PersistError {
+    fn from(e: crate::backend::PageStoreError) -> Self {
+        PersistError::Corrupt(e.to_string())
+    }
+}
+
 /// Convenience alias for persistence results.
 pub type PersistResult<T> = std::result::Result<T, PersistError>;
 

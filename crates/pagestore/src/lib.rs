@@ -17,14 +17,20 @@
 //! * [`DiskLayout`] — the point → (page, slot) directory, i.e. the
 //!   `P.address` stored in BB-forest leaf nodes.
 //! * [`BufferPool`] — a scan-resistant (SIEVE) cache in front of the store,
-//!   with O(1) touches and pinnable pages. Every miss counts as one physical
-//!   page read in [`IoStats`]; hits are counted separately. Capacity zero is
-//!   the *unbuffered* pool: nothing is retained and every access is a
-//!   counted physical read.
+//!   with O(1) touches. Every miss counts as one physical page read in
+//!   [`IoStats`]; hits are counted separately. Capacity zero is the
+//!   *unbuffered* pool: nothing is retained and every access is a counted
+//!   physical read.
 //! * [`SharedPageCache`] — one SIEVE cache shared by several [`BufferPool`]
-//!   handles (warm multi-worker serving; I/O stays attributed per handle);
-//!   [`SharedBufferPool`] — a mutex-wrapped pool for multi-threaded
-//!   experiment harnesses.
+//!   handles (warm multi-worker serving; I/O stays attributed per handle).
+//!
+//! Each layer has exactly one page read and it is fallible:
+//! [`StorageBackend::read_page`], [`PageStore::raw_page`] and
+//! [`BufferPool::try_fetch`] (with the point and batch reads built on it)
+//! return a [`PageStoreError`] when a page fails its read after open — bit
+//! rot caught by a per-page checksum, or a device error — so a rotten page
+//! is a typed error at every caller, never a panic and never a wrong
+//! neighbour.
 //! * [`format`](mod@format) — the little-endian encoding primitives and the sealed
 //!   envelope (magic, version, FNV-1a checksum) shared by every persistent
 //!   artifact in the workspace (page files, BB-trees, index metadata).
@@ -51,7 +57,9 @@
 //!
 //! let reopened = PageStore::open(&path).unwrap();
 //! let mut pool = BufferPool::unbuffered();
-//! assert_eq!(pool.read_point(&reopened, 17).unwrap(), data[17]);
+//! let mut coords = Vec::new();
+//! assert!(pool.read_point_into(&reopened, 17, &mut coords).unwrap());
+//! assert_eq!(coords, data[17]);
 //! assert_eq!(pool.stats().pages_read, 1);
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
@@ -69,7 +77,7 @@ pub mod page;
 pub mod store;
 
 pub use backend::{MemoryBackend, PageStoreError, StorageBackend};
-pub use buffer_pool::{BufferPool, SharedBufferPool, SharedPageCache};
+pub use buffer_pool::{BufferPool, SharedPageCache};
 pub use file::FileBackend;
 pub use format::{PersistError, PersistResult};
 pub use io_stats::{AtomicIoStats, IoStats};

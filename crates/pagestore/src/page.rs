@@ -146,11 +146,6 @@ impl Page {
             }
         }
     }
-
-    /// Find the slot of a point id within this page, if resident.
-    pub fn slot_of(&self, point: PointId) -> Option<usize> {
-        self.point_ids.iter().position(|&p| p == point)
-    }
 }
 
 #[cfg(test)]
@@ -205,15 +200,6 @@ mod tests {
         let mut buf = vec![9.0; 17];
         page.decode_slot_into(0, &mut buf);
         assert_eq!(buf, a);
-    }
-
-    #[test]
-    fn slot_of_resident_and_missing_points() {
-        let a = vec![1.0];
-        let b = vec![2.0];
-        let page = Page::encode(PageId(0), 1, &[(5, &a), (9, &b)], 64);
-        assert_eq!(page.slot_of(9), Some(1));
-        assert_eq!(page.slot_of(77), None);
     }
 
     #[test]

@@ -178,18 +178,12 @@ impl PageStore {
 
     /// Raw page access *without* I/O accounting. Index implementations must
     /// go through a [`crate::BufferPool`]; this accessor exists for the pool
-    /// itself, for [`PageStore::save`] and for tests. On a file-backed store
-    /// every call performs a real file read.
-    pub fn raw_page(&self, id: PageId) -> Option<Page> {
+    /// itself and for maintenance passes. On a file-backed store every call
+    /// performs a real file read, and a read that fails after open (bit rot
+    /// caught by a per-page checksum, or a device error) is a
+    /// [`PageStoreError`]. `Ok(None)` means "unknown page id".
+    pub fn raw_page(&self, id: PageId) -> Result<Option<Page>, PageStoreError> {
         self.backend.read_page(id)
-    }
-
-    /// Raw page access like [`PageStore::raw_page`], but a physical read
-    /// that fails after open (bit rot caught by a per-page checksum, or a
-    /// device error) is reported as a [`PageStoreError`] instead of
-    /// panicking. `Ok(None)` still means "unknown page id".
-    pub fn try_raw_page(&self, id: PageId) -> Result<Option<Page>, PageStoreError> {
-        self.backend.try_read_page(id)
     }
 
     /// The point → page directory.
@@ -208,24 +202,20 @@ impl PageStore {
         self.backend.size_bytes()
     }
 
-    /// Visit every stored point in id order (`0..point_count`), decoding
-    /// each into a reused buffer. The page fetched last is cached, so a
-    /// layout with runs of co-located ids costs one physical read per page
-    /// run. Maintenance helper (e.g. exporting every row for a rebuild) —
-    /// no [`crate::BufferPool`] accounting is performed. Returns the first
-    /// point id that resolves to no page, if any.
-    pub fn for_each_point(&self, f: &mut dyn FnMut(PointId, &[f64])) -> Result<(), PointId> {
+    /// Visit every stored point once, page by page in page order, decoding
+    /// each into a reused buffer, so each page costs exactly one physical
+    /// read. Maintenance helper (exporting every row for a rebuild,
+    /// recomputing per-point columns at open) — no [`crate::BufferPool`]
+    /// accounting is performed. The first failed page read aborts the walk.
+    pub fn for_each_point(&self, f: &mut dyn FnMut(PointId, &[f64])) -> Result<(), PageStoreError> {
         let mut coords = Vec::new();
-        let mut cached: Option<(PageId, Page)> = None;
-        for pid in 0..self.point_count() as u32 {
-            let addr = self.address_of(pid).ok_or(pid)?;
-            let hit = matches!(&cached, Some((id, _)) if *id == addr.page);
-            if !hit {
-                cached = Some((addr.page, self.raw_page(addr.page).ok_or(pid)?));
+        for id in 0..self.page_count() as u32 {
+            if let Some(page) = self.raw_page(PageId(id))? {
+                for (slot, &pid) in page.point_ids().iter().enumerate() {
+                    page.decode_slot_into(slot, &mut coords);
+                    f(pid, &coords);
+                }
             }
-            let (_, page) = cached.as_ref().expect("page fetched above");
-            page.decode_slot_into(addr.slot as usize, &mut coords);
-            f(pid, &coords);
         }
         Ok(())
     }
@@ -258,7 +248,7 @@ mod tests {
         assert_eq!(store.backend_kind(), "memory");
         for pid in 0..10u32 {
             let addr = store.address_of(pid).unwrap();
-            let page = store.raw_page(addr.page).unwrap();
+            let page = store.raw_page(addr.page).unwrap().unwrap();
             assert_eq!(page.decode_slot(addr.slot as usize), data[pid as usize]);
         }
     }
@@ -276,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn for_each_point_visits_every_point_in_id_order() {
+    fn for_each_point_visits_every_point_once() {
         let data = dataset(7, 3);
         // Scattered layout: id order is not page order.
         let order = vec![6u32, 0, 3, 5, 1, 4, 2];
@@ -289,7 +279,8 @@ mod tests {
                 seen.push(pid);
             })
             .unwrap();
-        assert_eq!(seen, (0..7u32).collect::<Vec<_>>());
+        // Page order: the layout order, one read per page.
+        assert_eq!(seen, order);
     }
 
     #[test]
@@ -309,7 +300,7 @@ mod tests {
         let store = PageStore::build_sequential(PageStoreConfig::default(), 2, 2, |pid| {
             &data[pid as usize]
         });
-        assert!(store.raw_page(PageId(7)).is_none());
+        assert!(store.raw_page(PageId(7)).unwrap().is_none());
         assert!(store.address_of(99).is_none());
     }
 }

@@ -33,4 +33,4 @@ pub mod search;
 
 pub use bounds::QueryBoundTable;
 pub use quantizer::{Quantizer, QuantizerConfig};
-pub use search::{VaFile, VaFileConfig, VaQueryResult};
+pub use search::{SearchError, VaFile, VaFileConfig, VaQueryResult};

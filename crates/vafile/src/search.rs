@@ -4,9 +4,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use bregman::kernel::{phi_table, KernelScratch};
-use bregman::{DecomposableBregman, DenseDataset, PointId};
+use bregman::{BregmanError, DecomposableBregman, DenseDataset, PointId};
 use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, PersistResult};
-use pagestore::{BufferPool, IoStats, PageStore, PageStoreConfig};
+use pagestore::{BufferPool, IoStats, PageStore, PageStoreConfig, PageStoreError};
 
 use crate::bounds::QueryBoundTable;
 use crate::quantizer::{Quantizer, QuantizerConfig};
@@ -37,6 +37,34 @@ pub struct VaFileConfig {
 impl Default for VaFileConfig {
     fn default() -> Self {
         Self { quantizer: QuantizerConfig::default(), page_size_bytes: 32 * 1024 }
+    }
+}
+
+/// Why a [`VaFile::knn`] query failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SearchError {
+    /// The query is malformed: a [`BregmanError::DimensionMismatch`] whose
+    /// `left` is the query's length and `right` the indexed dimensionality.
+    Query(BregmanError),
+    /// A data page failed its read after open.
+    Storage(PageStoreError),
+}
+
+impl std::fmt::Display for SearchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SearchError::Query(e) => write!(f, "invalid query: {e}"),
+            SearchError::Storage(e) => write!(f, "page read failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SearchError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SearchError::Query(e) => Some(e),
+            SearchError::Storage(e) => Some(e),
+        }
     }
 }
 
@@ -243,47 +271,38 @@ impl<B: DecomposableBregman> VaFile<B> {
         &self.phi
     }
 
-    /// Exact kNN search.
-    pub fn knn(&self, pool: &mut BufferPool, query: &[f64], k: usize) -> VaQueryResult {
-        self.knn_with_budget(pool, query, k, None)
-    }
-
-    /// kNN search with an optional cap on refined candidates.
+    /// kNN search with an optional cap on refined candidates, reusing the
+    /// caller's [`KernelScratch`] (the batch-serving hot path:
+    /// prepared-query and decode buffers are reused across a whole batch).
     ///
     /// With `budget: None` this is the exact search. With `Some(b)` the
     /// refine phase evaluates at most `b` candidates (in ascending
     /// lower-bound order) before terminating, bounding per-query work and
-    /// data-page I/O at the cost of exactness.
-    pub fn knn_with_budget(
-        &self,
-        pool: &mut BufferPool,
-        query: &[f64],
-        k: usize,
-        budget: Option<usize>,
-    ) -> VaQueryResult {
-        let mut kernel = KernelScratch::default();
-        self.knn_with_scratch(pool, &mut kernel, query, k, budget)
-    }
-
-    /// [`VaFile::knn_with_budget`] reusing the caller's [`KernelScratch`]
-    /// (the batch-serving hot path: prepared-query and decode buffers are
-    /// reused across a whole batch).
-    pub fn knn_with_scratch(
+    /// data-page I/O at the cost of exactness. A query of the wrong
+    /// dimensionality is [`SearchError::Query`]; a data page that fails its
+    /// read after open is [`SearchError::Storage`].
+    pub fn knn(
         &self,
         pool: &mut BufferPool,
         kernel: &mut KernelScratch,
         query: &[f64],
         k: usize,
         budget: Option<usize>,
-    ) -> VaQueryResult {
+    ) -> Result<VaQueryResult, SearchError> {
+        if query.len() != self.quantizer.dim() {
+            return Err(SearchError::Query(BregmanError::DimensionMismatch {
+                left: query.len(),
+                right: self.quantizer.dim(),
+            }));
+        }
         let io_before = pool.stats();
         if k == 0 || self.is_empty() {
-            return VaQueryResult {
+            return Ok(VaQueryResult {
                 neighbors: Vec::new(),
                 candidates: 0,
                 refined: 0,
                 io: IoStats::default(),
-            };
+            });
         }
         let KernelScratch { prepared, coords, .. } = kernel;
         prepared.decompose_into(&self.divergence, query);
@@ -333,7 +352,7 @@ impl<B: DecomposableBregman> VaFile<B> {
             if lower > kth {
                 break;
             }
-            if !pool.read_point_into(&self.store, pid.0, coords) {
+            if !pool.read_point_into(&self.store, pid.0, coords).map_err(SearchError::Storage)? {
                 continue;
             }
             refined += 1;
@@ -347,7 +366,7 @@ impl<B: DecomposableBregman> VaFile<B> {
 
         let mut io = pool.stats().since(&io_before);
         io.pages_read += self.approximation_pages;
-        VaQueryResult { neighbors: result, candidates: candidate_count, refined, io }
+        Ok(VaQueryResult { neighbors: result, candidates: candidate_count, refined, io })
     }
 
     /// Number of pages occupied by the full-resolution data.
@@ -433,7 +452,7 @@ mod tests {
         let range = if positive { 0.2..10.0 } else { -5.0..5.0 };
         for _ in 0..5 {
             let query: Vec<f64> = (0..6).map(|_| rng.gen_range(range.clone())).collect();
-            let got = index.knn(&mut pool, &query, 8);
+            let got = index.knn(&mut pool, &mut KernelScratch::default(), &query, 8, None).unwrap();
             let expected = brute_force(&b, &ds, &query, 8);
             assert_eq!(got.neighbors.len(), 8);
             for (g, e) in got.neighbors.iter().zip(expected.iter()) {
@@ -472,7 +491,7 @@ mod tests {
         );
         let mut pool = BufferPool::unbuffered();
         let query = ds.point(PointId(17)).to_vec();
-        let result = index.knn(&mut pool, &query, 10);
+        let result = index.knn(&mut pool, &mut KernelScratch::default(), &query, 10, None).unwrap();
         assert!(result.candidates < ds.len(), "filter should prune something");
         assert!(result.refined <= result.candidates);
         assert!(result.io.pages_read >= index.approximation_pages());
@@ -483,7 +502,9 @@ mod tests {
         let ds = dataset(200, 4, 8, true);
         let index = VaFile::build(SquaredEuclidean, &ds, VaFileConfig::default());
         let mut pool = BufferPool::unbuffered();
-        let result = index.knn(&mut pool, &[1.0, 2.0, 3.0, 4.0], 5);
+        let result = index
+            .knn(&mut pool, &mut KernelScratch::default(), &[1.0, 2.0, 3.0, 4.0], 5, None)
+            .unwrap();
         assert!(result.io.pages_read >= index.approximation_pages());
         assert_eq!(index.data_pages(), index.store().page_count());
     }
@@ -493,12 +514,20 @@ mod tests {
         let ds = dataset(50, 3, 9, true);
         let index = VaFile::build(SquaredEuclidean, &ds, VaFileConfig::default());
         let mut pool = BufferPool::unbuffered();
-        assert!(index.knn(&mut pool, &[1.0, 1.0, 1.0], 0).neighbors.is_empty());
+        assert!(index
+            .knn(&mut pool, &mut KernelScratch::default(), &[1.0, 1.0, 1.0], 0, None)
+            .unwrap()
+            .neighbors
+            .is_empty());
 
         let empty = DenseDataset::empty(3).unwrap();
         let empty_index = VaFile::build(SquaredEuclidean, &empty, VaFileConfig::default());
         assert!(empty_index.is_empty());
-        assert!(empty_index.knn(&mut pool, &[1.0, 1.0, 1.0], 5).neighbors.is_empty());
+        assert!(empty_index
+            .knn(&mut pool, &mut KernelScratch::default(), &[1.0, 1.0, 1.0], 5, None)
+            .unwrap()
+            .neighbors
+            .is_empty());
     }
 
     #[test]
@@ -506,7 +535,9 @@ mod tests {
         let ds = dataset(20, 3, 10, true);
         let index = VaFile::build(ItakuraSaito, &ds, VaFileConfig::default());
         let mut pool = BufferPool::unbuffered();
-        let result = index.knn(&mut pool, &[1.0, 1.0, 1.0], 50);
+        let result = index
+            .knn(&mut pool, &mut KernelScratch::default(), &[1.0, 1.0, 1.0], 50, None)
+            .unwrap();
         assert_eq!(result.neighbors.len(), 20);
         for pair in result.neighbors.windows(2) {
             assert!(pair[0].1 <= pair[1].1);
@@ -532,8 +563,9 @@ mod tests {
             let query: Vec<f64> = (0..5).map(|_| rng.gen_range(0.2..10.0)).collect();
             let mut pool_a = BufferPool::unbuffered();
             let mut pool_b = BufferPool::unbuffered();
-            let a = built.knn(&mut pool_a, &query, 6);
-            let b = reopened.knn(&mut pool_b, &query, 6);
+            let a = built.knn(&mut pool_a, &mut KernelScratch::default(), &query, 6, None).unwrap();
+            let b =
+                reopened.knn(&mut pool_b, &mut KernelScratch::default(), &query, 6, None).unwrap();
             assert_eq!(a.neighbors, b.neighbors);
             assert_eq!(a.candidates, b.candidates);
             assert_eq!(a.refined, b.refined);
@@ -616,10 +648,16 @@ mod tests {
         );
         let query = ds.point(PointId(7)).to_vec();
         let mut pool = BufferPool::unbuffered();
-        let unbounded = index.knn_with_budget(&mut pool, &query, 10, None);
-        let exact = index.knn(&mut pool, &query, 10);
-        assert_eq!(unbounded.neighbors, exact.neighbors, "None budget is the exact search");
-        let bounded = index.knn_with_budget(&mut pool, &query, 10, Some(5));
+        let unbounded =
+            index.knn(&mut pool, &mut KernelScratch::default(), &query, 10, None).unwrap();
+        let ids = |n: &[(PointId, f64)]| n.iter().map(|(id, _)| *id).collect::<Vec<_>>();
+        assert_eq!(
+            ids(&unbounded.neighbors),
+            ids(&brute_force(&SquaredEuclidean, &ds, &query, 10)),
+            "a None budget is the exact search"
+        );
+        let bounded =
+            index.knn(&mut pool, &mut KernelScratch::default(), &query, 10, Some(5)).unwrap();
         assert!(bounded.refined <= 5, "budget exceeded: refined {}", bounded.refined);
         assert!(bounded.neighbors.len() <= 10);
         // Budgeted data-page I/O never exceeds the exact search's.
@@ -641,13 +679,36 @@ mod tests {
         );
         let query = ds.point(PointId(5)).to_vec();
         let mut pool = BufferPool::unbuffered();
-        let fine_result = fine.knn(&mut pool, &query, 10);
-        let coarse_result = coarse.knn(&mut pool, &query, 10);
+        let fine_result =
+            fine.knn(&mut pool, &mut KernelScratch::default(), &query, 10, None).unwrap();
+        let coarse_result =
+            coarse.knn(&mut pool, &mut KernelScratch::default(), &query, 10, None).unwrap();
         assert!(
             coarse_result.candidates >= fine_result.candidates,
             "coarse quantizer should produce at least as many candidates ({} vs {})",
             coarse_result.candidates,
             fine_result.candidates
         );
+    }
+
+    #[test]
+    fn wrong_dimension_queries_are_typed_errors() {
+        // Too short used to panic; too long used to score silently on the
+        // first 16 coordinates.
+        let index =
+            VaFile::build(SquaredEuclidean, &dataset(120, 16, 13, true), VaFileConfig::default());
+        for len in [8, 24] {
+            let query = vec![1.0; len];
+            for budget in [None, Some(4)] {
+                let mut pool = BufferPool::unbuffered();
+                match index.knn(&mut pool, &mut KernelScratch::default(), &query, 3, budget) {
+                    Err(SearchError::Query(BregmanError::DimensionMismatch { left, right })) => {
+                        assert_eq!((left, right), (len, 16));
+                    }
+                    other => panic!("{len}-dim query: expected a dimension error, got {other:?}"),
+                }
+                assert_eq!(pool.stats(), IoStats::default(), "rejected before any read");
+            }
+        }
     }
 }

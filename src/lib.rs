@@ -141,6 +141,7 @@ pub mod prelude {
     pub use crate::sharded::{Outcome, ResilientBatch, ShardMode, ShardSpec, ShardedIndex};
     pub use crate::spec::{CompactionSpec, IndexSpec, Method, StorageSpec};
     pub use bbtree::{BBTreeConfig, DiskBBTree, VariationalConfig};
+    pub use bregman::kernel::KernelScratch;
     pub use bregman::{
         DecomposableBregman, DenseDataset, Divergence, DivergenceKind, Exponential, ItakuraSaito,
         PointId, SquaredEuclidean,

@@ -28,8 +28,18 @@ fn approximate_search_trades_candidates_for_bounded_accuracy_loss() {
     let mut recalls = Vec::new();
     let config = ApproximateConfig::with_probability(0.9);
     for (qi, query) in queries.iter().enumerate() {
-        let exact = index.knn(query, k).unwrap();
-        let approx = index.knn_approximate(query, k, &config).unwrap();
+        let exact = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), query, k, None)
+            .unwrap();
+        let approx = index
+            .knn(
+                &mut index.new_buffer_pool(),
+                &mut KernelScratch::default(),
+                query,
+                k,
+                Some(&config),
+            )
+            .unwrap();
         exact_candidates += exact.stats.candidates;
         approx_candidates += approx.stats.candidates;
         ratios.push(overall_ratio(&approx.neighbors, truth.neighbors_of(qi)));
@@ -62,7 +72,15 @@ fn accuracy_improves_with_the_probability_guarantee() {
         let config = ApproximateConfig::with_probability(p);
         let mut ratios = Vec::new();
         for (qi, query) in queries.iter().enumerate() {
-            let approx = index.knn_approximate(query, k, &config).unwrap();
+            let approx = index
+                .knn(
+                    &mut index.new_buffer_pool(),
+                    &mut KernelScratch::default(),
+                    query,
+                    k,
+                    Some(&config),
+                )
+                .unwrap();
             ratios.push(overall_ratio(&approx.neighbors, truth.neighbors_of(qi)));
         }
         ratios.iter().sum::<f64>() / ratios.len() as f64
@@ -84,7 +102,9 @@ fn per_query_io_is_within_the_store_size_and_positive() {
     .unwrap();
     let pages = index.forest().page_count() as u64;
     for query in queries.iter() {
-        let result = index.knn(query, 10).unwrap();
+        let result = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), query, 10, None)
+            .unwrap();
         assert!(result.stats.io.pages_read > 0, "loading candidates must cost I/O");
         assert!(
             result.stats.io.pages_read <= pages,
@@ -106,7 +126,12 @@ fn larger_page_sizes_reduce_page_reads() {
         .unwrap();
         let mut io = 0u64;
         for query in queries.iter() {
-            io += index.knn(query, 10).unwrap().stats.io.pages_read;
+            io += index
+                .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), query, 10, None)
+                .unwrap()
+                .stats
+                .io
+                .pages_read;
         }
         io as f64 / queries.len() as f64
     };
@@ -130,13 +155,23 @@ fn buffer_pool_reuse_reduces_physical_io_across_queries() {
     // Cold: a fresh unbuffered pool per query.
     let mut cold = 0u64;
     for query in queries.iter() {
-        cold += index.knn(query, 10).unwrap().stats.io.pages_read;
+        cold += index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), query, 10, None)
+            .unwrap()
+            .stats
+            .io
+            .pages_read;
     }
     // Warm: one large shared pool across the workload.
     let mut pool = BufferPool::new(index.forest().page_count());
     let mut warm = 0u64;
     for query in queries.iter() {
-        warm += index.knn_with_pool(&mut pool, query, 10).unwrap().stats.io.pages_read;
+        warm += index
+            .knn(&mut pool, &mut KernelScratch::default(), query, 10, None)
+            .unwrap()
+            .stats
+            .io
+            .pages_read;
     }
     assert!(warm <= cold, "a shared pool must not increase physical reads");
 }
@@ -157,9 +192,17 @@ fn variational_baseline_is_faster_but_less_accurate_than_exact_bbt() {
     let config = VariationalConfig { explore_fraction: 0.1 };
     for query in queries.iter() {
         let mut pool = BufferPool::unbuffered();
-        let exact = index.knn(&mut pool, query, k).unwrap();
+        let exact = index.knn(&mut pool, &mut KernelScratch::default(), query, k, None).unwrap();
         let mut pool = BufferPool::unbuffered();
-        let var = index.knn_variational(&mut pool, query, k, &config).unwrap();
+        let var = index
+            .knn(
+                &mut pool,
+                &mut KernelScratch::default(),
+                query,
+                k,
+                Some(config.leaf_budget(index.tree().leaf_count())),
+            )
+            .unwrap();
         exact_io += exact.io.pages_read;
         var_io += var.io.pages_read;
         let exact_pairs: Vec<(PointId, f64)> =

@@ -91,7 +91,10 @@ fn check_against_source<B: DecomposableBregman>(divergence: B) {
         let ctx = format!("{} {ctx}", divergence.name());
         assert_store_holds(&ctx, tree.store(), &data);
         for (qi, q) in queries.iter().enumerate() {
-            let got = tree.knn(&mut BufferPool::unbuffered(), q, 9).unwrap().neighbors;
+            let got = tree
+                .knn(&mut BufferPool::unbuffered(), &mut KernelScratch::default(), q, 9, None)
+                .unwrap()
+                .neighbors;
             answers.push(got.iter().map(|n| (n.id, n.distance)).collect::<Vec<_>>());
             let mut scan: Vec<(usize, f64)> =
                 (0..data.len()).map(|i| (i, divergence.divergence(data.row(i), q))).collect();
@@ -158,8 +161,18 @@ fn f32_candidate_tier_is_bit_identical_and_skips_work() {
         .unwrap();
         let (mut evals_plain, mut evals_tiered) = (0u64, 0u64);
         for q in &queries {
-            evals_plain += plain.knn(q, 7).unwrap().stats.search.distance_computations;
-            evals_tiered += tiered.knn(q, 7).unwrap().stats.search.distance_computations;
+            evals_plain += plain
+                .knn(&mut plain.new_buffer_pool(), &mut KernelScratch::default(), q, 7, None)
+                .unwrap()
+                .stats
+                .search
+                .distance_computations;
+            evals_tiered += tiered
+                .knn(&mut tiered.new_buffer_pool(), &mut KernelScratch::default(), q, 7, None)
+                .unwrap()
+                .stats
+                .search
+                .distance_computations;
         }
         assert!(
             evals_tiered < evals_plain,

@@ -38,8 +38,15 @@ fn batch_results_match_sequential_knn_over_256_queries() {
     let index = build_index(&data);
     let k = 10;
 
-    let sequential: Vec<Vec<(PointId, f64)>> =
-        queries.iter().map(|q| index.knn(q, k).unwrap().neighbors).collect();
+    let sequential: Vec<Vec<(PointId, f64)>> = queries
+        .iter()
+        .map(|q| {
+            index
+                .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), q, k, None)
+                .unwrap()
+                .neighbors
+        })
+        .collect();
 
     let engine = QueryEngine::with_config(
         Arc::new(BrePartitionBackend::exact(index)),

@@ -35,7 +35,9 @@ fn brepartition_is_exact_on_every_proxy_dataset() {
         )
         .unwrap();
         for (qi, query) in workload.iter().enumerate() {
-            let result = index.knn(query, 10).unwrap();
+            let result = index
+                .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), query, 10, None)
+                .unwrap();
             assert_distances_match(
                 &format!("BrePartition/{dataset}"),
                 &result.neighbors,
@@ -58,7 +60,9 @@ fn brepartition_with_auto_partitions_is_exact() {
     .unwrap();
     assert!(index.partitions() >= 1 && index.partitions() <= 64);
     for (qi, query) in workload.iter().enumerate() {
-        let result = index.knn(query, 20).unwrap();
+        let result = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), query, 20, None)
+            .unwrap();
         assert_distances_match("BrePartition/auto-M", &result.neighbors, truth.neighbors_of(qi));
     }
 }
@@ -77,7 +81,7 @@ fn disk_bbtree_is_exact_on_proxies() {
     );
     for (qi, query) in workload.iter().enumerate() {
         let mut pool = BufferPool::unbuffered();
-        let result = index.knn(&mut pool, query, 15).unwrap();
+        let result = index.knn(&mut pool, &mut KernelScratch::default(), query, 15, None).unwrap();
         let got: Vec<(PointId, f64)> =
             result.neighbors.iter().map(|n| (n.id, n.distance)).collect();
         assert_distances_match("DiskBBTree/Fonts", &got, truth.neighbors_of(qi));
@@ -97,7 +101,7 @@ fn vafile_is_exact_on_proxies() {
     );
     for (qi, query) in workload.iter().enumerate() {
         let mut pool = BufferPool::unbuffered();
-        let result = index.knn(&mut pool, query, 10);
+        let result = index.knn(&mut pool, &mut KernelScratch::default(), query, 10, None).unwrap();
         assert_distances_match("VaFile/Sift", &result.neighbors, truth.neighbors_of(qi));
     }
 }
@@ -114,7 +118,8 @@ fn all_three_exact_indexes_agree_with_each_other() {
         &BrePartitionConfig::default().with_partitions(4).with_page_size(8 * 1024),
     )
     .unwrap();
-    let bp_result = bp.knn(&query, k).unwrap();
+    let bp_result =
+        bp.knn(&mut bp.new_buffer_pool(), &mut KernelScratch::default(), &query, k, None).unwrap();
 
     let bbt = DiskBBTree::build(
         Exponential,
@@ -123,7 +128,7 @@ fn all_three_exact_indexes_agree_with_each_other() {
         PageStoreConfig::with_page_size(8 * 1024),
     );
     let mut pool = BufferPool::unbuffered();
-    let bbt_result = bbt.knn(&mut pool, &query, k).unwrap();
+    let bbt_result = bbt.knn(&mut pool, &mut KernelScratch::default(), &query, k, None).unwrap();
 
     let vaf = VaFile::build(
         Exponential,
@@ -131,7 +136,7 @@ fn all_three_exact_indexes_agree_with_each_other() {
         VaFileConfig { page_size_bytes: 8 * 1024, ..VaFileConfig::default() },
     );
     let mut pool = BufferPool::unbuffered();
-    let vaf_result = vaf.knn(&mut pool, &query, k);
+    let vaf_result = vaf.knn(&mut pool, &mut KernelScratch::default(), &query, k, None).unwrap();
 
     for i in 0..k {
         let a = bp_result.neighbors[i].1;
@@ -157,7 +162,9 @@ fn squared_euclidean_round_trips_through_the_whole_stack() {
     )
     .unwrap();
     for (qi, query) in workload.iter().enumerate() {
-        let result = index.knn(query, 8).unwrap();
+        let result = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), query, 8, None)
+            .unwrap();
         assert_distances_match("BrePartition/SE", &result.neighbors, truth.neighbors_of(qi));
     }
 }

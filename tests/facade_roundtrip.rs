@@ -121,7 +121,9 @@ fn all_four_methods_roundtrip_identically_through_the_facade() {
             let k = (i % 7) + 1;
             assert_eq!(outcome.neighbors.len(), k, "{method} query {i} ignored its own k");
             let mut scratch = old_backend.new_scratch();
-            let expected = old_backend.knn(&mut scratch, &queries[i], k).unwrap();
+            let expected = old_backend
+                .knn_with_options(&mut scratch, &queries[i], k, &QueryOptions::none())
+                .unwrap();
             assert_eq!(
                 outcome.neighbors, expected.neighbors,
                 "{method} query {i} (k={k}): heterogeneous batch diverged from pre-redesign"

@@ -72,7 +72,9 @@ fn brepartition_matches_brute_force() {
                 .with_page_size(2048),
         )
         .unwrap();
-        let got = index.knn(&query, k).unwrap();
+        let got = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), &query, k, None)
+            .unwrap();
         let truth = ground_truth_knn(
             kind,
             &data,
@@ -106,7 +108,7 @@ fn vafile_matches_brute_force_on_signed_data() {
             VaFileConfig { page_size_bytes: 1024, ..VaFileConfig::default() },
         );
         let mut pool = BufferPool::unbuffered();
-        let got = index.knn(&mut pool, &query, k);
+        let got = index.knn(&mut pool, &mut KernelScratch::default(), &query, k, None).unwrap();
         let truth = ground_truth_knn(
             DivergenceKind::Exponential,
             &data,
@@ -169,9 +171,18 @@ fn approximate_coefficient_and_candidates_are_bounded() {
                 .with_page_size(2048),
         )
         .unwrap();
-        let exact = index.knn(&query, 5).unwrap();
-        let approx =
-            index.knn_approximate(&query, 5, &ApproximateConfig::with_probability(p)).unwrap();
+        let exact = index
+            .knn(&mut index.new_buffer_pool(), &mut KernelScratch::default(), &query, 5, None)
+            .unwrap();
+        let approx = index
+            .knn(
+                &mut index.new_buffer_pool(),
+                &mut KernelScratch::default(),
+                &query,
+                5,
+                Some(&ApproximateConfig::with_probability(p)),
+            )
+            .unwrap();
         let c = approx.coefficient.unwrap();
         assert!((0.0..=1.0).contains(&c));
         assert!(approx.stats.candidates <= exact.stats.candidates);

@@ -229,11 +229,12 @@ impl SearchBackend for ConcurrencyProbe {
     fn new_scratch(&self) -> Scratch {
         Scratch::new(BufferPool::new(0))
     }
-    fn knn(
+    fn knn_with_options(
         &self,
         _scratch: &mut Scratch,
         _query: &[f64],
         k: usize,
+        _options: &QueryOptions,
     ) -> std::result::Result<BackendAnswer, EngineError> {
         let live = self.counters.live.fetch_add(1, Ordering::SeqCst) + 1;
         self.counters.peak.fetch_max(live, Ordering::SeqCst);
