@@ -1,6 +1,56 @@
-//! Bregman balls and the query-to-ball projection bound.
+//! Bregman balls and the query-to-ball node test.
+//!
+//! Every tree search decides, node by node, whether a ball
+//! `B = {x : D_f(x, c) ≤ R}` can hold a point close enough to the query
+//! `q`. The exact answer is the Bregman projection of `q` onto `B`:
+//! `min_{x ∈ B} D_f(x, q)`. When `q` lies outside `B`, the KKT conditions
+//! put the minimiser on the dual geodesic between `q` and `c`, the curve
+//!
+//! ```text
+//! ∇f(x_θ) = (1 − θ) ∇f(q) + θ ∇f(c),   θ ∈ [0, 1],
+//! ```
+//!
+//! which starts at `q` (outside the ball) and ends at `c` (inside it). The
+//! node test bisects θ for the point where the curve crosses the ball
+//! surface, keeping `lo` outside the ball and `hi` inside, and reports
+//! `D_f(x_lo, q)`: a value that never exceeds the true minimum, so pruning
+//! with it preserves exactness.
+//!
+//! # Why the range test may stop early
+//!
+//! A range search only needs the decision "bound ≤ range". Let
+//! `v = ∇f(c) − ∇f(q)`. Along the curve, `dx_θ/dθ = ∇²f(x_θ)⁻¹ v` and
+//! `∇f(x_θ) − ∇f(q) = θ v`, so
+//!
+//! ```text
+//! d/dθ D_f(x_θ, q) = ⟨∇f(x_θ) − ∇f(q), dx_θ/dθ⟩ = θ · vᵀ ∇²f(x_θ)⁻¹ v ≥ 0.
+//! ```
+//!
+//! `D_f(x_θ, q)` is therefore non-decreasing in θ, and bisection only ever
+//! moves `lo` up and `hi` down, so `lo ≤ lo_final < hi` at every step:
+//!
+//! * **Reject.** If `D_f(x_lo, q) > range`, then `D_f(x_{lo_final}, q)`,
+//!   the bound the full bisection would report, exceeds the range too.
+//! * **Accept.** `x_hi` lies inside the ball, so `D_f(x_hi, q) ≤ range`
+//!   proves the ball meets the range; it also bounds the full bisection's
+//!   answer, `D_f(x_{lo_final}, q) ≤ D_f(x_hi, q)`.
+//!
+//! Both exits give the decision the full bisection gives. Each step of the
+//! range test is one pass over the coordinates that evaluates `x_θ`,
+//! `D_f(x_θ, c)` and `D_f(x_θ, q)` together, with the same per-coordinate
+//! arithmetic as a divergence call, so every value is the one a separate
+//! interpolate-then-evaluate loop would produce, bit for bit.
+//!
+//! The best-first kNN orders its frontier by the bound itself, so its node
+//! test runs the full bisection and evaluates `D_f(x_θ, q)` only once, at
+//! the end: rejecting early would need it at every step, which costs more
+//! than the rejects save.
+//!
+//! Both tests compute the query's dual point once per search and write the
+//! centre's dual point and `x_θ` into per-search buffers, so testing a node
+//! allocates nothing.
 
-use bregman::{DecomposableBregman, GeodesicInterpolator};
+use bregman::DecomposableBregman;
 
 /// Number of bisection steps used when projecting a query onto a ball
 /// surface. 20 halvings shrink the θ interval below 1e-6, far below the
@@ -41,26 +91,147 @@ impl BregmanBall {
     pub fn contains<B: DecomposableBregman>(&self, b: &B, point: &[f64]) -> bool {
         b.divergence(point, &self.center) <= self.radius
     }
+}
 
-    /// Lower bound on `D_f(x, query)` over all `x` in the ball.
-    ///
-    /// If the query could itself be a ball member (its divergence to the
-    /// centre is within the radius) the bound is zero. Otherwise the
-    /// minimizer lies on the dual geodesic between the query and the centre
-    /// (the KKT stationarity condition makes `∇f(x*)` a convex combination
-    /// of `∇f(query)` and `∇f(center)`), so a bisection that keeps its
-    /// iterate on the *outside* of the ball yields a conservative bound:
-    /// the returned value never exceeds the true minimum, so pruning with it
-    /// preserves exactness.
-    pub fn min_divergence_from<B: DecomposableBregman>(&self, b: &B, query: &[f64]) -> f64 {
+/// Per-search scratch for testing one query against many balls.
+///
+/// Holds the query's dual point, computed once, and buffers for the dual
+/// point of the ball under test and for `x_θ`, so
+/// [`Projector::intersects_range`] and [`Projector::min_divergence`] make
+/// no heap allocation.
+pub(crate) struct Projector<'a, B: DecomposableBregman> {
+    divergence: &'a B,
+    query: &'a [f64],
+    query_dual: Vec<f64>,
+    center_dual: Vec<f64>,
+    point: Vec<f64>,
+}
+
+impl<'a, B: DecomposableBregman> Projector<'a, B> {
+    /// Scratch for one search with `query`.
+    pub(crate) fn new(divergence: &'a B, query: &'a [f64]) -> Self {
+        Self {
+            divergence,
+            query,
+            query_dual: divergence.gradient(query),
+            center_dual: vec![0.0; query.len()],
+            point: vec![0.0; query.len()],
+        }
+    }
+
+    /// Range-search node test: whether `ball` can intersect the query range
+    /// `{x : D_f(x, query) ≤ range}`. Stops bisecting as soon as the answer
+    /// is known either way (see the module docs).
+    pub(crate) fn intersects_range(&mut self, ball: &BregmanBall, range: f64) -> bool {
+        // Cheap sufficient condition: the centre itself lies in the range, so
+        // the ball certainly intersects it and the projection can be skipped.
+        if self.divergence.divergence(&ball.center, self.query) <= range {
+            return true;
+        }
+        if self.load_center(ball) <= ball.radius {
+            return 0.0 <= range; // the query may be a ball member: bound 0
+        }
+        let center = ball.center.as_slice();
+        let mut lo = 0.0f64; // invariant: D(x_lo, center) ≥ radius (outside)
+        let mut hi = 1.0f64; // invariant: D(x_hi, center) ≤ radius (inside)
+        let mut lo_to_query = None;
+        for _ in 0..PROJECTION_BISECTION_STEPS {
+            let mid = 0.5 * (lo + hi);
+            let (to_center, to_query) = self.divergences_at(mid, center);
+            if to_center >= ball.radius {
+                if to_query > range {
+                    return false;
+                }
+                lo = mid;
+                lo_to_query = Some(to_query);
+            } else {
+                if to_query <= range {
+                    return true;
+                }
+                hi = mid;
+            }
+        }
+        // No early exit: decide on the full bisection's bound `D(x_lo, query)`.
+        lo_to_query.unwrap_or_else(|| self.divergences_at(lo, center).1) <= range
+    }
+
+    /// kNN node test: the lower bound on `D_f(x, query)` over `ball`, by
+    /// the full bisection. The best-first frontier is ordered by this value,
+    /// so it has no early accept. An early reject would need
+    /// `D_f(x_lo, query)` at every step, one more divergence pass per step;
+    /// on Fonts-proxy trees at d = 2, 32 and 400 that cost more than the
+    /// rejects saved.
+    pub(crate) fn min_divergence(&mut self, ball: &BregmanBall) -> f64 {
+        if self.load_center(ball) <= ball.radius {
+            return 0.0; // the query may be a ball member
+        }
+        let b = self.divergence;
+        let mut lo = 0.0f64; // invariant: D(x_lo, center) ≥ radius (outside)
+        let mut hi = 1.0f64; // invariant: D(x_hi, center) ≤ radius (inside)
+        for _ in 0..PROJECTION_BISECTION_STEPS {
+            let mid = 0.5 * (lo + hi);
+            self.load_point(mid);
+            if b.divergence(&self.point, &ball.center) >= ball.radius {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        self.load_point(lo);
+        b.divergence(&self.point, self.query)
+    }
+
+    /// Writes the centre's dual point and returns `D_f(query, center)`, in
+    /// one pass over the coordinates.
+    fn load_center(&mut self, ball: &BregmanBall) -> f64 {
+        let b = self.divergence;
+        let mut to_center = 0.0;
+        for ((dual, &c), &q) in self.center_dual.iter_mut().zip(&ball.center).zip(self.query) {
+            *dual = b.phi_prime(c);
+            to_center += b.scalar_divergence(q, c);
+        }
+        to_center
+    }
+
+    /// Writes `x_θ` into the point buffer.
+    fn load_point(&mut self, theta: f64) {
+        let b = self.divergence;
+        let duals = self.query_dual.iter().zip(&self.center_dual);
+        for (x, (&dq, &dc)) in self.point.iter_mut().zip(duals) {
+            *x = b.phi_prime_inv((1.0 - theta) * dq + theta * dc);
+        }
+    }
+
+    /// `(D_f(x_θ, center), D_f(x_θ, query))` in one pass over the
+    /// coordinates, without materialising `x_θ`.
+    fn divergences_at(&self, theta: f64, center: &[f64]) -> (f64, f64) {
+        let b = self.divergence;
+        let mut to_center = 0.0;
+        let mut to_query = 0.0;
+        let duals = self.query_dual.iter().zip(&self.center_dual);
+        for ((&q, &c), (&dq, &dc)) in self.query.iter().zip(center).zip(duals) {
+            let x = b.phi_prime_inv((1.0 - theta) * dq + theta * dc);
+            to_center += b.scalar_divergence(x, c);
+            to_query += b.scalar_divergence(x, q);
+        }
+        (to_center, to_query)
+    }
+}
+
+/// The allocating full-bisection node test the [`Projector`] replaced,
+/// kept as the reference the projector is checked against.
+#[cfg(test)]
+impl BregmanBall {
+    /// Lower bound on `D_f(x, query)` over all `x` in the ball, by the full
+    /// 20-step bisection along a [`bregman::GeodesicInterpolator`].
+    pub(crate) fn min_divergence_from<B: DecomposableBregman>(&self, b: &B, query: &[f64]) -> f64 {
         let to_center = b.divergence(query, &self.center);
         if to_center <= self.radius {
             return 0.0;
         }
-        // θ = 0 → query (outside the ball), θ = 1 → centre (inside).
-        let mut interp = GeodesicInterpolator::new(b.clone(), query, &self.center);
-        let mut lo = 0.0f64; // invariant: D(x_lo, center) ≥ radius (outside)
-        let mut hi = 1.0f64; // invariant: D(x_hi, center) ≤ radius (inside)
+        let mut interp = bregman::GeodesicInterpolator::new(b.clone(), query, &self.center);
+        let mut lo = 0.0f64;
+        let mut hi = 1.0f64;
         for _ in 0..PROJECTION_BISECTION_STEPS {
             let mid = 0.5 * (lo + hi);
             let d_center = interp.divergence_to(mid, &self.center);
@@ -73,16 +244,14 @@ impl BregmanBall {
         interp.divergence_to(lo, query)
     }
 
-    /// Whether the ball can intersect the query range
-    /// `{x : D_f(x, query) ≤ range}`.
-    pub fn intersects_range<B: DecomposableBregman>(
+    /// Whether the ball can intersect `{x : D_f(x, query) ≤ range}`, by the
+    /// full bisection.
+    pub(crate) fn intersects_range<B: DecomposableBregman>(
         &self,
         b: &B,
         query: &[f64],
         range: f64,
     ) -> bool {
-        // Cheap sufficient condition: the centre itself lies in the range, so
-        // the ball certainly intersects it and the projection can be skipped.
         if b.divergence(&self.center, query) <= range {
             return true;
         }
@@ -93,7 +262,9 @@ impl BregmanBall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bregman::{Divergence, Exponential, ItakuraSaito, SquaredEuclidean};
+    use bregman::{Divergence, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn contains_is_consistent_with_divergence() {
@@ -107,7 +278,9 @@ mod tests {
     #[test]
     fn min_divergence_zero_when_query_inside() {
         let ball = BregmanBall::new(vec![2.0, 2.0], 1.0);
-        assert_eq!(ball.min_divergence_from(&SquaredEuclidean, &[2.1, 2.1]), 0.0);
+        let query = [2.1, 2.1];
+        assert_eq!(ball.min_divergence_from(&SquaredEuclidean, &query), 0.0);
+        assert_eq!(Projector::new(&SquaredEuclidean, &query).min_divergence(&ball), 0.0);
     }
 
     #[test]
@@ -117,7 +290,7 @@ mod tests {
         let ball = BregmanBall::new(vec![0.0, 0.0], 1.0);
         let query = [3.0, 4.0]; // |q−c| = 5
         let expected = (5.0f64 - 1.0).powi(2);
-        let bound = ball.min_divergence_from(&SquaredEuclidean, &query);
+        let bound = Projector::new(&SquaredEuclidean, &query).min_divergence(&ball);
         // The bisection is conservative (stays just outside the surface), so
         // the bound approaches the geometric value from below.
         assert!(bound <= expected + 1e-9);
@@ -127,15 +300,13 @@ mod tests {
     #[test]
     fn min_divergence_is_a_true_lower_bound() {
         // Sample points inside the ball and verify none violates the bound.
-        let divergences: (ItakuraSaito, Exponential, SquaredEuclidean) =
-            (ItakuraSaito, Exponential, SquaredEuclidean);
         let center = vec![1.5, 2.0, 0.8];
         let radius = 0.4;
         let query = vec![4.0, 0.5, 3.0];
 
         fn check<B: DecomposableBregman>(b: &B, center: &[f64], radius: f64, query: &[f64]) {
             let ball = BregmanBall::new(center.to_vec(), radius);
-            let bound = ball.min_divergence_from(b, query);
+            let bound = Projector::new(b, query).min_divergence(&ball);
             // Deterministic grid of perturbations around the centre.
             let offsets = [-0.3, -0.15, 0.0, 0.1, 0.25];
             for &dx in &offsets {
@@ -160,26 +331,65 @@ mod tests {
                 }
             }
         }
-        check(&divergences.0, &center, radius, &query);
-        check(&divergences.1, &center, radius, &query);
-        check(&divergences.2, &center, radius, &query);
+        check(&ItakuraSaito, &center, radius, &query);
+        check(&Exponential, &center, radius, &query);
+        check(&SquaredEuclidean, &center, radius, &query);
+        check(&GeneralizedI, &center, radius, &query);
     }
 
     #[test]
     fn intersects_range_consistent_with_bound() {
         let ball = BregmanBall::new(vec![0.0], 1.0);
         // min divergence from query 5.0: (5 − 1)² = 16 under squared Euclidean.
-        assert!(ball.intersects_range(&SquaredEuclidean, &[5.0], 16.5));
-        assert!(!ball.intersects_range(&SquaredEuclidean, &[5.0], 15.5));
+        let mut projector = Projector::new(&SquaredEuclidean, &[5.0]);
+        assert!(projector.intersects_range(&ball, 16.5));
+        assert!(!projector.intersects_range(&ball, 15.5));
     }
 
     #[test]
     fn zero_radius_ball_bound_is_divergence_to_center() {
         let ball = BregmanBall::new(vec![2.0, 3.0], 0.0);
         let q = [1.0, 1.0];
-        let bound = ball.min_divergence_from(&SquaredEuclidean, &q);
+        let bound = Projector::new(&SquaredEuclidean, &q).min_divergence(&ball);
         let exact = SquaredEuclidean.divergence(&[2.0, 3.0], &q);
         assert!(bound <= exact + 1e-9);
         assert!((bound - exact).abs() < 1e-3 * (1.0 + exact));
+    }
+
+    /// Random balls and queries at dimensions 1, 2 and 32: the projector's
+    /// bound is bit-identical to the full bisection's, and with ranges at,
+    /// one ulp above and one ulp below that bound the early-exit range test
+    /// decides as the full bisection does.
+    fn agrees_with_full_bisection<B: DecomposableBregman>(b: &B, lo: f64, hi: f64, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for dim in [1usize, 2, 32] {
+            for _ in 0..200 {
+                let center: Vec<f64> = (0..dim).map(|_| rng.gen_range(lo..hi)).collect();
+                let query: Vec<f64> = (0..dim).map(|_| rng.gen_range(lo..hi)).collect();
+                let member: Vec<f64> = (0..dim).map(|_| rng.gen_range(lo..hi)).collect();
+                let radius = b.divergence(&member, &center) * rng.gen_range(0.0..1.0);
+                let ball = BregmanBall::new(center, radius);
+                let reference = ball.min_divergence_from(b, &query);
+                let mut projector = Projector::new(b, &query);
+                let bound = projector.min_divergence(&ball);
+                assert_eq!(bound.to_bits(), reference.to_bits(), "{} d={dim}", b.name());
+                for range in [reference, reference.next_up(), reference.next_down()] {
+                    assert_eq!(
+                        projector.intersects_range(&ball, range),
+                        ball.intersects_range(b, &query, range),
+                        "{} d={dim} range={range} bound={reference}",
+                        b.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn projector_agrees_with_full_bisection_for_every_divergence() {
+        agrees_with_full_bisection(&SquaredEuclidean, -5.0, 5.0, 1);
+        agrees_with_full_bisection(&ItakuraSaito, 0.1, 10.0, 2);
+        agrees_with_full_bisection(&Exponential, -2.0, 2.0, 3);
+        agrees_with_full_bisection(&GeneralizedI, 0.1, 10.0, 4);
     }
 }

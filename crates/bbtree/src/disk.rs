@@ -43,7 +43,9 @@ pub type RangeResult = (Vec<(PointId, f64)>, SearchStats, IoStats);
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchError {
     /// The query is malformed: a [`BregmanError::DimensionMismatch`] whose
-    /// `left` is the query's length and `right` the indexed dimensionality.
+    /// `left` is the query's length and `right` the indexed dimensionality,
+    /// or a [`BregmanError::OutOfDomain`] carrying the first coordinate
+    /// outside the divergence's domain.
     Query(BregmanError),
     /// A data page failed its read after open.
     Storage(PageStoreError),
@@ -207,9 +209,11 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
     /// `Φ(x) + c_q − ⟨∇φ(q), x⟩` over the tabulated `Φ` column — and
     /// decodes each visited leaf one page group at a time as a lane-major
     /// block refined in a single batched kernel call. A query of the wrong
-    /// dimensionality is [`SearchError::Query`]; a page read that fails
-    /// mid-query (post-open bit rot caught by the page file's per-page
-    /// checksums, or a device error) is [`SearchError::Storage`].
+    /// dimensionality, or with a coordinate outside the divergence's domain
+    /// (NaN, ±∞, ≤ 0 under Itakura–Saito), is [`SearchError::Query`]; a page
+    /// read that fails mid-query (post-open bit rot caught by the page
+    /// file's per-page checksums, or a device error) is
+    /// [`SearchError::Storage`].
     pub fn knn(
         &self,
         pool: &mut BufferPool,
@@ -224,6 +228,7 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
                 right: self.tree.dim(),
             }));
         }
+        self.divergence.check_domain(query).map_err(SearchError::Query)?;
         let before = pool.stats();
         let mut stats = SearchStats::new();
         let KernelScratch { prepared, ids, lanes, distances, phis, .. } = kernel;
@@ -535,6 +540,31 @@ mod tests {
                         assert_eq!((left, right), (len, 16));
                     }
                     other => panic!("{len}-dim query: expected a dimension error, got {other:?}"),
+                }
+                assert_eq!(pool.stats(), IoStats::default(), "rejected before any read");
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_domain_queries_are_typed_errors() {
+        let index = DiskBBTree::build(
+            ItakuraSaito,
+            &random_dataset(300, 6, 18),
+            BBTreeConfig::with_leaf_capacity(8),
+            PageStoreConfig::with_page_size(1024),
+        );
+        for bad in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            let mut query = vec![2.0; 6];
+            query[4] = bad;
+            for budget in [None, Some(2)] {
+                let mut pool = BufferPool::unbuffered();
+                match index.knn(&mut pool, &mut KernelScratch::default(), &query, 3, budget) {
+                    Err(SearchError::Query(BregmanError::OutOfDomain { divergence, value })) => {
+                        assert_eq!(divergence, "Itakura-Saito");
+                        assert_eq!(value.to_bits(), bad.to_bits());
+                    }
+                    other => panic!("coordinate {bad}: expected a domain error, got {other:?}"),
                 }
                 assert_eq!(pool.stats(), IoStats::default(), "rejected before any read");
             }

@@ -5,6 +5,7 @@ use std::collections::BinaryHeap;
 
 use bregman::{DecomposableBregman, DenseDataset, PointId};
 
+use crate::ball::{BregmanBall, Projector};
 use crate::node::{BBTree, NodeId, NodeKind};
 use crate::stats::SearchStats;
 
@@ -157,6 +158,24 @@ impl BBTree {
         B: DecomposableBregman,
         F: FnMut(&[PointId], &mut dyn FnMut(PointId, f64)),
     {
+        let mut projector = Projector::new(divergence, query);
+        self.best_first(k, stats, max_leaves, |ball| projector.min_divergence(ball), visit_leaf)
+    }
+
+    /// The best-first traversal behind [`BBTree::knn_bounded`];
+    /// `lower_bound(ball)` is the node test, the ball's projection bound.
+    fn best_first<T, F>(
+        &self,
+        k: usize,
+        stats: &mut SearchStats,
+        max_leaves: usize,
+        mut lower_bound: T,
+        visit_leaf: &mut F,
+    ) -> Vec<Neighbor>
+    where
+        T: FnMut(&BregmanBall) -> f64,
+        F: FnMut(&[PointId], &mut dyn FnMut(PointId, f64)),
+    {
         let mut top = TopK::new(k);
         if self.is_empty() || k == 0 {
             return Vec::new();
@@ -184,7 +203,7 @@ impl BBTree {
                 }
                 NodeKind::Internal { left, right } => {
                     for child in [*left, *right] {
-                        let bound = self.node(child).ball.min_divergence_from(divergence, query);
+                        let bound = lower_bound(&self.node(child).ball);
                         if bound <= top.threshold() {
                             frontier.push(FrontierEntry { bound, node: child });
                         }
@@ -215,7 +234,7 @@ pub fn linear_scan_knn<B: DecomposableBregman>(
 mod tests {
     use super::*;
     use crate::build::{BBTreeBuilder, BBTreeConfig};
-    use bregman::{Exponential, ItakuraSaito, SquaredEuclidean};
+    use bregman::{Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -271,6 +290,50 @@ mod tests {
         let mut stats = SearchStats::new();
         let got = tree_exp.knn(&Exponential, &ds, &query, 7, &mut stats);
         assert_same_neighbors(&got, &linear_scan_knn(&Exponential, &ds, &query, 7));
+    }
+
+    /// Seeded trees at subspace dimensions 1, 2 and 32: kNN with the
+    /// allocation-free node test returns the neighbours (ids and
+    /// bit-identical distances) and visit counts of the allocating
+    /// full-bisection node test.
+    fn assert_same_as_full_bisection<B: DecomposableBregman>(b: &B, seed: u64) {
+        for dim in [1usize, 2, 32] {
+            let ds = random_dataset(300, dim, seed + dim as u64);
+            let tree =
+                BBTreeBuilder::new(b.clone(), BBTreeConfig::with_leaf_capacity(8)).build(&ds);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..4 {
+                let query: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.1..10.0)).collect();
+                let prepared = b.prepare_query(&query);
+                for k in [1, 10] {
+                    let mut stats = SearchStats::new();
+                    let got = tree.knn(b, &ds, &query, k, &mut stats);
+                    let mut reference_stats = SearchStats::new();
+                    let reference = tree.best_first(
+                        k,
+                        &mut reference_stats,
+                        usize::MAX,
+                        |ball| ball.min_divergence_from(b, &query),
+                        &mut |points, offer| {
+                            for &pid in points {
+                                let coords = ds.point(pid);
+                                offer(pid, prepared.distance(b.f(coords), coords));
+                            }
+                        },
+                    );
+                    assert_eq!(got, reference, "{} d={dim} k={k}", b.name());
+                    assert_eq!(stats, reference_stats, "{} d={dim} k={k}", b.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allocation_free_node_test_matches_full_bisection() {
+        assert_same_as_full_bisection(&SquaredEuclidean, 61);
+        assert_same_as_full_bisection(&ItakuraSaito, 62);
+        assert_same_as_full_bisection(&Exponential, 63);
+        assert_same_as_full_bisection(&GeneralizedI, 64);
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! ball, computed by bisection along the dual geodesic ([`ball`]); the
 //! bisection maintains a conservative (outside-the-ball) iterate so the
 //! reported bound never exceeds the true minimum and exactness is preserved.
+//! Because the divergence to the query never decreases along that geodesic,
+//! the range-search node test stops bisecting as soon as its decision is
+//! known; both node tests reuse per-search buffers, so testing a node
+//! allocates nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

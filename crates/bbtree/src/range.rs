@@ -7,9 +7,22 @@
 //! the leaves that could not be pruned — those are the points whose pages
 //! must be fetched from disk — and the exact filtering happens afterwards
 //! during refinement.
+//!
+//! The node test only needs the *decision* "bound ≤ radius", not the bound
+//! itself, so it stops bisecting as soon as the decision is known. Along the
+//! dual geodesic from the query (θ = 0) to the ball centre (θ = 1),
+//! `d/dθ D_f(x_θ, query) = θ · vᵀ ∇²f(x_θ)⁻¹ v ≥ 0` with
+//! `v = ∇f(centre) − ∇f(query)`, so `D_f(x_θ, query)` never decreases in θ.
+//! An outside iterate `x_lo` with `D_f(x_lo, query) > radius` therefore
+//! proves the full bisection's bound exceeds the radius (prune), and an
+//! inside iterate `x_hi` with `D_f(x_hi, query) ≤ radius` is a ball member
+//! inside the range (descend). Both exits give the full bisection's
+//! decision, so candidate sets and visit counts are the full bisection's;
+//! the proof and the allocation-free step are in [`crate::ball`].
 
 use bregman::{DecomposableBregman, DenseDataset, PointId};
 
+use crate::ball::{BregmanBall, Projector};
 use crate::node::{BBTree, NodeKind};
 use crate::stats::SearchStats;
 
@@ -23,37 +36,32 @@ impl BBTree {
         radius: f64,
         stats: &mut SearchStats,
     ) -> Vec<PointId> {
-        let mut out = Vec::new();
-        self.collect_range_leaves(divergence, query, radius, stats, &mut |points| {
-            out.extend_from_slice(points);
-        });
-        out
+        let mut projector = Projector::new(divergence, query);
+        self.collect_range_leaves(stats, |ball| projector.intersects_range(ball, radius))
     }
 
-    /// Visit every leaf intersecting the range, invoking `visit` with its
-    /// point ids. Shared by the in-memory and disk-resident searches.
-    pub(crate) fn collect_range_leaves<B: DecomposableBregman>(
+    /// The points of every leaf whose ball passes `intersects`, visiting
+    /// children only of nodes that pass it.
+    fn collect_range_leaves(
         &self,
-        divergence: &B,
-        query: &[f64],
-        radius: f64,
         stats: &mut SearchStats,
-        visit: &mut dyn FnMut(&[PointId]),
-    ) {
+        mut intersects: impl FnMut(&BregmanBall) -> bool,
+    ) -> Vec<PointId> {
+        let mut out = Vec::new();
         if self.is_empty() {
-            return;
+            return out;
         }
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
             stats.nodes_visited += 1;
             let node = self.node(id);
-            if !node.ball.intersects_range(divergence, query, radius) {
+            if !intersects(&node.ball) {
                 continue;
             }
             match &node.kind {
                 NodeKind::Leaf { points } => {
                     stats.leaves_visited += 1;
-                    visit(points);
+                    out.extend_from_slice(points);
                 }
                 NodeKind::Internal { left, right } => {
                     stack.push(*left);
@@ -61,6 +69,7 @@ impl BBTree {
                 }
             }
         }
+        out
     }
 
     /// Exact range query over an in-memory dataset: candidates are refined by
@@ -111,7 +120,7 @@ pub fn linear_scan_range<B: DecomposableBregman>(
 mod tests {
     use super::*;
     use crate::build::{BBTreeBuilder, BBTreeConfig};
-    use bregman::{ItakuraSaito, SquaredEuclidean};
+    use bregman::{Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -139,6 +148,69 @@ mod tests {
                 assert_eq!(g.0, e.0);
             }
         }
+    }
+
+    fn assert_exact_against_linear_scan<B: DecomposableBregman>(b: &B, seed: u64) {
+        let ds = random_dataset(300, 4, seed);
+        let tree = BBTreeBuilder::new(b.clone(), BBTreeConfig::with_leaf_capacity(12)).build(&ds);
+        let mut rng = StdRng::seed_from_u64(seed + 1);
+        for _ in 0..8 {
+            let query: Vec<f64> = (0..4).map(|_| rng.gen_range(0.1..10.0)).collect();
+            // The divergence of a point of random rank, so the range holds
+            // some points and misses others.
+            let mut all: Vec<f64> = ds.iter().map(|(_, p)| b.divergence(p, &query)).collect();
+            all.sort_by(f64::total_cmp);
+            let radius = all[rng.gen_range(1..ds.len() / 2)];
+            let mut stats = SearchStats::new();
+            let got = tree.range_query_exact(b, &ds, &query, radius, &mut stats);
+            let expected = linear_scan_range(b, &ds, &query, radius);
+            assert!(!expected.is_empty());
+            assert_eq!(got, expected, "{} radius {radius}", b.name());
+        }
+    }
+
+    #[test]
+    fn exact_range_matches_linear_scan_for_exponential_and_generalized_i() {
+        assert_exact_against_linear_scan(&Exponential, 41);
+        assert_exact_against_linear_scan(&GeneralizedI, 42);
+    }
+
+    /// Seeded trees at subspace dimensions 1, 2 and 32, and for every node
+    /// radii exactly at, one ulp above and one ulp below its full-bisection
+    /// bound: the early-exit node test yields the same candidates, in the
+    /// same order, with the same visit counts, as the full bisection.
+    fn assert_same_as_full_bisection<B: DecomposableBregman>(b: &B, seed: u64) {
+        for dim in [1usize, 2, 32] {
+            let ds = random_dataset(200, dim, seed + dim as u64);
+            let tree =
+                BBTreeBuilder::new(b.clone(), BBTreeConfig::with_leaf_capacity(8)).build(&ds);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..2 {
+                let query: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.1..10.0)).collect();
+                let mut bounds: Vec<f64> =
+                    tree.nodes.iter().map(|n| n.ball.min_divergence_from(b, &query)).collect();
+                bounds.sort_by(f64::total_cmp);
+                bounds.dedup();
+                for radius in bounds.iter().flat_map(|&r| [r, r.next_up(), r.next_down()]) {
+                    let mut stats = SearchStats::new();
+                    let got = tree.range_candidates(b, &query, radius, &mut stats);
+                    let mut reference_stats = SearchStats::new();
+                    let reference = tree.collect_range_leaves(&mut reference_stats, |ball| {
+                        ball.intersects_range(b, &query, radius)
+                    });
+                    assert_eq!(got, reference, "{} d={dim} radius {radius}", b.name());
+                    assert_eq!(stats, reference_stats, "{} d={dim} radius {radius}", b.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_node_test_matches_full_bisection() {
+        assert_same_as_full_bisection(&SquaredEuclidean, 51);
+        assert_same_as_full_bisection(&ItakuraSaito, 52);
+        assert_same_as_full_bisection(&Exponential, 53);
+        assert_same_as_full_bisection(&GeneralizedI, 54);
     }
 
     #[test]

@@ -42,6 +42,15 @@ pub trait Divergence: Send + Sync {
     fn in_domain_vec(&self, x: &[f64]) -> bool {
         x.iter().all(|v| v.is_finite())
     }
+
+    /// `Ok` when every coordinate of `x` lies in the domain, otherwise
+    /// [`BregmanError::OutOfDomain`] carrying the first offending value.
+    fn check_domain(&self, x: &[f64]) -> Result<()> {
+        match x.iter().find(|&&v| !self.in_domain_vec(std::slice::from_ref(&v))) {
+            None => Ok(()),
+            Some(&value) => Err(BregmanError::OutOfDomain { divergence: self.name(), value }),
+        }
+    }
 }
 
 /// A decomposable (separable) Bregman divergence defined by a scalar

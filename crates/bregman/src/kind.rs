@@ -172,6 +172,18 @@ impl DivergenceKind {
             DivergenceKind::GeneralizedI => Divergence::in_domain_vec(&GeneralizedI, x),
         }
     }
+
+    /// `Ok` when every coordinate of `x` lies in the divergence's domain
+    /// (finite everywhere, and positive under Itakura–Saito and the
+    /// generalized I-divergence), otherwise [`BregmanError::OutOfDomain`]
+    /// naming the kind by its [short name](DivergenceKind::short_name) and
+    /// carrying the first offending value.
+    pub fn check_domain(&self, x: &[f64]) -> Result<()> {
+        match x.iter().find(|&&v| !self.in_domain_vec(std::slice::from_ref(&v))) {
+            None => Ok(()),
+            Some(&value) => Err(BregmanError::OutOfDomain { divergence: self.short_name(), value }),
+        }
+    }
 }
 
 impl std::fmt::Display for DivergenceKind {

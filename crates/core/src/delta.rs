@@ -46,7 +46,7 @@ use std::collections::BTreeSet;
 use std::iter;
 use std::sync::Arc;
 
-use bregman::{BregmanError, DivergenceKind, PointId};
+use bregman::{DivergenceKind, PointId};
 use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError};
 
 use crate::error::{CoreError, Result};
@@ -333,12 +333,7 @@ impl DeltaSegment {
                 actual: row.len(),
             });
         }
-        if let Some(&value) = row.iter().find(|&&v| !self.kind.in_domain_vec(&[v])) {
-            return Err(CoreError::Bregman(BregmanError::OutOfDomain {
-                divergence: self.kind.short_name(),
-                value,
-            }));
-        }
+        self.kind.check_domain(row)?;
         self.active.ids.push(id);
         self.active.rows.extend_from_slice(row);
         self.active.phis.push(self.kind.phi_sum(row));
@@ -636,6 +631,7 @@ fn corrupt(message: String) -> CoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bregman::BregmanError;
 
     fn segment() -> DeltaSegment {
         DeltaSegment::new(DivergenceKind::ItakuraSaito, 2, 3).unwrap()

@@ -304,9 +304,13 @@ impl BrePartitionIndex {
     /// to the filter: `approximate: None` is the exact search over the
     /// bounds themselves; `Some(config)` shrinks each radius's Cauchy term
     /// by Proposition 1's coefficient for `config.probability`, and
-    /// `p = 1` is bit-identical to the exact search. A page that fails its
-    /// read mid-refine (post-open bit rot, device error) is
-    /// [`CoreError::Persist`], never a panic.
+    /// `p = 1` is bit-identical to the exact search. A query of the wrong
+    /// dimensionality is [`CoreError::QueryDimensionMismatch`]; one with a
+    /// coordinate outside the divergence's domain (NaN, ±∞, ≤ 0 under
+    /// Itakura–Saito) is [`CoreError::Bregman`] wrapping
+    /// [`BregmanError::OutOfDomain`](bregman::BregmanError::OutOfDomain). A
+    /// page that fails its read mid-refine (post-open bit rot, device error)
+    /// is [`CoreError::Persist`], never a panic.
     pub fn knn(
         &self,
         pool: &mut BufferPool,
@@ -466,7 +470,7 @@ impl BrePartitionIndex {
                 actual: query.len(),
             });
         }
-        Ok(())
+        Ok(self.kind.check_domain(query)?)
     }
 }
 
@@ -803,6 +807,36 @@ mod tests {
                     index.knn(&mut pool, &mut KernelScratch::default(), &query, 3, mode),
                     Err(CoreError::QueryDimensionMismatch { expected: 8, actual })
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_domain_queries_are_typed_errors() {
+        // These used to return k neighbours whose distances were all NaN.
+        let ds = dataset(300, 8, 6);
+        let index = BrePartitionIndex::build(
+            DivergenceKind::ItakuraSaito,
+            &ds,
+            &config().with_partitions(2),
+        )
+        .unwrap();
+        let approx = ApproximateConfig::with_probability(0.9);
+        for bad in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            let mut query = ds.row(0).to_vec();
+            query[3] = bad;
+            for mode in [None, Some(&approx)] {
+                let mut pool = index.new_buffer_pool();
+                match index.knn(&mut pool, &mut KernelScratch::default(), &query, 3, mode) {
+                    Err(CoreError::Bregman(bregman::BregmanError::OutOfDomain {
+                        divergence,
+                        value,
+                    })) => {
+                        assert_eq!((divergence, value.to_bits()), ("ISD", bad.to_bits()));
+                    }
+                    other => panic!("coordinate {bad}: expected a domain error, got {other:?}"),
+                }
+                assert_eq!(pool.stats(), pagestore::IoStats::default(), "rejected before any read");
             }
         }
     }

@@ -44,7 +44,9 @@ impl Default for VaFileConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchError {
     /// The query is malformed: a [`BregmanError::DimensionMismatch`] whose
-    /// `left` is the query's length and `right` the indexed dimensionality.
+    /// `left` is the query's length and `right` the indexed dimensionality,
+    /// or a [`BregmanError::OutOfDomain`] carrying the first coordinate
+    /// outside the divergence's domain.
     Query(BregmanError),
     /// A data page failed its read after open.
     Storage(PageStoreError),
@@ -279,8 +281,9 @@ impl<B: DecomposableBregman> VaFile<B> {
     /// refine phase evaluates at most `b` candidates (in ascending
     /// lower-bound order) before terminating, bounding per-query work and
     /// data-page I/O at the cost of exactness. A query of the wrong
-    /// dimensionality is [`SearchError::Query`]; a data page that fails its
-    /// read after open is [`SearchError::Storage`].
+    /// dimensionality, or with a coordinate outside the divergence's domain
+    /// (NaN, ±∞, ≤ 0 under Itakura–Saito), is [`SearchError::Query`]; a data
+    /// page that fails its read after open is [`SearchError::Storage`].
     pub fn knn(
         &self,
         pool: &mut BufferPool,
@@ -295,6 +298,7 @@ impl<B: DecomposableBregman> VaFile<B> {
                 right: self.quantizer.dim(),
             }));
         }
+        self.divergence.check_domain(query).map_err(SearchError::Query)?;
         let io_before = pool.stats();
         if k == 0 || self.is_empty() {
             return Ok(VaQueryResult {
@@ -706,6 +710,27 @@ mod tests {
                         assert_eq!((left, right), (len, 16));
                     }
                     other => panic!("{len}-dim query: expected a dimension error, got {other:?}"),
+                }
+                assert_eq!(pool.stats(), IoStats::default(), "rejected before any read");
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_domain_queries_are_typed_errors() {
+        let index =
+            VaFile::build(ItakuraSaito, &dataset(300, 6, 14, true), VaFileConfig::default());
+        for bad in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            let mut query = vec![2.0; 6];
+            query[1] = bad;
+            for budget in [None, Some(4)] {
+                let mut pool = BufferPool::unbuffered();
+                match index.knn(&mut pool, &mut KernelScratch::default(), &query, 3, budget) {
+                    Err(SearchError::Query(BregmanError::OutOfDomain { divergence, value })) => {
+                        assert_eq!(divergence, "Itakura-Saito");
+                        assert_eq!(value.to_bits(), bad.to_bits());
+                    }
+                    other => panic!("coordinate {bad}: expected a domain error, got {other:?}"),
                 }
                 assert_eq!(pool.stats(), IoStats::default(), "rejected before any read");
             }

@@ -6,7 +6,7 @@
 //! network payload or a memory-mapped file submits batches without cloning
 //! every row into a `Vec<Vec<f64>>` first.
 
-use bregman::{BregmanError, DivergenceKind};
+use bregman::DivergenceKind;
 use brepartition_core::CoreError;
 use brepartition_engine::{EngineRequest, QueryOptions};
 
@@ -77,13 +77,7 @@ impl<'a> QueryRequest<'a> {
     /// generalized I-divergence) with the error an insert of that row
     /// gets, before any bound or kernel sees it.
     pub(crate) fn check_domain(&self, kind: DivergenceKind) -> Result<()> {
-        match self.query().iter().find(|&&v| !kind.in_domain_vec(&[v])) {
-            None => Ok(()),
-            Some(&value) => Err(Error::Core(CoreError::Bregman(BregmanError::OutOfDomain {
-                divergence: kind.short_name(),
-                value,
-            }))),
-        }
+        kind.check_domain(self.query()).map_err(|e| Error::Core(CoreError::Bregman(e)))
     }
 }
 
