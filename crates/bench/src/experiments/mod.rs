@@ -10,11 +10,8 @@ pub mod fig14_datasize;
 pub mod fig15_approximate;
 pub mod fig7_construction;
 pub mod fig8_fig9_partitions;
-pub mod kernels;
 pub mod persistence;
-pub mod serving;
 pub mod table4_datasets;
-pub mod throughput;
 
 use crate::report::Table;
 use crate::runner::Workbench;
@@ -39,9 +36,6 @@ pub fn run_all(scale: Scale) -> String {
         ("Fig. 13 — impact of dimensionality", fig13_dimensionality::run(&bench)),
         ("Fig. 14 — impact of data size", fig14_datasize::run(&bench)),
         ("Fig. 15 — approximate solution", fig15_approximate::run(&bench)),
-        ("Engine — batch-serving throughput (beyond the paper)", throughput::run(&bench)),
-        ("Engine — open-loop serving under mixed load (beyond the paper)", serving::run(&bench)),
-        ("Kernels — naive vs prepared-query refinement (beyond the paper)", kernels::run(&bench)),
         ("Storage — index lifecycle: build vs save vs cold open", persistence::run(&bench)),
     ];
     for (title, tables) in sections {

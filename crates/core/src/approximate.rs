@@ -25,6 +25,13 @@
 //! entry point: [`BrePartitionIndex::knn`] with `Some(&ApproximateConfig)`
 //! replaces Algorithm 4's bounds by the shrunken radii this module
 //! computes, and `p = 1` is bit-identical to the exact search.
+//!
+//! The shrunken radii alone can select nothing: when `κ_j` is large and
+//! negative (as on the hierarchical proxies), any `c < 1` can push every
+//! radius below zero. The approximate pass therefore also refines the `k`
+//! points with the smallest summed upper bounds, which Algorithm 4's first
+//! pass already ranks, so an answer always holds `min(k, n)` neighbours.
+//! Those points lie in the exact union, so at `p = 1` they add nothing.
 
 use bregman::PointId;
 

@@ -327,7 +327,9 @@ impl BrePartitionIndex {
         self.validate_query(query)?;
         let bound_started = Instant::now();
         let transformed_query = TransformedQuery::build(self.kind, query, &self.partitioning);
-        let Some(exact) = QueryBounds::determine(&self.transformed, &transformed_query, k) else {
+        let Some((exact, best)) =
+            QueryBounds::determine_ranked(&self.transformed, &transformed_query, k)
+        else {
             return Ok(QueryResult {
                 neighbors: Vec::new(),
                 stats: QueryStats::default(),
@@ -335,17 +337,17 @@ impl BrePartitionIndex {
                 coefficient: approximate.map(|_| 1.0),
             });
         };
-        let (bounds, coefficient) = match approximate {
-            None => (exact, None),
+        let (bounds, coefficient, also_refine) = match approximate {
+            None => (exact, None, Vec::new()),
             Some(config) => {
                 let (shrunk, c) =
                     self.shrunken_bounds(query, &transformed_query, &exact, config.probability);
-                (shrunk, Some(c))
+                (shrunk, Some(c), best.iter().map(|&(point, _)| point).collect())
             }
         };
         let bound_seconds = bound_started.elapsed().as_secs_f64();
         let (neighbors, mut stats) =
-            self.filter_and_refine(pool, kernel, query, k, &bounds.per_subspace)?;
+            self.filter_and_refine(pool, kernel, query, k, &bounds.per_subspace, &also_refine)?;
         stats.bound_seconds = bound_seconds;
         Ok(QueryResult { neighbors, stats, bounds, coefficient })
     }
@@ -373,7 +375,11 @@ impl BrePartitionIndex {
 
     /// Filter + refine, parameterized by the per-subspace radii (the exact
     /// search passes Algorithm 4's bounds, the approximate extension passes
-    /// shrunken ones).
+    /// shrunken ones) and by points refined whether or not the filter
+    /// returns them (the approximate extension's `k` best-by-bound points,
+    /// which the exact union already holds). Those points join the union
+    /// after the filter's own candidates, so when they are all present the
+    /// union, its order and its size are unchanged.
     fn filter_and_refine(
         &self,
         pool: &mut BufferPool,
@@ -381,6 +387,7 @@ impl BrePartitionIndex {
         query: &[f64],
         k: usize,
         radii: &[f64],
+        also_refine: &[usize],
     ) -> Result<(Vec<(PointId, f64)>, QueryStats)> {
         let mut stats = QueryStats::default();
         let io_before = pool.stats();
@@ -403,6 +410,12 @@ impl BrePartitionIndex {
                     in_union[idx] = true;
                     union.push(pid.0);
                 }
+            }
+        }
+        for &idx in also_refine {
+            if !in_union[idx] {
+                in_union[idx] = true;
+                union.push(idx as u32);
             }
         }
         stats.filter_seconds = filter_started.elapsed().as_secs_f64();

@@ -67,9 +67,8 @@ impl EngineConfig {
 /// benchmark record shows that oversubscription is anything but benign
 /// for *tail* latency: on a 1-core machine, 4 workers time-share the CPU
 /// and a query that loses the CPU waits out the other workers'
-/// scheduler timeslices, so `BENCH_throughput.json` showed p99 jumping
-/// from ~0.8 ms (1 thread) to ~12 ms (4 threads) on every backend while
-/// QPS stayed flat. The effect reproduces with pure busy-work and no
+/// scheduler timeslices, so batch p99 jumped from ~0.8 ms (1 thread) to
+/// ~12 ms (4 threads) on every backend while QPS stayed flat. The effect reproduces with pure busy-work and no
 /// engine code at all (p99 ≈ 4.9 ms at 2 threads, ≈ 13.9 ms at 4 — one
 /// and three ~4 ms timeslices), and thread spawn/park measures at ~17 µs
 /// per batch, so a persistent worker pool would not change it: the tail

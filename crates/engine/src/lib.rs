@@ -38,8 +38,7 @@
 //!   façade's `ShardedIndex`.
 //! * [`ThroughputReport`] — QPS, latency percentiles (p50/p95/p99),
 //!   candidate counts and physical I/O aggregated over the batch, the
-//!   numbers a serving deployment is tuned against; serializable to stable
-//!   JSON ([`ThroughputReport::to_json`]) for cross-PR diffing.
+//!   numbers a serving deployment is tuned against.
 //!
 //! Applications normally construct backends through the spec-driven façade
 //! in the root `brepartition` crate (`IndexSpec` → `Index::build` /
@@ -70,7 +69,7 @@
 //! .unwrap();
 //! let queries: Vec<Vec<f64>> = (0..64).map(|i| rows[i * 7 % rows.len()].clone()).collect();
 //! let batch = engine.run_batch(&queries, 10).unwrap();
-//! println!("{}", batch.report.to_json());
+//! println!("{}", batch.report);
 //! ```
 
 #![forbid(unsafe_code)]

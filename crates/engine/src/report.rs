@@ -100,104 +100,6 @@ impl ThroughputReport {
     }
 }
 
-/// One serialized metric value of a [`ThroughputReport`].
-enum FieldValue<'a> {
-    Str(&'a str),
-    UInt(u64),
-    F64(f64),
-}
-
-impl ThroughputReport {
-    /// The report's metrics as one ordered `(key, value)` list — the single
-    /// source of truth both serializers render, so the key set and order
-    /// cannot drift between formats.
-    fn fields(&self) -> [(&'static str, FieldValue<'_>); 17] {
-        use FieldValue::{Str, UInt, F64};
-        [
-            ("backend", Str(&self.backend)),
-            ("queries", UInt(self.queries as u64)),
-            ("k", UInt(self.k as u64)),
-            ("threads", UInt(self.threads as u64)),
-            ("wall_seconds", F64(self.wall_seconds)),
-            ("qps", F64(self.qps)),
-            ("latency_mean_ms", F64(self.latency.mean_ms)),
-            ("latency_p50_ms", F64(self.latency.p50_ms)),
-            ("latency_p95_ms", F64(self.latency.p95_ms)),
-            ("latency_p99_ms", F64(self.latency.p99_ms)),
-            ("latency_max_ms", F64(self.latency.max_ms)),
-            ("total_candidates", UInt(self.total_candidates as u64)),
-            ("avg_candidates", F64(self.avg_candidates)),
-            ("io_pages_read", UInt(self.io.pages_read)),
-            ("io_cache_hits", UInt(self.io.cache_hits)),
-            ("io_pages_written", UInt(self.io.pages_written)),
-            ("avg_io_pages", F64(self.avg_io_pages)),
-        ]
-    }
-
-    /// Render the report as one minimal JSON object (hand-rolled writer, no
-    /// dependencies) with a **stable key set**, so bench runs can be written
-    /// to `BENCH_*.json` files and diffed across PRs.
-    ///
-    /// Keys are emitted in a fixed order; floating-point values use Rust's
-    /// shortest round-trip formatting and non-finite values are emitted as
-    /// `null` (JSON has no NaN/Infinity).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        for (i, (key, value)) in self.fields().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\":");
-            match value {
-                FieldValue::Str(s) => push_json_string(&mut out, s),
-                FieldValue::UInt(v) => out.push_str(&v.to_string()),
-                FieldValue::F64(v) if v.is_finite() => out.push_str(&format!("{v}")),
-                FieldValue::F64(_) => out.push_str("null"),
-            }
-        }
-        out.push('}');
-        out
-    }
-
-    /// Render the report as stable `key=value` lines (one metric per line,
-    /// same keys and order as [`ThroughputReport::to_json`]), for grep-able
-    /// logs and line-oriented diffing.
-    pub fn to_kv_lines(&self) -> String {
-        let mut out = String::with_capacity(512);
-        for (key, value) in self.fields() {
-            out.push_str(key);
-            out.push('=');
-            match value {
-                FieldValue::Str(s) => out.push_str(s),
-                FieldValue::UInt(v) => out.push_str(&v.to_string()),
-                FieldValue::F64(v) => out.push_str(&format!("{v}")),
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Append a JSON string literal with minimal escaping.
-fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl std::fmt::Display for ThroughputReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -267,86 +169,5 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("BP"));
         assert!(text.contains("QPS"));
-    }
-
-    #[test]
-    fn json_serialization_is_stable_and_parseable_shaped() {
-        let outcomes: Vec<QueryOutcome> = (0..4)
-            .map(|i| QueryOutcome {
-                neighbors: vec![(bregman::PointId(i as u32), 0.5)],
-                candidates: 3,
-                io: IoStats { pages_read: 1, cache_hits: 0, pages_written: 0 },
-                latency_seconds: 2e-3,
-            })
-            .collect();
-        let report = ThroughputReport::from_outcomes("ABP(p=0.90)", 5, 2, 0.25, &outcomes);
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"backend\":\"ABP(p=0.90)\""));
-        assert!(json.contains("\"queries\":4"));
-        assert!(json.contains("\"k\":5"));
-        assert!(json.contains("\"qps\":16"));
-        assert!(json.contains("\"io_pages_read\":4"));
-        // Stable key order: every emitted key appears exactly once, in the
-        // documented order.
-        let keys = [
-            "backend",
-            "queries",
-            "k",
-            "threads",
-            "wall_seconds",
-            "qps",
-            "latency_mean_ms",
-            "latency_p50_ms",
-            "latency_p95_ms",
-            "latency_p99_ms",
-            "latency_max_ms",
-            "total_candidates",
-            "avg_candidates",
-            "io_pages_read",
-            "io_cache_hits",
-            "io_pages_written",
-            "avg_io_pages",
-        ];
-        let mut last = 0;
-        for key in keys {
-            let pat = format!("\"{key}\":");
-            let pos = json.find(&pat).unwrap_or_else(|| panic!("missing key {key}"));
-            assert!(pos >= last, "key {key} out of order");
-            assert_eq!(json.matches(&pat).count(), 1, "key {key} duplicated");
-            last = pos;
-        }
-    }
-
-    #[test]
-    fn json_escapes_strings_and_nonfinite_floats() {
-        let report = ThroughputReport {
-            backend: "odd \"name\"\\with\nescapes".to_string(),
-            queries: 0,
-            k: 0,
-            threads: 1,
-            wall_seconds: 0.0,
-            qps: f64::NAN,
-            latency: LatencySummary::default(),
-            total_candidates: 0,
-            avg_candidates: 0.0,
-            io: IoStats::default(),
-            avg_io_pages: f64::INFINITY,
-        };
-        let json = report.to_json();
-        assert!(json.contains("odd \\\"name\\\"\\\\with\\nescapes"));
-        assert!(json.contains("\"qps\":null"));
-        assert!(json.contains("\"avg_io_pages\":null"));
-    }
-
-    #[test]
-    fn kv_lines_cover_the_same_keys_as_json() {
-        let report = ThroughputReport::from_outcomes("BP", 3, 1, 1.0, &[]);
-        let kv = report.to_kv_lines();
-        assert!(kv.lines().count() == 17);
-        for line in kv.lines() {
-            let (key, _) = line.split_once('=').expect("every line is key=value");
-            assert!(report.to_json().contains(&format!("\"{key}\":")), "json missing {key}");
-        }
     }
 }

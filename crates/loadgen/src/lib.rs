@@ -10,16 +10,18 @@
 //!   seed.
 //! * [`OpMix`]/[`operation_stream`] — a deterministic mixed stream of
 //!   queries, inserts and deletes to drive an online-mutable index.
-//! * [`run_open_loop`] — dispatch threads that start each operation at
-//!   its *intended* arrival time and measure latency from that intent, so
-//!   queueing delay behind a slow server is measured instead of silently
-//!   stretching the schedule (the coordinated-omission correction).
+//! * [`run_open_loop_concurrent`] — dispatch threads that start each
+//!   operation at its *intended* arrival time and measure latency from that
+//!   intent, so queueing delay behind a slow server is measured instead of
+//!   silently stretching the schedule (the coordinated-omission
+//!   correction).
 //! * [`oracle`] — exact ground truth per sampled query, reconstructed at
 //!   the mutation-log version the query executed under, for recall
 //!   columns on approximate methods.
 //!
 //! The crate is dependency-free (its PRNG is a local SplitMix64) and
-//! index-agnostic: anything implementing [`ServeTarget`] can be driven.
+//! index-agnostic: anything implementing [`ConcurrentServeTarget`] can be
+//! driven.
 //!
 //! ```
 //! use loadgen::{operation_stream, OpMix, Schedule};
@@ -43,7 +45,7 @@ pub mod schedule;
 pub use ops::{delete_count, insert_count, operation_stream, OpMix, Operation};
 pub use rng::SplitMix64;
 pub use runner::{
-    run_open_loop, run_open_loop_concurrent, AvailabilityCounters, ConcurrentServeTarget, Mutation,
-    OpKind, OpRecord, RecallSample, RunOutcome, RunnerConfig, ServeTarget,
+    run_open_loop_concurrent, ConcurrentServeTarget, Mutation, OpKind, OpRecord, RecallSample,
+    RunOutcome, RunnerConfig,
 };
 pub use schedule::Schedule;

@@ -17,8 +17,8 @@
 //!
 //! Recall is then `|answer ∩ truth| / k` (denominator capped by the live
 //! point count). The distance function is a parameter so the crate stays
-//! dependency-free — the serving bench passes the Bregman divergence the
-//! index was built with.
+//! dependency-free — the benchmark's serve phase passes the Bregman
+//! divergence the index was built with.
 
 use std::collections::HashMap;
 use std::collections::HashSet;

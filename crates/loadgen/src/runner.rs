@@ -9,39 +9,20 @@
 //! answer) would silently stretch the schedule instead and hide the
 //! backlog. This is the standard coordinated-omission correction.
 //!
-//! Queries run under a shared read lock (concurrent with each other);
-//! inserts and deletes take the write lock, apply the mutation, and append
-//! it to a mutation log. The log length is the run's *version*: a sampled
+//! Unsampled queries run with no harness lock at all: the target
+//! synchronizes itself, and the harness serializes only the bookkeeping of
+//! mutations. Each insert or delete is applied and appended to a mutation
+//! log under one mutex. The log length is the run's *version*: a sampled
 //! query records the version it executed under, which lets the recall
 //! oracle reconstruct the exact ground truth that query should have seen
 //! regardless of how threads interleaved.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::ops::Operation;
 use crate::schedule::Schedule;
-
-/// A serving target the harness can drive: point queries plus online
-/// mutations. Implementations decide their own scratch/caching policy per
-/// call.
-pub trait ServeTarget {
-    /// Ids of the `k` nearest neighbors of `query`, best first.
-    fn query(&self, query: &[f64], k: usize) -> Vec<u64>;
-    /// Insert `row`, returning its assigned id.
-    fn insert(&mut self, row: &[f64]) -> u64;
-    /// Delete `id`; `false` if it was not live.
-    fn delete(&mut self, id: u64) -> bool;
-    /// Cumulative fault-tolerance counters, for targets that can answer
-    /// with reduced coverage instead of failing (a sharded tier with a
-    /// circuit breaker). The runner snapshots this before and after a run
-    /// and reports the delta; plain single-index targets keep the default
-    /// all-zero implementation.
-    fn availability(&self) -> AvailabilityCounters {
-        AvailabilityCounters::default()
-    }
-}
 
 /// A serving target whose mutations are internally synchronized: queries,
 /// inserts and deletes all take `&self`, and the target guarantees that a
@@ -50,9 +31,7 @@ pub trait ServeTarget {
 ///
 /// Driven by [`run_open_loop_concurrent`], where the harness holds **no
 /// lock at all** around unsampled queries — the latency distribution
-/// measures the target's own concurrency, not the harness's. Compare
-/// [`ServeTarget`], whose `&mut` mutators force the harness to serialize
-/// every mutation against every query behind an `RwLock`.
+/// measures the target's own concurrency, not the harness's.
 pub trait ConcurrentServeTarget {
     /// Ids of the `k` nearest neighbors of `query`, best first.
     fn query(&self, query: &[f64], k: usize) -> Vec<u64>;
@@ -60,36 +39,6 @@ pub trait ConcurrentServeTarget {
     fn insert(&self, row: &[f64]) -> u64;
     /// Delete `id`; `false` if it was not live.
     fn delete(&self, id: u64) -> bool;
-    /// Cumulative fault-tolerance counters; see
-    /// [`ServeTarget::availability`].
-    fn availability(&self) -> AvailabilityCounters {
-        AvailabilityCounters::default()
-    }
-}
-
-/// Fault-tolerance counters a [`ServeTarget`] may expose: how many queries
-/// were answered degraded (reduced shard coverage), how many per-shard
-/// retries were dispatched, and how often a circuit breaker opened.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AvailabilityCounters {
-    /// Queries answered with fewer shards than configured.
-    pub degraded_queries: u64,
-    /// Per-shard retry dispatches.
-    pub shard_retries: u64,
-    /// Closed-to-open circuit-breaker transitions.
-    pub breaker_opens: u64,
-}
-
-impl AvailabilityCounters {
-    /// The counter movement since `before` (saturating, so a reset target
-    /// reads as zero movement instead of wrapping).
-    pub fn since(&self, before: &AvailabilityCounters) -> AvailabilityCounters {
-        AvailabilityCounters {
-            degraded_queries: self.degraded_queries.saturating_sub(before.degraded_queries),
-            shard_retries: self.shard_retries.saturating_sub(before.shard_retries),
-            breaker_opens: self.breaker_opens.saturating_sub(before.breaker_opens),
-        }
-    }
 }
 
 /// What kind of operation a record describes.
@@ -193,10 +142,6 @@ pub struct RunOutcome {
     pub wall_ns: u64,
     /// Deletes that found an empty live set and were skipped.
     pub skipped_deletes: usize,
-    /// Fault-tolerance counter movement across this run (warmup included),
-    /// from [`ServeTarget::availability`]. All zero for targets without
-    /// degraded serving.
-    pub availability: AvailabilityCounters,
 }
 
 impl RunOutcome {
@@ -208,13 +153,6 @@ impl RunOutcome {
         }
         self.records.len() as f64 / (self.wall_ns as f64 / 1e9)
     }
-}
-
-struct ServeState<T> {
-    target: T,
-    live: Vec<u64>,
-    log: Vec<Mutation>,
-    skipped_deletes: usize,
 }
 
 /// Sleep-until with a spin tail: coarse `thread::sleep` until ~200µs out,
@@ -236,142 +174,6 @@ fn wait_until(start: Instant, intended_ns: u64) {
     }
 }
 
-/// Drive `target` with `ops` at the arrival times of `schedule`.
-///
-/// Returns the target (for post-run inspection) and the run's records,
-/// samples and mutation log. Operations execute even when the run is
-/// behind schedule — late operations start immediately and their lateness
-/// is part of their recorded latency.
-///
-/// # Panics
-///
-/// Panics if `ops` and `schedule` disagree on length, if
-/// `dispatch_threads` is zero, or if an insert's `row_index` exceeds the
-/// insert pool.
-pub fn run_open_loop<T: ServeTarget + Send + Sync>(
-    target: T,
-    queries: &[Vec<f64>],
-    insert_rows: &[Vec<f64>],
-    schedule: &Schedule,
-    ops: &[Operation],
-    config: &RunnerConfig,
-) -> (T, RunOutcome) {
-    assert_eq!(ops.len(), schedule.len(), "operation stream and schedule must have equal length");
-    assert!(config.dispatch_threads > 0, "at least one dispatch thread is required");
-
-    let availability_before = target.availability();
-    let state = RwLock::new(ServeState {
-        target,
-        live: config.initial_live.clone(),
-        log: Vec::new(),
-        skipped_deletes: 0,
-    });
-    let cursor = AtomicUsize::new(0);
-    let offsets = schedule.offsets_ns();
-
-    let mut per_thread: Vec<(Vec<OpRecord>, Vec<RecallSample>)> = std::thread::scope(|scope| {
-        let start = Instant::now();
-        let handles: Vec<_> = (0..config.dispatch_threads)
-            .map(|_| {
-                let state = &state;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut records = Vec::new();
-                    let mut samples = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= ops.len() {
-                            break;
-                        }
-                        let intended_ns = offsets[i];
-                        wait_until(start, intended_ns);
-                        let warm = i < config.warmup_ops;
-                        let kind = match ops[i] {
-                            Operation::Query { query_index } => {
-                                let guard = state.read().unwrap_or_else(|e| e.into_inner());
-                                let version = guard.log.len();
-                                let answer = guard.target.query(&queries[query_index], config.k);
-                                drop(guard);
-                                let sampled = !warm
-                                    && config.sample_every > 0
-                                    && i.is_multiple_of(config.sample_every);
-                                if sampled {
-                                    samples.push(RecallSample {
-                                        op_index: i,
-                                        query_index,
-                                        version,
-                                        answer,
-                                    });
-                                }
-                                OpKind::Query
-                            }
-                            Operation::Insert { row_index } => {
-                                let mut guard = state.write().unwrap_or_else(|e| e.into_inner());
-                                let id = guard.target.insert(&insert_rows[row_index]);
-                                guard.live.push(id);
-                                guard.log.push(Mutation::Insert { id, row_index });
-                                OpKind::Insert
-                            }
-                            Operation::Delete { pick } => {
-                                let mut guard = state.write().unwrap_or_else(|e| e.into_inner());
-                                if guard.live.is_empty() {
-                                    guard.skipped_deletes += 1;
-                                } else {
-                                    let slot = (pick % guard.live.len() as u64) as usize;
-                                    let id = guard.live.swap_remove(slot);
-                                    guard.target.delete(id);
-                                    guard.log.push(Mutation::Delete { id });
-                                }
-                                OpKind::Delete
-                            }
-                        };
-                        if !warm {
-                            let done_ns = start.elapsed().as_nanos() as u64;
-                            records.push(OpRecord {
-                                op_index: i,
-                                kind,
-                                intended_ns,
-                                latency_ns: done_ns.saturating_sub(intended_ns),
-                            });
-                        }
-                    }
-                    (records, samples)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("dispatch thread panicked")).collect()
-    });
-
-    let mut records = Vec::new();
-    let mut samples = Vec::new();
-    for (r, s) in per_thread.drain(..) {
-        records.extend(r);
-        samples.extend(s);
-    }
-    records.sort_by_key(|r| r.op_index);
-    samples.sort_by_key(|s| s.op_index);
-
-    let wall_ns =
-        match (records.first(), records.iter().map(|r| r.intended_ns + r.latency_ns).max()) {
-            (Some(first), Some(last_done)) => last_done.saturating_sub(first.intended_ns),
-            _ => 0,
-        };
-
-    let state = state.into_inner().unwrap_or_else(|e| e.into_inner());
-    let availability = state.target.availability().since(&availability_before);
-    (
-        state.target,
-        RunOutcome {
-            records,
-            samples,
-            log: state.log,
-            wall_ns,
-            skipped_deletes: state.skipped_deletes,
-            availability,
-        },
-    )
-}
-
 /// The mutation bookkeeping of a concurrent run: the live-id set, the
 /// application-ordered mutation log, and the skipped-delete count, behind
 /// one mutex so "log order" and "order the target applied the mutations"
@@ -385,8 +187,10 @@ struct MutationLedger {
 /// Drive a [`ConcurrentServeTarget`] with `ops` at the arrival times of
 /// `schedule`.
 ///
-/// The concurrent sibling of [`run_open_loop`]: the target synchronizes
-/// itself, so the harness serializes only the *bookkeeping* of mutations
+/// Operations execute even when the run is behind schedule — late
+/// operations start immediately and their lateness is part of their
+/// recorded latency. The target synchronizes itself, so the harness
+/// serializes only the *bookkeeping* of mutations
 /// (one mutex held across `apply mutation + append to log`, which makes
 /// the log's order the application order) and takes **no lock around
 /// unsampled queries** — a mutation in flight never blocks them, and their
@@ -400,7 +204,9 @@ struct MutationLedger {
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`run_open_loop`].
+/// Panics if `ops` and `schedule` disagree on length, if
+/// `dispatch_threads` is zero, or if an insert's `row_index` exceeds the
+/// insert pool.
 pub fn run_open_loop_concurrent<T: ConcurrentServeTarget + Send + Sync>(
     target: T,
     queries: &[Vec<f64>],
@@ -412,7 +218,6 @@ pub fn run_open_loop_concurrent<T: ConcurrentServeTarget + Send + Sync>(
     assert_eq!(ops.len(), schedule.len(), "operation stream and schedule must have equal length");
     assert!(config.dispatch_threads > 0, "at least one dispatch thread is required");
 
-    let availability_before = target.availability();
     let ledger = Mutex::new(MutationLedger {
         live: config.initial_live.clone(),
         log: Vec::new(),
@@ -518,14 +323,12 @@ pub fn run_open_loop_concurrent<T: ConcurrentServeTarget + Send + Sync>(
         };
 
     let ledger = ledger.into_inner().unwrap_or_else(|e| e.into_inner());
-    let availability = target.availability().since(&availability_before);
     let outcome = RunOutcome {
         records,
         samples,
         log: ledger.log,
         wall_ns,
         skipped_deletes: ledger.skipped_deletes,
-        availability,
     };
     (target, outcome)
 }
@@ -548,13 +351,7 @@ mod tests {
                 next_id: base.len() as u64,
             }
         }
-    }
 
-    fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-    }
-
-    impl ServeTarget for ScanTarget {
         fn query(&self, query: &[f64], k: usize) -> Vec<u64> {
             let mut scored: Vec<(f64, u64)> =
                 self.rows.iter().map(|(id, r)| (sq_dist(query, r), *id)).collect();
@@ -580,6 +377,34 @@ mod tests {
         }
     }
 
+    fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    }
+
+    /// The toy scan target wrapped for the runner: internally synchronized
+    /// (one mutex), all methods `&self`.
+    struct LockedScanTarget(Mutex<ScanTarget>);
+
+    impl LockedScanTarget {
+        fn new(base: &[Vec<f64>]) -> LockedScanTarget {
+            LockedScanTarget(Mutex::new(ScanTarget::new(base)))
+        }
+    }
+
+    impl ConcurrentServeTarget for LockedScanTarget {
+        fn query(&self, query: &[f64], k: usize) -> Vec<u64> {
+            self.0.lock().unwrap().query(query, k)
+        }
+
+        fn insert(&self, row: &[f64]) -> u64 {
+            self.0.lock().unwrap().insert(row)
+        }
+
+        fn delete(&self, id: u64) -> bool {
+            self.0.lock().unwrap().delete(id)
+        }
+    }
+
     fn toy_rows(n: usize, salt: u64) -> Vec<Vec<f64>> {
         let mut rng = crate::rng::SplitMix64::new(salt);
         (0..n).map(|_| (0..4).map(|_| rng.next_f64() * 10.0).collect()).collect()
@@ -598,8 +423,14 @@ mod tests {
             initial_live: (0..50).collect(),
             ..RunnerConfig::default()
         };
-        let (_, outcome) =
-            run_open_loop(ScanTarget::new(&base), &queries, &inserts, &schedule, &ops, &config);
+        let (_, outcome) = run_open_loop_concurrent(
+            LockedScanTarget::new(&base),
+            &queries,
+            &inserts,
+            &schedule,
+            &ops,
+            &config,
+        );
         assert_eq!(outcome.records.len(), ops.len());
         let indexes: Vec<usize> = outcome.records.iter().map(|r| r.op_index).collect();
         assert_eq!(indexes, (0..ops.len()).collect::<Vec<_>>());
@@ -616,67 +447,16 @@ mod tests {
         let ops = operation_stream(9, OpMix::query_only(), 100, queries.len());
         let schedule = Schedule::uniform(100_000.0, ops.len());
         let config = RunnerConfig { k: 3, warmup_ops: 30, ..RunnerConfig::default() };
-        let (_, outcome) =
-            run_open_loop(ScanTarget::new(&base), &queries, &[], &schedule, &ops, &config);
+        let (_, outcome) = run_open_loop_concurrent(
+            LockedScanTarget::new(&base),
+            &queries,
+            &[],
+            &schedule,
+            &ops,
+            &config,
+        );
         assert_eq!(outcome.records.len(), 70);
         assert!(outcome.records.iter().all(|r| r.op_index >= 30));
-    }
-
-    #[test]
-    fn sampled_answers_match_a_serial_replay() {
-        let base = toy_rows(40, 6);
-        let queries = toy_rows(10, 7);
-        let inserts = toy_rows(64, 8);
-        let ops = operation_stream(11, OpMix::new(4, 1, 1), 300, queries.len());
-        let schedule = Schedule::uniform(80_000.0, ops.len());
-        let config = RunnerConfig {
-            k: 5,
-            sample_every: 7,
-            initial_live: (0..40).collect(),
-            ..RunnerConfig::default()
-        };
-        let (_, outcome) =
-            run_open_loop(ScanTarget::new(&base), &queries, &inserts, &schedule, &ops, &config);
-        assert!(!outcome.samples.is_empty());
-
-        // Replay the mutation log serially; at each sample's version the
-        // replayed target must answer exactly what the run recorded
-        // (single dispatch thread => stream order == application order).
-        let mut replay = ScanTarget::new(&base);
-        let mut applied = 0usize;
-        for sample in &outcome.samples {
-            while applied < sample.version {
-                match outcome.log[applied] {
-                    Mutation::Insert { id, row_index } => {
-                        let got = replay.insert(&inserts[row_index]);
-                        assert_eq!(got, id);
-                    }
-                    Mutation::Delete { id } => {
-                        assert!(replay.delete(id));
-                    }
-                }
-                applied += 1;
-            }
-            assert_eq!(replay.query(&queries[sample.query_index], config.k), sample.answer);
-        }
-    }
-
-    /// The toy scan target wrapped for the concurrent runner: internally
-    /// synchronized (one mutex), all methods `&self`.
-    struct LockedScanTarget(Mutex<ScanTarget>);
-
-    impl ConcurrentServeTarget for LockedScanTarget {
-        fn query(&self, query: &[f64], k: usize) -> Vec<u64> {
-            self.0.lock().unwrap().query(query, k)
-        }
-
-        fn insert(&self, row: &[f64]) -> u64 {
-            self.0.lock().unwrap().insert(row)
-        }
-
-        fn delete(&self, id: u64) -> bool {
-            self.0.lock().unwrap().delete(id)
-        }
     }
 
     #[test]
@@ -694,7 +474,7 @@ mod tests {
             ..RunnerConfig::default()
         };
         let (_, outcome) = run_open_loop_concurrent(
-            LockedScanTarget(Mutex::new(ScanTarget::new(&base))),
+            LockedScanTarget::new(&base),
             &queries,
             &inserts,
             &schedule,
@@ -746,81 +526,20 @@ mod tests {
         let ops = operation_stream(13, OpMix::query_only(), 64, queries.len());
         let schedule = Schedule::uniform(100_000_000.0, ops.len());
         let config = RunnerConfig { k: 5, ..RunnerConfig::default() };
-        let (_, outcome) =
-            run_open_loop(ScanTarget::new(&base), &queries, &[], &schedule, &ops, &config);
+        let (_, outcome) = run_open_loop_concurrent(
+            LockedScanTarget::new(&base),
+            &queries,
+            &[],
+            &schedule,
+            &ops,
+            &config,
+        );
         let first = outcome.records.first().unwrap().latency_ns;
         let last = outcome.records.last().unwrap().latency_ns;
         assert!(
             last > first,
             "later arrivals should accumulate queueing delay: first {first}ns last {last}ns"
         );
-    }
-
-    /// A target that degrades on every third query, with counters that
-    /// started non-zero before the run (the runner must report deltas).
-    struct DegradingTarget {
-        inner: ScanTarget,
-        queries_served: std::sync::atomic::AtomicU64,
-        baseline: AvailabilityCounters,
-    }
-
-    impl ServeTarget for DegradingTarget {
-        fn query(&self, query: &[f64], k: usize) -> Vec<u64> {
-            self.queries_served.fetch_add(1, Ordering::Relaxed);
-            self.inner.query(query, k)
-        }
-
-        fn insert(&mut self, row: &[f64]) -> u64 {
-            self.inner.insert(row)
-        }
-
-        fn delete(&mut self, id: u64) -> bool {
-            self.inner.delete(id)
-        }
-
-        fn availability(&self) -> AvailabilityCounters {
-            let served = self.queries_served.load(Ordering::Relaxed);
-            AvailabilityCounters {
-                degraded_queries: self.baseline.degraded_queries + served / 3,
-                shard_retries: self.baseline.shard_retries + served,
-                breaker_opens: self.baseline.breaker_opens,
-            }
-        }
-    }
-
-    #[test]
-    fn availability_counters_report_the_runs_delta_not_the_lifetime_total() {
-        let base = toy_rows(30, 14);
-        let queries = toy_rows(8, 15);
-        let ops = operation_stream(17, OpMix::query_only(), 90, queries.len());
-        let schedule = Schedule::uniform(100_000.0, ops.len());
-        let target = DegradingTarget {
-            inner: ScanTarget::new(&base),
-            queries_served: std::sync::atomic::AtomicU64::new(0),
-            baseline: AvailabilityCounters {
-                degraded_queries: 7,
-                shard_retries: 100,
-                breaker_opens: 2,
-            },
-        };
-        let config = RunnerConfig { k: 3, ..RunnerConfig::default() };
-        let (_, outcome) = run_open_loop(target, &queries, &[], &schedule, &ops, &config);
-        // 90 queries served: the pre-run baseline must be subtracted out.
-        assert_eq!(outcome.availability.degraded_queries, 30);
-        assert_eq!(outcome.availability.shard_retries, 90);
-        assert_eq!(outcome.availability.breaker_opens, 0);
-    }
-
-    #[test]
-    fn plain_targets_report_zero_availability_movement() {
-        let base = toy_rows(10, 16);
-        let queries = toy_rows(4, 17);
-        let ops = operation_stream(19, OpMix::query_only(), 20, queries.len());
-        let schedule = Schedule::uniform(100_000.0, ops.len());
-        let config = RunnerConfig { k: 2, ..RunnerConfig::default() };
-        let (_, outcome) =
-            run_open_loop(ScanTarget::new(&base), &queries, &[], &schedule, &ops, &config);
-        assert_eq!(outcome.availability, AvailabilityCounters::default());
     }
 
     #[test]
@@ -830,8 +549,14 @@ mod tests {
         let ops = vec![Operation::Delete { pick: 3 }, Operation::Delete { pick: 5 }];
         let schedule = Schedule::uniform(10_000.0, ops.len());
         let config = RunnerConfig { k: 2, ..RunnerConfig::default() };
-        let (_, outcome) =
-            run_open_loop(ScanTarget::new(&base), &queries, &[], &schedule, &ops, &config);
+        let (_, outcome) = run_open_loop_concurrent(
+            LockedScanTarget::new(&base),
+            &queries,
+            &[],
+            &schedule,
+            &ops,
+            &config,
+        );
         assert_eq!(outcome.skipped_deletes, 2);
         assert!(outcome.log.is_empty());
     }

@@ -55,12 +55,16 @@ fn serve(corpus: &str, kind: DivergenceKind, data: &DenseDataset, queries: &[Vec
             .map(|(i, q)| QueryRequest::new(q, if i % 4 == 0 { 3 * k } else { k })),
     );
     let batch = index.run(&mixed).unwrap();
+    let report = &batch.report;
     println!(
-        "  mixed-k batch: {} queries, deepest k={}, {:.0} QPS — as JSON: {}",
+        "  mixed-k batch: {} queries, deepest k={}, {:.0} QPS, p99 {:.3} ms, \
+         {:.1} candidates/query, {} pages read",
         batch.outcomes.len(),
-        batch.report.k,
-        batch.report.qps,
-        batch.report.to_json()
+        report.k,
+        report.qps,
+        report.latency.p99_ms,
+        report.avg_candidates,
+        report.io.pages_read
     );
     println!();
 }

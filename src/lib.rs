@@ -104,8 +104,7 @@
 //!   the façade drives: [`SearchBackend`](brepartition_engine::SearchBackend),
 //!   [`QueryEngine`](brepartition_engine::QueryEngine), per-query
 //!   [`EngineRequest`](brepartition_engine::EngineRequest)s and
-//!   [`ThroughputReport`](brepartition_engine::ThroughputReport) (with
-//!   stable JSON serialization for cross-PR diffing).
+//!   [`ThroughputReport`](brepartition_engine::ThroughputReport).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

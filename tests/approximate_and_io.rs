@@ -215,3 +215,53 @@ fn variational_baseline_is_faster_but_less_accurate_than_exact_bbt() {
     let mean_recall = recalls.iter().sum::<f64>() / recalls.len() as f64;
     assert!(mean_recall > 0.3, "variational recall collapsed: {mean_recall}");
 }
+
+#[test]
+fn approximate_answers_are_never_short_and_recall_does_not_fall_as_p_rises() {
+    // On the hierarchical proxies κ is large and negative, so any shrink
+    // coefficient below 1 can push every subspace radius below zero and
+    // leave the filter empty; the k best-by-bound points keep ABP's answer
+    // at min(k, n) neighbours regardless.
+    let (n, k, queries_per_dataset) = (1_500, 10, 64);
+    for dataset in PaperDataset::ALL {
+        let spec = dataset.paper_spec().with_points(n);
+        let kind = spec.divergence;
+        let data = spec.generate(7);
+        let queries = QueryWorkload::perturbed_from(&data, kind, queries_per_dataset, 0.02, 11);
+        let truth = ground_truth_knn(kind, &data, &queries.queries, k, 2);
+        let index = BrePartitionIndex::build(
+            kind,
+            &data,
+            &BrePartitionConfig::default().with_page_size(spec.page_size_bytes),
+        )
+        .unwrap();
+        let mut previous = 0.0;
+        for p in [0.5, 0.9, 0.99] {
+            let config = ApproximateConfig::with_probability(p);
+            let mut recalls = Vec::new();
+            for (qi, query) in queries.iter().enumerate() {
+                let approx = index
+                    .knn(
+                        &mut index.new_buffer_pool(),
+                        &mut KernelScratch::default(),
+                        query,
+                        k,
+                        Some(&config),
+                    )
+                    .unwrap();
+                assert_eq!(
+                    approx.neighbors.len(),
+                    k.min(n),
+                    "{dataset} p = {p}: query {qi} got a short answer"
+                );
+                recalls.push(recall(&approx.neighbors, truth.neighbors_of(qi)));
+            }
+            let mean = recalls.iter().sum::<f64>() / recalls.len() as f64;
+            assert!(
+                mean >= previous - 1e-12,
+                "{dataset}: mean recall fell to {mean} at p = {p} from {previous}"
+            );
+            previous = mean;
+        }
+    }
+}

@@ -253,3 +253,40 @@ fn sharded_forest_is_thread_budget_invariant() {
         assert_eq!(a.neighbors, b.neighbors, "query {qi}: forest merge depends on budget");
     }
 }
+
+/// A warm-scratch batch over a buffered pool faults its working set in
+/// roughly once and then serves repeat page reads from the pool, for every
+/// method: each records buffer-pool hits, at a hit rate of at least 0.5.
+/// (A cold engine's zero hits are the unbuffered default, not broken
+/// accounting.)
+#[test]
+fn warm_scratch_batches_hit_the_buffer_pool_for_every_method() {
+    let data = HierarchicalSpec { n: 600, dim: 32, clusters: 8, blocks: 8, ..Default::default() }
+        .generate();
+    let queries: Vec<Vec<f64>> =
+        QueryWorkload::perturbed_from(&data, DivergenceKind::ItakuraSaito, 128, 0.02, 0x7B)
+            .iter()
+            .map(|q| q.to_vec())
+            .collect();
+    for method in Method::ALL {
+        let spec = IndexSpec::new(method, DivergenceKind::ItakuraSaito)
+            .with_partitions(4)
+            .with_page_size(32 * 1024)
+            .with_leaf_capacity(32)
+            .with_probability(0.9)
+            .with_buffer_pool_pages(64);
+        let index = Index::build(&spec, &data).unwrap();
+        let engine =
+            index.engine(EngineConfig::default().with_threads(2).with_warm_scratch()).unwrap();
+        let io = engine.run_batch(&queries, 10).unwrap().report.io;
+        assert!(io.cache_hits > 0, "{method}: warm batch recorded no buffer-pool hits");
+        let rate = io.cache_hits as f64 / (io.cache_hits + io.pages_read) as f64;
+        assert!(
+            rate >= 0.5,
+            "{method}: warm hit rate {rate:.3} below the 0.5 floor \
+             ({} hits / {} reads)",
+            io.cache_hits,
+            io.pages_read
+        );
+    }
+}
