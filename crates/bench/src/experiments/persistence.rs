@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use bregman::DivergenceKind;
-use brepartition::{Index, IndexSpec, Method, Request};
+use brepartition::{Index, IndexSpec, Request};
 use brepartition_engine::EngineConfig;
 use datagen::{HierarchicalSpec, QueryWorkload};
 
@@ -56,18 +56,22 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
         .join(format!("brepartition-persistence-experiment-{}", std::process::id()));
     let mut rows: Vec<LifecycleRow> = Vec::new();
 
-    for method in Method::ALL {
-        let spec = IndexSpec::new(method, kind)
+    for (method, spec) in [
+        ("BP", IndexSpec::brepartition(kind)),
+        ("ABP", IndexSpec::approximate(kind)),
+        ("BBT", IndexSpec::bbtree(kind)),
+        ("VAF", IndexSpec::vafile(kind)),
+    ] {
+        let spec = spec
             .with_partitions(bench.paper_m(dim))
             .with_leaf_capacity(32)
-            .with_page_size(PAGE_SIZE)
-            .with_probability(0.9);
+            .with_page_size(PAGE_SIZE);
 
         let started = Instant::now();
         let built = Index::build(&spec, &dataset).expect("index build");
         let build_seconds = started.elapsed().as_secs_f64();
 
-        let dir = root.join(method.short_name());
+        let dir = root.join(method);
         let started = Instant::now();
         built.save(&dir).expect("index save");
         let save_seconds = started.elapsed().as_secs_f64();
@@ -77,7 +81,7 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
         let open_seconds = started.elapsed().as_secs_f64();
 
         rows.push(LifecycleRow {
-            method: method.short_name(),
+            method,
             build_seconds,
             save_seconds,
             open_seconds,

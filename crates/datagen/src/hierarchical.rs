@@ -188,21 +188,6 @@ impl HierarchicalStream {
         self.next_point += rows;
         rows
     }
-
-    /// The next block of up to `max_rows` points as a standalone dataset,
-    /// or `None` once exhausted. Convenience over
-    /// [`HierarchicalStream::fill_block`] for callers that want owned
-    /// blocks (e.g. an insert pool filled lazily).
-    pub fn next_block(&mut self, max_rows: usize) -> Option<DenseDataset> {
-        let mut data = Vec::new();
-        if self.fill_block(max_rows, &mut data) == 0 {
-            return None;
-        }
-        Some(
-            DenseDataset::from_flat(self.spec.dim, data)
-                .expect("hierarchical stream produced ragged data"),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -283,21 +268,6 @@ mod tests {
             assert_eq!(stream.fill_block(block_rows, &mut data), 0);
             assert_eq!(data, whole.as_flat(), "block size {block_rows} diverged");
         }
-    }
-
-    #[test]
-    fn owned_blocks_match_the_flat_stream() {
-        let s = HierarchicalSpec { n: 100, dim: 8, clusters: 5, blocks: 4, ..Default::default() };
-        let whole = s.generate();
-        let mut stream = s.stream();
-        let mut rows = 0usize;
-        while let Some(block) = stream.next_block(33) {
-            for i in 0..block.len() {
-                assert_eq!(block.row(i), whole.row(rows + i));
-            }
-            rows += block.len();
-        }
-        assert_eq!(rows, 100);
     }
 
     #[test]

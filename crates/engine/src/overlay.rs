@@ -45,9 +45,7 @@ pub struct DeltaOverlayBackend {
     delta: Arc<DeltaSegment>,
     name: String,
     /// Per-phase trace histograms: filter = inner backend search, refine =
-    /// exact delta scan, merge = combine + truncate. Shared by clones, so
-    /// an owning façade can keep one `PhaseStats` across the per-batch
-    /// overlay snapshots it creates.
+    /// exact delta scan, merge = combine + truncate. Shared by clones.
     phases: PhaseStats,
 }
 
@@ -88,14 +86,6 @@ impl DeltaOverlayBackend {
         }
         let name = format!("{}+Δ", inner.name());
         Ok(DeltaOverlayBackend { inner, delta, name, phases: PhaseStats::new() })
-    }
-
-    /// Record phase spans into an existing [`PhaseStats`] instead of a
-    /// private one — how the owning façade aggregates traces across the
-    /// per-batch overlay snapshots it creates.
-    pub fn with_phase_stats(mut self, phases: PhaseStats) -> Self {
-        self.phases = phases;
-        self
     }
 
     /// The per-phase trace histograms this overlay records into.

@@ -82,22 +82,13 @@ pub fn split_thread_budget(budget: usize, shards: usize) -> ThreadSplit {
 /// Merge per-shard neighbor lists into one top-`k` by the engine's
 /// canonical `(distance, id)` total order.
 ///
-/// With `dedup` (forest-style replicas sharing one id space) only the first
-/// occurrence of an id survives; without it (capacity-style disjoint
-/// shards) every entry is distinct by construction and the merge is exactly
-/// the order an unsharded backend over the union would produce.
-pub fn merge_neighbor_lists(
-    lists: &[&[(PointId, f64)]],
-    k: usize,
-    dedup: bool,
-) -> Vec<(PointId, f64)> {
+/// The shards hold disjoint slices, so every entry is distinct and the
+/// merge is exactly the order an unsharded backend over the union would
+/// produce.
+pub fn merge_neighbor_lists(lists: &[&[(PointId, f64)]], k: usize) -> Vec<(PointId, f64)> {
     let mut merged: Vec<(PointId, f64)> =
         lists.iter().flat_map(|list| list.iter().copied()).collect();
     merged.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    if dedup {
-        let mut seen = std::collections::BTreeSet::new();
-        merged.retain(|(id, _)| seen.insert(*id));
-    }
     merged.truncate(k);
     merged
 }
@@ -109,11 +100,7 @@ pub fn merge_neighbor_lists(
 /// physical I/O are summed across shards — every shard really did that
 /// work — while the merged latency is the slowest shard's (the critical
 /// path of a fan-out).
-pub fn merge_shard_outcomes(
-    shard_results: &[BatchResult],
-    ks: &[usize],
-    dedup: bool,
-) -> Vec<QueryOutcome> {
+pub fn merge_shard_outcomes(shard_results: &[BatchResult], ks: &[usize]) -> Vec<QueryOutcome> {
     (0..ks.len())
         .map(|qi| {
             let lists: Vec<&[(PointId, f64)]> =
@@ -128,7 +115,7 @@ pub fn merge_shard_outcomes(
                 latency_seconds = latency_seconds.max(outcome.latency_seconds);
             }
             QueryOutcome {
-                neighbors: merge_neighbor_lists(&lists, ks[qi], dedup),
+                neighbors: merge_neighbor_lists(&lists, ks[qi]),
                 candidates,
                 io,
                 latency_seconds,
@@ -761,21 +748,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_the_delta_overlay_order_and_dedup_keeps_the_best() {
+    fn merge_is_the_delta_overlay_order() {
         let a = [(PointId(4), 1.0), (PointId(9), 2.0)];
-        let b = [(PointId(2), 1.0), (PointId(4), 1.0), (PointId(7), 0.5)];
-        // Without dedup: ties break by id, duplicates survive.
-        let merged = merge_neighbor_lists(&[&a, &b], 4, false);
+        let b = [(PointId(2), 1.0), (PointId(3), 1.0), (PointId(7), 0.5)];
+        // Ties break by id; the merge truncates to k.
+        let merged = merge_neighbor_lists(&[&a, &b], 4);
         assert_eq!(
             merged,
-            vec![(PointId(7), 0.5), (PointId(2), 1.0), (PointId(4), 1.0), (PointId(4), 1.0)]
+            vec![(PointId(7), 0.5), (PointId(2), 1.0), (PointId(3), 1.0), (PointId(4), 1.0)]
         );
-        // With dedup: the duplicate id collapses to one entry.
-        let merged = merge_neighbor_lists(&[&a, &b], 4, true);
-        assert_eq!(
-            merged,
-            vec![(PointId(7), 0.5), (PointId(2), 1.0), (PointId(4), 1.0), (PointId(9), 2.0)]
-        );
-        assert!(merge_neighbor_lists(&[], 3, false).is_empty());
+        assert!(merge_neighbor_lists(&[], 3).is_empty());
     }
 }

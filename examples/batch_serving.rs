@@ -26,11 +26,10 @@ fn serve(corpus: &str, kind: DivergenceKind, data: &DenseDataset, queries: &[Vec
     // Exact and approximate BrePartition through the same spec API. The
     // exact index also serves the mixed-k batch below — build it once.
     let mut exact_index = None;
-    for method in [Method::BrePartition, Method::Approximate] {
-        let spec = IndexSpec::new(method, kind)
-            .with_partitions((data.dim() / 7).clamp(2, 16))
-            .with_page_size(16 * 1024)
-            .with_probability(0.9);
+    for (method, spec) in
+        [("BP", IndexSpec::brepartition(kind)), ("ABP", IndexSpec::approximate(kind))]
+    {
+        let spec = spec.with_partitions((data.dim() / 7).clamp(2, 16)).with_page_size(16 * 1024);
         let index = Index::build(&spec, data).unwrap();
         for threads in [1, cores] {
             let batch = index
@@ -41,7 +40,7 @@ fn serve(corpus: &str, kind: DivergenceKind, data: &DenseDataset, queries: &[Vec
                 .unwrap();
             println!("  {}", batch.report);
         }
-        if method == Method::BrePartition {
+        if method == "BP" {
             exact_index = Some(index);
         }
     }

@@ -7,7 +7,7 @@
 //! **all four methods through the identical code path**:
 //!
 //! 1. **Build** each index from the same `IndexSpec` template (only the
-//!    `Method` varies).
+//!    method, and ABP's probability, vary).
 //! 2. **Save** every index to its own directory: backend artifacts plus a
 //!    sealed spec envelope recording method + divergence + knobs.
 //! 3. **Cold-open** the directories as a fresh serving process would — with
@@ -54,22 +54,23 @@ fn main() {
     );
 
     // ── 1+2. Offline phase: one loop builds and saves all four methods. ──
+    let methods = [
+        ("BP", IndexSpec::brepartition(kind)),
+        ("ABP", IndexSpec::approximate(kind)),
+        ("BBT", IndexSpec::bbtree(kind)),
+        ("VAF", IndexSpec::vafile(kind)),
+    ];
     let mut built: Vec<Index> = Vec::new();
-    for method in Method::ALL {
-        let spec = IndexSpec::new(method, kind)
-            .with_partitions(8)
-            .with_leaf_capacity(32)
-            .with_page_size(16 * 1024)
-            .with_probability(0.9);
+    for (method, spec) in methods {
+        let spec = spec.with_partitions(8).with_leaf_capacity(32).with_page_size(16 * 1024);
         let started = Instant::now();
         let index = Index::build(&spec, &corpus).expect("build index");
         let build_time = started.elapsed();
-        let dir = root.join(method.short_name());
+        let dir = root.join(method);
         let started = Instant::now();
         index.save(&dir).expect("save index");
         println!(
-            "offline: built {:<3} in {:>8.2?}, saved to {} in {:.2?}",
-            method.short_name(),
+            "offline: built {method:<3} in {:>8.2?}, saved to {} in {:.2?}",
             build_time,
             dir.display(),
             started.elapsed()
@@ -79,9 +80,9 @@ fn main() {
 
     // ── 3. Serving phase: cold-open every directory, no dispatch. ───────
     let started = Instant::now();
-    let reopened: Vec<Index> = Method::ALL
+    let reopened: Vec<Index> = methods
         .iter()
-        .map(|method| Index::open(&root.join(method.short_name())).expect("cold open"))
+        .map(|(method, _)| Index::open(&root.join(method)).expect("cold open"))
         .collect();
     println!(
         "\nserving: cold-opened all four directories in {:.2?}; each envelope \
@@ -90,7 +91,9 @@ fn main() {
     );
 
     // ── 4. Drive batches and check the reopened copies answer verbatim. ──
-    for (built_index, reopened_index) in built.iter().zip(reopened.iter()) {
+    for ((method, _), (built_index, reopened_index)) in
+        methods.iter().zip(built.iter().zip(reopened.iter()))
+    {
         assert_eq!(built_index.spec(), reopened_index.spec(), "envelope restored the spec");
         let request = Request::uniform(&queries, k);
         let engine_config = EngineConfig::default().with_threads(4);
@@ -102,8 +105,7 @@ fn main() {
             .zip(b.outcomes.iter())
             .all(|(x, y)| x.neighbors == y.neighbors && x.io == y.io);
         println!(
-            "  {:>3}: reopened index identical to built index: {} — {}",
-            reopened_index.method().short_name(),
+            "  {method:>3}: reopened index identical to built index: {} — {}",
             if identical { "yes" } else { "NO" },
             b.report
         );

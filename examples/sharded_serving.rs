@@ -1,8 +1,7 @@
-//! The sharded scatter-gather serving tier end to end: a capacity-mode
-//! `ShardedIndex` serving bit-identically to its unsharded equivalent, a
-//! forest-mode replica ensemble recovering recall for the approximate
-//! search, routed writes, per-shard compaction and the sharded directory
-//! layout.
+//! The sharded scatter-gather serving tier end to end: a `ShardedIndex`
+//! over disjoint slices serving bit-identically to its unsharded
+//! equivalent, routed writes, per-shard compaction and the sharded
+//! directory layout.
 //!
 //! ```bash
 //! cargo run --release --example sharded_serving
@@ -11,7 +10,7 @@
 use brepartition::prelude::*;
 
 fn main() -> brepartition::Result<()> {
-    println!("# Sharded serving: capacity and forest modes over one API\n");
+    println!("# Sharded serving: disjoint slices behind one API\n");
 
     let data =
         HierarchicalSpec { n: 3_000, dim: 24, clusters: 12, blocks: 6, ..Default::default() }
@@ -20,15 +19,15 @@ fn main() -> brepartition::Result<()> {
     let base = IndexSpec::brepartition(kind).with_partitions(6).with_page_size(8 * 1024);
 
     // ------------------------------------------------------------------
-    // Capacity mode: each point lives on exactly one of 4 shards, chosen
-    // by a deterministic hash of its external id. For exact methods the
+    // Each point lives on exactly one of 4 shards, chosen by a
+    // deterministic hash of its external id. For exact methods the
     // scatter-gather merge returns *bit-identical* answers to one big
     // unsharded index — sharding is purely an operational decision.
     // ------------------------------------------------------------------
     let plain = Index::build(&base, &data)?;
     let sharded = ShardedIndex::build(&ShardSpec::capacity(base, 4), &data)?;
     println!(
-        "capacity tier: {} points over {} shards (largest shard {})",
+        "sharded tier: {} points over {} shards (largest shard {})",
         sharded.len(),
         sharded.shards(),
         (0..sharded.shards()).map(|s| sharded.shard(s).len()).max().unwrap()
@@ -67,38 +66,8 @@ fn main() -> brepartition::Result<()> {
     let reopened = ShardedIndex::open(&dir)?;
     assert_eq!(reopened.len(), sharded.len());
     assert_eq!(reopened.query(&QueryRequest::new(&fresh, 1))?.neighbors[0].0, id);
-    println!("saved + reopened from {} ({} shards)\n", dir.display(), reopened.shards());
+    println!("saved + reopened from {} ({} shards)", dir.display(), reopened.shards());
     std::fs::remove_dir_all(&dir).ok();
-
-    // ------------------------------------------------------------------
-    // Forest mode: N full replicas under different build seeds. Each
-    // replica answers the whole query; the gather merges and dedups their
-    // top-k. For the approximate search this trades space for recall —
-    // the merged ensemble can only improve on a single replica.
-    // ------------------------------------------------------------------
-    let approx = IndexSpec::approximate(kind)
-        .with_probability(0.1)
-        .with_partitions(6)
-        .with_page_size(8 * 1024);
-    let single = Index::build(&approx, &data)?;
-    let forest = ShardedIndex::build(&ShardSpec::forest(approx, 4), &data)?;
-
-    let query_set = DenseDataset::from_rows(&queries).unwrap();
-    let truth = ground_truth_knn(kind, &data, &query_set, 10, 4);
-    let mut single_hits = 0.0;
-    let mut forest_hits = 0.0;
-    for (qi, q) in queries.iter().enumerate() {
-        let expected = truth.neighbors_of(qi);
-        single_hits += recall(&single.query(&QueryRequest::new(q, 10))?.neighbors, expected);
-        forest_hits += recall(&forest.query(&QueryRequest::new(q, 10))?.neighbors, expected);
-    }
-    let n = queries.len() as f64;
-    println!(
-        "forest tier (ABP p=0.1, 4 replicas): recall {:.3} single → {:.3} merged",
-        single_hits / n,
-        forest_hits / n
-    );
-    assert!(forest_hits >= single_hits - 1e-9, "the merge must not lose recall");
 
     println!("\ndone.");
     Ok(())

@@ -1,5 +1,5 @@
-//! The [`Index`] façade: one spec-driven build/open/query API over all four
-//! methods.
+//! The [`Index`] façade: one spec-driven build/open/query API over the
+//! paper's four methods (BP, ABP, BBT, VAF).
 //!
 //! # The registry
 //!
@@ -62,11 +62,11 @@
 //! [`Index::run`]) freezes the delta at construction, so writes become
 //! visible at the next batch boundary, never in the middle of one.
 //!
-//! Serving a collection too large (or too recall-hungry) for one index is
-//! the job of the sharded tier: [`ShardedIndex`](crate::ShardedIndex) owns
-//! N of these `Index` instances and scatter-gathers over them, reusing the
-//! envelope machinery here for its own `shards.meta` (each shard
-//! subdirectory is a full, self-describing `Index` directory).
+//! Serving a collection too large for one index is the job of the sharded
+//! tier: [`ShardedIndex`](crate::ShardedIndex) owns N of these `Index`
+//! instances and scatter-gathers over them, reusing the envelope machinery
+//! here for its own `shards.meta` (each shard subdirectory is a full,
+//! self-describing `Index` directory).
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,7 +95,7 @@ pub const SPEC_MAGIC: [u8; 8] = *b"BREPSPC1";
 
 /// The only format version of the spec envelope this build writes and
 /// reads; any other version is rejected.
-pub const SPEC_VERSION: u32 = 3;
+pub const SPEC_VERSION: u32 = 4;
 
 /// File name of the spec envelope within an index directory.
 pub const SPEC_FILE: &str = "spec.meta";
@@ -103,7 +103,7 @@ pub const SPEC_FILE: &str = "spec.meta";
 type BuildFn = fn(&IndexSpec, &DenseDataset) -> Result<Arc<dyn SearchBackend>>;
 type OpenFn = fn(&IndexSpec, &Path) -> Result<Arc<dyn SearchBackend>>;
 
-/// Files the BrePartition-family backends write into an index directory.
+/// Files the BrePartition backend writes into an index directory.
 const BRE_ARTIFACTS: &[&str] =
     &[brepartition_core::persist::META_FILE, brepartition_core::persist::PAGES_FILE];
 /// Files the BBT baseline writes into an index directory.
@@ -124,13 +124,13 @@ struct RegistryEntry {
     artifacts: &'static [&'static str],
 }
 
-/// Build a BrePartition-family backend (exact or approximate per the spec).
+/// Build a BrePartition backend (exact or approximate per the spec).
 fn build_bre(spec: &IndexSpec, data: &DenseDataset) -> Result<Arc<dyn SearchBackend>> {
     let index = BrePartitionIndex::build(spec.divergence, data, &spec.brepartition_config())?;
     Ok(wrap_bre(spec, index))
 }
 
-/// Open a BrePartition-family backend, cross-checking the index envelope's
+/// Open a BrePartition backend, cross-checking the index envelope's
 /// divergence against the spec envelope before the full restore.
 fn open_bre(spec: &IndexSpec, dir: &Path) -> Result<Arc<dyn SearchBackend>> {
     let found = BrePartitionIndex::peek_kind(dir)?;
@@ -147,12 +147,12 @@ fn open_bre(spec: &IndexSpec, dir: &Path) -> Result<Arc<dyn SearchBackend>> {
     Ok(wrap_bre(spec, BrePartitionIndex::open(dir)?))
 }
 
+/// Serve `index` exactly at probability 1 and approximately (ABP) below it.
 fn wrap_bre(spec: &IndexSpec, index: BrePartitionIndex) -> Arc<dyn SearchBackend> {
-    match spec.method {
-        Method::Approximate => {
-            Arc::new(BrePartitionBackend::approximate(index, spec.approximate_config()))
-        }
-        _ => Arc::new(BrePartitionBackend::exact(index)),
+    if spec.probability < 1.0 {
+        Arc::new(BrePartitionBackend::approximate(index, spec.approximate_config()))
+    } else {
+        Arc::new(BrePartitionBackend::exact(index))
     }
 }
 
@@ -244,24 +244,20 @@ macro_rules! per_divergence {
     };
 }
 
-/// The registry. BrePartition methods dispatch on `DivergenceKind` inside
-/// the core (one entry per divergence keeps the key uniform); the baselines
+/// The registry. BrePartition dispatches on `DivergenceKind` inside the
+/// core (one entry per divergence keeps the key uniform); the baselines
 /// monomorphize per divergence here.
-fn registry() -> [RegistryEntry; 16] {
-    let bre = |method: Method| {
-        DivergenceKind::ALL.map(|divergence| RegistryEntry {
-            method,
-            divergence,
-            build: build_bre,
-            open: open_bre,
-            artifacts: BRE_ARTIFACTS,
-        })
-    };
-    let [a0, a1, a2, a3] = bre(Method::BrePartition);
-    let [b0, b1, b2, b3] = bre(Method::Approximate);
-    let [c0, c1, c2, c3] = per_divergence!(Method::BBTree, build_bbt, open_bbt, BBT_ARTIFACTS);
-    let [d0, d1, d2, d3] = per_divergence!(Method::VaFile, build_vaf, open_vaf, VAF_ARTIFACTS);
-    [a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3]
+fn registry() -> [RegistryEntry; 12] {
+    let [a0, a1, a2, a3] = DivergenceKind::ALL.map(|divergence| RegistryEntry {
+        method: Method::BrePartition,
+        divergence,
+        build: build_bre,
+        open: open_bre,
+        artifacts: BRE_ARTIFACTS,
+    });
+    let [b0, b1, b2, b3] = per_divergence!(Method::BBTree, build_bbt, open_bbt, BBT_ARTIFACTS);
+    let [c0, c1, c2, c3] = per_divergence!(Method::VaFile, build_vaf, open_vaf, VAF_ARTIFACTS);
+    [a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3]
 }
 
 /// Look up the registry entry for a `(Method, DivergenceKind)` key.

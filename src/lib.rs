@@ -17,9 +17,8 @@
 //!   own `k`, an approximation-probability override, a candidate budget —
 //!   over borrowed `&[f64]` rows, executed by [`Index::query`] /
 //!   [`Index::run`] (or an explicit [`QueryEngine`](engine::QueryEngine)).
-//! * [`ShardSpec`] → [`ShardedIndex`] scale the same API across N shards in
-//!   one process: disjoint capacity slices (bit-identical to unsharded for
-//!   exact methods) or randomized forest replicas (merged top-k for recall),
+//! * [`ShardSpec`] → [`ShardedIndex`] scale the same API across N disjoint
+//!   shards in one process (bit-identical to unsharded for exact methods),
 //!   scatter-gathered under one shared worker budget.
 //! * [`Error`] unifies the per-layer error enums (core, engine, storage)
 //!   behind `#[non_exhaustive]` variants with full source-chaining.
@@ -127,8 +126,8 @@ pub use error::{Error, Result};
 pub use index::{Index, DELTA_FILE, SPEC_FILE, SPEC_MAGIC, SPEC_VERSION};
 pub use request::{QueryRequest, Request};
 pub use sharded::{
-    Outcome, ResilientBatch, ShardMode, ShardSpec, ShardedIndex, MAX_SHARDS, SHARDS_FILE,
-    SHARDS_MAGIC, SHARDS_VERSION,
+    Outcome, ResilientBatch, ShardSpec, ShardedIndex, MAX_SHARDS, SHARDS_FILE, SHARDS_MAGIC,
+    SHARDS_VERSION,
 };
 pub use spec::{CompactionSpec, IndexSpec, Method, StorageSpec};
 
@@ -137,7 +136,7 @@ pub mod prelude {
     pub use crate::error::{Error, Result};
     pub use crate::index::Index;
     pub use crate::request::{QueryRequest, Request};
-    pub use crate::sharded::{Outcome, ResilientBatch, ShardMode, ShardSpec, ShardedIndex};
+    pub use crate::sharded::{Outcome, ResilientBatch, ShardSpec, ShardedIndex};
     pub use crate::spec::{CompactionSpec, IndexSpec, Method, StorageSpec};
     pub use bbtree::{BBTreeConfig, DiskBBTree, VariationalConfig};
     pub use bregman::kernel::KernelScratch;
@@ -188,14 +187,18 @@ mod tests {
         let data =
             HierarchicalSpec { n: 150, dim: 12, clusters: 6, blocks: 3, ..Default::default() }
                 .generate();
-        for method in Method::ALL {
-            let spec = IndexSpec::new(method, DivergenceKind::ItakuraSaito)
-                .with_partitions(3)
-                .with_page_size(2048);
+        let kind = DivergenceKind::ItakuraSaito;
+        for (label, spec) in [
+            ("BP", IndexSpec::brepartition(kind)),
+            ("ABP", IndexSpec::approximate(kind)),
+            ("BBT", IndexSpec::bbtree(kind)),
+            ("VAF", IndexSpec::vafile(kind)),
+        ] {
+            let spec = spec.with_partitions(3).with_page_size(2048);
             let index = Index::build(&spec, &data).unwrap();
             let outcome = index.query(&QueryRequest::new(data.row(5), 4)).unwrap();
-            assert_eq!(outcome.neighbors.len(), 4, "method {method}");
-            assert_eq!(outcome.neighbors[0].0.index(), 5, "method {method}");
+            assert_eq!(outcome.neighbors.len(), 4, "{label}");
+            assert_eq!(outcome.neighbors[0].0.index(), 5, "{label}");
         }
     }
 }

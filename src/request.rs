@@ -35,9 +35,9 @@ impl<'a> QueryRequest<'a> {
     }
 
     /// Run *this query* through the approximate search at probability
-    /// guarantee `p ∈ (0, 1]`, whatever the index's method. Supported by
-    /// BrePartition indexes; other methods reject the query with a typed
-    /// error.
+    /// guarantee `p ∈ (0, 1]`, whatever the spec's own probability.
+    /// Supported by BrePartition indexes; other methods reject the query
+    /// with a typed error.
     pub fn with_probability(mut self, p: f64) -> Self {
         self.inner.options.probability = Some(p);
         self
@@ -105,20 +105,19 @@ impl<'a> Request<'a> {
         }
     }
 
-    /// Opt in to partial results on a capacity-mode sharded index: if some
-    /// shards fail under a fault-tolerant fan-out
+    /// Opt in to partial results on a sharded index: if some shards fail
+    /// under a fault-tolerant fan-out
     /// ([`ShardedIndex::run_with_policy`](crate::ShardedIndex::run_with_policy)),
     /// accept the surviving shards' answers flagged with the unreached
-    /// id-space fraction instead of failing the batch. Without this flag a
-    /// capacity-mode batch fails fast — results over disjoint slices are
-    /// never silently incomplete. Forest-mode replicas ignore the flag
-    /// (any surviving replica covers the full collection).
+    /// id-space fraction instead of failing the batch. Without this flag
+    /// such a batch fails fast — results over disjoint slices are never
+    /// silently incomplete.
     pub fn allow_partial(mut self) -> Self {
         self.allow_partial = true;
         self
     }
 
-    /// Whether the caller opted in to partial capacity-mode results.
+    /// Whether the caller opted in to partial sharded results.
     pub fn partial_allowed(&self) -> bool {
         self.allow_partial
     }

@@ -1,36 +1,26 @@
 //! The sharded serving tier: [`ShardedIndex`] — N per-shard [`Index`]
 //! instances behind one [`ShardSpec`], queried scatter-gather.
 //!
-//! # Two modes, one subsystem
+//! # Disjoint slices
 //!
-//! * **Capacity mode** ([`ShardMode::Capacity`]) routes every point to
-//!   exactly one shard by a deterministic hash of its external id
-//!   ([`ShardSpec::route`]), so N shards hold N-th slices of the
-//!   collection. Queries fan out to every shard and the per-shard top-k
-//!   lists are merged by the engine's canonical `(distance, id)` order —
-//!   the same discipline the delta overlay uses — which makes the merged
-//!   result **bit-identical** to an equivalent unsharded [`Index`] for the
-//!   exact methods: shard boundaries change which partition trees exist,
-//!   never the exact divergence a refined candidate is scored with.
-//! * **Forest mode** ([`ShardMode::Forest`]) builds N *randomized replicas*
-//!   of the full collection, each constructed under its own derived RNG
-//!   seed (threaded through [`IndexSpec::seed`]). Replicas return
-//!   overlapping ids, so the gather deduplicates before truncating to k.
-//!   One replica missing a true neighbor is covered by another finding it:
-//!   merged recall is never below any single replica's, which is the point
-//!   of the mode for the approximate methods (ABP, VAF).
+//! Every point is routed to exactly one shard by a deterministic hash of
+//! its external id ([`ShardSpec::route`]), so N shards hold N-th slices of
+//! the collection. Queries fan out to every shard and the per-shard top-k
+//! lists are merged by the engine's canonical `(distance, id)` order — the
+//! same discipline the delta overlay uses — which makes the merged result
+//! **bit-identical** to an equivalent unsharded [`Index`] for the exact
+//! methods: shard boundaries change which partition trees exist, never the
+//! exact divergence a refined candidate is scored with.
 //!
 //! # Global ids
 //!
 //! The sharded index owns the external id space. At build, point `i` of the
 //! dataset gets global id `i`; [`ShardedIndex::insert`] issues the next
-//! global id and routes by it. In capacity mode each shard's inner
-//! [`Index`] issues its *own* dense local ids; because globals are issued
-//! monotonically and never reused, shard-local ids map to globals through a
-//! sorted per-shard table that is fully derivable from the issue counter —
-//! nothing but the counter needs persisting, and lookups are binary
-//! searches. In forest mode every replica sees every operation, so local
-//! and global ids coincide.
+//! global id and routes by it. Each shard's inner [`Index`] issues its
+//! *own* dense local ids; because globals are issued monotonically and
+//! never reused, shard-local ids map to globals through a sorted per-shard
+//! table that is fully derivable from the issue counter — nothing but the
+//! counter needs persisting, and lookups are binary searches.
 //!
 //! # Directory layout
 //!
@@ -75,7 +65,7 @@ pub const SHARDS_MAGIC: [u8; 8] = *b"BREPSHD1";
 /// The only format version of the shard envelope this build writes and
 /// reads; any other version is rejected. It embeds an [`IndexSpec`]
 /// payload, so it changes whenever the spec envelope does.
-pub const SHARDS_VERSION: u32 = 3;
+pub const SHARDS_VERSION: u32 = 4;
 
 /// File name of the shard envelope within a sharded index directory.
 pub const SHARDS_FILE: &str = "shards.meta";
@@ -83,55 +73,8 @@ pub const SHARDS_FILE: &str = "shards.meta";
 /// Upper bound on the shard count (a sanity rail, not a tuning target).
 pub const MAX_SHARDS: usize = 1024;
 
-/// How a [`ShardedIndex`] distributes points across its shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum ShardMode {
-    /// Disjoint slices: each point lives on exactly one shard, chosen by a
-    /// deterministic hash of its external id. Linear capacity scaling;
-    /// results bit-identical to an unsharded index for exact methods.
-    Capacity,
-    /// Randomized replicas: every shard holds the full collection, built
-    /// under its own RNG seed; merged top-k trades memory for recall on
-    /// the approximate methods.
-    Forest,
-}
-
-impl ShardMode {
-    /// Human-readable mode name (`capacity` / `forest`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardMode::Capacity => "capacity",
-            ShardMode::Forest => "forest",
-        }
-    }
-
-    /// Stable on-disk tag of the mode (shard-envelope format).
-    pub(crate) fn tag(&self) -> u8 {
-        match self {
-            ShardMode::Capacity => 0,
-            ShardMode::Forest => 1,
-        }
-    }
-
-    /// Inverse of [`ShardMode::tag`].
-    pub(crate) fn from_tag(tag: u8) -> PersistResult<ShardMode> {
-        Ok(match tag {
-            0 => ShardMode::Capacity,
-            1 => ShardMode::Forest,
-            other => return Err(PersistError::Corrupt(format!("unknown shard-mode tag {other}"))),
-        })
-    }
-}
-
-impl std::fmt::Display for ShardMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A declarative description of one sharded index: a per-shard
-/// [`IndexSpec`] plus the shard count and [`ShardMode`].
+/// A declarative description of one sharded index: the spec every shard is
+/// built from plus the shard count.
 ///
 /// ```
 /// use brepartition::prelude::*;
@@ -139,35 +82,21 @@ impl std::fmt::Display for ShardMode {
 /// let base = IndexSpec::bbtree(DivergenceKind::SquaredEuclidean).with_page_size(4096);
 /// let spec = ShardSpec::capacity(base, 3);
 /// assert_eq!(spec.shards, 3);
-/// assert_eq!(spec.mode, ShardMode::Capacity);
+/// assert_eq!(spec.base, base);
 /// assert!(spec.validate().is_ok());
-///
-/// // Forest replicas build under derived, pairwise-distinct seeds.
-/// let forest = ShardSpec::forest(base, 2);
-/// assert_ne!(forest.shard_spec(0).seed, forest.shard_spec(1).seed);
-/// // Capacity shards share the base spec verbatim.
-/// assert_eq!(spec.shard_spec(0), base);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardSpec {
-    /// The spec every shard's inner index is built from. In forest mode
-    /// each shard gets a derived seed; every other knob is shared.
+    /// The spec every shard's inner index is built from.
     pub base: IndexSpec,
     /// Number of shards (at least 1, at most [`MAX_SHARDS`]).
     pub shards: usize,
-    /// Placement mode: disjoint capacity slices or randomized replicas.
-    pub mode: ShardMode,
 }
 
 impl ShardSpec {
-    /// A capacity-mode spec: `shards` disjoint slices of `base`.
+    /// A spec for `shards` disjoint slices of `base`.
     pub fn capacity(base: IndexSpec, shards: usize) -> Self {
-        ShardSpec { base, shards, mode: ShardMode::Capacity }
-    }
-
-    /// A forest-mode spec: `shards` randomized replicas of `base`.
-    pub fn forest(base: IndexSpec, shards: usize) -> Self {
-        ShardSpec { base, shards, mode: ShardMode::Forest }
+        ShardSpec { base, shards }
     }
 
     /// Check the spec for contradictions (shard count bounds plus the full
@@ -185,18 +114,8 @@ impl ShardSpec {
         self.base.validate()
     }
 
-    /// The spec shard `shard`'s inner index is built from: the base spec in
-    /// capacity mode, the base spec under a derived per-replica seed in
-    /// forest mode.
-    pub fn shard_spec(&self, shard: usize) -> IndexSpec {
-        match self.mode {
-            ShardMode::Capacity => self.base,
-            ShardMode::Forest => self.base.with_seed(replica_seed(self.base.seed, shard)),
-        }
-    }
-
-    /// The home shard of external id `id` in capacity mode: a deterministic
-    /// hash (SplitMix64) of the id, modulo the shard count. Pure and
+    /// The home shard of external id `id`: a deterministic hash
+    /// (SplitMix64) of the id, modulo the shard count. Pure and
     /// platform-independent, so placement never depends on insertion order
     /// or machine.
     pub fn route(&self, id: PointId) -> usize {
@@ -206,33 +125,23 @@ impl ShardSpec {
     /// Serialize into a shard-envelope payload (stable format).
     pub(crate) fn write_to(&self, w: &mut ByteWriter) {
         self.base.write_to(w);
-        w.put_u8(self.mode.tag());
         w.put_usize(self.shards);
     }
 
     /// Inverse of [`ShardSpec::write_to`].
     pub(crate) fn read_from(r: &mut ByteReader<'_>) -> PersistResult<ShardSpec> {
         let base = IndexSpec::read_from(r)?;
-        let mode = ShardMode::from_tag(r.take_u8()?)?;
         let shards = r.take_usize()?;
-        Ok(ShardSpec { base, shards, mode })
+        Ok(ShardSpec { base, shards })
     }
 }
 
-/// SplitMix64: the routing hash and the seed-derivation mixer. Fixed
-/// constants, no platform dependence.
+/// SplitMix64: the routing hash. Fixed constants, no platform dependence.
 fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Derive replica `shard`'s construction seed from the base seed. Distinct
-/// per shard (that is the whole point of forest mode) and stable across
-/// save/open, so a reopened shard can be validated against its spec.
-fn replica_seed(base: u64, shard: usize) -> u64 {
-    splitmix64(base ^ (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Subdirectory name of shard `shard` within a sharded index directory.
@@ -251,29 +160,15 @@ fn parse_shard_dir(name: &str) -> Option<usize> {
 
 /// Availability of one fault-tolerant sharded batch
 /// ([`ShardedIndex::run_with_policy`]): either every shard answered, or the
-/// result is explicitly flagged with what was lost — a degraded or partial
-/// answer is never silently complete.
+/// result is explicitly flagged with what was lost — a partial answer is
+/// never silently complete.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Outcome {
     /// Every shard answered; the results are exactly what
     /// [`ShardedIndex::run_with_budget`] would have returned.
     Full,
-    /// Forest mode with some replicas down: the merge covers whatever
-    /// replicas answered. Each surviving replica independently holds the
-    /// full collection, so the merged recall is still at least
-    /// `recall_floor`.
-    Degraded {
-        /// Replicas whose answers were merged.
-        shards_answered: usize,
-        /// Replicas that failed (after retries / breaker skips).
-        shards_failed: usize,
-        /// Lower bound on the merged recall: `1 − (1 − p)^answered` where
-        /// `p` is one replica's per-neighbor guarantee (the spec's
-        /// probability for the approximate method, 1.0 for exact methods).
-        recall_floor: f64,
-    },
-    /// Capacity mode with some slices down and the request opted in via
+    /// Some slices down and the request opted in via
     /// [`Request::allow_partial`](crate::Request::allow_partial): the
     /// results cover only the surviving shards' disjoint slices.
     Partial {
@@ -304,7 +199,7 @@ pub struct ResilientBatch {
     pub outcomes: Vec<QueryOutcome>,
     /// Aggregate throughput and latency over the merged outcomes.
     pub report: ThroughputReport,
-    /// Whether — and how — the batch degraded.
+    /// Whether the batch covered every shard, and what it lost if not.
     pub availability: Outcome,
     /// Per-shard failure detail, `None` for shards that answered.
     pub shard_failures: Vec<Option<ShardFailure>>,
@@ -312,8 +207,8 @@ pub struct ResilientBatch {
 
 /// N per-shard [`Index`] instances served as one index: scatter-gather
 /// queries, routed writes, per-shard compaction, and a self-describing
-/// sharded directory. See the [module docs](crate::sharded) for the mode
-/// semantics and consistency guarantees.
+/// sharded directory. See the [module docs](crate::sharded) for the
+/// routing and consistency guarantees.
 ///
 /// ```
 /// use brepartition::prelude::*;
@@ -348,7 +243,7 @@ pub struct ShardedIndex {
     spec: ShardSpec,
     shards: Vec<Index>,
     /// The routing state writers mutate: the global id counter plus the
-    /// capacity-mode local→global tables. Behind one mutex shared across
+    /// per-shard local→global tables. Behind one mutex shared across
     /// clones, so [`ShardedIndex::insert`] / [`ShardedIndex::delete`] take
     /// `&self` and racing writers serialize on the router while queries
     /// (which only *read* the tables, briefly, during remap) never wait on
@@ -362,17 +257,15 @@ pub struct ShardedIndex {
     /// Per-shard fault-injection schedules ([`ShardedIndex::arm_chaos`]);
     /// `None` = the shard serves unwrapped. Runtime-only, for chaos tests.
     chaos: Vec<Option<(FaultPlan, Arc<FaultState>)>>,
-    /// Queries answered degraded or partial (counted per query, not per
-    /// batch).
+    /// Queries answered partial (counted per query, not per batch).
     degraded_queries: Arc<Counter>,
 }
 
 /// The mutable routing state of a [`ShardedIndex`], shared across clones
 /// behind one mutex (see the `router` field).
 struct RouterState {
-    /// Capacity mode: per-shard ascending table `local id → global id`,
-    /// derived from the issue counter (see the module docs). Empty in
-    /// forest mode, where local ids *are* global ids.
+    /// Per-shard ascending table `local id → global id`, derived from the
+    /// issue counter (see the module docs).
     locals: Vec<Vec<u32>>,
     /// The next global external id to issue.
     next_global: u32,
@@ -418,63 +311,42 @@ impl ShardedIndex {
 
     /// Build a sharded index over `data` as the spec describes.
     ///
-    /// Capacity mode slices the dataset by [`ShardSpec::route`] over the
-    /// global ids `0..n`; every shard must receive at least one point (no
-    /// backend builds over an empty dataset), so an oversized shard count
-    /// against a tiny dataset fails with [`Error::Spec`]. Forest mode
-    /// builds every replica over the full dataset.
+    /// The dataset is sliced by [`ShardSpec::route`] over the global ids
+    /// `0..n`; every shard must receive at least one point (no backend
+    /// builds over an empty dataset), so an oversized shard count against a
+    /// tiny dataset fails with [`Error::Spec`].
     pub fn build(spec: &ShardSpec, data: &DenseDataset) -> Result<ShardedIndex> {
         spec.validate()?;
         let next_global = u32::try_from(data.len()).map_err(|_| {
             Error::Spec(format!("{} points exceed the 32-bit id space", data.len()))
         })?;
-        match spec.mode {
-            ShardMode::Capacity => {
-                let mut flats: Vec<Vec<f64>> = vec![Vec::new(); spec.shards];
-                let mut locals: Vec<Vec<u32>> = vec![Vec::new(); spec.shards];
-                for i in 0..data.len() {
-                    let shard = spec.route(PointId(i as u32));
-                    flats[shard].extend_from_slice(data.row(i));
-                    locals[shard].push(i as u32);
-                }
-                if let Some(empty) = locals.iter().position(|l| l.is_empty()) {
-                    return Err(Error::Spec(format!(
-                        "capacity shard {empty} of {} received no points from a {}-point \
-                         dataset; every shard needs at least one point at build — lower the \
-                         shard count",
-                        spec.shards,
-                        data.len()
-                    )));
-                }
-                let shards = flats
-                    .into_iter()
-                    .enumerate()
-                    .map(|(s, flat)| {
-                        let slice =
-                            DenseDataset::from_flat(data.dim(), flat).map_err(CoreError::from)?;
-                        Index::build(&spec.shard_spec(s), &slice)
-                    })
-                    .collect::<Result<Vec<Index>>>()?;
-                Ok(ShardedIndex::assemble(*spec, shards, locals, next_global))
-            }
-            ShardMode::Forest => {
-                let shards = (0..spec.shards)
-                    .map(|s| Index::build(&spec.shard_spec(s), data))
-                    .collect::<Result<Vec<Index>>>()?;
-                Ok(ShardedIndex::assemble(
-                    *spec,
-                    shards,
-                    vec![Vec::new(); spec.shards],
-                    next_global,
-                ))
-            }
+        let locals = derive_locals(spec, next_global);
+        if let Some(empty) = locals.iter().position(|l| l.is_empty()) {
+            return Err(Error::Spec(format!(
+                "shard {empty} of {} received no points from a {}-point dataset; every shard \
+                 needs at least one point at build — lower the shard count",
+                spec.shards,
+                data.len()
+            )));
         }
+        let shards = locals
+            .iter()
+            .map(|ids| {
+                let mut flat = Vec::with_capacity(ids.len() * data.dim());
+                for &id in ids {
+                    flat.extend_from_slice(data.row(id as usize));
+                }
+                let slice = DenseDataset::from_flat(data.dim(), flat).map_err(CoreError::from)?;
+                Index::build(&spec.base, &slice)
+            })
+            .collect::<Result<Vec<Index>>>()?;
+        Ok(ShardedIndex::assemble(*spec, shards, locals, next_global))
     }
 
     /// Open a sharded directory written by [`ShardedIndex::save`].
     ///
     /// Self-describing like [`Index::open`]: the shard envelope names the
-    /// mode, shard count and per-shard spec; foreign entries in the
+    /// shard count and per-shard spec; foreign entries in the
     /// directory, a shard whose own envelope disagrees with the shard
     /// spec, or a shard whose id counter contradicts the envelope's global
     /// counter are all rejected descriptively.
@@ -486,7 +358,7 @@ impl ShardedIndex {
         for s in 0..spec.shards {
             let shard_dir = dir.join(shard_dir_name(s));
             let shard = Index::open(&shard_dir)?;
-            let expected = spec.shard_spec(s);
+            let expected = spec.base;
             if *shard.spec() != expected {
                 return Err(Error::Mismatch {
                     expected: format!(
@@ -507,10 +379,7 @@ impl ShardedIndex {
         }
         let locals = derive_locals(&spec, next_global);
         for (s, shard) in shards.iter().enumerate() {
-            let expected_issued = match spec.mode {
-                ShardMode::Capacity => locals[s].len() as u32,
-                ShardMode::Forest => next_global,
-            };
+            let expected_issued = locals[s].len() as u32;
             if shard.delta().next_id() != expected_issued {
                 return Err(Error::Mismatch {
                     expected: format!(
@@ -565,12 +434,9 @@ impl ShardedIndex {
         &self.shards[shard]
     }
 
-    /// Number of live points (distinct points: forest replicas count once).
+    /// Number of live points.
     pub fn len(&self) -> usize {
-        match self.spec.mode {
-            ShardMode::Capacity => self.shards.iter().map(|s| s.len()).sum(),
-            ShardMode::Forest => self.shards[0].len(),
-        }
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
     /// Whether the index holds no live points.
@@ -585,41 +451,20 @@ impl ShardedIndex {
 
     /// Append one point, returning its stable **global** external id.
     ///
-    /// Capacity mode issues the next global id and routes the row to that
-    /// id's home shard; forest mode appends the row to every replica. The
-    /// write is visible to queries issued after this call, exactly as for
-    /// the unsharded [`Index::insert`]. Racing writers serialize on the
-    /// router lock; the global id order *is* the router's application
-    /// order.
+    /// Issues the next global id and routes the row to that id's home
+    /// shard. The write is visible to queries issued after this call,
+    /// exactly as for the unsharded [`Index::insert`]. Racing writers
+    /// serialize on the router lock; the global id order *is* the router's
+    /// application order.
     pub fn insert(&self, row: &[f64]) -> Result<PointId> {
         let mut router = self.lock_router();
         let id = PointId(router.next_global);
-        match self.spec.mode {
-            ShardMode::Capacity => {
-                let shard = self.spec.route(id);
-                let local = self.shards[shard].insert(row)?;
-                assert_eq!(
-                    local.0 as usize,
-                    router.locals[shard].len(),
-                    "shard-local ids must stay dense"
-                );
-                router.locals[shard].push(id.0);
-                router.next_global += 1;
-                Ok(id)
-            }
-            ShardMode::Forest => {
-                // The first replica validates the row; the rest share its
-                // history, so they cannot fail differently.
-                let issued = self.shards[0].insert(row)?;
-                assert_eq!(issued, id, "forest replicas must issue ids in lockstep");
-                for shard in &self.shards[1..] {
-                    let got = shard.insert(row)?;
-                    assert_eq!(got, id, "forest replicas must issue ids in lockstep");
-                }
-                router.next_global += 1;
-                Ok(id)
-            }
-        }
+        let shard = self.spec.route(id);
+        let local = self.shards[shard].insert(row)?;
+        assert_eq!(local.0 as usize, router.locals[shard].len(), "shard-local ids must stay dense");
+        router.locals[shard].push(id.0);
+        router.next_global += 1;
+        Ok(id)
     }
 
     /// Tombstone a live point by **global** id; idempotent like
@@ -629,30 +474,18 @@ impl ShardedIndex {
         if id.0 >= router.next_global {
             return Ok(false);
         }
-        match self.spec.mode {
-            ShardMode::Capacity => {
-                let shard = self.spec.route(id);
-                let local = router.locals[shard]
-                    .binary_search(&id.0)
-                    .expect("every issued global id is mapped on its home shard");
-                self.shards[shard].delete(PointId(local as u32))
-            }
-            ShardMode::Forest => {
-                let was_live = self.shards[0].delete(id)?;
-                for shard in &self.shards[1..] {
-                    let got = shard.delete(id)?;
-                    assert_eq!(got, was_live, "forest replicas must agree on liveness");
-                }
-                Ok(was_live)
-            }
-        }
+        let shard = self.spec.route(id);
+        let local = router.locals[shard]
+            .binary_search(&id.0)
+            .expect("every issued global id is mapped on its home shard");
+        self.shards[shard].delete(PointId(local as u32))
     }
 
     /// Compact every shard that has pending writes, folding its delta into
     /// a rebuilt backend (global ids survive, as for [`Index::compact`]).
     ///
-    /// A shard whose live set has gone empty — every point of a capacity
-    /// slice deleted — is **parked**, not failed: its backend is left in
+    /// A shard whose live set has gone empty — every point of its slice
+    /// deleted — is **parked**, not failed: its backend is left in
     /// place behind an all-tombstoned delta, it serves no results, and it
     /// resumes normal compaction once a point routes back to it. (Earlier
     /// releases aborted the whole sharded compact with `EmptyDataset`
@@ -683,7 +516,7 @@ impl ShardedIndex {
         let lists: Vec<&[(PointId, f64)]> =
             neighbors_per_shard.iter().map(|n| n.as_slice()).collect();
         Ok(QueryOutcome {
-            neighbors: merge_neighbor_lists(&lists, request.k(), self.dedup()),
+            neighbors: merge_neighbor_lists(&lists, request.k()),
             candidates,
             io,
             latency_seconds: started.elapsed().as_secs_f64(),
@@ -705,8 +538,8 @@ impl ShardedIndex {
     /// [`Index::backend`] semantics), per-shard results are remapped to
     /// global ids and gathered per query, and the aggregated report counts
     /// the work of all shards (candidates and I/O summed, latency the
-    /// slowest shard's). Results are independent of the budget, and in
-    /// capacity mode independent of the shard count. A batch holding any
+    /// slowest shard's). Results are independent of the budget, and for
+    /// the exact methods independent of the shard count. A batch holding any
     /// out-of-domain query is rejected whole, as in [`Index::run_with`].
     pub fn run_with_budget(&self, request: &Request<'_>, budget: usize) -> Result<BatchResult> {
         request.check_domain(self.spec.base.divergence)?;
@@ -723,7 +556,7 @@ impl ShardedIndex {
             }
         }
         let ks: Vec<usize> = lowered.iter().map(|r| r.k).collect();
-        let outcomes = merge_shard_outcomes(&shard_results, &ks, self.dedup());
+        let outcomes = merge_shard_outcomes(&shard_results, &ks);
         let report = ThroughputReport::from_outcomes(
             self.serving_label(),
             ks.iter().copied().max().unwrap_or(0),
@@ -742,8 +575,7 @@ impl ShardedIndex {
         &self.health
     }
 
-    /// Queries answered degraded or partial since this index was
-    /// assembled.
+    /// Queries answered partial since this index was assembled.
     pub fn degraded_queries(&self) -> u64 {
         self.degraded_queries.get()
     }
@@ -809,14 +641,11 @@ impl ShardedIndex {
     /// retries with deterministic backoff, circuit breakers and panic
     /// isolation (the engine's
     /// [`run_requests_with_policy`](ShardedEngine::run_requests_with_policy)),
-    /// then merge whatever shards answered under this index's degradation
-    /// policy:
+    /// then merge whatever shards answered:
     ///
     /// * Every shard answered → [`Outcome::Full`]; results equal
     ///   [`ShardedIndex::run_with_budget`] exactly.
-    /// * Forest mode, some replicas failed → [`Outcome::Degraded`] with a
-    ///   recall floor from the surviving replica count.
-    /// * Capacity mode, some slices failed → fail fast with
+    /// * Some slices failed → fail fast with
     ///   [`Error::Unavailable`] unless the request opted in via
     ///   [`Request::allow_partial`](crate::Request::allow_partial), in
     ///   which case [`Outcome::Partial`] reports the unreached id-space
@@ -876,34 +705,24 @@ impl ShardedIndex {
         }
         let availability = if shards_failed == 0 {
             Outcome::Full
-        } else {
-            match self.spec.mode {
-                ShardMode::Forest => Outcome::Degraded {
-                    shards_answered: answered.len(),
-                    shards_failed,
-                    recall_floor: self.forest_recall_floor(answered.len()),
-                },
-                ShardMode::Capacity => {
-                    if !request.partial_allowed() {
-                        return Err(Error::Unavailable {
-                            shards_failed,
-                            shards_answered: answered.len(),
-                            reason: first_failure(),
-                        });
-                    }
-                    Outcome::Partial {
-                        shards_answered: answered.len(),
-                        shards_failed,
-                        unreached_fraction: self.unreached_fraction(&answered_shards),
-                    }
-                }
+        } else if request.partial_allowed() {
+            Outcome::Partial {
+                shards_answered: answered.len(),
+                shards_failed,
+                unreached_fraction: self.unreached_fraction(&answered_shards),
             }
+        } else {
+            return Err(Error::Unavailable {
+                shards_failed,
+                shards_answered: answered.len(),
+                reason: first_failure(),
+            });
         };
         if !availability.is_full() {
             self.degraded_queries.add(lowered.len() as u64);
         }
         let ks: Vec<usize> = lowered.iter().map(|r| r.k).collect();
-        let outcomes = merge_shard_outcomes(&answered, &ks, self.dedup());
+        let outcomes = merge_shard_outcomes(&answered, &ks);
         let report = ThroughputReport::from_outcomes(
             self.serving_label(),
             ks.iter().copied().max().unwrap_or(0),
@@ -914,19 +733,8 @@ impl ShardedIndex {
         Ok(ResilientBatch { outcomes, report, availability, shard_failures })
     }
 
-    /// Lower bound on merged forest recall over `answered` replicas:
-    /// `1 − (1 − p)^answered`, with `p` one replica's per-neighbor
-    /// guarantee (the spec probability for the approximate method, 1.0 for
-    /// exact methods — any surviving exact replica answers exactly).
-    fn forest_recall_floor(&self, answered: usize) -> f64 {
-        let p_single =
-            if self.spec.base.method.is_exact() { 1.0 } else { self.spec.base.probability };
-        1.0 - (1.0 - p_single).powi(answered as i32)
-    }
-
-    /// Fraction of the live id space on shards *not* in `answered_shards`
-    /// (capacity mode: the share of the collection a partial answer never
-    /// reached).
+    /// Fraction of the live id space on shards *not* in `answered_shards`:
+    /// the share of the collection a partial answer never reached.
     fn unreached_fraction(&self, answered_shards: &[usize]) -> f64 {
         let total: usize = self.shards.iter().map(|s| s.len()).sum();
         if total == 0 {
@@ -936,34 +744,21 @@ impl ShardedIndex {
         (total - reached) as f64 / total as f64
     }
 
-    /// Whether the gather must deduplicate ids (replicas overlap; capacity
-    /// slices are disjoint by construction).
-    fn dedup(&self) -> bool {
-        self.spec.mode == ShardMode::Forest
-    }
-
     /// Translate shard `shard`'s local neighbor ids to global ids in place.
     ///
     /// Takes the router lock briefly (the tables are append-only, so any
     /// interleaving with a racing insert reads a table at least as long as
     /// the snapshot the ids came from).
     fn remap(&self, shard: usize, neighbors: &mut [(PointId, f64)]) {
-        if self.spec.mode == ShardMode::Capacity {
-            let router = self.lock_router();
-            for (id, _) in neighbors.iter_mut() {
-                *id = PointId(router.locals[shard][id.0 as usize]);
-            }
+        let router = self.lock_router();
+        for (id, _) in neighbors.iter_mut() {
+            *id = PointId(router.locals[shard][id.0 as usize]);
         }
     }
 
-    /// Stable backend label for reports, e.g. `BPx4:capacity`.
+    /// Stable backend label for reports, e.g. `BPx4`.
     fn serving_label(&self) -> String {
-        format!(
-            "{}x{}:{}",
-            self.spec.base.method.short_name(),
-            self.spec.shards,
-            self.spec.mode.name()
-        )
+        format!("{}x{}", self.spec.base.method.short_name(), self.spec.shards)
     }
 }
 
@@ -973,10 +768,8 @@ impl ShardedIndex {
 /// local ids, so the tables come out sorted.
 fn derive_locals(spec: &ShardSpec, next_global: u32) -> Vec<Vec<u32>> {
     let mut locals = vec![Vec::new(); spec.shards];
-    if spec.mode == ShardMode::Capacity {
-        for id in 0..next_global {
-            locals[spec.route(PointId(id))].push(id);
-        }
+    for id in 0..next_global {
+        locals[spec.route(PointId(id))].push(id);
     }
     locals
 }
@@ -1031,18 +824,9 @@ mod tests {
     use bregman::DivergenceKind;
 
     #[test]
-    fn mode_tags_and_names_roundtrip() {
-        for mode in [ShardMode::Capacity, ShardMode::Forest] {
-            assert_eq!(ShardMode::from_tag(mode.tag()).unwrap(), mode);
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert!(ShardMode::from_tag(9).is_err());
-    }
-
-    #[test]
     fn shard_spec_validates_and_roundtrips() {
         let base = IndexSpec::new(Method::VaFile, DivergenceKind::Exponential).with_seed(42);
-        let spec = ShardSpec::forest(base, 5);
+        let spec = ShardSpec::capacity(base, 5);
         assert!(spec.validate().is_ok());
         assert!(ShardSpec::capacity(base, 0).validate().is_err());
         assert!(ShardSpec::capacity(base, MAX_SHARDS + 1).validate().is_err());
@@ -1071,17 +855,6 @@ mod tests {
         // The hash spreads ids across every shard (coarse balance check).
         for (s, count) in seen.iter().enumerate() {
             assert!(*count > 500, "shard {s} got only {count} of 10000 ids");
-        }
-    }
-
-    #[test]
-    fn replica_seeds_are_distinct_and_stable() {
-        let seeds: Vec<u64> = (0..16).map(|s| replica_seed(0xB5EED, s)).collect();
-        for (i, a) in seeds.iter().enumerate() {
-            assert_eq!(*a, replica_seed(0xB5EED, i), "seed derivation must be stable");
-            for b in seeds.iter().skip(i + 1) {
-                assert_ne!(a, b, "replica seeds must be pairwise distinct");
-            }
         }
     }
 

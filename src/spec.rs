@@ -18,15 +18,16 @@ use vafile::{QuantizerConfig, VaFileConfig};
 
 use crate::error::{Error, Result};
 
-/// The four kNN methods of the paper's evaluation, selectable at runtime.
+/// The three kNN indexes of the paper's evaluation, selectable at runtime.
+/// The paper's fourth method, approximate BrePartition (**ABP**), is the
+/// BrePartition index searched at a spec [`probability`](IndexSpec::probability)
+/// below 1 (see [`IndexSpec::approximate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Method {
-    /// Exact BrePartition search (the paper's **BP**, Algorithm 6).
+    /// BrePartition search: exact (the paper's **BP**, Algorithm 6) at
+    /// probability 1, approximate (**ABP**) below it.
     BrePartition,
-    /// Approximate BrePartition search (**ABP**) at the spec's
-    /// [`probability`](IndexSpec::probability) guarantee.
-    Approximate,
     /// The disk-resident Bregman-ball-tree baseline (**BBT**).
     BBTree,
     /// The VA-file baseline (**VAF**).
@@ -35,45 +36,32 @@ pub enum Method {
 
 impl Method {
     /// All methods, in a stable order (useful for exhaustive tests).
-    pub const ALL: [Method; 4] =
-        [Method::BrePartition, Method::Approximate, Method::BBTree, Method::VaFile];
+    pub const ALL: [Method; 3] = [Method::BrePartition, Method::BBTree, Method::VaFile];
 
     /// Human-readable method name.
     pub fn name(&self) -> &'static str {
         match self {
             Method::BrePartition => "BrePartition",
-            Method::Approximate => "ApproximateBrePartition",
             Method::BBTree => "BBTree",
             Method::VaFile => "VaFile",
         }
     }
 
-    /// The paper's abbreviation (`BP`, `ABP`, `BBT`, `VAF`).
+    /// The paper's abbreviation (`BP`, `BBT`, `VAF`).
     pub fn short_name(&self) -> &'static str {
         match self {
             Method::BrePartition => "BP",
-            Method::Approximate => "ABP",
             Method::BBTree => "BBT",
             Method::VaFile => "VAF",
         }
-    }
-
-    /// Whether the method's search is exact — it returns the true kNN under
-    /// the divergence, so its results admit bit-identity comparisons (e.g.
-    /// sharded vs unsharded serving). The approximate method is exact only
-    /// at a probability guarantee of 1.0, which this predicate does not
-    /// assume.
-    pub fn is_exact(&self) -> bool {
-        !matches!(self, Method::Approximate)
     }
 
     /// Stable on-disk tag of the method (spec-envelope format).
     pub(crate) fn tag(&self) -> u8 {
         match self {
             Method::BrePartition => 0,
-            Method::Approximate => 1,
-            Method::BBTree => 2,
-            Method::VaFile => 3,
+            Method::BBTree => 1,
+            Method::VaFile => 2,
         }
     }
 
@@ -81,9 +69,8 @@ impl Method {
     pub(crate) fn from_tag(tag: u8) -> PersistResult<Method> {
         Ok(match tag {
             0 => Method::BrePartition,
-            1 => Method::Approximate,
-            2 => Method::BBTree,
-            3 => Method::VaFile,
+            1 => Method::BBTree,
+            2 => Method::VaFile,
             other => return Err(PersistError::Corrupt(format!("unknown method tag {other}"))),
         })
     }
@@ -180,7 +167,8 @@ pub struct IndexSpec {
     pub sample_size: usize,
     /// Seed for every randomized choice during construction.
     pub seed: u64,
-    /// Approximate method: probability guarantee `p ∈ (0, 1]`.
+    /// BrePartition: probability guarantee `p ∈ (0, 1]`. BP: 1.0 = exact
+    /// (the default); below 1 the index serves approximate search (ABP).
     pub probability: f64,
     /// VA-file: quantizer resolution in bits per dimension (1..=16).
     pub bits_per_dim: u8,
@@ -207,7 +195,7 @@ impl IndexSpec {
             leaf_capacity: 32,
             sample_size: 256,
             seed: 0xB5EED,
-            probability: 0.9,
+            probability: 1.0,
             bits_per_dim: 6,
             f32_candidates: false,
             compaction: CompactionSpec::default(),
@@ -219,9 +207,10 @@ impl IndexSpec {
         Self::new(Method::BrePartition, divergence)
     }
 
-    /// Shorthand for [`Method::Approximate`].
+    /// Approximate BrePartition (**ABP**): shorthand for
+    /// `brepartition(divergence).with_probability(0.9)`.
     pub fn approximate(divergence: DivergenceKind) -> Self {
-        Self::new(Method::Approximate, divergence)
+        Self::brepartition(divergence).with_probability(0.9)
     }
 
     /// Shorthand for [`Method::BBTree`].
@@ -282,7 +271,7 @@ impl IndexSpec {
         self
     }
 
-    /// Set the approximate method's probability guarantee.
+    /// Set the BrePartition probability guarantee (1.0 = exact search).
     pub fn with_probability(mut self, probability: f64) -> Self {
         self.probability = probability;
         self
@@ -327,9 +316,7 @@ impl IndexSpec {
         if self.leaf_capacity == 0 {
             return Err(Error::Spec("leaf_capacity must be at least 1".to_string()));
         }
-        if matches!(self.method, Method::BrePartition | Method::Approximate)
-            && !self.divergence.supports_partitioning()
-        {
+        if self.method == Method::BrePartition && !self.divergence.supports_partitioning() {
             return Err(Error::Spec(format!(
                 "divergence {} is not cumulative across partitions and cannot be used with \
                  the {} method (pick Method::BBTree or Method::VaFile)",
@@ -337,7 +324,7 @@ impl IndexSpec {
                 self.method.name()
             )));
         }
-        if self.method == Method::Approximate
+        if self.method == Method::BrePartition
             && !(self.probability > 0.0 && self.probability <= 1.0)
         {
             return Err(Error::Spec(format!(
@@ -502,12 +489,8 @@ mod tests {
             assert_eq!(method.to_string(), method.name());
         }
         assert!(Method::from_tag(9).is_err());
-        assert!(Method::BrePartition.is_exact());
-        assert!(Method::BBTree.is_exact());
-        assert!(Method::VaFile.is_exact());
-        assert!(!Method::Approximate.is_exact());
+        assert_eq!(Method::ALL.len(), 3);
         assert_eq!(Method::BrePartition.short_name(), "BP");
-        assert_eq!(Method::Approximate.short_name(), "ABP");
         assert_eq!(Method::BBTree.short_name(), "BBT");
         assert_eq!(Method::VaFile.short_name(), "VAF");
     }
@@ -555,6 +538,13 @@ mod tests {
 
         let bad_p = IndexSpec::approximate(DivergenceKind::ItakuraSaito).with_probability(1.5);
         assert!(matches!(bad_p.validate(), Err(Error::Spec(_))));
+        let bad_p = IndexSpec::brepartition(DivergenceKind::ItakuraSaito).with_probability(0.0);
+        assert!(matches!(bad_p.validate(), Err(Error::Spec(_))));
+        // The baselines carry the probability but never read it.
+        assert!(IndexSpec::bbtree(DivergenceKind::ItakuraSaito)
+            .with_probability(1.5)
+            .validate()
+            .is_ok());
 
         let bad_bits = IndexSpec::vafile(DivergenceKind::ItakuraSaito).with_bits_per_dim(0);
         assert!(matches!(bad_bits.validate(), Err(Error::Spec(_))));
@@ -566,7 +556,7 @@ mod tests {
             IndexSpec::bbtree(DivergenceKind::ItakuraSaito).with_compaction_ratios(0.25, f64::NAN);
         assert!(matches!(bad_ratio.validate(), Err(Error::Spec(_))));
 
-        // Generalized-I is not cumulative across partitions: BP/ABP reject
+        // Generalized-I is not cumulative across partitions: BrePartition rejects
         // it at spec validation, the baselines accept it.
         let gi_bp = IndexSpec::brepartition(DivergenceKind::GeneralizedI);
         assert!(matches!(gi_bp.validate(), Err(Error::Spec(_))));

@@ -1,7 +1,6 @@
 //! Chaos suite: the sharded serving tier under seeded fault schedules.
 //!
-//! Every scenario drives a capacity- or forest-mode [`ShardedIndex`]
-//! through [`ShardedIndex::run_with_policy`] with per-shard
+//! Every scenario drives a [`ShardedIndex`] through [`ShardedIndex::run_with_policy`] with per-shard
 //! [`FaultPlan`]s armed — transient failures, permanent shard death,
 //! latency spikes, injected panics — and checks the recovery contract
 //! against a brute-force oracle:
@@ -9,10 +8,9 @@
 //! * retries recover **exact** results when faults are transient (the
 //!   schedule is attempt-gated, so a retried query deterministically
 //!   succeeds);
-//! * permanent death degrades explicitly — forest mode reports a recall
-//!   floor the measured recall honors, capacity mode fails fast or flags
-//!   the unreached id-space fraction under `allow_partial` — never
-//!   silently incomplete;
+//! * permanent death degrades explicitly — the batch fails fast, or under
+//!   `allow_partial` answers over the surviving slices and flags the
+//!   unreached id-space fraction — never silently incomplete;
 //! * the breaker opens exactly once per dead shard (a failed half-open
 //!   probe re-opens without double-counting);
 //! * the whole run replays **bit-identically** under the same seed.
@@ -62,17 +60,12 @@ fn rows(n: usize, salt: u64) -> Vec<Vec<f64>> {
 }
 
 fn base_spec(method: Method, kind: DivergenceKind, seed: u64) -> IndexSpec {
-    let spec = IndexSpec::new(method, kind)
+    IndexSpec::new(method, kind)
         .with_partitions(2)
         .with_leaf_capacity(8)
         .with_page_size(1024)
         .with_sample_size(64)
-        .with_seed(seed);
-    if method == Method::Approximate {
-        spec.with_probability(0.9)
-    } else {
-        spec
-    }
+        .with_seed(seed)
 }
 
 /// Brute-force exact kNN over `data` restricted to ids satisfying `keep`.
@@ -153,7 +146,7 @@ fn generous_policy(seed: u64) -> FanoutPolicy {
 }
 
 /// With no chaos armed, the fault-tolerant path is the plain path: same
-/// neighbors, bit for bit, and a `Full` outcome — for both modes.
+/// neighbors, bit for bit, and a `Full` outcome.
 #[test]
 fn no_faults_means_run_with_policy_equals_run_with_budget() {
     let seed = seed_from_env();
@@ -161,20 +154,19 @@ fn no_faults_means_run_with_policy_equals_run_with_budget() {
     let data = DenseDataset::from_rows(&data_rows).unwrap();
     let queries = rows(12, seed ^ 77);
     let request = Request::uniform(&queries, K);
-    let base = base_spec(Method::BBTree, DivergenceKind::ItakuraSaito, seed);
-    for spec in [ShardSpec::capacity(base, 3), ShardSpec::forest(base, 3)] {
-        let sharded = ShardedIndex::build(&spec, &data).unwrap();
-        let plain = sharded.run_with_budget(&request, 3).unwrap();
-        let resilient = sharded.run_with_policy(&request, 3, &generous_policy(seed)).unwrap();
-        assert!(resilient.availability.is_full());
-        assert!(resilient.shard_failures.iter().all(Option::is_none));
-        for (qi, (a, b)) in plain.outcomes.iter().zip(resilient.outcomes.iter()).enumerate() {
-            assert_bit_identical(&format!("{} query {qi}", spec.mode), &b.neighbors, &a.neighbors);
-        }
-        assert_eq!(sharded.health().retries(), 0);
-        assert_eq!(sharded.health().breaker_opens(), 0);
-        assert_eq!(sharded.degraded_queries(), 0);
+    let spec =
+        ShardSpec::capacity(base_spec(Method::BBTree, DivergenceKind::ItakuraSaito, seed), 3);
+    let sharded = ShardedIndex::build(&spec, &data).unwrap();
+    let plain = sharded.run_with_budget(&request, 3).unwrap();
+    let resilient = sharded.run_with_policy(&request, 3, &generous_policy(seed)).unwrap();
+    assert!(resilient.availability.is_full());
+    assert!(resilient.shard_failures.iter().all(Option::is_none));
+    for (qi, (a, b)) in plain.outcomes.iter().zip(resilient.outcomes.iter()).enumerate() {
+        assert_bit_identical(&format!("query {qi}"), &b.neighbors, &a.neighbors);
     }
+    assert_eq!(sharded.health().retries(), 0);
+    assert_eq!(sharded.health().breaker_opens(), 0);
+    assert_eq!(sharded.degraded_queries(), 0);
 }
 
 /// Transient faults (plus injected panics and latency spikes) on every
@@ -290,18 +282,21 @@ fn capacity_death_fails_fast_or_flags_the_unreached_fraction() {
 }
 
 /// The acceptance scenario: a fault schedule permanently kills 1 of 4
-/// forest replicas. A sweep of batches completes with `Degraded` outcomes
-/// whose measured recall meets the reported floor, the breaker opens
-/// exactly once (half-open probes re-fail without double-counting), and
-/// the identical seed reproduces the sweep bit for bit.
+/// slices. A sweep of `allow_partial` batches completes with `Partial`
+/// outcomes that equal brute force over the surviving slices, the breaker
+/// opens exactly once (half-open probes re-fail without double-counting),
+/// and the identical seed reproduces the sweep bit for bit.
 #[test]
-fn forest_death_degrades_with_recall_floor_and_one_breaker_open() {
+fn capacity_death_flags_partial_answers_and_opens_one_breaker() {
     let seed = seed_from_env();
     let data_rows = rows(72, seed ^ 0x20);
     let data = DenseDataset::from_rows(&data_rows).unwrap();
     let kind = DivergenceKind::SquaredEuclidean;
-    let spec = ShardSpec::forest(base_spec(Method::BBTree, kind, seed), 4);
+    let spec = ShardSpec::capacity(base_spec(Method::BBTree, kind, seed), 4);
     let dead_shard = 2usize;
+    let alive = |id: u32| spec.route(PointId(id)) != dead_shard;
+    let expected_fraction =
+        (0..data.len() as u32).filter(|&id| !alive(id)).count() as f64 / data.len() as f64;
     const SWEEP: usize = 8;
 
     let sweep = |label: &str| -> Vec<Vec<NeighborList>> {
@@ -314,39 +309,26 @@ fn forest_death_degrades_with_recall_floor_and_one_breaker_open() {
         let mut per_batch = Vec::new();
         for round in 0..SWEEP {
             let queries = rows(6, seed ^ (0x30 + round as u64));
-            let request = Request::uniform(&queries, K);
+            let request = Request::uniform(&queries, K).allow_partial();
             let batch = sharded
                 .run_with_policy(&request, 4, &policy)
                 .unwrap_or_else(|e| panic!("{label} round {round}: {e}"));
             match batch.availability {
-                Outcome::Degraded { shards_answered: 3, shards_failed: 1, recall_floor } => {
-                    // Exact replicas answer exactly: the floor is 1.0 and
-                    // the measured recall must meet it.
-                    assert_eq!(recall_floor, 1.0, "{label} round {round}");
-                    for (qi, (query, outcome)) in
-                        queries.iter().zip(batch.outcomes.iter()).enumerate()
-                    {
-                        let want = brute_force(&data_rows, kind, query, K, |_| true);
-                        let hits = outcome
-                            .neighbors
-                            .iter()
-                            .filter(|(id, _)| want.iter().any(|(wid, _)| wid == id))
-                            .count();
-                        let recall = hits as f64 / want.len() as f64;
-                        assert!(
-                            recall >= recall_floor,
-                            "{label} round {round} query {qi}: recall {recall} below floor"
-                        );
-                        // Stronger than the floor: surviving exact replicas
-                        // merge to the exact answer.
-                        assert_matches_oracle(
-                            &format!("{label} round {round} query {qi}"),
-                            &outcome.neighbors,
-                            &want,
-                        );
-                    }
+                Outcome::Partial { shards_answered: 3, shards_failed: 1, unreached_fraction } => {
+                    assert!(
+                        (unreached_fraction - expected_fraction).abs() < 1e-12,
+                        "{label} round {round}: unreached fraction {unreached_fraction}"
+                    );
                 }
-                other => panic!("{label} round {round}: expected Degraded, got {other:?}"),
+                other => panic!("{label} round {round}: expected Partial, got {other:?}"),
+            }
+            for (qi, (query, outcome)) in queries.iter().zip(batch.outcomes.iter()).enumerate() {
+                let want = brute_force(&data_rows, kind, query, K, alive);
+                assert_matches_oracle(
+                    &format!("{label} round {round} query {qi}"),
+                    &outcome.neighbors,
+                    &want,
+                );
             }
             per_batch.push(batch.outcomes.iter().map(|o| o.neighbors.clone()).collect::<Vec<_>>());
         }
@@ -372,14 +354,15 @@ fn forest_death_degrades_with_recall_floor_and_one_breaker_open() {
 
 /// A soft deadline cuts retries short: a shard whose schedule needs more
 /// retries than the deadline allows is recorded as a deadline-exceeded
-/// failure, and the surviving forest replicas still answer (degraded).
+/// failure, and under `allow_partial` the surviving slice still answers.
 #[test]
 fn soft_deadline_bounds_retries_and_degrades_instead_of_hanging() {
     let seed = seed_from_env();
     let data_rows = rows(48, seed ^ 0x40);
     let data = DenseDataset::from_rows(&data_rows).unwrap();
     let queries = rows(6, seed ^ 0x41);
-    let spec = ShardSpec::forest(base_spec(Method::BBTree, DivergenceKind::ItakuraSaito, seed), 2);
+    let spec =
+        ShardSpec::capacity(base_spec(Method::BBTree, DivergenceKind::ItakuraSaito, seed), 2);
 
     let mut sharded = ShardedIndex::build(&spec, &data).unwrap();
     sharded
@@ -399,11 +382,11 @@ fn soft_deadline_bounds_retries_and_degrades_instead_of_hanging() {
     let policy = generous_policy(seed)
         .with_max_retries(1_000)
         .with_deadline(std::time::Duration::from_millis(1));
-    let request = Request::uniform(&queries, K);
+    let request = Request::uniform(&queries, K).allow_partial();
     let batch = sharded.run_with_policy(&request, 2, &policy).unwrap();
     match batch.availability {
-        Outcome::Degraded { shards_answered: 1, shards_failed: 1, .. } => {}
-        other => panic!("expected Degraded, got {other:?}"),
+        Outcome::Partial { shards_answered: 1, shards_failed: 1, .. } => {}
+        other => panic!("expected Partial, got {other:?}"),
     }
     let failure = batch.shard_failures[0].as_ref().unwrap();
     assert!(failure.deadline_exceeded, "the deadline, not the retry budget, must stop the shard");

@@ -5,8 +5,8 @@
 //!   freshly built and after save → open — equals its input row bit for
 //!   bit, and `DiskBBTree` kNN over those pages matches a brute-force scan
 //!   for every divergence.
-//! * **f32 candidate tier bit-identity**: for every `(Method,
-//!   DivergenceKind)` pair that supports it, an index with the `f32`
+//! * **f32 candidate tier bit-identity**: for BP and ABP over every
+//!   divergence that supports them, an index with the `f32`
 //!   screening tier enabled returns ids and distances bit-identical to the
 //!   unscreened index — the tier may only *skip* candidates whose exact
 //!   distance provably exceeds the `k`-th best — before and after
@@ -181,16 +181,15 @@ fn f32_candidate_tier_is_bit_identical_and_skips_work() {
         );
     }
 
-    for method in [Method::BrePartition, Method::Approximate] {
-        for kind in DivergenceKind::ALL {
-            let base = IndexSpec::new(method, kind)
-                .with_partitions(3)
-                .with_page_size(1024)
-                .with_seed(0xC0FFEE);
+    for kind in DivergenceKind::ALL {
+        for (method, spec) in
+            [("BP", IndexSpec::brepartition(kind)), ("ABP", IndexSpec::approximate(kind))]
+        {
+            let base = spec.with_partitions(3).with_page_size(1024).with_seed(0xC0FFEE);
             if base.validate().is_err() {
                 continue; // BP/ABP over GI, pinned by the oracle suite
             }
-            let label = format!("{}/{}", method.short_name(), kind.short_name());
+            let label = format!("{method}/{}", kind.short_name());
             let plain = Index::build(&base, &data).unwrap();
             let tiered = Index::build(&base.with_f32_candidates(true), &data).unwrap();
 
@@ -267,16 +266,18 @@ fn older_format_versions_are_rejected_on_open() {
         .with_page_size(1024);
     let vaf = IndexSpec::vafile(DivergenceKind::ItakuraSaito).with_page_size(1024);
 
-    // Version 2 of the spec payload predates the compaction spec (17
-    // trailing bytes: flag + two ratios), version 1 additionally the
-    // `f32_candidates` flag byte.
+    // Version 3 of the spec payload has today's layout, but its BP
+    // envelopes store p = 0.9, which BP then ignored: opened as version 4
+    // such an exact index would serve ABP. Version 2 predates the
+    // compaction spec (17 trailing bytes: flag + two ratios), version 1
+    // additionally the `f32_candidates` flag byte.
     let dir = TempDir::new("columnar-spec-versions");
     Index::build(&bp, &data).unwrap().save(&dir).unwrap();
     let sealed = std::fs::read(dir.join(SPEC_FILE)).unwrap();
     let payload = unseal(&SPEC_MAGIC, SPEC_VERSION, &sealed).unwrap();
     let v2_payload = &payload[..payload.len() - 17];
     let v1_payload = &v2_payload[..v2_payload.len() - 1];
-    for (version, older) in [(2, v2_payload), (1, v1_payload)] {
+    for (version, older) in [(3, payload), (2, v2_payload), (1, v1_payload)] {
         std::fs::write(dir.join(SPEC_FILE), seal(&SPEC_MAGIC, version, older)).unwrap();
         assert_rejected(&format!("{SPEC_FILE} v{version}"), Index::open(&dir));
     }

@@ -198,7 +198,7 @@ fn delta_overlay_is_thread_count_invariant_and_snapshot_consistent() {
     );
 }
 
-/// The sharded serving tier inherits both invariances at once: capacity-mode
+/// The sharded serving tier inherits both invariances at once: sharded
 /// answers are bit-identical to the unsharded index for every shard count,
 /// under every fan-out thread budget.
 #[test]
@@ -234,23 +234,23 @@ fn sharded_capacity_is_shard_count_and_thread_budget_invariant() {
     }
 }
 
-/// Forest mode is deterministic too: every replica is a deterministic build
-/// and the `(distance, id)` merge is a pure function of the replica answers,
+/// Sharded ABP is deterministic too: every shard is a deterministic build
+/// and the `(distance, id)` merge is a pure function of the shard answers,
 /// so merged results cannot depend on the fan-out budget.
 #[test]
-fn sharded_forest_is_thread_budget_invariant() {
+fn sharded_approximate_is_thread_budget_invariant() {
     let (data, queries) = hierarchical_workload(700, 64);
     let base = IndexSpec::approximate(DivergenceKind::ItakuraSaito)
         .with_probability(0.6)
         .with_partitions(6)
         .with_leaf_capacity(16)
         .with_page_size(4096);
-    let forest = ShardedIndex::build(&ShardSpec::forest(base, 4), &data).unwrap();
+    let sharded = ShardedIndex::build(&ShardSpec::capacity(base, 4), &data).unwrap();
     let request = Request::uniform(&queries, 8);
-    let one = forest.run_with_budget(&request, 1).unwrap();
-    let many = forest.run_with_budget(&request, 8).unwrap();
+    let one = sharded.run_with_budget(&request, 1).unwrap();
+    let many = sharded.run_with_budget(&request, 8).unwrap();
     for (qi, (a, b)) in one.outcomes.iter().zip(many.outcomes.iter()).enumerate() {
-        assert_eq!(a.neighbors, b.neighbors, "query {qi}: forest merge depends on budget");
+        assert_eq!(a.neighbors, b.neighbors, "query {qi}: sharded merge depends on budget");
     }
 }
 
@@ -268,12 +268,17 @@ fn warm_scratch_batches_hit_the_buffer_pool_for_every_method() {
             .iter()
             .map(|q| q.to_vec())
             .collect();
-    for method in Method::ALL {
-        let spec = IndexSpec::new(method, DivergenceKind::ItakuraSaito)
+    let kind = DivergenceKind::ItakuraSaito;
+    for (method, spec) in [
+        ("BP", IndexSpec::brepartition(kind)),
+        ("ABP", IndexSpec::approximate(kind)),
+        ("BBT", IndexSpec::bbtree(kind)),
+        ("VAF", IndexSpec::vafile(kind)),
+    ] {
+        let spec = spec
             .with_partitions(4)
             .with_page_size(32 * 1024)
             .with_leaf_capacity(32)
-            .with_probability(0.9)
             .with_buffer_pool_pages(64);
         let index = Index::build(&spec, &data).unwrap();
         let engine =

@@ -28,43 +28,62 @@ fn workload(n: usize, queries: usize) -> (DenseDataset, Vec<Vec<f64>>) {
     (data, queries)
 }
 
-/// The identical spec every method is driven through (method swapped in).
+/// The identical knobs every method is driven with.
+fn tuned(spec: IndexSpec) -> IndexSpec {
+    spec.with_partitions(M).with_leaf_capacity(LEAF).with_page_size(PAGE)
+}
+
+/// The paper's four methods over `kind`, labelled: BP, ABP (BP at
+/// p = [`PROBABILITY`]), BBT and VAF.
+fn setups(kind: DivergenceKind) -> [(&'static str, IndexSpec); 4] {
+    [
+        ("BP", IndexSpec::brepartition(kind)),
+        ("ABP", IndexSpec::approximate(kind)),
+        ("BBT", IndexSpec::bbtree(kind)),
+        ("VAF", IndexSpec::vafile(kind)),
+    ]
+    .map(|(name, spec)| (name, tuned(spec)))
+}
+
+/// The Itakura-Saito spec of one method at its default probability (exact
+/// for BP).
 fn spec_for(method: Method) -> IndexSpec {
-    IndexSpec::new(method, DivergenceKind::ItakuraSaito)
-        .with_partitions(M)
-        .with_leaf_capacity(LEAF)
-        .with_page_size(PAGE)
-        .with_probability(PROBABILITY)
+    tuned(IndexSpec::new(method, DivergenceKind::ItakuraSaito))
+}
+
+/// The Itakura-Saito ABP spec.
+fn approximate_spec() -> IndexSpec {
+    tuned(IndexSpec::approximate(DivergenceKind::ItakuraSaito))
 }
 
 /// A hand-wired concrete backend for the same method and knobs — the
 /// reference the spec-driven path is pinned bit-identical against.
-fn pre_redesign_backend(method: Method, data: &DenseDataset) -> Arc<dyn SearchBackend> {
+fn pre_redesign_backend(method: &str, data: &DenseDataset) -> Arc<dyn SearchBackend> {
     let kind = DivergenceKind::ItakuraSaito;
     let config = BrePartitionConfig::default()
         .with_partitions(M)
         .with_leaf_capacity(LEAF)
         .with_page_size(PAGE);
     match method {
-        Method::BrePartition => Arc::new(BrePartitionBackend::exact(
+        "BP" => Arc::new(BrePartitionBackend::exact(
             BrePartitionIndex::build(kind, data, &config).unwrap(),
         )),
-        Method::Approximate => Arc::new(BrePartitionBackend::approximate(
+        "ABP" => Arc::new(BrePartitionBackend::approximate(
             BrePartitionIndex::build(kind, data, &config).unwrap(),
             ApproximateConfig::with_probability(PROBABILITY),
         )),
-        Method::BBTree => Arc::new(BBTreeBackend::build(
+        "BBT" => Arc::new(BBTreeBackend::build(
             ItakuraSaito,
             data,
             BBTreeConfig::with_leaf_capacity(LEAF),
             PageStoreConfig::with_page_size(PAGE),
         )),
-        Method::VaFile => Arc::new(VaFileBackend::build(
+        "VAF" => Arc::new(VaFileBackend::build(
             ItakuraSaito,
             data,
             VaFileConfig { page_size_bytes: PAGE, ..VaFileConfig::default() },
         )),
-        other => panic!("unknown method {other:?}"),
+        other => panic!("unknown method {other}"),
     }
 }
 
@@ -75,16 +94,14 @@ fn all_four_methods_roundtrip_identically_through_the_facade() {
     let (data, queries) = workload(1_200, 96);
     let root = TempDir::new("facade-all-methods");
 
-    for method in Method::ALL {
-        let spec = spec_for(method);
-
+    for (method, spec) in setups(DivergenceKind::ItakuraSaito) {
         // The identical path: IndexSpec → Index::build → save → Index::open.
         let built = Index::build(&spec, &data).unwrap();
-        let dir = root.join(method.short_name());
+        let dir = root.join(method);
         built.save(&dir).unwrap();
         let reopened = Index::open(&dir).unwrap();
         assert_eq!(reopened.spec(), &spec, "{method}: the envelope restores the full spec");
-        assert_eq!(reopened.method(), method);
+        assert_eq!(reopened.method(), spec.method);
         assert_eq!(reopened.divergence(), DivergenceKind::ItakuraSaito);
         assert_eq!(reopened.len(), data.len(), "{method}");
         assert_eq!(reopened.dim(), data.dim(), "{method}");
@@ -133,12 +150,12 @@ fn all_four_methods_roundtrip_identically_through_the_facade() {
 }
 
 /// Per-query options through the façade: probability overrides match the
-/// dedicated approximate method; unsupported options are typed errors.
+/// ABP spec; unsupported options are typed errors.
 #[test]
 fn per_query_options_route_through_the_facade() {
     let (data, queries) = workload(600, 16);
     let exact = Index::build(&spec_for(Method::BrePartition), &data).unwrap();
-    let approx = Index::build(&spec_for(Method::Approximate), &data).unwrap();
+    let approx = Index::build(&approximate_spec(), &data).unwrap();
 
     for (i, q) in queries.iter().enumerate() {
         let overridden =
@@ -146,7 +163,7 @@ fn per_query_options_route_through_the_facade() {
         let dedicated = approx.query(&QueryRequest::new(q, 8)).unwrap();
         assert_eq!(
             overridden.neighbors, dedicated.neighbors,
-            "query {i}: probability override must equal the dedicated ABP method"
+            "query {i}: probability override must equal the ABP spec"
         );
     }
 
@@ -164,6 +181,48 @@ fn per_query_options_route_through_the_facade() {
     let bounded = vaf.query(&QueryRequest::new(&queries[0], 8).with_candidate_budget(4)).unwrap();
     let unbounded = vaf.query(&QueryRequest::new(&queries[0], 8)).unwrap();
     assert!(bounded.io.pages_read <= unbounded.io.pages_read);
+}
+
+/// ABP is the BP spec at p < 1: for every p < 1 it returns the neighbours
+/// and candidate counts of the per-query override at p on an exact BP
+/// index; p = 1.0 is the exact index bit for bit; a probability outside
+/// (0, 1] is a spec error.
+#[test]
+fn spec_probability_is_the_per_query_override_on_exact_bp() {
+    let (data, queries) = workload(600, 24);
+    let kind = DivergenceKind::ItakuraSaito;
+    let exact = Index::build(&tuned(IndexSpec::brepartition(kind)), &data).unwrap();
+    for p in [0.5, 0.9, 0.99] {
+        let approx =
+            Index::build(&tuned(IndexSpec::brepartition(kind).with_probability(p)), &data).unwrap();
+        for (i, q) in queries.iter().enumerate() {
+            let spec_side = approx.query(&QueryRequest::new(q, 10)).unwrap();
+            let query_side = exact.query(&QueryRequest::new(q, 10).with_probability(p)).unwrap();
+            assert_eq!(spec_side.neighbors, query_side.neighbors, "p = {p}, query {i}");
+            assert_eq!(spec_side.candidates, query_side.candidates, "p = {p}, query {i}");
+        }
+    }
+
+    let at_one =
+        Index::build(&tuned(IndexSpec::brepartition(kind).with_probability(1.0)), &data).unwrap();
+    let request = Request::uniform(&queries, 10);
+    let want = exact.run(&request).unwrap();
+    let got = at_one.run(&request).unwrap();
+    for (i, (g, w)) in got.outcomes.iter().zip(want.outcomes.iter()).enumerate() {
+        assert_eq!(g.neighbors.len(), w.neighbors.len(), "query {i}");
+        for ((gid, gd), (wid, wd)) in g.neighbors.iter().zip(w.neighbors.iter()) {
+            assert_eq!(gid, wid, "query {i}");
+            assert_eq!(gd.to_bits(), wd.to_bits(), "query {i}");
+        }
+        assert_eq!(g.candidates, w.candidates, "query {i}");
+    }
+
+    for p in [1.5, f64::NAN] {
+        match Index::build(&IndexSpec::brepartition(kind).with_probability(p), &data) {
+            Err(Error::Spec(message)) => assert!(message.contains("probability"), "{message}"),
+            other => panic!("p = {p}: expected a spec error, got {other:?}"),
+        }
+    }
 }
 
 /// Satellite: `Index::open` on a directory saved by a *different*
@@ -248,7 +307,7 @@ fn open_rejects_foreign_and_mismatched_directories_descriptively() {
 fn double_roundtrip_keeps_the_envelope_and_answers() {
     let (data, queries) = workload(400, 16);
     let root = TempDir::new("facade-double");
-    let spec = spec_for(Method::Approximate);
+    let spec = approximate_spec();
     let built = Index::build(&spec, &data).unwrap();
     built.save(&root.join("first")).unwrap();
     let once = Index::open(&root.join("first")).unwrap();
@@ -270,8 +329,8 @@ fn double_roundtrip_keeps_the_envelope_and_answers() {
 #[test]
 fn buffer_pool_pages_is_honored_by_every_method() {
     let (data, queries) = workload(300, 4);
-    for method in Method::ALL {
-        let unbuffered = Index::build(&spec_for(method), &data).unwrap();
+    for (method, spec) in setups(DivergenceKind::ItakuraSaito) {
+        let unbuffered = Index::build(&spec, &data).unwrap();
         match unbuffered.engine(EngineConfig::default().with_threads(2).with_warm_scratch()) {
             Err(Error::Engine(EngineError::Config(message))) => {
                 assert!(message.contains("warm"), "{method}: {message}")
@@ -279,7 +338,7 @@ fn buffer_pool_pages_is_honored_by_every_method() {
             other => panic!("{method}: expected warm-scratch rejection, got {other:?}"),
         }
 
-        let buffered = Index::build(&spec_for(method).with_buffer_pool_pages(32), &data).unwrap();
+        let buffered = Index::build(&spec.with_buffer_pool_pages(32), &data).unwrap();
         let engine = buffered
             .engine(EngineConfig::default().with_threads(2).with_warm_scratch())
             .unwrap_or_else(|e| panic!("{method}: buffered pools must allow warm scratch: {e}"));
@@ -294,7 +353,7 @@ fn buffer_pool_pages_is_honored_by_every_method() {
 fn invalid_specs_and_configs_are_typed_errors() {
     let (data, queries) = workload(200, 4);
 
-    match Index::build(&spec_for(Method::Approximate).with_probability(1.5), &data) {
+    match Index::build(&approximate_spec().with_probability(1.5), &data) {
         Err(Error::Spec(message)) => assert!(message.contains("1.5"), "{message}"),
         other => panic!("expected spec error, got {other:?}"),
     }
@@ -324,9 +383,9 @@ fn open_rejects_a_directory_with_a_foreign_extra_file() {
     let (data, _) = workload(200, 4);
     let root = TempDir::new("facade-foreign-extra");
 
-    for method in Method::ALL {
-        let dir = root.join(method.short_name());
-        Index::build(&spec_for(method), &data).unwrap().save(&dir).unwrap();
+    for (method, spec) in setups(DivergenceKind::ItakuraSaito) {
+        let dir = root.join(method);
+        Index::build(&spec, &data).unwrap().save(&dir).unwrap();
         assert!(Index::open(&dir).is_ok(), "{method}: pristine directory must open");
 
         std::fs::write(dir.join("stray.bin"), b"not one of ours").unwrap();
@@ -334,7 +393,7 @@ fn open_rejects_a_directory_with_a_foreign_extra_file() {
             Err(Error::Mismatch { expected, found }) => {
                 assert!(found.contains("stray.bin"), "{method}: {found}");
                 assert!(
-                    expected.contains(method.name()),
+                    expected.contains(spec.method.name()),
                     "{method}: the error must name the expected layout: {expected}"
                 );
             }
@@ -365,16 +424,11 @@ fn out_of_domain_queries_are_typed_errors_for_every_method_and_kind() {
         if matches!(kind, DivergenceKind::ItakuraSaito | DivergenceKind::GeneralizedI) {
             bad_values.extend([0.0, -1.0]);
         }
-        for method in Method::ALL {
-            let partitioned = matches!(method, Method::BrePartition | Method::Approximate);
-            if partitioned && !kind.supports_partitioning() {
+        for (method, spec) in setups(kind) {
+            if spec.method == Method::BrePartition && !kind.supports_partitioning() {
                 continue; // no such index: the spec is rejected at build
             }
-            let spec = IndexSpec::new(method, kind)
-                .with_partitions(2)
-                .with_leaf_capacity(LEAF)
-                .with_page_size(1024)
-                .with_probability(PROBABILITY);
+            let spec = spec.with_partitions(2).with_page_size(1024);
             let index = Index::build(&spec, &data).unwrap();
             let sharded = ShardedIndex::build(&ShardSpec::capacity(spec, 2), &data).unwrap();
             for &value in &bad_values {

@@ -1,7 +1,7 @@
 //! The mutability oracle: randomized interleavings of
 //! insert/delete/compact/query (plus mid-stream save → open cycles) checked
 //! against a brute-force exact-scan oracle, for every supported
-//! `(Method, DivergenceKind)` pair.
+//! `(method, DivergenceKind)` pair.
 //!
 //! The oracle is the always-correct fallback for small collections: it keeps
 //! the live set as `external id → row` and answers kNN by scanning it with
@@ -14,12 +14,11 @@
 //! `tests/properties.rs`): deterministic, reproducible, and re-runnable
 //! under a different seed via `BREPARTITION_ORACLE_SEED` (CI runs two).
 //!
-//! The approximate method runs at probability 1.0, where the shrink
-//! coefficient is exactly 1 and the approximate search is bit-identical to
-//! the exact one — the only operating point where an oracle comparison is
-//! sound for ABP. Pairs rejected by spec validation (BP/ABP over the
-//! non-cumulative Generalized-I divergence) are asserted to be exactly the
-//! known-unsupported ones and skipped.
+//! The ABP spec runs at probability 1.0, its exactness point, where the
+//! index serves the exact search — the only operating point where an
+//! oracle comparison is sound for ABP. Pairs rejected by spec validation
+//! (BP/ABP over the non-cumulative Generalized-I divergence) are asserted
+//! to be exactly the known-unsupported ones and skipped.
 
 mod common;
 
@@ -68,18 +67,28 @@ fn random_row(rng: &mut ChaCha8Rng) -> Vec<f64> {
 }
 
 fn spec_for(method: Method, kind: DivergenceKind) -> IndexSpec {
-    let spec = IndexSpec::new(method, kind)
-        .with_partitions(2)
+    tuned(IndexSpec::new(method, kind))
+}
+
+fn tuned(spec: IndexSpec) -> IndexSpec {
+    spec.with_partitions(2)
         .with_leaf_capacity(8)
         .with_page_size(1024)
         .with_sample_size(64)
-        .with_seed(0x0B5);
-    if method == Method::Approximate {
+        .with_seed(0x0B5)
+}
+
+/// The paper's four methods over `kind` — BP, ABP, BBT and VAF — each with
+/// a stable salt for its RNG stream.
+fn setups(kind: DivergenceKind) -> [(&'static str, u64, IndexSpec); 4] {
+    [
+        ("BP", 1, IndexSpec::brepartition(kind)),
         // p = 1.0 is the exactness point of the approximate search.
-        spec.with_probability(1.0)
-    } else {
-        spec
-    }
+        ("ABP", 2, IndexSpec::approximate(kind).with_probability(1.0)),
+        ("BBT", 3, IndexSpec::bbtree(kind)),
+        ("VAF", 4, IndexSpec::vafile(kind)),
+    ]
+    .map(|(name, salt, spec)| (name, salt, tuned(spec)))
 }
 
 #[track_caller]
@@ -97,20 +106,18 @@ fn assert_matches_oracle(ctx: &str, index: &Index, oracle: &Oracle, query: &[f64
     }
 }
 
-fn run_interleaving(method: Method, kind: DivergenceKind, seed: u64) {
-    let spec = spec_for(method, kind);
+fn run_interleaving(name: &str, salt: u64, spec: IndexSpec, seed: u64) {
+    let kind = spec.divergence;
     if spec.validate().is_err() {
         assert!(
-            matches!(method, Method::BrePartition | Method::Approximate)
-                && kind == DivergenceKind::GeneralizedI,
-            "only BP/ABP over GI may be unsupported, got {method}/{kind}"
+            spec.method == Method::BrePartition && kind == DivergenceKind::GeneralizedI,
+            "only BP/ABP over GI may be unsupported, got {name}/{kind}"
         );
         return;
     }
-    let label = format!("{}/{}", method.short_name(), kind.short_name());
+    let label = format!("{name}/{}", kind.short_name());
     let mut rng = ChaCha8Rng::seed_from_u64(
-        seed ^ ((method.tag_for_seed() as u64) << 32 | kind.short_name().len() as u64)
-            ^ (kind as u64) << 8,
+        seed ^ (salt << 32 | kind.short_name().len() as u64) ^ (kind as u64) << 8,
     );
 
     let rows: Vec<Vec<f64>> = (0..INITIAL_POINTS).map(|_| random_row(&mut rng)).collect();
@@ -122,7 +129,7 @@ fn run_interleaving(method: Method, kind: DivergenceKind, seed: u64) {
     };
     let mut issued: Vec<u32> = (0..INITIAL_POINTS as u32).collect();
     let mut expected_next = INITIAL_POINTS as u32;
-    let root = TempDir::new(&format!("oracle-{}-{}", method.short_name(), kind.short_name()));
+    let root = TempDir::new(&format!("oracle-{name}-{}", kind.short_name()));
 
     for op in 0..OPS {
         let ctx = format!("{label} op {op}");
@@ -228,25 +235,19 @@ fn assert_sharded_matches_oracle(
 /// The sharded mirror of [`run_interleaving`]: the same op mix driven
 /// through a `ShardedIndex`, so routed inserts/deletes, per-shard compaction
 /// and the sharded directory layout all face the brute-force oracle.
-fn run_sharded_interleaving(mode: ShardMode, method: Method, kind: DivergenceKind, seed: u64) {
-    let base = spec_for(method, kind);
-    let spec = match mode {
-        ShardMode::Capacity => ShardSpec::capacity(base, 3),
-        _ => ShardSpec::forest(base, 3),
-    };
+fn run_sharded_interleaving(name: &str, salt: u64, base: IndexSpec, seed: u64) {
+    let kind = base.divergence;
+    let spec = ShardSpec::capacity(base, 3);
     if spec.validate().is_err() {
         assert!(
-            matches!(method, Method::BrePartition | Method::Approximate)
-                && kind == DivergenceKind::GeneralizedI,
-            "only BP/ABP over GI may be unsupported, got {method}/{kind}"
+            base.method == Method::BrePartition && kind == DivergenceKind::GeneralizedI,
+            "only BP/ABP over GI may be unsupported, got {name}/{kind}"
         );
         return;
     }
-    let label = format!("sharded-{}-{}/{}", mode.name(), method.short_name(), kind.short_name());
+    let label = format!("sharded-{name}/{}", kind.short_name());
     let mut rng = ChaCha8Rng::seed_from_u64(
-        seed.rotate_left(17)
-            ^ ((method.tag_for_seed() as u64) << 32 | kind.short_name().len() as u64)
-            ^ (kind as u64) << 8,
+        seed.rotate_left(17) ^ (salt << 32 | kind.short_name().len() as u64) ^ (kind as u64) << 8,
     );
 
     let rows: Vec<Vec<f64>> = (0..INITIAL_POINTS).map(|_| random_row(&mut rng)).collect();
@@ -258,12 +259,7 @@ fn run_sharded_interleaving(mode: ShardMode, method: Method, kind: DivergenceKin
     };
     let mut issued: Vec<u32> = (0..INITIAL_POINTS as u32).collect();
     let mut expected_next = INITIAL_POINTS as u32;
-    let root = TempDir::new(&format!(
-        "oracle-sharded-{}-{}-{}",
-        mode.name(),
-        method.short_name(),
-        kind.short_name()
-    ));
+    let root = TempDir::new(&format!("oracle-sharded-{name}-{}", kind.short_name()));
 
     for op in 0..OPS {
         let ctx = format!("{label} op {op}");
@@ -332,24 +328,6 @@ fn run_sharded_interleaving(mode: ShardMode, method: Method, kind: DivergenceKin
                 got_ids, want_ids,
                 "{label} batch query {qi} (budget {budget}): ids diverged from brute force"
             );
-        }
-    }
-}
-
-/// Helper trait: a stable per-method salt for the RNG stream (kept local so
-/// the test does not depend on the crate-private envelope tags).
-trait MethodSeed {
-    fn tag_for_seed(&self) -> u8;
-}
-
-impl MethodSeed for Method {
-    fn tag_for_seed(&self) -> u8 {
-        match self {
-            Method::BrePartition => 1,
-            Method::Approximate => 2,
-            Method::BBTree => 3,
-            Method::VaFile => 4,
-            _ => 0,
         }
     }
 }
@@ -639,9 +617,9 @@ fn tombstoned_top_results_survive_a_tight_candidate_budget() {
 #[test]
 fn oracle_all_methods_and_kinds() {
     let seed = seed_from_env();
-    for method in Method::ALL {
-        for kind in DivergenceKind::ALL {
-            run_interleaving(method, kind, seed);
+    for kind in DivergenceKind::ALL {
+        for (name, salt, spec) in setups(kind) {
+            run_interleaving(name, salt, spec, seed);
         }
     }
 }
@@ -649,24 +627,9 @@ fn oracle_all_methods_and_kinds() {
 #[test]
 fn oracle_sharded_capacity_all_methods_and_kinds() {
     let seed = seed_from_env();
-    for method in Method::ALL {
-        for kind in DivergenceKind::ALL {
-            run_sharded_interleaving(ShardMode::Capacity, method, kind, seed);
+    for kind in DivergenceKind::ALL {
+        for (name, salt, spec) in setups(kind) {
+            run_sharded_interleaving(name, salt, spec, seed);
         }
-    }
-}
-
-/// Forest replicas of an *exact* backend each return the true top-k, so the
-/// deduplicated merge is the true top-k too and the oracle comparison stays
-/// sound (ABP qualifies only at its p = 1.0 exactness point).
-#[test]
-fn oracle_sharded_forest_over_exact_replicas() {
-    let seed = seed_from_env();
-    for (method, kind) in [
-        (Method::BBTree, DivergenceKind::ItakuraSaito),
-        (Method::VaFile, DivergenceKind::SquaredEuclidean),
-        (Method::Approximate, DivergenceKind::Exponential),
-    ] {
-        run_sharded_interleaving(ShardMode::Forest, method, kind, seed);
     }
 }

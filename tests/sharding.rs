@@ -1,14 +1,10 @@
 //! The sharded serving tier's core guarantees.
 //!
-//! * **Capacity-mode bit-identity**: for every exact `(Method,
-//!   DivergenceKind)` pair, a capacity-sharded index returns neighbor ids
-//!   and distances bit-identical to the equivalent unsharded `Index` —
-//!   single queries and batches, before and after a save → open cycle.
-//!   (ABP is included at probability 1.0, its exactness point.)
-//! * **Forest mode**: exact replicas merged stay bit-identical to the
-//!   unsharded index; approximate replicas merged never recall *less* than
-//!   a single replica — a true neighbor found by any replica survives the
-//!   `(distance, id)` merge, because fewer than k points can outrank it.
+//! * **Bit-identity**: for every exact `(method, DivergenceKind)` pair, a
+//!   sharded index returns neighbor ids and distances bit-identical to the
+//!   equivalent unsharded `Index` — single queries and batches, before and
+//!   after a save → open cycle. (The ABP spec is included at probability
+//!   1.0, its exactness point.)
 //! * **Thread budget**: the fan-out splits one worker budget across shards
 //!   instead of multiplying it — pinned by counting concurrently live
 //!   backend searches from inside a probe backend.
@@ -37,20 +33,22 @@ fn rows(n: usize, salt: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn spec_for(method: Method, kind: DivergenceKind) -> IndexSpec {
-    let spec = IndexSpec::new(method, kind)
-        .with_partitions(2)
+/// The paper's four methods over `kind`: BP, ABP, BBT and VAF.
+fn setups(kind: DivergenceKind) -> [(&'static str, IndexSpec); 4] {
+    [
+        ("BP", IndexSpec::brepartition(kind)),
+        ("ABP", IndexSpec::approximate(kind)),
+        ("BBT", IndexSpec::bbtree(kind)),
+        ("VAF", IndexSpec::vafile(kind)),
+    ]
+}
+
+fn tuned(spec: IndexSpec) -> IndexSpec {
+    spec.with_partitions(2)
         .with_leaf_capacity(8)
         .with_page_size(1024)
         .with_sample_size(64)
-        .with_seed(0x5EED);
-    // p = 1.0 is the exactness point of the approximate search, the only
-    // operating point where a bit-identity comparison is sound for ABP.
-    if method == Method::Approximate {
-        spec.with_probability(1.0)
-    } else {
-        spec
-    }
+        .with_seed(0x5EED)
 }
 
 #[track_caller]
@@ -62,21 +60,24 @@ fn assert_bit_identical(ctx: &str, got: &[(PointId, f64)], want: &[(PointId, f64
     }
 }
 
-/// The acceptance criterion: capacity-mode `ShardedIndex` ≡ unsharded
-/// `Index`, bit for bit, for every exact pair — including after mutation
-/// and across a save → open cycle.
+/// The acceptance criterion: `ShardedIndex` ≡ unsharded `Index`, bit for
+/// bit, for every exact pair — including after mutation and across a save
+/// → open cycle.
 #[test]
 fn capacity_mode_is_bit_identical_to_unsharded_for_every_exact_pair() {
     let data_rows = rows(60, 1);
     let data = DenseDataset::from_rows(&data_rows).unwrap();
     let queries = rows(12, 77);
-    for method in Method::ALL {
-        for kind in DivergenceKind::ALL {
-            let base = spec_for(method, kind);
+    for kind in DivergenceKind::ALL {
+        for (name, spec) in setups(kind) {
+            // p = 1.0 is the exactness point of the approximate search, the
+            // only operating point where a bit-identity comparison is sound
+            // for ABP.
+            let base = tuned(spec).with_probability(1.0);
             if base.validate().is_err() {
                 continue; // BP/ABP over GI, pinned by the oracle suite
             }
-            let label = format!("{}/{}", method.short_name(), kind.short_name());
+            let label = format!("{name}/{}", kind.short_name());
             let plain = Index::build(&base, &data).unwrap();
             let sharded = ShardedIndex::build(&ShardSpec::capacity(base, 3), &data).unwrap();
             assert_eq!(sharded.len(), plain.len(), "{label}: build size");
@@ -124,75 +125,6 @@ fn capacity_mode_is_bit_identical_to_unsharded_for_every_exact_pair() {
             }
         }
     }
-}
-
-/// Forest replicas of an *exact* method are redundant copies: the merged,
-/// deduplicated top-k is still bit-identical to the unsharded index.
-#[test]
-fn forest_mode_over_exact_replicas_matches_unsharded() {
-    let data_rows = rows(80, 3);
-    let data = DenseDataset::from_rows(&data_rows).unwrap();
-    let queries = rows(10, 55);
-    let base = spec_for(Method::BBTree, DivergenceKind::ItakuraSaito);
-    let plain = Index::build(&base, &data).unwrap();
-    let forest = ShardedIndex::build(&ShardSpec::forest(base, 3), &data).unwrap();
-    assert_eq!(forest.len(), plain.len());
-    let got = forest.run_with_budget(&Request::uniform(&queries, 8), 4).unwrap();
-    let want = plain.run(&Request::uniform(&queries, 8)).unwrap();
-    for (qi, (g, w)) in got.outcomes.iter().zip(want.outcomes.iter()).enumerate() {
-        assert_bit_identical(&format!("forest query {qi}"), &g.neighbors, &w.neighbors);
-    }
-}
-
-/// Forest mode's reason to exist: merging N randomized approximate
-/// replicas never recalls less than any single replica, and writes apply
-/// to every replica in lockstep.
-#[test]
-fn forest_mode_merging_never_loses_recall_and_routes_writes_to_all_replicas() {
-    let data_rows = rows(400, 5);
-    let data = DenseDataset::from_rows(&data_rows).unwrap();
-    let queries = rows(24, 91);
-    let kind = DivergenceKind::ItakuraSaito;
-    let k = 10;
-    let truth = ground_truth_knn(kind, &data, &DenseDataset::from_rows(&queries).unwrap(), k, 2);
-
-    let base = IndexSpec::approximate(kind)
-        .with_partitions(4)
-        .with_leaf_capacity(8)
-        .with_page_size(2048)
-        .with_probability(0.55);
-    let spec = ShardSpec::forest(base, 4);
-    let forest = ShardedIndex::build(&spec, &data).unwrap();
-    // Replica 0 alone, under its derived seed — the single-index baseline.
-    let single = Index::build(&spec.shard_spec(0), &data).unwrap();
-
-    let merged = forest.run_with_budget(&Request::uniform(&queries, k), 4).unwrap();
-    let alone = single.run(&Request::uniform(&queries, k)).unwrap();
-    let mut merged_recall = 0.0;
-    let mut alone_recall = 0.0;
-    for qi in 0..queries.len() {
-        let exact = truth.neighbors_of(qi);
-        merged_recall += recall(&merged.outcomes[qi].neighbors, exact);
-        alone_recall += recall(&alone.outcomes[qi].neighbors, exact);
-    }
-    assert!(
-        merged_recall >= alone_recall,
-        "merging replicas lost recall: {merged_recall} < {alone_recall}"
-    );
-
-    // Writes hit every replica: an insert is immediately its own 1-NN, a
-    // deleted point never resurfaces from a stale replica.
-    let forest = forest;
-    let fresh: Vec<f64> = data.row(0).iter().map(|v| v * 1.01 + 0.05).collect();
-    let id = forest.insert(&fresh).unwrap();
-    assert_eq!(id.0 as usize, data.len());
-    let hit = forest.query(&QueryRequest::new(&fresh, 1)).unwrap();
-    assert_eq!(hit.neighbors[0].0, id);
-    assert!(forest.delete(id).unwrap());
-    assert!(!forest.delete(id).unwrap(), "deletes stay idempotent");
-    let gone = forest.query(&QueryRequest::new(&fresh, 5)).unwrap();
-    assert!(gone.neighbors.iter().all(|(n, _)| *n != id), "no replica may resurrect a delete");
-    assert_eq!(forest.len(), data.len());
 }
 
 /// Counters shared across every probe shard: one global live count and its
@@ -314,7 +246,7 @@ fn capacity_shard_emptied_by_deletes_parks_and_revives() {
     const N: u32 = 48;
     let data_rows = rows(N as usize, 7);
     let data = DenseDataset::from_rows(&data_rows).unwrap();
-    let base = spec_for(Method::BBTree, DivergenceKind::SquaredEuclidean);
+    let base = tuned(IndexSpec::bbtree(DivergenceKind::SquaredEuclidean));
     let sspec = ShardSpec::capacity(base, 3);
     let sharded = ShardedIndex::build(&sspec, &data).unwrap();
     // An unsharded twin mutated identically supplies the ground truth.
@@ -363,19 +295,19 @@ fn capacity_shard_emptied_by_deletes_parks_and_revives() {
     }
 }
 
-/// Capacity-mode build rejects a shard count the dataset cannot populate,
+/// Build rejects a shard count the dataset cannot populate,
 /// and the spec rails reject nonsense before any build work.
 #[test]
 fn sharded_build_rejects_unbuildable_configurations() {
     let data = DenseDataset::from_rows(&rows(3, 1)).unwrap();
-    let base = spec_for(Method::BBTree, DivergenceKind::SquaredEuclidean);
+    let base = tuned(IndexSpec::bbtree(DivergenceKind::SquaredEuclidean));
     // 3 points over 64 shards: some capacity shard must come up empty.
     let err = ShardedIndex::build(&ShardSpec::capacity(base, 64), &data).unwrap_err();
     assert!(matches!(err, Error::Spec(_)), "expected a spec error, got {err:?}");
     assert!(err.to_string().contains("shard"), "unhelpful error: {err}");
-    // Zero shards is invalid in any mode.
-    assert!(ShardedIndex::build(&ShardSpec::forest(base, 0), &data).is_err());
-    // Forest replicas build fine over tiny data — every replica is full.
-    let forest = ShardedIndex::build(&ShardSpec::forest(base, 5), &data).unwrap();
-    assert_eq!(forest.len(), 3);
+    // Zero shards is invalid.
+    assert!(ShardedIndex::build(&ShardSpec::capacity(base, 0), &data).is_err());
+    // One shard over tiny data builds.
+    let one = ShardedIndex::build(&ShardSpec::capacity(base, 1), &data).unwrap();
+    assert_eq!(one.len(), 3);
 }
