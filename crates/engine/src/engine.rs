@@ -4,12 +4,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use pagestore::{BufferPool, IoStats, SharedPageCache};
-use telemetry::Registry;
+use pagestore::{BufferPool, SharedPageCache};
 
 use crate::backend::SearchBackend;
 use crate::error::EngineError;
-use crate::metrics::EngineMetrics;
 use crate::report::{QueryOutcome, ThroughputReport};
 use crate::request::EngineRequest;
 
@@ -117,7 +115,6 @@ pub struct BatchResult {
 pub struct QueryEngine {
     backend: Arc<dyn SearchBackend>,
     config: EngineConfig,
-    metrics: EngineMetrics,
 }
 
 impl std::fmt::Debug for QueryEngine {
@@ -157,7 +154,7 @@ impl QueryEngine {
                 backend.name()
             )));
         }
-        Ok(Self { backend, config, metrics: EngineMetrics::new() })
+        Ok(Self { backend, config })
     }
 
     /// Convenience constructor boxing a concrete backend.
@@ -177,27 +174,7 @@ impl QueryEngine {
 
     /// The resolved worker-thread count.
     pub fn threads(&self) -> usize {
-        match self.config.threads {
-            Some(threads) => threads,
-            None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        }
-    }
-
-    /// Physical I/O accumulated across every batch this engine has run.
-    pub fn cumulative_io(&self) -> IoStats {
-        self.metrics.io().snapshot()
-    }
-
-    /// The engine's shared telemetry (clones of this engine record into
-    /// the same metrics).
-    pub fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
-    }
-
-    /// Register this engine's metrics in `registry` under `prefix` — see
-    /// [`EngineMetrics::bind`] for the resulting metric names.
-    pub fn bind_telemetry(&self, registry: &Registry, prefix: &str) {
-        self.metrics.bind(registry, prefix);
+        self.config.threads.unwrap_or_else(recommended_pool_threads)
     }
 
     /// Execute a batch of uniform queries (same `k`, no per-query options)
@@ -245,14 +222,12 @@ impl QueryEngine {
                     let abort = &abort;
                     let first_error = &first_error;
                     let shared_cache = &shared_cache;
-                    let metrics = &self.metrics;
                     scope.spawn(move || {
                         let mut local: Vec<(usize, QueryOutcome)> = Vec::new();
                         let mut scratch = backend.new_scratch();
                         if let Some(cache) = shared_cache {
                             scratch.pool = BufferPool::with_shared_cache(cache.clone());
                         }
-                        scratch.pool.set_read_latency_sink(metrics.io_span().clone());
                         let mut scratch_used = false;
                         loop {
                             let index = cursor.fetch_add(1, Ordering::Relaxed);
@@ -268,7 +243,6 @@ impl QueryEngine {
                             // gradients or decoded candidates.
                             if !reuse_scratch && scratch_used {
                                 scratch.pool = backend.new_scratch().pool;
-                                scratch.pool.set_read_latency_sink(metrics.io_span().clone());
                             }
                             scratch_used = true;
                             let request = &requests[index];
@@ -295,16 +269,13 @@ impl QueryEngine {
                                 });
                             match attempt {
                                 Ok(answer) => {
-                                    let latency = query_started.elapsed();
-                                    metrics.queries().inc();
-                                    metrics.query_latency_ns().record_duration(latency);
                                     local.push((
                                         index,
                                         QueryOutcome {
                                             neighbors: answer.neighbors,
                                             candidates: answer.candidates,
                                             io: answer.io,
-                                            latency_seconds: latency.as_secs_f64(),
+                                            latency_seconds: query_started.elapsed().as_secs_f64(),
                                         },
                                     ));
                                 }
@@ -326,28 +297,17 @@ impl QueryEngine {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("engine worker panicked")).collect()
         });
-        let wall = started.elapsed();
-        let wall_seconds = wall.as_secs_f64();
+        let wall_seconds = started.elapsed().as_secs_f64();
 
-        // Queries completed before an abort performed real page reads, so
-        // their I/O counts toward the engine totals even on a failed batch.
-        for locals in per_thread.iter() {
-            for (_, outcome) in locals.iter() {
-                self.metrics.io().record(&outcome.io);
-            }
-        }
         // Backend failures gain the failing query's index; typed errors
         // (unsupported options, config) pass through unchanged so callers
         // can match on them identically in the single-query and batch paths.
         if let Some((index, error)) = first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            self.metrics.errors().inc();
             return Err(match error {
                 EngineError::Backend(message) => EngineError::Query { index, message },
                 other => other,
             });
         }
-        self.metrics.batches().inc();
-        self.metrics.batch_wall_ns().record_duration(wall);
 
         let mut slots: Vec<Option<QueryOutcome>> = vec![None; n];
         for locals in per_thread.iter_mut() {

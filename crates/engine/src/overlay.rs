@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use bregman::kernel::KernelScratch;
 use brepartition_core::DeltaSegment;
-use telemetry::{Phase, PhaseStats, QueryTrace, SpanTimer};
 
 use crate::backend::{BackendAnswer, Scratch, SearchBackend};
 use crate::error::EngineError;
@@ -44,9 +43,6 @@ pub struct DeltaOverlayBackend {
     inner: Arc<dyn SearchBackend>,
     delta: Arc<DeltaSegment>,
     name: String,
-    /// Per-phase trace histograms: filter = inner backend search, refine =
-    /// exact delta scan, merge = combine + truncate. Shared by clones.
-    phases: PhaseStats,
 }
 
 impl std::fmt::Debug for DeltaOverlayBackend {
@@ -85,12 +81,7 @@ impl DeltaOverlayBackend {
             )));
         }
         let name = format!("{}+Δ", inner.name());
-        Ok(DeltaOverlayBackend { inner, delta, name, phases: PhaseStats::new() })
-    }
-
-    /// The per-phase trace histograms this overlay records into.
-    pub fn phases(&self) -> &PhaseStats {
-        &self.phases
+        Ok(DeltaOverlayBackend { inner, delta, name })
     }
 
     /// The static backend underneath.
@@ -135,7 +126,6 @@ impl SearchBackend for DeltaOverlayBackend {
         k: usize,
         options: &QueryOptions,
     ) -> Result<BackendAnswer, EngineError> {
-        let mut trace = QueryTrace::new();
         // Over-fetch by the backend-side tombstone count: each tombstone
         // displaces at most one backend result, so the k best *live*
         // backend neighbors are guaranteed to be present (capped at the
@@ -159,10 +149,7 @@ impl SearchBackend for DeltaOverlayBackend {
             }
             _ => options,
         };
-        let answer = {
-            let _filter = SpanTimer::start(&mut trace, Phase::Filter);
-            self.inner.knn_with_options(scratch, query, base_k, options)?
-        };
+        let answer = self.inner.knn_with_options(scratch, query, base_k, options)?;
         let mut merged: Vec<_> = answer
             .neighbors
             .into_iter()
@@ -178,7 +165,6 @@ impl SearchBackend for DeltaOverlayBackend {
         // bit-identically whether it lives in the delta or, after a
         // compaction, in the base store. The inner search is done with the
         // scratch, so re-arming the prepared query here cannot disturb it.
-        let refine = SpanTimer::start(&mut trace, Phase::Refine);
         let kind = self.delta.kind();
         let KernelScratch { prepared, lanes, distances, phis, .. } = &mut scratch.kernel;
         kind.prepare_query_into(prepared, query);
@@ -214,17 +200,11 @@ impl SearchBackend for DeltaOverlayBackend {
             merged.extend(chunk.iter().zip(distances.iter()).map(|(&(id, _), &d)| (id, d)));
         }
 
-        drop(refine);
-
         // The same (divergence, id) total order every backend's refine
         // phase uses, so merged results are deterministic and mergeable
         // with brute force.
-        {
-            let _merge = SpanTimer::start(&mut trace, Phase::Merge);
-            merged.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-            merged.truncate(k);
-        }
-        self.phases.record_trace(&trace);
+        merged.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        merged.truncate(k);
         Ok(BackendAnswer {
             neighbors: merged,
             candidates: answer.candidates + scanned,

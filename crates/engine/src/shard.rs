@@ -21,13 +21,12 @@
 //!
 //! [`DeltaOverlayBackend`]: crate::DeltaOverlayBackend
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bregman::PointId;
 use pagestore::IoStats;
-use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::backend::SearchBackend;
 use crate::engine::{BatchResult, EngineConfig, QueryEngine};
@@ -140,11 +139,6 @@ pub struct ShardedEngine {
     engines: Vec<QueryEngine>,
     concurrent: usize,
     budget: usize,
-    /// Completed scatter-gather fan-outs.
-    fanouts: Arc<Counter>,
-    /// Wall time of each whole fan-out (scatter + slowest shard + gather
-    /// queueing), in nanoseconds.
-    fanout_ns: Arc<Histogram>,
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -192,13 +186,7 @@ impl ShardedEngine {
                 QueryEngine::with_config(backend, config)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedEngine {
-            engines,
-            concurrent: split.concurrent,
-            budget,
-            fanouts: Arc::new(Counter::new()),
-            fanout_ns: Arc::new(Histogram::new()),
-        })
+        Ok(ShardedEngine { engines, concurrent: split.concurrent, budget })
     }
 
     /// Number of shards.
@@ -226,18 +214,6 @@ impl ShardedEngine {
         &self.engines
     }
 
-    /// Register this tier's telemetry in `registry`: fan-out counters and
-    /// wall-time histogram under `prefix.fanouts` / `prefix.fanout_ns`,
-    /// plus every shard engine's metrics under `prefix.shard<i>` (see
-    /// [`crate::EngineMetrics::bind`] for the per-engine names).
-    pub fn bind_telemetry(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}.fanouts"), self.fanouts.clone());
-        registry.register_histogram(&format!("{prefix}.fanout_ns"), self.fanout_ns.clone());
-        for (index, engine) in self.engines.iter().enumerate() {
-            engine.bind_telemetry(registry, &format!("{prefix}.shard{index}"));
-        }
-    }
-
     /// Run the same request slice against every shard, returning per-shard
     /// results in shard order.
     ///
@@ -250,34 +226,7 @@ impl ShardedEngine {
         &self,
         requests: &[EngineRequest<'_>],
     ) -> Result<Vec<BatchResult>, EngineError> {
-        let shards = self.engines.len();
-        let engines = &self.engines;
-        let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<BatchResult, EngineError>>>> =
-            Mutex::new((0..shards).map(|_| None).collect());
-        let started = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..self.concurrent.min(shards) {
-                let cursor = &cursor;
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                    if shard >= shards {
-                        break;
-                    }
-                    let result = engines[shard].run_requests(requests);
-                    slots.lock().unwrap_or_else(|e| e.into_inner())[shard] = Some(result);
-                });
-            }
-        });
-        self.fanouts.inc();
-        self.fanout_ns.record_duration(started.elapsed());
-        slots
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .into_iter()
-            .map(|slot| slot.expect("every shard produced a result"))
-            .collect()
+        self.scatter(|shard| self.engines[shard].run_requests(requests)).into_iter().collect()
     }
 
     /// Run the same request slice against every shard under a
@@ -299,40 +248,43 @@ impl ShardedEngine {
         policy: &FanoutPolicy,
         health: &ShardHealth,
     ) -> Vec<Result<BatchResult, ShardFailure>> {
-        let shards = self.engines.len();
         assert_eq!(
             health.shards(),
-            shards,
+            self.engines.len(),
             "the health table must track exactly this engine's shards"
         );
-        let engines = &self.engines;
-        let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<BatchResult, ShardFailure>>>> =
-            Mutex::new((0..shards).map(|_| None).collect());
         let started = Instant::now();
+        self.scatter(|shard| {
+            dispatch_shard_with_policy(
+                &self.engines[shard],
+                shard,
+                requests,
+                policy,
+                health,
+                started,
+            )
+        })
+    }
+
+    /// Run `per_shard` once for every shard and return the results in
+    /// shard order. `concurrent_shards` scoped threads pull shard indices
+    /// from an atomic cursor, so at most that many shards run at once.
+    fn scatter<T: Send>(&self, per_shard: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let shards = self.engines.len();
+        let cursor = AtomicUsize::new(0);
+        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..shards).map(|_| None).collect());
         std::thread::scope(|scope| {
             for _ in 0..self.concurrent.min(shards) {
-                let cursor = &cursor;
-                let slots = &slots;
-                scope.spawn(move || loop {
+                scope.spawn(|| loop {
                     let shard = cursor.fetch_add(1, Ordering::Relaxed);
                     if shard >= shards {
                         break;
                     }
-                    let result = dispatch_shard_with_policy(
-                        &engines[shard],
-                        shard,
-                        requests,
-                        policy,
-                        health,
-                        started,
-                    );
+                    let result = per_shard(shard);
                     slots.lock().unwrap_or_else(|e| e.into_inner())[shard] = Some(result);
                 });
             }
         });
-        self.fanouts.inc();
-        self.fanout_ns.record_duration(started.elapsed());
         slots
             .into_inner()
             .unwrap_or_else(|e| e.into_inner())
@@ -382,7 +334,7 @@ fn dispatch_shard_with_policy(
             }
             let backoff = decorrelated_backoff(policy, shard, attempt, previous_backoff);
             previous_backoff = backoff;
-            health.retries.inc();
+            health.retries.fetch_add(1, Ordering::Relaxed);
             retries += 1;
             std::thread::sleep(backoff);
         }
@@ -408,7 +360,7 @@ fn dispatch_shard_with_policy(
             }
             Err(payload) => {
                 panicked = true;
-                health.shard_panics.inc();
+                health.shard_panics.fetch_add(1, Ordering::Relaxed);
                 let message = payload
                     .downcast_ref::<&str>()
                     .copied()
@@ -515,18 +467,6 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-impl BreakerState {
-    /// Stable numeric encoding for the telemetry gauge (0 closed, 1 open,
-    /// 2 half-open).
-    pub fn as_gauge(self) -> i64 {
-        match self {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct ShardBreaker {
     state: BreakerState,
@@ -538,17 +478,18 @@ struct ShardBreaker {
 /// short-lived [`ShardedEngine`]s a serving façade builds per batch).
 ///
 /// The table also owns the availability counters the resilient fan-out
-/// records into: `shard_retries` (retry attempts dispatched) and
-/// `breaker_opens` (Closed → Open transitions only — a failed half-open
-/// probe re-opens the breaker without incrementing, so "the breaker opened
-/// once" stays assertable under probing).
+/// records into: [`retries`](ShardHealth::retries) (retry attempts
+/// dispatched), [`shard_panics`](ShardHealth::shard_panics) and
+/// [`breaker_opens`](ShardHealth::breaker_opens) (Closed → Open transitions
+/// only — a failed half-open probe re-opens the breaker without
+/// incrementing, so "the breaker opened once" stays assertable under
+/// probing).
 #[derive(Debug)]
 pub struct ShardHealth {
     shards: Vec<Mutex<ShardBreaker>>,
-    retries: Arc<Counter>,
-    breaker_opens: Arc<Counter>,
-    shard_panics: Arc<Counter>,
-    states: Vec<Arc<Gauge>>,
+    retries: AtomicU64,
+    breaker_opens: AtomicU64,
+    shard_panics: AtomicU64,
 }
 
 impl ShardHealth {
@@ -564,10 +505,9 @@ impl ShardHealth {
                     })
                 })
                 .collect(),
-            retries: Arc::new(Counter::new()),
-            breaker_opens: Arc::new(Counter::new()),
-            shard_panics: Arc::new(Counter::new()),
-            states: (0..shards).map(|_| Arc::new(Gauge::new())).collect(),
+            retries: AtomicU64::new(0),
+            breaker_opens: AtomicU64::new(0),
+            shard_panics: AtomicU64::new(0),
         }
     }
 
@@ -588,30 +528,17 @@ impl ShardHealth {
 
     /// Retry attempts dispatched across all shards.
     pub fn retries(&self) -> u64 {
-        self.retries.get()
+        self.retries.load(Ordering::Relaxed)
     }
 
     /// Closed → Open breaker transitions across all shards.
     pub fn breaker_opens(&self) -> u64 {
-        self.breaker_opens.get()
+        self.breaker_opens.load(Ordering::Relaxed)
     }
 
     /// Shard dispatches that panicked (caught at the fan-out boundary).
     pub fn shard_panics(&self) -> u64 {
-        self.shard_panics.get()
-    }
-
-    /// Register the table in `registry`: counters `prefix.shard_retries`,
-    /// `prefix.breaker_opens` and `prefix.shard_panics`, plus one gauge
-    /// `prefix.shard<i>.breaker_state` per shard (see
-    /// [`BreakerState::as_gauge`] for the encoding).
-    pub fn bind(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}.shard_retries"), self.retries.clone());
-        registry.register_counter(&format!("{prefix}.breaker_opens"), self.breaker_opens.clone());
-        registry.register_counter(&format!("{prefix}.shard_panics"), self.shard_panics.clone());
-        for (index, gauge) in self.states.iter().enumerate() {
-            registry.register_gauge(&format!("{prefix}.shard{index}.breaker_state"), gauge.clone());
-        }
+        self.shard_panics.load(Ordering::Relaxed)
     }
 
     /// Whether this fan-out may dispatch to `shard`. An open breaker counts
@@ -627,7 +554,6 @@ impl ShardHealth {
                     false
                 } else {
                     breaker.state = BreakerState::HalfOpen;
-                    self.states[shard].set(breaker.state.as_gauge());
                     true
                 }
             }
@@ -640,7 +566,6 @@ impl ShardHealth {
         let mut breaker = self.shards[shard].lock().unwrap_or_else(|e| e.into_inner());
         breaker.state = BreakerState::Closed;
         breaker.consecutive_failures = 0;
-        self.states[shard].set(breaker.state.as_gauge());
     }
 
     /// Record a failed dispatch (after the retry budget): a closed breaker
@@ -654,7 +579,7 @@ impl ShardHealth {
                 if breaker.consecutive_failures >= policy.breaker_threshold {
                     breaker.state = BreakerState::Open;
                     breaker.cooldown_remaining = policy.breaker_cooldown;
-                    self.breaker_opens.inc();
+                    self.breaker_opens.fetch_add(1, Ordering::Relaxed);
                 }
             }
             BreakerState::HalfOpen | BreakerState::Open => {
@@ -662,7 +587,6 @@ impl ShardHealth {
                 breaker.cooldown_remaining = policy.breaker_cooldown;
             }
         }
-        self.states[shard].set(breaker.state.as_gauge());
     }
 }
 

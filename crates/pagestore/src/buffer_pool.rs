@@ -217,10 +217,6 @@ pub struct BufferPool {
     capacity: usize,
     slot: CacheSlot,
     stats: IoStats,
-    /// Optional io-phase telemetry: when attached, every *physical* page
-    /// read (a miss that reaches the store) is timed into this histogram.
-    /// Hits are never timed — they touch no storage.
-    read_latency: Option<Arc<telemetry::Histogram>>,
 }
 
 impl BufferPool {
@@ -235,7 +231,6 @@ impl BufferPool {
             capacity,
             slot: CacheSlot::Private(SieveCache::new(capacity)),
             stats: IoStats::default(),
-            read_latency: None,
         }
     }
 
@@ -252,23 +247,7 @@ impl BufferPool {
             capacity: cache.capacity(),
             slot: CacheSlot::Shared(cache),
             stats: IoStats::default(),
-            read_latency: None,
         }
-    }
-
-    /// Attach an io-phase latency sink: every physical page read this pool
-    /// performs from now on is timed into `histogram` (hits are free and
-    /// are not timed). The serving engine attaches its shared io-phase
-    /// histogram here, so pool handles created per query or per worker all
-    /// feed one distribution.
-    pub fn set_read_latency_sink(&mut self, histogram: Arc<telemetry::Histogram>) {
-        self.read_latency = Some(histogram);
-    }
-
-    /// The attached io-phase latency sink, if any (used to re-attach when a
-    /// pool handle is replaced between queries).
-    pub fn read_latency_sink(&self) -> Option<&Arc<telemetry::Histogram>> {
-        self.read_latency.as_ref()
     }
 
     /// The configured capacity in pages (zero = unbuffered).
@@ -321,19 +300,17 @@ impl BufferPool {
         // Unbuffered mode: every access is a counted physical read and the
         // pool never retains a page.
         if self.capacity == 0 {
-            let Some(page) = Self::timed_read(&self.read_latency, store, id)? else {
+            let Some(page) = store.raw_page(id)? else {
                 return Ok(None);
             };
             self.stats.pages_read += 1;
             return Ok(Some(page));
         }
         match &mut self.slot {
-            CacheSlot::Private(cache) => {
-                Self::fetch_cached(cache, &mut self.stats, &self.read_latency, store, id)
-            }
+            CacheSlot::Private(cache) => Self::fetch_cached(cache, &mut self.stats, store, id),
             CacheSlot::Shared(shared) => {
                 let mut cache = shared.inner.lock();
-                Self::fetch_cached(&mut cache, &mut self.stats, &self.read_latency, store, id)
+                Self::fetch_cached(&mut cache, &mut self.stats, store, id)
             }
         }
     }
@@ -341,7 +318,6 @@ impl BufferPool {
     fn fetch_cached(
         cache: &mut SieveCache,
         stats: &mut IoStats,
-        read_latency: &Option<Arc<telemetry::Histogram>>,
         store: &PageStore,
         id: PageId,
     ) -> Result<Option<Page>, PageStoreError> {
@@ -349,29 +325,12 @@ impl BufferPool {
             stats.cache_hits += 1;
             return Ok(Some(page));
         }
-        let Some(page) = Self::timed_read(read_latency, store, id)? else {
+        let Some(page) = store.raw_page(id)? else {
             return Ok(None);
         };
         stats.pages_read += 1;
         cache.insert(id, page.clone());
         Ok(Some(page))
-    }
-
-    /// A physical store read, timed into the io-phase sink when attached.
-    fn timed_read(
-        read_latency: &Option<Arc<telemetry::Histogram>>,
-        store: &PageStore,
-        id: PageId,
-    ) -> Result<Option<Page>, PageStoreError> {
-        match read_latency {
-            Some(histogram) => {
-                let started = std::time::Instant::now();
-                let page = store.raw_page(id);
-                histogram.record_duration(started.elapsed());
-                page
-            }
-            None => store.raw_page(id),
-        }
     }
 
     /// Read one point through the pool into a caller-provided buffer.
@@ -540,6 +499,20 @@ mod tests {
         assert_eq!(pool.stats().pages_read, 2);
         assert_eq!(pool.stats().cache_hits, 1);
         assert_eq!(pool.resident_pages(), 2);
+
+        // The same miss/hit/miss sequence through the page-level read…
+        let mut pool = BufferPool::new(4);
+        pool.try_fetch(&s, PageId(0)).unwrap(); // miss
+        pool.try_fetch(&s, PageId(0)).unwrap(); // hit
+        pool.try_fetch(&s, PageId(1)).unwrap(); // miss
+        assert_eq!(pool.stats().pages_read, 2);
+        assert_eq!(pool.stats().cache_hits, 1);
+        // …and an unbuffered page read is always a physical read.
+        let mut unbuffered = BufferPool::unbuffered();
+        unbuffered.try_fetch(&s, PageId(0)).unwrap();
+        unbuffered.try_fetch(&s, PageId(0)).unwrap();
+        assert_eq!(unbuffered.stats().pages_read, 2);
+        assert_eq!(unbuffered.stats().cache_hits, 0);
     }
 
     #[test]
@@ -608,27 +581,6 @@ mod tests {
             "warm touches must be O(1), took {:?}",
             started.elapsed()
         );
-    }
-
-    #[test]
-    fn read_latency_sink_times_only_physical_reads() {
-        let (s, _) = store(8, 4, 2);
-        let sink = Arc::new(telemetry::Histogram::new());
-        let mut pool = BufferPool::new(4);
-        pool.set_read_latency_sink(sink.clone());
-        assert!(pool.read_latency_sink().is_some());
-        pool.try_fetch(&s, PageId(0)).unwrap(); // miss: timed
-        pool.try_fetch(&s, PageId(0)).unwrap(); // hit: not timed
-        pool.try_fetch(&s, PageId(1)).unwrap(); // miss: timed
-        assert_eq!(pool.stats().pages_read, 2);
-        assert_eq!(pool.stats().cache_hits, 1);
-        assert_eq!(sink.count(), 2, "one sample per physical read, none for hits");
-
-        // The unbuffered path is also timed.
-        let mut unbuffered = BufferPool::unbuffered();
-        unbuffered.set_read_latency_sink(sink.clone());
-        unbuffered.try_fetch(&s, PageId(0)).unwrap();
-        assert_eq!(sink.count(), 3);
     }
 
     #[test]

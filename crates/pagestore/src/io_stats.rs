@@ -1,8 +1,4 @@
-//! Per-query and cumulative I/O counters.
-
-use std::sync::Arc;
-
-use telemetry::{Counter, Registry};
+//! Per-query I/O counters.
 
 /// Counters describing the physical I/O performed through a
 /// [`crate::BufferPool`].
@@ -64,78 +60,6 @@ impl IoStats {
     }
 }
 
-/// Lock-free cumulative I/O counters shared between query threads.
-///
-/// Each worker accumulates per-query [`IoStats`] locally (through its own
-/// [`crate::BufferPool`]) and folds them into one `AtomicIoStats` with
-/// [`AtomicIoStats::record`]; readers take consistent-enough snapshots with
-/// [`AtomicIoStats::snapshot`] without stopping the workers.
-///
-/// The counters are [`telemetry::Counter`]s, so a serving layer can
-/// [`bind`](AtomicIoStats::bind) them into a [`telemetry::Registry`] and
-/// have its metric snapshots observe the live totals directly — no
-/// parallel ad-hoc accounting.
-#[derive(Debug, Default)]
-pub struct AtomicIoStats {
-    pages_read: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    pages_written: Arc<Counter>,
-}
-
-impl AtomicIoStats {
-    /// A zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one set of per-query counters into the running totals.
-    pub fn record(&self, stats: &IoStats) {
-        self.pages_read.add(stats.pages_read);
-        self.cache_hits.add(stats.cache_hits);
-        self.pages_written.add(stats.pages_written);
-    }
-
-    /// The current totals as a plain [`IoStats`] value.
-    pub fn snapshot(&self) -> IoStats {
-        IoStats {
-            pages_read: self.pages_read.get(),
-            cache_hits: self.cache_hits.get(),
-            pages_written: self.pages_written.get(),
-        }
-    }
-
-    /// Reset every counter to zero.
-    pub fn reset(&self) {
-        self.pages_read.reset();
-        self.cache_hits.reset();
-        self.pages_written.reset();
-    }
-
-    /// The shared counter behind `pages_read`.
-    pub fn pages_read_counter(&self) -> &Arc<Counter> {
-        &self.pages_read
-    }
-
-    /// The shared counter behind `cache_hits`.
-    pub fn cache_hits_counter(&self) -> &Arc<Counter> {
-        &self.cache_hits
-    }
-
-    /// The shared counter behind `pages_written`.
-    pub fn pages_written_counter(&self) -> &Arc<Counter> {
-        &self.pages_written
-    }
-
-    /// Register the three counters under `prefix.pages_read`,
-    /// `prefix.cache_hits` and `prefix.pages_written`; registry snapshots
-    /// then read the same atomics [`record`](AtomicIoStats::record) writes.
-    pub fn bind(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}.pages_read"), self.pages_read.clone());
-        registry.register_counter(&format!("{prefix}.cache_hits"), self.cache_hits.clone());
-        registry.register_counter(&format!("{prefix}.pages_written"), self.pages_written.clone());
-    }
-}
-
 impl std::fmt::Display for IoStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -184,43 +108,6 @@ mod tests {
         assert_eq!(total, IoStats { pages_read: 5, cache_hits: 1, pages_written: 4 });
         total.reset();
         assert_eq!(total, IoStats::default());
-    }
-
-    #[test]
-    fn atomic_stats_accumulate_across_threads() {
-        let shared = AtomicIoStats::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let shared = &shared;
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        shared.record(&IoStats { pages_read: 2, cache_hits: 1, pages_written: 0 });
-                    }
-                });
-            }
-        });
-        let snap = shared.snapshot();
-        assert_eq!(snap, IoStats { pages_read: 800, cache_hits: 400, pages_written: 0 });
-        shared.reset();
-        assert_eq!(shared.snapshot(), IoStats::default());
-    }
-
-    #[test]
-    fn bound_registry_observes_live_totals() {
-        let shared = AtomicIoStats::new();
-        let registry = Registry::new();
-        shared.bind(&registry, "engine.io");
-        shared.record(&IoStats { pages_read: 5, cache_hits: 2, pages_written: 1 });
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("engine.io.pages_read"), Some(5));
-        assert_eq!(snap.counter("engine.io.cache_hits"), Some(2));
-        assert_eq!(snap.counter("engine.io.pages_written"), Some(1));
-        // The registry holds the same atomics, not copies.
-        shared.record(&IoStats { pages_read: 1, cache_hits: 0, pages_written: 0 });
-        assert_eq!(registry.snapshot().counter("engine.io.pages_read"), Some(6));
-        assert_eq!(shared.pages_read_counter().get(), 6);
-        assert_eq!(shared.cache_hits_counter().get(), 2);
-        assert_eq!(shared.pages_written_counter().get(), 1);
     }
 
     #[test]

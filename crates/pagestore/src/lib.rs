@@ -80,7 +80,7 @@ pub use backend::{MemoryBackend, PageStoreError, StorageBackend};
 pub use buffer_pool::{BufferPool, SharedPageCache};
 pub use file::FileBackend;
 pub use format::{PersistError, PersistResult};
-pub use io_stats::{AtomicIoStats, IoStats};
+pub use io_stats::IoStats;
 pub use layout::{DiskLayout, PageAddress};
 pub use page::{Page, PageId};
 pub use store::{PageStore, PageStoreConfig};

@@ -84,7 +84,6 @@ use brepartition_engine::{
     QueryEngine, QueryOutcome, SearchBackend, VaFileBackend,
 };
 use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError};
-use telemetry::{Counter, Gauge, Registry};
 
 use crate::error::{Error, Result};
 use crate::request::{QueryRequest, Request};
@@ -329,18 +328,11 @@ struct IndexShared {
     /// The lazily spawned background compaction worker.
     worker: Mutex<Option<Compactor>>,
     /// Epoch counter: bumped once per landed compaction swap.
-    epoch: Arc<Counter>,
+    epoch: AtomicU64,
     /// Completed compactions (successful swaps, including parks).
-    compactions: Arc<Counter>,
+    compactions: AtomicU64,
     /// Total nanoseconds spent rebuilding inside compactions.
-    compaction_nanos: Arc<Counter>,
-    /// Duration of the most recent compaction, in milliseconds.
-    last_compaction_ms: Arc<Gauge>,
-    /// Current delta-chain length (rows, live and dead) — the write debt a
-    /// compaction would fold away.
-    delta_debt_rows: Arc<Gauge>,
-    /// Current tombstone count — the delete debt.
-    tombstone_debt: Arc<Gauge>,
+    compaction_nanos: AtomicU64,
 }
 
 /// Handle to the background compaction worker thread.
@@ -373,11 +365,6 @@ struct CompletionState {
 impl IndexShared {
     fn lock_state(&self) -> MutexGuard<'_, EpochState> {
         self.state.lock().expect("index state lock poisoned")
-    }
-
-    fn record_debt(&self, delta: &DeltaSegment) {
-        self.delta_debt_rows.set(delta.delta_rows() as i64);
-        self.tombstone_debt.set(delta.tombstone_count() as i64);
     }
 }
 
@@ -412,7 +399,7 @@ impl std::fmt::Debug for Index {
             .field("dim", &self.shared.dim)
             .field("delta_rows", &st.delta.delta_rows())
             .field("tombstones", &st.delta.tombstone_count())
-            .field("epoch", &self.shared.epoch.get())
+            .field("epoch", &self.shared.epoch.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -513,13 +500,10 @@ fn compact_once(shared: &IndexShared) -> Result<()> {
             st.backend = backend;
         }
         st.delta = next;
-        shared.record_debt(&st.delta);
-        shared.epoch.inc();
+        shared.epoch.fetch_add(1, Ordering::Relaxed);
     }
-    let elapsed = started.elapsed();
-    shared.compactions.inc();
-    shared.compaction_nanos.add(elapsed.as_nanos() as u64);
-    shared.last_compaction_ms.set(elapsed.as_millis() as i64);
+    shared.compactions.fetch_add(1, Ordering::Relaxed);
+    shared.compaction_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     Ok(())
 }
 
@@ -571,17 +555,10 @@ impl Index {
             state: Mutex::new(EpochState { backend, delta }),
             compaction_lock: Mutex::new(()),
             worker: Mutex::new(None),
-            epoch: Arc::new(Counter::new()),
-            compactions: Arc::new(Counter::new()),
-            compaction_nanos: Arc::new(Counter::new()),
-            last_compaction_ms: Arc::new(Gauge::new()),
-            delta_debt_rows: Arc::new(Gauge::new()),
-            tombstone_debt: Arc::new(Gauge::new()),
+            epoch: AtomicU64::new(0),
+            compactions: AtomicU64::new(0),
+            compaction_nanos: AtomicU64::new(0),
         };
-        {
-            let st = shared.lock_state();
-            shared.record_debt(&st.delta);
-        }
         Index { shared: Arc::new(shared) }
     }
 
@@ -679,46 +656,18 @@ impl Index {
     /// How many compaction swaps have landed on this index (each bumps the
     /// serving epoch once).
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch.get()
+        self.shared.epoch.load(Ordering::Relaxed)
     }
 
     /// Completed compactions (successful rebuild-and-swap runs, parks
     /// included).
     pub fn compactions(&self) -> u64 {
-        self.shared.compactions.get()
+        self.shared.compactions.load(Ordering::Relaxed)
     }
 
     /// Total time spent inside compaction rebuilds so far, in nanoseconds.
     pub fn compaction_nanos(&self) -> u64 {
-        self.shared.compaction_nanos.get()
-    }
-
-    /// Register this index's compaction telemetry in `registry` under
-    /// `{prefix}.compactions`, `{prefix}.compaction_nanos`,
-    /// `{prefix}.epoch`, `{prefix}.last_compaction_ms`,
-    /// `{prefix}.delta_debt_rows` and `{prefix}.tombstone_debt`.
-    pub fn bind_telemetry(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(
-            &format!("{prefix}.compactions"),
-            Arc::clone(&self.shared.compactions),
-        );
-        registry.register_counter(
-            &format!("{prefix}.compaction_nanos"),
-            Arc::clone(&self.shared.compaction_nanos),
-        );
-        registry.register_counter(&format!("{prefix}.epoch"), Arc::clone(&self.shared.epoch));
-        registry.register_gauge(
-            &format!("{prefix}.last_compaction_ms"),
-            Arc::clone(&self.shared.last_compaction_ms),
-        );
-        registry.register_gauge(
-            &format!("{prefix}.delta_debt_rows"),
-            Arc::clone(&self.shared.delta_debt_rows),
-        );
-        registry.register_gauge(
-            &format!("{prefix}.tombstone_debt"),
-            Arc::clone(&self.shared.tombstone_debt),
-        );
+        self.shared.compaction_nanos.load(Ordering::Relaxed)
     }
 
     /// Append one point, returning its stable external id.
@@ -753,7 +702,6 @@ impl Index {
         let (id, trigger) = {
             let mut st = self.shared.lock_state();
             let id = st.delta.insert(row)?;
-            self.shared.record_debt(&st.delta);
             (id, over_threshold(&self.shared.spec, &st.delta))
         };
         if trigger {
@@ -794,9 +742,6 @@ impl Index {
         let (was_live, trigger) = {
             let mut st = self.shared.lock_state();
             let was_live = st.delta.delete(id);
-            if was_live {
-                self.shared.record_debt(&st.delta);
-            }
             (was_live, was_live && over_threshold(&self.shared.spec, &st.delta))
         };
         if trigger {

@@ -41,6 +41,7 @@
 //! another index fails descriptively instead of serving wrong ids.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -52,7 +53,6 @@ use brepartition_engine::{
     ShardHealth, ShardedEngine, ThroughputReport,
 };
 use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, PersistResult};
-use telemetry::{Counter, Registry};
 
 use crate::error::{Error, Result};
 use crate::index::Index;
@@ -258,7 +258,7 @@ pub struct ShardedIndex {
     /// `None` = the shard serves unwrapped. Runtime-only, for chaos tests.
     chaos: Vec<Option<(FaultPlan, Arc<FaultState>)>>,
     /// Queries answered partial (counted per query, not per batch).
-    degraded_queries: Arc<Counter>,
+    degraded_queries: Arc<AtomicU64>,
 }
 
 /// The mutable routing state of a [`ShardedIndex`], shared across clones
@@ -298,7 +298,7 @@ impl ShardedIndex {
             router: Arc::new(Mutex::new(RouterState { locals, next_global })),
             health: Arc::new(ShardHealth::new(count)),
             chaos: vec![None; count],
-            degraded_queries: Arc::new(Counter::new()),
+            degraded_queries: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -577,21 +577,7 @@ impl ShardedIndex {
 
     /// Queries answered partial since this index was assembled.
     pub fn degraded_queries(&self) -> u64 {
-        self.degraded_queries.get()
-    }
-
-    /// Register this index's availability telemetry in `registry`: the
-    /// health table's counters and gauges (see
-    /// [`ShardHealth::bind`]) plus the counter `prefix.degraded_queries`,
-    /// and every shard's compaction series under `prefix.shardNNNN.*` (see
-    /// [`Index::bind_telemetry`]).
-    pub fn bind_telemetry(&self, registry: &Registry, prefix: &str) {
-        self.health.bind(registry, prefix);
-        registry
-            .register_counter(&format!("{prefix}.degraded_queries"), self.degraded_queries.clone());
-        for (s, shard) in self.shards.iter().enumerate() {
-            shard.bind_telemetry(registry, &format!("{prefix}.{}", shard_dir_name(s)));
-        }
+        self.degraded_queries.load(Ordering::Relaxed)
     }
 
     /// Arm per-shard fault-injection schedules for chaos testing: entry `s`
@@ -719,7 +705,7 @@ impl ShardedIndex {
             });
         };
         if !availability.is_full() {
-            self.degraded_queries.add(lowered.len() as u64);
+            self.degraded_queries.fetch_add(lowered.len() as u64, Ordering::Relaxed);
         }
         let ks: Vec<usize> = lowered.iter().map(|r| r.k).collect();
         let outcomes = merge_shard_outcomes(&answered, &ks);

@@ -529,9 +529,9 @@ fn oracle_concurrent_mutators_match_serial_replay() {
 
 /// Deleting a never-issued or already-dead id must not dirty the delta or
 /// reschedule work: after a fold, a barrage of dead deletes leaves the
-/// epoch, the compaction counter and the pending-write flag untouched, and
-/// an explicit `compact()` stays a no-op. Exercised through both the
-/// inline and the background compaction paths.
+/// epoch, the compaction counter, the fold timer and the pending-write flag
+/// untouched, and an explicit `compact()` stays a no-op. Exercised through
+/// both the inline and the background compaction paths.
 #[test]
 fn idempotent_deletes_keep_compaction_a_noop() {
     let seed = seed_from_env();
@@ -554,6 +554,7 @@ fn idempotent_deletes_keep_compaction_a_noop() {
         index.compact().unwrap();
         assert_eq!(index.epoch(), 0, "{ctx}: no-op compact bumped the epoch");
         assert_eq!(index.compactions(), 0);
+        assert_eq!(index.compaction_nanos(), 0, "{ctx}: no-op compact was timed");
 
         // One real delete, folded.
         assert!(index.delete(PointId(3)).unwrap());
@@ -561,6 +562,8 @@ fn idempotent_deletes_keep_compaction_a_noop() {
         let epoch = index.epoch();
         let folds = index.compactions();
         assert_eq!(folds, 1, "{ctx}: the real tombstone must fold");
+        let fold_nanos = index.compaction_nanos();
+        assert!(fold_nanos > 0, "{ctx}: the fold was not timed");
 
         // Dead deletes (the folded id, plus never-issued ids) must change
         // nothing, and compaction must stay a no-op.
@@ -571,6 +574,7 @@ fn idempotent_deletes_keep_compaction_a_noop() {
         index.compact().unwrap();
         assert_eq!(index.epoch(), epoch, "{ctx}: idempotent deletes rescheduled a fold");
         assert_eq!(index.compactions(), folds, "{ctx}: compaction count moved");
+        assert_eq!(index.compaction_nanos(), fold_nanos, "{ctx}: fold timer moved");
         assert_eq!(index.len(), INITIAL_POINTS - 1);
     }
 }
