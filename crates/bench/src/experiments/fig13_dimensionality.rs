@@ -6,7 +6,7 @@
 //! VAF's growth rate accelerates, and BBT degrades the fastest once the
 //! dimensionality exceeds what ball clustering can separate.
 
-use brepartition_core::PartitionStrategy;
+use brepartition_core::{BrePartitionConfig, CostModel, PartitionStrategy};
 use datagen::PaperDataset;
 
 use crate::report::{fmt_f64, Table};
@@ -48,9 +48,11 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
         let bp = bench.run_brepartition(&workload, k, Some(m), PartitionStrategy::Pccp);
         let vaf = bench.run_vaf(&workload, k);
         let bbt = bench.run_bbt(&workload, k);
-        // Recover the M that Auto picked by rebuilding the cost model cheaply.
-        let m = brepartition_core::CostModel::fit(workload.kind, &workload.dataset, 128, 13)
-            .map(|model| model.optimal_partitions(1).to_string())
+        // The M that Auto would pick: the cost model fitted with the
+        // default build seed.
+        let seed = BrePartitionConfig::default().seed;
+        let m = CostModel::fit(workload.kind, &workload.dataset, seed)
+            .map(|model| model.optimal_partitions().to_string())
             .unwrap_or_else(|_| "-".into());
         io_table.row(vec![
             dim.to_string(),

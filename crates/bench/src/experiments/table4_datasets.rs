@@ -2,7 +2,7 @@
 //! optimized number of partitions computed by the cost model.
 
 use bregman::DivergenceKind;
-use brepartition_core::CostModel;
+use brepartition_core::{BrePartitionConfig, CostModel};
 use datagen::PaperDataset;
 
 use crate::report::Table;
@@ -35,10 +35,12 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
         };
         let fitted = match workload.kind {
             DivergenceKind::GeneralizedI => None,
-            kind => CostModel::fit(kind, &workload.dataset, 128, 7).ok(),
+            kind => {
+                CostModel::fit(kind, &workload.dataset, BrePartitionConfig::default().seed).ok()
+            }
         };
         let m = fitted
-            .map(|model| model.optimal_partitions(1).to_string())
+            .map(|model| model.optimal_partitions().to_string())
             .unwrap_or_else(|| "-".into());
         table.row(vec![
             dataset.name().to_string(),

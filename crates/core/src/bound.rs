@@ -89,6 +89,34 @@ impl QueryBounds {
         Some((QueryBounds { pivot_point, per_subspace, total }, totals))
     }
 
+    /// The radii the filter searches with: each per-subspace bound widened
+    /// by a rounding allowance of `1e-12` of the magnitudes of the pivot's
+    /// bound terms in that subspace (`|α_x| + |α_y| + |β_yy| + √(γ_x·δ_y)`).
+    ///
+    /// In one dimension the Cauchy–Schwarz step is an equality whenever `φ'`
+    /// keeps its sign (Itakura–Saito, for one), so a bound can equal the
+    /// exact divergence, and rounding alone can put it a few ulps below the
+    /// divergence the range search computes (below zero when the pivot
+    /// coincides with the query) and drop true neighbours. The allowance is
+    /// far above the rounding error of a subspace sum and far below any gap
+    /// the filter prunes on.
+    pub fn search_radii(
+        &self,
+        transformed: &TransformedDataset,
+        query: &TransformedQuery,
+    ) -> Vec<f64> {
+        self.per_subspace
+            .iter()
+            .enumerate()
+            .map(|(s, &bound)| {
+                let (alpha_x, gamma_x) = transformed.components(self.pivot_point, s);
+                let (alpha_y, beta_yy, delta_y) = query.components(s);
+                let cauchy = (gamma_x * delta_y).max(0.0).sqrt();
+                bound + 1e-12 * (alpha_x.abs() + alpha_y.abs() + beta_yy.abs() + cauchy)
+            })
+            .collect()
+    }
+
     /// Number of subspaces covered.
     pub fn partitions(&self) -> usize {
         self.per_subspace.len()

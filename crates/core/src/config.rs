@@ -37,8 +37,8 @@ pub struct BrePartitionConfig {
     /// [`crate::BrePartitionIndex::knn`]. Zero disables caching so every
     /// page access is counted as physical I/O (the paper's per-query metric).
     pub buffer_pool_pages: usize,
-    /// Number of data points sampled when fitting the cost model and the
-    /// PCCP correlation matrix.
+    /// Number of data points sampled when estimating the PCCP correlation
+    /// matrix.
     pub sample_size: usize,
     /// Seed for every randomized choice (sampling, k-means initialization,
     /// PCCP's random first dimension).

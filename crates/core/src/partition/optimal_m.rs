@@ -1,207 +1,244 @@
 //! The cost model and the optimized number of partitions (Theorem 4).
 //!
-//! The online cost of a BrePartition query is modelled as
+//! The online cost of a BrePartition query keeps the paper's form
 //!
 //! ```text
-//! T(M) = d + M·n + n·log k + β·A·α^M·n·d + β·A·α^M·n·log k
+//! T(M) = d + M·n + n·ln k + u(M)·n·(d + ln k)
 //! ```
 //!
-//! where `UB ≈ A·α^M` captures the (empirically exponential) decay of the
-//! summed upper bound with the number of partitions, and `λ = β·UB` is the
-//! fraction of points surviving the filter. Minimizing `T` gives
+//! where `M·n` is Algorithm 4's bound pass, `n·ln k` its selection, and
+//! `u(M)·n` the candidates the filter keeps, each refined at `d + ln k`.
+//! [`CostModel::fit`] picks the `M` that minimises `T`, ties going to the
+//! smaller `M`.
 //!
-//! ```text
-//! M* = log_α( 2n / (−μ·ln α·(d + log k)) ),   μ = β·A·n .
-//! ```
+//! # The survivor term is measured
 //!
-//! `A`, `α` and `β` are fitted from a handful of sampled point pairs, exactly
-//! as the paper prescribes (fit `UB = A·α^M` through two sampled `M` values;
-//! estimate `β` as the fraction of points inside a sample's bound divided by
-//! the bound). Because the fitted `M*` is rarely an integer, the model
-//! evaluates `T` at the neighbouring integers and picks the cheaper one.
+//! `u(M)` is the fraction of points the filter keeps, measured on eight
+//! seeded data rows used as queries ([`SampledUnion`]).
+//! Each sampled query gets the real Algorithm 4 radii `QB_s` at
+//! `k =` [`MODEL_K`] under an [`equal_contiguous`] partitioning (the radii
+//! the search filters with, [`QueryBounds::search_radii`]), and a point
+//! counts when `D_s(x_s, q_s) ≤ QB_s` in *any* subspace `s`. Range search
+//! is exact, so that is exactly the union the per-subspace BB-trees return.
+//!
+//! # Why the exponential fit was dropped
+//!
+//! The paper models the survivor fraction as `λ = β·A·α^M`, with
+//! `UB ≈ A·α^M` fitted through the summed bound at two values of `M`. The
+//! summed bound does tighten as `M` grows, so that fit always predicts fewer
+//! survivors at larger `M`, and it chose 261 subspaces over the 400
+//! dimensions of the Fonts proxy. But the filter keeps the *union* of `M`
+//! range searches, and the union grows with `M` faster than the bound
+//! tightens. On the Fonts proxy at n = 3 000 (Itakura–Saito, k = 10) the
+//! union of perturbed queries holds 407, 559, 815 and 946 points at
+//! M = 1, 32, 100 and 261. On the eight sampled rows, `u(M)·n` is 253 at
+//! M = 1, 716 at M = 261 and 757 at M = d. Measuring `u(M)` lets the model
+//! see that, and it picks M = 1 there.
+//!
+//! # The cost of measuring
+//!
+//! Each coordinate's divergence term splits as
+//! `φ(x_j) − φ(y_j) − φ'(y_j)·(x_j − y_j)`. The point part `φ(x_j)` (the
+//! per-coordinate `α_x`) is tabulated once; the query parts are the
+//! query's `α_y`, `β_yy` and gradient. Each grid value then only sums these
+//! per subspace: no generator is re-evaluated per `M`. The grid is
+//! `M ∈ {1, 2, 4, …} ∪ {d}`, walked upward, and the
+//! walk stops once `M·n` alone reaches the cheapest `T` seen: every other
+//! term is non-negative, so no larger `M` can win.
 
+use std::ops::Range;
+
+use bregman::kernel::dot_chunked;
 use bregman::{DenseDataset, DivergenceKind};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::bound::upper_bound_from_components;
+use crate::bound::QueryBounds;
 use crate::error::{CoreError, Result};
 use crate::partition::equal::equal_contiguous;
-use crate::transform::TransformedQuery;
+use crate::transform::{TransformedDataset, TransformedQuery};
 
-/// Fitted parameters of the query cost model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The result size `k` at which the model sets the sampled queries' radii
+/// and prices the selection and refine terms. `M` is fixed at build time,
+/// before any query's `k` is known, so this is a constant.
+pub const MODEL_K: usize = 10;
+
+/// Number of seeded data rows sampled as queries when measuring `u(M)`.
+const SAMPLE_QUERIES: usize = 8;
+
+/// The modelled online cost `T(M)` of one query with `k =` [`MODEL_K`],
+/// for a dataset of `n` points in `dim` dimensions whose filter keeps the
+/// fraction `union_fraction` of them.
+fn online_cost(n: usize, dim: usize, m: usize, union_fraction: f64) -> f64 {
+    let n = n as f64;
+    let d = dim as f64;
+    let ln_k = (MODEL_K as f64).ln();
+    d + m as f64 * n + n * ln_k + union_fraction * n * (d + ln_k)
+}
+
+/// The partition counts the model measures, in increasing order: every
+/// power of two below `dim`, then `dim` itself.
+fn partition_grid(dim: usize) -> Vec<usize> {
+    let mut grid: Vec<usize> = std::iter::successors(Some(1usize), |m| m.checked_mul(2))
+        .take_while(|&m| m < dim)
+        .collect();
+    grid.push(dim);
+    grid
+}
+
+/// The filter's survivor fraction `u(M)`, measured on sampled queries.
+///
+/// Construction samples the query rows and tabulates `φ(x_j)` for every
+/// coordinate of every point; [`SampledUnion::fraction`] then measures one
+/// `M` from those tables.
+#[derive(Debug)]
+pub struct SampledUnion<'a> {
+    kind: DivergenceKind,
+    dataset: &'a DenseDataset,
+    /// `φ(x_j)` of every coordinate, row-major like the dataset.
+    phi: Vec<f64>,
+    /// The sampled query rows, each with its gradient `∇φ(q)`.
+    queries: Vec<(usize, Vec<f64>)>,
+}
+
+impl<'a> SampledUnion<'a> {
+    /// Sample eight distinct rows (all of them when `n` is smaller) with
+    /// `seed` and tabulate the per-coordinate generator.
+    pub fn new(
+        kind: DivergenceKind,
+        dataset: &'a DenseDataset,
+        seed: u64,
+    ) -> Result<SampledUnion<'a>> {
+        let n = dataset.len();
+        if n < 2 || dataset.dim() == 0 {
+            return Err(CoreError::EmptyDataset);
+        }
+        let mut rows: Vec<usize> = (0..n).collect();
+        rows.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+        rows.truncate(SAMPLE_QUERIES);
+        let queries = rows
+            .into_iter()
+            .map(|row| {
+                let prepared = kind.prepare_query(dataset.row(row));
+                let grad = prepared.gradient().expect("every divergence kind decomposes");
+                (row, grad.to_vec())
+            })
+            .collect();
+        let phi = (0..n)
+            .flat_map(|i| dataset.row(i))
+            .map(|&v| kind.phi_sum(std::slice::from_ref(&v)))
+            .collect();
+        Ok(SampledUnion { kind, dataset, phi, queries })
+    }
+
+    /// The mean fraction of points in the union of the `m` per-subspace
+    /// range searches under [`equal_contiguous`], over the sampled queries.
+    pub fn fraction(&self, m: usize) -> Result<f64> {
+        let n = self.dataset.len();
+        let d = self.dataset.dim();
+        let partitioning = equal_contiguous(d, m)?;
+        let ranges: Vec<Range<usize>> =
+            partitioning.subspaces().iter().map(|dims| dims[0]..dims[dims.len() - 1] + 1).collect();
+        // Point-major `(α_x, γ_x)`, summed in the order
+        // `point_components` sums them, so the radii below are bit-identical
+        // to the ones an index built on this partitioning computes.
+        let mut tuples = Vec::with_capacity(n * m);
+        for i in 0..n {
+            let row = self.dataset.row(i);
+            let phi = &self.phi[i * d..(i + 1) * d];
+            for range in &ranges {
+                let (mut alpha, mut gamma) = (0.0, 0.0);
+                for j in range.clone() {
+                    alpha += phi[j];
+                    gamma += row[j] * row[j];
+                }
+                tuples.push((alpha, gamma));
+            }
+        }
+        let mut next = tuples.iter().copied();
+        let transformed = TransformedDataset::from_point_major(n, m, || {
+            next.next().ok_or(CoreError::EmptyDataset)
+        })?;
+
+        let mut filters = Vec::with_capacity(self.queries.len());
+        for (row, grad) in &self.queries {
+            let query = TransformedQuery::build(self.kind, self.dataset.row(*row), &partitioning);
+            let radii = QueryBounds::determine(&transformed, &query, MODEL_K)
+                .ok_or(CoreError::EmptyDataset)?
+                .search_radii(&transformed, &query);
+            filters.push((grad, query, radii));
+        }
+        // Point-major, so each row is read once for all the sampled queries:
+        // D_s(x, q) = α_x + α_y + β_yy − ⟨∇φ(q)_s, x_s⟩.
+        let mut kept = 0usize;
+        for i in 0..n {
+            let x = self.dataset.row(i);
+            let point = &tuples[i * m..(i + 1) * m];
+            kept += filters
+                .iter()
+                .filter(|(grad, query, radii)| {
+                    ranges.iter().enumerate().any(|(s, range)| {
+                        let dot = dot_chunked(&grad[range.clone()], &x[range.clone()]);
+                        let (alpha_y, beta_yy, _) = query.components(s);
+                        point[s].0 + alpha_y + beta_yy - dot <= radii[s]
+                    })
+                })
+                .count();
+        }
+        Ok(kept as f64 / (n * self.queries.len()) as f64)
+    }
+}
+
+/// The measured cost model behind [`crate::PartitionCount::Auto`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
-    /// Scale of the fitted bound decay `UB ≈ A·α^M`.
-    pub a: f64,
-    /// Base of the fitted bound decay, in `(0, 1)`.
-    pub alpha: f64,
-    /// Pruning-effect coefficient `λ = β·UB`.
-    pub beta: f64,
-    /// Dataset size the model was fitted on.
-    pub n: usize,
-    /// Dimensionality the model was fitted on.
-    pub dim: usize,
+    measured: Vec<(usize, f64)>,
+    optimum: usize,
 }
 
 impl CostModel {
-    /// Fit the model on a sample of the dataset.
-    ///
-    /// * `UB(M)` is measured for `M = 1` and `M = min(8, d)` over
-    ///   `sample_size` random point/query pairs under an equal partitioning,
-    ///   and `A`, `α` are solved from the two averages.
-    /// * `β` is the average over sampled queries of
-    ///   `(fraction of points within the query's bound) / bound`.
-    pub fn fit(
-        kind: DivergenceKind,
-        dataset: &DenseDataset,
-        sample_size: usize,
-        seed: u64,
-    ) -> Result<CostModel> {
-        let n = dataset.len();
-        let d = dataset.dim();
-        if n < 2 {
-            return Err(CoreError::EmptyDataset);
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut indices: Vec<usize> = (0..n).collect();
-        indices.shuffle(&mut rng);
-        let samples = sample_size.clamp(2, n).min(64);
-        let pairs: Vec<(usize, usize)> = (0..samples)
-            .map(|i| (indices[i % indices.len()], indices[(i * 7 + 3) % indices.len()]))
-            .filter(|(a, b)| a != b)
-            .collect();
-        if pairs.is_empty() {
-            return Err(CoreError::EmptyDataset);
-        }
-
-        let m1 = 1usize;
-        let m2 = 8usize.min(d).max(2.min(d));
-        let u1 = Self::mean_bound(kind, dataset, &pairs, m1)?;
-        let u2 = Self::mean_bound(kind, dataset, &pairs, m2)?;
-
-        // Solve A·α^{m1} = u1, A·α^{m2} = u2.
-        let (a, alpha) = if u1 > 0.0 && u2 > 0.0 && m2 > m1 && u2 < u1 {
-            let alpha = (u2 / u1).powf(1.0 / (m2 - m1) as f64).clamp(0.05, 0.995);
-            (u1 / alpha.powi(m1 as i32), alpha)
-        } else {
-            // Degenerate fit (tiny dimensionality or constant data): fall
-            // back to a mild decay so the formula stays well defined.
-            (u1.max(1e-9), 0.9)
-        };
-
-        // β from the pruning effect of a few sampled query bounds.
-        let mut beta_samples = Vec::new();
-        for &(x_idx, y_idx) in pairs.iter().take(8) {
-            let query = dataset.row(y_idx);
-            let partitioning = equal_contiguous(d, m2)?;
-            let q = TransformedQuery::build(kind, query, &partitioning);
-            let x_row = dataset.row(x_idx);
-            let mut bound = 0.0;
-            let mut scratch = Vec::new();
-            for (s, dims) in partitioning.subspaces().iter().enumerate() {
-                DenseDataset::gather_into(x_row, dims, &mut scratch);
-                bound +=
-                    upper_bound_from_components(kind.point_components(&scratch), q.components(s));
+    /// Measure `u(M)` along `M ∈ {1, 2, 4, …} ∪ {d}` with queries sampled
+    /// by `seed`, stopping once `M·n` alone reaches the cheapest `T(M)` seen,
+    /// and keep the cheapest `M`.
+    pub fn fit(kind: DivergenceKind, dataset: &DenseDataset, seed: u64) -> Result<CostModel> {
+        let sample = SampledUnion::new(kind, dataset, seed)?;
+        let (n, dim) = (dataset.len(), dataset.dim());
+        let mut measured = Vec::new();
+        let (mut optimum, mut best_cost) = (1, f64::INFINITY);
+        for m in partition_grid(dim) {
+            if m as f64 * n as f64 >= best_cost {
+                break;
             }
-            if bound <= 0.0 {
-                continue;
-            }
-            let within = dataset.iter().filter(|(_, p)| kind.divergence(p, query) <= bound).count();
-            beta_samples.push(within as f64 / n as f64 / bound);
-        }
-        let beta = if beta_samples.is_empty() {
-            1.0 / (u1.max(1e-9))
-        } else {
-            beta_samples.iter().sum::<f64>() / beta_samples.len() as f64
-        };
-
-        Ok(CostModel { a, alpha, beta: beta.max(1e-12), n, dim: d })
-    }
-
-    /// Mean summed upper bound over sampled pairs at a given `M`.
-    fn mean_bound(
-        kind: DivergenceKind,
-        dataset: &DenseDataset,
-        pairs: &[(usize, usize)],
-        m: usize,
-    ) -> Result<f64> {
-        let partitioning = equal_contiguous(dataset.dim(), m)?;
-        let mut total = 0.0;
-        let mut scratch = Vec::new();
-        for &(x_idx, y_idx) in pairs {
-            let q = TransformedQuery::build(kind, dataset.row(y_idx), &partitioning);
-            let x_row = dataset.row(x_idx);
-            let mut ub = 0.0;
-            for (s, dims) in partitioning.subspaces().iter().enumerate() {
-                DenseDataset::gather_into(x_row, dims, &mut scratch);
-                ub += upper_bound_from_components(kind.point_components(&scratch), q.components(s));
-            }
-            total += ub;
-        }
-        Ok(total / pairs.len() as f64)
-    }
-
-    /// A convenience constructor used by tests and by callers that want to
-    /// explore the model analytically.
-    pub fn from_parameters(a: f64, alpha: f64, beta: f64, n: usize, dim: usize) -> CostModel {
-        CostModel { a, alpha: alpha.clamp(1e-6, 0.999_999), beta, n, dim }
-    }
-
-    /// The modelled online cost `T(M)` for result size `k`.
-    pub fn online_cost(&self, m: usize, k: usize) -> f64 {
-        let n = self.n as f64;
-        let d = self.dim as f64;
-        let log_k = (k.max(1) as f64).ln().max(0.0);
-        let survivors = self.beta * self.a * self.alpha.powi(m as i32) * n;
-        d + m as f64 * n + n * log_k + survivors * d + survivors * log_k
-    }
-
-    /// Theorem 4: the real-valued minimizer of the cost model.
-    pub fn theoretical_optimum(&self, k: usize) -> f64 {
-        let n = self.n as f64;
-        let d = self.dim as f64;
-        let log_k = (k.max(1) as f64).ln().max(0.0);
-        let mu = self.beta * self.a * n;
-        let ln_alpha = self.alpha.ln(); // negative
-        let denominator = -mu * ln_alpha * (d + log_k);
-        if denominator <= 0.0 {
-            return 1.0;
-        }
-        let x = 2.0 * n / denominator;
-        if x <= 0.0 {
-            return 1.0;
-        }
-        x.ln() / ln_alpha
-    }
-
-    /// The optimized integer number of partitions.
-    ///
-    /// The paper rounds the closed-form optimum of Theorem 4 up and down and
-    /// keeps the cheaper value. Because evaluating the fitted cost model at
-    /// an integer `M` is O(1), this implementation simply evaluates every
-    /// `M ∈ [1, d]` and returns the global integer minimizer, which always
-    /// matches or improves on the rounding rule. The paper fixes `k = 1`
-    /// when deriving `M` offline because `k ≪ n` barely moves the optimum.
-    pub fn optimal_partitions(&self, k: usize) -> usize {
-        let mut best_m = 1usize;
-        let mut best_cost = f64::INFINITY;
-        for m in 1..=self.dim.max(1) {
-            let cost = self.online_cost(m, k);
+            let union = sample.fraction(m)?;
+            measured.push((m, union));
+            let cost = online_cost(n, dim, m, union);
             if cost < best_cost {
-                best_cost = cost;
-                best_m = m;
+                (optimum, best_cost) = (m, cost);
             }
         }
-        best_m
+        Ok(CostModel { measured, optimum })
+    }
+
+    /// The optimized number of partitions.
+    pub fn optimal_partitions(&self) -> usize {
+        self.optimum
+    }
+
+    /// The grid values the walk measured, as `(M, u(M))` in increasing `M`.
+    pub fn measured(&self) -> &[(usize, f64)] {
+        &self.measured
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BrePartitionConfig;
+    use crate::search::BrePartitionIndex;
+    use bregman::kernel::KernelScratch;
     use datagen::correlated::CorrelatedSpec;
+    use datagen::PaperDataset;
 
     fn dataset(n: usize, dim: usize) -> DenseDataset {
         CorrelatedSpec { n, dim, blocks: dim / 4, correlation: 0.7, mean: 5.0, scale: 1.0, seed: 5 }
@@ -209,81 +246,148 @@ mod tests {
     }
 
     #[test]
-    fn fitted_parameters_are_sane() {
+    fn grid_is_powers_of_two_then_the_dimensionality() {
+        assert_eq!(partition_grid(1), vec![1]);
+        assert_eq!(partition_grid(2), vec![1, 2]);
+        assert_eq!(partition_grid(3), vec![1, 2, 3]);
+        assert_eq!(partition_grid(8), vec![1, 2, 4, 8]);
+        assert_eq!(partition_grid(400), vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 400]);
+    }
+
+    #[test]
+    fn measured_fractions_are_sane() {
         let ds = dataset(800, 32);
-        let model = CostModel::fit(DivergenceKind::ItakuraSaito, &ds, 64, 1).unwrap();
-        assert!(model.a > 0.0);
-        assert!(model.alpha > 0.0 && model.alpha < 1.0, "alpha = {}", model.alpha);
-        assert!(model.beta > 0.0);
-        assert_eq!(model.n, 800);
-        assert_eq!(model.dim, 32);
+        let model = CostModel::fit(DivergenceKind::ItakuraSaito, &ds, 1).unwrap();
+        let measured = model.measured();
+        assert_eq!(measured[0].0, 1);
+        assert!(measured.windows(2).all(|w| w[0].0 < w[1].0));
+        for &(m, union) in measured {
+            // Each sampled row is a data point at distance zero from itself.
+            assert!(union > 0.0 && union <= 1.0, "u({m}) = {union}");
+        }
+        let cost = |(m, union): (usize, f64)| online_cost(ds.len(), ds.dim(), m, union);
+        let cheapest = measured.iter().copied().map(cost).fold(f64::INFINITY, f64::min);
+        let optimum = model.optimal_partitions();
+        let at_optimum = measured.iter().copied().find(|&(m, _)| m == optimum).unwrap();
+        assert_eq!(cost(at_optimum), cheapest);
     }
 
     #[test]
     fn optimal_m_is_within_bounds_and_deterministic() {
         let ds = dataset(600, 48);
-        let m1 =
-            CostModel::fit(DivergenceKind::ItakuraSaito, &ds, 64, 9).unwrap().optimal_partitions(1);
-        let m2 =
-            CostModel::fit(DivergenceKind::ItakuraSaito, &ds, 64, 9).unwrap().optimal_partitions(1);
+        let m1 = CostModel::fit(DivergenceKind::ItakuraSaito, &ds, 9).unwrap().optimal_partitions();
+        let m2 = CostModel::fit(DivergenceKind::ItakuraSaito, &ds, 9).unwrap().optimal_partitions();
         assert_eq!(m1, m2);
         assert!((1..=48).contains(&m1));
     }
 
     #[test]
-    fn cost_is_minimized_at_reported_optimum() {
-        let model = CostModel::from_parameters(50.0, 0.8, 0.002, 50_000, 200);
-        let best = model.optimal_partitions(1);
-        let best_cost = model.online_cost(best, 1);
-        for m in 1..=200 {
-            assert!(
-                best_cost <= model.online_cost(m, 1) + 1e-6,
-                "m={m} is cheaper than reported optimum {best}"
-            );
+    fn measured_union_matches_a_brute_force_membership_test() {
+        let ds = PaperDataset::Fonts.paper_spec().with_points(400).with_dim(24).generate(3);
+        let kind = DivergenceKind::ItakuraSaito;
+        let sample = SampledUnion::new(kind, &ds, 4).unwrap();
+        let mut scratch_x = Vec::new();
+        let mut scratch_q = Vec::new();
+        for m in [1, 3, 8, 24] {
+            let partitioning = equal_contiguous(ds.dim(), m).unwrap();
+            let transformed = TransformedDataset::build(kind, &ds, &partitioning);
+            let mut kept = 0usize;
+            for &(row, _) in &sample.queries {
+                let q = ds.row(row);
+                let query = TransformedQuery::build(kind, q, &partitioning);
+                let radii = QueryBounds::determine(&transformed, &query, MODEL_K)
+                    .unwrap()
+                    .search_radii(&transformed, &query);
+                kept += (0..ds.len())
+                    .filter(|&i| {
+                        partitioning.subspaces().iter().enumerate().any(|(s, dims)| {
+                            DenseDataset::gather_into(ds.row(i), dims, &mut scratch_x);
+                            DenseDataset::gather_into(q, dims, &mut scratch_q);
+                            kind.divergence(&scratch_x, &scratch_q) <= radii[s]
+                        })
+                    })
+                    .count();
+            }
+            let want = kept as f64 / (ds.len() * sample.queries.len()) as f64;
+            let got = sample.fraction(m).unwrap();
+            assert!((got - want).abs() <= 1e-3, "M = {m}: measured {got}, brute force {want}");
         }
     }
 
     #[test]
-    fn more_dimensions_never_decrease_the_optimum() {
-        // With everything else fixed, the optimum M for a higher-dimensional
-        // dataset is at least as large (matches the paper's Fig. 13 setup
-        // where M grows from 3 to 50 as d grows from 10 to 400).
-        let low = CostModel::from_parameters(40.0, 0.85, 0.001, 100_000, 10);
-        let high = CostModel::from_parameters(40.0, 0.85, 0.001, 100_000, 400);
-        assert!(high.optimal_partitions(1) >= low.optimal_partitions(1));
+    fn early_stopped_pick_equals_the_full_grid_argmin() {
+        let datasets = [PaperDataset::Fonts, PaperDataset::Audio].map(|proxy| {
+            let spec = proxy.paper_spec().with_points(900).with_dim(64);
+            (spec.divergence, spec.generate(2))
+        });
+        let mut stopped_early = false;
+        for (kind, ds) in &datasets {
+            let model = CostModel::fit(*kind, ds, 3).unwrap();
+            let sample = SampledUnion::new(*kind, ds, 3).unwrap();
+            let grid = partition_grid(ds.dim());
+            let mut best = (0, f64::INFINITY);
+            for &m in &grid {
+                let cost = online_cost(ds.len(), ds.dim(), m, sample.fraction(m).unwrap());
+                if cost < best.1 {
+                    best = (m, cost);
+                }
+            }
+            assert_eq!(model.optimal_partitions(), best.0, "{kind}");
+            stopped_early |= model.measured().len() < grid.len();
+        }
+        assert!(stopped_early, "the walk never stopped before the end of the grid");
     }
 
     #[test]
-    fn data_size_barely_moves_the_optimum() {
-        // Matches the paper's observation (Section 9.7) that n has little
-        // impact on M.
-        let small = CostModel::from_parameters(40.0, 0.85, 0.001, 2_000_000, 128);
-        let large = CostModel::from_parameters(40.0, 0.85, 0.001, 10_000_000, 128);
-        let a = small.optimal_partitions(1);
-        let b = large.optimal_partitions(1);
-        assert!(a.abs_diff(b) <= 1, "optimum moved from {a} to {b}");
-    }
-
-    #[test]
-    fn degenerate_model_falls_back_to_one_partition() {
-        let model = CostModel::from_parameters(0.0, 0.9, 0.0, 100, 16);
-        assert_eq!(model.optimal_partitions(1), 1);
+    fn degenerate_inputs_pick_a_valid_m_and_build_an_exact_index() {
+        let constant_column: Vec<Vec<f64>> =
+            (0..60).map(|i| vec![1.0 + (i % 7) as f64, 3.0, 0.5 + (i % 5) as f64]).collect();
+        let cases = [
+            ("n = 2", vec![vec![1.0, 2.0, 3.0], vec![2.0, 1.0, 0.5]]),
+            ("d = 1", (0..40).map(|i| vec![0.5 + (i % 9) as f64]).collect()),
+            ("constant column", constant_column),
+            ("all-duplicate rows", vec![vec![2.0, 4.0, 1.0, 0.25]; 30]),
+        ];
+        let kind = DivergenceKind::ItakuraSaito;
+        for (label, rows) in cases {
+            let ds = DenseDataset::from_rows(&rows).unwrap();
+            let config = BrePartitionConfig::default();
+            let m = CostModel::fit(kind, &ds, config.seed).unwrap().optimal_partitions();
+            assert!((1..=ds.dim()).contains(&m), "{label}: M = {m}");
+            if label == "all-duplicate rows" {
+                // Every point is at distance zero from every query, so the
+                // union is the whole dataset at every M and only M·n differs.
+                assert_eq!(m, 1);
+            }
+            let index = BrePartitionIndex::build(kind, &ds, &config).unwrap();
+            assert_eq!(index.partitions(), m, "{label}");
+            let k = 3.min(ds.len());
+            for qi in 0..ds.len() {
+                let query = ds.row(qi);
+                let got = index
+                    .knn(
+                        &mut index.new_buffer_pool(),
+                        &mut KernelScratch::default(),
+                        query,
+                        k,
+                        None,
+                    )
+                    .unwrap();
+                let mut truth: Vec<f64> =
+                    (0..ds.len()).map(|i| kind.divergence(ds.row(i), query)).collect();
+                truth.sort_by(f64::total_cmp);
+                let distances: Vec<f64> = got.neighbors.iter().map(|&(_, d)| d).collect();
+                assert_eq!(distances.len(), k, "{label}: query {qi}");
+                for (g, t) in distances.iter().zip(&truth) {
+                    assert!((g - t).abs() <= 1e-9 * (1.0 + t.abs()), "{label}: query {qi}");
+                }
+            }
+        }
     }
 
     #[test]
     fn fit_rejects_tiny_datasets() {
         let ds = DenseDataset::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        assert!(CostModel::fit(DivergenceKind::SquaredEuclidean, &ds, 8, 1).is_err());
-    }
-
-    #[test]
-    fn theoretical_optimum_matches_closed_form() {
-        let model = CostModel::from_parameters(100.0, 0.7, 0.01, 10_000, 64);
-        let m = model.theoretical_optimum(1);
-        // Verify the stationarity condition of the cost model at the
-        // closed-form optimum: the derivative of T wrt M is ~0 there when
-        // the formula's factor-2 numerator is accounted for.
-        assert!(m.is_finite());
-        assert!(m > 0.0);
+        assert!(CostModel::fit(DivergenceKind::SquaredEuclidean, &ds, 1).is_err());
     }
 }

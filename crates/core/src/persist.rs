@@ -18,7 +18,7 @@
 //! the data pages from the page file through the same
 //! [`pagestore::BufferPool`] path, so a reopened index answers every query
 //! with the same neighbors *and the same per-query I/O counters* as the
-//! freshly built one. The only part not persisted is the fitted cost model
+//! freshly built one. The only part not persisted is the measured cost model
 //! (a build-time artifact used to choose `M`);
 //! [`BrePartitionIndex::cost_model`] returns `None` after open.
 //!

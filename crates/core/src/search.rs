@@ -108,11 +108,11 @@ impl BrePartitionIndex {
                 if m == 0 || m > d {
                     return Err(CoreError::InvalidPartitionCount { requested: m, dim: d });
                 }
-                (m, CostModel::fit(kind, dataset, config.sample_size, config.seed).ok())
+                (m, None)
             }
             PartitionCount::Auto => {
-                let model = CostModel::fit(kind, dataset, config.sample_size, config.seed)?;
-                (model.optimal_partitions(1).clamp(1, d), Some(model))
+                let model = CostModel::fit(kind, dataset, config.seed)?;
+                (model.optimal_partitions(), Some(model))
             }
         };
 
@@ -252,7 +252,8 @@ impl BrePartitionIndex {
         &self.partitioning
     }
 
-    /// The fitted cost model, when one was computed.
+    /// The cost model Auto measured at build time (`None` for a fixed `M`
+    /// and after reopening).
     pub fn cost_model(&self) -> Option<&CostModel> {
         self.cost_model.as_ref()
     }
@@ -345,9 +346,10 @@ impl BrePartitionIndex {
                 (shrunk, Some(c), best.iter().map(|&(point, _)| point).collect())
             }
         };
+        let radii = bounds.search_radii(&self.transformed, &transformed_query);
         let bound_seconds = bound_started.elapsed().as_secs_f64();
         let (neighbors, mut stats) =
-            self.filter_and_refine(pool, kernel, query, k, &bounds.per_subspace, &also_refine)?;
+            self.filter_and_refine(pool, kernel, query, k, &radii, &also_refine)?;
         stats.bound_seconds = bound_seconds;
         Ok(QueryResult { neighbors, stats, bounds, coefficient })
     }
@@ -882,7 +884,7 @@ mod tests {
         assert_eq!(index.partitioning().len(), 4);
         assert_eq!(index.dimension_means().len(), 16);
         assert_eq!(index.dimension_variances().len(), 16);
-        assert!(index.cost_model().is_some());
+        assert!(index.cost_model().is_none(), "a fixed M fits no model");
         let report = index.build_report();
         assert_eq!(report.partitions, 4);
         assert!(report.total_seconds >= report.forest_seconds);

@@ -19,8 +19,9 @@ fn main() {
 
     // 2. Describe the index: the BrePartition method under the
     //    Itakura-Saito divergence. `PartitionCount::Auto` (the default)
-    //    picks the optimized number of partitions from the paper's cost
-    //    model; PCCP assigns dimensions to partitions. Swapping
+    //    picks the number of partitions from the paper's cost model, with
+    //    the filter's survivor fraction measured on a few sampled queries;
+    //    PCCP assigns dimensions to partitions. Swapping
     //    `Method::BBTree` or `Method::VaFile` into the same spec builds a
     //    baseline instead — nothing else changes.
     let spec = IndexSpec::brepartition(DivergenceKind::ItakuraSaito)

@@ -162,8 +162,8 @@ pub struct IndexSpec {
     /// Leaf capacity of the BB-trees (BrePartition subspace trees and the
     /// BBT baseline alike).
     pub leaf_capacity: usize,
-    /// BrePartition: points sampled when fitting the cost model and the
-    /// PCCP correlation matrix.
+    /// BrePartition: points sampled when estimating the PCCP correlation
+    /// matrix.
     pub sample_size: usize,
     /// Seed for every randomized choice during construction.
     pub seed: u64,

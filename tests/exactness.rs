@@ -68,6 +68,51 @@ fn brepartition_with_auto_partitions_is_exact() {
 }
 
 #[test]
+fn auto_partition_count_keeps_no_more_candidates_than_the_best_fixed_m() {
+    // Auto's M must filter about as well as the best of a few fixed M values
+    // on every proxy. The exponential fit it replaced picked M close to d and
+    // kept more than twice the candidates of M = 1 on the Fonts proxy.
+    let (n, k, queries_per_dataset) = (1_500, 10, 32);
+    for dataset in PaperDataset::ALL {
+        let spec = dataset.paper_spec().with_points(n);
+        let kind = spec.divergence;
+        let data = spec.generate(7);
+        let workload = QueryWorkload::perturbed_from(&data, kind, queries_per_dataset, 0.02, 11);
+        let truth = ground_truth_knn(kind, &data, &workload.queries, k, 2);
+        let config = BrePartitionConfig::default().with_page_size(spec.page_size_bytes);
+        let mean_candidates = |config: &BrePartitionConfig| -> (usize, f64) {
+            let index = BrePartitionIndex::build(kind, &data, config).unwrap();
+            let mut candidates = 0usize;
+            for (qi, query) in workload.iter().enumerate() {
+                let result = index
+                    .knn(
+                        &mut index.new_buffer_pool(),
+                        &mut KernelScratch::default(),
+                        query,
+                        k,
+                        None,
+                    )
+                    .unwrap();
+                let label = format!("{dataset} M = {}", index.partitions());
+                assert_distances_match(&label, &result.neighbors, truth.neighbors_of(qi));
+                candidates += result.stats.candidates;
+            }
+            (index.partitions(), candidates as f64 / workload.len() as f64)
+        };
+        let (auto_m, auto) = mean_candidates(&config);
+        let best_fixed = [1, 4, 16]
+            .into_iter()
+            .map(|m| mean_candidates(&config.with_partitions(m)).1)
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            auto <= 1.2 * best_fixed,
+            "{dataset}: Auto (M = {auto_m}) keeps {auto:.1} candidates per query, \
+             the best fixed M keeps {best_fixed:.1}"
+        );
+    }
+}
+
+#[test]
 fn disk_bbtree_is_exact_on_proxies() {
     let (data, kind) = proxy(PaperDataset::Fonts, 500, 40, 5);
     assert_eq!(kind, DivergenceKind::ItakuraSaito);
