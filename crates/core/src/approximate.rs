@@ -20,18 +20,18 @@
 //! `E[β_xy] = −Σ_j E[x_j]·φ'(y_j)` and
 //! `Var[β_xy] = Σ_j Var[x_j]·φ'(y_j)²` (independence across dimensions).
 //!
-//! Exact and approximate search are one filter-refine pass that differs
-//! only in the per-subspace radii, so there is no separate approximate
-//! entry point: [`BrePartitionIndex::knn`] with `Some(&ApproximateConfig)`
-//! replaces Algorithm 4's bounds by the shrunken radii this module
-//! computes, and `p = 1` is bit-identical to the exact search.
+//! Exact and approximate search are one seed-filter-refine pass that
+//! differs only in the per-subspace radii, so there is no separate
+//! approximate entry point: [`BrePartitionIndex::knn`] with
+//! `Some(&ApproximateConfig)` searches each subspace with the smaller of the
+//! shrunken radius this module computes and the exact search's seeded
+//! radius, so `p = 1` is the exact search.
 //!
 //! The shrunken radii alone can select nothing: when `κ_j` is large and
 //! negative (as on the hierarchical proxies), any `c < 1` can push every
-//! radius below zero. The approximate pass therefore also refines the `k`
-//! points with the smallest summed upper bounds, which Algorithm 4's first
-//! pass already ranks, so an answer always holds `min(k, n)` neighbours.
-//! Those points lie in the exact union, so at `p = 1` they add nothing.
+//! radius below zero. The seed stage has already scored every row on the
+//! pages of the `k` points with the smallest summed upper bounds, so an
+//! answer always holds `min(k, n)` neighbours.
 
 use bregman::PointId;
 

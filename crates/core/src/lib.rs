@@ -13,13 +13,15 @@
 //!    tuple `P(x) = (α_x, γ_x)`; a query is transformed into triples
 //!    `Q(y) = (α_y, β_yy, δ_y)` ([`transform`]). The Cauchy–Schwarz upper
 //!    bound assembled from these components ([`bound`]) yields, per
-//!    subspace, a search radius (the components of the k-th smallest summed
-//!    upper bound, Algorithm 4). A range query in each subspace's BB-tree —
-//!    all trees integrated into one disk-resident **BB-forest**
-//!    ([`bbforest`]) — produces candidates.
-//! 3. **Refine** — the union of the per-subspace candidates is fetched from
-//!    disk (I/O counted per page) and the exact divergences decide the kNN
-//!    ([`search`]).
+//!    subspace, a search bound (the components of the k-th smallest summed
+//!    upper bound, Algorithm 4). The pages of the k best-by-bound points
+//!    are then read and scored exactly, and their k-th exact distance
+//!    scales those bounds down to the search radii. A range query in each
+//!    subspace's BB-tree — all trees integrated into one disk-resident
+//!    **BB-forest** ([`bbforest`]) — produces candidates.
+//! 3. **Refine** — the union of the per-subspace candidates off the seeded
+//!    pages is fetched from disk (I/O counted per page) and the exact
+//!    divergences decide the kNN ([`search`]).
 //!
 //! The approximate extension ([`approximate`]) shrinks the Cauchy term by a
 //! coefficient derived from the data distribution to meet a user-specified

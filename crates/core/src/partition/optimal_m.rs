@@ -15,11 +15,15 @@
 //!
 //! `u(M)` is the fraction of points the filter keeps, measured on eight
 //! seeded data rows used as queries ([`SampledUnion`]).
-//! Each sampled query gets the real Algorithm 4 radii `QB_s` at
-//! `k =` [`MODEL_K`] under an [`equal_contiguous`] partitioning (the radii
-//! the search filters with, [`QueryBounds::search_radii`]), and a point
-//! counts when `D_s(x_s, q_s) ≤ QB_s` in *any* subspace `s`. Range search
-//! is exact, so that is exactly the union the per-subspace BB-trees return.
+//! Each sampled query gets the radii the search filters with at
+//! `k =` [`MODEL_K`] under an [`equal_contiguous`] partitioning: Algorithm
+//! 4's [`QueryBounds::search_radii`] scaled down by `min(1, r / T)`, where
+//! `T` is Algorithm 4's total and `r` the largest exact distance among the
+//! `k` best-by-bound rows. The search seeds `r` from every row on those
+//! rows' pages, so this `r` is an upper bound on the seeded one that needs
+//! no page layout. A point counts when `D_s(x_s, q_s) ≤ r_s` in *any*
+//! subspace `s`. Range search is exact, so that is exactly the union the
+//! per-subspace BB-trees return at these radii.
 //!
 //! # Why the exponential fit was dropped
 //!
@@ -29,10 +33,11 @@
 //! survivors at larger `M`, and it chose 261 subspaces over the 400
 //! dimensions of the Fonts proxy. But the filter keeps the *union* of `M`
 //! range searches, and the union grows with `M` faster than the bound
-//! tightens. On the Fonts proxy at n = 3 000 (Itakura–Saito, k = 10) the
-//! union of perturbed queries holds 407, 559, 815 and 946 points at
-//! M = 1, 32, 100 and 261. On the eight sampled rows, `u(M)·n` is 253 at
-//! M = 1, 716 at M = 261 and 757 at M = d. Measuring `u(M)` lets the model
+//! tightens. On the Fonts proxy at n = 3 000 (Itakura–Saito, k = 10),
+//! filtering with Algorithm 4's radius, the union of perturbed queries
+//! holds 407, 559, 815 and 946 points at M = 1, 32, 100 and 261. On the
+//! eight sampled rows at the seeded radius, `u(M)·n` is 110 at M = 1, 690
+//! at M = 261 and 757 at M = d. Measuring `u(M)` lets the model
 //! see that, and it picks M = 1 there.
 //!
 //! # The cost of measuring
@@ -164,9 +169,7 @@ impl<'a> SampledUnion<'a> {
         let mut filters = Vec::with_capacity(self.queries.len());
         for (row, grad) in &self.queries {
             let query = TransformedQuery::build(self.kind, self.dataset.row(*row), &partitioning);
-            let radii = QueryBounds::determine(&transformed, &query, MODEL_K)
-                .ok_or(CoreError::EmptyDataset)?
-                .search_radii(&transformed, &query);
+            let radii = self.seeded_radii(&transformed, &query, *row)?;
             filters.push((grad, query, radii));
         }
         // Point-major, so each row is read once for all the sampled queries:
@@ -187,6 +190,33 @@ impl<'a> SampledUnion<'a> {
                 .count();
         }
         Ok(kept as f64 / (n * self.queries.len()) as f64)
+    }
+
+    /// The radii sampled row `row` searches with at `k =` [`MODEL_K`]:
+    /// [`QueryBounds::search_radii`] scaled by `min(1, r / T)`, where `T` is
+    /// Algorithm 4's total and `r` the largest exact distance among the `k`
+    /// best-by-bound rows. The search seeds its radius from every row on
+    /// those rows' pages, so `r` bounds the seeded radius from above
+    /// without any page layout.
+    fn seeded_radii(
+        &self,
+        transformed: &TransformedDataset,
+        query: &TransformedQuery,
+        row: usize,
+    ) -> Result<Vec<f64>> {
+        let (bounds, best) = QueryBounds::determine_ranked(transformed, query, MODEL_K)
+            .ok_or(CoreError::EmptyDataset)?;
+        let q = self.dataset.row(row);
+        let r = best
+            .iter()
+            .map(|&(i, _)| self.kind.divergence(self.dataset.row(i), q))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let scale = if r < bounds.total { r / bounds.total } else { 1.0 };
+        let mut radii = bounds.search_radii(transformed, query);
+        for radius in &mut radii {
+            *radius *= scale;
+        }
+        Ok(radii)
     }
 }
 
@@ -295,9 +325,7 @@ mod tests {
             for &(row, _) in &sample.queries {
                 let q = ds.row(row);
                 let query = TransformedQuery::build(kind, q, &partitioning);
-                let radii = QueryBounds::determine(&transformed, &query, MODEL_K)
-                    .unwrap()
-                    .search_radii(&transformed, &query);
+                let radii = sample.seeded_radii(&transformed, &query, row).unwrap();
                 kept += (0..ds.len())
                     .filter(|&i| {
                         partitioning.subspaces().iter().enumerate().any(|(s, dims)| {

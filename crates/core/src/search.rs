@@ -25,7 +25,10 @@ pub struct QueryResult {
     pub neighbors: Vec<(PointId, f64)>,
     /// Per-phase cost breakdown.
     pub stats: QueryStats,
-    /// The per-subspace searching bounds the filter phase used.
+    /// Algorithm 4's per-subspace bounds (shrunken by the coefficient for
+    /// the approximate extension). These are not the seeded radii the
+    /// filter searched with, which scale them down by `min(1, r′ / T)`
+    /// (see [`BrePartitionIndex::knn`]).
     pub bounds: QueryBounds,
     /// The shrink coefficient applied to the Cauchy term (`None` for the
     /// exact search, `Some(c)` for the approximate extension).
@@ -295,23 +298,49 @@ impl BrePartitionIndex {
     }
 
     /// Algorithm 6 (`BrePartitionSearch`) and its approximate extension
-    /// (Section 8, the paper's **ABP**) as one filter-refine pass, reading
-    /// pages through the caller's buffer pool and evaluating distances
-    /// through the caller's [`KernelScratch`] (the batch-serving hot path
-    /// reuses both across a batch).
+    /// (Section 8, the paper's **ABP**) as one seed-filter-refine pass,
+    /// reading pages through the caller's buffer pool and evaluating
+    /// distances through the caller's [`KernelScratch`] (the batch-serving
+    /// hot path reuses both across a batch).
     ///
-    /// Both modes share the prologue — validate, transform the query,
-    /// Algorithm 4's bounds — and differ only in the per-subspace radii fed
-    /// to the filter: `approximate: None` is the exact search over the
-    /// bounds themselves; `Some(config)` shrinks each radius's Cauchy term
-    /// by Proposition 1's coefficient for `config.probability`, and
-    /// `p = 1` is bit-identical to the exact search. A query of the wrong
-    /// dimensionality is [`CoreError::QueryDimensionMismatch`]; one with a
-    /// coordinate outside the divergence's domain (NaN, ±∞, ≤ 0 under
-    /// Itakura–Saito) is [`CoreError::Bregman`] wrapping
+    /// The stages:
+    ///
+    /// 1. **Bound.** Transform the query and run Algorithm 4, which ranks
+    ///    every point by its summed Cauchy–Schwarz upper bound and returns
+    ///    the `k`-th smallest total `T` with its per-subspace split.
+    /// 2. **Seed.** Read the pages holding the `min(k, n)` best-by-bound
+    ///    points and score *every* row on them with the prepared kernel,
+    ///    one `distance_block` per page. The `k`-th smallest of these exact
+    ///    distances, `r̂`, is at most the largest exact distance of those
+    ///    points, which is at most `T`. It is widened to `r′` by a `1e-12`
+    ///    rounding allowance on the `k`-th row's kernel terms
+    ///    (`|Φ(x)| + |c_q| + |⟨φ′(q), x⟩|`).
+    /// 3. **Filter.** Range-search each subspace `s` with
+    ///    `search_radii[s] · min(1, r′ / T)`
+    ///    ([`QueryBounds::search_radii`]).
+    /// 4. **Refine.** Score the union members that are not on a seeded page
+    ///    (those rows are already scored, so no page is read twice) and
+    ///    select the top `k` over the seeded and refined rows.
+    ///
+    /// **Why it stays exact.** The split radii sum to at least `r′`. A point
+    /// with `D_s > r_s` in every subspace has `D = Σ_s D_s > r′`, so every
+    /// point with `D ≤ r′` survives some subspace's range search, every true
+    /// neighbour included.
+    ///
+    /// `approximate: None` is the exact search; `Some(config)` shrinks each
+    /// radius's Cauchy term by Proposition 1's coefficient for
+    /// `config.probability` and searches each subspace with the smaller of
+    /// the shrunken and the seeded radius, so `p = 1` is the exact search.
+    /// The seeded pages hold the `k` best-by-bound points, so an answer
+    /// always has `min(k, n)` neighbours.
+    ///
+    /// A query of the wrong dimensionality is
+    /// [`CoreError::QueryDimensionMismatch`]; one with a coordinate outside
+    /// the divergence's domain (NaN, ±∞, ≤ 0 under Itakura–Saito) is
+    /// [`CoreError::Bregman`] wrapping
     /// [`BregmanError::OutOfDomain`](bregman::BregmanError::OutOfDomain). A
-    /// page that fails its read mid-refine (post-open bit rot, device error)
-    /// is [`CoreError::Persist`], never a panic.
+    /// page that fails its read (post-open bit rot, device error) is
+    /// [`CoreError::Persist`], never a panic.
     pub fn knn(
         &self,
         pool: &mut BufferPool,
@@ -326,6 +355,7 @@ impl BrePartitionIndex {
             }
         }
         self.validate_query(query)?;
+        let io_before = pool.stats();
         let bound_started = Instant::now();
         let transformed_query = TransformedQuery::build(self.kind, query, &self.partitioning);
         let Some((exact, best)) =
@@ -338,68 +368,41 @@ impl BrePartitionIndex {
                 coefficient: approximate.map(|_| 1.0),
             });
         };
-        let (bounds, coefficient, also_refine) = match approximate {
-            None => (exact, None, Vec::new()),
+
+        let mut stats = QueryStats::default();
+        let mut search_stats = SearchStats::new();
+        let mut scored = vec![false; self.transformed.len()];
+        let mut neighbors: Vec<(PointId, f64)> = Vec::new();
+        self.kind.prepare_query_into(&mut kernel.prepared, query);
+        let r_prime =
+            self.seed(pool, kernel, &best, &mut scored, &mut neighbors, &mut search_stats)?;
+        let seeded_rows = search_stats.distance_computations as usize;
+        // Split r′ across the subspaces in Algorithm 4's proportions. When
+        // r′ ≥ T the bounds already cover it and stay as they are.
+        let total = exact.total;
+        let scale = if r_prime < total { r_prime / total } else { 1.0 };
+        let mut radii = exact.search_radii(&self.transformed, &transformed_query);
+        for radius in &mut radii {
+            *radius *= scale;
+        }
+        let (bounds, coefficient) = match approximate {
+            None => (exact, None),
             Some(config) => {
                 let (shrunk, c) =
                     self.shrunken_bounds(query, &transformed_query, &exact, config.probability);
-                (shrunk, Some(c), best.iter().map(|&(point, _)| point).collect())
+                let shrunk_radii = shrunk.search_radii(&self.transformed, &transformed_query);
+                for (radius, shrunk) in radii.iter_mut().zip(shrunk_radii) {
+                    *radius = radius.min(shrunk);
+                }
+                (shrunk, Some(c))
             }
         };
-        let radii = bounds.search_radii(&self.transformed, &transformed_query);
-        let bound_seconds = bound_started.elapsed().as_secs_f64();
-        let (neighbors, mut stats) =
-            self.filter_and_refine(pool, kernel, query, k, &radii, &also_refine)?;
-        stats.bound_seconds = bound_seconds;
-        Ok(QueryResult { neighbors, stats, bounds, coefficient })
-    }
+        stats.bound_seconds = bound_started.elapsed().as_secs_f64();
 
-    /// Exact [`BrePartitionIndex::knn`] with fresh kernel buffers.
-    pub fn knn_with_pool(
-        &self,
-        pool: &mut BufferPool,
-        query: &[f64],
-        k: usize,
-    ) -> Result<QueryResult> {
-        self.knn(pool, &mut KernelScratch::default(), query, k, None)
-    }
-
-    /// Approximate [`BrePartitionIndex::knn`] with fresh kernel buffers.
-    pub fn knn_approximate_with_pool(
-        &self,
-        pool: &mut BufferPool,
-        query: &[f64],
-        k: usize,
-        config: &ApproximateConfig,
-    ) -> Result<QueryResult> {
-        self.knn(pool, &mut KernelScratch::default(), query, k, Some(config))
-    }
-
-    /// Filter + refine, parameterized by the per-subspace radii (the exact
-    /// search passes Algorithm 4's bounds, the approximate extension passes
-    /// shrunken ones) and by points refined whether or not the filter
-    /// returns them (the approximate extension's `k` best-by-bound points,
-    /// which the exact union already holds). Those points join the union
-    /// after the filter's own candidates, so when they are all present the
-    /// union, its order and its size are unchanged.
-    fn filter_and_refine(
-        &self,
-        pool: &mut BufferPool,
-        kernel: &mut KernelScratch,
-        query: &[f64],
-        k: usize,
-        radii: &[f64],
-        also_refine: &[usize],
-    ) -> Result<(Vec<(PointId, f64)>, QueryStats)> {
-        let mut stats = QueryStats::default();
-        let io_before = pool.stats();
-
-        // Filter: union of the per-subspace range-query candidates.
+        // Filter: union of the per-subspace range-query candidates that are
+        // not already scored.
         let filter_started = Instant::now();
-        let n = self.transformed.len();
-        let mut in_union = vec![false; n];
         let mut union: Vec<u32> = Vec::new();
-        let mut search_stats = SearchStats::new();
         let mut sub_query = Vec::new();
         for (s, &radius) in radii.iter().enumerate() {
             self.partitioning.project_point_into(s, query, &mut sub_query);
@@ -408,32 +411,23 @@ impl BrePartitionIndex {
             stats.subspace_candidates_total += candidates.len();
             for pid in candidates {
                 let idx = pid.index();
-                if !in_union[idx] {
-                    in_union[idx] = true;
+                if !scored[idx] {
+                    scored[idx] = true;
                     union.push(pid.0);
                 }
             }
         }
-        for &idx in also_refine {
-            if !in_union[idx] {
-                in_union[idx] = true;
-                union.push(idx as u32);
-            }
-        }
         stats.filter_seconds = filter_started.elapsed().as_secs_f64();
-        stats.candidates = union.len();
+        stats.candidates = seeded_rows + union.len();
 
-        // Refine: load candidates page by page and keep the k best exact
-        // divergences, evaluated through the prepared kernel — the
-        // query-side transcendentals were hoisted once above, the data-side
-        // generator sums come from the precomputed Φ column. Each page
-        // group is decoded as one lane-major block and refined in a single
-        // batched kernel call, so the dot products vectorize across the
-        // candidates of a page instead of running one at a time.
+        // Refine: load the remaining candidates page by page and score them
+        // through the prepared kernel (query-side transcendentals hoisted
+        // once, data-side generator sums from the Φ column). Each page group
+        // is decoded as one lane-major block and scored in a single batched
+        // kernel call, so the dot products vectorize across a page's
+        // candidates.
         let refine_started = Instant::now();
         let KernelScratch { prepared, coords, lanes, distances, phis, .. } = kernel;
-        self.kind.prepare_query_into(prepared, query);
-        let mut neighbors: Vec<(PointId, f64)> = Vec::with_capacity(union.len().min(k * 4));
         let screened = match self.f32_rows.as_deref() {
             Some(rows32) => screen_candidates_f32(
                 prepared,
@@ -465,17 +459,83 @@ impl BrePartitionIndex {
         // beyond k cost O(c) instead of the O(c log c) of a full sort. The
         // (distance, id) total order makes the selection deterministic and
         // identical to sort-then-truncate.
-        if k == 0 {
-            neighbors.clear();
-        } else if neighbors.len() > k {
-            neighbors.select_nth_unstable_by(k - 1, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        if neighbors.len() > k {
+            neighbors.select_nth_unstable_by(k - 1, by_distance_then_id);
             neighbors.truncate(k);
         }
-        neighbors.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        neighbors.sort_by(by_distance_then_id);
         stats.refine_seconds = refine_started.elapsed().as_secs_f64();
         stats.search = search_stats;
         stats.io = pool.stats().since(&io_before);
-        Ok((neighbors, stats))
+        Ok(QueryResult { neighbors, stats, bounds, coefficient })
+    }
+
+    /// Exact [`BrePartitionIndex::knn`] with fresh kernel buffers.
+    pub fn knn_with_pool(
+        &self,
+        pool: &mut BufferPool,
+        query: &[f64],
+        k: usize,
+    ) -> Result<QueryResult> {
+        self.knn(pool, &mut KernelScratch::default(), query, k, None)
+    }
+
+    /// Approximate [`BrePartitionIndex::knn`] with fresh kernel buffers.
+    pub fn knn_approximate_with_pool(
+        &self,
+        pool: &mut BufferPool,
+        query: &[f64],
+        k: usize,
+        config: &ApproximateConfig,
+    ) -> Result<QueryResult> {
+        self.knn(pool, &mut KernelScratch::default(), query, k, Some(config))
+    }
+
+    /// The seed stage of [`BrePartitionIndex::knn`]: read the page of each
+    /// of the `best` points (Algorithm 4's `min(k, n)` best-by-bound
+    /// points) once, score every row on it, mark those rows in `scored`,
+    /// and keep the `best.len()` nearest of them in `neighbors`. Returns
+    /// `r′`, the `best.len()`-th smallest exact distance widened by a
+    /// `1e-12` rounding allowance on that row's kernel terms, or `+∞` when
+    /// fewer rows were scored (which leaves Algorithm 4's radii in force).
+    fn seed(
+        &self,
+        pool: &mut BufferPool,
+        kernel: &mut KernelScratch,
+        best: &[(usize, f64)],
+        scored: &mut [bool],
+        neighbors: &mut Vec<(PointId, f64)>,
+        search_stats: &mut SearchStats,
+    ) -> Result<f64> {
+        let store = self.forest.store();
+        let KernelScratch { prepared, lanes, distances, phis, .. } = kernel;
+        for &(point, _) in best {
+            if scored[point] {
+                continue; // its page is already scored
+            }
+            let Some(address) = store.address_of(point as u32) else { continue };
+            let Some(page) = pool.try_fetch(store, address.page)? else { continue };
+            page.decode_all_into(lanes);
+            phis.clear();
+            phis.extend(page.point_ids().iter().map(|&pid| self.phi[pid as usize]));
+            prepared.distance_block(phis, lanes, distances);
+            for (&pid, &d) in page.point_ids().iter().zip(distances.iter()) {
+                scored[pid as usize] = true;
+                neighbors.push((PointId(pid), d));
+            }
+            search_stats.candidates_examined += page.len() as u64;
+            search_stats.distance_computations += page.len() as u64;
+        }
+        let Some(kth) = best.len().checked_sub(1).filter(|&kth| kth < neighbors.len()) else {
+            return Ok(f64::INFINITY);
+        };
+        neighbors.select_nth_unstable_by(kth, by_distance_then_id);
+        neighbors.truncate(kth + 1);
+        let (pid, r_hat) = neighbors[kth];
+        let phi_x = self.phi[pid.index()];
+        let offset = prepared.offset().unwrap_or(0.0);
+        let dot = phi_x + offset - r_hat;
+        Ok(r_hat + 1e-12 * (phi_x.abs() + offset.abs() + dot.abs()))
     }
 
     fn validate_query(&self, query: &[f64]) -> Result<()> {
@@ -487,6 +547,11 @@ impl BrePartitionIndex {
         }
         Ok(self.kind.check_domain(query)?)
     }
+}
+
+/// The `(distance, id)` total order every answer is ranked by.
+fn by_distance_then_id(a: &(PointId, f64), b: &(PointId, f64)) -> std::cmp::Ordering {
+    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
 /// Max-heap entry for the `f32` screening tier: the heap's greatest element
@@ -523,7 +588,10 @@ impl Ord for ScreenEntry {
 /// The `f32` candidate-screening tier: estimate every candidate's
 /// divergence from the in-memory `f32` row copy, then fetch pages and
 /// re-rank at full resolution only for candidates whose estimate cannot be
-/// ruled out. Returns `false` (leaving `neighbors` untouched) when the
+/// ruled out. `neighbors` enters holding at most `k` exactly scored rows
+/// (the seeded ones), which set the pruning threshold from the start, and leaves
+/// holding the `k` best of those and the screened candidates. Returns
+/// `false` (leaving `neighbors` untouched) when the
 /// prepared query is the naive fallback, which has no gradient to screen
 /// with — the caller then runs the unscreened block refine. A candidate
 /// page that fails its read aborts the screen with the read error.
@@ -587,7 +655,7 @@ fn screen_candidates_f32(
     scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
 
     let mut heap: std::collections::BinaryHeap<ScreenEntry> =
-        std::collections::BinaryHeap::with_capacity(k + 1);
+        neighbors.drain(..).map(|(pid, dist)| ScreenEntry { dist, pid: pid.0 }).collect();
     let mut one_dist = Vec::with_capacity(1);
     for &(estimate, bound, pid) in &scored {
         if heap.len() == k {

@@ -7,21 +7,24 @@ use pagestore::IoStats;
 /// the framework (bound computation, per-subspace filtering, refinement).
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct QueryStats {
-    /// Seconds spent transforming the query and determining the searching
-    /// bounds (Algorithm 4).
+    /// Seconds spent transforming the query, determining the searching
+    /// bounds (Algorithm 4) and seeding the radius from the pages of the
+    /// `k` best-by-bound points.
     pub bound_seconds: f64,
     /// Seconds spent running the per-subspace range queries.
     pub filter_seconds: f64,
-    /// Seconds spent loading candidates and computing exact divergences.
+    /// Seconds spent loading the remaining candidates and computing their
+    /// exact divergences.
     pub refine_seconds: f64,
-    /// Size of the final (union) candidate set.
+    /// Number of distinct rows scored exactly: every row on a seeded page,
+    /// plus the filter's union members on other pages.
     pub candidates: usize,
     /// Sum of the per-subspace candidate-set sizes (before the union), a
     /// measure of how much the subspaces overlap.
     pub subspace_candidates_total: usize,
     /// Tree traversal counters accumulated over every subspace.
     pub search: SearchStats,
-    /// Physical I/O performed while loading candidates.
+    /// Physical I/O performed by the query, seed reads included.
     pub io: IoStats,
 }
 
@@ -32,8 +35,9 @@ impl QueryStats {
     }
 
     /// Overlap factor of the subspace candidate sets: the ratio of the summed
-    /// subspace candidate counts to the union size (≥ 1; higher means more
-    /// overlap, which is what PCCP aims for). Returns 1 when there were no
+    /// subspace candidate counts to the scored rows (higher means more
+    /// overlap, which is what PCCP aims for; seeded rows the filter does not
+    /// return can pull it below 1). Returns 1 when there were no
     /// candidates.
     pub fn overlap_factor(&self) -> f64 {
         if self.candidates == 0 {

@@ -146,6 +146,17 @@ impl Page {
             }
         }
     }
+
+    /// Decode every record as one lane-major block, in slot order: the
+    /// result of [`Page::decode_slots_into`] over all slots, read straight
+    /// off the payload, which already stores the records that way.
+    pub fn decode_all_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        let bytes = &self.payload[..self.dim * self.point_ids.len() * 8];
+        out.extend(
+            bytes.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -191,6 +202,10 @@ mod tests {
         page.decode_slots_into(&[2, 0], &mut out);
         // m = 2 slots: lane 0 = [c0, a0], lane 1 = [c1, a1].
         assert_eq!(out, vec![5.0, 1.0, 6.0, 2.0]);
+        let mut all = Vec::new();
+        page.decode_all_into(&mut all);
+        page.decode_slots_into(&[0, 1, 2], &mut out);
+        assert_eq!(all, out);
     }
 
     #[test]

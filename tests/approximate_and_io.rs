@@ -265,3 +265,70 @@ fn approximate_answers_are_never_short_and_recall_does_not_fall_as_p_rises() {
         }
     }
 }
+
+#[test]
+fn seeded_search_reads_each_page_once_and_few_pages_on_the_fonts_proxy() {
+    // The seed reads the pages of the k best-by-bound points and scores
+    // every row on them; the refine then skips those rows, so no page is
+    // read twice. An unbuffered pool counts every page touch, and a cold
+    // pool that holds every page counts each distinct page once.
+    let spec = PaperDataset::Fonts.paper_spec().with_points(3_000);
+    let kind = spec.divergence;
+    let data = spec.generate(7);
+    let queries = QueryWorkload::perturbed_from(&data, kind, 64, 0.02, 11);
+    let index = BrePartitionIndex::build(
+        kind,
+        &data,
+        &BrePartitionConfig::default()
+            .with_page_size(spec.page_size_bytes)
+            .with_buffer_pool_pages(0),
+    )
+    .unwrap();
+    let pages = index.forest().page_count();
+    let mut kernel = KernelScratch::default();
+    let mut pages_read = 0u64;
+    for (qi, query) in queries.iter().enumerate() {
+        let unbuffered =
+            index.knn(&mut index.new_buffer_pool(), &mut kernel, query, 10, None).unwrap();
+        let cold = index.knn(&mut BufferPool::new(pages), &mut kernel, query, 10, None).unwrap();
+        assert_eq!(cold.neighbors, unbuffered.neighbors, "query {qi}");
+        assert_eq!(cold.stats.io.cache_hits, 0, "query {qi}: a page was read twice");
+        assert_eq!(
+            unbuffered.stats.io.pages_read, cold.stats.io.pages_read,
+            "query {qi}: pages read differ from the distinct pages touched"
+        );
+        assert_eq!(
+            unbuffered.stats.candidates as u64, unbuffered.stats.search.distance_computations,
+            "query {qi}: candidates must count the distinct rows scored exactly"
+        );
+        pages_read += unbuffered.stats.io.pages_read;
+    }
+    let mean = pages_read as f64 / queries.len() as f64;
+    // Filtering with Algorithm 4's radius alone reads 11.16 pages per query.
+    assert!(mean <= 6.0, "{mean} pages read per query");
+}
+
+#[test]
+fn approximate_search_at_p_one_is_the_exact_search() {
+    let (data, queries) = workload(1_000, 32);
+    let index = BrePartitionIndex::build(
+        DivergenceKind::ItakuraSaito,
+        &data,
+        &BrePartitionConfig::default().with_partitions(4).with_page_size(4 * 1024),
+    )
+    .unwrap();
+    let p_one = ApproximateConfig::with_probability(1.0);
+    let mut kernel = KernelScratch::default();
+    for k in [1, 10, 50] {
+        for (qi, query) in queries.iter().enumerate() {
+            let exact =
+                index.knn(&mut index.new_buffer_pool(), &mut kernel, query, k, None).unwrap();
+            let approx = index
+                .knn(&mut index.new_buffer_pool(), &mut kernel, query, k, Some(&p_one))
+                .unwrap();
+            assert_eq!(approx.neighbors, exact.neighbors, "k = {k}, query {qi}");
+            assert_eq!(approx.stats.candidates, exact.stats.candidates, "k = {k}, query {qi}");
+            assert_eq!(approx.coefficient, Some(1.0));
+        }
+    }
+}

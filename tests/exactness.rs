@@ -225,3 +225,173 @@ fn generalized_i_divergence_is_rejected_by_the_partitioned_index() {
     .unwrap_err();
     assert!(err.to_string().contains("not cumulative"));
 }
+
+/// The brute-force neighbours under the benchmark's tie rule: every row
+/// scored by the divergence's own formula, ranked by `(distance, id)`.
+fn brute_force(
+    kind: DivergenceKind,
+    data: &DenseDataset,
+    query: &[f64],
+    k: usize,
+) -> Vec<(u32, f64)> {
+    let mut scored: Vec<(u32, f64)> =
+        (0..data.len()).map(|i| (i as u32, kind.divergence(data.row(i), query))).collect();
+    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
+}
+
+/// `got` names the brute-force neighbours id for id. A differing id is
+/// accepted only where the scan scores it exactly as the expected one (a
+/// genuine tie, which the index may order either way).
+#[track_caller]
+fn assert_same_neighbors(
+    label: &str,
+    kind: DivergenceKind,
+    data: &DenseDataset,
+    query: &[f64],
+    got: &[(PointId, f64)],
+    k: usize,
+) {
+    let truth = brute_force(kind, data, query, k);
+    assert_eq!(got.len(), truth.len(), "{label}: result size");
+    for (rank, (&(id, _), &(want, want_d))) in got.iter().zip(&truth).enumerate() {
+        assert!(
+            id.0 == want || kind.divergence(data.row(id.index()), query) == want_d,
+            "{label}: rank {rank} is {id}, the scan ranks {want} there (distance {want_d})"
+        );
+    }
+}
+
+/// The `k` nearest rows by a linear scan through the prepared kernel the
+/// index refines with, ranked by `(distance, id)`: what an exact index must
+/// return bit for bit, ties included.
+fn kernel_scan(
+    kind: DivergenceKind,
+    data: &DenseDataset,
+    query: &[f64],
+    k: usize,
+) -> Vec<(PointId, f64)> {
+    let prepared = kind.prepare_query(query);
+    let mut scored: Vec<(PointId, f64)> = (0..data.len())
+        .map(|i| (PointId(i as u32), prepared.distance(kind.phi_sum(data.row(i)), data.row(i))))
+        .collect();
+    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
+}
+
+/// Build BP under `kind` on `data` at each partition setting and check every
+/// query at k ∈ {1, 10, n, n + 5} against [`kernel_scan`] (id for id, bit for
+/// bit) and, where `resolvable`, against brute force under the benchmark's
+/// tie rule, through an unbuffered pool and through one warm pool that holds
+/// every page. Data is not resolvable where distinct rows' distances differ
+/// by less than the kernel's rounding, so only the kernel can rank them.
+fn check_against_brute_force(
+    label: &str,
+    kind: DivergenceKind,
+    data: &DenseDataset,
+    config: &BrePartitionConfig,
+    queries: &[Vec<f64>],
+    resolvable: bool,
+) {
+    let n = data.len();
+    for partitions in [PartitionCount::Fixed(1), PartitionCount::Fixed(4), PartitionCount::Auto] {
+        if partitions == PartitionCount::Fixed(4) && data.dim() < 4 {
+            continue;
+        }
+        let config = BrePartitionConfig { partitions, ..*config };
+        let index = BrePartitionIndex::build(kind, data, &config).unwrap();
+        let mut warm = BufferPool::new(index.forest().page_count());
+        let mut kernel = KernelScratch::default();
+        for (qi, query) in queries.iter().enumerate() {
+            for k in [1, 10, n, n + 5] {
+                let at = format!("{label} {kind} M = {}, query {qi}, k = {k}", index.partitions());
+                let cold =
+                    index.knn(&mut BufferPool::unbuffered(), &mut kernel, query, k, None).unwrap();
+                let scan = kernel_scan(kind, data, query, k);
+                assert_eq!(cold.neighbors, scan, "{at}: differs from the kernel scan");
+                if resolvable {
+                    assert_same_neighbors(&at, kind, data, query, &cold.neighbors, k);
+                }
+                let buffered = index.knn(&mut warm, &mut kernel, query, k, None).unwrap();
+                assert_eq!(buffered.neighbors, cold.neighbors, "{at}: the pool changed the answer");
+            }
+        }
+    }
+}
+
+/// Two data rows used verbatim (the k-th distance can be exactly zero), two
+/// perturbed rows and `extra`.
+fn queries_for(data: &DenseDataset, kind: DivergenceKind, extra: &[f64]) -> Vec<Vec<f64>> {
+    let mut queries = vec![data.row(0).to_vec(), data.row(data.len() / 2).to_vec()];
+    queries
+        .extend(QueryWorkload::perturbed_from(data, kind, 2, 0.02, 5).iter().map(<[f64]>::to_vec));
+    queries.push(extra.to_vec());
+    queries
+}
+
+#[test]
+fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
+    // The search radius is seeded from the exact distances of the rows on
+    // the pages of the k best-by-bound points, so any slip in the rounding
+    // allowance, the radius split or the skip of already-scored rows shows
+    // up here as a missing, extra or repeated neighbour.
+    let kinds = [
+        DivergenceKind::SquaredEuclidean,
+        DivergenceKind::ItakuraSaito,
+        DivergenceKind::Exponential,
+    ];
+    for dataset in PaperDataset::ALL {
+        let spec = dataset.paper_spec().with_points(600);
+        let data = spec.generate(3);
+        let config = BrePartitionConfig::default().with_page_size(spec.page_size_bytes);
+        for kind in [spec.divergence, DivergenceKind::SquaredEuclidean] {
+            let queries = queries_for(&data, kind, data.row(1));
+            check_against_brute_force(&dataset.to_string(), kind, &data, &config, &queries, true);
+        }
+    }
+
+    // Small pages (four rows of d = 6) spread copies of a row over many
+    // pages, so ties reach past the seeded pages.
+    let small_pages = BrePartitionConfig::default().with_page_size(4 * 6 * 8).with_leaf_capacity(4);
+    let row = [2.0, 4.0, 1.0, 0.25, 3.0, 1.5];
+    // Every eighth row shrunk by a hair ranks first by bound and shares
+    // pages with exact copies, so the k-th seeded distance is an exact
+    // copy's rounding noise, which can fall below zero; only the rounding
+    // allowance then keeps the copies on other pages.
+    let near_copies = (0..64)
+        .map(|i| {
+            let shrink = if i % 8 == 7 { 1.0 - (i + 1) as f64 * 1e-10 } else { 1.0 };
+            row.iter().map(|&v| v * shrink).collect()
+        })
+        .collect();
+    let base: Vec<Vec<f64>> = (0..12)
+        .map(|i| (0..6).map(|j| 0.5 + ((i * 5 + j * 3) % 11) as f64 * 0.25).collect())
+        .collect();
+    let hostile = [
+        ("all-duplicate rows", vec![row.to_vec(); 64], true),
+        ("near-duplicate rows", near_copies, false),
+        ("ties at the k-th distance", (0..192).map(|i| base[i % 12].clone()).collect(), true),
+    ];
+    for (label, rows, resolvable) in hostile {
+        let data = DenseDataset::from_rows(&rows).unwrap();
+        for kind in kinds {
+            let queries = queries_for(&data, kind, &[1.0; 6]);
+            check_against_brute_force(label, kind, &data, &small_pages, &queries, resolvable);
+        }
+    }
+    let one_dim: Vec<Vec<f64>> = (0..200).map(|i| vec![0.5 + ((i * 7) % 23) as f64]).collect();
+    let data = DenseDataset::from_rows(&one_dim).unwrap();
+    let config = BrePartitionConfig::default().with_page_size(4 * 8).with_leaf_capacity(4);
+    for kind in kinds {
+        let queries = queries_for(&data, kind, &[3.7]);
+        check_against_brute_force("d = 1", kind, &data, &config, &queries, true);
+    }
+
+    // GI is not cumulative across partitions, so BP refuses to build it.
+    assert!(matches!(
+        BrePartitionIndex::build(DivergenceKind::GeneralizedI, &data, &config),
+        Err(brepartition::core::CoreError::UnsupportedDivergence { .. })
+    ));
+}
