@@ -9,10 +9,16 @@
 //! clusters of different subspaces are similar, so the candidates produced
 //! by different subspaces tend to live on the same pages and the union of
 //! candidates costs few extra page reads — the effect Fig. 10 measures.
+//!
+//! That layout also gives every node of the first tree a contiguous run of
+//! pages, which is what the search's seed reads
+//! ([`BBForest::seed_pages`]).
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-use bbtree::{BBTree, BBTreeBuilder, BBTreeConfig, SearchStats};
+use bbtree::{BBTree, BBTreeBuilder, BBTreeConfig, NodeId, NodeKind, SearchStats};
+use bregman::kernel::dot8;
 use bregman::{
     DenseDataset, DivergenceKind, Exponential, GeneralizedI, ItakuraSaito, PointId,
     SquaredEuclidean,
@@ -57,6 +63,10 @@ pub struct BBForest {
     kind: DivergenceKind,
     trees: Vec<BBTree>,
     store: Arc<PageStore>,
+    /// One entry per node of the first tree, indexed by node id: what the
+    /// seed's descent prices and reads. Derived from the tree and the store
+    /// (not persisted), so it is identical after a reopen.
+    descent: Vec<DescentNode>,
     /// Seconds spent building the trees and laying out the pages (reported by
     /// the index-construction experiment, Fig. 7).
     build_seconds: f64,
@@ -92,8 +102,9 @@ impl BBForest {
         let store = PageStore::build_with_order(store_config, dataset.dim(), &order, |pid| {
             dataset.point(PointId(pid))
         });
+        let descent = descent_table(kind, &trees[0], &store);
         let build_seconds = started.elapsed().as_secs_f64();
-        Ok(BBForest { kind, trees, store: Arc::new(store), build_seconds })
+        Ok(BBForest { kind, trees, store: Arc::new(store), descent, build_seconds })
     }
 
     /// Reassemble a forest from restored parts (the open-from-disk path).
@@ -103,7 +114,8 @@ impl BBForest {
         store: Arc<PageStore>,
         build_seconds: f64,
     ) -> BBForest {
-        BBForest { kind, trees, store, build_seconds }
+        let descent = descent_table(kind, &trees[0], &store);
+        BBForest { kind, trees, store, descent, build_seconds }
     }
 
     /// The divergence the forest was built for.
@@ -163,6 +175,89 @@ impl BBForest {
     pub fn page_count(&self) -> usize {
         self.store.page_count()
     }
+
+    /// The pages the search's seed scores: one greedy descent of the first
+    /// tree. From the root, each step moves into the child whose centre `c`
+    /// is nearer the query, `D(c, q) = Φ(c) + c_q − ⟨∇φ(q), c⟩` with
+    /// `grad_sub` the query's gradient projected onto the first subspace
+    /// (`c_q` is common to both children, so it is dropped). The descent
+    /// stops at a leaf, or before a child holding fewer than `min_points`
+    /// points. The store is laid out in this tree's leaf order, so the
+    /// stopping node's points fill exactly the returned run of pages. Each
+    /// node priced counts as visited in `stats`.
+    pub fn seed_pages(
+        &self,
+        grad_sub: &[f64],
+        min_points: usize,
+        stats: &mut SearchStats,
+    ) -> RangeInclusive<u32> {
+        let tree = &self.trees[0];
+        let price =
+            |id: NodeId| self.descent[id.index()].phi - dot8(grad_sub, tree.node(id).ball.center());
+        let mut at = tree.root();
+        stats.nodes_visited += 1;
+        while let NodeKind::Internal { left, right } = tree.node(at).kind {
+            stats.nodes_visited += 2;
+            let nearer = if price(right) < price(left) { right } else { left };
+            if (self.descent[nearer.index()].points as usize) < min_points {
+                break;
+            }
+            at = nearer;
+        }
+        let node = &self.descent[at.index()];
+        node.first_page..=node.last_page
+    }
+}
+
+/// One node of the first subspace tree as the seed's descent sees it.
+#[derive(Debug, Clone, Copy)]
+struct DescentNode {
+    /// `Φ(c)`, the generator sum of the node's centre.
+    phi: f64,
+    /// Number of points below the node.
+    points: u32,
+    /// First and last page holding those points (`first_page > last_page`
+    /// for an empty node).
+    first_page: u32,
+    last_page: u32,
+}
+
+/// The [`DescentNode`] of every node of `tree`: one generator evaluation
+/// per centre coordinate, and the page span of each leaf merged upward.
+fn descent_table(kind: DivergenceKind, tree: &BBTree, store: &PageStore) -> Vec<DescentNode> {
+    let empty = DescentNode { phi: 0.0, points: 0, first_page: u32::MAX, last_page: 0 };
+    let mut table = vec![empty; tree.node_count()];
+    // Reverse pre-order visits every child before its parent.
+    let mut pre_order = Vec::with_capacity(tree.node_count());
+    let mut stack = vec![tree.root()];
+    while let Some(id) = stack.pop() {
+        pre_order.push(id);
+        if let NodeKind::Internal { left, right } = tree.node(id).kind {
+            stack.extend([left, right]);
+        }
+    }
+    let page_of = |pid: &PointId| store.address_of(pid.0).map(|a| a.page.0);
+    for &id in pre_order.iter().rev() {
+        let node = tree.node(id);
+        let mut entry = DescentNode { phi: kind.phi_sum(node.ball.center()), ..empty };
+        match &node.kind {
+            NodeKind::Leaf { points } => {
+                entry.points = points.len() as u32;
+                for page in points.iter().filter_map(page_of) {
+                    entry.first_page = entry.first_page.min(page);
+                    entry.last_page = entry.last_page.max(page);
+                }
+            }
+            NodeKind::Internal { left, right } => {
+                let (l, r) = (table[left.index()], table[right.index()]);
+                entry.points = l.points + r.points;
+                entry.first_page = l.first_page.min(r.first_page);
+                entry.last_page = l.last_page.max(r.last_page);
+            }
+        }
+        table[id.index()] = entry;
+    }
+    table
 }
 
 #[cfg(test)]

@@ -41,19 +41,6 @@ impl QueryBounds {
         query: &TransformedQuery,
         k: usize,
     ) -> Option<QueryBounds> {
-        Self::determine_ranked(transformed, query, k).map(|(bounds, _)| bounds)
-    }
-
-    /// [`QueryBounds::determine`] plus pass 1's selection: the `min(k, n)`
-    /// points with the smallest summed upper bounds, the pivot among them,
-    /// as `(point, total)` in no particular order. The approximate search
-    /// refines these on top of its shrunken-radius union, so its answer is
-    /// never shorter than `min(k, n)`.
-    pub(crate) fn determine_ranked(
-        transformed: &TransformedDataset,
-        query: &TransformedQuery,
-        k: usize,
-    ) -> Option<(QueryBounds, Vec<(usize, f64)>)> {
         let n = transformed.len();
         let m = transformed.partitions();
         if n == 0 || k == 0 || m != query.partitions() {
@@ -85,8 +72,7 @@ impl QueryBounds {
                 )
             })
             .collect();
-        totals.truncate(kth + 1);
-        Some((QueryBounds { pivot_point, per_subspace, total }, totals))
+        Some(QueryBounds { pivot_point, per_subspace, total })
     }
 
     /// The radii the filter searches with: each per-subspace bound widened

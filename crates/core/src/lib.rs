@@ -9,16 +9,18 @@
 //!    subspaces uses PCCP, the Pearson-Correlation-Coefficient-based
 //!    Partition ([`partition::pccp`]), which spreads correlated dimensions
 //!    across subspaces so their candidate sets overlap.
-//! 2. **Filter** — every data point is pre-transformed, per subspace, into a
-//!    tuple `P(x) = (α_x, γ_x)`; a query is transformed into triples
-//!    `Q(y) = (α_y, β_yy, δ_y)` ([`transform`]). The Cauchy–Schwarz upper
+//! 2. **Filter** — a greedy descent of the first subspace's BB-tree picks
+//!    a node of at least k points near the query; its pages are read and
+//!    scored exactly, and their k-th exact distance is the search radius.
+//!    With several subspaces, every data point is pre-transformed, per
+//!    subspace, into a tuple `P(x) = (α_x, γ_x)` and a query into triples
+//!    `Q(y) = (α_y, β_yy, δ_y)` ([`transform`]); the Cauchy–Schwarz upper
 //!    bound assembled from these components ([`bound`]) yields, per
 //!    subspace, a search bound (the components of the k-th smallest summed
-//!    upper bound, Algorithm 4). The pages of the k best-by-bound points
-//!    are then read and scored exactly, and their k-th exact distance
-//!    scales those bounds down to the search radii. A range query in each
-//!    subspace's BB-tree — all trees integrated into one disk-resident
-//!    **BB-forest** ([`bbforest`]) — produces candidates.
+//!    upper bound, Algorithm 4), which splits that radius across the
+//!    subspaces. A range query in each subspace's BB-tree — all trees
+//!    integrated into one disk-resident **BB-forest** ([`bbforest`]) —
+//!    produces candidates.
 //! 3. **Refine** — the union of the per-subspace candidates off the seeded
 //!    pages is fetched from disk (I/O counted per page) and the exact
 //!    divergences decide the kNN ([`search`]).

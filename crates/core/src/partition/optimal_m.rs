@@ -3,11 +3,15 @@
 //! The online cost of a BrePartition query keeps the paper's form
 //!
 //! ```text
-//! T(M) = d + M·n + n·ln k + u(M)·n·(d + ln k)
+//! T(M) = d + M·n + n·ln k + u(M)·n·(d + ln k)     (M > 1)
+//! T(1) = d + u(1)·n·(d + ln k)
 //! ```
 //!
 //! where `M·n` is Algorithm 4's bound pass, `n·ln k` its selection, and
 //! `u(M)·n` the candidates the filter keeps, each refined at `d + ln k`.
+//! With one subspace the exact search seeds its radius from a descent of
+//! the one BB-tree and skips Algorithm 4, so `T(1)` has no bound pass; the
+//! descent's `O(d·log n)` is below the model's resolution.
 //! [`CostModel::fit`] picks the `M` that minimises `T`, ties going to the
 //! smaller `M`.
 //!
@@ -18,10 +22,12 @@
 //! Each sampled query gets the radii the search filters with at
 //! `k =` [`MODEL_K`] under an [`equal_contiguous`] partitioning: Algorithm
 //! 4's [`QueryBounds::search_radii`] scaled down by `min(1, r / T)`, where
-//! `T` is Algorithm 4's total and `r` the largest exact distance among the
-//! `k` best-by-bound rows. The search seeds `r` from every row on those
-//! rows' pages, so this `r` is an upper bound on the seeded one that needs
-//! no page layout. A point counts when `D_s(x_s, q_s) ≤ r_s` in *any*
+//! `T` is Algorithm 4's total and `r` the row's exact `k`-th nearest
+//! distance. `r` is an *estimate* of the seeded radius, not a bound on it:
+//! the search seeds from the `k`-th exact distance among the rows on the
+//! pages its descent reaches, which is at least `r`; on the proxies at
+//! n = 8 000 its median is within 10 % of `r`. It needs no tree and no
+//! page layout. A point counts when `D_s(x_s, q_s) ≤ r_s` in *any*
 //! subspace `s`. Range search is exact, so that is exactly the union the
 //! per-subspace BB-trees return at these radii.
 //!
@@ -79,7 +85,8 @@ fn online_cost(n: usize, dim: usize, m: usize, union_fraction: f64) -> f64 {
     let n = n as f64;
     let d = dim as f64;
     let ln_k = (MODEL_K as f64).ln();
-    d + m as f64 * n + n * ln_k + union_fraction * n * (d + ln_k)
+    let bound_pass = if m == 1 { 0.0 } else { m as f64 * n + n * ln_k };
+    d + bound_pass + union_fraction * n * (d + ln_k)
 }
 
 /// The partition counts the model measures, in increasing order: every
@@ -94,9 +101,10 @@ fn partition_grid(dim: usize) -> Vec<usize> {
 
 /// The filter's survivor fraction `u(M)`, measured on sampled queries.
 ///
-/// Construction samples the query rows and tabulates `φ(x_j)` for every
-/// coordinate of every point; [`SampledUnion::fraction`] then measures one
-/// `M` from those tables.
+/// Construction samples the query rows, tabulates `φ(x_j)` for every
+/// coordinate of every point and finds each sampled row's exact `k`-th
+/// nearest distance; [`SampledUnion::fraction`] then measures one `M` from
+/// those tables.
 #[derive(Debug)]
 pub struct SampledUnion<'a> {
     kind: DivergenceKind,
@@ -105,11 +113,15 @@ pub struct SampledUnion<'a> {
     phi: Vec<f64>,
     /// The sampled query rows, each with its gradient `∇φ(q)`.
     queries: Vec<(usize, Vec<f64>)>,
+    /// The exact [`MODEL_K`]-th nearest distance of each sampled row, in
+    /// the order of `queries`.
+    kth_distances: Vec<f64>,
 }
 
 impl<'a> SampledUnion<'a> {
     /// Sample eight distinct rows (all of them when `n` is smaller) with
-    /// `seed` and tabulate the per-coordinate generator.
+    /// `seed`, tabulate the per-coordinate generator, and score every row
+    /// against each sampled one through the prepared kernel.
     pub fn new(
         kind: DivergenceKind,
         dataset: &'a DenseDataset,
@@ -122,19 +134,25 @@ impl<'a> SampledUnion<'a> {
         let mut rows: Vec<usize> = (0..n).collect();
         rows.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
         rows.truncate(SAMPLE_QUERIES);
-        let queries = rows
-            .into_iter()
-            .map(|row| {
-                let prepared = kind.prepare_query(dataset.row(row));
-                let grad = prepared.gradient().expect("every divergence kind decomposes");
-                (row, grad.to_vec())
-            })
-            .collect();
-        let phi = (0..n)
+        let phi: Vec<f64> = (0..n)
             .flat_map(|i| dataset.row(i))
             .map(|&v| kind.phi_sum(std::slice::from_ref(&v)))
             .collect();
-        Ok(SampledUnion { kind, dataset, phi, queries })
+        let row_phi: Vec<f64> = phi.chunks(dataset.dim()).map(|c| c.iter().sum()).collect();
+        let kth = MODEL_K.min(n) - 1;
+        let mut distances = vec![0.0; n];
+        let mut queries = Vec::with_capacity(rows.len());
+        let mut kth_distances = Vec::with_capacity(rows.len());
+        for row in rows {
+            let prepared = kind.prepare_query(dataset.row(row));
+            for (i, distance) in distances.iter_mut().enumerate() {
+                *distance = prepared.distance(row_phi[i], dataset.row(i));
+            }
+            kth_distances.push(*distances.select_nth_unstable_by(kth, f64::total_cmp).1);
+            let grad = prepared.gradient().expect("every divergence kind decomposes");
+            queries.push((row, grad.to_vec()));
+        }
+        Ok(SampledUnion { kind, dataset, phi, queries, kth_distances })
     }
 
     /// The mean fraction of points in the union of the `m` per-subspace
@@ -194,23 +212,18 @@ impl<'a> SampledUnion<'a> {
 
     /// The radii sampled row `row` searches with at `k =` [`MODEL_K`]:
     /// [`QueryBounds::search_radii`] scaled by `min(1, r / T)`, where `T` is
-    /// Algorithm 4's total and `r` the largest exact distance among the `k`
-    /// best-by-bound rows. The search seeds its radius from every row on
-    /// those rows' pages, so `r` bounds the seeded radius from above
-    /// without any page layout.
+    /// Algorithm 4's total and `r` the row's exact `k`-th nearest distance,
+    /// the model's estimate of the seeded radius.
     fn seeded_radii(
         &self,
         transformed: &TransformedDataset,
         query: &TransformedQuery,
         row: usize,
     ) -> Result<Vec<f64>> {
-        let (bounds, best) = QueryBounds::determine_ranked(transformed, query, MODEL_K)
-            .ok_or(CoreError::EmptyDataset)?;
-        let q = self.dataset.row(row);
-        let r = best
-            .iter()
-            .map(|&(i, _)| self.kind.divergence(self.dataset.row(i), q))
-            .fold(f64::NEG_INFINITY, f64::max);
+        let bounds =
+            QueryBounds::determine(transformed, query, MODEL_K).ok_or(CoreError::EmptyDataset)?;
+        let sampled = self.queries.iter().position(|&(r, _)| r == row);
+        let r = self.kth_distances[sampled.expect("radii are asked of sampled rows")];
         let scale = if r < bounds.total { r / bounds.total } else { 1.0 };
         let mut radii = bounds.search_radii(transformed, query);
         for radius in &mut radii {

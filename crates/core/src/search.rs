@@ -4,7 +4,7 @@
 use bbtree::{BBTreeConfig, SearchStats};
 use bregman::kernel::{KernelScratch, PreparedQuery};
 use bregman::{DenseDataset, DivergenceKind, PointId};
-use pagestore::{BufferPool, PageStore, PageStoreConfig, PageStoreError};
+use pagestore::{BufferPool, PageId, PageStore, PageStoreConfig, PageStoreError};
 use std::time::Instant;
 
 use crate::approximate::ApproximateConfig;
@@ -25,10 +25,16 @@ pub struct QueryResult {
     pub neighbors: Vec<(PointId, f64)>,
     /// Per-phase cost breakdown.
     pub stats: QueryStats,
-    /// Algorithm 4's per-subspace bounds (shrunken by the coefficient for
-    /// the approximate extension). These are not the seeded radii the
-    /// filter searched with, which scale them down by `min(1, r′ / T)`
-    /// (see [`BrePartitionIndex::knn`]).
+    /// The bounds the search ran on (see [`BrePartitionIndex::knn`]).
+    ///
+    /// * One subspace, exact search: Algorithm 4 does not run, and this is
+    ///   the seeded radius itself, `{ pivot_point: the seed's k-th row,
+    ///   per_subspace: [r′], total: r′ }`. `r′` is the radius the filter
+    ///   searched with.
+    /// * Otherwise: Algorithm 4's per-subspace bounds (shrunken by the
+    ///   coefficient for the approximate extension). These are not the
+    ///   seeded radii the filter searched with, which scale them down by
+    ///   `min(1, r′ / T)`.
     pub bounds: QueryBounds,
     /// The shrink coefficient applied to the Cauchy term (`None` for the
     /// exact search, `Some(c)` for the approximate extension).
@@ -298,41 +304,48 @@ impl BrePartitionIndex {
     }
 
     /// Algorithm 6 (`BrePartitionSearch`) and its approximate extension
-    /// (Section 8, the paper's **ABP**) as one seed-filter-refine pass,
-    /// reading pages through the caller's buffer pool and evaluating
+    /// (Section 8, the paper's **ABP**) as one descend-seed-filter-refine
+    /// pass, reading pages through the caller's buffer pool and evaluating
     /// distances through the caller's [`KernelScratch`] (the batch-serving
     /// hot path reuses both across a batch).
     ///
     /// The stages:
     ///
-    /// 1. **Bound.** Transform the query and run Algorithm 4, which ranks
-    ///    every point by its summed Cauchy–Schwarz upper bound and returns
-    ///    the `k`-th smallest total `T` with its per-subspace split.
-    /// 2. **Seed.** Read the pages holding the `min(k, n)` best-by-bound
-    ///    points and score *every* row on them with the prepared kernel,
-    ///    one `distance_block` per page. The `k`-th smallest of these exact
-    ///    distances, `r̂`, is at most the largest exact distance of those
-    ///    points, which is at most `T`. It is widened to `r′` by a `1e-12`
-    ///    rounding allowance on the `k`-th row's kernel terms
+    /// 1. **Descend.** Walk the first subspace's BB-tree from the root,
+    ///    each step into the child whose centre is nearer the query under
+    ///    the prepared kernel, and stop at the deepest node on that path
+    ///    that still holds at least `min(k, n)` points
+    ///    ([`BBForest::seed_pages`]).
+    /// 2. **Seed.** Read that node's pages (contiguous: the store is laid
+    ///    out in the first tree's leaf order) and score *every* row on them,
+    ///    one `distance_block` per page. The `min(k, n)`-th smallest of
+    ///    these exact distances, `r̂`, is widened to `r′` by a `1e-12`
+    ///    rounding allowance on that row's kernel terms
     ///    (`|Φ(x)| + |c_q| + |⟨φ′(q), x⟩|`).
-    /// 3. **Filter.** Range-search each subspace `s` with
-    ///    `search_radii[s] · min(1, r′ / T)`
-    ///    ([`QueryBounds::search_radii`]).
+    /// 3. **Filter.** With one subspace and the exact search, range-search
+    ///    the one tree with `r′` itself. Otherwise transform the query, run
+    ///    Algorithm 4 for its `k`-th smallest summed bound `T` and that
+    ///    bound's per-subspace split, and range-search each subspace `s`
+    ///    with `search_radii[s] · min(1, r′ / T)`
+    ///    ([`QueryBounds::search_radii`]). Algorithm 4 is an `O(n·M)` pass,
+    ///    so it runs only where its split or ABP's shrink is used.
     /// 4. **Refine.** Score the union members that are not on a seeded page
     ///    (those rows are already scored, so no page is read twice) and
     ///    select the top `k` over the seeded and refined rows.
     ///
-    /// **Why it stays exact.** The split radii sum to at least `r′`. A point
-    /// with `D_s > r_s` in every subspace has `D = Σ_s D_s > r′`, so every
-    /// point with `D ≤ r′` survives some subspace's range search, every true
-    /// neighbour included.
+    /// **Why it stays exact.** `r̂` is the `min(k, n)`-th smallest exact
+    /// distance over at least `min(k, n)` rows, so it is at least the true
+    /// `min(k, n)`-th distance, and every true neighbour has `D ≤ r′`. The
+    /// split radii sum to at least `r′`, so a point with `D_s > r_s` in every
+    /// subspace has `D = Σ_s D_s > r′`: every point with `D ≤ r′` survives
+    /// some subspace's range search.
     ///
     /// `approximate: None` is the exact search; `Some(config)` shrinks each
     /// radius's Cauchy term by Proposition 1's coefficient for
     /// `config.probability` and searches each subspace with the smaller of
     /// the shrunken and the seeded radius, so `p = 1` is the exact search.
-    /// The seeded pages hold the `k` best-by-bound points, so an answer
-    /// always has `min(k, n)` neighbours.
+    /// The seeded pages hold at least `min(k, n)` rows, so an answer always
+    /// has `min(k, n)` neighbours.
     ///
     /// A query of the wrong dimensionality is
     /// [`CoreError::QueryDimensionMismatch`]; one with a coordinate outside
@@ -355,46 +368,51 @@ impl BrePartitionIndex {
             }
         }
         self.validate_query(query)?;
-        let io_before = pool.stats();
-        let bound_started = Instant::now();
-        let transformed_query = TransformedQuery::build(self.kind, query, &self.partitioning);
-        let Some((exact, best)) =
-            QueryBounds::determine_ranked(&self.transformed, &transformed_query, k)
-        else {
+        if self.is_empty() || k == 0 {
             return Ok(QueryResult {
                 neighbors: Vec::new(),
                 stats: QueryStats::default(),
                 bounds: QueryBounds { pivot_point: 0, per_subspace: Vec::new(), total: 0.0 },
                 coefficient: approximate.map(|_| 1.0),
             });
-        };
-
+        }
+        let io_before = pool.stats();
+        let bound_started = Instant::now();
         let mut stats = QueryStats::default();
         let mut search_stats = SearchStats::new();
         let mut scored = vec![false; self.transformed.len()];
         let mut neighbors: Vec<(PointId, f64)> = Vec::new();
         self.kind.prepare_query_into(&mut kernel.prepared, query);
-        let r_prime =
-            self.seed(pool, kernel, &best, &mut scored, &mut neighbors, &mut search_stats)?;
+        let (r_prime, kth_row) =
+            self.seed(pool, kernel, k, &mut scored, &mut neighbors, &mut search_stats)?;
         let seeded_rows = search_stats.distance_computations as usize;
-        // Split r′ across the subspaces in Algorithm 4's proportions. When
-        // r′ ≥ T the bounds already cover it and stay as they are.
-        let total = exact.total;
-        let scale = if r_prime < total { r_prime / total } else { 1.0 };
-        let mut radii = exact.search_radii(&self.transformed, &transformed_query);
-        for radius in &mut radii {
-            *radius *= scale;
-        }
-        let (bounds, coefficient) = match approximate {
-            None => (exact, None),
-            Some(config) => {
-                let (shrunk, c) =
-                    self.shrunken_bounds(query, &transformed_query, &exact, config.probability);
-                let shrunk_radii = shrunk.search_radii(&self.transformed, &transformed_query);
-                for (radius, shrunk) in radii.iter_mut().zip(shrunk_radii) {
-                    *radius = radius.min(shrunk);
+        let (radii, bounds, coefficient) = if self.partitions() == 1 && approximate.is_none() {
+            let bounds =
+                QueryBounds { pivot_point: kth_row, per_subspace: vec![r_prime], total: r_prime };
+            (vec![r_prime], bounds, None)
+        } else {
+            let transformed_query = TransformedQuery::build(self.kind, query, &self.partitioning);
+            let exact = QueryBounds::determine(&self.transformed, &transformed_query, k)
+                .expect("a non-empty index has bounds for k > 0");
+            // Split r′ across the subspaces in Algorithm 4's proportions.
+            // When r′ ≥ T the bounds already cover it and stay as they are.
+            let total = exact.total;
+            let scale = if r_prime < total { r_prime / total } else { 1.0 };
+            let mut radii = exact.search_radii(&self.transformed, &transformed_query);
+            for radius in &mut radii {
+                *radius *= scale;
+            }
+            match approximate {
+                None => (radii, exact, None),
+                Some(config) => {
+                    let (shrunk, c) =
+                        self.shrunken_bounds(query, &transformed_query, &exact, config.probability);
+                    let shrunk_radii = shrunk.search_radii(&self.transformed, &transformed_query);
+                    for (radius, shrunk) in radii.iter_mut().zip(shrunk_radii) {
+                        *radius = radius.min(shrunk);
+                    }
+                    (radii, shrunk, Some(c))
                 }
-                (shrunk, Some(c))
             }
         };
         stats.bound_seconds = bound_started.elapsed().as_secs_f64();
@@ -491,30 +509,31 @@ impl BrePartitionIndex {
         self.knn(pool, &mut KernelScratch::default(), query, k, Some(config))
     }
 
-    /// The seed stage of [`BrePartitionIndex::knn`]: read the page of each
-    /// of the `best` points (Algorithm 4's `min(k, n)` best-by-bound
-    /// points) once, score every row on it, mark those rows in `scored`,
-    /// and keep the `best.len()` nearest of them in `neighbors`. Returns
-    /// `r′`, the `best.len()`-th smallest exact distance widened by a
-    /// `1e-12` rounding allowance on that row's kernel terms, or `+∞` when
-    /// fewer rows were scored (which leaves Algorithm 4's radii in force).
+    /// The descent and seed stages of [`BrePartitionIndex::knn`]: score
+    /// every row on the pages of the node [`BBForest::seed_pages`] stops
+    /// at, mark those rows in `scored`, and keep the `min(k, n)` nearest of
+    /// them in `neighbors`. Returns `r′`, the `min(k, n)`-th smallest exact
+    /// distance widened by a `1e-12` rounding allowance on that row's kernel
+    /// terms, with that row; or `(+∞, 0)` when fewer rows were scored (an
+    /// unreadable page), which leaves every radius in force.
     fn seed(
         &self,
         pool: &mut BufferPool,
         kernel: &mut KernelScratch,
-        best: &[(usize, f64)],
+        k: usize,
         scored: &mut [bool],
         neighbors: &mut Vec<(PointId, f64)>,
         search_stats: &mut SearchStats,
-    ) -> Result<f64> {
+    ) -> Result<(f64, usize)> {
         let store = self.forest.store();
         let KernelScratch { prepared, lanes, distances, phis, .. } = kernel;
-        for &(point, _) in best {
-            if scored[point] {
-                continue; // its page is already scored
-            }
-            let Some(address) = store.address_of(point as u32) else { continue };
-            let Some(page) = pool.try_fetch(store, address.page)? else { continue };
+        let gradient = prepared.gradient().expect("every divergence kind decomposes");
+        let mut grad_sub = Vec::new();
+        self.partitioning.project_point_into(0, gradient, &mut grad_sub);
+        let wanted = k.min(self.len());
+        let pages = self.forest.seed_pages(&grad_sub, wanted, search_stats);
+        for page in pages {
+            let Some(page) = pool.try_fetch(store, PageId(page))? else { continue };
             page.decode_all_into(lanes);
             phis.clear();
             phis.extend(page.point_ids().iter().map(|&pid| self.phi[pid as usize]));
@@ -526,16 +545,17 @@ impl BrePartitionIndex {
             search_stats.candidates_examined += page.len() as u64;
             search_stats.distance_computations += page.len() as u64;
         }
-        let Some(kth) = best.len().checked_sub(1).filter(|&kth| kth < neighbors.len()) else {
-            return Ok(f64::INFINITY);
-        };
+        let kth = wanted - 1;
+        if kth >= neighbors.len() {
+            return Ok((f64::INFINITY, 0));
+        }
         neighbors.select_nth_unstable_by(kth, by_distance_then_id);
         neighbors.truncate(kth + 1);
         let (pid, r_hat) = neighbors[kth];
         let phi_x = self.phi[pid.index()];
         let offset = prepared.offset().unwrap_or(0.0);
         let dot = phi_x + offset - r_hat;
-        Ok(r_hat + 1e-12 * (phi_x.abs() + offset.abs() + dot.abs()))
+        Ok((r_hat + 1e-12 * (phi_x.abs() + offset.abs() + dot.abs()), pid.index()))
     }
 
     fn validate_query(&self, query: &[f64]) -> Result<()> {
@@ -851,6 +871,53 @@ mod tests {
         );
         assert!(got.stats.io.pages_read > 0);
         assert!(got.stats.io.pages_read <= index.forest().page_count() as u64);
+    }
+
+    #[test]
+    fn bounds_report_the_radius_the_filter_searched() {
+        let ds = dataset(800, 16, 11);
+        let kind = DivergenceKind::ItakuraSaito;
+        let k = 10;
+        for m in [1, 4] {
+            let index = BrePartitionIndex::build(kind, &ds, &config().with_partitions(m)).unwrap();
+            for qi in [3usize, 400] {
+                let query = ds.row(qi).iter().map(|v| v * 1.01).collect::<Vec<_>>();
+                let got = index
+                    .knn(
+                        &mut index.new_buffer_pool(),
+                        &mut KernelScratch::default(),
+                        &query,
+                        k,
+                        None,
+                    )
+                    .unwrap();
+                let bounds = &got.bounds;
+                if m > 1 {
+                    let tq = TransformedQuery::build(kind, &query, index.partitioning());
+                    let alg4 = QueryBounds::determine(index.transformed(), &tq, k).unwrap();
+                    assert_eq!(bounds, &alg4, "M = {m}, query {qi}");
+                    continue;
+                }
+                // M = 1: Algorithm 4 does not run; the bounds are the seeded
+                // radius r′, which the one range search used as is.
+                assert_eq!(bounds.per_subspace, vec![bounds.total], "query {qi}");
+                // r′ is the seed's k-th distance, widened: at least the true
+                // k-th distance, and within the allowance of its pivot row's.
+                assert!(bounds.total >= got.neighbors[k - 1].1, "query {qi}");
+                let pivot = kind.divergence(ds.row(bounds.pivot_point), &query);
+                let slack = 1e-9 * (1.0 + pivot.abs());
+                assert!((bounds.total - pivot).abs() <= slack, "query {qi}");
+                let mut sub_query = Vec::new();
+                index.partitioning().project_point_into(0, &query, &mut sub_query);
+                let searched = index.forest().subspace_candidates(
+                    0,
+                    &sub_query,
+                    bounds.total,
+                    &mut SearchStats::new(),
+                );
+                assert_eq!(got.stats.subspace_candidates_total, searched.len(), "query {qi}");
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@ use pagestore::IoStats;
 /// the framework (bound computation, per-subspace filtering, refinement).
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct QueryStats {
-    /// Seconds spent transforming the query, determining the searching
-    /// bounds (Algorithm 4) and seeding the radius from the pages of the
-    /// `k` best-by-bound points.
+    /// Seconds spent before the filter: the query transform and Algorithm
+    /// 4 (when they run, i.e. with more than one subspace or for the
+    /// approximate search), the descent of the first BB-tree, and the seed
+    /// that scores the rows on the pages it stops at.
     pub bound_seconds: f64,
     /// Seconds spent running the per-subspace range queries.
     pub filter_seconds: f64,
@@ -22,7 +23,8 @@ pub struct QueryStats {
     /// Sum of the per-subspace candidate-set sizes (before the union), a
     /// measure of how much the subspaces overlap.
     pub subspace_candidates_total: usize,
-    /// Tree traversal counters accumulated over every subspace.
+    /// Tree traversal counters accumulated over the descent and every
+    /// subspace's range search.
     pub search: SearchStats,
     /// Physical I/O performed by the query, seed reads included.
     pub io: IoStats,

@@ -334,9 +334,10 @@ fn queries_for(data: &DenseDataset, kind: DivergenceKind, extra: &[f64]) -> Vec<
 #[test]
 fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
     // The search radius is seeded from the exact distances of the rows on
-    // the pages of the k best-by-bound points, so any slip in the rounding
-    // allowance, the radius split or the skip of already-scored rows shows
-    // up here as a missing, extra or repeated neighbour.
+    // the pages a descent of the first BB-tree reaches, so any slip in the
+    // descent's stopping rule, the rounding allowance, the radius split or
+    // the skip of already-scored rows shows up here as a missing, extra or
+    // repeated neighbour.
     let kinds = [
         DivergenceKind::SquaredEuclidean,
         DivergenceKind::ItakuraSaito,
@@ -349,6 +350,22 @@ fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
         for kind in [spec.divergence, DivergenceKind::SquaredEuclidean] {
             let queries = queries_for(&data, kind, data.row(1));
             check_against_brute_force(&dataset.to_string(), kind, &data, &config, &queries, true);
+        }
+    }
+
+    // Two- and four-point leaves on two-row pages: no leaf holds k = 10
+    // points, so the descent must stop at an internal node, and at k = n
+    // and n + 5 at the root.
+    for leaf_capacity in [2, 4] {
+        for dataset in PaperDataset::ALL {
+            let spec = dataset.paper_spec().with_points(300);
+            let data = spec.generate(5);
+            let config = BrePartitionConfig::default()
+                .with_page_size(2 * data.dim() * 8)
+                .with_leaf_capacity(leaf_capacity);
+            let queries = queries_for(&data, spec.divergence, data.row(1));
+            let label = format!("{dataset} leaf capacity {leaf_capacity}");
+            check_against_brute_force(&label, spec.divergence, &data, &config, &queries, true);
         }
     }
 
