@@ -4,9 +4,29 @@
 //! k-means. Because the *right-type* centroid (the minimizer of
 //! `Σ_i D_f(x_i, μ)` over `μ`) is the arithmetic mean for every Bregman
 //! divergence (Banerjee et al., JMLR 2005), the Lloyd iteration uses plain
-//! means regardless of the divergence; only the assignment step evaluates
-//! `D_f`.
+//! means regardless of the divergence.
+//!
+//! Construction runs on the same decomposition as the query path
+//! ([`bregman::kernel`]): `D_f(x, c) = Φ(x) + c_c − ⟨∇φ(c), x⟩`, with the
+//! centre side (`∇φ(c)`, `c_c`) prepared once per centre and `Φ(x)`
+//! tabulated once per build with [`phi_table`]. No `φ` or `φ′` is evaluated
+//! per point, so building is free of per-point transcendentals:
+//!
+//! * **Assignment is a hyperplane test.** `Φ(x)` cancels between the two
+//!   centres, so `D_f(x, c_a) ≤ D_f(x, c_b)` iff
+//!   `⟨∇φ(c_b) − ∇φ(c_a), x⟩ ≤ c_{c_b} − c_{c_a}`: the Bregman bisector of
+//!   two centres is a hyperplane in `x`, and each Lloyd iteration costs one
+//!   dot product per point.
+//! * **Covering radii come from the kernel plus an allowance.** A node's
+//!   radius is the largest kernel divergence of its members plus
+//!   `1e-12·(|Φ(x)| + |c_c| + Σ_j |∇φ(c)_j·x_j|)`. The allowance scales
+//!   with the term-magnitude sum rather than with `|⟨∇φ(c), x⟩|` because
+//!   the dot product can cancel while its terms' rounding errors do not.
+//!   It keeps every radius at or above each member's naive
+//!   [`Divergence::divergence`](bregman::Divergence::divergence), the
+//!   covering invariant that range-search exactness relies on.
 
+use bregman::kernel::{dot8, phi_table, PreparedQuery};
 use bregman::vector::mean_of;
 use bregman::{DecomposableBregman, DenseDataset, PointId};
 use rand::seq::SliceRandom;
@@ -15,6 +35,10 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::ball::BregmanBall;
 use crate::node::{BBTree, Node, NodeId, NodeKind};
+
+/// Relative rounding allowance added to every kernel-priced member
+/// divergence when sizing a covering radius (see the module docs).
+const RADIUS_ALLOWANCE: f64 = 1e-12;
 
 /// Construction parameters for a BB-tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +102,8 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
             });
             NodeId(0)
         } else {
-            self.build_recursive(dataset, ids, &mut nodes, &mut rng)
+            let phis = phi_table(&self.divergence, dataset);
+            self.build_recursive(dataset, &phis, ids, &mut nodes, &mut rng)
         };
         BBTree {
             nodes,
@@ -92,11 +117,12 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
     fn build_recursive(
         &self,
         dataset: &DenseDataset,
+        phis: &[f64],
         ids: Vec<PointId>,
         nodes: &mut Vec<Node>,
         rng: &mut ChaCha8Rng,
     ) -> NodeId {
-        let ball = self.covering_ball(dataset, &ids);
+        let ball = self.covering_ball(dataset, phis, &ids);
         if ids.len() <= self.config.leaf_capacity {
             nodes.push(Node { ball, kind: NodeKind::Leaf { points: ids } });
             return NodeId((nodes.len() - 1) as u32);
@@ -108,22 +134,26 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
             nodes.push(Node { ball, kind: NodeKind::Leaf { points: ids } });
             return NodeId((nodes.len() - 1) as u32);
         }
-        let left = self.build_recursive(dataset, left_ids, nodes, rng);
-        let right = self.build_recursive(dataset, right_ids, nodes, rng);
+        let left = self.build_recursive(dataset, phis, left_ids, nodes, rng);
+        let right = self.build_recursive(dataset, phis, right_ids, nodes, rng);
         nodes.push(Node { ball, kind: NodeKind::Internal { left, right } });
         NodeId((nodes.len() - 1) as u32)
     }
 
-    /// The smallest ball centred at the arithmetic mean that covers `ids`.
-    fn covering_ball(&self, dataset: &DenseDataset, ids: &[PointId]) -> BregmanBall {
-        let center = if ids.is_empty() {
-            vec![self.divergence.domain_anchor(); dataset.dim()]
-        } else {
-            mean_of(dataset, ids)
-        };
+    /// The ball centred at the arithmetic mean of the (non-empty) `ids` whose
+    /// radius is the largest member divergence, each priced by the kernel
+    /// plus its rounding allowance; `phis` is the build's `Φ(x)` table.
+    fn covering_ball(&self, dataset: &DenseDataset, phis: &[f64], ids: &[PointId]) -> BregmanBall {
+        let center = mean_of(dataset, ids);
+        let prepared = PreparedQuery::decompose(&self.divergence, &center);
+        let (grad, offset) = decomposed_parts(&prepared);
         let radius = ids
             .iter()
-            .map(|&id| self.divergence.divergence(dataset.point(id), &center))
+            .map(|&id| {
+                let x = dataset.point(id);
+                let phi_x = phis[id.index()];
+                prepared.distance(phi_x, x) + rounding_allowance(phi_x, grad, offset, x)
+            })
             .fold(0.0f64, f64::max);
         BregmanBall::new(center, radius)
     }
@@ -156,18 +186,7 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
         let mut assignment_a: Vec<PointId> = Vec::with_capacity(ids.len());
         let mut assignment_b: Vec<PointId> = Vec::with_capacity(ids.len());
         for _ in 0..self.config.max_kmeans_iters {
-            let mut new_a = Vec::with_capacity(ids.len());
-            let mut new_b = Vec::with_capacity(ids.len());
-            for &id in ids {
-                let p = dataset.point(id);
-                let da = self.divergence.divergence(p, &center_a);
-                let db = self.divergence.divergence(p, &center_b);
-                if da <= db {
-                    new_a.push(id);
-                } else {
-                    new_b.push(id);
-                }
-            }
+            let (new_a, new_b) = assign(&self.divergence, dataset, ids, &center_a, &center_b);
             if new_a.is_empty() || new_b.is_empty() {
                 // Keep the previous assignment if this one degenerated.
                 if assignment_a.is_empty() && assignment_b.is_empty() {
@@ -194,10 +213,50 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
     }
 }
 
+/// The gradient and offset of a prepared centre. Centres are prepared with
+/// [`PreparedQuery::decompose`], which always takes the decomposed path.
+fn decomposed_parts(prepared: &PreparedQuery) -> (&[f64], f64) {
+    match (prepared.gradient(), prepared.offset()) {
+        (Some(grad), Some(offset)) => (grad, offset),
+        _ => unreachable!("PreparedQuery::decompose always yields a decomposed query"),
+    }
+}
+
+/// [`RADIUS_ALLOWANCE`] times the magnitude of the terms of
+/// `D_f(x, c) = Φ(x) + c_c − ⟨∇φ(c), x⟩`, each `∇φ(c)_j·x_j` counted on its
+/// own so that a cancelling dot product does not shrink the allowance.
+fn rounding_allowance(phi_x: f64, grad: &[f64], offset: f64, x: &[f64]) -> f64 {
+    let terms: f64 = grad.iter().zip(x).map(|(g, v)| (g * v).abs()).sum();
+    RADIUS_ALLOWANCE * (phi_x.abs() + offset.abs() + terms)
+}
+
+/// One Lloyd assignment step: `ids` split into the points closer to
+/// `center_a` (ties included) and those closer to `center_b`, both in
+/// `ids` order. The bisector `D_f(x, c_a) = D_f(x, c_b)` is the hyperplane
+/// `⟨w, x⟩ = t` with `w = ∇φ(c_b) − ∇φ(c_a)` and `t = c_{c_b} − c_{c_a}`,
+/// so each point costs one dot product.
+fn assign<B: DecomposableBregman>(
+    divergence: &B,
+    dataset: &DenseDataset,
+    ids: &[PointId],
+    center_a: &[f64],
+    center_b: &[f64],
+) -> (Vec<PointId>, Vec<PointId>) {
+    let prepared_a = PreparedQuery::decompose(divergence, center_a);
+    let prepared_b = PreparedQuery::decompose(divergence, center_b);
+    let (grad_a, offset_a) = decomposed_parts(&prepared_a);
+    let (grad_b, offset_b) = decomposed_parts(&prepared_b);
+    let normal: Vec<f64> = grad_b.iter().zip(grad_a).map(|(b, a)| b - a).collect();
+    let threshold = offset_b - offset_a;
+    ids.iter().copied().partition(|&id| dot8(&normal, dataset.point(id)) <= threshold)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bregman::{Divergence, ItakuraSaito, SquaredEuclidean};
+    use bregman::{Divergence, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     fn clustered_dataset() -> DenseDataset {
         // Two well separated clusters of 16 points each.
@@ -290,5 +349,61 @@ mod tests {
         let mut indexed = tree.points_in_leaf_order();
         indexed.sort();
         assert_eq!(indexed, ids);
+    }
+
+    /// The rounding allowance of `D_f(x, c)`: the band within which the
+    /// hyperplane and naive rules may round apart.
+    fn allowance_against<B: DecomposableBregman>(b: &B, x: &[f64], c: &[f64]) -> f64 {
+        let prepared = PreparedQuery::decompose(b, c);
+        let (grad, offset) = decomposed_parts(&prepared);
+        rounding_allowance(b.f(x), grad, offset, x)
+    }
+
+    fn assert_assignment_matches_naive_rule<B: DecomposableBregman>(b: &B, lo: f64, hi: f64) {
+        let mut rng = StdRng::seed_from_u64(17);
+        for dim in [1usize, 3, 16, 130] {
+            let rows: Vec<Vec<f64>> =
+                (0..300).map(|_| (0..dim).map(|_| rng.gen_range(lo..hi)).collect()).collect();
+            let ds = DenseDataset::from_rows(&rows).unwrap();
+            let ids: Vec<PointId> = (0..ds.len()).map(PointId::from).collect();
+            for _ in 0..4 {
+                // A data point and the mean of a random subset, as in the
+                // first and later Lloyd iterations.
+                let center_a = ds.point(PointId::from(rng.gen_range(0..ds.len()))).to_vec();
+                let subset: Vec<PointId> =
+                    ids.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
+                let center_b = mean_of(&ds, &subset);
+                let (in_a, in_b) = assign(b, &ds, &ids, &center_a, &center_b);
+                assert_eq!(in_a.len() + in_b.len(), ids.len());
+                assert!(
+                    in_a.windows(2).all(|w| w[0] < w[1]) && in_b.windows(2).all(|w| w[0] < w[1])
+                );
+                let mut decided = 0;
+                for &id in &ids {
+                    let x = ds.point(id);
+                    let (da, db) = (b.divergence(x, &center_a), b.divergence(x, &center_b));
+                    let band =
+                        allowance_against(b, x, &center_a) + allowance_against(b, x, &center_b);
+                    if (da - db).abs() > band {
+                        decided += 1;
+                        assert_eq!(
+                            in_a.binary_search(&id).is_ok(),
+                            da <= db,
+                            "{} d = {dim}: D_a = {da}, D_b = {db}",
+                            b.name()
+                        );
+                    }
+                }
+                assert!(decided > ids.len() / 2, "{}: too few decided points", b.name());
+            }
+        }
+    }
+
+    #[test]
+    fn hyperplane_assignment_matches_the_naive_rule_for_every_kind() {
+        assert_assignment_matches_naive_rule(&SquaredEuclidean, -5.0, 5.0);
+        assert_assignment_matches_naive_rule(&ItakuraSaito, 0.05, 20.0);
+        assert_assignment_matches_naive_rule(&Exponential, -3.0, 3.0);
+        assert_assignment_matches_naive_rule(&GeneralizedI, 0.05, 20.0);
     }
 }

@@ -146,8 +146,11 @@ impl BBTree {
     }
 
     /// Check the structural invariant that every point below a node lies in
-    /// the node's ball. Intended for tests; `points` resolves ids to
-    /// coordinates.
+    /// the node's ball: the naive [`Divergence::divergence`] of each member
+    /// from the centre is at most the radius, with no slack. Intended for
+    /// tests; `points` resolves ids to coordinates.
+    ///
+    /// [`Divergence::divergence`]: bregman::Divergence::divergence
     pub fn validate_covering<B, F>(&self, divergence: &B, mut points: F) -> bool
     where
         B: DecomposableBregman,
@@ -159,7 +162,7 @@ impl BBTree {
             for pid in members {
                 let coords = points(pid);
                 let d = divergence.divergence(&coords, node.ball.center());
-                if d > node.ball.radius() + 1e-6 * (1.0 + node.ball.radius()) {
+                if d > node.ball.radius() {
                     return false;
                 }
             }

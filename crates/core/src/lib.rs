@@ -26,8 +26,9 @@
 //!    divergences decide the kNN ([`search`]).
 //!
 //! The approximate extension ([`approximate`]) shrinks the Cauchy term by a
-//! coefficient derived from the data distribution to meet a user-specified
-//! probability guarantee, trading a little accuracy for fewer candidates.
+//! coefficient derived from the data distribution, aiming at a user-specified
+//! recall `p` (a target, not a guarantee), trading a little accuracy for
+//! fewer candidates.
 //! Both run through the one search call, [`BrePartitionIndex::knn`]: its
 //! last argument is `None` for the exact search and
 //! `Some(&ApproximateConfig)` for the approximate one.

@@ -19,9 +19,9 @@
 /// | `candidate_budget` | BB-tree (bounds leaf visits) and VA-file (caps refined candidates) |
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryOptions {
-    /// Override the approximation probability guarantee for this query
+    /// Override the approximate search's requested recall for this query
     /// (`(0, 1]`). On a BrePartition backend the query runs the approximate
-    /// search at this guarantee even if the backend serves exact queries by
+    /// search at this recall even if the backend serves exact queries by
     /// default.
     pub probability: Option<f64>,
     /// Upper bound on the candidates this query may examine. Best-effort:
@@ -40,7 +40,8 @@ impl QueryOptions {
         self.probability.is_none() && self.candidate_budget.is_none()
     }
 
-    /// Request the approximate search at probability guarantee `p`.
+    /// Request the approximate search at requested recall `p` (a target,
+    /// not a guarantee).
     pub fn with_probability(mut self, p: f64) -> Self {
         self.probability = Some(p);
         self

@@ -34,8 +34,11 @@ impl<'a> QueryRequest<'a> {
         Self { inner: EngineRequest::new(query, k) }
     }
 
-    /// Run *this query* through the approximate search at probability
-    /// guarantee `p ∈ (0, 1]`, whatever the spec's own probability.
+    /// Run *this query* through the approximate search at requested recall
+    /// `p ∈ (0, 1]`, whatever the spec's own probability. `p` is a target,
+    /// not a guarantee: the achieved recall follows from how well the
+    /// search's Normal model fits the data (0.895–0.945 measured on the
+    /// Fonts proxy at p = 0.9).
     /// Supported by BrePartition indexes; other methods reject the query
     /// with a typed error.
     pub fn with_probability(mut self, p: f64) -> Self {

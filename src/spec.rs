@@ -167,8 +167,9 @@ pub struct IndexSpec {
     pub sample_size: usize,
     /// Seed for every randomized choice during construction.
     pub seed: u64,
-    /// BrePartition: probability guarantee `p ∈ (0, 1]`. BP: 1.0 = exact
-    /// (the default); below 1 the index serves approximate search (ABP).
+    /// BrePartition: requested recall `p ∈ (0, 1]`. BP: 1.0 = exact
+    /// (the default); below 1 the index serves approximate search (ABP),
+    /// whose achieved recall targets `p` without guaranteeing it.
     pub probability: f64,
     /// VA-file: quantizer resolution in bits per dimension (1..=16).
     pub bits_per_dim: u8,
@@ -208,7 +209,10 @@ impl IndexSpec {
     }
 
     /// Approximate BrePartition (**ABP**): shorthand for
-    /// `brepartition(divergence).with_probability(0.9)`.
+    /// `brepartition(divergence).with_probability(0.9)`. The 0.9 is the
+    /// requested recall, not a guarantee: measured recall at p = 0.9 is
+    /// 0.895–0.945 on the Fonts proxy and 0.978–0.988 on hierarchical
+    /// d = 32 data.
     pub fn approximate(divergence: DivergenceKind) -> Self {
         Self::brepartition(divergence).with_probability(0.9)
     }
@@ -271,7 +275,8 @@ impl IndexSpec {
         self
     }
 
-    /// Set the BrePartition probability guarantee (1.0 = exact search).
+    /// Set the BrePartition requested recall (1.0 = exact search; below 1 a
+    /// target for the approximate search, not a guarantee).
     pub fn with_probability(mut self, probability: f64) -> Self {
         self.probability = probability;
         self
