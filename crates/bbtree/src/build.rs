@@ -9,8 +9,10 @@
 //! Construction runs on the same decomposition as the query path
 //! ([`bregman::kernel`]): `D_f(x, c) = Φ(x) + c_c − ⟨∇φ(c), x⟩`, with the
 //! centre side (`∇φ(c)`, `c_c`) prepared once per centre and `Φ(x)`
-//! tabulated once per build with [`phi_table`]. No `φ` or `φ′` is evaluated
-//! per point, so building is free of per-point transcendentals:
+//! tabulated once per build with [`phi_table`], or passed in by a caller
+//! that already holds it ([`BBTreeBuilder::build_with_phi`]). No `φ` or
+//! `φ′` is evaluated per point, so building is free of per-point
+//! transcendentals:
 //!
 //! * **Assignment is a hyperplane test.** `Φ(x)` cancels between the two
 //!   centres, so `D_f(x, c_a) ≤ D_f(x, c_b)` iff
@@ -83,18 +85,26 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
         self.config
     }
 
-    /// Build a tree over every point of `dataset`.
+    /// Build a tree over every point of `dataset`, tabulating `Φ(x)` with
+    /// [`phi_table`].
     pub fn build(&self, dataset: &DenseDataset) -> BBTree {
-        let ids: Vec<PointId> = (0..dataset.len()).map(PointId::from).collect();
-        self.build_subset(dataset, ids)
+        self.build_with_phi(dataset, &phi_table(&self.divergence, dataset))
     }
 
-    /// Build a tree over a subset of the dataset's points.
-    pub fn build_subset(&self, dataset: &DenseDataset, ids: Vec<PointId>) -> BBTree {
+    /// Build a tree over every point of `dataset`, given each point's
+    /// generator sum `phi[i] = Φ(x_i)` (what [`phi_table`] returns), for
+    /// callers that already hold it. The covering radii are priced from
+    /// `phi`, so it must be the dataset's own column.
+    ///
+    /// # Panics
+    ///
+    /// If `phi` does not hold one value per point.
+    pub fn build_with_phi(&self, dataset: &DenseDataset, phi: &[f64]) -> BBTree {
+        assert_eq!(phi.len(), dataset.len(), "one Φ(x) per point");
         let mut nodes: Vec<Node> = Vec::new();
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let point_count = ids.len();
-        let root = if ids.is_empty() {
+        let point_count = dataset.len();
+        let root = if point_count == 0 {
             // Degenerate empty tree: a single empty leaf with a zero ball.
             nodes.push(Node {
                 ball: BregmanBall::new(vec![self.divergence.domain_anchor(); dataset.dim()], 0.0),
@@ -102,8 +112,8 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
             });
             NodeId(0)
         } else {
-            let phis = phi_table(&self.divergence, dataset);
-            self.build_recursive(dataset, &phis, ids, &mut nodes, &mut rng)
+            let ids: Vec<PointId> = (0..point_count).map(PointId::from).collect();
+            self.build_recursive(dataset, phi, ids, &mut nodes, &mut rng)
         };
         BBTree {
             nodes,
@@ -338,17 +348,6 @@ mod tests {
         let t2 = BBTreeBuilder::new(SquaredEuclidean, config).build(&ds);
         assert_eq!(t1.points_in_leaf_order(), t2.points_in_leaf_order());
         assert_eq!(t1.node_count(), t2.node_count());
-    }
-
-    #[test]
-    fn subset_build_only_indexes_subset() {
-        let ds = clustered_dataset();
-        let ids: Vec<PointId> = (0..10).map(PointId::from).collect();
-        let tree = BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::with_leaf_capacity(3))
-            .build_subset(&ds, ids.clone());
-        let mut indexed = tree.points_in_leaf_order();
-        indexed.sort();
-        assert_eq!(indexed, ids);
     }
 
     /// The rounding allowance of `D_f(x, c)`: the band within which the

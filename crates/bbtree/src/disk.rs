@@ -105,13 +105,14 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
         tree_config: BBTreeConfig,
         store_config: PageStoreConfig,
     ) -> Self {
-        let tree = BBTreeBuilder::new(divergence.clone(), tree_config).build(dataset);
+        let phi = phi_table(&divergence, dataset);
+        let tree =
+            BBTreeBuilder::new(divergence.clone(), tree_config).build_with_phi(dataset, &phi);
         let order: Vec<u32> = tree.points_in_leaf_order().iter().map(|p| p.0).collect();
         let store = PageStore::build_with_order(store_config, dataset.dim(), &order, |pid| {
             dataset.point(PointId(pid))
         });
-        let phi = Arc::new(phi_table(&divergence, dataset));
-        Self { divergence, tree, store: Arc::new(store), phi }
+        Self { divergence, tree, store: Arc::new(store), phi: Arc::new(phi) }
     }
 
     /// Persist the index to a directory: the tree structure as

@@ -83,7 +83,7 @@ fn bench_range_shape(c: &mut Criterion, name: &str, tree: &BBTree, query: &[f64]
 ///   proxy (3 000 points, 32-point leaves), with a radius holding 3 % of
 ///   the points;
 /// * `microbatch_d32` — the whole 32-dimensional hierarchical dataset in
-///   one tree (16 000 points, 32-point leaves), as when Auto picks one
+///   one tree (16 000 points, 32-point leaves), as at the default single
 ///   partition, with a radius holding 10 % of the points, about the
 ///   candidate share of a BP search there.
 fn bench_range_shapes(c: &mut Criterion) {

@@ -31,9 +31,8 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
     for dataset in datasets {
         let workload = bench.workload(dataset, 10);
         let m = bench.paper_m(workload.dataset.dim());
-        let none =
-            bench.run_brepartition(&workload, k, Some(m), PartitionStrategy::EqualContiguous);
-        let pccp = bench.run_brepartition(&workload, k, Some(m), PartitionStrategy::Pccp);
+        let none = bench.run_brepartition(&workload, k, m, PartitionStrategy::EqualContiguous);
+        let pccp = bench.run_brepartition(&workload, k, m, PartitionStrategy::Pccp);
         table.row(vec![
             dataset.name().to_string(),
             fmt_f64(none.avg_io_pages),

@@ -4,9 +4,10 @@
 //! Paper shape: every method gets more expensive with dimensionality, but
 //! BP grows the slowest (the bound adapts through the growing optimal `M`),
 //! VAF's growth rate accelerates, and BBT degrades the fastest once the
-//! dimensionality exceeds what ball clustering can separate.
+//! dimensionality exceeds what ball clustering can separate. BP runs at the
+//! paper's `M = d/7`.
 
-use brepartition_core::{BrePartitionConfig, CostModel, PartitionStrategy};
+use brepartition_core::PartitionStrategy;
 use datagen::PaperDataset;
 
 use crate::report::{fmt_f64, Table};
@@ -30,7 +31,7 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
     let k = 20;
     let mut io_table = Table::new(
         "Fig. 13(a) — Fonts proxy: per-query I/O (pages) vs dimensionality",
-        &["d", "M (cost model)", "BP", "VAF", "BBT"],
+        &["d", "BP", "VAF", "BBT"],
     );
     let mut time_table = Table::new(
         "Fig. 13(b) — Fonts proxy: per-query running time (ms) vs dimensionality",
@@ -45,18 +46,11 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
             .with_dim(dim);
         let workload = bench.workload_from_spec("Fonts", spec, 13);
         let m = bench.paper_m(workload.dataset.dim());
-        let bp = bench.run_brepartition(&workload, k, Some(m), PartitionStrategy::Pccp);
+        let bp = bench.run_brepartition(&workload, k, m, PartitionStrategy::Pccp);
         let vaf = bench.run_vaf(&workload, k);
         let bbt = bench.run_bbt(&workload, k);
-        // The M that Auto would pick: the cost model fitted with the
-        // default build seed.
-        let seed = BrePartitionConfig::default().seed;
-        let m = CostModel::fit(workload.kind, &workload.dataset, seed)
-            .map(|model| model.optimal_partitions().to_string())
-            .unwrap_or_else(|_| "-".into());
         io_table.row(vec![
             dim.to_string(),
-            m,
             fmt_f64(bp.avg_io_pages),
             fmt_f64(vaf.avg_io_pages),
             fmt_f64(bbt.avg_io_pages),

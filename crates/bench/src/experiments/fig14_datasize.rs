@@ -5,8 +5,7 @@
 //! every method; BP stays the cheapest, VAF is competitive, BBT's cost is a
 //! multiple of the other two. The number of partitions barely changes with
 //! n, so a single M is used across the sweep (as in the paper). BP is also
-//! run with the cost model's M (`BP (Auto)`), which picks one partition on
-//! this proxy at every n.
+//! run with the default single partition (`BP (M = 1)`).
 
 use brepartition_core::PartitionStrategy;
 use datagen::PaperDataset;
@@ -19,11 +18,11 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
     let k = 20;
     let mut io_table = Table::new(
         "Fig. 14(a) — SIFT proxy: per-query I/O (pages) vs data size",
-        &["n", "BP", "BP (Auto)", "VAF", "BBT"],
+        &["n", "BP", "BP (M = 1)", "VAF", "BBT"],
     );
     let mut time_table = Table::new(
         "Fig. 14(b) — SIFT proxy: per-query running time (ms) vs data size",
-        &["n", "BP", "BP (Auto)", "VAF", "BBT"],
+        &["n", "BP", "BP (M = 1)", "VAF", "BBT"],
     );
     let max = bench.scale.max_points;
     let sweep: Vec<usize> =
@@ -33,21 +32,21 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
             PaperDataset::Sift.scaled_spec(max).with_points(n).with_dim(bench.scale.dim(128));
         let workload = bench.workload_from_spec("Sift", spec, 14);
         let m = bench.paper_m(workload.dataset.dim());
-        let bp = bench.run_brepartition(&workload, k, Some(m), PartitionStrategy::Pccp);
-        let auto = bench.run_brepartition(&workload, k, None, PartitionStrategy::Pccp);
+        let bp = bench.run_brepartition(&workload, k, m, PartitionStrategy::Pccp);
+        let single = bench.run_brepartition(&workload, k, 1, PartitionStrategy::Pccp);
         let vaf = bench.run_vaf(&workload, k);
         let bbt = bench.run_bbt(&workload, k);
         io_table.row(vec![
             n.to_string(),
             fmt_f64(bp.avg_io_pages),
-            fmt_f64(auto.avg_io_pages),
+            fmt_f64(single.avg_io_pages),
             fmt_f64(vaf.avg_io_pages),
             fmt_f64(bbt.avg_io_pages),
         ]);
         time_table.row(vec![
             n.to_string(),
             fmt_f64(bp.avg_time_ms),
-            fmt_f64(auto.avg_time_ms),
+            fmt_f64(single.avg_time_ms),
             fmt_f64(vaf.avg_time_ms),
             fmt_f64(bbt.avg_time_ms),
         ]);

@@ -37,7 +37,7 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
             let bp = bench.run_brepartition(
                 &workload,
                 k,
-                Some(bench.paper_m(workload.dataset.dim())),
+                bench.paper_m(workload.dataset.dim()),
                 brepartition_core::PartitionStrategy::Pccp,
             );
             let abp: Vec<_> =

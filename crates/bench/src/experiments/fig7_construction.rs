@@ -25,7 +25,7 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
         let k = 20;
         let vaf = bench.run_vaf(&workload, k);
         let m = bench.paper_m(workload.dataset.dim());
-        let bp = bench.run_brepartition(&workload, k, Some(m), PartitionStrategy::Pccp);
+        let bp = bench.run_brepartition(&workload, k, m, PartitionStrategy::Pccp);
         let bbt = bench.run_bbt(&workload, k);
         table.row(vec![
             dataset.name().to_string(),

@@ -3,17 +3,15 @@
 //!
 //! Paper shape: I/O decreases monotonically (and with diminishing returns)
 //! as M grows; running time first falls then rises again, with its minimum
-//! at (or near) the cost-model optimum.
+//! at (or near) the cost-model optimum. With the seeded search radius the
+//! union of the M range searches grows with M instead, so M = 1 is the
+//! cheapest setting (README, "Choosing the number of partitions").
 //!
-//! Each row also sets the cost model's prediction against what the index
-//! does: `u(M)·n` is the union the model measures on its sampled rows at
-//! `k = 10` under an equal partitioning, printed next to the mean candidates
-//! the built (PCCP) index keeps for the workload's queries at `k = 10`.
+//! Each row also prints the mean candidates the index keeps at `k = 10`.
 
 use std::time::Instant;
 
 use bregman::kernel::KernelScratch;
-use brepartition_core::partition::optimal_m::{SampledUnion, MODEL_K};
 use brepartition_core::{BrePartitionConfig, BrePartitionIndex};
 use datagen::PaperDataset;
 
@@ -34,9 +32,6 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
     let mut tables = Vec::new();
     for dataset in datasets {
         let workload = bench.workload(dataset, 8);
-        let seed = BrePartitionConfig::default().seed;
-        let sample = SampledUnion::new(workload.kind, &workload.dataset, seed).ok();
-        let n = workload.dataset.len() as f64;
         let mut table = Table::new(
             format!("Figs. 8/9 — {} : per-query I/O (pages) and running time (ms) vs M", dataset),
             &[
@@ -49,7 +44,6 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
                 "time k=100",
                 "candidates k=20",
                 "candidates k=10",
-                "model u(M)·n",
             ],
         );
         for m in m_sweep(workload.dataset.dim()) {
@@ -82,18 +76,13 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
                 }
             }
             let mut kernel = KernelScratch::default();
-            let mut candidates_model_k = 0.0;
+            let mut candidates_k10 = 0.0;
             for query in workload.queries.iter() {
                 let mut pool = index.new_buffer_pool();
-                let result =
-                    index.knn(&mut pool, &mut kernel, query, MODEL_K, None).expect("query");
-                candidates_model_k += result.stats.candidates as f64;
+                let result = index.knn(&mut pool, &mut kernel, query, 10, None).expect("query");
+                candidates_k10 += result.stats.candidates as f64;
             }
-            candidates_model_k /= workload.queries.len() as f64;
-            let predicted = sample
-                .as_ref()
-                .and_then(|sample| sample.fraction(m).ok())
-                .map_or_else(|| "-".into(), |union| fmt_f64(union * n));
+            candidates_k10 /= workload.queries.len() as f64;
             table.row(vec![
                 m.to_string(),
                 fmt_f64(io[0]),
@@ -103,25 +92,7 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
                 fmt_f64(time[1]),
                 fmt_f64(time[2]),
                 fmt_f64(candidates_k20),
-                fmt_f64(candidates_model_k),
-                predicted,
-            ]);
-        }
-        // Record the cost-model optimum for the validation discussion
-        // (Section 9.3.2).
-        let auto = BrePartitionConfig::default().with_page_size(workload.page_size);
-        if let Ok(index) = BrePartitionIndex::build(workload.kind, &workload.dataset, &auto) {
-            table.row(vec![
-                format!("optimum (cost model) = {}", index.partitions()),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
+                fmt_f64(candidates_k10),
             ]);
         }
         tables.push(table);

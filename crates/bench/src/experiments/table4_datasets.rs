@@ -1,8 +1,6 @@
 //! Table 4: the six datasets, their divergences, page sizes and the
-//! optimized number of partitions computed by the cost model.
+//! paper's optimized number of partitions.
 
-use bregman::DivergenceKind;
-use brepartition_core::{BrePartitionConfig, CostModel};
 use datagen::PaperDataset;
 
 use crate::report::Table;
@@ -12,15 +10,7 @@ use crate::runner::Workbench;
 pub fn run(bench: &Workbench) -> Vec<Table> {
     let mut table = Table::new(
         "Table 4 — datasets (scaled proxies) and optimized number of partitions M",
-        &[
-            "Dataset",
-            "n (proxy)",
-            "d (proxy)",
-            "Measure",
-            "Page size",
-            "M (paper)",
-            "M (cost model)",
-        ],
+        &["Dataset", "n (proxy)", "d (proxy)", "Measure", "Page size", "M (paper)"],
     );
     for dataset in PaperDataset::ALL {
         let workload = bench.workload(dataset, 4);
@@ -33,15 +23,6 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
             PaperDataset::Normal => "25".into(),
             PaperDataset::Uniform => "21".into(),
         };
-        let fitted = match workload.kind {
-            DivergenceKind::GeneralizedI => None,
-            kind => {
-                CostModel::fit(kind, &workload.dataset, BrePartitionConfig::default().seed).ok()
-            }
-        };
-        let m = fitted
-            .map(|model| model.optimal_partitions().to_string())
-            .unwrap_or_else(|| "-".into());
         table.row(vec![
             dataset.name().to_string(),
             workload.dataset.len().to_string(),
@@ -49,7 +30,6 @@ pub fn run(bench: &Workbench) -> Vec<Table> {
             workload.kind.short_name().to_string(),
             format!("{} KB", paper.page_size_bytes / 1024),
             paper_m,
-            m,
         ]);
     }
     vec![table]

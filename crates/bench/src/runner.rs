@@ -103,28 +103,23 @@ impl Workbench {
     /// The number of partitions the paper's Table 4 would use for this
     /// dimensionality: the paper's optimized M keeps roughly `d/M ≈ 7`
     /// dimensions per subspace on its full-size datasets, so comparison
-    /// experiments on the scaled proxies reuse that ratio rather than the
-    /// cost-model optimum of the (much smaller) proxy, which would otherwise
-    /// under-partition.
+    /// experiments on the scaled proxies reuse that ratio.
     pub fn paper_m(&self, dim: usize) -> usize {
         (dim / 7).clamp(2, dim.max(2))
     }
 
-    /// Run BrePartition (exact). `partitions` of `None` uses the cost-model
-    /// optimum.
+    /// Run BrePartition (exact) with `partitions` subspaces.
     pub fn run_brepartition(
         &self,
         workload: &Workload,
         k: usize,
-        partitions: Option<usize>,
+        partitions: usize,
         strategy: PartitionStrategy,
     ) -> MethodMetrics {
-        let mut config = BrePartitionConfig::default()
+        let config = BrePartitionConfig::default()
             .with_page_size(workload.page_size)
-            .with_strategy(strategy);
-        if let Some(m) = partitions {
-            config = config.with_partitions(m);
-        }
+            .with_strategy(strategy)
+            .with_partitions(partitions);
         let build_started = Instant::now();
         let index = BrePartitionIndex::build(workload.kind, &workload.dataset, &config)
             .expect("BrePartition build");
@@ -338,7 +333,7 @@ mod tests {
     #[test]
     fn exact_methods_report_unit_ratio_and_positive_io() {
         let (bench, workload) = tiny_bench();
-        let bp = bench.run_brepartition(&workload, 5, Some(4), PartitionStrategy::Pccp);
+        let bp = bench.run_brepartition(&workload, 5, 4, PartitionStrategy::Pccp);
         let bbt = bench.run_bbt(&workload, 5);
         let vaf = bench.run_vaf(&workload, 5);
         for m in [&bp, &bbt, &vaf] {

@@ -32,32 +32,6 @@
 use crate::divergence::{DecomposableBregman, Divergence};
 use crate::vector::DenseDataset;
 
-/// Chunked (4-wide, FMA-friendly) dot product.
-///
-/// Accumulating into four independent lanes breaks the sequential
-/// dependency chain of a naive `fold`, letting the compiler keep several
-/// multiply-adds in flight (and vectorize where the target allows). The
-/// summation order differs from a sequential loop, so results may differ
-/// from a naive dot product in the last few ulps.
-#[inline]
-pub fn dot_chunked(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dot operands must have equal length");
-    let mut lanes = [0.0f64; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        lanes[0] += x[0] * y[0];
-        lanes[1] += x[1] * y[1];
-        lanes[2] += x[2] * y[2];
-        lanes[3] += x[3] * y[3];
-    }
-    let mut tail = 0.0;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
-}
-
 /// One fused multiply-add step — a hardware `vfmadd` when the build target
 /// guarantees FMA, a plain multiply-add otherwise. Gating on the *compile
 /// target* matters: without the target feature, `f64::mul_add` lowers to a
@@ -224,10 +198,9 @@ pub fn fast_kernels_available() -> bool {
 }
 
 /// Explicitly 8-wide dot product: eight independent accumulator lanes, one
-/// multiply-add step per element, pairwise lane reduction. Twice the
-/// instruction-level parallelism of [`dot_chunked`] (which remains the
-/// portable reference the equivalence suite checks both against);
-/// summation order differs from a sequential loop in the last few ulps.
+/// multiply-add step per element, pairwise lane reduction. The summation
+/// order differs from a sequential loop (the reference the equivalence
+/// suite checks against) in the last few ulps.
 ///
 /// On `x86_64` machines with AVX2 and FMA the same body is dispatched to a
 /// `#[target_feature]` variant whose steps are single fused `vfmadd`
@@ -905,20 +878,10 @@ mod tests {
     use crate::{Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean, SquaredMahalanobis};
 
     #[test]
-    fn dot_chunked_matches_sequential_for_all_tail_lengths() {
-        for n in 0..13 {
-            let a: Vec<f64> = (0..n).map(|i| 0.3 + i as f64).collect();
-            let b: Vec<f64> = (0..n).map(|i| 1.7 - i as f64 * 0.2).collect();
-            let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            assert!((dot_chunked(&a, &b) - naive).abs() < 1e-12 * (1.0 + naive.abs()), "n={n}");
-        }
-    }
-
-    #[test]
-    fn dot8_matches_dot_chunked_and_sequential_for_every_tail_length() {
+    fn dot8_matches_sequential_for_every_tail_length() {
         // Exhaustive over every lane-remainder class (1..=64 covers all
-        // tails for both the 8-wide and 4-wide kernels several times over),
-        // plus the benchmark dimensionalities.
+        // tails of the 8-wide kernel several times over), plus the
+        // benchmark dimensionalities.
         for n in (1..=64).chain([100, 128]) {
             let a: Vec<f64> = (0..n).map(|i| 0.25 + (i as f64) * 0.75 - (n as f64) / 3.0).collect();
             let b: Vec<f64> = (0..n).map(|i| 1.6 - (i as f64) * 0.31).collect();
@@ -926,8 +889,6 @@ mod tests {
             let scale = 1.0 + sequential.abs();
             let wide = dot8(&a, &b);
             assert!((wide - sequential).abs() < 1e-10 * scale, "n={n}: {wide} vs {sequential}");
-            let chunked = dot_chunked(&a, &b);
-            assert!((wide - chunked).abs() < 1e-10 * scale, "n={n}: {wide} vs {chunked}");
         }
     }
 

@@ -27,6 +27,7 @@ use pagestore::{PageStore, PageStoreConfig};
 
 use crate::error::Result;
 use crate::partition::Partitioning;
+use crate::transform::TransformedDataset;
 
 /// Dispatch a block of code over the concrete divergence selected by a
 /// [`DivergenceKind`], binding it to `$div`.
@@ -75,10 +76,14 @@ pub struct BBForest {
 impl BBForest {
     /// Build the forest: one tree per subspace over the projected data, and
     /// the shared page store laid out in the first tree's leaf order.
+    /// `transformed` is the dataset's transform under `partitioning`: each
+    /// subspace's `α_x` column is that subspace's `Φ(x)`, so the trees
+    /// price their covering radii from it instead of tabulating it again.
     pub fn build(
         kind: DivergenceKind,
         dataset: &DenseDataset,
         partitioning: &Partitioning,
+        transformed: &TransformedDataset,
         tree_config: BBTreeConfig,
         store_config: PageStoreConfig,
     ) -> Result<BBForest> {
@@ -90,7 +95,12 @@ impl BBForest {
             .map(|(i, sub)| {
                 let config =
                     BBTreeConfig { seed: tree_config.seed.wrapping_add(i as u64), ..tree_config };
-                with_divergence!(kind, div, BBTreeBuilder::new(div, config).build(sub))
+                let (alpha, _) = transformed.subspace_columns(i);
+                with_divergence!(
+                    kind,
+                    div,
+                    BBTreeBuilder::new(div, config).build_with_phi(sub, alpha)
+                )
             })
             .collect();
         // Lay the original high-dimensional points out in the first tree's
@@ -264,7 +274,9 @@ fn descent_table(kind: DivergenceKind, tree: &BBTree, store: &PageStore) -> Vec<
 mod tests {
     use super::*;
     use crate::partition::equal::equal_contiguous;
+    use crate::partition::pccp::pccp;
     use datagen::correlated::CorrelatedSpec;
+    use datagen::PaperDataset;
 
     fn dataset() -> DenseDataset {
         CorrelatedSpec {
@@ -287,6 +299,7 @@ mod tests {
             DivergenceKind::ItakuraSaito,
             &ds,
             &p,
+            &TransformedDataset::build(DivergenceKind::ItakuraSaito, &ds, &p),
             BBTreeConfig::with_leaf_capacity(16),
             PageStoreConfig::with_page_size(4096),
         )
@@ -309,6 +322,7 @@ mod tests {
             DivergenceKind::Exponential,
             &ds,
             &p,
+            &TransformedDataset::build(DivergenceKind::Exponential, &ds, &p),
             BBTreeConfig::with_leaf_capacity(20),
             PageStoreConfig::with_page_size(8192),
         )
@@ -328,6 +342,7 @@ mod tests {
             DivergenceKind::ItakuraSaito,
             &ds,
             &p,
+            &TransformedDataset::build(DivergenceKind::ItakuraSaito, &ds, &p),
             BBTreeConfig::with_leaf_capacity(10),
             PageStoreConfig::with_page_size(4096),
         )
@@ -363,6 +378,7 @@ mod tests {
             DivergenceKind::ItakuraSaito,
             &ds,
             &p,
+            &TransformedDataset::build(DivergenceKind::ItakuraSaito, &ds, &p),
             BBTreeConfig::with_leaf_capacity(8),
             PageStoreConfig::with_page_size(24 * 8 * 8), // 8 records per page
         )
@@ -375,6 +391,43 @@ mod tests {
                     .map(|pid| forest.store().address_of(pid.0).unwrap().page)
                     .collect();
                 assert!(pages.len() <= 2, "leaf spans {} pages", pages.len());
+            }
+        }
+    }
+
+    #[test]
+    fn trees_priced_from_the_alpha_column_are_strictly_covered_and_unchanged() {
+        // Each tree prices its covering radii from its subspace's `α_x`
+        // column instead of tabulating `Φ(x)` itself. No radius may fall
+        // below a member's naive divergence, and the trees must be the ones
+        // a self-tabulating build makes.
+        let spec = PaperDataset::Fonts.paper_spec().with_points(1_000);
+        assert_eq!(spec.divergence, DivergenceKind::ItakuraSaito);
+        let ds = spec.generate(7);
+        let p = pccp(&ds, 4, 256, 0xB5EED).unwrap();
+        let config = BBTreeConfig::with_leaf_capacity(32);
+        let forest = BBForest::build(
+            DivergenceKind::ItakuraSaito,
+            &ds,
+            &p,
+            &TransformedDataset::build(DivergenceKind::ItakuraSaito, &ds, &p),
+            config,
+            PageStoreConfig::with_page_size(spec.page_size_bytes),
+        )
+        .unwrap();
+        assert_eq!(forest.len(), 4);
+        for (s, tree) in forest.trees().iter().enumerate() {
+            let sub = ds.project(p.subspace(s)).unwrap();
+            assert!(
+                tree.validate_covering(&ItakuraSaito, |pid| sub.point(pid).to_vec()),
+                "subspace {s}: a radius falls below a member's naive divergence"
+            );
+            let seed = BBTreeConfig { seed: config.seed.wrapping_add(s as u64), ..config };
+            let own = BBTreeBuilder::new(ItakuraSaito, seed).build(&sub);
+            assert_eq!(tree.points_in_leaf_order(), own.points_in_leaf_order(), "subspace {s}");
+            assert_eq!(tree.node_count(), own.node_count(), "subspace {s}");
+            for id in 0..tree.node_count() as u32 {
+                assert_eq!(tree.node(NodeId(id)).ball, own.node(NodeId(id)).ball, "subspace {s}");
             }
         }
     }

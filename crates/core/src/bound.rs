@@ -18,7 +18,8 @@ pub fn upper_bound_from_components(point: (f64, f64), query: (f64, f64, f64)) ->
 }
 
 /// The per-subspace search bounds of one query (Algorithm 4's `QB`), plus
-/// the summed bound used by the cost model and the approximate extension.
+/// the summed bound used by the seeded radius split and the approximate
+/// extension.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryBounds {
     /// Index of the data point whose summed upper bound was the k-th

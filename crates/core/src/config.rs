@@ -1,15 +1,5 @@
 //! Index configuration.
 
-/// How many partitions to use.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionCount {
-    /// Derive the optimized `M` from the cost model of Theorem 4.
-    #[default]
-    Auto,
-    /// Use a fixed number of partitions (clamped to `[1, d]` at build time).
-    Fixed(usize),
-}
-
 /// Which dimensionality-partitioning strategy to use.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
@@ -25,8 +15,11 @@ pub enum PartitionStrategy {
 /// Configuration of a [`crate::BrePartitionIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrePartitionConfig {
-    /// Number of partitions (`Auto` applies Theorem 4).
-    pub partitions: PartitionCount,
+    /// Number of partitions `M`, in `[1, d]` (checked at build time). The
+    /// default is 1: one full-dimensional BB-tree searched with the seeded
+    /// radius, which Theorem 4's cost form prices below every `M > 1` (see
+    /// the README's "Choosing the number of partitions").
+    pub partitions: usize,
     /// Partitioning strategy (PCCP by default).
     pub strategy: PartitionStrategy,
     /// Leaf capacity of every subspace BB-tree.
@@ -57,7 +50,7 @@ pub struct BrePartitionConfig {
 impl Default for BrePartitionConfig {
     fn default() -> Self {
         Self {
-            partitions: PartitionCount::Auto,
+            partitions: 1,
             strategy: PartitionStrategy::Pccp,
             leaf_capacity: 32,
             page_size_bytes: 32 * 1024,
@@ -70,9 +63,9 @@ impl Default for BrePartitionConfig {
 }
 
 impl BrePartitionConfig {
-    /// Use a fixed number of partitions.
+    /// Set the number of partitions.
     pub fn with_partitions(mut self, m: usize) -> Self {
-        self.partitions = PartitionCount::Fixed(m);
+        self.partitions = m;
         self
     }
 
@@ -120,7 +113,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_style_settings() {
         let c = BrePartitionConfig::default();
-        assert_eq!(c.partitions, PartitionCount::Auto);
+        assert_eq!(c.partitions, 1);
         assert_eq!(c.strategy, PartitionStrategy::Pccp);
         assert_eq!(c.page_size_bytes, 32 * 1024);
         assert_eq!(c.buffer_pool_pages, 0);
@@ -135,7 +128,7 @@ mod tests {
             .with_leaf_capacity(8)
             .with_buffer_pool_pages(64)
             .with_seed(7);
-        assert_eq!(c.partitions, PartitionCount::Fixed(12));
+        assert_eq!(c.partitions, 12);
         assert_eq!(c.strategy, PartitionStrategy::EqualContiguous);
         assert_eq!(c.page_size_bytes, 4096);
         assert_eq!(c.leaf_capacity, 8);

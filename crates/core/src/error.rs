@@ -26,7 +26,7 @@ pub enum CoreError {
         actual: usize,
     },
     /// The requested partition count is invalid for the dimensionality.
-    InvalidPartitionCount {
+    InvalidPartitions {
         /// Requested number of partitions.
         requested: usize,
         /// Dimensionality of the data.
@@ -54,7 +54,7 @@ impl fmt::Display for CoreError {
             CoreError::QueryDimensionMismatch { expected, actual } => {
                 write!(f, "query has {actual} dimensions but the index was built for {expected}")
             }
-            CoreError::InvalidPartitionCount { requested, dim } => {
+            CoreError::InvalidPartitions { requested, dim } => {
                 write!(f, "cannot split {dim} dimensions into {requested} partitions")
             }
             CoreError::InvalidProbability(p) => {
@@ -104,7 +104,7 @@ mod tests {
         let e = CoreError::QueryDimensionMismatch { expected: 10, actual: 3 };
         assert!(e.to_string().contains("10"));
         assert!(e.to_string().contains("3"));
-        let e = CoreError::InvalidPartitionCount { requested: 50, dim: 10 };
+        let e = CoreError::InvalidPartitions { requested: 50, dim: 10 };
         assert!(e.to_string().contains("50"));
         let e = CoreError::InvalidProbability(1.5);
         assert!(e.to_string().contains("1.5"));

@@ -4,11 +4,15 @@
 //! This crate implements the paper's partition–filter–refinement framework:
 //!
 //! 1. **Partition** — the `d` dimensions are split into `M` low-dimensional
-//!    subspaces. `M` is chosen by the cost model of Theorem 4
-//!    ([`partition::optimal_m`]) and the assignment of dimensions to
-//!    subspaces uses PCCP, the Pearson-Correlation-Coefficient-based
-//!    Partition ([`partition::pccp`]), which spreads correlated dimensions
-//!    across subspaces so their candidate sets overlap.
+//!    subspaces. `M` defaults to 1, one full-dimensional BB-tree: with the
+//!    seeded radius below, Theorem 4's cost form prices every `M > 1`
+//!    above `M = 1`, because the per-subspace radii sum to at least the
+//!    radius, so the union of `M` range searches never keeps fewer points
+//!    than the one full-dimensional search. Larger fixed `M` values serve
+//!    the paper's experiments. The assignment of dimensions to subspaces
+//!    uses PCCP, the Pearson-Correlation-Coefficient-based Partition
+//!    ([`partition::pccp`]), which spreads correlated dimensions across
+//!    subspaces so their candidate sets overlap.
 //! 2. **Filter** — a greedy descent of the first subspace's BB-tree picks
 //!    a node of at least k points near the query; its pages are read and
 //!    scored exactly, and their k-th exact distance is the search radius.
@@ -73,10 +77,10 @@ pub mod transform;
 pub use approximate::{ApproximateConfig, NormalDistribution};
 pub use bbforest::BBForest;
 pub use bound::{upper_bound_from_components, QueryBounds};
-pub use config::{BrePartitionConfig, PartitionCount, PartitionStrategy};
+pub use config::{BrePartitionConfig, PartitionStrategy};
 pub use delta::DeltaSegment;
 pub use error::{CoreError, Result};
-pub use partition::{optimal_m::CostModel, Partitioning};
+pub use partition::Partitioning;
 pub use search::{BrePartitionIndex, QueryResult};
 pub use stats::QueryStats;
 pub use transform::{TransformedDataset, TransformedQuery};

@@ -9,7 +9,7 @@ use crate::partition::Partitioning;
 /// fewer when `d` is not divisible by `M`.
 pub fn equal_contiguous(dim: usize, m: usize) -> Result<Partitioning> {
     if m == 0 || m > dim {
-        return Err(CoreError::InvalidPartitionCount { requested: m, dim });
+        return Err(CoreError::InvalidPartitions { requested: m, dim });
     }
     let per = dim.div_ceil(m);
     let mut subspaces: Vec<Vec<usize>> = Vec::with_capacity(m);

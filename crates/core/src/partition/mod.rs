@@ -1,8 +1,7 @@
 //! Dimensionality partitioning: the partition description plus the two
-//! strategies (equal/contiguous and PCCP) and the optimal-`M` cost model.
+//! strategies (equal/contiguous and PCCP).
 
 pub mod equal;
-pub mod optimal_m;
 pub mod pccp;
 
 use bregman::DenseDataset;
@@ -24,7 +23,7 @@ impl Partitioning {
     /// the total number of listed dimensions).
     pub fn new(subspaces: Vec<Vec<usize>>) -> Result<Partitioning> {
         if subspaces.is_empty() || subspaces.iter().any(Vec::is_empty) {
-            return Err(CoreError::InvalidPartitionCount {
+            return Err(CoreError::InvalidPartitions {
                 requested: subspaces.len(),
                 dim: subspaces.iter().map(Vec::len).sum(),
             });
@@ -33,7 +32,7 @@ impl Partitioning {
         let mut seen = vec![false; dim];
         for &d in subspaces.iter().flatten() {
             if d >= dim || seen[d] {
-                return Err(CoreError::InvalidPartitionCount { requested: subspaces.len(), dim });
+                return Err(CoreError::InvalidPartitions { requested: subspaces.len(), dim });
             }
             seen[d] = true;
         }

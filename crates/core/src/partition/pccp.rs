@@ -81,7 +81,7 @@ pub fn pccp(
 ) -> Result<Partitioning> {
     let d = dataset.dim();
     if m == 0 || m > d {
-        return Err(CoreError::InvalidPartitionCount { requested: m, dim: d });
+        return Err(CoreError::InvalidPartitions { requested: m, dim: d });
     }
     if m == 1 {
         return Partitioning::new(vec![(0..d).collect()]);
@@ -151,7 +151,7 @@ fn partition_from_groups(
             .max_by_key(|(_, s)| s.len())
             .expect("at least one subspace");
         if subspaces[donor_idx].len() <= 1 {
-            return Err(CoreError::InvalidPartitionCount { requested: m, dim: d });
+            return Err(CoreError::InvalidPartitions { requested: m, dim: d });
         }
         let moved = subspaces[donor_idx].pop().expect("donor is non-empty");
         subspaces[empty_idx].push(moved);

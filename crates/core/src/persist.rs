@@ -18,9 +18,7 @@
 //! the data pages from the page file through the same
 //! [`pagestore::BufferPool`] path, so a reopened index answers every query
 //! with the same neighbors *and the same per-query I/O counters* as the
-//! freshly built one. The only part not persisted is the measured cost model
-//! (a build-time artifact used to choose `M`);
-//! [`BrePartitionIndex::cost_model`] returns `None` after open.
+//! freshly built one.
 //!
 //! The per-point `Φ(x) = Σ_j φ(x_j)` column consumed by the prepared-query
 //! refine kernel needs no dedicated field in this envelope: `open`
@@ -41,7 +39,7 @@ use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, Pers
 use pagestore::PageStore;
 
 use crate::bbforest::BBForest;
-use crate::config::{BrePartitionConfig, PartitionCount, PartitionStrategy};
+use crate::config::{BrePartitionConfig, PartitionStrategy};
 use crate::error::Result;
 use crate::partition::Partitioning;
 use crate::search::{BrePartitionIndex, BuildReport};
@@ -51,7 +49,7 @@ use crate::transform::TransformedDataset;
 pub const INDEX_MAGIC: [u8; 8] = *b"BREPIDX1";
 
 /// The only format version this build writes and reads.
-pub const INDEX_VERSION: u32 = 2;
+pub const INDEX_VERSION: u32 = 3;
 
 /// File name of the index metadata within an index directory.
 pub const META_FILE: &str = "index.meta";
@@ -253,16 +251,7 @@ impl BrePartitionIndex {
 }
 
 fn write_config(w: &mut ByteWriter, config: &BrePartitionConfig) {
-    match config.partitions {
-        PartitionCount::Auto => {
-            w.put_u8(0);
-            w.put_u64(0);
-        }
-        PartitionCount::Fixed(m) => {
-            w.put_u8(1);
-            w.put_usize(m);
-        }
-    }
+    w.put_usize(config.partitions);
     w.put_u8(match config.strategy {
         PartitionStrategy::Pccp => 0,
         PartitionStrategy::EqualContiguous => 1,
@@ -276,14 +265,7 @@ fn write_config(w: &mut ByteWriter, config: &BrePartitionConfig) {
 }
 
 fn read_config(r: &mut ByteReader<'_>) -> PersistResult<BrePartitionConfig> {
-    let partitions = match r.take_u8()? {
-        0 => {
-            r.take_u64()?;
-            PartitionCount::Auto
-        }
-        1 => PartitionCount::Fixed(r.take_usize()?),
-        tag => return Err(PersistError::Corrupt(format!("unknown partition-count tag {tag}"))),
-    };
+    let partitions = r.take_usize()?;
     let strategy = match r.take_u8()? {
         0 => PartitionStrategy::Pccp,
         1 => PartitionStrategy::EqualContiguous,
@@ -377,7 +359,6 @@ mod tests {
         assert_eq!(reopened.config(), built.config());
         assert_eq!(reopened.build_report(), built.build_report());
         assert_eq!(reopened.forest().store().backend_kind(), "file");
-        assert!(reopened.cost_model().is_none(), "cost model is a build-time artifact");
 
         for qi in [0usize, 33, 199, 350] {
             let query = ds.row(qi).to_vec();

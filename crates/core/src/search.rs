@@ -10,9 +10,8 @@ use std::time::Instant;
 use crate::approximate::ApproximateConfig;
 use crate::bbforest::BBForest;
 use crate::bound::QueryBounds;
-use crate::config::{BrePartitionConfig, PartitionCount, PartitionStrategy};
+use crate::config::{BrePartitionConfig, PartitionStrategy};
 use crate::error::{CoreError, Result};
-use crate::partition::optimal_m::CostModel;
 use crate::partition::{equal::equal_contiguous, pccp::pccp, Partitioning};
 use crate::stats::QueryStats;
 use crate::transform::{TransformedDataset, TransformedQuery};
@@ -70,7 +69,6 @@ pub struct BrePartitionIndex {
     partitioning: Partitioning,
     transformed: TransformedDataset,
     forest: BBForest,
-    cost_model: Option<CostModel>,
     /// Per-dimension means of the data (used by the approximate extension to
     /// model the distribution of the Cauchy-relaxed term).
     dim_means: Vec<f64>,
@@ -93,8 +91,9 @@ pub struct BrePartitionIndex {
 }
 
 impl BrePartitionIndex {
-    /// Algorithm 5 (`BrePartitionConstruct`): determine `M`, partition the
-    /// dimensions, transform every point, and build the BB-forest.
+    /// Algorithm 5 (`BrePartitionConstruct`): partition the dimensions into
+    /// the configured `M` subspaces, transform every point, and build the
+    /// BB-forest.
     pub fn build(
         kind: DivergenceKind,
         dataset: &DenseDataset,
@@ -111,19 +110,11 @@ impl BrePartitionIndex {
         let started = Instant::now();
         let d = dataset.dim();
 
-        // 1. Number of partitions: fixed, or the cost-model optimum.
-        let (m, cost_model) = match config.partitions {
-            PartitionCount::Fixed(m) => {
-                if m == 0 || m > d {
-                    return Err(CoreError::InvalidPartitionCount { requested: m, dim: d });
-                }
-                (m, None)
-            }
-            PartitionCount::Auto => {
-                let model = CostModel::fit(kind, dataset, config.seed)?;
-                (model.optimal_partitions(), Some(model))
-            }
-        };
+        // 1. Number of partitions.
+        let m = config.partitions;
+        if m == 0 || m > d {
+            return Err(CoreError::InvalidPartitions { requested: m, dim: d });
+        }
 
         // 2. Dimensionality partitioning.
         let partitioning = match config.strategy {
@@ -139,6 +130,7 @@ impl BrePartitionIndex {
             kind,
             dataset,
             &partitioning,
+            &transformed,
             BBTreeConfig {
                 leaf_capacity: config.leaf_capacity,
                 max_kmeans_iters: 16,
@@ -170,7 +162,6 @@ impl BrePartitionIndex {
             partitioning,
             transformed,
             forest,
-            cost_model,
             dim_means,
             dim_vars,
             phi,
@@ -179,8 +170,7 @@ impl BrePartitionIndex {
         })
     }
 
-    /// Reassemble an index from restored parts (the open-from-disk path;
-    /// the cost model is not persisted, so a reopened index reports `None`).
+    /// Reassemble an index from restored parts (the open-from-disk path).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_restored(
         kind: DivergenceKind,
@@ -217,7 +207,6 @@ impl BrePartitionIndex {
             partitioning,
             transformed,
             forest,
-            cost_model: None,
             dim_means,
             dim_vars,
             phi,
@@ -259,12 +248,6 @@ impl BrePartitionIndex {
     /// The dimensionality partitioning in use.
     pub fn partitioning(&self) -> &Partitioning {
         &self.partitioning
-    }
-
-    /// The cost model Auto measured at build time (`None` for a fixed `M`
-    /// and after reopening).
-    pub fn cost_model(&self) -> Option<&CostModel> {
-        self.cost_model.as_ref()
     }
 
     /// The BB-forest (exposed for experiments that inspect the index).
@@ -935,7 +918,7 @@ mod tests {
         let too_many = BrePartitionConfig::default().with_partitions(99);
         assert!(matches!(
             BrePartitionIndex::build(DivergenceKind::ItakuraSaito, &ds, &too_many),
-            Err(CoreError::InvalidPartitionCount { .. })
+            Err(CoreError::InvalidPartitions { .. })
         ));
     }
 
@@ -1019,7 +1002,6 @@ mod tests {
         assert_eq!(index.partitioning().len(), 4);
         assert_eq!(index.dimension_means().len(), 16);
         assert_eq!(index.dimension_variances().len(), 16);
-        assert!(index.cost_model().is_none(), "a fixed M fits no model");
         let report = index.build_report();
         assert_eq!(report.partitions, 4);
         assert!(report.total_seconds >= report.forest_seconds);

@@ -1,4 +1,5 @@
-//! Partition tuning: the cost model's optimum and the PCCP ablation.
+//! Partition tuning: the M sweep around the default M = 1 and the PCCP
+//! ablation.
 //!
 //! Reproduces, on a laptop-scale workload, the two design experiments of the
 //! paper's Section 9.3: the trade-off between the number of partitions `M`
@@ -30,20 +31,11 @@ fn main() {
     let workload =
         QueryWorkload::perturbed_from(&data, DivergenceKind::ItakuraSaito, query_count, 0.02, 21);
 
-    // The cost model's suggested optimum: the default spec leaves
-    // `partitions` on Auto, which applies the paper's Theorem 4. (The core
-    // index is consulted directly for the chosen M — an introspection the
-    // façade intentionally keeps at the component layer.)
-    let auto_index = BrePartitionIndex::build(
-        DivergenceKind::ItakuraSaito,
-        &data,
-        &IndexSpec::brepartition(DivergenceKind::ItakuraSaito)
-            .with_page_size(16 * 1024)
-            .brepartition_config(),
-    )
-    .unwrap();
-    let auto_m = auto_index.partitions();
-    println!("cost-model optimum: M = {auto_m}\n");
+    // The default spec builds one partition: with the seeded search radius
+    // the per-subspace radii sum to at least the radius, so M > 1 never
+    // keeps fewer candidates and always adds a bound pass.
+    let default_m = IndexSpec::brepartition(DivergenceKind::ItakuraSaito).partitions;
+    println!("default M = {default_m}\n");
 
     // Average query cost of one spec over the workload.
     let run_spec = |spec: &IndexSpec| -> (f64, f64, f64) {
@@ -61,9 +53,9 @@ fn main() {
         (io as f64 / q, candidates as f64 / q, seconds * 1e3 / q)
     };
 
-    // Sweep M around the optimum (the shape of Figs. 8 and 9).
+    // Sweep M upward from the default (the paper's Figs. 8 and 9).
     println!("{:>4} {:>14} {:>16} {:>14}", "M", "avg I/O", "avg candidates", "avg time (ms)");
-    for m in [2usize, 4, 8, 12, 16, 24, 32] {
+    for m in [1usize, 2, 4, 8, 12, 16, 24, 32] {
         let spec = IndexSpec::brepartition(DivergenceKind::ItakuraSaito)
             .with_partitions(m)
             .with_page_size(16 * 1024);
@@ -71,14 +63,21 @@ fn main() {
         println!("{m:>4} {io:>14.1} {candidates:>16.1} {ms:>14.3}");
     }
 
-    // PCCP vs the naive equal split at the optimum M (the Fig. 10 ablation).
-    println!("\n{:<18} {:>14} {:>16}", "strategy", "avg I/O", "avg candidates");
+    // PCCP vs the naive equal split at the paper's M ≈ d/7 (the Fig. 10
+    // ablation; at M = 1 both strategies give the one trivial partition).
+    let ablation_m = dim / 7;
+    println!(
+        "\n{:<18} {:>14} {:>16}",
+        format!("strategy (M = {ablation_m})"),
+        "avg I/O",
+        "avg candidates"
+    );
     for (name, strategy) in [
         ("PCCP", PartitionStrategy::Pccp),
         ("equal/contiguous", PartitionStrategy::EqualContiguous),
     ] {
         let spec = IndexSpec::brepartition(DivergenceKind::ItakuraSaito)
-            .with_partitions(auto_m)
+            .with_partitions(ablation_m)
             .with_strategy(strategy)
             .with_page_size(16 * 1024);
         let (io, candidates, _) = run_spec(&spec);

@@ -18,10 +18,11 @@ fn main() {
     println!("dataset: {} points x {} dimensions", data.len(), data.dim());
 
     // 2. Describe the index: the BrePartition method under the
-    //    Itakura-Saito divergence. `PartitionCount::Auto` (the default)
-    //    picks the number of partitions from the paper's cost model, with
-    //    the filter's survivor fraction measured on a few sampled queries;
-    //    PCCP assigns dimensions to partitions. Swapping
+    //    Itakura-Saito divergence. The default is one partition: a single
+    //    full-dimensional BB-tree searched with a radius seeded from the
+    //    query's nearest tree node, which the paper's cost model prices
+    //    below any larger M (`with_partitions` sets another M, and PCCP
+    //    then assigns dimensions to partitions). Swapping
     //    `Method::BBTree` or `Method::VaFile` into the same spec builds a
     //    baseline instead — nothing else changes.
     let spec = IndexSpec::brepartition(DivergenceKind::ItakuraSaito)

@@ -94,7 +94,7 @@ pub const SPEC_MAGIC: [u8; 8] = *b"BREPSPC1";
 
 /// The only format version of the spec envelope this build writes and
 /// reads; any other version is rejected.
-pub const SPEC_VERSION: u32 = 4;
+pub const SPEC_VERSION: u32 = 5;
 
 /// File name of the spec envelope within an index directory.
 pub const SPEC_FILE: &str = "spec.meta";

@@ -89,8 +89,8 @@
 //!
 //! The component crates remain available for advanced use:
 //!
-//! * [`core`] — the BrePartition index (bounds, optimal
-//!   partitioning, PCCP, BB-forest, exact and approximate search),
+//! * [`core`] — the BrePartition index (bounds, partitioning, PCCP,
+//!   BB-forest, exact and approximate search),
 //! * [`bregman`] — Bregman divergences and the dense dataset container,
 //! * [`bbtree`] — Bregman ball trees (the BBT baseline and the per-subspace
 //!   index),
@@ -145,8 +145,8 @@ pub mod prelude {
         PointId, SquaredEuclidean,
     };
     pub use brepartition_core::{
-        ApproximateConfig, BrePartitionConfig, BrePartitionIndex, DeltaSegment, PartitionCount,
-        PartitionStrategy, QueryResult,
+        ApproximateConfig, BrePartitionConfig, BrePartitionIndex, DeltaSegment, PartitionStrategy,
+        QueryResult,
     };
     pub use brepartition_engine::{
         BBTreeBackend, BackendAnswer, BatchResult, BrePartitionBackend, BreakerState,

@@ -65,7 +65,7 @@ pub const SHARDS_MAGIC: [u8; 8] = *b"BREPSHD1";
 /// The only format version of the shard envelope this build writes and
 /// reads; any other version is rejected. It embeds an [`IndexSpec`]
 /// payload, so it changes whenever the spec envelope does.
-pub const SHARDS_VERSION: u32 = 4;
+pub const SHARDS_VERSION: u32 = 5;
 
 /// File name of the shard envelope within a sharded index directory.
 pub const SHARDS_FILE: &str = "shards.meta";

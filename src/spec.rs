@@ -11,7 +11,7 @@
 
 use bbtree::BBTreeConfig;
 use bregman::DivergenceKind;
-use brepartition_core::{ApproximateConfig, BrePartitionConfig, PartitionCount, PartitionStrategy};
+use brepartition_core::{ApproximateConfig, BrePartitionConfig, PartitionStrategy};
 use pagestore::format::{ByteReader, ByteWriter, PersistError, PersistResult};
 use pagestore::PageStoreConfig;
 use vafile::{QuantizerConfig, VaFileConfig};
@@ -154,9 +154,9 @@ pub struct IndexSpec {
     pub divergence: DivergenceKind,
     /// Storage-layer knobs (page size, buffer pool).
     pub storage: StorageSpec,
-    /// BrePartition: number of partitions (`Auto` applies the paper's
-    /// Theorem 4 cost model).
-    pub partitions: PartitionCount,
+    /// BrePartition: number of partitions `M` (default 1, one
+    /// full-dimensional BB-tree; see [`BrePartitionConfig::partitions`]).
+    pub partitions: usize,
     /// BrePartition: dimensionality-partitioning strategy.
     pub strategy: PartitionStrategy,
     /// Leaf capacity of the BB-trees (BrePartition subspace trees and the
@@ -191,7 +191,7 @@ impl IndexSpec {
             method,
             divergence,
             storage: StorageSpec::default(),
-            partitions: PartitionCount::Auto,
+            partitions: 1,
             strategy: PartitionStrategy::Pccp,
             leaf_capacity: 32,
             sample_size: 256,
@@ -227,9 +227,9 @@ impl IndexSpec {
         Self::new(Method::VaFile, divergence)
     }
 
-    /// Use a fixed number of partitions.
+    /// Set the number of partitions.
     pub fn with_partitions(mut self, m: usize) -> Self {
-        self.partitions = PartitionCount::Fixed(m);
+        self.partitions = m;
         self
     }
 
@@ -400,16 +400,7 @@ impl IndexSpec {
         w.put_str(self.divergence.short_name());
         w.put_usize(self.storage.page_size_bytes);
         w.put_usize(self.storage.buffer_pool_pages);
-        match self.partitions {
-            PartitionCount::Auto => {
-                w.put_u8(0);
-                w.put_usize(0);
-            }
-            PartitionCount::Fixed(m) => {
-                w.put_u8(1);
-                w.put_usize(m);
-            }
-        }
+        w.put_usize(self.partitions);
         w.put_u8(match self.strategy {
             PartitionStrategy::Pccp => 0,
             PartitionStrategy::EqualContiguous => 1,
@@ -433,14 +424,7 @@ impl IndexSpec {
             .map_err(|_| PersistError::Corrupt(format!("unknown divergence kind {kind_name:?}")))?;
         let page_size_bytes = r.take_usize()?;
         let buffer_pool_pages = r.take_usize()?;
-        let partitions = match r.take_u8()? {
-            0 => {
-                r.take_usize()?;
-                PartitionCount::Auto
-            }
-            1 => PartitionCount::Fixed(r.take_usize()?),
-            tag => return Err(PersistError::Corrupt(format!("unknown partition-count tag {tag}"))),
-        };
+        let partitions = r.take_usize()?;
         let strategy = match r.take_u8()? {
             0 => PartitionStrategy::Pccp,
             1 => PartitionStrategy::EqualContiguous,
@@ -515,7 +499,7 @@ mod tests {
             .with_f32_candidates(true)
             .with_background_compaction(true)
             .with_compaction_ratios(0.5, 0.125);
-        assert_eq!(spec.partitions, PartitionCount::Fixed(12));
+        assert_eq!(spec.partitions, 12);
         assert!(spec.compaction.background);
         assert_eq!(spec.compaction.max_delta_ratio, 0.5);
         assert_eq!(spec.compaction.max_tombstone_ratio, 0.125);

@@ -266,18 +266,25 @@ fn older_format_versions_are_rejected_on_open() {
         .with_page_size(1024);
     let vaf = IndexSpec::vafile(DivergenceKind::ItakuraSaito).with_page_size(1024);
 
-    // Version 3 of the spec payload has today's layout, but its BP
-    // envelopes store p = 0.9, which BP then ignored: opened as version 4
-    // such an exact index would serve ABP. Version 2 predates the
-    // compaction spec (17 trailing bytes: flag + two ratios), version 1
-    // additionally the `f32_candidates` flag byte.
+    // Version 4 of the spec payload stored a partition-count tag byte
+    // (0 = Auto, 1 = fixed) before M, which follows the method tag, the
+    // divergence name and the two storage fields. Version 3 has version 4's
+    // layout, but its BP envelopes store p = 0.9, which BP then ignored:
+    // opened as version 4 such an exact index would serve ABP. Version 2
+    // predates the compaction spec (17 trailing bytes: flag + two ratios),
+    // version 1 additionally the `f32_candidates` flag byte.
     let dir = TempDir::new("columnar-spec-versions");
     Index::build(&bp, &data).unwrap().save(&dir).unwrap();
     let sealed = std::fs::read(dir.join(SPEC_FILE)).unwrap();
     let payload = unseal(&SPEC_MAGIC, SPEC_VERSION, &sealed).unwrap();
-    let v2_payload = &payload[..payload.len() - 17];
+    let mut v4_payload = payload.to_vec();
+    let partitions_at = 1 + 8 + bp.divergence.short_name().len() + 8 + 8;
+    v4_payload.insert(partitions_at, 1);
+    let v2_payload = &v4_payload[..v4_payload.len() - 17];
     let v1_payload = &v2_payload[..v2_payload.len() - 1];
-    for (version, older) in [(3, payload), (2, v2_payload), (1, v1_payload)] {
+    for (version, older) in
+        [(4, &v4_payload[..]), (3, &v4_payload[..]), (2, v2_payload), (1, v1_payload)]
+    {
         std::fs::write(dir.join(SPEC_FILE), seal(&SPEC_MAGIC, version, older)).unwrap();
         assert_rejected(&format!("{SPEC_FILE} v{version}"), Index::open(&dir));
     }

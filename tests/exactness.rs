@@ -68,10 +68,11 @@ fn brepartition_with_auto_partitions_is_exact() {
 }
 
 #[test]
-fn auto_partition_count_keeps_no_more_candidates_than_the_best_fixed_m() {
-    // Auto's M must filter about as well as the best of a few fixed M values
-    // on every proxy. The exponential fit it replaced picked M close to d and
-    // kept more than twice the candidates of M = 1 on the Fonts proxy.
+fn default_partition_count_keeps_no_more_candidates_than_the_best_fixed_m() {
+    // The default M = 1 must filter about as well as the best of a few fixed
+    // M values on every proxy. The paper's exponential cost-model fit, once
+    // the default, picked M close to d and kept more than twice the
+    // candidates of M = 1 on the Fonts proxy.
     let (n, k, queries_per_dataset) = (1_500, 10, 32);
     for dataset in PaperDataset::ALL {
         let spec = dataset.paper_spec().with_points(n);
@@ -99,14 +100,14 @@ fn auto_partition_count_keeps_no_more_candidates_than_the_best_fixed_m() {
             }
             (index.partitions(), candidates as f64 / workload.len() as f64)
         };
-        let (auto_m, auto) = mean_candidates(&config);
+        let (default_m, default) = mean_candidates(&config);
         let best_fixed = [1, 4, 16]
             .into_iter()
             .map(|m| mean_candidates(&config.with_partitions(m)).1)
             .fold(f64::INFINITY, f64::min);
         assert!(
-            auto <= 1.2 * best_fixed,
-            "{dataset}: Auto (M = {auto_m}) keeps {auto:.1} candidates per query, \
+            default <= 1.2 * best_fixed,
+            "{dataset}: the default (M = {default_m}) keeps {default:.1} candidates per query, \
              the best fixed M keeps {best_fixed:.1}"
         );
     }
@@ -281,7 +282,7 @@ fn kernel_scan(
     scored
 }
 
-/// Build BP under `kind` on `data` at each partition setting and check every
+/// Build BP under `kind` on `data` at M ∈ {1, 2, 4} (up to d) and check every
 /// query at k ∈ {1, 10, n, n + 5} against [`kernel_scan`] (id for id, bit for
 /// bit) and, where `resolvable`, against brute force under the benchmark's
 /// tie rule, through an unbuffered pool and through one warm pool that holds
@@ -296,8 +297,8 @@ fn check_against_brute_force(
     resolvable: bool,
 ) {
     let n = data.len();
-    for partitions in [PartitionCount::Fixed(1), PartitionCount::Fixed(4), PartitionCount::Auto] {
-        if partitions == PartitionCount::Fixed(4) && data.dim() < 4 {
+    for partitions in [1, 2, 4] {
+        if partitions > data.dim() {
             continue;
         }
         let config = BrePartitionConfig { partitions, ..*config };
@@ -386,7 +387,18 @@ fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
     let base: Vec<Vec<f64>> = (0..12)
         .map(|i| (0..6).map(|j| 0.5 + ((i * 5 + j * 3) % 11) as f64 * 0.25).collect())
         .collect();
+    // A column every row shares: zero variance, so PCCP sees no correlation
+    // for it and each subspace holding it contributes the same term.
+    let constant_column = (0..60)
+        .map(|i| {
+            let value = |j: usize| 0.5 + ((i * 7 + j * 5) % 13) as f64 * 0.25;
+            (0..6).map(|j| if j == 2 { 3.0 } else { value(j) }).collect()
+        })
+        .collect();
     let hostile = [
+        ("n = 1", vec![row.to_vec()], true),
+        ("n = 2", vec![row.to_vec(), base[3].clone()], true),
+        ("constant column", constant_column, true),
         ("all-duplicate rows", vec![row.to_vec(); 64], true),
         ("near-duplicate rows", near_copies, false),
         ("ties at the k-th distance", (0..192).map(|i| base[i % 12].clone()).collect(), true),

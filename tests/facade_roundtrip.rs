@@ -468,3 +468,34 @@ fn out_of_domain_queries_are_typed_errors_for_every_method_and_kind() {
         }
     }
 }
+
+/// The default spec holds one point: a one-row build answers with that row,
+/// and a fold that leaves one live row rebuilds the index and keeps
+/// answering.
+#[test]
+fn default_spec_builds_and_folds_down_to_one_row() {
+    let kind = DivergenceKind::ItakuraSaito;
+    let rows = [vec![1.0, 2.0, 3.0], vec![2.0, 1.0, 0.5], vec![3.0, 3.0, 1.5]];
+    let spec = IndexSpec::brepartition(kind).with_background_compaction(false);
+    let assert_only = |index: &Index, id: u32, row: &[f64]| {
+        for query in &rows {
+            let hit = index.query(&QueryRequest::new(query, 3)).unwrap();
+            assert_eq!(hit.neighbors.len(), 1, "one live row, k = 3");
+            let (got, distance) = hit.neighbors[0];
+            assert_eq!(got, PointId(id));
+            let want = kind.divergence(row, query);
+            assert!((distance - want).abs() <= 1e-12 * (1.0 + want), "{distance} vs {want}");
+        }
+    };
+
+    let single = Index::build(&spec, &DenseDataset::from_rows(&rows[..1]).unwrap()).unwrap();
+    assert_eq!(single.len(), 1);
+    assert_only(&single, 0, &rows[0]);
+
+    let folded = Index::build(&spec, &DenseDataset::from_rows(&rows).unwrap()).unwrap();
+    assert!(folded.delete(PointId(0)).unwrap());
+    assert!(folded.delete(PointId(2)).unwrap());
+    folded.compact().unwrap();
+    assert_eq!((folded.len(), folded.compactions()), (1, 1));
+    assert_only(&folded, 1, &rows[1]);
+}
