@@ -22,8 +22,8 @@
 
 use bregman::{DecomposableBregman, DenseDataset, PointId};
 
-use crate::ball::{BregmanBall, Projector};
-use crate::node::{BBTree, NodeKind};
+use crate::ball::Projector;
+use crate::node::{BBTree, NodeId, NodeKind};
 use crate::stats::SearchStats;
 
 impl BBTree {
@@ -37,15 +37,17 @@ impl BBTree {
         stats: &mut SearchStats,
     ) -> Vec<PointId> {
         let mut projector = Projector::new(divergence, query);
-        self.collect_range_leaves(stats, |ball| projector.intersects_range(ball, radius))
+        self.range_leaves(stats, |id| projector.intersects_range(&self.node(id).ball, radius))
     }
 
-    /// The points of every leaf whose ball passes `intersects`, visiting
-    /// children only of nodes that pass it.
-    fn collect_range_leaves(
+    /// The points of every leaf that passes `intersects`, visiting children
+    /// only of nodes that pass it: the traversal of a range search with the
+    /// node test left to the caller. Every node tested counts as visited in
+    /// `stats`, every leaf that passes as a leaf visited.
+    pub fn range_leaves(
         &self,
         stats: &mut SearchStats,
-        mut intersects: impl FnMut(&BregmanBall) -> bool,
+        mut intersects: impl FnMut(NodeId) -> bool,
     ) -> Vec<PointId> {
         let mut out = Vec::new();
         if self.is_empty() {
@@ -54,11 +56,10 @@ impl BBTree {
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
             stats.nodes_visited += 1;
-            let node = self.node(id);
-            if !intersects(&node.ball) {
+            if !intersects(id) {
                 continue;
             }
-            match &node.kind {
+            match &self.node(id).kind {
                 NodeKind::Leaf { points } => {
                     stats.leaves_visited += 1;
                     out.extend_from_slice(points);
@@ -195,8 +196,8 @@ mod tests {
                     let mut stats = SearchStats::new();
                     let got = tree.range_candidates(b, &query, radius, &mut stats);
                     let mut reference_stats = SearchStats::new();
-                    let reference = tree.collect_range_leaves(&mut reference_stats, |ball| {
-                        ball.intersects_range(b, &query, radius)
+                    let reference = tree.range_leaves(&mut reference_stats, |id| {
+                        tree.node(id).ball.intersects_range(b, &query, radius)
                     });
                     assert_eq!(got, reference, "{} d={dim} radius {radius}", b.name());
                     assert_eq!(stats, reference_stats, "{} d={dim} radius {radius}", b.name());

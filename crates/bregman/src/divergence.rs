@@ -121,10 +121,12 @@ pub trait DecomposableBregman: Divergence + Clone {
     }
 
     /// The Cauchy-bound components of a data point over one subspace:
-    /// `(α_x, γ_x) = (Σ φ(x_j), Σ x_j²)`.
+    /// `(α_x, γ_x) = (Σ φ(x_j), Σ x_j²)`. `α_x` is summed in the order and
+    /// from the `−0.0` start of [`DecomposableBregman::f`], so over a whole
+    /// row the two agree bit for bit.
     #[inline]
     fn point_components(&self, x: &[f64]) -> (f64, f64) {
-        let mut alpha = 0.0;
+        let mut alpha = -0.0;
         let mut gamma = 0.0;
         for &v in x {
             alpha += self.phi(v);

@@ -13,6 +13,11 @@
 //! That layout also gives every node of the first tree a contiguous run of
 //! pages, which is what the search's seed reads
 //! ([`BBForest::seed_pages`]).
+//!
+//! The range search in each subspace tests nodes against their bounding
+//! boxes, not their Bregman balls: the box bound is the exact minimum of
+//! the divergence over the box, in closed form ([`crate::node_box`]). The
+//! balls stay in the trees, for the build's splits and the seed's descent.
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -23,9 +28,10 @@ use bregman::{
     DenseDataset, DivergenceKind, Exponential, GeneralizedI, ItakuraSaito, PointId,
     SquaredEuclidean,
 };
-use pagestore::{PageStore, PageStoreConfig};
+use pagestore::{PageStore, PageStoreConfig, PageStoreError};
 
 use crate::error::Result;
+use crate::node_box::{children_first, BoxBuilder, BoxQuery, NodeBoxes};
 use crate::partition::Partitioning;
 use crate::transform::TransformedDataset;
 
@@ -68,6 +74,10 @@ pub struct BBForest {
     /// seed's descent prices and reads. Derived from the tree and the store
     /// (not persisted), so it is identical after a reopen.
     descent: Vec<DescentNode>,
+    /// Per tree, every node's bounding box: what the range search tests.
+    /// Derived from the rows (not persisted), so it is identical after a
+    /// reopen.
+    boxes: Vec<NodeBoxes>,
     /// Seconds spent building the trees and laying out the pages (reported by
     /// the index-construction experiment, Fig. 7).
     build_seconds: f64,
@@ -113,19 +123,41 @@ impl BBForest {
             dataset.point(PointId(pid))
         });
         let descent = descent_table(kind, &trees[0], &store);
+        let mut builders = box_builders(&trees, partitioning);
+        for pid in 0..dataset.len() {
+            let row = dataset.row(pid);
+            for builder in &mut builders {
+                builder.add(pid as u32, row);
+            }
+        }
+        let boxes = finish_boxes(kind, builders);
         let build_seconds = started.elapsed().as_secs_f64();
-        Ok(BBForest { kind, trees, store: Arc::new(store), descent, build_seconds })
+        Ok(BBForest { kind, trees, store: Arc::new(store), descent, boxes, build_seconds })
     }
 
     /// Reassemble a forest from restored parts (the open-from-disk path).
+    /// The node boxes are derived in one pass over the store's rows, which
+    /// also hands every `(point id, row)` to `visit_row`, so the caller's own
+    /// per-row columns need no second pass. A page that fails its read
+    /// aborts the open.
     pub(crate) fn from_parts(
         kind: DivergenceKind,
+        partitioning: &Partitioning,
         trees: Vec<BBTree>,
         store: Arc<PageStore>,
         build_seconds: f64,
-    ) -> BBForest {
+        visit_row: &mut dyn FnMut(u32, &[f64]),
+    ) -> std::result::Result<BBForest, PageStoreError> {
         let descent = descent_table(kind, &trees[0], &store);
-        BBForest { kind, trees, store, descent, build_seconds }
+        let mut builders = box_builders(&trees, partitioning);
+        store.for_each_point(&mut |pid, row| {
+            for builder in &mut builders {
+                builder.add(pid, row);
+            }
+            visit_row(pid, row);
+        })?;
+        let boxes = finish_boxes(kind, builders);
+        Ok(BBForest { kind, trees, store, descent, boxes, build_seconds })
     }
 
     /// The divergence the forest was built for.
@@ -168,8 +200,15 @@ impl BBForest {
         self.build_seconds
     }
 
+    /// The bounding boxes of one subspace tree's nodes.
+    pub fn boxes(&self, subspace: usize) -> &NodeBoxes {
+        &self.boxes[subspace]
+    }
+
     /// Range-query candidates of one subspace: the ids of every point stored
-    /// in a leaf whose ball intersects `{x : D_f(x, query_sub) ≤ radius}`.
+    /// in a leaf none of whose ancestors, itself included, the box bound
+    /// prunes for `{x : D_f(x, query_sub) ≤ radius}` ([`BoxQuery::prunes`]).
+    /// Every point within `radius` is among them.
     pub fn subspace_candidates(
         &self,
         subspace: usize,
@@ -177,8 +216,9 @@ impl BBForest {
         radius: f64,
         stats: &mut SearchStats,
     ) -> Vec<PointId> {
-        let tree = &self.trees[subspace];
-        with_divergence!(self.kind, div, tree.range_candidates(&div, query_sub, radius, stats))
+        let boxes = &self.boxes[subspace];
+        let query = with_divergence!(self.kind, div, BoxQuery::new(&div, query_sub));
+        self.trees[subspace].range_leaves(stats, |id| !query.prunes(boxes, id, radius))
     }
 
     /// Total number of pages in the shared store.
@@ -237,17 +277,8 @@ struct DescentNode {
 fn descent_table(kind: DivergenceKind, tree: &BBTree, store: &PageStore) -> Vec<DescentNode> {
     let empty = DescentNode { phi: 0.0, points: 0, first_page: u32::MAX, last_page: 0 };
     let mut table = vec![empty; tree.node_count()];
-    // Reverse pre-order visits every child before its parent.
-    let mut pre_order = Vec::with_capacity(tree.node_count());
-    let mut stack = vec![tree.root()];
-    while let Some(id) = stack.pop() {
-        pre_order.push(id);
-        if let NodeKind::Internal { left, right } = tree.node(id).kind {
-            stack.extend([left, right]);
-        }
-    }
     let page_of = |pid: &PointId| store.address_of(pid.0).map(|a| a.page.0);
-    for &id in pre_order.iter().rev() {
+    for id in children_first(tree) {
         let node = tree.node(id);
         let mut entry = DescentNode { phi: kind.phi_sum(node.ball.center()), ..empty };
         match &node.kind {
@@ -268,6 +299,19 @@ fn descent_table(kind: DivergenceKind, tree: &BBTree, store: &PageStore) -> Vec<
         table[id.index()] = entry;
     }
     table
+}
+
+/// One empty [`BoxBuilder`] per tree, over its subspace's coordinates.
+fn box_builders<'a>(trees: &'a [BBTree], partitioning: &'a Partitioning) -> Vec<BoxBuilder<'a>> {
+    trees
+        .iter()
+        .enumerate()
+        .map(|(s, tree)| BoxBuilder::new(tree, partitioning.subspace(s)))
+        .collect()
+}
+
+fn finish_boxes(kind: DivergenceKind, builders: Vec<BoxBuilder<'_>>) -> Vec<NodeBoxes> {
+    builders.into_iter().map(|b| with_divergence!(kind, div, b.finish(&div))).collect()
 }
 
 #[cfg(test)]

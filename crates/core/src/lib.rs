@@ -24,7 +24,8 @@
 //!    upper bound, Algorithm 4), which splits that radius across the
 //!    subspaces. A range query in each subspace's BB-tree — all trees
 //!    integrated into one disk-resident **BB-forest** ([`bbforest`]) —
-//!    produces candidates.
+//!    produces candidates; it prunes a node by the closed-form minimum of
+//!    the divergence over the node's bounding box ([`node_box`]).
 //! 3. **Refine** — the union of the per-subspace candidates off the seeded
 //!    pages is fetched from disk (I/O counted per page) and the exact
 //!    divergences decide the kNN ([`search`]).
@@ -68,6 +69,7 @@ pub mod bound;
 pub mod config;
 pub mod delta;
 pub mod error;
+pub mod node_box;
 pub mod partition;
 pub mod persist;
 pub mod search;
@@ -80,6 +82,7 @@ pub use bound::{upper_bound_from_components, QueryBounds};
 pub use config::{BrePartitionConfig, PartitionStrategy};
 pub use delta::DeltaSegment;
 pub use error::{CoreError, Result};
+pub use node_box::{BoxQuery, NodeBoxes};
 pub use partition::Partitioning;
 pub use search::{BrePartitionIndex, QueryResult};
 pub use stats::QueryStats;

@@ -21,8 +21,10 @@
 //! freshly built one.
 //!
 //! The per-point `Φ(x) = Σ_j φ(x_j)` column consumed by the prepared-query
-//! refine kernel needs no dedicated field in this envelope: `open`
-//! recomputes it from the full-resolution rows in the page file. (The flat
+//! refine kernel needs no dedicated field in this envelope: with one
+//! subspace over the dimensions in order it is the `α_x` column, otherwise
+//! `open` recomputes it from the full-resolution rows in the page file, in
+//! the one pass that also derives the BB-forest's node boxes. (The flat
 //! baselines persist an explicit column: see `bbtree::disk::PHI_FILE` and
 //! the VA-file metadata.)
 //!
@@ -38,7 +40,6 @@ use bregman::DivergenceKind;
 use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, PersistResult};
 use pagestore::PageStore;
 
-use crate::bbforest::BBForest;
 use crate::config::{BrePartitionConfig, PartitionStrategy};
 use crate::error::Result;
 use crate::partition::Partitioning;
@@ -233,16 +234,16 @@ impl BrePartitionIndex {
             }
         }
 
-        let forest = BBForest::from_parts(kind, trees, Arc::new(store), build.forest_seconds);
-        // Restoring reads every data page once (the Φ column and the f32
-        // copy are recomputed from the rows); a page that fails its read is
-        // a corrupt artifact.
+        // Restoring reads every data page once (the node boxes, the Φ column
+        // and the f32 copy are derived from the rows); a page that fails its
+        // read is a corrupt artifact.
         Ok(BrePartitionIndex::from_restored(
             kind,
             config,
             partitioning,
             transformed,
-            forest,
+            trees,
+            Arc::new(store),
             dim_means,
             dim_vars,
             build,

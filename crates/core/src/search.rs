@@ -76,9 +76,9 @@ pub struct BrePartitionIndex {
     dim_vars: Vec<f64>,
     /// Per-point full-space generator sums `Φ(x) = Σ_j φ(x_j)`, indexed by
     /// point id — the data side of the prepared-query refine kernel.
-    /// Reassembled from the persisted per-subspace `α_x` column (the
-    /// partitions are disjoint and exhaustive, so `Φ(x) = Σ_s α_x(s)`),
-    /// which is why the index envelope needs no extra table.
+    /// Summed over each row in dimension order (`phi_from_rows`); with one
+    /// subspace over the dimensions in order that is the persisted `α_x`
+    /// column itself, so the build and the open copy it. Not persisted.
     phi: Vec<f64>,
     /// Row-major `f32` copy of the data (`n × dim`), present only when
     /// [`BrePartitionConfig::f32_candidates`] is set. Candidate screening
@@ -148,7 +148,11 @@ impl BrePartitionIndex {
             forest_seconds: forest.build_seconds(),
             pages_written: forest.store().build_writes(),
         };
-        let phi = phi_from_rows(kind, dataset);
+        let phi = if alpha_is_phi(&partitioning) {
+            transformed.subspace_columns(0).0.to_vec()
+        } else {
+            phi_from_rows(kind, dataset)
+        };
         let f32_rows = config.f32_candidates.then(|| {
             let mut rows = Vec::with_capacity(dataset.len() * dataset.dim());
             for i in 0..dataset.len() {
@@ -171,36 +175,49 @@ impl BrePartitionIndex {
     }
 
     /// Reassemble an index from restored parts (the open-from-disk path).
+    ///
+    /// One pass over the store's rows derives the forest's node boxes, the
+    /// Φ column (unless the `α_x` column already is it, see
+    /// [`alpha_is_phi`]) and the f32 screening copy; none of them is
+    /// persisted. The store holds the exact row bits, so the reopened index
+    /// scores bit-identically, and `x as f32` reproduces the build-time
+    /// values.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_restored(
         kind: DivergenceKind,
         config: BrePartitionConfig,
         partitioning: Partitioning,
         transformed: TransformedDataset,
-        forest: BBForest,
+        trees: Vec<bbtree::BBTree>,
+        store: std::sync::Arc<PageStore>,
         dim_means: Vec<f64>,
         dim_vars: Vec<f64>,
         build: BuildReport,
     ) -> std::result::Result<BrePartitionIndex, PageStoreError> {
-        // The Φ column is recomputed from the restored full-resolution rows
-        // (not persisted), so the reopened index scores bit-identically. The
-        // f32 screening copy is rebuilt the same way: the store holds the
-        // exact row bits, so `x as f32` reproduces the build-time values.
-        let store = forest.store();
-        let phi = phi_from_store(kind, store)?;
-        let f32_rows = if config.f32_candidates {
-            let dim = store.dim();
-            let mut rows = vec![0.0f32; store.point_count() * dim];
-            store.for_each_point(&mut |pid, coords| {
-                let base = pid as usize * dim;
-                for (slot, &v) in rows[base..base + dim].iter_mut().zip(coords) {
-                    *slot = v as f32;
+        let (n, dim) = (store.point_count(), store.dim());
+        let tabulate_phi = !alpha_is_phi(&partitioning);
+        let mut phi =
+            if tabulate_phi { vec![0.0; n] } else { transformed.subspace_columns(0).0.to_vec() };
+        let mut rows32 = if config.f32_candidates { vec![0.0f32; n * dim] } else { Vec::new() };
+        let forest = BBForest::from_parts(
+            kind,
+            &partitioning,
+            trees,
+            store,
+            build.forest_seconds,
+            &mut |pid, coords| {
+                if tabulate_phi {
+                    phi[pid as usize] = kind.phi_sum(coords);
                 }
-            })?;
-            Some(std::sync::Arc::new(rows))
-        } else {
-            None
-        };
+                if config.f32_candidates {
+                    let base = pid as usize * dim;
+                    for (slot, &v) in rows32[base..base + dim].iter_mut().zip(coords) {
+                        *slot = v as f32;
+                    }
+                }
+            },
+        )?;
+        let f32_rows = config.f32_candidates.then(|| std::sync::Arc::new(rows32));
         Ok(BrePartitionIndex {
             kind,
             config,
@@ -311,7 +328,12 @@ impl BrePartitionIndex {
     ///    bound's per-subspace split, and range-search each subspace `s`
     ///    with `search_radii[s] · min(1, r′ / T)`
     ///    ([`QueryBounds::search_radii`]). Algorithm 4 is an `O(n·M)` pass,
-    ///    so it runs only where its split or ABP's shrink is used.
+    ///    so it runs only where its split or ABP's shrink is used. Every
+    ///    range search tests a node by the closed-form minimum of the
+    ///    divergence over its bounding box, less a rounding allowance
+    ///    ([`BBForest::subspace_candidates`], [`crate::node_box`]): pure
+    ///    arithmetic per coordinate, with no bisection and no
+    ///    transcendental.
     /// 4. **Refine.** Score the union members that are not on a seeded page
     ///    (those rows are already scored, so no page is read twice) and
     ///    select the top `k` over the seeded and refined rows.
@@ -703,16 +725,12 @@ fn phi_from_rows(kind: DivergenceKind, dataset: &DenseDataset) -> Vec<f64> {
     (0..dataset.len()).map(|i| kind.phi_sum(dataset.row(i))).collect()
 }
 
-/// [`phi_from_rows`] over the full-resolution rows laid out in a
-/// [`PageStore`] (the open-from-disk path, where the original dataset is
-/// gone but the store holds the identical row bits).
-fn phi_from_store(
-    kind: DivergenceKind,
-    store: &PageStore,
-) -> std::result::Result<Vec<f64>, PageStoreError> {
-    let mut phi = vec![0.0; store.point_count()];
-    store.for_each_point(&mut |pid, coords| phi[pid as usize] = kind.phi_sum(coords))?;
-    Ok(phi)
+/// Whether the `α_x` column of the one subspace is the [`phi_from_rows`]
+/// column bit for bit: with one subspace holding dimensions `0..d` in
+/// order, both sum `φ(x_j)` over the row in the same order, so the build
+/// and the open take `Φ` from it instead of tabulating it again.
+fn alpha_is_phi(partitioning: &Partitioning) -> bool {
+    partitioning.len() == 1 && partitioning.subspace(0).iter().enumerate().all(|(i, &j)| i == j)
 }
 
 /// Per-column means and variances of a dataset.
@@ -901,6 +919,40 @@ mod tests {
                 assert_eq!(got.stats.subspace_candidates_total, searched.len(), "query {qi}");
             }
         }
+    }
+
+    #[test]
+    fn alpha_column_is_the_phi_column_bit_for_bit_at_one_partition() {
+        // With one subspace over `0..d` in order, the build and the open take
+        // Φ from the `α_x` column; it must equal the row-order tabulation
+        // bit for bit, for every kind.
+        let fonts = datagen::PaperDataset::Fonts.paper_spec().with_points(200).generate(3);
+        let mut rows: Vec<Vec<f64>> = (0..fonts.len()).map(|i| fonts.row(i).to_vec()).collect();
+        // Every Itakura–Saito term of an all-ones row is −0.0.
+        rows.push(vec![1.0; fonts.dim()]);
+        rows.push(vec![0.25; fonts.dim()]);
+        let ds = DenseDataset::from_rows(&rows).unwrap();
+        for p in [equal_contiguous(ds.dim(), 1).unwrap(), pccp(&ds, 1, 64, 5).unwrap()] {
+            assert!(alpha_is_phi(&p));
+            for kind in DivergenceKind::ALL {
+                let t = TransformedDataset::build(kind, &ds, &p);
+                let (alpha, _) = t.subspace_columns(0);
+                for (i, (a, phi)) in alpha.iter().zip(phi_from_rows(kind, &ds)).enumerate() {
+                    assert_eq!(a.to_bits(), phi.to_bits(), "{kind} row {i}: {a} vs {phi}");
+                }
+            }
+        }
+        let index = BrePartitionIndex::build(
+            DivergenceKind::ItakuraSaito,
+            &ds,
+            &config().with_partitions(1),
+        )
+        .unwrap();
+        let tabulated = phi_from_rows(DivergenceKind::ItakuraSaito, &ds);
+        assert!(index.phi().iter().zip(&tabulated).all(|(a, b)| a.to_bits() == b.to_bits()));
+        // Any other layout tabulates Φ from the rows.
+        assert!(!alpha_is_phi(&Partitioning::new(vec![vec![1, 0, 2]]).unwrap()));
+        assert!(!alpha_is_phi(&equal_contiguous(8, 2).unwrap()));
     }
 
     #[test]
