@@ -16,39 +16,11 @@
 //! `D_f(x_lo, q)`: a value that never exceeds the true minimum, so pruning
 //! with it preserves exactness.
 //!
-//! # Why the range test may stop early
-//!
-//! A range search only needs the decision "bound ≤ range". Let
-//! `v = ∇f(c) − ∇f(q)`. Along the curve, `dx_θ/dθ = ∇²f(x_θ)⁻¹ v` and
-//! `∇f(x_θ) − ∇f(q) = θ v`, so
-//!
-//! ```text
-//! d/dθ D_f(x_θ, q) = ⟨∇f(x_θ) − ∇f(q), dx_θ/dθ⟩ = θ · vᵀ ∇²f(x_θ)⁻¹ v ≥ 0.
-//! ```
-//!
-//! `D_f(x_θ, q)` is therefore non-decreasing in θ, and bisection only ever
-//! moves `lo` up and `hi` down, so `lo ≤ lo_final < hi` at every step:
-//!
-//! * **Reject.** If `D_f(x_lo, q) > range`, then `D_f(x_{lo_final}, q)`,
-//!   the bound the full bisection would report, exceeds the range too.
-//! * **Accept.** `x_hi` lies inside the ball, so `D_f(x_hi, q) ≤ range`
-//!   proves the ball meets the range; it also bounds the full bisection's
-//!   answer, `D_f(x_{lo_final}, q) ≤ D_f(x_hi, q)`.
-//!
-//! Both exits give the decision the full bisection gives. Each step of the
-//! range test is one pass over the coordinates that evaluates `x_θ`,
-//! `D_f(x_θ, c)` and `D_f(x_θ, q)` together, with the same per-coordinate
-//! arithmetic as a divergence call, so every value is the one a separate
-//! interpolate-then-evaluate loop would produce, bit for bit.
-//!
 //! The best-first kNN orders its frontier by the bound itself, so its node
 //! test runs the full bisection and evaluates `D_f(x_θ, q)` only once, at
-//! the end: rejecting early would need it at every step, which costs more
-//! than the rejects save.
-//!
-//! Both tests compute the query's dual point once per search and write the
-//! centre's dual point and `x_θ` into per-search buffers, so testing a node
-//! allocates nothing.
+//! the end. It computes the query's dual point once per search and writes
+//! the centre's dual point and `x_θ` into per-search buffers, so testing a
+//! node allocates nothing.
 
 use bregman::DecomposableBregman;
 
@@ -97,8 +69,7 @@ impl BregmanBall {
 ///
 /// Holds the query's dual point, computed once, and buffers for the dual
 /// point of the ball under test and for `x_θ`, so
-/// [`Projector::intersects_range`] and [`Projector::min_divergence`] make
-/// no heap allocation.
+/// [`Projector::min_divergence`] makes no heap allocation.
 pub(crate) struct Projector<'a, B: DecomposableBregman> {
     divergence: &'a B,
     query: &'a [f64],
@@ -117,42 +88,6 @@ impl<'a, B: DecomposableBregman> Projector<'a, B> {
             center_dual: vec![0.0; query.len()],
             point: vec![0.0; query.len()],
         }
-    }
-
-    /// Range-search node test: whether `ball` can intersect the query range
-    /// `{x : D_f(x, query) ≤ range}`. Stops bisecting as soon as the answer
-    /// is known either way (see the module docs).
-    pub(crate) fn intersects_range(&mut self, ball: &BregmanBall, range: f64) -> bool {
-        // Cheap sufficient condition: the centre itself lies in the range, so
-        // the ball certainly intersects it and the projection can be skipped.
-        if self.divergence.divergence(&ball.center, self.query) <= range {
-            return true;
-        }
-        if self.load_center(ball) <= ball.radius {
-            return 0.0 <= range; // the query may be a ball member: bound 0
-        }
-        let center = ball.center.as_slice();
-        let mut lo = 0.0f64; // invariant: D(x_lo, center) ≥ radius (outside)
-        let mut hi = 1.0f64; // invariant: D(x_hi, center) ≤ radius (inside)
-        let mut lo_to_query = None;
-        for _ in 0..PROJECTION_BISECTION_STEPS {
-            let mid = 0.5 * (lo + hi);
-            let (to_center, to_query) = self.divergences_at(mid, center);
-            if to_center >= ball.radius {
-                if to_query > range {
-                    return false;
-                }
-                lo = mid;
-                lo_to_query = Some(to_query);
-            } else {
-                if to_query <= range {
-                    return true;
-                }
-                hi = mid;
-            }
-        }
-        // No early exit: decide on the full bisection's bound `D(x_lo, query)`.
-        lo_to_query.unwrap_or_else(|| self.divergences_at(lo, center).1) <= range
     }
 
     /// kNN node test: the lower bound on `D_f(x, query)` over `ball`, by
@@ -201,21 +136,6 @@ impl<'a, B: DecomposableBregman> Projector<'a, B> {
             *x = b.phi_prime_inv((1.0 - theta) * dq + theta * dc);
         }
     }
-
-    /// `(D_f(x_θ, center), D_f(x_θ, query))` in one pass over the
-    /// coordinates, without materialising `x_θ`.
-    fn divergences_at(&self, theta: f64, center: &[f64]) -> (f64, f64) {
-        let b = self.divergence;
-        let mut to_center = 0.0;
-        let mut to_query = 0.0;
-        let duals = self.query_dual.iter().zip(&self.center_dual);
-        for ((&q, &c), (&dq, &dc)) in self.query.iter().zip(center).zip(duals) {
-            let x = b.phi_prime_inv((1.0 - theta) * dq + theta * dc);
-            to_center += b.scalar_divergence(x, c);
-            to_query += b.scalar_divergence(x, q);
-        }
-        (to_center, to_query)
-    }
 }
 
 /// The allocating full-bisection node test the [`Projector`] replaced,
@@ -242,20 +162,6 @@ impl BregmanBall {
             }
         }
         interp.divergence_to(lo, query)
-    }
-
-    /// Whether the ball can intersect `{x : D_f(x, query) ≤ range}`, by the
-    /// full bisection.
-    pub(crate) fn intersects_range<B: DecomposableBregman>(
-        &self,
-        b: &B,
-        query: &[f64],
-        range: f64,
-    ) -> bool {
-        if b.divergence(&self.center, query) <= range {
-            return true;
-        }
-        self.min_divergence_from(b, query) <= range
     }
 }
 
@@ -338,15 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn intersects_range_consistent_with_bound() {
-        let ball = BregmanBall::new(vec![0.0], 1.0);
-        // min divergence from query 5.0: (5 − 1)² = 16 under squared Euclidean.
-        let mut projector = Projector::new(&SquaredEuclidean, &[5.0]);
-        assert!(projector.intersects_range(&ball, 16.5));
-        assert!(!projector.intersects_range(&ball, 15.5));
-    }
-
-    #[test]
     fn zero_radius_ball_bound_is_divergence_to_center() {
         let ball = BregmanBall::new(vec![2.0, 3.0], 0.0);
         let q = [1.0, 1.0];
@@ -357,9 +254,7 @@ mod tests {
     }
 
     /// Random balls and queries at dimensions 1, 2 and 32: the projector's
-    /// bound is bit-identical to the full bisection's, and with ranges at,
-    /// one ulp above and one ulp below that bound the early-exit range test
-    /// decides as the full bisection does.
+    /// bound is bit-identical to the full bisection's.
     fn agrees_with_full_bisection<B: DecomposableBregman>(b: &B, lo: f64, hi: f64, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         for dim in [1usize, 2, 32] {
@@ -370,17 +265,8 @@ mod tests {
                 let radius = b.divergence(&member, &center) * rng.gen_range(0.0..1.0);
                 let ball = BregmanBall::new(center, radius);
                 let reference = ball.min_divergence_from(b, &query);
-                let mut projector = Projector::new(b, &query);
-                let bound = projector.min_divergence(&ball);
+                let bound = Projector::new(b, &query).min_divergence(&ball);
                 assert_eq!(bound.to_bits(), reference.to_bits(), "{} d={dim}", b.name());
-                for range in [reference, reference.next_up(), reference.next_down()] {
-                    assert_eq!(
-                        projector.intersects_range(&ball, range),
-                        ball.intersects_range(b, &query, range),
-                        "{} d={dim} range={range} bound={reference}",
-                        b.name()
-                    );
-                }
             }
         }
     }

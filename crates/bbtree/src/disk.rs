@@ -35,10 +35,6 @@ pub const PHI_MAGIC: [u8; 8] = *b"BREPPHI1";
 /// Format version of the `Φ` column this build writes and reads.
 pub const PHI_VERSION: u32 = 1;
 
-/// What a range query returns: the in-radius `(id, divergence)` pairs plus
-/// the traversal and I/O counters of the scan.
-pub type RangeResult = (Vec<(PointId, f64)>, SearchStats, IoStats);
-
 /// Why a [`DiskBBTree::knn`] query failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchError {
@@ -271,34 +267,6 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
         Ok(DiskQueryResult { neighbors, search: stats, io: pool.stats().since(&before) })
     }
 
-    /// Range query: load every candidate leaf's points from disk and refine
-    /// them against the exact divergence (through the prepared kernel).
-    /// Returns `(id, divergence)` pairs with divergence ≤ `radius`.
-    pub fn range(
-        &self,
-        pool: &mut BufferPool,
-        query: &[f64],
-        radius: f64,
-    ) -> Result<RangeResult, PageStoreError> {
-        let before = pool.stats();
-        let mut stats = SearchStats::new();
-        let prepared = self.divergence.prepare_query(query);
-        let candidates = self.tree.range_candidates(&self.divergence, query, radius, &mut stats);
-        let ids: Vec<u32> = candidates.iter().map(|p| p.0).collect();
-        let mut coords = Vec::new();
-        let mut out = Vec::new();
-        pool.read_points_with(&self.store, &ids, &mut coords, &mut |pid, c| {
-            stats.candidates_examined += 1;
-            stats.distance_computations += 1;
-            let d = prepared.distance(self.phi[pid as usize], c);
-            if d <= radius {
-                out.push((PointId(pid), d));
-            }
-        })?;
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        Ok((out, stats, pool.stats().since(&before)))
-    }
-
     /// Number of pages in the simulated disk image.
     pub fn page_count(&self) -> usize {
         self.store.page_count()
@@ -325,7 +293,6 @@ fn read_phi(dir: &Path, expected_len: usize) -> PersistResult<Vec<f64>> {
 mod tests {
     use super::*;
     use crate::knn::linear_scan_knn;
-    use crate::range::linear_scan_range;
     use crate::variational::VariationalConfig;
     use bregman::{ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
@@ -360,24 +327,6 @@ mod tests {
             }
             assert!(result.io.pages_read > 0, "disk search must perform I/O");
         }
-    }
-
-    #[test]
-    fn disk_range_matches_linear_scan() {
-        let ds = random_dataset(200, 4, 77);
-        let index = DiskBBTree::build(
-            ItakuraSaito,
-            &ds,
-            BBTreeConfig::with_leaf_capacity(10),
-            PageStoreConfig::with_page_size(512),
-        );
-        let mut pool = BufferPool::new(16);
-        let query = vec![3.0, 3.0, 3.0, 3.0];
-        let (got, stats, io) = index.range(&mut pool, &query, 1.2).unwrap();
-        let expected = linear_scan_range(&ItakuraSaito, &ds, &query, 1.2);
-        assert_eq!(got.len(), expected.len());
-        assert!(stats.candidates_examined >= got.len() as u64);
-        assert!(io.pages_read > 0 || got.is_empty());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! * exact k-nearest-neighbour search by best-first branch-and-bound
 //!   ([`knn`]), the paper's **BBT** baseline,
-//! * Bregman range search (Cayton, NeurIPS 2009) returning the candidate
-//!   points of every leaf whose ball intersects the query range ([`range`]),
-//!   which is the filtering primitive BrePartition runs in every subspace,
+//! * the traversal of a range search (Cayton, NeurIPS 2009) with the node
+//!   test left to the caller ([`range`]): BrePartition's filter runs it in
+//!   every subspace with a bounding-box test,
 //! * a disk-resident variant whose leaves resolve points through a
 //!   [`pagestore::PageStore`] and report I/O cost ([`disk`]),
 //! * a simplified variational approximate search in the spirit of
@@ -19,10 +19,8 @@
 //! ball, computed by bisection along the dual geodesic ([`ball`]); the
 //! bisection maintains a conservative (outside-the-ball) iterate so the
 //! reported bound never exceeds the true minimum and exactness is preserved.
-//! Because the divergence to the query never decreases along that geodesic,
-//! the range-search node test stops bisecting as soon as its decision is
-//! known; both node tests reuse per-search buffers, so testing a node
-//! allocates nothing.
+//! The node test reuses per-search buffers, so testing a node allocates
+//! nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

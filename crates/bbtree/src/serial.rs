@@ -202,14 +202,14 @@ mod tests {
         assert_eq!(restored.divergence_name(), tree.divergence_name());
         assert_eq!(restored.points_in_leaf_order(), tree.points_in_leaf_order());
         assert!(restored.validate_covering(&ItakuraSaito, |pid| ds.point(pid).to_vec()));
-        // Identical range candidates on both trees.
+        // Identical kNN answers and traversals on both trees.
         let mut s1 = crate::stats::SearchStats::new();
         let mut s2 = crate::stats::SearchStats::new();
         let query = ds.point(bregman::PointId(7));
-        let a = tree.range_candidates(&ItakuraSaito, query, 0.5, &mut s1);
-        let b = restored.range_candidates(&ItakuraSaito, query, 0.5, &mut s2);
+        let a = tree.knn(&ItakuraSaito, &ds, query, 5, &mut s1);
+        let b = restored.knn(&ItakuraSaito, &ds, query, 5, &mut s2);
         assert_eq!(a, b);
-        assert_eq!(s1.nodes_visited, s2.nodes_visited);
+        assert_eq!(s1, s2);
     }
 
     #[test]

@@ -10,20 +10,27 @@
 //! by different subspaces tend to live on the same pages and the union of
 //! candidates costs few extra page reads — the effect Fig. 10 measures.
 //!
-//! That layout also gives every node of the first tree a contiguous run of
-//! pages, which is what the search's seed reads
-//! ([`BBForest::seed_pages`]).
+//! Every node of every tree is tested by its bounding box, not its Bregman
+//! ball: the box bound is the exact minimum of the divergence over the box,
+//! in closed form ([`crate::node_box`]). Two searches run on it:
 //!
-//! The range search in each subspace tests nodes against their bounding
-//! boxes, not their Bregman balls: the box bound is the exact minimum of
-//! the divergence over the box, in closed form ([`crate::node_box`]). The
-//! balls stay in the trees, for the build's splits and the seed's descent.
+//! * `BBForest::best_first` pops the first tree's nodes in increasing
+//!   order of box bound and hands each popped leaf's pages to the caller.
+//!   The store is in that tree's leaf order, so a leaf is a short
+//!   contiguous run of pages. This is the whole exact search at one
+//!   subspace, and the seed at more.
+//! * [`BBForest::subspace_candidates`] range-searches one subspace's tree
+//!   at a fixed radius: the filter of Algorithm 6 at more than one
+//!   subspace, and of the approximate search.
+//!
+//! The balls stay in the trees for the build's splits.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use bbtree::{BBTree, BBTreeBuilder, BBTreeConfig, NodeId, NodeKind, SearchStats};
-use bregman::kernel::dot8;
 use bregman::{
     DenseDataset, DivergenceKind, Exponential, GeneralizedI, ItakuraSaito, PointId,
     SquaredEuclidean,
@@ -31,7 +38,7 @@ use bregman::{
 use pagestore::{PageStore, PageStoreConfig, PageStoreError};
 
 use crate::error::Result;
-use crate::node_box::{children_first, BoxBuilder, BoxQuery, NodeBoxes};
+use crate::node_box::{BoxBuilder, BoxQuery, NodeBoxes};
 use crate::partition::Partitioning;
 use crate::transform::TransformedDataset;
 
@@ -70,10 +77,11 @@ pub struct BBForest {
     kind: DivergenceKind,
     trees: Vec<BBTree>,
     store: Arc<PageStore>,
-    /// One entry per node of the first tree, indexed by node id: what the
-    /// seed's descent prices and reads. Derived from the tree and the store
+    /// The first and last page holding each leaf of the first tree, indexed
+    /// by node id (`[u32::MAX, 0]` for an internal or empty node): what
+    /// [`BBForest::best_first`] reads. Derived from the tree and the store
     /// (not persisted), so it is identical after a reopen.
-    descent: Vec<DescentNode>,
+    leaf_pages: Vec<[u32; 2]>,
     /// Per tree, every node's bounding box: what the range search tests.
     /// Derived from the rows (not persisted), so it is identical after a
     /// reopen.
@@ -122,7 +130,7 @@ impl BBForest {
         let store = PageStore::build_with_order(store_config, dataset.dim(), &order, |pid| {
             dataset.point(PointId(pid))
         });
-        let descent = descent_table(kind, &trees[0], &store);
+        let leaf_pages = leaf_page_spans(&trees[0], &store);
         let mut builders = box_builders(&trees, partitioning);
         for pid in 0..dataset.len() {
             let row = dataset.row(pid);
@@ -132,7 +140,7 @@ impl BBForest {
         }
         let boxes = finish_boxes(kind, builders);
         let build_seconds = started.elapsed().as_secs_f64();
-        Ok(BBForest { kind, trees, store: Arc::new(store), descent, boxes, build_seconds })
+        Ok(BBForest { kind, trees, store: Arc::new(store), leaf_pages, boxes, build_seconds })
     }
 
     /// Reassemble a forest from restored parts (the open-from-disk path).
@@ -148,7 +156,7 @@ impl BBForest {
         build_seconds: f64,
         visit_row: &mut dyn FnMut(u32, &[f64]),
     ) -> std::result::Result<BBForest, PageStoreError> {
-        let descent = descent_table(kind, &trees[0], &store);
+        let leaf_pages = leaf_page_spans(&trees[0], &store);
         let mut builders = box_builders(&trees, partitioning);
         store.for_each_point(&mut |pid, row| {
             for builder in &mut builders {
@@ -157,7 +165,7 @@ impl BBForest {
             visit_row(pid, row);
         })?;
         let boxes = finish_boxes(kind, builders);
-        Ok(BBForest { kind, trees, store, descent, boxes, build_seconds })
+        Ok(BBForest { kind, trees, store, leaf_pages, boxes, build_seconds })
     }
 
     /// The divergence the forest was built for.
@@ -226,79 +234,101 @@ impl BBForest {
         self.store.page_count()
     }
 
-    /// The pages the search's seed scores: one greedy descent of the first
-    /// tree. From the root, each step moves into the child whose centre `c`
-    /// is nearer the query, `D(c, q) = Φ(c) + c_q − ⟨∇φ(q), c⟩` with
-    /// `grad_sub` the query's gradient projected onto the first subspace
-    /// (`c_q` is common to both children, so it is dropped). The descent
-    /// stops at a leaf, or before a child holding fewer than `min_points`
-    /// points. The store is laid out in this tree's leaf order, so the
-    /// stopping node's points fill exactly the returned run of pages. Each
-    /// node priced counts as visited in `stats`.
-    pub fn seed_pages(
+    /// Best-first search of the first tree by box bound (the kd-tree search
+    /// of Pham and Wagner). A min-heap holds nodes keyed by their box bound
+    /// less its rounding allowance ([`BoxQuery::key`]) for `query_sub`, the
+    /// query projected onto the first subspace. The search pops the
+    /// smallest key and stops once it exceeds the threshold `τ`, which
+    /// starts at +∞. A popped internal node pushes those children whose key
+    /// does not exceed `τ`. A popped leaf's page span goes to `visit`,
+    /// which reads and scores what it has not yet, and returns
+    /// `Some(τ)` to go on with that threshold or `None` to stop.
+    ///
+    /// A NaN bound keys to −∞, so its node is always expanded; a NaN `τ`
+    /// never stops the search. Every node whose bound is computed counts as
+    /// visited in `stats`, every leaf popped as a leaf visited.
+    pub(crate) fn best_first(
         &self,
-        grad_sub: &[f64],
-        min_points: usize,
+        query_sub: &[f64],
         stats: &mut SearchStats,
-    ) -> RangeInclusive<u32> {
+        mut visit: impl FnMut(RangeInclusive<u32>) -> Result<Option<f64>>,
+    ) -> Result<()> {
         let tree = &self.trees[0];
-        let price =
-            |id: NodeId| self.descent[id.index()].phi - dot8(grad_sub, tree.node(id).ball.center());
-        let mut at = tree.root();
+        let boxes = &self.boxes[0];
+        let query = with_divergence!(self.kind, div, BoxQuery::new(&div, query_sub));
+        let mut threshold = f64::INFINITY;
+        let root = tree.root();
+        let mut frontier = BinaryHeap::from([Frontier { key: query.key(boxes, root), node: root }]);
         stats.nodes_visited += 1;
-        while let NodeKind::Internal { left, right } = tree.node(at).kind {
-            stats.nodes_visited += 2;
-            let nearer = if price(right) < price(left) { right } else { left };
-            if (self.descent[nearer.index()].points as usize) < min_points {
+        while let Some(Frontier { key, node }) = frontier.pop() {
+            if key > threshold {
                 break;
             }
-            at = nearer;
-        }
-        let node = &self.descent[at.index()];
-        node.first_page..=node.last_page
-    }
-}
-
-/// One node of the first subspace tree as the seed's descent sees it.
-#[derive(Debug, Clone, Copy)]
-struct DescentNode {
-    /// `Φ(c)`, the generator sum of the node's centre.
-    phi: f64,
-    /// Number of points below the node.
-    points: u32,
-    /// First and last page holding those points (`first_page > last_page`
-    /// for an empty node).
-    first_page: u32,
-    last_page: u32,
-}
-
-/// The [`DescentNode`] of every node of `tree`: one generator evaluation
-/// per centre coordinate, and the page span of each leaf merged upward.
-fn descent_table(kind: DivergenceKind, tree: &BBTree, store: &PageStore) -> Vec<DescentNode> {
-    let empty = DescentNode { phi: 0.0, points: 0, first_page: u32::MAX, last_page: 0 };
-    let mut table = vec![empty; tree.node_count()];
-    let page_of = |pid: &PointId| store.address_of(pid.0).map(|a| a.page.0);
-    for id in children_first(tree) {
-        let node = tree.node(id);
-        let mut entry = DescentNode { phi: kind.phi_sum(node.ball.center()), ..empty };
-        match &node.kind {
-            NodeKind::Leaf { points } => {
-                entry.points = points.len() as u32;
-                for page in points.iter().filter_map(page_of) {
-                    entry.first_page = entry.first_page.min(page);
-                    entry.last_page = entry.last_page.max(page);
+            match tree.node(node).kind {
+                NodeKind::Leaf { .. } => {
+                    stats.leaves_visited += 1;
+                    let [first, last] = self.leaf_pages[node.index()];
+                    match visit(first..=last)? {
+                        Some(tau) => threshold = tau,
+                        None => break,
+                    }
+                }
+                NodeKind::Internal { left, right } => {
+                    for child in [left, right] {
+                        stats.nodes_visited += 1;
+                        let key = query.key(boxes, child);
+                        if key > threshold {
+                            continue;
+                        }
+                        frontier.push(Frontier { key, node: child });
+                    }
                 }
             }
-            NodeKind::Internal { left, right } => {
-                let (l, r) = (table[left.index()], table[right.index()]);
-                entry.points = l.points + r.points;
-                entry.first_page = l.first_page.min(r.first_page);
-                entry.last_page = l.last_page.max(r.last_page);
+        }
+        Ok(())
+    }
+}
+
+/// A node on [`BBForest::best_first`]'s frontier. The heap's greatest entry
+/// is the smallest key (ties by node id), so it pops first.
+struct Frontier {
+    key: f64,
+    node: NodeId,
+}
+
+impl Ord for Frontier {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.total_cmp(&self.key).then(other.node.0.cmp(&self.node.0))
+    }
+}
+
+impl PartialOrd for Frontier {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Frontier {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Frontier {}
+
+/// The first and last page holding each leaf of `tree`, indexed by node id.
+fn leaf_page_spans(tree: &BBTree, store: &PageStore) -> Vec<[u32; 2]> {
+    let mut spans = vec![[u32::MAX, 0]; tree.node_count()];
+    for leaf in tree.leaves_in_order() {
+        if let NodeKind::Leaf { points } = &tree.node(leaf).kind {
+            let span = &mut spans[leaf.index()];
+            for address in points.iter().filter_map(|pid| store.address_of(pid.0)) {
+                span[0] = span[0].min(address.page.0);
+                span[1] = span[1].max(address.page.0);
             }
         }
-        table[id.index()] = entry;
     }
-    table
+    spans
 }
 
 /// One empty [`BoxBuilder`] per tree, over its subspace's coordinates.

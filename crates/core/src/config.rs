@@ -16,9 +16,9 @@ pub enum PartitionStrategy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrePartitionConfig {
     /// Number of partitions `M`, in `[1, d]` (checked at build time). The
-    /// default is 1: one full-dimensional BB-tree searched with the seeded
-    /// radius, which Theorem 4's cost form prices below every `M > 1` (see
-    /// the README's "Choosing the number of partitions").
+    /// default is 1: one full-dimensional BB-tree searched best-first by
+    /// its box bounds, which Theorem 4's cost form prices below every
+    /// `M > 1` (see the README's "Choosing the number of partitions").
     pub partitions: usize,
     /// Partitioning strategy (PCCP by default).
     pub strategy: PartitionStrategy,
@@ -43,7 +43,10 @@ pub struct BrePartitionConfig {
     /// current `k`-th best — and every surviving candidate is re-ranked at
     /// full `f64` resolution, so the final neighbors (ids *and* distances)
     /// are bit-identical to the unscreened path. Costs `4·d` bytes per
-    /// point of resident memory; off by default.
+    /// point of resident memory; off by default. It screens the union of
+    /// the range searches at more than one subspace (and for the
+    /// approximate search); the exact search at one subspace has no union,
+    /// so it has nothing to screen there.
     pub f32_candidates: bool,
 }
 

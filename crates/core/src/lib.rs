@@ -13,22 +13,24 @@
 //!    uses PCCP, the Pearson-Correlation-Coefficient-based Partition
 //!    ([`partition::pccp`]), which spreads correlated dimensions across
 //!    subspaces so their candidate sets overlap.
-//! 2. **Filter** — a greedy descent of the first subspace's BB-tree picks
-//!    a node of at least k points near the query; its pages are read and
-//!    scored exactly, and their k-th exact distance is the search radius.
-//!    With several subspaces, every data point is pre-transformed, per
-//!    subspace, into a tuple `P(x) = (α_x, γ_x)` and a query into triples
-//!    `Q(y) = (α_y, β_yy, δ_y)` ([`transform`]); the Cauchy–Schwarz upper
-//!    bound assembled from these components ([`bound`]) yields, per
-//!    subspace, a search bound (the components of the k-th smallest summed
-//!    upper bound, Algorithm 4), which splits that radius across the
-//!    subspaces. A range query in each subspace's BB-tree — all trees
-//!    integrated into one disk-resident **BB-forest** ([`bbforest`]) —
-//!    produces candidates; it prunes a node by the closed-form minimum of
-//!    the divergence over the node's bounding box ([`node_box`]).
-//! 3. **Refine** — the union of the per-subspace candidates off the seeded
-//!    pages is fetched from disk (I/O counted per page) and the exact
-//!    divergences decide the kNN ([`search`]).
+//! 2. **Filter** — every node of every subspace's BB-tree is tested by the
+//!    closed-form minimum of the divergence over its bounding box
+//!    ([`node_box`]); all trees are integrated into one disk-resident
+//!    **BB-forest** ([`bbforest`]). With one subspace the exact search is
+//!    one best-first loop over the tree's box bounds: it reads and scores
+//!    the pages of the leaves it pops, keeps the k best rows, and stops
+//!    once no node's bound is within their k-th distance. With several
+//!    subspaces the same loop, stopped after k rows, seeds a radius; every
+//!    data point is pre-transformed, per subspace, into a tuple
+//!    `P(x) = (α_x, γ_x)` and a query into triples `Q(y) = (α_y, β_yy, δ_y)`
+//!    ([`transform`]); the Cauchy–Schwarz upper bound assembled from these
+//!    components ([`bound`]) yields, per subspace, a search bound (the
+//!    components of the k-th smallest summed upper bound, Algorithm 4),
+//!    which splits that radius across the subspaces, and a range query in
+//!    each subspace's tree produces candidates.
+//! 3. **Refine** — with several subspaces, the union of the per-subspace
+//!    candidates off the seeded pages is fetched from disk (I/O counted per
+//!    page) and the exact divergences decide the kNN ([`search`]).
 //!
 //! The approximate extension ([`approximate`]) shrinks the Cauchy term by a
 //! coefficient derived from the data distribution, aiming at a user-specified

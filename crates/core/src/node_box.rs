@@ -169,7 +169,7 @@ impl<'a> BoxBuilder<'a> {
 }
 
 /// Every node of `tree`, each child before its parent (reverse pre-order).
-pub(crate) fn children_first(tree: &BBTree) -> Vec<NodeId> {
+fn children_first(tree: &BBTree) -> Vec<NodeId> {
     let mut pre_order = Vec::with_capacity(tree.node_count());
     let mut stack = vec![tree.root()];
     while let Some(id) = stack.pop() {
@@ -225,11 +225,24 @@ impl BoxQuery {
         (bound, ALLOWANCE * magnitude)
     }
 
-    /// Whether no member of `node` can lie within `radius` of the query:
-    /// `bound − allowance > radius`, which is false for a NaN bound.
-    pub fn prunes(&self, boxes: &NodeBoxes, node: NodeId, radius: f64) -> bool {
+    /// The node's bound less its allowance, with NaN mapped to −∞: a lower
+    /// bound on every member's divergence from the query, by which the
+    /// best-first search orders its frontier. A NaN bound sorts first, so
+    /// its node is always expanded.
+    pub fn key(&self, boxes: &NodeBoxes, node: NodeId) -> f64 {
         let (bound, allowance) = self.bound(boxes, node);
-        bound - allowance > radius
+        let key = bound - allowance;
+        if key.is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            key
+        }
+    }
+
+    /// Whether no member of `node` can lie within `radius` of the query:
+    /// `key > radius`, which is false for a NaN bound.
+    pub fn prunes(&self, boxes: &NodeBoxes, node: NodeId, radius: f64) -> bool {
+        self.key(boxes, node) > radius
     }
 }
 
@@ -254,11 +267,13 @@ mod tests {
         // The nearer corner's φ is NaN: the bound is NaN and keeps the node.
         let nan = one_box(40.0, 41.0, f64::NAN, 41f64.exp());
         assert!(query.bound(&nan, root).0.is_nan());
+        assert_eq!(query.key(&nan, root), f64::NEG_INFINITY);
         assert!(!query.prunes(&nan, root, 1.0));
         // φ overflows to +∞ at both corners (rows beyond 709.78 under the
         // exponential generator): ∞ − ∞ is NaN, so the node is kept too.
         let overflow = one_box(710.0, 711.0, 710f64.exp(), 711f64.exp());
         assert_eq!(query.bound(&overflow, root).0, f64::INFINITY);
+        assert_eq!(query.key(&overflow, root), f64::NEG_INFINITY);
         assert!(!query.prunes(&overflow, root, 1.0));
         // Above the box, the upper corner's φ is the one used.
         let above = BoxQuery::new(&Exponential, &[50.0]);

@@ -5,6 +5,7 @@ use bbtree::{BBTreeConfig, SearchStats};
 use bregman::kernel::{KernelScratch, PreparedQuery};
 use bregman::{DenseDataset, DivergenceKind, PointId};
 use pagestore::{BufferPool, PageId, PageStore, PageStoreConfig, PageStoreError};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use crate::approximate::ApproximateConfig;
@@ -27,9 +28,10 @@ pub struct QueryResult {
     /// The bounds the search ran on (see [`BrePartitionIndex::knn`]).
     ///
     /// * One subspace, exact search: Algorithm 4 does not run, and this is
-    ///   the seeded radius itself, `{ pivot_point: the seed's k-th row,
-    ///   per_subspace: [r′], total: r′ }`. `r′` is the radius the filter
-    ///   searched with.
+    ///   the best-first loop's final threshold, `{ pivot_point: the kept
+    ///   row with the k-th distance, per_subspace: [τ], total: τ }`. `τ` is
+    ///   that distance widened by its rounding allowance; every node the
+    ///   loop did not expand has a key above it.
     /// * Otherwise: Algorithm 4's per-subspace bounds (shrunken by the
     ///   coefficient for the approximate extension). These are not the
     ///   seeded radii the filter searched with, which scale them down by
@@ -304,53 +306,53 @@ impl BrePartitionIndex {
     }
 
     /// Algorithm 6 (`BrePartitionSearch`) and its approximate extension
-    /// (Section 8, the paper's **ABP**) as one descend-seed-filter-refine
-    /// pass, reading pages through the caller's buffer pool and evaluating
-    /// distances through the caller's [`KernelScratch`] (the batch-serving
-    /// hot path reuses both across a batch).
+    /// (Section 8, the paper's **ABP**), reading pages through the caller's
+    /// buffer pool and evaluating distances through the caller's
+    /// [`KernelScratch`] (the batch-serving hot path reuses both across a
+    /// batch).
     ///
-    /// The stages:
+    /// **One subspace, exact search: one best-first loop.**
+    /// `BBForest::best_first` pops the tree's nodes in increasing order
+    /// of their box bound, the closed-form minimum of the divergence over
+    /// the node's bounding box less a rounding allowance
+    /// ([`crate::node_box`]). A popped leaf's pages that are not yet scored
+    /// are read and scored whole, one `distance_block` per page, so no page
+    /// is read twice (the store is in the tree's leaf order, so a leaf is a
+    /// few contiguous pages). A bounded max-heap keeps the best `min(k, n)`
+    /// rows by `(distance, id)`. Once it is full, the threshold `τ` is its
+    /// worst distance `r̂` widened by a `1e-12` rounding allowance on that
+    /// row's kernel terms (`|Φ(x)| + |c_q| + |⟨φ′(q), x⟩|`). The loop stops
+    /// when the smallest key on the frontier exceeds `τ`.
     ///
-    /// 1. **Descend.** Walk the first subspace's BB-tree from the root,
-    ///    each step into the child whose centre is nearer the query under
-    ///    the prepared kernel, and stop at the deepest node on that path
-    ///    that still holds at least `min(k, n)` points
-    ///    ([`BBForest::seed_pages`]).
-    /// 2. **Seed.** Read that node's pages (contiguous: the store is laid
-    ///    out in the first tree's leaf order) and score *every* row on them,
-    ///    one `distance_block` per page. The `min(k, n)`-th smallest of
-    ///    these exact distances, `r̂`, is widened to `r′` by a `1e-12`
-    ///    rounding allowance on that row's kernel terms
-    ///    (`|Φ(x)| + |c_q| + |⟨φ′(q), x⟩|`).
-    /// 3. **Filter.** With one subspace and the exact search, range-search
-    ///    the one tree with `r′` itself. Otherwise transform the query, run
-    ///    Algorithm 4 for its `k`-th smallest summed bound `T` and that
-    ///    bound's per-subspace split, and range-search each subspace `s`
-    ///    with `search_radii[s] · min(1, r′ / T)`
-    ///    ([`QueryBounds::search_radii`]). Algorithm 4 is an `O(n·M)` pass,
-    ///    so it runs only where its split or ABP's shrink is used. Every
-    ///    range search tests a node by the closed-form minimum of the
-    ///    divergence over its bounding box, less a rounding allowance
-    ///    ([`BBForest::subspace_candidates`], [`crate::node_box`]): pure
-    ///    arithmetic per coordinate, with no bisection and no
-    ///    transcendental.
+    /// **Otherwise: seed, bound, filter, refine.**
+    ///
+    /// 1. **Seed.** The same loop, stopped once it has scored `min(k, n)`
+    ///    rows. Its `τ` is the seeded radius `r′`.
+    /// 2. **Bound.** Transform the query, run Algorithm 4 for its `k`-th
+    ///    smallest summed bound `T` and that bound's per-subspace split, and
+    ///    scale the split to `search_radii[s] · min(1, r′ / T)`
+    ///    ([`QueryBounds::search_radii`]).
+    /// 3. **Filter.** Range-search each subspace `s` with its radius, testing
+    ///    nodes by their box bound ([`BBForest::subspace_candidates`]).
     /// 4. **Refine.** Score the union members that are not on a seeded page
-    ///    (those rows are already scored, so no page is read twice) and
-    ///    select the top `k` over the seeded and refined rows.
+    ///    and select the top `k` over the seeded and refined rows.
     ///
-    /// **Why it stays exact.** `r̂` is the `min(k, n)`-th smallest exact
-    /// distance over at least `min(k, n)` rows, so it is at least the true
-    /// `min(k, n)`-th distance, and every true neighbour has `D ≤ r′`. The
-    /// split radii sum to at least `r′`, so a point with `D_s > r_s` in every
-    /// subspace has `D = Σ_s D_s > r′`: every point with `D ≤ r′` survives
-    /// some subspace's range search.
+    /// **Why it stays exact.** Every row off the scored pages lies in a leaf
+    /// whose key, a lower bound on its members' divergences, exceeds `τ`,
+    /// and `τ` is at least the `min(k, n)`-th smallest distance among the
+    /// scored rows. So no such row can enter the answer, ties included. At
+    /// more than one subspace, `r′` is a `min(k, n)`-th smallest distance
+    /// over at least `min(k, n)` rows, so every true neighbour has
+    /// `D ≤ r′`. The split radii sum to at least `r′`, so a point with
+    /// `D_s > r_s` in every subspace has `D = Σ_s D_s > r′`: every point
+    /// with `D ≤ r′` survives some subspace's range search.
     ///
     /// `approximate: None` is the exact search; `Some(config)` shrinks each
     /// radius's Cauchy term by Proposition 1's coefficient for
     /// `config.probability` and searches each subspace with the smaller of
     /// the shrunken and the seeded radius, so `p = 1` is the exact search.
-    /// The seeded pages hold at least `min(k, n)` rows, so an answer always
-    /// has `min(k, n)` neighbours.
+    /// The seed scores at least `min(k, n)` rows, so an answer always has
+    /// `min(k, n)` neighbours.
     ///
     /// A query of the wrong dimensionality is
     /// [`CoreError::QueryDimensionMismatch`]; one with a coordinate outside
@@ -382,60 +384,78 @@ impl BrePartitionIndex {
             });
         }
         let io_before = pool.stats();
-        let bound_started = Instant::now();
+        let started = Instant::now();
         let mut stats = QueryStats::default();
         let mut search_stats = SearchStats::new();
-        let mut scored = vec![false; self.transformed.len()];
-        let mut neighbors: Vec<(PointId, f64)> = Vec::new();
         self.kind.prepare_query_into(&mut kernel.prepared, query);
-        let (r_prime, kth_row) =
-            self.seed(pool, kernel, k, &mut scored, &mut neighbors, &mut search_stats)?;
-        let seeded_rows = search_stats.distance_computations as usize;
-        let (radii, bounds, coefficient) = if self.partitions() == 1 && approximate.is_none() {
-            let bounds =
-                QueryBounds { pivot_point: kth_row, per_subspace: vec![r_prime], total: r_prime };
-            (vec![r_prime], bounds, None)
-        } else {
-            let transformed_query = TransformedQuery::build(self.kind, query, &self.partitioning);
-            let exact = QueryBounds::determine(&self.transformed, &transformed_query, k)
-                .expect("a non-empty index has bounds for k > 0");
-            // Split r′ across the subspaces in Algorithm 4's proportions.
-            // When r′ ≥ T the bounds already cover it and stay as they are.
-            let total = exact.total;
-            let scale = if r_prime < total { r_prime / total } else { 1.0 };
-            let mut radii = exact.search_radii(&self.transformed, &transformed_query);
-            for radius in &mut radii {
-                *radius *= scale;
-            }
-            match approximate {
-                None => (radii, exact, None),
-                Some(config) => {
-                    let (shrunk, c) =
-                        self.shrunken_bounds(query, &transformed_query, &exact, config.probability);
-                    let shrunk_radii = shrunk.search_radii(&self.transformed, &transformed_query);
-                    for (radius, shrunk) in radii.iter_mut().zip(shrunk_radii) {
-                        *radius = radius.min(shrunk);
-                    }
-                    (radii, shrunk, Some(c))
+        let mut sub_query = Vec::new();
+        self.partitioning.project_point_into(0, query, &mut sub_query);
+        let exact_loop = self.partitions() == 1 && approximate.is_none();
+        let scored =
+            self.score_best_first(pool, kernel, &sub_query, k, exact_loop, &mut search_stats)?;
+        if exact_loop {
+            let pivot = scored.best.peek().map_or(0, |worst| worst.pid as usize);
+            let total = scored.threshold;
+            stats.refine_seconds = scored.seconds;
+            stats.filter_seconds = started.elapsed().as_secs_f64() - scored.seconds;
+            stats.candidates = scored.rows;
+            stats.subspace_candidates_total = scored.rows;
+            stats.search = search_stats;
+            stats.io = pool.stats().since(&io_before);
+            let neighbors =
+                scored.best.into_sorted_vec().into_iter().map(|e| (PointId(e.pid), e.dist));
+            return Ok(QueryResult {
+                neighbors: neighbors.collect(),
+                stats,
+                bounds: QueryBounds { pivot_point: pivot, per_subspace: vec![total], total },
+                coefficient: None,
+            });
+        }
+        let r_prime = scored.threshold;
+        let seeded_rows = scored.rows;
+        let mut neighbors: Vec<(PointId, f64)> =
+            scored.best.into_iter().map(|e| (PointId(e.pid), e.dist)).collect();
+        let transformed_query = TransformedQuery::build(self.kind, query, &self.partitioning);
+        let exact = QueryBounds::determine(&self.transformed, &transformed_query, k)
+            .expect("a non-empty index has bounds for k > 0");
+        // Split r′ across the subspaces in Algorithm 4's proportions. When
+        // r′ ≥ T the bounds already cover it and stay as they are.
+        let total = exact.total;
+        let scale = if r_prime < total { r_prime / total } else { 1.0 };
+        let mut radii = exact.search_radii(&self.transformed, &transformed_query);
+        for radius in &mut radii {
+            *radius *= scale;
+        }
+        let (bounds, coefficient) = match approximate {
+            None => (exact, None),
+            Some(config) => {
+                let (shrunk, c) =
+                    self.shrunken_bounds(query, &transformed_query, &exact, config.probability);
+                let shrunk_radii = shrunk.search_radii(&self.transformed, &transformed_query);
+                for (radius, shrunk) in radii.iter_mut().zip(shrunk_radii) {
+                    *radius = radius.min(shrunk);
                 }
+                (shrunk, Some(c))
             }
         };
-        stats.bound_seconds = bound_started.elapsed().as_secs_f64();
+        stats.bound_seconds = started.elapsed().as_secs_f64();
 
         // Filter: union of the per-subspace range-query candidates that are
-        // not already scored.
+        // not on a seeded page.
         let filter_started = Instant::now();
+        let store = self.forest.store();
+        let mut seen = vec![false; self.transformed.len()];
         let mut union: Vec<u32> = Vec::new();
-        let mut sub_query = Vec::new();
         for (s, &radius) in radii.iter().enumerate() {
             self.partitioning.project_point_into(s, query, &mut sub_query);
             let candidates =
                 self.forest.subspace_candidates(s, &sub_query, radius, &mut search_stats);
             stats.subspace_candidates_total += candidates.len();
             for pid in candidates {
-                let idx = pid.index();
-                if !scored[idx] {
-                    scored[idx] = true;
+                let seeded = store
+                    .address_of(pid.0)
+                    .is_some_and(|a| page_bit(&scored.pages, a.page.0 as usize));
+                if !seeded && !std::mem::replace(&mut seen[pid.index()], true) {
                     union.push(pid.0);
                 }
             }
@@ -459,7 +479,7 @@ impl BrePartitionIndex {
                 &union,
                 k,
                 pool,
-                self.forest.store(),
+                store,
                 coords,
                 &mut search_stats,
                 &mut neighbors,
@@ -467,7 +487,7 @@ impl BrePartitionIndex {
             None => false,
         };
         if !screened {
-            pool.read_points_block(self.forest.store(), &union, lanes, &mut |members, block| {
+            pool.read_points_block(store, &union, lanes, &mut |members, block| {
                 phis.clear();
                 phis.extend(members.iter().map(|&pid| self.phi[pid as usize]));
                 prepared.distance_block(phis, block, distances);
@@ -514,53 +534,68 @@ impl BrePartitionIndex {
         self.knn(pool, &mut KernelScratch::default(), query, k, Some(config))
     }
 
-    /// The descent and seed stages of [`BrePartitionIndex::knn`]: score
-    /// every row on the pages of the node [`BBForest::seed_pages`] stops
-    /// at, mark those rows in `scored`, and keep the `min(k, n)` nearest of
-    /// them in `neighbors`. Returns `r′`, the `min(k, n)`-th smallest exact
-    /// distance widened by a `1e-12` rounding allowance on that row's kernel
-    /// terms, with that row; or `(+∞, 0)` when fewer rows were scored (an
-    /// unreadable page), which leaves every radius in force.
-    fn seed(
+    /// The best-first loop of [`BrePartitionIndex::knn`] over the first
+    /// tree, with `kernel.prepared` already prepared for the query and
+    /// `sub_query` its projection onto the first subspace. Every page a
+    /// popped leaf spans is read once and scored whole; the best
+    /// `min(k, n)` rows are kept. With `to_threshold` the loop runs until
+    /// its frontier's smallest key exceeds `τ`; without, it stops once it
+    /// has scored `min(k, n)` rows (the seed).
+    fn score_best_first(
         &self,
         pool: &mut BufferPool,
         kernel: &mut KernelScratch,
+        sub_query: &[f64],
         k: usize,
-        scored: &mut [bool],
-        neighbors: &mut Vec<(PointId, f64)>,
+        to_threshold: bool,
         search_stats: &mut SearchStats,
-    ) -> Result<(f64, usize)> {
+    ) -> Result<BestFirst> {
         let store = self.forest.store();
         let KernelScratch { prepared, lanes, distances, phis, .. } = kernel;
-        let gradient = prepared.gradient().expect("every divergence kind decomposes");
-        let mut grad_sub = Vec::new();
-        self.partitioning.project_point_into(0, gradient, &mut grad_sub);
-        let wanted = k.min(self.len());
-        let pages = self.forest.seed_pages(&grad_sub, wanted, search_stats);
-        for page in pages {
-            let Some(page) = pool.try_fetch(store, PageId(page))? else { continue };
-            page.decode_all_into(lanes);
-            phis.clear();
-            phis.extend(page.point_ids().iter().map(|&pid| self.phi[pid as usize]));
-            prepared.distance_block(phis, lanes, distances);
-            for (&pid, &d) in page.point_ids().iter().zip(distances.iter()) {
-                scored[pid as usize] = true;
-                neighbors.push((PointId(pid), d));
-            }
-            search_stats.candidates_examined += page.len() as u64;
-            search_stats.distance_computations += page.len() as u64;
-        }
-        let kth = wanted - 1;
-        if kth >= neighbors.len() {
-            return Ok((f64::INFINITY, 0));
-        }
-        neighbors.select_nth_unstable_by(kth, by_distance_then_id);
-        neighbors.truncate(kth + 1);
-        let (pid, r_hat) = neighbors[kth];
-        let phi_x = self.phi[pid.index()];
         let offset = prepared.offset().unwrap_or(0.0);
-        let dot = phi_x + offset - r_hat;
-        Ok((r_hat + 1e-12 * (phi_x.abs() + offset.abs() + dot.abs()), pid.index()))
+        let wanted = k.min(self.len());
+        let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(wanted + 1);
+        let mut pages = vec![0u64; store.page_count().div_ceil(64)];
+        let (mut rows, mut seconds, mut threshold) = (0usize, 0.0, f64::INFINITY);
+        self.forest.best_first(sub_query, search_stats, |span| {
+            let mut clock = None;
+            for page in span {
+                let (word, bit) = (page as usize / 64, 1u64 << (page % 64));
+                if pages[word] & bit != 0 {
+                    continue;
+                }
+                pages[word] |= bit;
+                clock.get_or_insert_with(Instant::now);
+                let Some(page) = pool.try_fetch(store, PageId(page))? else { continue };
+                page.decode_all_into(lanes);
+                phis.clear();
+                phis.extend(page.point_ids().iter().map(|&pid| self.phi[pid as usize]));
+                prepared.distance_block(phis, lanes, distances);
+                for (&pid, &dist) in page.point_ids().iter().zip(distances.iter()) {
+                    let entry = Ranked { dist, pid };
+                    if best.len() < wanted {
+                        best.push(entry);
+                    } else if let Some(mut worst) = best.peek_mut() {
+                        if entry < *worst {
+                            *worst = entry;
+                        }
+                    }
+                }
+                rows += page.len();
+            }
+            let Some(clock) = clock else { return Ok(Some(threshold)) };
+            seconds += clock.elapsed().as_secs_f64();
+            if best.len() == wanted {
+                let worst = best.peek().expect("k > 0 and a non-empty index keep a row");
+                let phi_x = self.phi[worst.pid as usize];
+                let dot = phi_x + offset - worst.dist;
+                threshold = worst.dist + 1e-12 * (phi_x.abs() + offset.abs() + dot.abs());
+            }
+            Ok((to_threshold || rows < wanted).then_some(threshold))
+        })?;
+        search_stats.candidates_examined += rows as u64;
+        search_stats.distance_computations += rows as u64;
+        Ok(BestFirst { best, threshold, pages, rows, seconds })
     }
 
     fn validate_query(&self, query: &[f64]) -> Result<()> {
@@ -579,32 +614,53 @@ fn by_distance_then_id(a: &(PointId, f64), b: &(PointId, f64)) -> std::cmp::Orde
     a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
-/// Max-heap entry for the `f32` screening tier: the heap's greatest element
-/// under the `(distance, id)` total order is the current worst of the `k`
-/// best, i.e. the pruning threshold `τ`.
-struct ScreenEntry {
+/// What [`BrePartitionIndex::score_best_first`] leaves behind.
+struct BestFirst {
+    /// The best `min(k, n)` rows scored (fewer if a page was unreadable).
+    best: BinaryHeap<Ranked>,
+    /// `τ`: the worst kept distance widened by its rounding allowance, or
+    /// +∞ while fewer than `min(k, n)` rows are kept.
+    threshold: f64,
+    /// One bit per page of the store: the pages the loop read.
+    pages: Vec<u64>,
+    /// Rows scored.
+    rows: usize,
+    /// Seconds spent reading and scoring pages.
+    seconds: f64,
+}
+
+/// Whether bit `page` is set in a page bitset.
+fn page_bit(pages: &[u64], page: usize) -> bool {
+    pages.get(page / 64).is_some_and(|word| word & (1 << (page % 64)) != 0)
+}
+
+/// Max-heap entry for the bounded top-`k` heaps: the heap's greatest
+/// element under the `(distance, id)` total order is the current worst of
+/// the `k` best, i.e. the pruning threshold `τ`.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
     dist: f64,
     pid: u32,
 }
 
-impl ScreenEntry {
-    fn key_cmp(&self, other: &ScreenEntry) -> std::cmp::Ordering {
+impl Ranked {
+    fn key_cmp(&self, other: &Ranked) -> std::cmp::Ordering {
         self.dist.total_cmp(&other.dist).then(self.pid.cmp(&other.pid))
     }
 }
 
-impl PartialEq for ScreenEntry {
+impl PartialEq for Ranked {
     fn eq(&self, other: &Self) -> bool {
         self.key_cmp(other) == std::cmp::Ordering::Equal
     }
 }
-impl Eq for ScreenEntry {}
-impl PartialOrd for ScreenEntry {
+impl Eq for Ranked {}
+impl PartialOrd for Ranked {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for ScreenEntry {
+impl Ord for Ranked {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key_cmp(other)
     }
@@ -614,7 +670,7 @@ impl Ord for ScreenEntry {
 /// divergence from the in-memory `f32` row copy, then fetch pages and
 /// re-rank at full resolution only for candidates whose estimate cannot be
 /// ruled out. `neighbors` enters holding at most `k` exactly scored rows
-/// (the seeded ones), which set the pruning threshold from the start, and leaves
+/// (the seed's), which set the pruning threshold from the start, and leaves
 /// holding the `k` best of those and the screened candidates. Returns
 /// `false` (leaving `neighbors` untouched) when the
 /// prepared query is the naive fallback, which has no gradient to screen
@@ -679,8 +735,8 @@ fn screen_candidates_f32(
     }
     scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
 
-    let mut heap: std::collections::BinaryHeap<ScreenEntry> =
-        neighbors.drain(..).map(|(pid, dist)| ScreenEntry { dist, pid: pid.0 }).collect();
+    let mut heap: BinaryHeap<Ranked> =
+        neighbors.drain(..).map(|(pid, dist)| Ranked { dist, pid: pid.0 }).collect();
     let mut one_dist = Vec::with_capacity(1);
     for &(estimate, bound, pid) in &scored {
         if heap.len() == k {
@@ -697,7 +753,7 @@ fn screen_candidates_f32(
         // A single-row block: for m = 1 the lane-major block *is* the row,
         // and the arithmetic matches the batched refine bit for bit.
         prepared.distance_block(std::slice::from_ref(&phi[pid as usize]), coords, &mut one_dist);
-        let entry = ScreenEntry { dist: one_dist[0], pid };
+        let entry = Ranked { dist: one_dist[0], pid };
         if heap.len() < k {
             heap.push(entry);
         } else if entry.cmp(heap.peek().expect("heap holds k > 0 entries"))
@@ -899,24 +955,24 @@ mod tests {
                     assert_eq!(bounds, &alg4, "M = {m}, query {qi}");
                     continue;
                 }
-                // M = 1: Algorithm 4 does not run; the bounds are the seeded
-                // radius r′, which the one range search used as is.
+                // M = 1: Algorithm 4 does not run; the bounds are the loop's
+                // final threshold τ.
                 assert_eq!(bounds.per_subspace, vec![bounds.total], "query {qi}");
-                // r′ is the seed's k-th distance, widened: at least the true
-                // k-th distance, and within the allowance of its pivot row's.
+                // τ is the k-th scored distance, widened: at least the
+                // answer's k-th distance, and within the allowance of its
+                // pivot row's.
                 assert!(bounds.total >= got.neighbors[k - 1].1, "query {qi}");
                 let pivot = kind.divergence(ds.row(bounds.pivot_point), &query);
                 let slack = 1e-9 * (1.0 + pivot.abs());
                 assert!((bounds.total - pivot).abs() <= slack, "query {qi}");
-                let mut sub_query = Vec::new();
-                index.partitioning().project_point_into(0, &query, &mut sub_query);
-                let searched = index.forest().subspace_candidates(
-                    0,
-                    &sub_query,
-                    bounds.total,
-                    &mut SearchStats::new(),
-                );
-                assert_eq!(got.stats.subspace_candidates_total, searched.len(), "query {qi}");
+                // There is no range search to compare with: the answer is
+                // brute force's, and every row within τ was scored.
+                let expected = single_query_knn(kind, &ds, &query, k);
+                let ids = |n: &[(PointId, f64)]| n.iter().map(|p| p.0).collect::<Vec<_>>();
+                assert_eq!(ids(&got.neighbors), ids(&expected), "query {qi}");
+                let within =
+                    (0..ds.len()).filter(|&i| kind.divergence(ds.row(i), &query) <= bounds.total);
+                assert!(got.stats.candidates >= within.count(), "query {qi}");
             }
         }
     }

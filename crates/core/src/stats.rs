@@ -5,28 +5,36 @@ use pagestore::IoStats;
 
 /// Cost breakdown of one BrePartition query, covering the three phases of
 /// the framework (bound computation, per-subspace filtering, refinement).
+///
+/// At one subspace the exact search is one best-first loop
+/// ([`crate::BrePartitionIndex::knn`]): `bound_seconds` is 0, the node
+/// tests (and the query's kernel and box preparation) go in
+/// `filter_seconds`, and page reads and scoring go in `refine_seconds`,
+/// clocked around each leaf's batch of page reads.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct QueryStats {
-    /// Seconds spent before the filter: the query transform and Algorithm
-    /// 4 (when they run, i.e. with more than one subspace or for the
-    /// approximate search), the descent of the first BB-tree, and the seed
-    /// that scores the rows on the pages it stops at.
+    /// Seconds spent before the filter: the seed that scores the first
+    /// `min(k, n)` rows, the query transform and Algorithm 4 (with more
+    /// than one subspace, or for the approximate search; 0 otherwise).
     pub bound_seconds: f64,
-    /// Seconds spent running the per-subspace range queries.
+    /// Seconds spent running the per-subspace range queries, or the
+    /// best-first loop's node tests.
     pub filter_seconds: f64,
-    /// Seconds spent loading the remaining candidates and computing their
-    /// exact divergences.
+    /// Seconds spent loading candidates' pages and computing their exact
+    /// divergences.
     pub refine_seconds: f64,
-    /// Number of distinct rows scored exactly: every row on a seeded page,
-    /// plus the filter's union members on other pages.
+    /// Number of distinct rows scored exactly: every row on a page the
+    /// best-first loop read, plus the filter's union members on other
+    /// pages.
     pub candidates: usize,
     /// Sum of the per-subspace candidate-set sizes (before the union), a
-    /// measure of how much the subspaces overlap.
+    /// measure of how much the subspaces overlap. The best-first loop's one
+    /// subspace counts its rows scored.
     pub subspace_candidates_total: usize,
-    /// Tree traversal counters accumulated over the descent and every
-    /// subspace's range search.
+    /// Tree traversal counters accumulated over the best-first loop and
+    /// every subspace's range search.
     pub search: SearchStats,
-    /// Physical I/O performed by the query, seed reads included.
+    /// Physical I/O performed by the query, the loop's reads included.
     pub io: IoStats,
 }
 
@@ -39,8 +47,8 @@ impl QueryStats {
     /// Overlap factor of the subspace candidate sets: the ratio of the summed
     /// subspace candidate counts to the scored rows (higher means more
     /// overlap, which is what PCCP aims for; seeded rows the filter does not
-    /// return can pull it below 1). Returns 1 when there were no
-    /// candidates.
+    /// return can pull it below 1, and the best-first loop's one subspace
+    /// reads exactly 1). Returns 1 when there were no candidates.
     pub fn overlap_factor(&self) -> f64 {
         if self.candidates == 0 {
             1.0

@@ -266,7 +266,7 @@ fn approximate_answers_are_never_short_and_recall_does_not_fall_as_p_rises() {
     }
 
     // Two-point leaves on two-row pages: no leaf holds k points, so the
-    // descent must stop higher for the seed to cover min(k, n) rows.
+    // seed must pop several leaves to cover min(k, n) rows.
     let n = 200;
     for dataset in PaperDataset::ALL {
         let spec = dataset.paper_spec().with_points(n);
@@ -307,9 +307,9 @@ fn approximate_answers_are_never_short_and_recall_does_not_fall_as_p_rises() {
 
 #[test]
 fn seeded_search_reads_each_page_once_and_few_pages_on_the_fonts_proxy() {
-    // The seed reads the pages a descent of the first BB-tree reaches and
-    // scores every row on them; the refine then skips those rows, so no page is
-    // read twice. An unbuffered pool counts every page touch, and a cold
+    // The best-first loop reads the pages of the leaves it pops and scores
+    // every row on them, skipping pages it has scored, so no page is read
+    // twice. An unbuffered pool counts every page touch, and a cold
     // pool that holds every page counts each distinct page once.
     let spec = PaperDataset::Fonts.paper_spec().with_points(3_000);
     let kind = spec.divergence;
@@ -352,8 +352,8 @@ fn seeded_search_reads_each_page_once_and_few_pages_on_the_fonts_proxy() {
 fn seeded_search_reads_fewer_pages_than_bbt_on_the_sift_proxy() {
     // Exponential divergence, d = 128. Algorithm 4's k best-by-bound points
     // ranked so poorly here that seeding from their pages read about 70
-    // pages per query against BBT's 9; the descent of the first BB-tree
-    // seeds within a few percent of the true k-th distance.
+    // pages per query against BBT's 9; the best-first loop reads only the
+    // pages of the leaves whose box bound is within its running threshold.
     let spec = PaperDataset::Sift.paper_spec().with_points(8_000);
     let kind = spec.divergence;
     let data = spec.generate(7);

@@ -334,10 +334,12 @@ fn queries_for(data: &DenseDataset, kind: DivergenceKind, extra: &[f64]) -> Vec<
 
 #[test]
 fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
-    // The search radius is seeded from the exact distances of the rows on
-    // the pages a descent of the first BB-tree reaches, so any slip in the
-    // descent's stopping rule, the rounding allowance, the radius split or
-    // the skip of already-scored rows shows up here as a missing, extra or
+    // At M = 1 one best-first loop pops the first BB-tree's nodes by box
+    // bound, scores whole pages and stops once its smallest key exceeds the
+    // running k-th distance plus a rounding allowance; at M > 1 the same
+    // loop, stopped after k rows, seeds the radius. Any slip in the stopping
+    // rule, the frontier's order, the allowance, the radius split or the
+    // skip of already-scored pages shows up here as a missing, extra or
     // repeated neighbour.
     let kinds = [
         DivergenceKind::SquaredEuclidean,
@@ -355,8 +357,8 @@ fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
     }
 
     // Two- and four-point leaves on two-row pages: no leaf holds k = 10
-    // points, so the descent must stop at an internal node, and at k = n
-    // and n + 5 at the root.
+    // points, so the loop must pop several leaves before its threshold is
+    // finite, and at k = n and n + 5 every leaf.
     for leaf_capacity in [2, 4] {
         for dataset in PaperDataset::ALL {
             let spec = dataset.paper_spec().with_points(300);
@@ -371,11 +373,11 @@ fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
     }
 
     // Small pages (four rows of d = 6) spread copies of a row over many
-    // pages, so ties reach past the seeded pages.
+    // pages, so ties reach past the first pages scored.
     let small_pages = BrePartitionConfig::default().with_page_size(4 * 6 * 8).with_leaf_capacity(4);
     let row = [2.0, 4.0, 1.0, 0.25, 3.0, 1.5];
     // Every eighth row shrunk by a hair ranks first by bound and shares
-    // pages with exact copies, so the k-th seeded distance is an exact
+    // pages with exact copies, so the k-th scored distance is an exact
     // copy's rounding noise, which can fall below zero; only the rounding
     // allowance then keeps the copies on other pages.
     let near_copies = (0..64)
@@ -410,6 +412,27 @@ fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
             check_against_brute_force(label, kind, &data, &small_pages, &queries, resolvable);
         }
     }
+    // Exponential rows with a coordinate past 709.78, where exp overflows:
+    // φ at those box corners is +∞, so the bounds of nodes beyond them are
+    // +∞ with an infinite allowance, and their keys NaN. The best-first
+    // frontier must expand such a node, never skip it. The queries stay
+    // below 703, where every kernel term of theirs is finite.
+    let overflow: Vec<Vec<f64>> = (0..96)
+        .map(|i| {
+            let mut row = base[i % 12].clone();
+            if i % 3 == 1 {
+                row[i % 6] = 709.0 + (i % 4) as f64;
+            }
+            row
+        })
+        .collect();
+    let data = DenseDataset::from_rows(&overflow).unwrap();
+    let mut far = [1.0; 6];
+    far[0] = 700.0;
+    let queries = vec![data.row(0).to_vec(), data.row(48).to_vec(), vec![1.0; 6], far.to_vec()];
+    let kind = DivergenceKind::Exponential;
+    check_against_brute_force("exp overflow", kind, &data, &small_pages, &queries, true);
+
     let one_dim: Vec<Vec<f64>> = (0..200).map(|i| vec![0.5 + ((i * 7) % 23) as f64]).collect();
     let data = DenseDataset::from_rows(&one_dim).unwrap();
     let config = BrePartitionConfig::default().with_page_size(4 * 8).with_leaf_capacity(4);

@@ -122,36 +122,6 @@ fn vafile_matches_brute_force_on_signed_data() {
     }
 }
 
-/// The disk BB-tree range query returns exactly the points within the
-/// radius, and its candidate set is a superset of them.
-#[test]
-fn bbtree_range_query_is_exact() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xA4);
-    for _ in 0..CASES {
-        let (rows, query) = dataset_and_query(&mut rng, 70, 8);
-        let radius = rng.gen_range(0.05..5.0);
-        let data = DenseDataset::from_rows(&rows).unwrap();
-        let index = DiskBBTree::build(
-            ItakuraSaito,
-            &data,
-            BBTreeConfig::with_leaf_capacity(8),
-            PageStoreConfig::with_page_size(1024),
-        );
-        let mut pool = BufferPool::unbuffered();
-        let (got, _, _) = index.range(&mut pool, &query, radius).unwrap();
-        let mut expected: Vec<(PointId, f64)> = data
-            .iter()
-            .map(|(id, p)| (id, DivergenceKind::ItakuraSaito.divergence(p, &query)))
-            .filter(|(_, d)| *d <= radius)
-            .collect();
-        expected.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(expected.iter()) {
-            assert_eq!(g.0, e.0);
-        }
-    }
-}
-
 /// The approximate coefficient always lies in (0, 1] and shrinking the
 /// radii never produces more candidates than the exact search.
 #[test]
