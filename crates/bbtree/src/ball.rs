@@ -168,7 +168,7 @@ impl BregmanBall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bregman::{Divergence, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
+    use bregman::{DecomposableBregman, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

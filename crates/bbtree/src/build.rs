@@ -25,7 +25,7 @@
 //!   with the term-magnitude sum rather than with `|⟨∇φ(c), x⟩|` because
 //!   the dot product can cancel while its terms' rounding errors do not.
 //!   It keeps every radius at or above each member's naive
-//!   [`Divergence::divergence`](bregman::Divergence::divergence), the
+//!   [`DecomposableBregman::divergence`], the
 //!   covering invariant that range-search exactness relies on.
 
 use bregman::kernel::{dot8, phi_table, PreparedQuery};
@@ -156,7 +156,7 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
     fn covering_ball(&self, dataset: &DenseDataset, phis: &[f64], ids: &[PointId]) -> BregmanBall {
         let center = mean_of(dataset, ids);
         let prepared = PreparedQuery::decompose(&self.divergence, &center);
-        let (grad, offset) = decomposed_parts(&prepared);
+        let (grad, offset) = (prepared.gradient(), prepared.offset());
         let radius = ids
             .iter()
             .map(|&id| {
@@ -223,15 +223,6 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
     }
 }
 
-/// The gradient and offset of a prepared centre. Centres are prepared with
-/// [`PreparedQuery::decompose`], which always takes the decomposed path.
-fn decomposed_parts(prepared: &PreparedQuery) -> (&[f64], f64) {
-    match (prepared.gradient(), prepared.offset()) {
-        (Some(grad), Some(offset)) => (grad, offset),
-        _ => unreachable!("PreparedQuery::decompose always yields a decomposed query"),
-    }
-}
-
 /// [`RADIUS_ALLOWANCE`] times the magnitude of the terms of
 /// `D_f(x, c) = Φ(x) + c_c − ⟨∇φ(c), x⟩`, each `∇φ(c)_j·x_j` counted on its
 /// own so that a cancelling dot product does not shrink the allowance.
@@ -254,17 +245,16 @@ fn assign<B: DecomposableBregman>(
 ) -> (Vec<PointId>, Vec<PointId>) {
     let prepared_a = PreparedQuery::decompose(divergence, center_a);
     let prepared_b = PreparedQuery::decompose(divergence, center_b);
-    let (grad_a, offset_a) = decomposed_parts(&prepared_a);
-    let (grad_b, offset_b) = decomposed_parts(&prepared_b);
-    let normal: Vec<f64> = grad_b.iter().zip(grad_a).map(|(b, a)| b - a).collect();
-    let threshold = offset_b - offset_a;
+    let normal: Vec<f64> =
+        prepared_b.gradient().iter().zip(prepared_a.gradient()).map(|(b, a)| b - a).collect();
+    let threshold = prepared_b.offset() - prepared_a.offset();
     ids.iter().copied().partition(|&id| dot8(&normal, dataset.point(id)) <= threshold)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bregman::{Divergence, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
+    use bregman::{DecomposableBregman, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::Rng;
 
@@ -354,8 +344,7 @@ mod tests {
     /// hyperplane and naive rules may round apart.
     fn allowance_against<B: DecomposableBregman>(b: &B, x: &[f64], c: &[f64]) -> f64 {
         let prepared = PreparedQuery::decompose(b, c);
-        let (grad, offset) = decomposed_parts(&prepared);
-        rounding_allowance(b.f(x), grad, offset, x)
+        rounding_allowance(b.f(x), prepared.gradient(), prepared.offset(), x)
     }
 
     fn assert_assignment_matches_naive_rule<B: DecomposableBregman>(b: &B, lo: f64, hi: f64) {

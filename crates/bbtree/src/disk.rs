@@ -175,11 +175,6 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
         &self.store
     }
 
-    /// The disk image as a shareable handle.
-    pub fn store_arc(&self) -> Arc<PageStore> {
-        Arc::clone(&self.store)
-    }
-
     /// The divergence this index was built for.
     pub fn divergence(&self) -> &B {
         &self.divergence

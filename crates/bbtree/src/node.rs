@@ -146,11 +146,9 @@ impl BBTree {
     }
 
     /// Check the structural invariant that every point below a node lies in
-    /// the node's ball: the naive [`Divergence::divergence`] of each member
-    /// from the centre is at most the radius, with no slack. Intended for
-    /// tests; `points` resolves ids to coordinates.
-    ///
-    /// [`Divergence::divergence`]: bregman::Divergence::divergence
+    /// the node's ball: the naive [`DecomposableBregman::divergence`] of
+    /// each member from the centre is at most the radius, with no slack.
+    /// Intended for tests; `points` resolves ids to coordinates.
     pub fn validate_covering<B, F>(&self, divergence: &B, mut points: F) -> bool
     where
         B: DecomposableBregman,

@@ -55,7 +55,7 @@ mod tests {
     use super::*;
     use crate::ball::Projector;
     use crate::build::{BBTreeBuilder, BBTreeConfig};
-    use bregman::{DecomposableBregman, DenseDataset, Divergence, ItakuraSaito, SquaredEuclidean};
+    use bregman::{DecomposableBregman, DenseDataset, ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -1,5 +1,5 @@
 //! Strict covering: every node's radius is at least the naive
-//! `Divergence::divergence` of every point below it, with no slack, for
+//! `DecomposableBregman::divergence` of every point below it, with no slack, for
 //! every decomposable divergence on the Fonts and Sift proxies and on data
 //! built to stress the kernel-priced radii (duplicates, one-ulp
 //! neighbours, large magnitudes where `Φ(x)` and `⟨∇φ(c), x⟩` nearly

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the Bregman divergence kernels.
 
-use bregman::{DecomposableBregman, Divergence, Exponential, ItakuraSaito, SquaredEuclidean};
+use bregman::{DecomposableBregman, Exponential, ItakuraSaito, SquaredEuclidean};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::synthetic::uniform;
 

@@ -1,29 +1,45 @@
-//! The divergence traits.
+//! The divergence trait.
 //!
-//! [`Divergence`] is the minimal, object-safe interface used by indexes that
-//! only need to evaluate distances (BB-tree pruning, refinement). The
-//! [`DecomposableBregman`] trait exposes the scalar generator `φ`, its
-//! derivative and the inverse of the derivative, from which every vector
-//! level operation needed by BrePartition (gradients, dual coordinates,
-//! geodesic interpolation, partial sums for the Cauchy bound) is derived.
+//! [`DecomposableBregman`] exposes the scalar generator `φ`, its derivative
+//! and the inverse of the derivative, from which every vector level
+//! operation needed by BrePartition (divergences, gradients, dual
+//! coordinates, geodesic interpolation, partial sums for the Cauchy bound)
+//! is derived.
 
 use crate::error::{BregmanError, Result};
 
-/// Minimal divergence interface: evaluate `D_f(x, y)`.
+/// A decomposable (separable) Bregman divergence defined by a scalar
+/// generator `φ`, with `f(x) = Σ_j φ(x_j)`.
+///
+/// The vector-level operations used throughout the repository are provided
+/// as default methods and only require a name, the three scalar functions
+/// and a scalar domain predicate. The inverse derivative
+/// [`DecomposableBregman::phi_prime_inv`] is the scalar Legendre-dual map
+/// used for geodesic interpolation inside Bregman-ball projection.
 ///
 /// Implementations must guarantee `D_f(x, x) = 0` and `D_f(x, y) ≥ 0` for all
 /// in-domain arguments. Symmetry and the triangle inequality are *not*
 /// required — Bregman divergences generally satisfy neither.
-pub trait Divergence: Send + Sync {
+pub trait DecomposableBregman: Clone + Send + Sync {
     /// A short human-readable name, e.g. `"Itakura-Saito"`.
     fn name(&self) -> &'static str;
 
     /// Evaluate the divergence from `x` to `y` (first argument convention as
-    /// in the paper: `D_f(x, y)` with `x` a data point and `y` the query).
+    /// in the paper: `D_f(x, y)` with `x` a data point and `y` the query):
+    /// the sum of [`DecomposableBregman::scalar_divergence`] over the
+    /// coordinates, the reference the prepared kernels are tested against.
     ///
     /// Panics in debug builds when lengths differ; use
-    /// [`Divergence::try_divergence`] for checked evaluation.
-    fn divergence(&self, x: &[f64], y: &[f64]) -> f64;
+    /// [`DecomposableBregman::try_divergence`] for checked evaluation.
+    #[inline]
+    fn divergence(&self, x: &[f64], y: &[f64]) -> f64 {
+        debug_assert_eq!(x.len(), y.len(), "divergence operands must have equal length");
+        let mut acc = 0.0;
+        for (&xi, &yi) in x.iter().zip(y.iter()) {
+            acc += self.scalar_divergence(xi, yi);
+        }
+        acc
+    }
 
     /// Checked evaluation, returning an error on dimension mismatch or a
     /// domain violation detectable without evaluating `φ` (NaN result).
@@ -38,30 +54,22 @@ pub trait Divergence: Send + Sync {
         Ok(d)
     }
 
-    /// Whether every coordinate of `x` lies in the domain of the generator.
+    /// Whether every coordinate of `x` lies in the domain of the generator:
+    /// [`DecomposableBregman::check_domain`] as a predicate.
     fn in_domain_vec(&self, x: &[f64]) -> bool {
-        x.iter().all(|v| v.is_finite())
+        self.check_domain(x).is_ok()
     }
 
-    /// `Ok` when every coordinate of `x` lies in the domain, otherwise
-    /// [`BregmanError::OutOfDomain`] carrying the first offending value.
+    /// `Ok` when [`DecomposableBregman::in_domain`] holds for every
+    /// coordinate of `x`, otherwise [`BregmanError::OutOfDomain`] carrying
+    /// the first offending value.
     fn check_domain(&self, x: &[f64]) -> Result<()> {
-        match x.iter().find(|&&v| !self.in_domain_vec(std::slice::from_ref(&v))) {
+        match x.iter().find(|&&v| !self.in_domain(v)) {
             None => Ok(()),
             Some(&value) => Err(BregmanError::OutOfDomain { divergence: self.name(), value }),
         }
     }
-}
 
-/// A decomposable (separable) Bregman divergence defined by a scalar
-/// generator `φ`, with `f(x) = Σ_j φ(x_j)`.
-///
-/// The vector-level operations used throughout the repository are provided as
-/// default methods and only require the three scalar functions plus a domain
-/// predicate. The inverse derivative [`DecomposableBregman::phi_prime_inv`]
-/// is the scalar Legendre-dual map used for geodesic interpolation inside
-/// Bregman-ball projection.
-pub trait DecomposableBregman: Divergence + Clone {
     /// Scalar generator `φ(t)`.
     fn phi(&self, t: f64) -> f64;
 
@@ -171,18 +179,6 @@ pub trait DecomposableBregman: Divergence + Clone {
     fn cumulative_across_partitions(&self) -> bool {
         true
     }
-}
-
-/// Evaluate a decomposable divergence over slices (free function used by the
-/// blanket `Divergence` implementations of the concrete generators).
-#[inline]
-pub(crate) fn decomposable_divergence<B: DecomposableBregman>(b: &B, x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len(), "divergence operands must have equal length");
-    let mut acc = 0.0;
-    for (&xi, &yi) in x.iter().zip(y.iter()) {
-        acc += b.scalar_divergence(xi, yi);
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -54,17 +54,6 @@ impl<B: DecomposableBregman> GeodesicInterpolator<B> {
         &self.scratch
     }
 
-    /// Evaluate the point at `theta` into a caller-provided buffer.
-    pub fn at_into(&self, theta: f64, out: &mut Vec<f64>) {
-        let t = theta.clamp(0.0, 1.0);
-        out.clear();
-        out.reserve(self.dual_a.len());
-        for i in 0..self.dual_a.len() {
-            let dual = (1.0 - t) * self.dual_a[i] + t * self.dual_b[i];
-            out.push(self.divergence.phi_prime_inv(dual));
-        }
-    }
-
     /// Divergence from the point at `theta` to an arbitrary reference point
     /// (`D_f(x_θ, reference)`).
     pub fn divergence_to(&mut self, theta: f64, reference: &[f64]) -> f64 {
@@ -77,7 +66,6 @@ impl<B: DecomposableBregman> GeodesicInterpolator<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::divergence::Divergence;
     use crate::{Exponential, ItakuraSaito, SquaredEuclidean};
 
     #[test]
@@ -117,19 +105,6 @@ mod tests {
             prev = d;
         }
         assert!(prev.abs() < 1e-9);
-    }
-
-    #[test]
-    fn at_into_matches_at() {
-        let a = [0.5, 0.5];
-        let b = [2.0, 8.0];
-        let mut g = GeodesicInterpolator::new(ItakuraSaito, &a, &b);
-        let inline = g.at(0.3).to_vec();
-        let mut buf = Vec::new();
-        g.at_into(0.3, &mut buf);
-        for (x, y) in inline.iter().zip(buf.iter()) {
-            assert!((x - y).abs() < 1e-15);
-        }
     }
 
     #[test]

@@ -38,9 +38,10 @@ pub enum BregmanError {
         /// Name of the rejected divergence.
         divergence: &'static str,
     },
-    /// A matrix supplied to the Mahalanobis divergence is not square or not
-    /// positive definite.
-    InvalidMatrix(String),
+    /// A divergence name that
+    /// [`DivergenceKind::parse`](crate::DivergenceKind::parse) does not
+    /// recognize.
+    UnknownDivergence(String),
     /// An empty dataset or empty query batch was supplied.
     Empty(&'static str),
 }
@@ -60,7 +61,7 @@ impl fmt::Display for BregmanError {
             BregmanError::UnsupportedForPartitioning { divergence } => {
                 write!(f, "{divergence} is not cumulative across partitions and cannot be used with BrePartition")
             }
-            BregmanError::InvalidMatrix(msg) => write!(f, "invalid matrix: {msg}"),
+            BregmanError::UnknownDivergence(name) => write!(f, "unknown divergence name: {name}"),
             BregmanError::Empty(what) => write!(f, "empty input: {what}"),
         }
     }
@@ -87,8 +88,8 @@ mod tests {
         let e = BregmanError::UnsupportedForPartitioning { divergence: "KL" };
         assert!(e.to_string().contains("KL"));
 
-        let e = BregmanError::InvalidMatrix("not square".into());
-        assert!(e.to_string().contains("not square"));
+        let e = BregmanError::UnknownDivergence("cosine".into());
+        assert!(e.to_string().contains("cosine"));
 
         let e = BregmanError::Empty("dataset");
         assert!(e.to_string().contains("dataset"));

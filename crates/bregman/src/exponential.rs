@@ -5,24 +5,17 @@
 //! The paper introduces this divergence (named "exponential distance", ED in
 //! Table 4) and uses it for the Audio, Deep, SIFT and Normal datasets.
 
-use crate::divergence::{decomposable_divergence, DecomposableBregman, Divergence};
+use crate::divergence::DecomposableBregman;
 
 /// Exponential distance, `φ(t) = e^t`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Exponential;
 
-impl Divergence for Exponential {
+impl DecomposableBregman for Exponential {
     fn name(&self) -> &'static str {
         "Exponential"
     }
 
-    #[inline]
-    fn divergence(&self, x: &[f64], y: &[f64]) -> f64 {
-        decomposable_divergence(self, x, y)
-    }
-}
-
-impl DecomposableBregman for Exponential {
     #[inline]
     fn phi(&self, t: f64) -> f64 {
         t.exp()

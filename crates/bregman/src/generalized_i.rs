@@ -12,28 +12,17 @@
 //! as the paper prescribes for KL-style measures, while the divergence
 //! remains available to the flat (non-partitioned) indexes.
 
-use crate::divergence::{decomposable_divergence, DecomposableBregman, Divergence};
+use crate::divergence::DecomposableBregman;
 
 /// Generalized I-divergence (unnormalized KL), `φ(t) = t ln t`, domain `t > 0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GeneralizedI;
 
-impl Divergence for GeneralizedI {
+impl DecomposableBregman for GeneralizedI {
     fn name(&self) -> &'static str {
         "Generalized I-divergence"
     }
 
-    #[inline]
-    fn divergence(&self, x: &[f64], y: &[f64]) -> f64 {
-        decomposable_divergence(self, x, y)
-    }
-
-    fn in_domain_vec(&self, x: &[f64]) -> bool {
-        x.iter().all(|&v| v.is_finite() && v > 0.0)
-    }
-}
-
-impl DecomposableBregman for GeneralizedI {
     #[inline]
     fn phi(&self, t: f64) -> f64 {
         t * t.ln()

@@ -5,28 +5,17 @@
 //! Widely used for speech spectra; the "ISD" measure of the Fonts and
 //! Uniform datasets in the paper's evaluation.
 
-use crate::divergence::{decomposable_divergence, DecomposableBregman, Divergence};
+use crate::divergence::DecomposableBregman;
 
 /// Itakura-Saito distance, `φ(t) = −ln t`, domain `t > 0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ItakuraSaito;
 
-impl Divergence for ItakuraSaito {
+impl DecomposableBregman for ItakuraSaito {
     fn name(&self) -> &'static str {
         "Itakura-Saito"
     }
 
-    #[inline]
-    fn divergence(&self, x: &[f64], y: &[f64]) -> f64 {
-        decomposable_divergence(self, x, y)
-    }
-
-    fn in_domain_vec(&self, x: &[f64]) -> bool {
-        x.iter().all(|&v| v.is_finite() && v > 0.0)
-    }
-}
-
-impl DecomposableBregman for ItakuraSaito {
     #[inline]
     fn phi(&self, t: f64) -> f64 {
         -t.ln()

@@ -16,20 +16,19 @@
 //! multiply-accumulate dot product with zero transcendentals, which is the
 //! dominant cost of the filter/refine pipelines in this repository.
 //!
-//! [`PreparedQuery`] holds the hoisted query-side state. It is implemented
-//! for every decomposable divergence (build one with
-//! [`DecomposableBregman::prepare_query`] or
-//! [`PreparedQuery::decompose`]); the non-decomposable
-//! [`SquaredMahalanobis`](crate::SquaredMahalanobis) falls back to a
-//! *naive* prepared query that simply re-evaluates the full divergence per
-//! candidate (see [`PreparedQuery::naive`]), so call sites can use one code
-//! path regardless of the divergence family.
+//! [`PreparedQuery`] holds the hoisted query-side state: the gradient and
+//! the offset. Build one with [`DecomposableBregman::prepare_query`] or
+//! [`PreparedQuery::decompose`]. Both are finite only for a query inside
+//! the divergence's domain, which the indexes check first
+//! ([`DecomposableBregman::check_domain`]): under the exponential distance
+//! `c_q` overflows from `q_i ≈ 703` on, which is why its domain ends at
+//! `|t| < 700`.
 //!
 //! [`phi_table`] builds the per-point `Φ(x)` column the indexes persist in
 //! their sealed envelopes, and [`KernelScratch`] bundles the reusable
 //! buffers a serving thread carries across a batch of queries.
 
-use crate::divergence::{DecomposableBregman, Divergence};
+use crate::divergence::DecomposableBregman;
 use crate::vector::DenseDataset;
 
 /// One fused multiply-add step — a hardware `vfmadd` when the build target
@@ -235,33 +234,18 @@ pub fn phi_table<B: DecomposableBregman>(divergence: &B, dataset: &DenseDataset)
     (0..dataset.len()).map(|i| divergence.f(dataset.row(i))).collect()
 }
 
-enum Mode {
-    /// The fast path: query-side state of the decomposition above.
-    Decomposed {
-        /// `∇φ(q)`: `grad[i] = φ'(q_i)`.
-        grad: Vec<f64>,
-        /// `c_q = Σ_i φ'(q_i)·q_i − φ(q_i)`.
-        offset: f64,
-    },
-    /// Fallback for non-decomposable divergences (Mahalanobis): the full
-    /// divergence is re-evaluated per candidate; the tabulated `Φ(x)` is
-    /// ignored.
-    Naive { divergence: Box<dyn Divergence>, query: Vec<f64> },
-}
-
 /// Query-side state of the decomposed divergence, built once per query and
 /// reused across every candidate the refine phase examines.
 ///
-/// With a decomposable divergence, [`PreparedQuery::distance`] evaluates
-/// `D_φ(x, q) = Φ(x) + c_q − ⟨∇φ(q), x⟩` — one chunked dot product, no
-/// transcendentals — where `Φ(x)` comes from the index's precomputed
-/// [`phi_table`] column. The result agrees with
-/// [`Divergence::divergence`] up to floating-point reassociation (last-ulp
-/// differences; the equivalence suite pins them to `1e-10`).
+/// [`PreparedQuery::distance`] evaluates `D_φ(x, q) = Φ(x) + c_q − ⟨∇φ(q), x⟩`
+/// — one chunked dot product, no transcendentals — where `Φ(x)` comes from
+/// the index's precomputed [`phi_table`] column. The result agrees with
+/// [`DecomposableBregman::divergence`] up to floating-point reassociation
+/// (last-ulp differences; the equivalence suite pins them to `1e-10`).
 ///
 /// ```
 /// use bregman::kernel::PreparedQuery;
-/// use bregman::{DecomposableBregman, Divergence, ItakuraSaito};
+/// use bregman::{DecomposableBregman, ItakuraSaito};
 ///
 /// let q = [1.0, 2.0, 4.0];
 /// let x = [2.0, 2.0, 3.0];
@@ -270,37 +254,25 @@ enum Mode {
 /// let naive = ItakuraSaito.divergence(&x, &q);
 /// assert!((fast - naive).abs() < 1e-10);
 /// ```
+#[derive(Default)]
 pub struct PreparedQuery {
-    mode: Mode,
-}
-
-impl Default for PreparedQuery {
-    /// An empty decomposed query (dimension 0); re-arm it with
-    /// [`PreparedQuery::decompose_into`].
-    fn default() -> Self {
-        PreparedQuery { mode: Mode::Decomposed { grad: Vec::new(), offset: 0.0 } }
-    }
+    /// `∇φ(q)`: `grad[i] = φ'(q_i)`.
+    grad: Vec<f64>,
+    /// `c_q = Σ_i φ'(q_i)·q_i − φ(q_i)`.
+    offset: f64,
 }
 
 impl std::fmt::Debug for PreparedQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.mode {
-            Mode::Decomposed { grad, offset } => f
-                .debug_struct("PreparedQuery::Decomposed")
-                .field("dim", &grad.len())
-                .field("offset", offset)
-                .finish(),
-            Mode::Naive { divergence, query } => f
-                .debug_struct("PreparedQuery::Naive")
-                .field("divergence", &divergence.name())
-                .field("dim", &query.len())
-                .finish(),
-        }
+        f.debug_struct("PreparedQuery")
+            .field("dim", &self.grad.len())
+            .field("offset", &self.offset)
+            .finish()
     }
 }
 
 impl PreparedQuery {
-    /// Prepare `query` under a decomposable divergence (the fast path).
+    /// Prepare `query` under a decomposable divergence.
     pub fn decompose<B: DecomposableBregman>(divergence: &B, query: &[f64]) -> Self {
         let mut out = Self::default();
         out.decompose_into(divergence, query);
@@ -311,72 +283,37 @@ impl PreparedQuery {
     /// carries one `PreparedQuery` per worker thread across all the queries
     /// it serves, so steady-state serving performs no per-query allocation).
     pub fn decompose_into<B: DecomposableBregman>(&mut self, divergence: &B, query: &[f64]) {
-        let (grad, offset) = match &mut self.mode {
-            Mode::Decomposed { grad, offset } => (grad, offset),
-            Mode::Naive { .. } => {
-                self.mode = Mode::Decomposed { grad: Vec::new(), offset: 0.0 };
-                match &mut self.mode {
-                    Mode::Decomposed { grad, offset } => (grad, offset),
-                    Mode::Naive { .. } => unreachable!("mode was just set to Decomposed"),
-                }
-            }
-        };
-        grad.clear();
-        grad.reserve(query.len());
+        self.grad.clear();
+        self.grad.reserve(query.len());
         let mut c = 0.0;
         for &qi in query {
             let g = divergence.phi_prime(qi);
-            grad.push(g);
+            self.grad.push(g);
             c += g * qi - divergence.phi(qi);
         }
-        *offset = c;
-    }
-
-    /// Prepare `query` under a non-decomposable divergence: every
-    /// [`PreparedQuery::distance`] call re-evaluates the full divergence and
-    /// ignores the tabulated `Φ(x)`. Exists so Mahalanobis (and future
-    /// coupled-generator divergences) share the prepared-query call sites.
-    pub fn naive(divergence: Box<dyn Divergence>, query: &[f64]) -> Self {
-        PreparedQuery { mode: Mode::Naive { divergence, query: query.to_vec() } }
-    }
-
-    /// Whether this query uses the decomposed (transcendental-free) path.
-    pub fn is_decomposed(&self) -> bool {
-        matches!(self.mode, Mode::Decomposed { .. })
+        self.offset = c;
     }
 
     /// Dimensionality the query was prepared for.
     pub fn dim(&self) -> usize {
-        match &self.mode {
-            Mode::Decomposed { grad, .. } => grad.len(),
-            Mode::Naive { query, .. } => query.len(),
-        }
+        self.grad.len()
     }
 
-    /// The cached gradient `∇φ(q)` (`None` on the naive fallback).
-    pub fn gradient(&self) -> Option<&[f64]> {
-        match &self.mode {
-            Mode::Decomposed { grad, .. } => Some(grad),
-            Mode::Naive { .. } => None,
-        }
+    /// The cached gradient `∇φ(q)`.
+    pub fn gradient(&self) -> &[f64] {
+        &self.grad
     }
 
-    /// The cached scalar `c_q` (`None` on the naive fallback).
-    pub fn offset(&self) -> Option<f64> {
-        match &self.mode {
-            Mode::Decomposed { offset, .. } => Some(*offset),
-            Mode::Naive { .. } => None,
-        }
+    /// The cached scalar `c_q`.
+    pub fn offset(&self) -> f64 {
+        self.offset
     }
 
     /// The divergence from candidate `x` (with tabulated generator sum
     /// `phi_x = Φ(x)`) to the prepared query.
     #[inline]
     pub fn distance(&self, phi_x: f64, x: &[f64]) -> f64 {
-        match &self.mode {
-            Mode::Decomposed { grad, offset } => phi_x + offset - dot8(grad, x),
-            Mode::Naive { divergence, query } => divergence.divergence(x, query),
-        }
+        phi_x + self.offset - dot8(&self.grad, x)
     }
 
     /// Batched refine over a lane-major candidate block: `lanes[i·m + j]`
@@ -385,58 +322,41 @@ impl PreparedQuery {
     /// `pagestore::Page::decode_slots_into` produces. After the call
     /// `out[j]` is the divergence from candidate `j` to the prepared query.
     ///
-    /// On the decomposed path this runs the dot products *across* rows
-    /// with exactly [`dot8`]'s summation order: eight accumulator lanes
-    /// per row filled dimension-chunk by dimension-chunk (each chunk a
-    /// gradient broadcast against a contiguous coordinate lane, so the
-    /// multiply-adds vectorize over the `m` rows), a sequential tail, and
-    /// the same pairwise lane reduction. Per-row results are therefore
-    /// **bit-identical** to [`PreparedQuery::distance`] — a candidate
-    /// scores the same whether it is refined one point at a time or as
-    /// part of a decoded block, which is what lets the engine mix both
-    /// paths (per-point baselines, page-block refine, delta-overlay
-    /// scans) without disturbing the exactness guarantees.
+    /// This runs the dot products *across* rows with exactly [`dot8`]'s
+    /// summation order: eight accumulator lanes per row filled
+    /// dimension-chunk by dimension-chunk (each chunk a gradient broadcast
+    /// against a contiguous coordinate lane, so the multiply-adds vectorize
+    /// over the `m` rows), a sequential tail, and the same pairwise lane
+    /// reduction. Per-row results are therefore **bit-identical** to
+    /// [`PreparedQuery::distance`] — a candidate scores the same whether it
+    /// is refined one point at a time or as part of a decoded block, which
+    /// is what lets the engine mix both paths (per-point baselines,
+    /// page-block refine, delta-overlay scans) without disturbing the
+    /// exactness guarantees.
     pub fn distance_block(&self, phis: &[f64], lanes: &[f64], out: &mut Vec<f64>) {
-        let m = phis.len();
-        let dim = self.dim();
-        debug_assert_eq!(lanes.len(), dim * m, "lane block must be dim × m");
+        let (grad, offset) = (&self.grad, self.offset);
+        debug_assert_eq!(lanes.len(), grad.len() * phis.len(), "lane block must be dim × m");
         out.clear();
-        match &self.mode {
-            Mode::Decomposed { grad, offset } => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    if avx512_available() {
-                        // SAFETY: `avx512_available` verified avx512f.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            decomposed_block_avx512(grad, *offset, phis, lanes, out)
-                        };
-                        return;
-                    }
-                    if fast_kernels_available() {
-                        // SAFETY: `fast_kernels_available` verified avx2 + fma.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            decomposed_block_avx2(grad, *offset, phis, lanes, out)
-                        };
-                        return;
-                    }
-                }
-                decomposed_block_body(grad, *offset, phis, lanes, out);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx512_available() {
+                // SAFETY: `avx512_available` verified avx512f.
+                #[allow(unsafe_code)]
+                unsafe {
+                    decomposed_block_avx512(grad, offset, phis, lanes, out)
+                };
+                return;
             }
-            Mode::Naive { divergence, query } => {
-                // Fallback: gather each row out of the lane block and
-                // re-evaluate the full divergence (one scratch row per
-                // block, reused across candidates).
-                let mut row = vec![0.0; dim];
-                for j in 0..m {
-                    for (i, slot) in row.iter_mut().enumerate() {
-                        *slot = lanes[i * m + j];
-                    }
-                    out.push(divergence.divergence(&row, query));
-                }
+            if fast_kernels_available() {
+                // SAFETY: `fast_kernels_available` verified avx2 + fma.
+                #[allow(unsafe_code)]
+                unsafe {
+                    decomposed_block_avx2(grad, offset, phis, lanes, out)
+                };
+                return;
             }
         }
+        decomposed_block_body(grad, offset, phis, lanes, out);
     }
 }
 
@@ -875,7 +795,7 @@ pub struct KernelScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean, SquaredMahalanobis};
+    use crate::{Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
 
     #[test]
     fn dot8_matches_sequential_for_every_tail_length() {
@@ -929,24 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_distance_block_matches_the_full_divergence_exactly() {
-        let m = SquaredMahalanobis::diagonal(&[1.0, 2.0, 0.5]).unwrap();
-        let q = [1.0, 2.0, 3.0];
-        let rows = [[0.5, 1.5, 4.0], [2.0, 0.25, 1.0]];
-        let prepared = m.prepare_query(&q);
-        let lanes = vec![
-            rows[0][0], rows[1][0], // lane 0
-            rows[0][1], rows[1][1], // lane 1
-            rows[0][2], rows[1][2], // lane 2
-        ];
-        let mut block = Vec::new();
-        prepared.distance_block(&[0.0, 0.0], &lanes, &mut block);
-        // The naive fallback gathers rows and re-evaluates the divergence —
-        // identical arithmetic to the per-point path, so exact equality.
-        assert_eq!(block, vec![m.divergence(&rows[0], &q), m.divergence(&rows[1], &q)]);
-    }
-
-    #[test]
     fn prepared_distance_matches_divergence() {
         let x = [0.5, 1.0, 2.5, 3.0, 0.75];
         let q = [1.5, 0.5, 2.0, 1.0, 2.25];
@@ -954,14 +856,13 @@ mod tests {
             ($div:expr) => {
                 let d = $div;
                 let prepared = PreparedQuery::decompose(&d, &q);
-                assert!(prepared.is_decomposed());
                 assert_eq!(prepared.dim(), q.len());
                 let fast = prepared.distance(d.f(&x), &x);
                 let naive = d.divergence(&x, &q);
                 assert!(
                     (fast - naive).abs() < 1e-10 * (1.0 + naive.abs()),
                     "{}: {fast} vs {naive}",
-                    Divergence::name(&d)
+                    d.name()
                 );
             };
         }
@@ -976,38 +877,11 @@ mod tests {
         let mut prepared = PreparedQuery::default();
         prepared.decompose_into(&ItakuraSaito, &[1.0, 2.0, 4.0]);
         assert_eq!(prepared.dim(), 3);
-        let g = prepared.gradient().unwrap().to_vec();
+        let g = prepared.gradient().to_vec();
         assert_eq!(g, vec![-1.0, -0.5, -0.25]);
         prepared.decompose_into(&SquaredEuclidean, &[3.0]);
         assert_eq!(prepared.dim(), 1);
-        assert_eq!(prepared.gradient().unwrap(), &[6.0]);
-    }
-
-    #[test]
-    fn naive_fallback_ignores_phi_and_matches_divergence() {
-        let m = SquaredMahalanobis::diagonal(&[1.0, 2.0, 0.5]).unwrap();
-        let q = [1.0, 2.0, 3.0];
-        let x = [0.5, 1.5, 4.0];
-        let prepared = m.prepare_query(&q);
-        assert!(!prepared.is_decomposed());
-        assert!(prepared.gradient().is_none());
-        assert!(prepared.offset().is_none());
-        let naive = m.divergence(&x, &q);
-        // Whatever Φ the caller passes, the fallback evaluates the real
-        // divergence.
-        assert_eq!(prepared.distance(0.0, &x), naive);
-        assert_eq!(prepared.distance(123.0, &x), naive);
-    }
-
-    #[test]
-    fn naive_to_decomposed_rearm_works() {
-        let m = SquaredMahalanobis::identity(2).unwrap();
-        let mut prepared = m.prepare_query(&[1.0, 2.0]);
-        prepared.decompose_into(&SquaredEuclidean, &[1.0, 2.0]);
-        assert!(prepared.is_decomposed());
-        let x = [2.0, 2.0];
-        let fast = prepared.distance(SquaredEuclidean.f(&x), &x);
-        assert!((fast - SquaredEuclidean.divergence(&x, &[1.0, 2.0])).abs() < 1e-12);
+        assert_eq!(prepared.gradient(), &[6.0]);
     }
 
     #[test]

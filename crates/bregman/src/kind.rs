@@ -3,11 +3,11 @@
 //! The experiment harness and the examples choose divergences by name (the
 //! paper's Table 4 associates each dataset with either the exponential
 //! distance "ED" or the Itakura-Saito distance "ISD"). [`DivergenceKind`]
-//! is the cheap, copyable selector; [`DivergenceKind::with_decomposable`]
-//! lets generic call sites monomorphize over the concrete generator without
-//! dynamic dispatch in the hot path.
+//! is the cheap, copyable selector; each of its methods dispatches to the
+//! concrete generator with one `match`, so no call goes through a trait
+//! object.
 
-use crate::divergence::{DecomposableBregman, Divergence};
+use crate::divergence::DecomposableBregman;
 use crate::error::{BregmanError, Result};
 use crate::{Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
 
@@ -48,7 +48,7 @@ impl DivergenceKind {
             "kl" | "gi" | "generalized-i" | "generalized_i" | "generalizedi" => {
                 Ok(DivergenceKind::GeneralizedI)
             }
-            _ => Err(BregmanError::InvalidMatrix(format!("unknown divergence name: {name}"))),
+            _ => Err(BregmanError::UnknownDivergence(name.to_string())),
         }
     }
 
@@ -60,16 +60,6 @@ impl DivergenceKind {
             DivergenceKind::ItakuraSaito => "ISD",
             DivergenceKind::Exponential => "ED",
             DivergenceKind::GeneralizedI => "GI",
-        }
-    }
-
-    /// A boxed trait object for call sites that only need [`Divergence`].
-    pub fn boxed(&self) -> Box<dyn Divergence> {
-        match self {
-            DivergenceKind::SquaredEuclidean => Box::new(SquaredEuclidean),
-            DivergenceKind::ItakuraSaito => Box::new(ItakuraSaito),
-            DivergenceKind::Exponential => Box::new(Exponential),
-            DivergenceKind::GeneralizedI => Box::new(GeneralizedI),
         }
     }
 
@@ -86,16 +76,6 @@ impl DivergenceKind {
             DivergenceKind::ItakuraSaito => ItakuraSaito.cumulative_across_partitions(),
             DivergenceKind::Exponential => Exponential.cumulative_across_partitions(),
             DivergenceKind::GeneralizedI => GeneralizedI.cumulative_across_partitions(),
-        }
-    }
-
-    /// Invoke `f` with the concrete generator, monomorphizing the caller.
-    pub fn with_decomposable<R>(&self, f: impl FnOnce(&dyn Divergence) -> R) -> R {
-        match self {
-            DivergenceKind::SquaredEuclidean => f(&SquaredEuclidean),
-            DivergenceKind::ItakuraSaito => f(&ItakuraSaito),
-            DivergenceKind::Exponential => f(&Exponential),
-            DivergenceKind::GeneralizedI => f(&GeneralizedI),
         }
     }
 
@@ -133,8 +113,7 @@ impl DivergenceKind {
 
     /// Hoist the query-side work of the decomposed divergence into a
     /// [`PreparedQuery`](crate::kernel::PreparedQuery) (see
-    /// [`crate::kernel`]). All four kinds are decomposable, so this always
-    /// produces the transcendental-free fast path.
+    /// [`crate::kernel`]).
     pub fn prepare_query(&self, query: &[f64]) -> crate::kernel::PreparedQuery {
         let mut out = crate::kernel::PreparedQuery::default();
         self.prepare_query_into(&mut out, query);
@@ -163,23 +142,25 @@ impl DivergenceKind {
         }
     }
 
-    /// Whether every coordinate of `x` lies in the divergence's domain.
-    pub fn in_domain_vec(&self, x: &[f64]) -> bool {
+    /// Whether `t` lies in the domain of the kind's scalar generator
+    /// (see [`DecomposableBregman::in_domain`]).
+    fn in_domain(&self, t: f64) -> bool {
         match self {
-            DivergenceKind::SquaredEuclidean => Divergence::in_domain_vec(&SquaredEuclidean, x),
-            DivergenceKind::ItakuraSaito => Divergence::in_domain_vec(&ItakuraSaito, x),
-            DivergenceKind::Exponential => Divergence::in_domain_vec(&Exponential, x),
-            DivergenceKind::GeneralizedI => Divergence::in_domain_vec(&GeneralizedI, x),
+            DivergenceKind::SquaredEuclidean => SquaredEuclidean.in_domain(t),
+            DivergenceKind::ItakuraSaito => ItakuraSaito.in_domain(t),
+            DivergenceKind::Exponential => Exponential.in_domain(t),
+            DivergenceKind::GeneralizedI => GeneralizedI.in_domain(t),
         }
     }
 
-    /// `Ok` when every coordinate of `x` lies in the divergence's domain
-    /// (finite everywhere, and positive under Itakura–Saito and the
-    /// generalized I-divergence), otherwise [`BregmanError::OutOfDomain`]
-    /// naming the kind by its [short name](DivergenceKind::short_name) and
-    /// carrying the first offending value.
+    /// `Ok` when every coordinate of `x` lies in the divergence's domain,
+    /// otherwise [`BregmanError::OutOfDomain`] naming the kind by its
+    /// [short name](DivergenceKind::short_name) and carrying the first
+    /// offending value. Every coordinate must be finite; ISD and GI also
+    /// reject `t ≤ 0`, and ED rejects `|t| ≥ 700`, past which `e^t` and
+    /// the prepared kernel's offset overflow.
     pub fn check_domain(&self, x: &[f64]) -> Result<()> {
-        match x.iter().find(|&&v| !self.in_domain_vec(std::slice::from_ref(&v))) {
+        match x.iter().find(|&&v| !self.in_domain(v)) {
             None => Ok(()),
             Some(&value) => Err(BregmanError::OutOfDomain { divergence: self.short_name(), value }),
         }
@@ -213,14 +194,47 @@ mod tests {
     }
 
     #[test]
-    fn boxed_agrees_with_direct_evaluation() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [0.5, 2.5, 3.5];
+    fn unknown_names_get_their_own_error() {
+        let e = DivergenceKind::parse("foo").unwrap_err();
+        assert_eq!(e, BregmanError::UnknownDivergence("foo".to_string()));
+        assert_eq!(e.to_string(), "unknown divergence name: foo");
+    }
+
+    #[test]
+    fn check_domain_is_the_scalar_predicate_on_every_coordinate() {
+        let values = [
+            -1e10,
+            -705.0,
+            -700.0,
+            -699.9,
+            0.0,
+            1e-300,
+            1.0,
+            699.9,
+            700.0,
+            705.0,
+            1e10,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
         for kind in DivergenceKind::ALL {
-            let via_enum = kind.divergence(&x, &y);
-            let via_box = kind.boxed().divergence(&x, &y);
-            assert!((via_enum - via_box).abs() < 1e-12);
+            for t in values {
+                let scalar = match kind {
+                    DivergenceKind::SquaredEuclidean => SquaredEuclidean.in_domain(t),
+                    DivergenceKind::ItakuraSaito => ItakuraSaito.in_domain(t),
+                    DivergenceKind::Exponential => Exponential.in_domain(t),
+                    DivergenceKind::GeneralizedI => GeneralizedI.in_domain(t),
+                };
+                assert_eq!(kind.check_domain(&[t]).is_ok(), scalar, "{kind} at {t}");
+                // A bad coordinate anywhere in a row rejects the row.
+                assert_eq!(kind.check_domain(&[1.0, t, 1.0]).is_ok(), scalar, "{kind} at {t}");
+            }
         }
+        assert_eq!(
+            DivergenceKind::Exponential.check_domain(&[1.0, 705.0]),
+            Err(BregmanError::OutOfDomain { divergence: "ED", value: 705.0 })
+        );
     }
 
     #[test]

@@ -9,22 +9,18 @@
 //! ```
 //!
 //! Most generators used in multimedia retrieval are *decomposable*
-//! (separable): `f(x) = Σ_j φ(x_j)` for a scalar generator `φ`. Decomposable
-//! divergences are the ones the BrePartition bound machinery applies to,
-//! because the divergence of a concatenated vector is the sum of the
-//! divergences of its parts. This crate provides:
+//! (separable): `f(x) = Σ_j φ(x_j)` for a scalar generator `φ`. They are the
+//! only ones the BrePartition bound machinery applies to, because the
+//! divergence of a concatenated vector is the sum of the divergences of its
+//! parts, so they are the only ones this crate implements. It provides:
 //!
 //! * [`DecomposableBregman`] — the scalar-generator trait with derived
-//!   vector-level operations (divergence, gradient, dual coordinates,
-//!   geodesic interpolation),
-//! * [`Divergence`] — the object-safe, possibly non-decomposable divergence
-//!   trait (implemented by every decomposable divergence and by
-//!   [`mahalanobis::SquaredMahalanobis`]),
+//!   vector-level operations (divergence, domain check, gradient, dual
+//!   coordinates, geodesic interpolation),
 //! * concrete generators: [`SquaredEuclidean`], [`ItakuraSaito`],
 //!   [`Exponential`], [`GeneralizedI`] (generalized KL),
-//!   and the non-decomposable [`SquaredMahalanobis`],
 //! * [`DivergenceKind`] — a plain-enum selector that maps names used in the
-//!   paper ("ED", "ISD", …) to boxed divergences,
+//!   paper ("ED", "ISD", …) to the concrete generators,
 //! * [`kernel`] — prepared-query decomposed divergence kernels: hoist
 //!   `φ(q)`, `φ'(q)` out of the candidate loop once per query so each
 //!   refinement collapses to one transcendental-free dot product,
@@ -34,7 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use bregman::{Divergence, ItakuraSaito};
+//! use bregman::{DecomposableBregman, ItakuraSaito};
 //!
 //! let isd = ItakuraSaito;
 //! let x = [1.0, 2.0, 4.0];
@@ -59,11 +55,10 @@ pub mod generalized_i;
 pub mod itakura_saito;
 pub mod kernel;
 pub mod kind;
-pub mod mahalanobis;
 pub mod squared_euclidean;
 pub mod vector;
 
-pub use divergence::{DecomposableBregman, Divergence};
+pub use divergence::DecomposableBregman;
 pub use dual::GeodesicInterpolator;
 pub use error::{BregmanError, Result};
 pub use exponential::Exponential;
@@ -71,6 +66,5 @@ pub use generalized_i::GeneralizedI;
 pub use itakura_saito::ItakuraSaito;
 pub use kernel::{KernelScratch, PreparedQuery};
 pub use kind::DivergenceKind;
-pub use mahalanobis::SquaredMahalanobis;
 pub use squared_euclidean::SquaredEuclidean;
 pub use vector::{DenseDataset, PointId};

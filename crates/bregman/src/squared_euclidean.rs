@@ -5,24 +5,17 @@
 //! value). This is the "ED" measure used for the Audio, Deep, SIFT and
 //! Normal datasets in the evaluation.
 
-use crate::divergence::{decomposable_divergence, DecomposableBregman, Divergence};
+use crate::divergence::DecomposableBregman;
 
 /// Squared Euclidean distance, `φ(t) = t²`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SquaredEuclidean;
 
-impl Divergence for SquaredEuclidean {
+impl DecomposableBregman for SquaredEuclidean {
     fn name(&self) -> &'static str {
         "Squared Euclidean"
     }
 
-    #[inline]
-    fn divergence(&self, x: &[f64], y: &[f64]) -> f64 {
-        decomposable_divergence(self, x, y)
-    }
-}
-
-impl DecomposableBregman for SquaredEuclidean {
     #[inline]
     fn phi(&self, t: f64) -> f64 {
         t * t

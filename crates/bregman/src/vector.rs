@@ -175,12 +175,6 @@ impl DenseDataset {
         }
         Some((lo, hi))
     }
-
-    /// Take the first `n` points (used by scaled-down experiment sweeps).
-    pub fn truncate_points(&self, n: usize) -> DenseDataset {
-        let keep = n.min(self.len());
-        DenseDataset { dim: self.dim, data: self.data[..keep * self.dim].to_vec() }
-    }
 }
 
 /// Arithmetic mean of a set of rows selected by `ids` — the right-centroid of
@@ -209,12 +203,6 @@ pub fn mean_of(dataset: &DenseDataset, ids: &[PointId]) -> Vec<f64> {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
-/// Squared L2 norm.
-#[inline]
-pub fn norm_sq(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum()
 }
 
 #[cfg(test)]
@@ -304,18 +292,8 @@ mod tests {
     }
 
     #[test]
-    fn truncate_points_keeps_prefix() {
-        let ds = small();
-        let t = ds.truncate_points(2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.point(PointId(1)), &[4.0, 5.0, 6.0]);
-        assert_eq!(ds.truncate_points(50).len(), 3);
-    }
-
-    #[test]
-    fn dot_and_norm() {
+    fn dot_of_two_slices() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(norm_sq(&[3.0, 4.0]), 25.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! instead of shrinking strategies. The properties themselves are unchanged.
 
 use bregman::{
-    DecomposableBregman, DenseDataset, Divergence, DivergenceKind, Exponential, GeneralizedI,
+    DecomposableBregman, DenseDataset, DivergenceKind, Exponential, GeneralizedI,
     GeodesicInterpolator, ItakuraSaito, SquaredEuclidean,
 };
 use rand::{Rng, SeedableRng};

@@ -40,8 +40,6 @@
 //! pages of the `k` points with the smallest summed upper bounds, so an
 //! answer always holds `min(k, n)` neighbours.
 
-use bregman::PointId;
-
 use crate::bound::QueryBounds;
 use crate::search::BrePartitionIndex;
 use crate::transform::TransformedQuery;
@@ -222,12 +220,6 @@ impl BrePartitionIndex {
         }
         NormalDistribution::new(mean, var.max(0.0).sqrt())
     }
-}
-
-/// The neighbours of an approximate result restricted to ids (helper for
-/// accuracy evaluation).
-pub fn neighbor_ids(neighbors: &[(PointId, f64)]) -> Vec<PointId> {
-    neighbors.iter().map(|(id, _)| *id).collect()
 }
 
 #[cfg(test)]
@@ -411,12 +403,6 @@ mod tests {
                 Err(CoreError::InvalidProbability(_))
             ));
         }
-    }
-
-    #[test]
-    fn neighbor_ids_helper() {
-        let pairs = vec![(PointId(3), 0.1), (PointId(9), 0.5)];
-        assert_eq!(neighbor_ids(&pairs), vec![PointId(3), PointId(9)]);
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl BBForest {
         &self.store
     }
 
-    /// The shared page store as a shareable handle.
-    pub fn store_arc(&self) -> Arc<PageStore> {
-        Arc::clone(&self.store)
-    }
-
     /// Wall-clock seconds spent building the forest.
     pub fn build_seconds(&self) -> f64 {
         self.build_seconds

@@ -568,7 +568,7 @@ impl DeltaSegment {
         let mut phis = Vec::with_capacity(ids.len());
         for (i, &id) in ids.iter().enumerate() {
             let row = &rows[i * dim..(i + 1) * dim];
-            if !kind.in_domain_vec(row) {
+            if kind.check_domain(row).is_err() {
                 return Err(corrupt(format!(
                     "delta row {id} lies outside the domain of {}",
                     kind.short_name()

@@ -64,11 +64,6 @@ impl Partitioning {
         &self.subspaces[index]
     }
 
-    /// Size of the largest subspace (`⌈d/M⌉` for the built-in strategies).
-    pub fn max_subspace_dim(&self) -> usize {
-        self.subspaces.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Project the full dataset into per-subspace datasets (the inputs to
     /// the per-subspace BB-trees).
     pub fn project_dataset(&self, dataset: &DenseDataset) -> Result<Vec<DenseDataset>> {
@@ -97,7 +92,6 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert_eq!(p.dim(), 5);
         assert_eq!(p.subspace(1), &[1, 3]);
-        assert_eq!(p.max_subspace_dim(), 2);
         assert!(!p.is_empty());
         assert!(p.to_string().contains("3 partitions"));
     }

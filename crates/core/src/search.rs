@@ -356,8 +356,8 @@ impl BrePartitionIndex {
     ///
     /// A query of the wrong dimensionality is
     /// [`CoreError::QueryDimensionMismatch`]; one with a coordinate outside
-    /// the divergence's domain (NaN, ±∞, ≤ 0 under Itakura–Saito) is
-    /// [`CoreError::Bregman`] wrapping
+    /// the divergence's domain (NaN, ±∞, ≤ 0 under Itakura–Saito, `|t| ≥ 700`
+    /// under the exponential distance) is [`CoreError::Bregman`] wrapping
     /// [`BregmanError::OutOfDomain`](bregman::BregmanError::OutOfDomain). A
     /// page that fails its read (post-open bit rot, device error) is
     /// [`CoreError::Persist`], never a panic.
@@ -471,7 +471,7 @@ impl BrePartitionIndex {
         // candidates.
         let refine_started = Instant::now();
         let KernelScratch { prepared, coords, lanes, distances, phis, .. } = kernel;
-        let screened = match self.f32_rows.as_deref() {
+        match self.f32_rows.as_deref() {
             Some(rows32) => screen_candidates_f32(
                 prepared,
                 rows32,
@@ -484,10 +484,7 @@ impl BrePartitionIndex {
                 &mut search_stats,
                 &mut neighbors,
             )?,
-            None => false,
-        };
-        if !screened {
-            pool.read_points_block(store, &union, lanes, &mut |members, block| {
+            None => pool.read_points_block(store, &union, lanes, &mut |members, block| {
                 phis.clear();
                 phis.extend(members.iter().map(|&pid| self.phi[pid as usize]));
                 prepared.distance_block(phis, block, distances);
@@ -496,7 +493,7 @@ impl BrePartitionIndex {
                 neighbors.extend(
                     members.iter().zip(distances.iter()).map(|(&pid, &d)| (PointId(pid), d)),
                 );
-            })?;
+            })?,
         }
         // Partial selection: only the k best need ordering, so candidates
         // beyond k cost O(c) instead of the O(c log c) of a full sort. The
@@ -552,7 +549,7 @@ impl BrePartitionIndex {
     ) -> Result<BestFirst> {
         let store = self.forest.store();
         let KernelScratch { prepared, lanes, distances, phis, .. } = kernel;
-        let offset = prepared.offset().unwrap_or(0.0);
+        let offset = prepared.offset();
         let wanted = k.min(self.len());
         let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(wanted + 1);
         let mut pages = vec![0u64; store.page_count().div_ceil(64)];
@@ -671,14 +668,11 @@ impl Ord for Ranked {
 /// re-rank at full resolution only for candidates whose estimate cannot be
 /// ruled out. `neighbors` enters holding at most `k` exactly scored rows
 /// (the seed's), which set the pruning threshold from the start, and leaves
-/// holding the `k` best of those and the screened candidates. Returns
-/// `false` (leaving `neighbors` untouched) when the
-/// prepared query is the naive fallback, which has no gradient to screen
-/// with — the caller then runs the unscreened block refine. A candidate
+/// holding the `k` best of those and the screened candidates. A candidate
 /// page that fails its read aborts the screen with the read error.
 ///
-/// **Safety of the skip rule.** With the decomposed kernel the exact refine
-/// computes `d = Φ(x) + c_q − Σ_i φ'(q_i)·x_i` in the block kernel's
+/// **Safety of the skip rule.** The exact refine computes
+/// `d = Φ(x) + c_q − Σ_i φ'(q_i)·x_i` in the block kernel's
 /// (= `dot8`'s) summation order; survivors here are scored through
 /// `distance_block` with a single-row block, so the screened path is
 /// bit-identical to the unscreened one. The screening estimate
@@ -704,13 +698,11 @@ fn screen_candidates_f32(
     coords: &mut Vec<f64>,
     search_stats: &mut SearchStats,
     neighbors: &mut Vec<(PointId, f64)>,
-) -> std::result::Result<bool, PageStoreError> {
-    let (Some(grad), Some(offset)) = (prepared.gradient(), prepared.offset()) else {
-        return Ok(false);
-    };
+) -> std::result::Result<(), PageStoreError> {
     if k == 0 {
-        return Ok(true);
+        return Ok(());
     }
+    let (grad, offset) = (prepared.gradient(), prepared.offset());
     const K_REL: f64 = 1.0 / (1u64 << 20) as f64; // ≥ 16 × 2⁻²⁴
     const K_SUB: f64 = 1.0 / (1u64 << 62) as f64 / (1u64 << 38) as f64; // 2⁻¹⁰⁰
     const K_FIN: f64 = 1.0 / (1u64 << 48) as f64; // ≥ 16 × 2⁻⁵²
@@ -764,7 +756,7 @@ fn screen_candidates_f32(
         }
     }
     neighbors.extend(heap.into_iter().map(|e| (PointId(e.pid), e.dist)));
-    Ok(true)
+    Ok(())
 }
 
 /// The full-space `Φ(x) = Σ_j φ(x_j)` column, evaluated over each row in

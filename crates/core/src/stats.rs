@@ -68,32 +68,6 @@ impl QueryStats {
         self.search.accumulate(&other.search);
         self.io.accumulate(&other.io);
     }
-
-    /// Divide every additive counter by `count`, producing per-query means.
-    pub fn mean_over(&self, count: usize) -> QueryStats {
-        if count == 0 {
-            return *self;
-        }
-        let c = count as f64;
-        QueryStats {
-            bound_seconds: self.bound_seconds / c,
-            filter_seconds: self.filter_seconds / c,
-            refine_seconds: self.refine_seconds / c,
-            candidates: self.candidates / count,
-            subspace_candidates_total: self.subspace_candidates_total / count,
-            search: SearchStats {
-                nodes_visited: self.search.nodes_visited / count as u64,
-                leaves_visited: self.search.leaves_visited / count as u64,
-                distance_computations: self.search.distance_computations / count as u64,
-                candidates_examined: self.search.candidates_examined / count as u64,
-            },
-            io: IoStats {
-                pages_read: self.io.pages_read / count as u64,
-                cache_hits: self.io.cache_hits / count as u64,
-                pages_written: self.io.pages_written / count as u64,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +90,7 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_and_mean() {
+    fn accumulate_sums_every_counter() {
         let mut total = QueryStats::default();
         for _ in 0..4 {
             total.accumulate(&QueryStats {
@@ -134,12 +108,12 @@ mod tests {
                 io: IoStats { pages_read: 12, cache_hits: 4, pages_written: 0 },
             });
         }
-        let mean = total.mean_over(4);
-        assert!((mean.bound_seconds - 1.0).abs() < 1e-12);
-        assert_eq!(mean.candidates, 8);
-        assert_eq!(mean.search.nodes_visited, 4);
-        assert_eq!(mean.io.pages_read, 12);
-        // mean_over(0) is the identity.
-        assert_eq!(total.mean_over(0).candidates, total.candidates);
+        assert!((total.bound_seconds - 4.0).abs() < 1e-12);
+        assert!((total.refine_seconds - 12.0).abs() < 1e-12);
+        assert_eq!(total.candidates, 32);
+        assert_eq!(total.subspace_candidates_total, 64);
+        assert_eq!(total.search.nodes_visited, 16);
+        assert_eq!(total.io.pages_read, 48);
+        assert_eq!(total.io.cache_hits, 16);
     }
 }

@@ -173,7 +173,7 @@ impl TransformedQuery {
 mod tests {
     use super::*;
     use crate::partition::Partitioning;
-    use bregman::{DecomposableBregman, Divergence, ItakuraSaito};
+    use bregman::{DecomposableBregman, ItakuraSaito};
 
     fn dataset() -> DenseDataset {
         let rows: Vec<Vec<f64>> = (1..=20)

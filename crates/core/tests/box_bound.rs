@@ -6,7 +6,7 @@
 //! * (a) every member lies inside its node's box, and the box is the
 //!   bit-exact coordinate-wise min and max of the members;
 //! * (b) for random queries, `bound − allowance` never exceeds the naive
-//!   `Divergence::divergence` of any member of the node;
+//!   `DecomposableBregman::divergence` of any member of the node;
 //! * (c) `BBForest::subspace_candidates` holds every point within the
 //!   radius, at one and at three partitions.
 

@@ -194,7 +194,7 @@ impl HierarchicalStream {
 mod tests {
     use super::*;
     use crate::correlated::column_correlation;
-    use bregman::{Divergence, ItakuraSaito};
+    use bregman::{DecomposableBregman, ItakuraSaito};
 
     fn spec() -> HierarchicalSpec {
         HierarchicalSpec { n: 1200, dim: 24, clusters: 12, blocks: 6, ..Default::default() }

@@ -153,7 +153,7 @@ mod tests {
         // Points assigned to the same cluster (i and i+4) should be much
         // closer to each other than to other clusters on average.
         let same = bregman::SquaredEuclidean;
-        use bregman::Divergence;
+        use bregman::DecomposableBregman;
         let within = same.divergence(ds.row(0), ds.row(4));
         let across = same.divergence(ds.row(0), ds.row(1));
         assert!(within < across, "within {within} should be < across {across}");

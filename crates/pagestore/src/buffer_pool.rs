@@ -255,19 +255,9 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Whether this pool caches nothing (capacity zero).
-    pub fn is_unbuffered(&self) -> bool {
-        self.capacity == 0
-    }
-
     /// Current I/O counters.
     pub fn stats(&self) -> IoStats {
         self.stats
-    }
-
-    /// Reset the I/O counters (e.g. between queries).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Drop every cached page but keep the statistics. On a shared-cache
@@ -352,54 +342,20 @@ impl BufferPool {
         Ok(true)
     }
 
-    /// Visit a batch of points, grouped by page in first-seen page order so
-    /// that points co-located on a page cost a single physical read. Each
-    /// point is decoded into the caller-provided `coords` buffer and handed
-    /// to `f` as a borrowed slice, so points are visited in page-major
-    /// order, not in `points` order; unknown ids are skipped, and a
-    /// duplicated id is visited once per occurrence — callers pass
-    /// deduplicated candidate lists. This is the
-    /// per-point refine path; the batched SIMD refine goes through
-    /// [`BufferPool::read_points_block`].
+    /// Visit a batch of points one decoded *page group* at a time, grouped
+    /// by page in first-seen page order so that points co-located on a page
+    /// cost a single physical read. Each group is decoded into `lanes` as a
+    /// **lane-major block** — `lanes[i * m + j]` is coordinate `i` of the
+    /// group's `j`-th point (of `m`), the group's points in request order —
+    /// and handed to `f` once per page. This is the layout the batched
+    /// refine kernel (`distance_block`) consumes: one contiguous lane per
+    /// dimension. Unknown ids are skipped, and a duplicated id is visited
+    /// once per occurrence — callers pass deduplicated candidate lists.
     ///
     /// A physical read that fails mid-batch (post-open bit rot caught by a
     /// page checksum, or a device error) aborts the batch with a
     /// descriptive [`PageStoreError`] — the query layer reports it instead
     /// of serving a silently incomplete candidate set.
-    pub fn read_points_with(
-        &mut self,
-        store: &PageStore,
-        points: &[PointId],
-        coords: &mut Vec<f64>,
-        f: &mut dyn FnMut(PointId, &[f64]),
-    ) -> Result<(), PageStoreError> {
-        for (page_id, members) in store.layout().pages_for(points) {
-            if let Some(page) = self.try_fetch(store, page_id)? {
-                for pid in members {
-                    // `pages_for` resolved every member through the layout,
-                    // so the address exists; re-reading it yields the slot
-                    // in O(1).
-                    if let Some(addr) = store.address_of(pid) {
-                        page.decode_slot_into(addr.slot as usize, coords);
-                        f(pid, coords);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Visit a batch of points one decoded *page group* at a time: the same
-    /// first-seen page-grouped I/O pattern as
-    /// [`BufferPool::read_points_with`], but each group is decoded into
-    /// `lanes` as a **lane-major block** — `lanes[i * m + j]` is coordinate
-    /// `i` of the group's `j`-th point (of `m`) — and handed to `f` once
-    /// per page. This is the layout the batched refine kernel
-    /// (`distance_block`) consumes: one contiguous lane per dimension.
-    /// Unknown ids are skipped.
-    ///
-    /// Like [`BufferPool::read_points_with`], a failed physical read aborts
-    /// the batch with a descriptive [`PageStoreError`].
     pub fn read_points_block(
         &mut self,
         store: &PageStore,
@@ -447,12 +403,20 @@ mod tests {
         coords
     }
 
-    /// Visit `ids` through the batched path, collecting `(id, coords)`.
+    /// Visit `ids` through the batched path, collecting `(id, coords)` in
+    /// visit order from each lane-major block.
     fn read_all(pool: &mut BufferPool, s: &PageStore, ids: &[u32]) -> Vec<(u32, Vec<f64>)> {
-        let mut coords = Vec::new();
+        let dim = s.dim();
+        let mut lanes = Vec::new();
         let mut seen = Vec::new();
-        pool.read_points_with(s, ids, &mut coords, &mut |pid, c| seen.push((pid, c.to_vec())))
-            .unwrap();
+        pool.read_points_block(s, ids, &mut lanes, &mut |pids, block| {
+            let m = pids.len();
+            assert_eq!(block.len(), dim * m, "a block holds dim lanes of m points");
+            for (j, &pid) in pids.iter().enumerate() {
+                seen.push((pid, (0..dim).map(|i| block[i * m + j]).collect()));
+            }
+        })
+        .unwrap();
         seen
     }
 
@@ -460,7 +424,6 @@ mod tests {
     fn unbuffered_counts_every_access_as_physical_read() {
         let (s, data) = store(6, 2, 2);
         let mut pool = BufferPool::unbuffered();
-        assert!(pool.is_unbuffered());
         assert_eq!(pool.capacity(), 0);
         for pid in 0..6u32 {
             assert_eq!(read(&mut pool, &s, pid), data[pid as usize]);
@@ -613,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn read_points_with_groups_by_first_seen_page_and_skips_unknown_ids() {
+    fn read_points_block_groups_by_first_seen_page_and_skips_unknown_ids() {
         let (s, data) = store(10, 3, 5); // pages: {0..4},{5..9}
         let mut pool = BufferPool::unbuffered();
         let seen = read_all(&mut pool, &s, &[7u32, 0, 1, 8, 2, 99]);
@@ -622,38 +585,6 @@ mod tests {
         assert_eq!(pool.stats().pages_read, 2);
         assert_eq!(seen.iter().map(|(p, _)| *p).collect::<Vec<_>>(), vec![7, 8, 0, 1, 2]);
         for (pid, c) in &seen {
-            assert_eq!(c, &data[*pid as usize]);
-        }
-    }
-
-    #[test]
-    fn read_points_block_yields_lane_major_groups_with_identical_io() {
-        let (s, data) = store(10, 3, 5); // pages: {0..4},{5..9}
-        let ids = [7u32, 0, 1, 8, 2, 99];
-        let mut pool_a = BufferPool::unbuffered();
-        let mut coords = Vec::new();
-        let mut per_point: Vec<(u32, Vec<f64>)> = Vec::new();
-        pool_a
-            .read_points_with(&s, &ids, &mut coords, &mut |pid, c| {
-                per_point.push((pid, c.to_vec()));
-            })
-            .unwrap();
-        let mut pool_b = BufferPool::unbuffered();
-        let mut lanes = Vec::new();
-        let mut blocked: Vec<(u32, Vec<f64>)> = Vec::new();
-        pool_b
-            .read_points_block(&s, &ids, &mut lanes, &mut |pids, block| {
-                let m = pids.len();
-                assert_eq!(block.len(), 3 * m);
-                for (j, &pid) in pids.iter().enumerate() {
-                    let coords: Vec<f64> = (0..3).map(|i| block[i * m + j]).collect();
-                    blocked.push((pid, coords));
-                }
-            })
-            .unwrap();
-        assert_eq!(pool_a.stats(), pool_b.stats());
-        assert_eq!(per_point, blocked, "block visit order and bits match the per-point path");
-        for (pid, c) in &blocked {
             assert_eq!(c, &data[*pid as usize]);
         }
     }
@@ -669,13 +600,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_clear() {
+    fn clear_drops_pages_and_keeps_stats() {
         let (s, _) = store(4, 2, 2);
         let mut pool = BufferPool::new(2);
         read(&mut pool, &s, 0);
-        pool.reset_stats();
-        assert_eq!(pool.stats(), IoStats::default());
+        let stats = pool.stats();
         pool.clear();
         assert_eq!(pool.resident_pages(), 0);
+        assert_eq!(pool.stats(), stats);
     }
 }

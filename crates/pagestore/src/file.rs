@@ -559,9 +559,13 @@ mod tests {
         let mut file_pool = BufferPool::unbuffered();
         let points: Vec<u32> = (0..10).collect();
         let read_all = |pool: &mut BufferPool, store: &PageStore| {
-            let (mut coords, mut out) = (Vec::new(), Vec::new());
-            pool.read_points_with(store, &points, &mut coords, &mut |pid, c| {
-                out.push((pid, c.to_vec()))
+            let (mut lanes, mut out) = (Vec::new(), Vec::new());
+            let dim = store.dim();
+            pool.read_points_block(store, &points, &mut lanes, &mut |pids, block| {
+                let m = pids.len();
+                for (j, &pid) in pids.iter().enumerate() {
+                    out.push((pid, (0..dim).map(|i| block[i * m + j]).collect::<Vec<f64>>()));
+                }
             })
             .unwrap();
             out
@@ -655,15 +659,11 @@ mod tests {
         for offset in [0, page_len / 2, page_len - 1] {
             flip(page_start + offset);
 
-            // Both batch read paths surface the corruption as a descriptive
-            // error instead of a panic or silent garbage.
+            // The page read and the batch read surface the corruption as a
+            // descriptive error instead of a panic or silent garbage.
             let mut pool = BufferPool::unbuffered();
             let mut coords = Vec::new();
-            let err = pool
-                .read_points_with(&reopened, &[0, 1], &mut coords, &mut |_, _| {
-                    panic!("corrupt page must not be served")
-                })
-                .unwrap_err();
+            let err = pool.try_fetch(&reopened, PageId(0)).unwrap_err();
             match &err {
                 PageStoreError::Checksum { page, expected, found, path } => {
                     assert_eq!(*page, PageId(0), "byte {offset}");

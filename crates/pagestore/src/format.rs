@@ -326,11 +326,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append raw bytes without a length prefix.
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Append length-prefixed raw bytes.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_usize(bytes.len());

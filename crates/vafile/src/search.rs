@@ -248,11 +248,6 @@ impl<B: DecomposableBregman> VaFile<B> {
         &self.store
     }
 
-    /// The full-resolution page store as a shareable handle.
-    pub fn store_arc(&self) -> Arc<PageStore> {
-        Arc::clone(&self.store)
-    }
-
     /// Number of indexed points.
     pub fn len(&self) -> usize {
         self.approximations.len()
@@ -371,11 +366,6 @@ impl<B: DecomposableBregman> VaFile<B> {
         let mut io = pool.stats().since(&io_before);
         io.pages_read += self.approximation_pages;
         Ok(VaQueryResult { neighbors: result, candidates: candidate_count, refined, io })
-    }
-
-    /// Number of pages occupied by the full-resolution data.
-    pub fn data_pages(&self) -> usize {
-        self.store.page_count()
     }
 }
 
@@ -510,7 +500,6 @@ mod tests {
             .knn(&mut pool, &mut KernelScratch::default(), &[1.0, 2.0, 3.0, 4.0], 5, None)
             .unwrap();
         assert!(result.io.pages_read >= index.approximation_pages());
-        assert_eq!(index.data_pages(), index.store().page_count());
     }
 
     #[test]
@@ -593,7 +582,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vafile-v1-reject-{}", std::process::id()));
         built.save(&dir).unwrap();
         let mut w = ByteWriter::new();
-        w.put_str(bregman::Divergence::name(&built.divergence));
+        w.put_str(bregman::DecomposableBregman::name(&built.divergence));
         built.quantizer.write_to(&mut w);
         w.put_u64(built.approximation_pages);
         w.put_usize(built.approximations.len());

@@ -141,8 +141,8 @@ pub mod prelude {
     pub use bbtree::{BBTreeConfig, DiskBBTree, VariationalConfig};
     pub use bregman::kernel::KernelScratch;
     pub use bregman::{
-        DecomposableBregman, DenseDataset, Divergence, DivergenceKind, Exponential, ItakuraSaito,
-        PointId, SquaredEuclidean,
+        DecomposableBregman, DenseDataset, DivergenceKind, Exponential, ItakuraSaito, PointId,
+        SquaredEuclidean,
     };
     pub use brepartition_core::{
         ApproximateConfig, BrePartitionConfig, BrePartitionIndex, DeltaSegment, PartitionStrategy,

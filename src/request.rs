@@ -77,8 +77,9 @@ impl<'a> QueryRequest<'a> {
 
     /// Reject a query row with a coordinate outside `kind`'s domain (NaN
     /// or ±∞ under every divergence, ≤ 0 under Itakura–Saito and the
-    /// generalized I-divergence) with the error an insert of that row
-    /// gets, before any bound or kernel sees it.
+    /// generalized I-divergence, `|t| ≥ 700` under the exponential
+    /// distance) with the error an insert of that row gets, before any
+    /// bound or kernel sees it.
     pub(crate) fn check_domain(&self, kind: DivergenceKind) -> Result<()> {
         kind.check_domain(self.query()).map_err(|e| Error::Core(CoreError::Bregman(e)))
     }

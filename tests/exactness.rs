@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: every exact index must agree with brute
 //! force on the same workload, for every supported divergence.
 
+use brepartition::bregman::BregmanError;
+use brepartition::core::CoreError;
 use brepartition::prelude::*;
 
 fn proxy(dataset: PaperDataset, n: usize, dim: usize, seed: u64) -> (DenseDataset, DivergenceKind) {
@@ -416,7 +418,8 @@ fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
     // φ at those box corners is +∞, so the bounds of nodes beyond them are
     // +∞ with an infinite allowance, and their keys NaN. The best-first
     // frontier must expand such a node, never skip it. The queries stay
-    // below 703, where every kernel term of theirs is finite.
+    // inside ED's domain (|t| < 700), where every kernel term of theirs is
+    // finite.
     let overflow: Vec<Vec<f64>> = (0..96)
         .map(|i| {
             let mut row = base[i % 12].clone();
@@ -428,10 +431,38 @@ fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
         .collect();
     let data = DenseDataset::from_rows(&overflow).unwrap();
     let mut far = [1.0; 6];
-    far[0] = 700.0;
+    far[0] = 699.0;
     let queries = vec![data.row(0).to_vec(), data.row(48).to_vec(), vec![1.0; 6], far.to_vec()];
     let kind = DivergenceKind::Exponential;
     check_against_brute_force("exp overflow", kind, &data, &small_pages, &queries, true);
+
+    // A query coordinate past the domain, where the kernel's offset
+    // `Σ (q·e^q − e^q)` overflows and every distance would be ∞ − ∞, is a
+    // typed error at every entry point, and so is a row inserted there.
+    let mut past = [1.0; 6];
+    past[0] = 705.0;
+    let expected = BregmanError::OutOfDomain { divergence: "ED", value: 705.0 };
+    let index = BrePartitionIndex::build(kind, &data, &small_pages).unwrap();
+    let mut pool = BufferPool::unbuffered();
+    match index.knn(&mut pool, &mut KernelScratch::default(), &past, 5, None) {
+        Err(CoreError::Bregman(e)) => assert_eq!(e, expected, "BrePartitionIndex::knn"),
+        other => panic!("BrePartitionIndex::knn: {other:?}, expected ED's domain error"),
+    }
+    let spec = IndexSpec::brepartition(kind).with_page_size(4 * 6 * 8);
+    let facade = Index::build(&spec, &data).unwrap();
+    let batch = Request::batch([QueryRequest::new(&far, 5), QueryRequest::new(&past, 5)]);
+    let results = [
+        ("Index::query", facade.query(&QueryRequest::new(&past, 5)).map(drop)),
+        ("Index::run", facade.run(&batch).map(drop)),
+        ("Index::insert", facade.insert(&past).map(drop)),
+    ];
+    for (entry, result) in results {
+        match result {
+            Err(Error::Core(CoreError::Bregman(e))) => assert_eq!(e, expected, "{entry}"),
+            other => panic!("{entry}: {other:?}, expected ED's domain error"),
+        }
+    }
+    assert_eq!(facade.len(), data.len(), "the rejected row was not inserted");
 
     let one_dim: Vec<Vec<f64>> = (0..200).map(|i| vec![0.5 + ((i * 7) % 23) as f64]).collect();
     let data = DenseDataset::from_rows(&one_dim).unwrap();
