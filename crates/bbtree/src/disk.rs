@@ -16,7 +16,6 @@ use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, Pers
 use pagestore::{BufferPool, IoStats, PageStore, PageStoreConfig, PageStoreError};
 
 use crate::build::{BBTreeBuilder, BBTreeConfig};
-use crate::knn::Neighbor;
 use crate::node::BBTree;
 use crate::stats::SearchStats;
 
@@ -68,8 +67,9 @@ impl std::error::Error for SearchError {
 /// Result of one disk-resident query: neighbours plus CPU and I/O cost.
 #[derive(Debug, Clone)]
 pub struct DiskQueryResult {
-    /// The neighbours, ordered by increasing divergence.
-    pub neighbors: Vec<Neighbor>,
+    /// The neighbours as `(id, divergence)`, ordered by increasing
+    /// divergence.
+    pub neighbors: Vec<(PointId, f64)>,
     /// Tree traversal counters.
     pub search: SearchStats,
     /// Physical I/O counters for this query.
@@ -318,7 +318,7 @@ mod tests {
             let expected = linear_scan_knn(&SquaredEuclidean, &ds, &query, 10);
             assert_eq!(result.neighbors.len(), 10);
             for (g, e) in result.neighbors.iter().zip(expected.iter()) {
-                assert!((g.distance - e.distance).abs() < 1e-9);
+                assert!((g.1 - e.1).abs() < 1e-9);
             }
             assert!(result.io.pages_read > 0, "disk search must perform I/O");
         }

@@ -9,23 +9,14 @@ use crate::ball::{BregmanBall, Projector};
 use crate::node::{BBTree, NodeId, NodeKind};
 use crate::stats::SearchStats;
 
-/// One kNN result: a point id and its divergence from the query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Neighbor {
-    /// Identifier of the neighbour.
-    pub id: PointId,
-    /// Divergence `D_f(point, query)`.
-    pub distance: f64,
-}
-
-/// Max-heap entry over neighbour distance (largest distance at the top), so
+/// Max-heap entry over `(distance, id)` (largest distance at the top), so
 /// the heap holds the current k best and its top is the pruning threshold.
 #[derive(Debug, Clone, Copy)]
-struct HeapNeighbor(Neighbor);
+struct HeapNeighbor(PointId, f64);
 
 impl PartialEq for HeapNeighbor {
     fn eq(&self, other: &Self) -> bool {
-        self.0.distance == other.0.distance && self.0.id == other.0.id
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapNeighbor {}
@@ -36,7 +27,7 @@ impl PartialOrd for HeapNeighbor {
 }
 impl Ord for HeapNeighbor {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.distance.total_cmp(&other.0.distance).then_with(|| self.0.id.cmp(&other.0.id))
+        self.1.total_cmp(&other.1).then_with(|| self.0.cmp(&other.0))
     }
 }
 
@@ -84,7 +75,7 @@ impl TopK {
         if self.heap.len() < self.k {
             f64::INFINITY
         } else {
-            self.heap.peek().map(|n| n.0.distance).unwrap_or(f64::INFINITY)
+            self.heap.peek().map(|n| n.1).unwrap_or(f64::INFINITY)
         }
     }
 
@@ -93,17 +84,19 @@ impl TopK {
             return;
         }
         if self.heap.len() < self.k {
-            self.heap.push(HeapNeighbor(Neighbor { id, distance }));
+            self.heap.push(HeapNeighbor(id, distance));
         } else if distance < self.threshold() {
             self.heap.pop();
-            self.heap.push(HeapNeighbor(Neighbor { id, distance }));
+            self.heap.push(HeapNeighbor(id, distance));
         }
     }
 
-    pub(crate) fn into_sorted(self) -> Vec<Neighbor> {
-        let mut out: Vec<Neighbor> = self.heap.into_iter().map(|h| h.0).collect();
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance).then_with(|| a.id.cmp(&b.id)));
-        out
+    pub(crate) fn into_sorted(self) -> Vec<(PointId, f64)> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|HeapNeighbor(id, distance)| (id, distance))
+            .collect()
     }
 }
 
@@ -120,7 +113,7 @@ impl BBTree {
         query: &[f64],
         k: usize,
         stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
+    ) -> Vec<(PointId, f64)> {
         // Hoist the query-side transcendentals out of the candidate loop;
         // per-candidate work is then `Φ(x)` (data-side `φ` only) plus one
         // dot product. Disk-resident callers go further and tabulate `Φ`.
@@ -153,7 +146,7 @@ impl BBTree {
         stats: &mut SearchStats,
         max_leaves: usize,
         visit_leaf: &mut F,
-    ) -> Vec<Neighbor>
+    ) -> Vec<(PointId, f64)>
     where
         B: DecomposableBregman,
         F: FnMut(&[PointId], &mut dyn FnMut(PointId, f64)),
@@ -164,6 +157,8 @@ impl BBTree {
 
     /// The best-first traversal behind [`BBTree::knn_bounded`];
     /// `lower_bound(ball)` is the node test, the ball's projection bound.
+    /// The root, whose bound is taken as 0, and every child tested count
+    /// in `stats.nodes_visited`, pruned or not.
     fn best_first<T, F>(
         &self,
         k: usize,
@@ -171,7 +166,7 @@ impl BBTree {
         max_leaves: usize,
         mut lower_bound: T,
         visit_leaf: &mut F,
-    ) -> Vec<Neighbor>
+    ) -> Vec<(PointId, f64)>
     where
         T: FnMut(&BregmanBall) -> f64,
         F: FnMut(&[PointId], &mut dyn FnMut(PointId, f64)),
@@ -182,13 +177,13 @@ impl BBTree {
         }
         let mut frontier: BinaryHeap<FrontierEntry> = BinaryHeap::new();
         frontier.push(FrontierEntry { bound: 0.0, node: self.root });
+        stats.nodes_visited += 1;
         let mut leaves_visited = 0usize;
 
         while let Some(entry) = frontier.pop() {
             if entry.bound > top.threshold() {
                 break; // best-first: nothing left can improve the result
             }
-            stats.nodes_visited += 1;
             match &self.node(entry.node).kind {
                 NodeKind::Leaf { points } => {
                     stats.leaves_visited += 1;
@@ -203,6 +198,7 @@ impl BBTree {
                 }
                 NodeKind::Internal { left, right } => {
                     for child in [*left, *right] {
+                        stats.nodes_visited += 1;
                         let bound = lower_bound(&self.node(child).ball);
                         if bound <= top.threshold() {
                             frontier.push(FrontierEntry { bound, node: child });
@@ -222,7 +218,7 @@ pub fn linear_scan_knn<B: DecomposableBregman>(
     dataset: &DenseDataset,
     query: &[f64],
     k: usize,
-) -> Vec<Neighbor> {
+) -> Vec<(PointId, f64)> {
     let mut top = TopK::new(k);
     for (id, point) in dataset.iter() {
         top.offer(id, divergence.divergence(point, query));
@@ -245,15 +241,10 @@ mod tests {
         DenseDataset::from_rows(&rows).unwrap()
     }
 
-    fn assert_same_neighbors(a: &[Neighbor], b: &[Neighbor]) {
+    fn assert_same_neighbors(a: &[(PointId, f64)], b: &[(PointId, f64)]) {
         assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!(
-                (x.distance - y.distance).abs() < 1e-9 * (1.0 + x.distance.abs()),
-                "distance mismatch: {} vs {}",
-                x.distance,
-                y.distance
-            );
+        for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
+            assert!((x - y).abs() < 1e-9 * (1.0 + x.abs()), "distance mismatch: {x} vs {y}");
         }
     }
 
@@ -336,6 +327,44 @@ mod tests {
         assert_same_as_full_bisection(&GeneralizedI, 64);
     }
 
+    /// `nodes_visited` counts node tests: the root plus every child whose
+    /// bound was computed, pruned or not, so it is one more than the calls
+    /// of the node test.
+    #[test]
+    fn nodes_visited_counts_every_node_test() {
+        let ds = random_dataset(300, 4, 9);
+        let tree =
+            BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::with_leaf_capacity(8)).build(&ds);
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut pruned_somewhere = false;
+        for _ in 0..8 {
+            let query: Vec<f64> = (0..4).map(|_| rng.gen_range(0.1..10.0)).collect();
+            let mut projector = Projector::new(&SquaredEuclidean, &query);
+            let (mut calls, mut leaves) = (0u64, 0u64);
+            let mut stats = SearchStats::new();
+            let got = tree.best_first(
+                5,
+                &mut stats,
+                usize::MAX,
+                |ball| {
+                    calls += 1;
+                    projector.min_divergence(ball)
+                },
+                &mut |points, offer| {
+                    leaves += 1;
+                    for &pid in points {
+                        offer(pid, SquaredEuclidean.divergence(ds.point(pid), &query));
+                    }
+                },
+            );
+            assert_eq!(got.len(), 5);
+            assert_eq!(stats.nodes_visited, calls + 1);
+            assert_eq!(stats.leaves_visited, leaves);
+            pruned_somewhere |= calls + 1 < tree.node_count() as u64;
+        }
+        assert!(pruned_somewhere, "no query pruned a child; the test shows nothing");
+    }
+
     #[test]
     fn pruning_actually_reduces_work_on_clustered_data() {
         // Clustered data: the search should not touch every point.
@@ -372,7 +401,7 @@ mod tests {
         assert_eq!(got.len(), 12);
         // Results must be sorted by distance.
         for pair in got.windows(2) {
-            assert!(pair[0].distance <= pair[1].distance);
+            assert!(pair[0].1 <= pair[1].1);
         }
     }
 
@@ -396,7 +425,7 @@ mod tests {
         let got = linear_scan_knn(&SquaredEuclidean, &ds, &[5.0, 5.0, 5.0], 10);
         assert_eq!(got.len(), 10);
         for pair in got.windows(2) {
-            assert!(pair[0].distance <= pair[1].distance);
+            assert!(pair[0].1 <= pair[1].1);
         }
     }
 
@@ -411,7 +440,6 @@ mod tests {
         top.offer(PointId(2), 1.0);
         assert_eq!(top.threshold(), 3.0);
         let sorted = top.into_sorted();
-        assert_eq!(sorted[0].id, PointId(2));
-        assert_eq!(sorted[1].id, PointId(1));
+        assert_eq!(sorted, vec![(PointId(2), 1.0), (PointId(1), 3.0)]);
     }
 }

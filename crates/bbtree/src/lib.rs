@@ -38,7 +38,6 @@ pub mod variational;
 pub use ball::BregmanBall;
 pub use build::{BBTreeBuilder, BBTreeConfig};
 pub use disk::{DiskBBTree, SearchError};
-pub use knn::Neighbor;
 pub use node::{BBTree, NodeId, NodeKind};
 pub use stats::SearchStats;
 pub use variational::VariationalConfig;

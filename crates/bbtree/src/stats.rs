@@ -3,89 +3,25 @@
 /// CPU-side cost counters for one tree traversal.
 ///
 /// These complement [`pagestore::IoStats`]: `SearchStats` counts in-memory
-/// work (nodes touched, divergence evaluations), while the buffer pool counts
+/// work (node tests, divergence evaluations), while the buffer pool counts
 /// physical page reads.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Tree nodes popped/visited during the traversal.
+    /// Node tests: tree nodes whose bound was computed and compared against
+    /// the search's threshold or radius, the root included. A pruned node
+    /// counts; a node never reached does not. Every traversal (BBT's
+    /// best-first kNN, BP's best-first loop and its range filter) counts
+    /// this one way, so their counts compare.
     pub nodes_visited: u64,
     /// Leaf nodes whose contents were examined.
     pub leaves_visited: u64,
     /// Exact divergence evaluations between the query and data points.
     pub distance_computations: u64,
-    /// Candidate points examined (for filter-and-refine searches).
-    pub candidates_examined: u64,
 }
 
 impl SearchStats {
     /// A zeroed counter set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Component-wise accumulation.
-    pub fn accumulate(&mut self, other: &SearchStats) {
-        self.nodes_visited += other.nodes_visited;
-        self.leaves_visited += other.leaves_visited;
-        self.distance_computations += other.distance_computations;
-        self.candidates_examined += other.candidates_examined;
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&mut self) {
-        *self = SearchStats::default();
-    }
-}
-
-impl std::fmt::Display for SearchStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} nodes, {} leaves, {} divergence evals, {} candidates",
-            self.nodes_visited,
-            self.leaves_visited,
-            self.distance_computations,
-            self.candidates_examined
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accumulate_and_reset() {
-        let mut a = SearchStats {
-            nodes_visited: 1,
-            leaves_visited: 2,
-            distance_computations: 3,
-            candidates_examined: 4,
-        };
-        let b = SearchStats {
-            nodes_visited: 10,
-            leaves_visited: 20,
-            distance_computations: 30,
-            candidates_examined: 40,
-        };
-        a.accumulate(&b);
-        assert_eq!(a.nodes_visited, 11);
-        assert_eq!(a.candidates_examined, 44);
-        a.reset();
-        assert_eq!(a, SearchStats::default());
-    }
-
-    #[test]
-    fn display_mentions_every_counter() {
-        let s = SearchStats {
-            nodes_visited: 5,
-            leaves_visited: 6,
-            distance_computations: 7,
-            candidates_examined: 8,
-        };
-        let text = s.to_string();
-        for needle in ["5 nodes", "6 leaves", "7 divergence", "8 candidates"] {
-            assert!(text.contains(needle), "missing {needle} in {text}");
-        }
     }
 }

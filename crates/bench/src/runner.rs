@@ -5,8 +5,7 @@ use std::time::Instant;
 use bbtree::{BBTreeConfig, DiskBBTree, VariationalConfig};
 use bregman::kernel::KernelScratch;
 use bregman::{
-    DenseDataset, DivergenceKind, Exponential, GeneralizedI, ItakuraSaito, PointId,
-    SquaredEuclidean,
+    DenseDataset, DivergenceKind, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean,
 };
 use brepartition_core::{
     ApproximateConfig, BrePartitionConfig, BrePartitionIndex, PartitionStrategy,
@@ -46,8 +45,7 @@ pub struct MethodMetrics {
     pub avg_io_pages: f64,
     /// Average query time in milliseconds.
     pub avg_time_ms: f64,
-    /// Average candidate-set size per query (0 when the method has no
-    /// filter/refine split).
+    /// Average rows scored exactly per query.
     pub avg_candidates: f64,
     /// Average overall ratio against the exact results (1.0 for exact
     /// methods).
@@ -224,7 +222,7 @@ impl Workbench {
                     PageStoreConfig::with_page_size(workload.page_size),
                 );
                 let build_seconds = build_started.elapsed().as_secs_f64();
-                let mut io = 0u64;
+                let (mut io, mut candidates) = (0u64, 0u64);
                 let mut ratios = Vec::new();
                 let mut kernel = KernelScratch::default();
                 let leaf_budget = variational.map(|(fraction, _)| {
@@ -238,10 +236,9 @@ impl Workbench {
                         .knn(&mut pool, &mut kernel, query, k, leaf_budget)
                         .expect("bbt query");
                     io += result.io.pages_read;
+                    candidates += result.search.distance_computations;
                     if let Some((_, truth)) = variational {
-                        let pairs: Vec<(PointId, f64)> =
-                            result.neighbors.iter().map(|n| (n.id, n.distance)).collect();
-                        ratios.push(overall_ratio(&pairs, truth.neighbors_of(qi)));
+                        ratios.push(overall_ratio(&result.neighbors, truth.neighbors_of(qi)));
                     }
                 }
                 let elapsed = query_started.elapsed().as_secs_f64();
@@ -251,7 +248,7 @@ impl Workbench {
                     build_seconds,
                     avg_io_pages: io as f64 / q,
                     avg_time_ms: elapsed * 1e3 / q,
-                    avg_candidates: 0.0,
+                    avg_candidates: candidates as f64 / q,
                     overall_ratio: if ratios.is_empty() {
                         1.0
                     } else {

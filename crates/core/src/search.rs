@@ -23,7 +23,7 @@ pub struct QueryResult {
     /// The neighbours as `(id, divergence)` pairs, ordered by increasing
     /// divergence.
     pub neighbors: Vec<(PointId, f64)>,
-    /// Per-phase cost breakdown.
+    /// Rows scored, node tests and page reads.
     pub stats: QueryStats,
     /// The bounds the search ran on (see [`BrePartitionIndex::knn`]).
     ///
@@ -384,8 +384,6 @@ impl BrePartitionIndex {
             });
         }
         let io_before = pool.stats();
-        let started = Instant::now();
-        let mut stats = QueryStats::default();
         let mut search_stats = SearchStats::new();
         self.kind.prepare_query_into(&mut kernel.prepared, query);
         let mut sub_query = Vec::new();
@@ -396,12 +394,11 @@ impl BrePartitionIndex {
         if exact_loop {
             let pivot = scored.best.peek().map_or(0, |worst| worst.pid as usize);
             let total = scored.threshold;
-            stats.refine_seconds = scored.seconds;
-            stats.filter_seconds = started.elapsed().as_secs_f64() - scored.seconds;
-            stats.candidates = scored.rows;
-            stats.subspace_candidates_total = scored.rows;
-            stats.search = search_stats;
-            stats.io = pool.stats().since(&io_before);
+            let stats = QueryStats {
+                candidates: scored.rows,
+                search: search_stats,
+                io: pool.stats().since(&io_before),
+            };
             let neighbors =
                 scored.best.into_sorted_vec().into_iter().map(|e| (PointId(e.pid), e.dist));
             return Ok(QueryResult {
@@ -438,11 +435,9 @@ impl BrePartitionIndex {
                 (shrunk, Some(c))
             }
         };
-        stats.bound_seconds = started.elapsed().as_secs_f64();
 
         // Filter: union of the per-subspace range-query candidates that are
         // not on a seeded page.
-        let filter_started = Instant::now();
         let store = self.forest.store();
         let mut seen = vec![false; self.transformed.len()];
         let mut union: Vec<u32> = Vec::new();
@@ -450,7 +445,6 @@ impl BrePartitionIndex {
             self.partitioning.project_point_into(s, query, &mut sub_query);
             let candidates =
                 self.forest.subspace_candidates(s, &sub_query, radius, &mut search_stats);
-            stats.subspace_candidates_total += candidates.len();
             for pid in candidates {
                 let seeded = store
                     .address_of(pid.0)
@@ -460,8 +454,7 @@ impl BrePartitionIndex {
                 }
             }
         }
-        stats.filter_seconds = filter_started.elapsed().as_secs_f64();
-        stats.candidates = seeded_rows + union.len();
+        let candidates = seeded_rows + union.len();
 
         // Refine: load the remaining candidates page by page and score them
         // through the prepared kernel (query-side transcendentals hoisted
@@ -469,7 +462,6 @@ impl BrePartitionIndex {
         // is decoded as one lane-major block and scored in a single batched
         // kernel call, so the dot products vectorize across a page's
         // candidates.
-        let refine_started = Instant::now();
         let KernelScratch { prepared, coords, lanes, distances, phis, .. } = kernel;
         match self.f32_rows.as_deref() {
             Some(rows32) => screen_candidates_f32(
@@ -488,7 +480,6 @@ impl BrePartitionIndex {
                 phis.clear();
                 phis.extend(members.iter().map(|&pid| self.phi[pid as usize]));
                 prepared.distance_block(phis, block, distances);
-                search_stats.candidates_examined += members.len() as u64;
                 search_stats.distance_computations += members.len() as u64;
                 neighbors.extend(
                     members.iter().zip(distances.iter()).map(|(&pid, &d)| (PointId(pid), d)),
@@ -504,9 +495,8 @@ impl BrePartitionIndex {
             neighbors.truncate(k);
         }
         neighbors.sort_by(by_distance_then_id);
-        stats.refine_seconds = refine_started.elapsed().as_secs_f64();
-        stats.search = search_stats;
-        stats.io = pool.stats().since(&io_before);
+        let stats =
+            QueryStats { candidates, search: search_stats, io: pool.stats().since(&io_before) };
         Ok(QueryResult { neighbors, stats, bounds, coefficient })
     }
 
@@ -553,16 +543,14 @@ impl BrePartitionIndex {
         let wanted = k.min(self.len());
         let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(wanted + 1);
         let mut pages = vec![0u64; store.page_count().div_ceil(64)];
-        let (mut rows, mut seconds, mut threshold) = (0usize, 0.0, f64::INFINITY);
+        let (mut rows, mut threshold) = (0usize, f64::INFINITY);
         self.forest.best_first(sub_query, search_stats, |span| {
-            let mut clock = None;
             for page in span {
                 let (word, bit) = (page as usize / 64, 1u64 << (page % 64));
                 if pages[word] & bit != 0 {
                     continue;
                 }
                 pages[word] |= bit;
-                clock.get_or_insert_with(Instant::now);
                 let Some(page) = pool.try_fetch(store, PageId(page))? else { continue };
                 page.decode_all_into(lanes);
                 phis.clear();
@@ -580,8 +568,6 @@ impl BrePartitionIndex {
                 }
                 rows += page.len();
             }
-            let Some(clock) = clock else { return Ok(Some(threshold)) };
-            seconds += clock.elapsed().as_secs_f64();
             if best.len() == wanted {
                 let worst = best.peek().expect("k > 0 and a non-empty index keep a row");
                 let phi_x = self.phi[worst.pid as usize];
@@ -590,9 +576,8 @@ impl BrePartitionIndex {
             }
             Ok((to_threshold || rows < wanted).then_some(threshold))
         })?;
-        search_stats.candidates_examined += rows as u64;
         search_stats.distance_computations += rows as u64;
-        Ok(BestFirst { best, threshold, pages, rows, seconds })
+        Ok(BestFirst { best, threshold, pages, rows })
     }
 
     fn validate_query(&self, query: &[f64]) -> Result<()> {
@@ -622,8 +607,6 @@ struct BestFirst {
     pages: Vec<u64>,
     /// Rows scored.
     rows: usize,
-    /// Seconds spent reading and scoring pages.
-    seconds: f64,
 }
 
 /// Whether bit `page` is set in a page bitset.
@@ -740,7 +723,6 @@ fn screen_candidates_f32(
         if !pool.read_point_into(store, pid, coords)? {
             continue;
         }
-        search_stats.candidates_examined += 1;
         search_stats.distance_computations += 1;
         // A single-row block: for m = 1 the lane-major block *is* the row,
         // and the arithmetic matches the batched refine bit for bit.

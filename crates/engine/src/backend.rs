@@ -56,8 +56,7 @@ impl Scratch {
 pub struct BackendAnswer {
     /// Neighbours as `(id, divergence)`, ordered by increasing divergence.
     pub neighbors: Vec<(PointId, f64)>,
-    /// Candidate points the backend examined after filtering (`0` for
-    /// backends without a filter/refine split).
+    /// Rows the backend scored exactly (exact divergence evaluations).
     pub candidates: usize,
     /// Physical I/O performed for this query.
     pub io: IoStats,
@@ -341,8 +340,8 @@ impl<B: DecomposableBregman + Send + Sync> SearchBackend for BBTreeBackend<B> {
             .knn(&mut scratch.pool, &mut scratch.kernel, query, k, leaf_budget)
             .map_err(|e| EngineError::Backend(e.to_string()))?;
         Ok(BackendAnswer {
-            neighbors: result.neighbors.iter().map(|n| (n.id, n.distance)).collect(),
-            candidates: result.search.candidates_examined as usize,
+            neighbors: result.neighbors,
+            candidates: result.search.distance_computations as usize,
             io: result.io,
         })
     }

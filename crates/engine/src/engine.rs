@@ -4,11 +4,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use pagestore::{BufferPool, SharedPageCache};
+use bregman::PointId;
+use pagestore::{BufferPool, IoStats, SharedPageCache};
 
 use crate::backend::SearchBackend;
 use crate::error::EngineError;
-use crate::report::{QueryOutcome, ThroughputReport};
 use crate::request::EngineRequest;
 
 /// Engine tuning knobs.
@@ -92,14 +92,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// The result of [`QueryEngine::run_batch`]: per-query outcomes (in query
-/// order, independent of scheduling) plus the aggregated throughput report.
+/// The result of one query within a batch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryOutcome {
+    /// Neighbours as `(id, divergence)`, ordered by increasing divergence.
+    pub neighbors: Vec<(PointId, f64)>,
+    /// Rows the backend scored exactly for this query.
+    pub candidates: usize,
+    /// Physical I/O performed for this query.
+    pub io: IoStats,
+    /// Wall-clock seconds this query spent inside the backend.
+    pub latency_seconds: f64,
+}
+
+/// The result of [`QueryEngine::run_batch`]: per-query outcomes in query
+/// order, independent of scheduling.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
     /// One outcome per query, in the order the queries were submitted.
     pub outcomes: Vec<QueryOutcome>,
-    /// Aggregate throughput and latency measurements.
-    pub report: ThroughputReport,
 }
 
 /// A concurrent batch query engine over any [`SearchBackend`].
@@ -194,10 +205,9 @@ impl QueryEngine {
     /// pool. Each request carries its own `k` and
     /// [`QueryOptions`](crate::QueryOptions); rows are borrowed, not cloned.
     ///
-    /// Returns per-query outcomes in submission order plus a
-    /// [`ThroughputReport`] (whose `k` is the largest `k` in the batch). If
-    /// any query fails, the whole batch is abandoned and the first error
-    /// (by scheduling order) is returned.
+    /// Returns per-query outcomes in submission order. If any query fails,
+    /// the whole batch is abandoned and the first error (by scheduling
+    /// order) is returned.
     pub fn run_requests(&self, requests: &[EngineRequest<'_>]) -> Result<BatchResult, EngineError> {
         let n = requests.len();
         let threads = self.threads().max(1).min(n.max(1));
@@ -214,7 +224,6 @@ impl QueryEngine {
         let shared_cache =
             reuse_scratch.then(|| SharedPageCache::new(backend.new_scratch().pool.capacity()));
 
-        let started = Instant::now();
         let mut per_thread: Vec<Vec<(usize, QueryOutcome)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
@@ -297,7 +306,6 @@ impl QueryEngine {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("engine worker panicked")).collect()
         });
-        let wall_seconds = started.elapsed().as_secs_f64();
 
         // Backend failures gain the failing query's index; typed errors
         // (unsupported options, config) pass through unchanged so callers
@@ -317,14 +325,6 @@ impl QueryEngine {
         }
         let outcomes: Vec<QueryOutcome> =
             slots.into_iter().map(|s| s.expect("every query produced an outcome")).collect();
-        let report_k = requests.iter().map(|r| r.k).max().unwrap_or(0);
-        let report = ThroughputReport::from_outcomes(
-            backend.name(),
-            report_k,
-            threads,
-            wall_seconds,
-            &outcomes,
-        );
-        Ok(BatchResult { outcomes, report })
+        Ok(BatchResult { outcomes })
     }
 }

@@ -36,9 +36,12 @@
 //!   [`merge_shard_outcomes`] gathering per-shard top-k lists by the same
 //!   `(distance, id)` order the overlay uses — the substrate of the
 //!   façade's `ShardedIndex`.
-//! * [`ThroughputReport`] — QPS, latency percentiles (p50/p95/p99),
-//!   candidate counts and physical I/O aggregated over the batch, the
-//!   numbers a serving deployment is tuned against.
+//!
+//! Every answer reports its cost in the same three terms: the rows scored
+//! exactly ([`QueryOutcome::candidates`], for every method), the physical
+//! page reads ([`QueryOutcome::io`]) and the wall-clock latency inside the
+//! backend. Batch statistics (throughput, percentiles) are the caller's to
+//! take over those outcomes.
 //!
 //! Applications normally construct backends through the spec-driven façade
 //! in the root `brepartition` crate (`IndexSpec` → `Index::build` /
@@ -69,7 +72,8 @@
 //! .unwrap();
 //! let queries: Vec<Vec<f64>> = (0..64).map(|i| rows[i * 7 % rows.len()].clone()).collect();
 //! let batch = engine.run_batch(&queries, 10).unwrap();
-//! println!("{}", batch.report);
+//! let scored: usize = batch.outcomes.iter().map(|o| o.candidates).sum();
+//! println!("{} queries, {scored} rows scored", batch.outcomes.len());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -81,18 +85,16 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod overlay;
-pub mod report;
 pub mod request;
 pub mod shard;
 
 pub use backend::{
     BBTreeBackend, BackendAnswer, BrePartitionBackend, Scratch, SearchBackend, VaFileBackend,
 };
-pub use engine::{recommended_pool_threads, BatchResult, EngineConfig, QueryEngine};
+pub use engine::{recommended_pool_threads, BatchResult, EngineConfig, QueryEngine, QueryOutcome};
 pub use error::EngineError;
 pub use fault::{FaultInjector, FaultPlan, FaultState};
 pub use overlay::DeltaOverlayBackend;
-pub use report::{LatencySummary, QueryOutcome, ThroughputReport};
 pub use request::{EngineRequest, QueryOptions};
 pub use shard::{
     merge_neighbor_lists, merge_shard_outcomes, split_thread_budget, BreakerState, FanoutPolicy,
@@ -176,9 +178,9 @@ mod tests {
             for (outcome, expected) in batch.outcomes.iter().zip(reference.iter()) {
                 assert_eq!(&outcome.neighbors, expected, "backend {name}");
             }
-            assert_eq!(batch.report.queries, queries.len());
-            assert!(batch.report.wall_seconds > 0.0);
-            assert!(batch.report.qps > 0.0);
+            for outcome in &batch.outcomes {
+                assert!(outcome.candidates >= 5, "backend {name} reports the rows it scored");
+            }
         }
     }
 
@@ -211,7 +213,6 @@ mod tests {
                 .neighbors;
             assert_eq!(outcome.neighbors, expected, "query {i}");
         }
-        assert_eq!(batch.report.k, 7, "report pins the largest k of the batch");
 
         // A probability override on the exact backend runs that query
         // through the approximate search.
@@ -352,7 +353,6 @@ mod tests {
             assert_eq!(x.io, y.io, "cold-scratch I/O must not depend on scheduling");
             assert_eq!(x.candidates, y.candidates);
         }
-        assert_eq!(a.report.io, b.report.io);
     }
 
     #[test]
@@ -697,6 +697,5 @@ mod tests {
         let empty: Vec<Vec<f64>> = Vec::new();
         let batch = engine.run_batch(&empty, 3).unwrap();
         assert!(batch.outcomes.is_empty());
-        assert_eq!(batch.report.queries, 0);
     }
 }

@@ -29,9 +29,9 @@ use bregman::PointId;
 use pagestore::IoStats;
 
 use crate::backend::SearchBackend;
+use crate::engine::QueryOutcome;
 use crate::engine::{BatchResult, EngineConfig, QueryEngine};
 use crate::error::EngineError;
-use crate::report::QueryOutcome;
 use crate::request::EngineRequest;
 
 /// How one worker-thread budget is divided across shard engines.
@@ -128,8 +128,8 @@ pub fn merge_shard_outcomes(shard_results: &[BatchResult], ks: &[usize]) -> Vec<
 /// Construction splits the budget with [`split_thread_budget`];
 /// [`ShardedEngine::run_requests`] then drives every shard over the same
 /// request slice and returns the per-shard [`BatchResult`]s in shard order
-/// (gathering — id remapping, merging, report aggregation — is the
-/// caller's, because only the caller knows the shard → global id mapping).
+/// (gathering — id remapping and merging — is the caller's, because only
+/// the caller knows the shard → global id mapping).
 ///
 /// Each shard's engine inherits `scratch` behavior from the config template
 /// passed to [`ShardedEngine::with_config`]; per-shard results keep the

@@ -12,16 +12,9 @@ pub struct IoStats {
     pub pages_read: u64,
     /// Logical reads served from the buffer pool.
     pub cache_hits: u64,
-    /// Pages written while building an index or laying out data.
-    pub pages_written: u64,
 }
 
 impl IoStats {
-    /// A zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Total logical page accesses (hits + misses).
     pub fn logical_reads(&self) -> u64 {
         self.pages_read + self.cache_hits
@@ -43,7 +36,6 @@ impl IoStats {
         IoStats {
             pages_read: self.pages_read.saturating_sub(earlier.pages_read),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            pages_written: self.pages_written.saturating_sub(earlier.pages_written),
         }
     }
 
@@ -51,25 +43,6 @@ impl IoStats {
     pub fn accumulate(&mut self, other: &IoStats) {
         self.pages_read += other.pages_read;
         self.cache_hits += other.cache_hits;
-        self.pages_written += other.pages_written;
-    }
-
-    /// Reset every counter to zero.
-    pub fn reset(&mut self) {
-        *self = IoStats::default();
-    }
-}
-
-impl std::fmt::Display for IoStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} page reads, {} cache hits ({:.1}% hit ratio), {} pages written",
-            self.pages_read,
-            self.cache_hits,
-            self.hit_ratio() * 100.0,
-            self.pages_written
-        )
     }
 }
 
@@ -79,42 +52,31 @@ mod tests {
 
     #[test]
     fn logical_reads_and_hit_ratio() {
-        let s = IoStats { pages_read: 3, cache_hits: 7, pages_written: 0 };
+        let s = IoStats { pages_read: 3, cache_hits: 7 };
         assert_eq!(s.logical_reads(), 10);
         assert!((s.hit_ratio() - 0.7).abs() < 1e-12);
-        assert_eq!(IoStats::new().hit_ratio(), 0.0);
+        assert_eq!(IoStats::default().hit_ratio(), 0.0);
     }
 
     #[test]
     fn since_subtracts_componentwise() {
-        let before = IoStats { pages_read: 10, cache_hits: 5, pages_written: 2 };
-        let after = IoStats { pages_read: 25, cache_hits: 9, pages_written: 2 };
-        let delta = after.since(&before);
-        assert_eq!(delta, IoStats { pages_read: 15, cache_hits: 4, pages_written: 0 });
+        let before = IoStats { pages_read: 10, cache_hits: 5 };
+        let after = IoStats { pages_read: 25, cache_hits: 9 };
+        assert_eq!(after.since(&before), IoStats { pages_read: 15, cache_hits: 4 });
     }
 
     #[test]
     fn since_saturates_instead_of_underflowing() {
-        let before = IoStats { pages_read: 10, cache_hits: 0, pages_written: 0 };
+        let before = IoStats { pages_read: 10, cache_hits: 0 };
         let after = IoStats::default();
         assert_eq!(after.since(&before).pages_read, 0);
     }
 
     #[test]
-    fn accumulate_and_reset() {
+    fn accumulate_sums_componentwise() {
         let mut total = IoStats::default();
-        total.accumulate(&IoStats { pages_read: 2, cache_hits: 1, pages_written: 4 });
-        total.accumulate(&IoStats { pages_read: 3, cache_hits: 0, pages_written: 0 });
-        assert_eq!(total, IoStats { pages_read: 5, cache_hits: 1, pages_written: 4 });
-        total.reset();
-        assert_eq!(total, IoStats::default());
-    }
-
-    #[test]
-    fn display_contains_counts() {
-        let s = IoStats { pages_read: 3, cache_hits: 1, pages_written: 2 };
-        let text = s.to_string();
-        assert!(text.contains("3 page reads"));
-        assert!(text.contains("2 pages written"));
+        total.accumulate(&IoStats { pages_read: 2, cache_hits: 1 });
+        total.accumulate(&IoStats { pages_read: 3, cache_hits: 0 });
+        assert_eq!(total, IoStats { pages_read: 5, cache_hits: 1 });
     }
 }

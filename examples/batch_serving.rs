@@ -5,15 +5,34 @@
 //! This example stands up two corpora — spectral envelopes under the
 //! Itakura-Saito distance and embedding-style vectors under the exponential
 //! distance — through the identical spec-driven façade, and drives query
-//! batches on one thread and on all cores, printing the throughput report
-//! (QPS, latency percentiles, I/O) each time. The batch itself mixes
-//! per-query `k`s: real request streams are not uniform.
+//! batches on one thread and on all cores, printing each batch's wall time,
+//! QPS, rows scored and pages read. The batch itself mixes per-query `k`s:
+//! real request streams are not uniform.
 //!
 //! ```bash
 //! cargo run --release --example batch_serving
 //! ```
 
+use std::time::Instant;
+
 use brepartition::prelude::*;
+
+/// Run a batch and print its wall time, QPS, rows scored and pages read.
+fn run_and_print(label: &str, index: &Index, request: &Request<'_>, config: EngineConfig) {
+    let started = Instant::now();
+    let batch = index.run_with(request, config).unwrap();
+    let seconds = started.elapsed().as_secs_f64();
+    let queries = batch.outcomes.len();
+    let scored: usize = batch.outcomes.iter().map(|o| o.candidates).sum();
+    let pages: u64 = batch.outcomes.iter().map(|o| o.io.pages_read).sum();
+    println!(
+        "  {label}: {queries} queries in {seconds:.3}s — {:.0} QPS, \
+         {:.1} rows scored/query, {:.1} page reads/query",
+        queries as f64 / seconds,
+        scored as f64 / queries as f64,
+        pages as f64 / queries as f64
+    );
+}
 
 fn serve(corpus: &str, kind: DivergenceKind, data: &DenseDataset, queries: &[Vec<f64>], k: usize) {
     let cores = brepartition::engine::recommended_pool_threads();
@@ -32,13 +51,9 @@ fn serve(corpus: &str, kind: DivergenceKind, data: &DenseDataset, queries: &[Vec
         let spec = spec.with_partitions((data.dim() / 7).clamp(2, 16)).with_page_size(16 * 1024);
         let index = Index::build(&spec, data).unwrap();
         for threads in [1, cores] {
-            let batch = index
-                .run_with(
-                    &Request::uniform(queries, k),
-                    EngineConfig::default().with_threads(threads),
-                )
-                .unwrap();
-            println!("  {}", batch.report);
+            let config = EngineConfig::default().with_threads(threads);
+            let label = format!("{method}, threads = {threads}");
+            run_and_print(&label, &index, &Request::uniform(queries, k), config);
         }
         if method == "BP" {
             exact_index = Some(index);
@@ -53,18 +68,8 @@ fn serve(corpus: &str, kind: DivergenceKind, data: &DenseDataset, queries: &[Vec
             .enumerate()
             .map(|(i, q)| QueryRequest::new(q, if i % 4 == 0 { 3 * k } else { k })),
     );
-    let batch = index.run(&mixed).unwrap();
-    let report = &batch.report;
-    println!(
-        "  mixed-k batch: {} queries, deepest k={}, {:.0} QPS, p99 {:.3} ms, \
-         {:.1} candidates/query, {} pages read",
-        batch.outcomes.len(),
-        report.k,
-        report.qps,
-        report.latency.p99_ms,
-        report.avg_candidates,
-        report.io.pages_read
-    );
+    let label = format!("BP mixed-k batch (k = {k} and {})", 3 * k);
+    run_and_print(&label, &index, &mixed, EngineConfig::default());
     println!();
 }
 

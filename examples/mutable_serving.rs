@@ -43,7 +43,8 @@ fn main() -> brepartition::Result<()> {
     // Batch serving runs over a consistent snapshot of the mutable state.
     let queries: Vec<Vec<f64>> = (0..128).map(|i| data.row(i * 31 % data.len()).to_vec()).collect();
     let batch = index.run(&Request::uniform(&queries, 10))?;
-    println!("snapshot batch — {}", batch.report);
+    let scored: usize = batch.outcomes.iter().map(|o| o.candidates).sum();
+    println!("snapshot batch — {} queries, {scored} rows scored", batch.outcomes.len());
 
     // Compaction folds the delta into a rebuilt backend; the external id
     // issued above keeps resolving.

@@ -104,10 +104,12 @@ fn main() {
             .iter()
             .zip(b.outcomes.iter())
             .all(|(x, y)| x.neighbors == y.neighbors && x.io == y.io);
+        let pages: u64 = b.outcomes.iter().map(|o| o.io.pages_read).sum();
         println!(
-            "  {method:>3}: reopened index identical to built index: {} — {}",
+            "  {method:>3}: reopened index identical to built index: {} — {} queries, \
+             {pages} pages read",
             if identical { "yes" } else { "NO" },
-            b.report
+            b.outcomes.len()
         );
         assert!(identical, "reopened index diverged from the built index");
     }

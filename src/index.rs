@@ -536,9 +536,12 @@ impl Index {
     /// Build an index over `data` as the spec describes.
     ///
     /// The spec is validated first; an invalid knob returns
-    /// [`Error::Spec`] before any work happens.
+    /// [`Error::Spec`] before any work happens. A row with a coordinate
+    /// outside the divergence's domain fails with [`Error::Core`] wrapping
+    /// `BregmanError::OutOfDomain`, the error an insert of that row gets.
     pub fn build(spec: &IndexSpec, data: &DenseDataset) -> Result<Index> {
         spec.validate()?;
+        spec.divergence.check_domain(data.as_flat()).map_err(CoreError::Bregman)?;
         let entry = registry_entry(spec.method, spec.divergence)?;
         let backend = (entry.build)(spec, data)?;
         let delta = DeltaSegment::new(spec.divergence, backend.dim(), backend.len())

@@ -102,8 +102,8 @@
 //! * [`engine`] — the concurrent batch query engine
 //!   the façade drives: [`SearchBackend`](brepartition_engine::SearchBackend),
 //!   [`QueryEngine`](brepartition_engine::QueryEngine), per-query
-//!   [`EngineRequest`](brepartition_engine::EngineRequest)s and
-//!   [`ThroughputReport`](brepartition_engine::ThroughputReport).
+//!   [`EngineRequest`](brepartition_engine::EngineRequest)s and their
+//!   [`QueryOutcome`](brepartition_engine::QueryOutcome)s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -152,7 +152,7 @@ pub mod prelude {
         BBTreeBackend, BackendAnswer, BatchResult, BrePartitionBackend, BreakerState,
         DeltaOverlayBackend, EngineConfig, EngineError, EngineRequest, FanoutPolicy, FaultInjector,
         FaultPlan, FaultState, QueryEngine, QueryOptions, QueryOutcome, Scratch, SearchBackend,
-        ShardFailure, ShardHealth, ShardedEngine, ThroughputReport, VaFileBackend,
+        ShardFailure, ShardHealth, ShardedEngine, VaFileBackend,
     };
     pub use datagen::{
         ground_truth_knn, overall_ratio, recall, DatasetSpec, HierarchicalSpec, PaperDataset,

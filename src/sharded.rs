@@ -50,7 +50,7 @@ use brepartition_core::CoreError;
 use brepartition_engine::{
     merge_neighbor_lists, merge_shard_outcomes, recommended_pool_threads, BatchResult,
     FanoutPolicy, FaultInjector, FaultPlan, FaultState, QueryOutcome, SearchBackend, ShardFailure,
-    ShardHealth, ShardedEngine, ThroughputReport,
+    ShardHealth, ShardedEngine,
 };
 use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, PersistResult};
 
@@ -197,8 +197,6 @@ pub struct ResilientBatch {
     /// One merged outcome per query, in submission order (over the shards
     /// that answered).
     pub outcomes: Vec<QueryOutcome>,
-    /// Aggregate throughput and latency over the merged outcomes.
-    pub report: ThroughputReport,
     /// Whether the batch covered every shard, and what it lost if not.
     pub availability: Outcome,
     /// Per-shard failure detail, `None` for shards that answered.
@@ -536,7 +534,7 @@ impl ShardedIndex {
     /// N shards never run more than `budget` workers at once. Every shard
     /// serves the batch over its own consistent snapshot (the
     /// [`Index::backend`] semantics), per-shard results are remapped to
-    /// global ids and gathered per query, and the aggregated report counts
+    /// global ids and gathered per query, and each merged outcome counts
     /// the work of all shards (candidates and I/O summed, latency the
     /// slowest shard's). Results are independent of the budget, and for
     /// the exact methods independent of the shard count. A batch holding any
@@ -547,24 +545,14 @@ impl ShardedIndex {
             self.shards.iter().map(|s| s.backend()).collect();
         let engine = ShardedEngine::new(backends, budget)?;
         let lowered = request.as_engine_requests();
-        let started = Instant::now();
         let mut shard_results = engine.run_requests(&lowered)?;
-        let wall_seconds = started.elapsed().as_secs_f64();
         for (s, result) in shard_results.iter_mut().enumerate() {
             for outcome in &mut result.outcomes {
                 self.remap(s, &mut outcome.neighbors);
             }
         }
         let ks: Vec<usize> = lowered.iter().map(|r| r.k).collect();
-        let outcomes = merge_shard_outcomes(&shard_results, &ks);
-        let report = ThroughputReport::from_outcomes(
-            self.serving_label(),
-            ks.iter().copied().max().unwrap_or(0),
-            budget,
-            wall_seconds,
-            &outcomes,
-        );
-        Ok(BatchResult { outcomes, report })
+        Ok(BatchResult { outcomes: merge_shard_outcomes(&shard_results, &ks) })
     }
 
     /// The per-shard circuit-breaker table and availability counters this
@@ -654,9 +642,7 @@ impl ShardedIndex {
             (0..self.shards.len()).map(|s| self.serving_backend(s)).collect::<Result<Vec<_>>>()?;
         let engine = ShardedEngine::new(backends, budget)?;
         let lowered = request.as_engine_requests();
-        let started = Instant::now();
         let shard_results = engine.run_requests_with_policy(&lowered, policy, &self.health);
-        let wall_seconds = started.elapsed().as_secs_f64();
 
         let mut answered: Vec<BatchResult> = Vec::new();
         let mut answered_shards: Vec<usize> = Vec::new();
@@ -709,14 +695,7 @@ impl ShardedIndex {
         }
         let ks: Vec<usize> = lowered.iter().map(|r| r.k).collect();
         let outcomes = merge_shard_outcomes(&answered, &ks);
-        let report = ThroughputReport::from_outcomes(
-            self.serving_label(),
-            ks.iter().copied().max().unwrap_or(0),
-            budget,
-            wall_seconds,
-            &outcomes,
-        );
-        Ok(ResilientBatch { outcomes, report, availability, shard_failures })
+        Ok(ResilientBatch { outcomes, availability, shard_failures })
     }
 
     /// Fraction of the live id space on shards *not* in `answered_shards`:
@@ -740,11 +719,6 @@ impl ShardedIndex {
         for (id, _) in neighbors.iter_mut() {
             *id = PointId(router.locals[shard][id.0 as usize]);
         }
-    }
-
-    /// Stable backend label for reports, e.g. `BPx4`.
-    fn serving_label(&self) -> String {
-        format!("{}x{}", self.spec.base.method.short_name(), self.spec.shards)
     }
 }
 

@@ -205,11 +205,7 @@ fn variational_baseline_is_faster_but_less_accurate_than_exact_bbt() {
             .unwrap();
         exact_io += exact.io.pages_read;
         var_io += var.io.pages_read;
-        let exact_pairs: Vec<(PointId, f64)> =
-            exact.neighbors.iter().map(|n| (n.id, n.distance)).collect();
-        let var_pairs: Vec<(PointId, f64)> =
-            var.neighbors.iter().map(|n| (n.id, n.distance)).collect();
-        recalls.push(recall(&var_pairs, &exact_pairs));
+        recalls.push(recall(&var.neighbors, &exact.neighbors));
     }
     assert!(var_io <= exact_io, "the variational search must not read more pages");
     let mean_recall = recalls.iter().sum::<f64>() / recalls.len() as f64;
@@ -378,8 +374,8 @@ fn seeded_search_reads_fewer_pages_than_bbt_on_the_sift_proxy() {
         let want = bbt.knn(&mut BufferPool::unbuffered(), &mut kernel, query, k, None).unwrap();
         assert_eq!(got.neighbors.len(), k, "query {qi}");
         for (g, w) in got.neighbors.iter().zip(&want.neighbors) {
-            let tolerance = 1e-9 * (1.0 + w.distance.abs());
-            assert!((g.1 - w.distance).abs() <= tolerance, "query {qi}: {g:?} vs {w:?}");
+            let tolerance = 1e-9 * (1.0 + w.1.abs());
+            assert!((g.1 - w.1).abs() <= tolerance, "query {qi}: {g:?} vs {w:?}");
         }
         bp_pages += got.stats.io.pages_read;
         bbt_pages += want.io.pages_read;

@@ -95,22 +95,21 @@ fn check_against_source<B: DecomposableBregman>(divergence: B) {
                 .knn(&mut BufferPool::unbuffered(), &mut KernelScratch::default(), q, 9, None)
                 .unwrap()
                 .neighbors;
-            answers.push(got.iter().map(|n| (n.id, n.distance)).collect::<Vec<_>>());
+            answers.push(got.clone());
             let mut scan: Vec<(usize, f64)> =
                 (0..data.len()).map(|i| (i, divergence.divergence(data.row(i), q))).collect();
             scan.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             assert_eq!(got.len(), 9, "{ctx} query {qi}: neighbor count");
-            for (rank, (n, (_, want))) in got.iter().zip(&scan).enumerate() {
-                let own = divergence.divergence(data.row(n.id.0 as usize), q);
+            for (rank, ((id, distance), (_, want))) in got.iter().zip(&scan).enumerate() {
+                let own = divergence.divergence(data.row(id.index()), q);
                 for (reference, what) in [(*want, "brute-force rank"), (own, "its own row")] {
                     assert!(
-                        (n.distance - reference).abs() <= 1e-9 * (1.0 + reference.abs()),
-                        "{ctx} query {qi} rank {rank}: {} vs {what} {reference}",
-                        n.distance
+                        (distance - reference).abs() <= 1e-9 * (1.0 + reference.abs()),
+                        "{ctx} query {qi} rank {rank}: {distance} vs {what} {reference}"
                     );
                 }
             }
-            let mut ids: Vec<u32> = got.iter().map(|n| n.id.0).collect();
+            let mut ids: Vec<u32> = got.iter().map(|(id, _)| id.0).collect();
             ids.sort_unstable();
             ids.dedup();
             assert_eq!(ids.len(), got.len(), "{ctx} query {qi}: duplicate ids");

@@ -57,13 +57,8 @@ fn batch_results_match_sequential_knn_over_256_queries() {
     assert_eq!(batch.outcomes.len(), queries.len());
     for (qi, (outcome, expected)) in batch.outcomes.iter().zip(sequential.iter()).enumerate() {
         assert_eq!(&outcome.neighbors, expected, "query {qi} diverged from sequential knn");
+        assert!(outcome.candidates >= k, "query {qi} scored {} rows", outcome.candidates);
     }
-    assert_eq!(batch.report.queries, 256);
-    assert_eq!(batch.report.k, k);
-    assert!(batch.report.qps > 0.0);
-    assert!(batch.report.latency.p50_ms <= batch.report.latency.p95_ms);
-    assert!(batch.report.latency.p95_ms <= batch.report.latency.p99_ms);
-    assert!(batch.report.latency.p99_ms <= batch.report.latency.max_ms);
 }
 
 /// One thread and N threads must return identical neighbor sets for every
@@ -79,8 +74,8 @@ fn exact_backend_is_thread_count_invariant() {
     let multi = QueryEngine::with_config(backend, EngineConfig::default().with_threads(8)).unwrap();
     let a = single.run_batch(&queries, 12).unwrap();
     let b = multi.run_batch(&queries, 12).unwrap();
-    assert_eq!(a.report.threads, 1);
-    assert_eq!(b.report.threads, 8);
+    assert_eq!(single.threads(), 1);
+    assert_eq!(multi.threads(), 8);
     for (qi, (x, y)) in a.outcomes.iter().zip(b.outcomes.iter()).enumerate() {
         assert_eq!(x.neighbors, y.neighbors, "query {qi} depends on thread count");
         assert_eq!(x.io, y.io, "query {qi}: cold-scratch I/O depends on thread count");
@@ -283,7 +278,10 @@ fn warm_scratch_batches_hit_the_buffer_pool_for_every_method() {
         let index = Index::build(&spec, &data).unwrap();
         let engine =
             index.engine(EngineConfig::default().with_threads(2).with_warm_scratch()).unwrap();
-        let io = engine.run_batch(&queries, 10).unwrap().report.io;
+        let mut io = IoStats::default();
+        for outcome in engine.run_batch(&queries, 10).unwrap().outcomes {
+            io.accumulate(&outcome.io);
+        }
         assert!(io.cache_hits > 0, "{method}: warm batch recorded no buffer-pool hits");
         let rate = io.cache_hits as f64 / (io.cache_hits + io.pages_read) as f64;
         assert!(

@@ -130,9 +130,7 @@ fn disk_bbtree_is_exact_on_proxies() {
     for (qi, query) in workload.iter().enumerate() {
         let mut pool = BufferPool::unbuffered();
         let result = index.knn(&mut pool, &mut KernelScratch::default(), query, 15, None).unwrap();
-        let got: Vec<(PointId, f64)> =
-            result.neighbors.iter().map(|n| (n.id, n.distance)).collect();
-        assert_distances_match("DiskBBTree/Fonts", &got, truth.neighbors_of(qi));
+        assert_distances_match("DiskBBTree/Fonts", &result.neighbors, truth.neighbors_of(qi));
     }
 }
 
@@ -188,7 +186,7 @@ fn all_three_exact_indexes_agree_with_each_other() {
 
     for i in 0..k {
         let a = bp_result.neighbors[i].1;
-        let b = bbt_result.neighbors[i].distance;
+        let b = bbt_result.neighbors[i].1;
         let c = vaf_result.neighbors[i].1;
         assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "BP vs BBT at rank {i}");
         assert!((a - c).abs() < 1e-9 * (1.0 + a.abs()), "BP vs VAF at rank {i}");
@@ -439,6 +437,8 @@ fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
     // A query coordinate past the domain, where the kernel's offset
     // `Σ (q·e^q − e^q)` overflows and every distance would be ∞ − ∞, is a
     // typed error at every entry point, and so is a row inserted there.
+    // The façade's build rejects the overflow rows the same way, so its
+    // part runs over the in-domain rows.
     let mut past = [1.0; 6];
     past[0] = 705.0;
     let expected = BregmanError::OutOfDomain { divergence: "ED", value: 705.0 };
@@ -449,6 +449,17 @@ fn seeded_search_matches_brute_force_id_for_id_on_proxies_and_hostile_data() {
         other => panic!("BrePartitionIndex::knn: {other:?}, expected ED's domain error"),
     }
     let spec = IndexSpec::brepartition(kind).with_page_size(4 * 6 * 8);
+    match Index::build(&spec, &data) {
+        Err(Error::Core(CoreError::Bregman(e))) => assert_eq!(
+            e,
+            BregmanError::OutOfDomain { divergence: "ED", value: overflow[1][1] },
+            "Index::build over the overflow rows"
+        ),
+        other => panic!("Index::build: {:?}, expected ED's domain error", other.map(drop)),
+    }
+    let in_domain: Vec<Vec<f64>> =
+        overflow.iter().filter(|row| kind.check_domain(row).is_ok()).cloned().collect();
+    let data = DenseDataset::from_rows(&in_domain).unwrap();
     let facade = Index::build(&spec, &data).unwrap();
     let batch = Request::batch([QueryRequest::new(&far, 5), QueryRequest::new(&past, 5)]);
     let results = [

@@ -124,6 +124,15 @@ fn all_four_methods_roundtrip_identically_through_the_facade() {
             assert_eq!(y.neighbors, z.neighbors, "{method} query {qi}: reopened vs pre-redesign");
             assert_eq!(x.io, y.io, "{method} query {qi}: cold-pool I/O must survive reopening");
             assert_eq!(x.candidates, z.candidates, "{method} query {qi}");
+            // Every exact method reports the rows it scored exactly, and it
+            // scored at least the answer's.
+            if method != "ABP" {
+                assert!(
+                    x.candidates >= k.min(data.len()),
+                    "{method} query {qi}: {} candidates for k = {k}",
+                    x.candidates
+                );
+            }
         }
 
         // Heterogeneous per-query k through the same reopened index: query
