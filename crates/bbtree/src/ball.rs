@@ -1,4 +1,15 @@
-//! Bregman balls and the query-to-ball node test.
+//! Bregman balls, BBT's per-node table of covering balls, and the
+//! query-to-ball node test.
+//!
+//! **Covering balls.** Only BBT builds, stores and reads them
+//! ([`CoveringBalls`]); BP tests the same topology by bounding boxes. A
+//! node's ball is centred at its members' mean, and its radius is the
+//! largest member divergence priced by the kernel
+//! `D_f(x, c) = Φ(x) + c_c − ⟨∇φ(c), x⟩`, plus
+//! `1e-12·(|Φ(x)| + |c_c| + Σ_j |∇φ(c)_j·x_j|)`: term magnitudes, because
+//! the dot product can cancel while its terms' rounding errors do not. So
+//! no radius falls below a member's naive
+//! [`DecomposableBregman::divergence`], the invariant BBT's exactness needs.
 //!
 //! Every tree search decides, node by node, whether a ball
 //! `B = {x : D_f(x, c) ≤ R}` can hold a point close enough to the query
@@ -22,7 +33,15 @@
 //! the centre's dual point and `x_θ` into per-search buffers, so testing a
 //! node allocates nothing.
 
-use bregman::DecomposableBregman;
+use bregman::kernel::PreparedQuery;
+use bregman::vector::mean_of;
+use bregman::{DecomposableBregman, DenseDataset, PointId};
+
+use crate::node::{BBTree, NodeId, NodeKind};
+
+/// Relative rounding allowance added to every kernel-priced member
+/// divergence when sizing a covering radius (see the module docs).
+const RADIUS_ALLOWANCE: f64 = 1e-12;
 
 /// Number of bisection steps used when projecting a query onto a ball
 /// surface. 20 halvings shrink the θ interval below 1e-6, far below the
@@ -53,16 +72,108 @@ impl BregmanBall {
     pub fn radius(&self) -> f64 {
         self.radius
     }
+}
 
-    /// Dimensionality of the centre.
-    pub fn dim(&self) -> usize {
-        self.center.len()
+/// The covering ball of every node of one tree, indexed by node id: the
+/// per-node table BBT's search tests.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoveringBalls(pub(crate) Vec<BregmanBall>);
+
+impl CoveringBalls {
+    /// Every node's covering ball over `dataset`, the rows `tree` was built
+    /// from, with `phi[i] = Φ(x_i)` as [`bregman::kernel::phi_table`] gives.
+    ///
+    /// # Panics
+    ///
+    /// If `phi` does not hold one value per row.
+    pub fn build<B: DecomposableBregman>(
+        divergence: &B,
+        tree: &BBTree,
+        dataset: &DenseDataset,
+        phi: &[f64],
+    ) -> CoveringBalls {
+        assert_eq!(phi.len(), dataset.len(), "one Φ(x) per point");
+        let mut balls = vec![BregmanBall::new(Vec::new(), 0.0); tree.node_count()];
+        members_children_first(tree, tree.root(), &mut |node, ids| {
+            balls[node.index()] = covering_ball(divergence, dataset, phi, ids)
+        });
+        CoveringBalls(balls)
     }
 
-    /// Whether a point lies inside the ball under divergence `b`.
-    pub fn contains<B: DecomposableBregman>(&self, b: &B, point: &[f64]) -> bool {
-        b.divergence(point, &self.center) <= self.radius
+    /// A node's covering ball.
+    pub fn ball(&self, node: NodeId) -> &BregmanBall {
+        &self.0[node.index()]
     }
+
+    /// Check the covering invariant: the naive
+    /// [`DecomposableBregman::divergence`] of every member of every node of
+    /// `tree` from the node's centre is at most its radius, with no slack.
+    /// Intended for tests; `points` resolves ids to coordinates.
+    pub fn validate_covering<B, F>(&self, tree: &BBTree, divergence: &B, mut points: F) -> bool
+    where
+        B: DecomposableBregman,
+        F: FnMut(PointId) -> Vec<f64>,
+    {
+        (0..tree.node_count() as u32).map(NodeId).all(|id| {
+            let ball = self.ball(id);
+            let mut members = tree.collect_points(id).into_iter();
+            members.all(|pid| divergence.divergence(&points(pid), ball.center()) <= ball.radius())
+        })
+    }
+}
+
+/// Hands `visit` the members of each node under `node`, children first, in
+/// ascending id order (the build's splits keep that order, so each ball sums
+/// its members as the build handed them over), and returns `node`'s.
+fn members_children_first(
+    tree: &BBTree,
+    node: NodeId,
+    visit: &mut dyn FnMut(NodeId, &[PointId]),
+) -> Vec<PointId> {
+    let members = match tree.node(node) {
+        NodeKind::Leaf { points } => points.clone(),
+        &NodeKind::Internal { left, right } => {
+            let mut members = members_children_first(tree, left, visit);
+            members.extend(members_children_first(tree, right, visit));
+            members.sort(); // two sorted runs: the stable sort merges them
+            members
+        }
+    };
+    visit(node, &members);
+    members
+}
+
+/// The ball centred at the mean of `ids` whose radius is the largest
+/// kernel-priced member divergence plus its rounding allowance; no ids
+/// give the zero ball at the domain's anchor.
+fn covering_ball<B: DecomposableBregman>(
+    divergence: &B,
+    dataset: &DenseDataset,
+    phi: &[f64],
+    ids: &[PointId],
+) -> BregmanBall {
+    if ids.is_empty() {
+        return BregmanBall::new(vec![divergence.domain_anchor(); dataset.dim()], 0.0);
+    }
+    let center = mean_of(dataset, ids);
+    let prepared = PreparedQuery::decompose(divergence, &center);
+    let (grad, offset) = (prepared.gradient(), prepared.offset());
+    let radius = ids
+        .iter()
+        .map(|&id| {
+            let (x, phi_x) = (dataset.point(id), phi[id.index()]);
+            prepared.distance(phi_x, x) + rounding_allowance(phi_x, grad, offset, x)
+        })
+        .fold(0.0f64, f64::max);
+    BregmanBall::new(center, radius)
+}
+
+/// [`RADIUS_ALLOWANCE`] times the magnitude of the terms of
+/// `D_f(x, c) = Φ(x) + c_c − ⟨∇φ(c), x⟩`, each `∇φ(c)_j·x_j` counted on its
+/// own so that a cancelling dot product does not shrink the allowance.
+pub(crate) fn rounding_allowance(phi_x: f64, grad: &[f64], offset: f64, x: &[f64]) -> f64 {
+    let terms: f64 = grad.iter().zip(x).map(|(g, v)| (g * v).abs()).sum();
+    RADIUS_ALLOWANCE * (phi_x.abs() + offset.abs() + terms)
 }
 
 /// Per-search scratch for testing one query against many balls.
@@ -173,12 +284,14 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     #[test]
-    fn contains_is_consistent_with_divergence() {
-        let ball = BregmanBall::new(vec![1.0, 1.0], 0.5);
-        assert!(ball.contains(&SquaredEuclidean, &[1.0, 1.5])); // D = 0.25
-        assert!(!ball.contains(&SquaredEuclidean, &[2.0, 2.0])); // D = 2
-        assert_eq!(ball.dim(), 2);
-        assert_eq!(ball.radius(), 0.5);
+    fn covering_invariant_holds() {
+        let rows: Vec<Vec<f64>> = (0..32).map(|i| vec![(i % 8) as f64, (i / 8) as f64]).collect();
+        let ds = bregman::DenseDataset::from_rows(&rows).unwrap();
+        let config = crate::BBTreeConfig::with_leaf_capacity(3);
+        let tree = crate::BBTreeBuilder::new(SquaredEuclidean, config).build(&ds);
+        let phi = bregman::kernel::phi_table(&SquaredEuclidean, &ds);
+        let balls = CoveringBalls::build(&SquaredEuclidean, &tree, &ds, &phi);
+        assert!(balls.validate_covering(&tree, &SquaredEuclidean, |pid| ds.point(pid).to_vec()));
     }
 
     #[test]

@@ -6,41 +6,26 @@
 //! divergence (Banerjee et al., JMLR 2005), the Lloyd iteration uses plain
 //! means regardless of the divergence.
 //!
-//! Construction runs on the same decomposition as the query path
-//! ([`bregman::kernel`]): `D_f(x, c) = Φ(x) + c_c − ⟨∇φ(c), x⟩`, with the
-//! centre side (`∇φ(c)`, `c_c`) prepared once per centre and `Φ(x)`
-//! tabulated once per build with [`phi_table`], or passed in by a caller
-//! that already holds it ([`BBTreeBuilder::build_with_phi`]). No `φ` or
-//! `φ′` is evaluated per point, so building is free of per-point
-//! transcendentals:
+//! The build produces the tree's topology only: children and leaf point
+//! lists, which BBT and BP share. BBT derives its covering balls from the
+//! topology afterwards ([`crate::ball::CoveringBalls`]); BP never computes
+//! them.
 //!
-//! * **Assignment is a hyperplane test.** `Φ(x)` cancels between the two
-//!   centres, so `D_f(x, c_a) ≤ D_f(x, c_b)` iff
-//!   `⟨∇φ(c_b) − ∇φ(c_a), x⟩ ≤ c_{c_b} − c_{c_a}`: the Bregman bisector of
-//!   two centres is a hyperplane in `x`, and each Lloyd iteration costs one
-//!   dot product per point.
-//! * **Covering radii come from the kernel plus an allowance.** A node's
-//!   radius is the largest kernel divergence of its members plus
-//!   `1e-12·(|Φ(x)| + |c_c| + Σ_j |∇φ(c)_j·x_j|)`. The allowance scales
-//!   with the term-magnitude sum rather than with `|⟨∇φ(c), x⟩|` because
-//!   the dot product can cancel while its terms' rounding errors do not.
-//!   It keeps every radius at or above each member's naive
-//!   [`DecomposableBregman::divergence`], the
-//!   covering invariant that range-search exactness relies on.
+//! **Assignment is a hyperplane test.** With each centre prepared once
+//! ([`bregman::kernel`]), `D_f(x, c) = Φ(x) + c_c − ⟨∇φ(c), x⟩` and `Φ(x)`
+//! cancels between the two centres, so `D_f(x, c_a) ≤ D_f(x, c_b)` iff
+//! `⟨∇φ(c_b) − ∇φ(c_a), x⟩ ≤ c_{c_b} − c_{c_a}`: the Bregman bisector of two
+//! centres is a hyperplane in `x`, and each Lloyd iteration costs one dot
+//! product per point, with no `φ` or `φ′` evaluated per point.
 
-use bregman::kernel::{dot8, phi_table, PreparedQuery};
+use bregman::kernel::{dot8, PreparedQuery};
 use bregman::vector::mean_of;
 use bregman::{DecomposableBregman, DenseDataset, PointId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::ball::BregmanBall;
-use crate::node::{BBTree, Node, NodeId, NodeKind};
-
-/// Relative rounding allowance added to every kernel-priced member
-/// divergence when sizing a covering radius (see the module docs).
-const RADIUS_ALLOWANCE: f64 = 1e-12;
+use crate::node::{BBTree, NodeId, NodeKind};
 
 /// Construction parameters for a BB-tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,46 +65,18 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
         Self { divergence, config }
     }
 
-    /// The configuration used by this builder.
-    pub fn config(&self) -> BBTreeConfig {
-        self.config
-    }
-
-    /// Build a tree over every point of `dataset`, tabulating `Φ(x)` with
-    /// [`phi_table`].
+    /// Build the topology of a tree over every point of `dataset`. Each
+    /// node's ids stay in ascending order, through every split.
     pub fn build(&self, dataset: &DenseDataset) -> BBTree {
-        self.build_with_phi(dataset, &phi_table(&self.divergence, dataset))
-    }
-
-    /// Build a tree over every point of `dataset`, given each point's
-    /// generator sum `phi[i] = Φ(x_i)` (what [`phi_table`] returns), for
-    /// callers that already hold it. The covering radii are priced from
-    /// `phi`, so it must be the dataset's own column.
-    ///
-    /// # Panics
-    ///
-    /// If `phi` does not hold one value per point.
-    pub fn build_with_phi(&self, dataset: &DenseDataset, phi: &[f64]) -> BBTree {
-        assert_eq!(phi.len(), dataset.len(), "one Φ(x) per point");
-        let mut nodes: Vec<Node> = Vec::new();
+        let mut nodes = Vec::new();
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let point_count = dataset.len();
-        let root = if point_count == 0 {
-            // Degenerate empty tree: a single empty leaf with a zero ball.
-            nodes.push(Node {
-                ball: BregmanBall::new(vec![self.divergence.domain_anchor(); dataset.dim()], 0.0),
-                kind: NodeKind::Leaf { points: Vec::new() },
-            });
-            NodeId(0)
-        } else {
-            let ids: Vec<PointId> = (0..point_count).map(PointId::from).collect();
-            self.build_recursive(dataset, phi, ids, &mut nodes, &mut rng)
-        };
+        let ids: Vec<PointId> = (0..dataset.len()).map(PointId::from).collect();
+        let root = self.build_recursive(dataset, ids, &mut nodes, &mut rng);
         BBTree {
             nodes,
             root,
             dim: dataset.dim(),
-            point_count,
+            point_count: dataset.len(),
             divergence_name: self.divergence.name().to_string(),
         }
     }
@@ -127,45 +84,26 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
     fn build_recursive(
         &self,
         dataset: &DenseDataset,
-        phis: &[f64],
         ids: Vec<PointId>,
-        nodes: &mut Vec<Node>,
+        nodes: &mut Vec<NodeKind>,
         rng: &mut ChaCha8Rng,
     ) -> NodeId {
-        let ball = self.covering_ball(dataset, phis, &ids);
+        // An empty dataset is a single empty leaf.
         if ids.len() <= self.config.leaf_capacity {
-            nodes.push(Node { ball, kind: NodeKind::Leaf { points: ids } });
+            nodes.push(NodeKind::Leaf { points: ids });
             return NodeId((nodes.len() - 1) as u32);
         }
         let (left_ids, right_ids) = self.split(dataset, &ids, rng);
         if left_ids.is_empty() || right_ids.is_empty() {
             // Clustering collapsed (e.g. all points identical): make a leaf
             // even though it exceeds the nominal capacity.
-            nodes.push(Node { ball, kind: NodeKind::Leaf { points: ids } });
+            nodes.push(NodeKind::Leaf { points: ids });
             return NodeId((nodes.len() - 1) as u32);
         }
-        let left = self.build_recursive(dataset, phis, left_ids, nodes, rng);
-        let right = self.build_recursive(dataset, phis, right_ids, nodes, rng);
-        nodes.push(Node { ball, kind: NodeKind::Internal { left, right } });
+        let left = self.build_recursive(dataset, left_ids, nodes, rng);
+        let right = self.build_recursive(dataset, right_ids, nodes, rng);
+        nodes.push(NodeKind::Internal { left, right });
         NodeId((nodes.len() - 1) as u32)
-    }
-
-    /// The ball centred at the arithmetic mean of the (non-empty) `ids` whose
-    /// radius is the largest member divergence, each priced by the kernel
-    /// plus its rounding allowance; `phis` is the build's `Φ(x)` table.
-    fn covering_ball(&self, dataset: &DenseDataset, phis: &[f64], ids: &[PointId]) -> BregmanBall {
-        let center = mean_of(dataset, ids);
-        let prepared = PreparedQuery::decompose(&self.divergence, &center);
-        let (grad, offset) = (prepared.gradient(), prepared.offset());
-        let radius = ids
-            .iter()
-            .map(|&id| {
-                let x = dataset.point(id);
-                let phi_x = phis[id.index()];
-                prepared.distance(phi_x, x) + rounding_allowance(phi_x, grad, offset, x)
-            })
-            .fold(0.0f64, f64::max);
-        BregmanBall::new(center, radius)
     }
 
     /// Bregman 2-means split of `ids` into two non-empty halves (when
@@ -223,14 +161,6 @@ impl<B: DecomposableBregman> BBTreeBuilder<B> {
     }
 }
 
-/// [`RADIUS_ALLOWANCE`] times the magnitude of the terms of
-/// `D_f(x, c) = Φ(x) + c_c − ⟨∇φ(c), x⟩`, each `∇φ(c)_j·x_j` counted on its
-/// own so that a cancelling dot product does not shrink the allowance.
-fn rounding_allowance(phi_x: f64, grad: &[f64], offset: f64, x: &[f64]) -> f64 {
-    let terms: f64 = grad.iter().zip(x).map(|(g, v)| (g * v).abs()).sum();
-    RADIUS_ALLOWANCE * (phi_x.abs() + offset.abs() + terms)
-}
-
 /// One Lloyd assignment step: `ids` split into the points closer to
 /// `center_a` (ties included) and those closer to `center_b`, both in
 /// `ids` order. The bisector `D_f(x, c_a) = D_f(x, c_b)` is the hyperplane
@@ -254,6 +184,8 @@ fn assign<B: DecomposableBregman>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ball::{rounding_allowance, CoveringBalls};
+    use bregman::kernel::phi_table;
     use bregman::{DecomposableBregman, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -276,7 +208,7 @@ mod tests {
         let config = BBTreeConfig::with_leaf_capacity(4);
         let tree = BBTreeBuilder::new(SquaredEuclidean, config).build(&ds);
         for id in 0..tree.node_count() {
-            if let NodeKind::Leaf { points } = &tree.node(NodeId(id as u32)).kind {
+            if let NodeKind::Leaf { points } = tree.node(NodeId(id as u32)) {
                 assert!(points.len() <= 4, "leaf of size {} exceeds capacity", points.len());
             }
         }
@@ -288,7 +220,7 @@ mod tests {
         let config = BBTreeConfig::with_leaf_capacity(16);
         let tree = BBTreeBuilder::new(SquaredEuclidean, config).build(&ds);
         // Root must be internal; its children should each hold one cluster.
-        if let NodeKind::Internal { left, right } = &tree.node(tree.root()).kind {
+        if let NodeKind::Internal { left, right } = tree.node(tree.root()) {
             let left_pts = tree.collect_points(*left);
             let right_pts = tree.collect_points(*right);
             assert_eq!(left_pts.len(), 16);
@@ -308,7 +240,8 @@ mod tests {
             (1..=40).map(|i| vec![i as f64, (41 - i) as f64, 0.5 * i as f64]).collect();
         let ds = DenseDataset::from_rows(&rows).unwrap();
         let tree = BBTreeBuilder::new(ItakuraSaito, BBTreeConfig::with_leaf_capacity(5)).build(&ds);
-        assert!(tree.validate_covering(&ItakuraSaito, |pid| ds.point(pid).to_vec()));
+        let balls = CoveringBalls::build(&ItakuraSaito, &tree, &ds, &phi_table(&ItakuraSaito, &ds));
+        assert!(balls.validate_covering(&tree, &ItakuraSaito, |pid| ds.point(pid).to_vec()));
         assert_eq!(tree.divergence_name(), ItakuraSaito.name());
     }
 

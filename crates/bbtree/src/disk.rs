@@ -1,7 +1,7 @@
 //! Disk-resident BB-tree: the paper's **BBT** baseline.
 //!
 //! The paper extends Cayton's in-memory BB-tree to disk by keeping the tree
-//! structure (ball centres and radii) in memory while the data points live in
+//! (its topology and covering balls) in memory while the data points live in
 //! fixed-size pages; every leaf visit loads the leaf's points through the
 //! buffer pool so the per-query I/O cost can be measured. [`DiskBBTree`]
 //! bundles the tree with its page store and exposes exact kNN, range search
@@ -15,11 +15,14 @@ use bregman::{BregmanError, DecomposableBregman, DenseDataset, PointId};
 use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, PersistResult};
 use pagestore::{BufferPool, IoStats, PageStore, PageStoreConfig, PageStoreError};
 
+use crate::ball::{CoveringBalls, Projector};
 use crate::build::{BBTreeBuilder, BBTreeConfig};
 use crate::node::BBTree;
+use crate::serial;
 use crate::stats::SearchStats;
 
-/// File name of the serialized tree structure within an index directory.
+/// File name of the serialized tree (topology and balls) within an index
+/// directory.
 pub const TREE_FILE: &str = "tree.bbt";
 
 /// File name of the page file within an index directory.
@@ -85,6 +88,7 @@ pub struct DiskQueryResult {
 pub struct DiskBBTree<B: DecomposableBregman> {
     divergence: B,
     tree: BBTree,
+    balls: CoveringBalls,
     store: Arc<PageStore>,
     /// Per-point generator sums `Φ(x) = Σ_j φ(x_j)`, indexed by point id —
     /// the data side of the prepared-query kernel, computed once at build
@@ -93,8 +97,8 @@ pub struct DiskBBTree<B: DecomposableBregman> {
 }
 
 impl<B: DecomposableBregman> DiskBBTree<B> {
-    /// Build the tree over `dataset` and lay the points out on the simulated
-    /// disk in leaf order.
+    /// Build the tree over `dataset`, then its covering balls, and lay the
+    /// points out on the simulated disk in leaf order.
     pub fn build(
         divergence: B,
         dataset: &DenseDataset,
@@ -102,33 +106,33 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
         store_config: PageStoreConfig,
     ) -> Self {
         let phi = phi_table(&divergence, dataset);
-        let tree =
-            BBTreeBuilder::new(divergence.clone(), tree_config).build_with_phi(dataset, &phi);
+        let tree = BBTreeBuilder::new(divergence.clone(), tree_config).build(dataset);
+        let balls = CoveringBalls::build(&divergence, &tree, dataset, &phi);
         let order: Vec<u32> = tree.points_in_leaf_order().iter().map(|p| p.0).collect();
         let store = PageStore::build_with_order(store_config, dataset.dim(), &order, |pid| {
             dataset.point(PointId(pid))
         });
-        Self { divergence, tree, store: Arc::new(store), phi: Arc::new(phi) }
+        Self { divergence, tree, balls, store: Arc::new(store), phi: Arc::new(phi) }
     }
 
-    /// Persist the index to a directory: the tree structure as
+    /// Persist the index to a directory: the tree and its balls as
     /// [`TREE_FILE`], the data pages as [`PAGES_FILE`] and the per-point
     /// `Φ(x)` column as [`PHI_FILE`].
     pub fn save(&self, dir: &Path) -> PersistResult<()> {
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(TREE_FILE), self.tree.to_bytes())?;
+        std::fs::write(dir.join(TREE_FILE), serial::to_bytes(&self.tree, &self.balls))?;
         let mut w = ByteWriter::new();
         w.put_f64_seq(&self.phi);
         std::fs::write(dir.join(PHI_FILE), seal(&PHI_MAGIC, PHI_VERSION, &w.into_vec()))?;
         self.store.save(&dir.join(PAGES_FILE))
     }
 
-    /// Open an index saved with [`DiskBBTree::save`]. The tree structure is
-    /// loaded into memory; data pages are served from the page file on
+    /// Open an index saved with [`DiskBBTree::save`]. The tree and its balls
+    /// are loaded into memory; data pages are served from the page file on
     /// demand. Fails if the directory was written for a different
     /// divergence, or if the [`PHI_FILE`] column is missing or invalid.
     pub fn open(divergence: B, dir: &Path) -> PersistResult<Self> {
-        let tree = BBTree::from_bytes(&std::fs::read(dir.join(TREE_FILE))?)?;
+        let (tree, balls) = serial::from_bytes(&std::fs::read(dir.join(TREE_FILE))?)?;
         if tree.divergence_name() != divergence.name() {
             return Err(PersistError::Corrupt(format!(
                 "index was built for divergence {:?}, opened with {:?}",
@@ -162,10 +166,10 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
             )));
         }
         let phi = read_phi(dir, tree.len())?;
-        Ok(Self { divergence, tree, store: Arc::new(store), phi: Arc::new(phi) })
+        Ok(Self { divergence, tree, balls, store: Arc::new(store), phi: Arc::new(phi) })
     }
 
-    /// The in-memory tree structure.
+    /// The in-memory tree topology.
     pub fn tree(&self) -> &BBTree {
         &self.tree
     }
@@ -228,16 +232,17 @@ impl<B: DecomposableBregman> DiskBBTree<B> {
         let prepared: &bregman::kernel::PreparedQuery = prepared;
         let phi = &self.phi;
         let store = &self.store;
-        // The traversal callback cannot early-return through `knn_bounded`,
+        // The traversal callback cannot early-return through `best_first`,
         // so a failed page read is captured here and re-raised afterwards
         // (remaining leaf visits are skipped).
         let mut read_error: Option<PageStoreError> = None;
-        let neighbors = self.tree.knn_bounded(
-            &self.divergence,
-            query,
+        let mut projector = Projector::new(&self.divergence, query);
+        let neighbors = self.tree.best_first(
+            &self.balls,
             k,
             &mut stats,
             leaf_budget.unwrap_or(usize::MAX),
+            |ball| projector.min_divergence(ball),
             &mut |leaf_points, offer| {
                 if read_error.is_some() {
                     return;
@@ -352,7 +357,7 @@ mod tests {
         );
         // Every leaf of capacity 8 should span at most 2 pages.
         for leaf in index.tree().leaves_in_order() {
-            if let crate::node::NodeKind::Leaf { points } = &index.tree().node(leaf).kind {
+            if let crate::node::NodeKind::Leaf { points } = index.tree().node(leaf) {
                 let pages: std::collections::HashSet<_> =
                     points.iter().map(|p| index.store().address_of(p.0).unwrap().page).collect();
                 assert!(pages.len() <= 2, "leaf spread over {} pages", pages.len());

@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use bregman::{DecomposableBregman, DenseDataset, PointId};
 
-use crate::ball::{BregmanBall, Projector};
+use crate::ball::{BregmanBall, CoveringBalls, Projector};
 use crate::node::{BBTree, NodeId, NodeKind};
 use crate::stats::SearchStats;
 
@@ -104,10 +104,12 @@ impl BBTree {
     /// Exact kNN search over an in-memory dataset.
     ///
     /// `dataset` must be the dataset the tree was built over (the tree only
-    /// stores point ids). Returns up to `k` neighbours ordered by increasing
-    /// divergence `D_f(point, query)`.
+    /// stores point ids), and `balls` the tree's covering balls over it.
+    /// Returns up to `k` neighbours ordered by increasing divergence
+    /// `D_f(point, query)`.
     pub fn knn<B: DecomposableBregman>(
         &self,
+        balls: &CoveringBalls,
         divergence: &B,
         dataset: &DenseDataset,
         query: &[f64],
@@ -118,7 +120,9 @@ impl BBTree {
         // per-candidate work is then `Φ(x)` (data-side `φ` only) plus one
         // dot product. Disk-resident callers go further and tabulate `Φ`.
         let prepared = divergence.prepare_query(query);
-        self.knn_bounded(divergence, query, k, stats, usize::MAX, &mut |points, offer| {
+        let mut projector = Projector::new(divergence, query);
+        let bound = |ball: &BregmanBall| projector.min_divergence(ball);
+        self.best_first(balls, k, stats, usize::MAX, bound, &mut |points, offer| {
             for &pid in points {
                 let coords = dataset.point(pid);
                 offer(pid, prepared.distance(divergence.f(coords), coords));
@@ -129,6 +133,10 @@ impl BBTree {
     /// Best-first kNN visiting at most `max_leaves` leaves (exact when
     /// `max_leaves` is `usize::MAX`, approximate otherwise); the shared
     /// skeleton of the in-memory, disk-resident and variational searches.
+    /// `lower_bound(ball)` is the node test, applied to each child's ball
+    /// in `balls`: the ball's projection bound. The root, whose bound is
+    /// taken as 0, and every child tested count in `stats.nodes_visited`,
+    /// pruned or not.
     ///
     /// `visit_leaf` is called with a leaf's point ids and an *offer*
     /// callback taking `(id, divergence)` pairs. Distances are computed by
@@ -138,29 +146,9 @@ impl BBTree {
     /// disk-resident search batches each decoded page group through the
     /// lane-major block kernel — so the traversal skeleton is agnostic to
     /// how (and how many at a time) candidates are scored.
-    pub(crate) fn knn_bounded<B, F>(
+    pub(crate) fn best_first<T, F>(
         &self,
-        divergence: &B,
-        query: &[f64],
-        k: usize,
-        stats: &mut SearchStats,
-        max_leaves: usize,
-        visit_leaf: &mut F,
-    ) -> Vec<(PointId, f64)>
-    where
-        B: DecomposableBregman,
-        F: FnMut(&[PointId], &mut dyn FnMut(PointId, f64)),
-    {
-        let mut projector = Projector::new(divergence, query);
-        self.best_first(k, stats, max_leaves, |ball| projector.min_divergence(ball), visit_leaf)
-    }
-
-    /// The best-first traversal behind [`BBTree::knn_bounded`];
-    /// `lower_bound(ball)` is the node test, the ball's projection bound.
-    /// The root, whose bound is taken as 0, and every child tested count
-    /// in `stats.nodes_visited`, pruned or not.
-    fn best_first<T, F>(
-        &self,
+        balls: &CoveringBalls,
         k: usize,
         stats: &mut SearchStats,
         max_leaves: usize,
@@ -184,7 +172,7 @@ impl BBTree {
             if entry.bound > top.threshold() {
                 break; // best-first: nothing left can improve the result
             }
-            match &self.node(entry.node).kind {
+            match self.node(entry.node) {
                 NodeKind::Leaf { points } => {
                     stats.leaves_visited += 1;
                     leaves_visited += 1;
@@ -199,7 +187,7 @@ impl BBTree {
                 NodeKind::Internal { left, right } => {
                     for child in [*left, *right] {
                         stats.nodes_visited += 1;
-                        let bound = lower_bound(&self.node(child).ball);
+                        let bound = lower_bound(balls.ball(child));
                         if bound <= top.threshold() {
                             frontier.push(FrontierEntry { bound, node: child });
                         }
@@ -230,6 +218,7 @@ pub fn linear_scan_knn<B: DecomposableBregman>(
 mod tests {
     use super::*;
     use crate::build::{BBTreeBuilder, BBTreeConfig};
+    use bregman::kernel::phi_table;
     use bregman::{Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -239,6 +228,18 @@ mod tests {
         let rows: Vec<Vec<f64>> =
             (0..n).map(|_| (0..d).map(|_| rng.gen_range(0.1..10.0)).collect()).collect();
         DenseDataset::from_rows(&rows).unwrap()
+    }
+
+    /// A seeded tree over `ds` with its covering balls.
+    fn tree_and_balls<B: DecomposableBregman>(
+        b: &B,
+        ds: &DenseDataset,
+        leaf_capacity: usize,
+    ) -> (BBTree, CoveringBalls) {
+        let tree = BBTreeBuilder::new(b.clone(), BBTreeConfig::with_leaf_capacity(leaf_capacity))
+            .build(ds);
+        let balls = CoveringBalls::build(b, &tree, ds, &phi_table(b, ds));
+        (tree, balls)
     }
 
     fn assert_same_neighbors(a: &[(PointId, f64)], b: &[(PointId, f64)]) {
@@ -251,13 +252,12 @@ mod tests {
     #[test]
     fn matches_linear_scan_squared_euclidean() {
         let ds = random_dataset(300, 6, 1);
-        let tree =
-            BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::with_leaf_capacity(8)).build(&ds);
+        let (tree, balls) = tree_and_balls(&SquaredEuclidean, &ds, 8);
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..10 {
             let query: Vec<f64> = (0..6).map(|_| rng.gen_range(0.1..10.0)).collect();
             let mut stats = SearchStats::new();
-            let got = tree.knn(&SquaredEuclidean, &ds, &query, 5, &mut stats);
+            let got = tree.knn(&balls, &SquaredEuclidean, &ds, &query, 5, &mut stats);
             let expected = linear_scan_knn(&SquaredEuclidean, &ds, &query, 5);
             assert_same_neighbors(&got, &expected);
             assert!(stats.distance_computations <= ds.len() as u64);
@@ -270,16 +270,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let query: Vec<f64> = (0..4).map(|_| rng.gen_range(0.5..5.0)).collect();
 
-        let tree_isd =
-            BBTreeBuilder::new(ItakuraSaito, BBTreeConfig::with_leaf_capacity(10)).build(&ds);
+        let (tree_isd, balls_isd) = tree_and_balls(&ItakuraSaito, &ds, 10);
         let mut stats = SearchStats::new();
-        let got = tree_isd.knn(&ItakuraSaito, &ds, &query, 7, &mut stats);
+        let got = tree_isd.knn(&balls_isd, &ItakuraSaito, &ds, &query, 7, &mut stats);
         assert_same_neighbors(&got, &linear_scan_knn(&ItakuraSaito, &ds, &query, 7));
 
-        let tree_exp =
-            BBTreeBuilder::new(Exponential, BBTreeConfig::with_leaf_capacity(10)).build(&ds);
+        let (tree_exp, balls_exp) = tree_and_balls(&Exponential, &ds, 10);
         let mut stats = SearchStats::new();
-        let got = tree_exp.knn(&Exponential, &ds, &query, 7, &mut stats);
+        let got = tree_exp.knn(&balls_exp, &Exponential, &ds, &query, 7, &mut stats);
         assert_same_neighbors(&got, &linear_scan_knn(&Exponential, &ds, &query, 7));
     }
 
@@ -290,17 +288,17 @@ mod tests {
     fn assert_same_as_full_bisection<B: DecomposableBregman>(b: &B, seed: u64) {
         for dim in [1usize, 2, 32] {
             let ds = random_dataset(300, dim, seed + dim as u64);
-            let tree =
-                BBTreeBuilder::new(b.clone(), BBTreeConfig::with_leaf_capacity(8)).build(&ds);
+            let (tree, balls) = tree_and_balls(b, &ds, 8);
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..4 {
                 let query: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.1..10.0)).collect();
                 let prepared = b.prepare_query(&query);
                 for k in [1, 10] {
                     let mut stats = SearchStats::new();
-                    let got = tree.knn(b, &ds, &query, k, &mut stats);
+                    let got = tree.knn(&balls, b, &ds, &query, k, &mut stats);
                     let mut reference_stats = SearchStats::new();
                     let reference = tree.best_first(
+                        &balls,
                         k,
                         &mut reference_stats,
                         usize::MAX,
@@ -333,8 +331,7 @@ mod tests {
     #[test]
     fn nodes_visited_counts_every_node_test() {
         let ds = random_dataset(300, 4, 9);
-        let tree =
-            BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::with_leaf_capacity(8)).build(&ds);
+        let (tree, balls) = tree_and_balls(&SquaredEuclidean, &ds, 8);
         let mut rng = StdRng::seed_from_u64(10);
         let mut pruned_somewhere = false;
         for _ in 0..8 {
@@ -343,6 +340,7 @@ mod tests {
             let (mut calls, mut leaves) = (0u64, 0u64);
             let mut stats = SearchStats::new();
             let got = tree.best_first(
+                &balls,
                 5,
                 &mut stats,
                 usize::MAX,
@@ -378,10 +376,9 @@ mod tests {
             }
         }
         let ds = DenseDataset::from_rows(&rows).unwrap();
-        let tree =
-            BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::with_leaf_capacity(16)).build(&ds);
+        let (tree, balls) = tree_and_balls(&SquaredEuclidean, &ds, 16);
         let mut stats = SearchStats::new();
-        let got = tree.knn(&SquaredEuclidean, &ds, &[100.0, 100.0], 3, &mut stats);
+        let got = tree.knn(&balls, &SquaredEuclidean, &ds, &[100.0, 100.0], 3, &mut stats);
         assert_eq!(got.len(), 3);
         assert!(
             stats.distance_computations < ds.len() as u64 / 2,
@@ -394,10 +391,9 @@ mod tests {
     #[test]
     fn k_larger_than_dataset_returns_everything() {
         let ds = random_dataset(12, 3, 5);
-        let tree =
-            BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::with_leaf_capacity(4)).build(&ds);
+        let (tree, balls) = tree_and_balls(&SquaredEuclidean, &ds, 4);
         let mut stats = SearchStats::new();
-        let got = tree.knn(&SquaredEuclidean, &ds, &[1.0, 1.0, 1.0], 50, &mut stats);
+        let got = tree.knn(&balls, &SquaredEuclidean, &ds, &[1.0, 1.0, 1.0], 50, &mut stats);
         assert_eq!(got.len(), 12);
         // Results must be sorted by distance.
         for pair in got.windows(2) {
@@ -408,15 +404,15 @@ mod tests {
     #[test]
     fn k_zero_and_empty_tree() {
         let ds = random_dataset(10, 2, 6);
-        let tree =
-            BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::with_leaf_capacity(4)).build(&ds);
+        let (tree, balls) = tree_and_balls(&SquaredEuclidean, &ds, 4);
         let mut stats = SearchStats::new();
-        assert!(tree.knn(&SquaredEuclidean, &ds, &[1.0, 1.0], 0, &mut stats).is_empty());
+        assert!(tree.knn(&balls, &SquaredEuclidean, &ds, &[1.0, 1.0], 0, &mut stats).is_empty());
 
         let empty = DenseDataset::empty(2).unwrap();
-        let empty_tree =
-            BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::default()).build(&empty);
-        assert!(empty_tree.knn(&SquaredEuclidean, &empty, &[1.0, 1.0], 3, &mut stats).is_empty());
+        let (empty_tree, empty_balls) = tree_and_balls(&SquaredEuclidean, &empty, 32);
+        let got =
+            empty_tree.knn(&empty_balls, &SquaredEuclidean, &empty, &[1.0, 1.0], 3, &mut stats);
+        assert!(got.is_empty());
     }
 
     #[test]

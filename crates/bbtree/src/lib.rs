@@ -1,8 +1,10 @@
 //! Bregman ball trees (BB-trees).
 //!
-//! A BB-tree (Cayton, ICML 2008) is a binary space-partitioning tree whose
-//! nodes are *Bregman balls* `{x : D_f(x, μ) ≤ R}`. It is built by recursive
-//! Bregman 2-means clustering and supports:
+//! A BB-tree (Cayton, ICML 2008) is a binary space-partitioning tree built
+//! by recursive Bregman 2-means clustering. Its topology ([`BBTree`]:
+//! children and leaf point lists) is what BBT and BrePartition both walk;
+//! its *Bregman balls* `{x : D_f(x, μ) ≤ R}` are a per-node table
+//! ([`CoveringBalls`]) that only BBT builds and tests. The crate supports:
 //!
 //! * exact k-nearest-neighbour search by best-first branch-and-bound
 //!   ([`knn`]), the paper's **BBT** baseline,
@@ -15,7 +17,7 @@
 //!   Coviello et al. (ICML 2013), the paper's **Var** baseline
 //!   ([`variational`]).
 //!
-//! The pruning bound is the exact Bregman projection of the query onto a
+//! BBT's pruning bound is the exact Bregman projection of the query onto a
 //! ball, computed by bisection along the dual geodesic ([`ball`]); the
 //! bisection maintains a conservative (outside-the-ball) iterate so the
 //! reported bound never exceeds the true minimum and exactness is preserved.
@@ -35,7 +37,7 @@ pub mod serial;
 pub mod stats;
 pub mod variational;
 
-pub use ball::BregmanBall;
+pub use ball::{BregmanBall, CoveringBalls};
 pub use build::{BBTreeBuilder, BBTreeConfig};
 pub use disk::{DiskBBTree, SearchError};
 pub use node::{BBTree, NodeId, NodeKind};

@@ -1,8 +1,9 @@
-//! Arena-based BB-tree representation.
+//! Arena-based BB-tree topology: the children of every node and the point
+//! ids of every leaf. BBT and BP both walk it; each keeps its own per-node
+//! table beside it (BBT's [`CoveringBalls`](crate::ball::CoveringBalls),
+//! BP's bounding boxes).
 
-use bregman::{DecomposableBregman, PointId};
-
-use crate::ball::BregmanBall;
+use bregman::PointId;
 
 /// Index of a node inside the tree arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,9 +17,9 @@ impl NodeId {
     }
 }
 
-/// Children of a node: either two sub-balls or the point ids of a leaf
+/// Children of a node: either two subtrees or the point ids of a leaf
 /// cluster.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeKind {
     /// Internal node with two children.
     Internal {
@@ -34,23 +35,14 @@ pub enum NodeKind {
     },
 }
 
-/// One node of a BB-tree: a Bregman ball plus its children or leaf contents.
-#[derive(Debug, Clone)]
-pub struct Node {
-    /// The covering Bregman ball of every point below this node.
-    pub ball: BregmanBall,
-    /// Children or leaf contents.
-    pub kind: NodeKind,
-}
-
-/// A Bregman ball tree over a dataset of dimensionality `dim`.
+/// The topology of a BB-tree over a dataset of dimensionality `dim`.
 ///
 /// The tree stores only point *ids*; the coordinates live in the owning
 /// dataset (in-memory search) or in a [`pagestore::PageStore`]
 /// (disk-resident search via [`crate::DiskBBTree`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BBTree {
-    pub(crate) nodes: Vec<Node>,
+    pub(crate) nodes: Vec<NodeKind>,
     pub(crate) root: NodeId,
     pub(crate) dim: usize,
     pub(crate) point_count: usize,
@@ -84,8 +76,8 @@ impl BBTree {
         self.root
     }
 
-    /// Access a node by id.
-    pub fn node(&self, id: NodeId) -> &Node {
+    /// A node's children or leaf contents.
+    pub fn node(&self, id: NodeId) -> &NodeKind {
         &self.nodes[id.index()]
     }
 
@@ -96,7 +88,7 @@ impl BBTree {
 
     /// Number of leaf nodes.
     pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| matches!(n.kind, NodeKind::Leaf { .. })).count()
+        self.nodes.iter().filter(|n| matches!(n, NodeKind::Leaf { .. })).count()
     }
 
     /// Iterate over the leaves in depth-first (left-to-right) order; this is
@@ -105,7 +97,7 @@ impl BBTree {
         let mut leaves = Vec::new();
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
-            match &self.node(id).kind {
+            match &self.node(id) {
                 NodeKind::Leaf { .. } => leaves.push(id),
                 NodeKind::Internal { left, right } => {
                     // Push right first so the left child is processed first.
@@ -121,51 +113,11 @@ impl BBTree {
     pub fn points_in_leaf_order(&self) -> Vec<PointId> {
         let mut out = Vec::with_capacity(self.point_count);
         for leaf in self.leaves_in_order() {
-            if let NodeKind::Leaf { points } = &self.node(leaf).kind {
+            if let NodeKind::Leaf { points } = &self.node(leaf) {
                 out.extend_from_slice(points);
             }
         }
         out
-    }
-
-    /// Maximum depth of the tree (root = depth 1); an empty tree has depth 0.
-    pub fn depth(&self) -> usize {
-        if self.nodes.is_empty() {
-            return 0;
-        }
-        let mut max_depth = 0;
-        let mut stack = vec![(self.root, 1usize)];
-        while let Some((id, depth)) = stack.pop() {
-            max_depth = max_depth.max(depth);
-            if let NodeKind::Internal { left, right } = &self.node(id).kind {
-                stack.push((*left, depth + 1));
-                stack.push((*right, depth + 1));
-            }
-        }
-        max_depth
-    }
-
-    /// Check the structural invariant that every point below a node lies in
-    /// the node's ball: the naive [`DecomposableBregman::divergence`] of
-    /// each member from the centre is at most the radius, with no slack.
-    /// Intended for tests; `points` resolves ids to coordinates.
-    pub fn validate_covering<B, F>(&self, divergence: &B, mut points: F) -> bool
-    where
-        B: DecomposableBregman,
-        F: FnMut(PointId) -> Vec<f64>,
-    {
-        for node_index in 0..self.nodes.len() {
-            let node = &self.nodes[node_index];
-            let members = self.collect_points(NodeId(node_index as u32));
-            for pid in members {
-                let coords = points(pid);
-                let d = divergence.divergence(&coords, node.ball.center());
-                if d > node.ball.radius() {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Collect every point id stored beneath a node.
@@ -173,7 +125,7 @@ impl BBTree {
         let mut out = Vec::new();
         let mut stack = vec![id];
         while let Some(nid) = stack.pop() {
-            match &self.node(nid).kind {
+            match &self.node(nid) {
                 NodeKind::Leaf { points } => out.extend_from_slice(points),
                 NodeKind::Internal { left, right } => {
                     stack.push(*left);
@@ -210,7 +162,6 @@ mod tests {
         assert!(!tree.is_empty());
         assert_eq!(tree.dim(), 2);
         assert!(tree.leaf_count() >= ds.len() / 4);
-        assert!(tree.depth() >= 2);
         assert_eq!(tree.divergence_name(), "Squared Euclidean");
         assert!(tree.node_count() >= tree.leaf_count());
     }
@@ -223,12 +174,6 @@ mod tests {
         order.sort();
         order.dedup();
         assert_eq!(order.len(), ds.len());
-    }
-
-    #[test]
-    fn covering_invariant_holds() {
-        let (tree, ds) = build_tree(3);
-        assert!(tree.validate_covering(&SquaredEuclidean, |pid| ds.point(pid).to_vec()));
     }
 
     #[test]
@@ -245,7 +190,7 @@ mod tests {
         let leaves = tree.leaves_in_order();
         assert_eq!(leaves.len(), tree.leaf_count());
         for l in leaves {
-            assert!(matches!(tree.node(l).kind, NodeKind::Leaf { .. }));
+            assert!(matches!(tree.node(l), NodeKind::Leaf { .. }));
         }
     }
 }

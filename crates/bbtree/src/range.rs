@@ -35,7 +35,7 @@ impl BBTree {
             if !intersects(id) {
                 continue;
             }
-            match &self.node(id).kind {
+            match self.node(id) {
                 NodeKind::Leaf { points } => {
                     stats.leaves_visited += 1;
                     out.extend_from_slice(points);
@@ -53,8 +53,9 @@ impl BBTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ball::Projector;
+    use crate::ball::{CoveringBalls, Projector};
     use crate::build::{BBTreeBuilder, BBTreeConfig};
+    use bregman::kernel::phi_table;
     use bregman::{DecomposableBregman, DenseDataset, ItakuraSaito, SquaredEuclidean};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -70,12 +71,14 @@ mod tests {
     fn ball_candidates<B: DecomposableBregman>(
         tree: &BBTree,
         b: &B,
+        ds: &DenseDataset,
         query: &[f64],
         radius: f64,
         stats: &mut SearchStats,
     ) -> Vec<PointId> {
+        let balls = CoveringBalls::build(b, tree, ds, &phi_table(b, ds));
         let mut projector = Projector::new(b, query);
-        tree.range_leaves(stats, |id| projector.min_divergence(&tree.node(id).ball) <= radius)
+        tree.range_leaves(stats, |id| projector.min_divergence(balls.ball(id)) <= radius)
     }
 
     #[test]
@@ -86,7 +89,7 @@ mod tests {
         let query = vec![2.0, 5.0, 1.0, 3.0];
         let radius = 0.8;
         let mut stats = SearchStats::new();
-        let candidates = ball_candidates(&tree, &ItakuraSaito, &query, radius, &mut stats);
+        let candidates = ball_candidates(&tree, &ItakuraSaito, &ds, &query, radius, &mut stats);
         let candidate_set: std::collections::HashSet<_> = candidates.iter().copied().collect();
         let within = ds.iter().filter(|(_, p)| ItakuraSaito.divergence(p, &query) <= radius);
         for (pid, _) in within {
@@ -122,7 +125,8 @@ mod tests {
         let tree =
             BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::with_leaf_capacity(8)).build(&ds);
         let mut stats = SearchStats::new();
-        let candidates = ball_candidates(&tree, &SquaredEuclidean, &[1.0, 1.0], 0.5, &mut stats);
+        let candidates =
+            ball_candidates(&tree, &SquaredEuclidean, &ds, &[1.0, 1.0], 0.5, &mut stats);
         assert!(!candidates.is_empty());
         assert!((stats.leaves_visited as usize) < tree.leaf_count());
         assert!(candidates.iter().all(|pid| pid.index() < 64));

@@ -1,13 +1,10 @@
-//! BB-tree serialization: the in-memory tree structure (balls, children,
-//! leaf point ids) as a sealed binary artifact.
+//! BB-tree serialization. Both methods persist a tree's topology (children
+//! and leaf point ids): BP one per subspace inside its index metadata, BBT
+//! in its sealed tree artifact, followed there by the covering balls.
 //!
-//! The tree structure is the part of a disk-resident BB-tree that lives in
-//! memory at query time; persisting it (alongside the page file holding the
-//! data points) is what makes the build-once/open-many lifecycle possible.
+//! # Topology
 //!
-//! # Format (`BREPTRE1`, version 1)
-//!
-//! A sealed envelope (see [`pagestore::format`]) whose payload is:
+//! [`BBTree::write_topology`] appends, and [`BBTree::read_topology`] reads:
 //!
 //! ```text
 //! dim             u64
@@ -15,11 +12,19 @@
 //! divergence_name length-prefixed UTF-8 string
 //! root            u32 (node id)
 //! node_count      u64, then per node:
-//!   center        length-prefixed f64 sequence
-//!   radius        f64
 //!   kind          u8 — 0 = internal, 1 = leaf
 //!     internal:   left u32, right u32
 //!     leaf:       length-prefixed u32 sequence of point ids
+//! ```
+//!
+//! # BBT's tree artifact (`BREPTRE1`, version 2)
+//!
+//! A sealed envelope (see [`pagestore::format`]) whose payload is a
+//! topology followed, per node in id order, by its covering ball:
+//!
+//! ```text
+//! center          length-prefixed f64 sequence of `dim` values
+//! radius          f64
 //! ```
 //!
 //! Decoding validates the structure before handing the tree back: node
@@ -27,33 +32,31 @@
 //! cycles, no shared subtrees, no orphaned leaves), every point id stored in
 //! exactly one leaf, and the leaf population equal to `point_count` — so a
 //! corrupted artifact is rejected instead of producing a tree that loops,
-//! panics or silently hides points during search.
+//! panics or silently hides points during search. A ball must have `dim`
+//! coordinates and a radius that is neither negative nor NaN.
 
 use bregman::PointId;
 use pagestore::format::{seal, unseal, ByteReader, ByteWriter, PersistError, PersistResult};
 
-use crate::ball::BregmanBall;
-use crate::node::{BBTree, Node, NodeId, NodeKind};
+use crate::ball::{BregmanBall, CoveringBalls};
+use crate::node::{BBTree, NodeId, NodeKind};
 
-/// Magic tag of a serialized BB-tree.
+/// Magic tag of BBT's tree artifact.
 pub const TREE_MAGIC: [u8; 8] = *b"BREPTRE1";
 
-/// Format version this build writes and reads.
-pub const TREE_VERSION: u32 = 1;
+/// Format version of BBT's tree artifact this build writes and reads.
+pub const TREE_VERSION: u32 = 2;
 
 impl BBTree {
-    /// Serialize the tree structure into a sealed byte artifact.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    /// Append the topology to `w`.
+    pub fn write_topology(&self, w: &mut ByteWriter) {
         w.put_u64(self.dim as u64);
         w.put_u64(self.point_count as u64);
         w.put_str(&self.divergence_name);
         w.put_u32(self.root.0);
         w.put_u64(self.nodes.len() as u64);
         for node in &self.nodes {
-            w.put_f64_seq(node.ball.center());
-            w.put_f64(node.ball.radius());
-            match &node.kind {
+            match node {
                 NodeKind::Internal { left, right } => {
                     w.put_u8(0);
                     w.put_u32(left.0);
@@ -66,14 +69,11 @@ impl BBTree {
                 }
             }
         }
-        seal(&TREE_MAGIC, TREE_VERSION, &w.into_vec())
     }
 
-    /// Decode a tree serialized with [`BBTree::to_bytes`], validating the
-    /// envelope and the structural invariants.
-    pub fn from_bytes(data: &[u8]) -> PersistResult<BBTree> {
-        let payload = unseal(&TREE_MAGIC, TREE_VERSION, data)?;
-        let mut r = ByteReader::new(payload);
+    /// Read a topology written by [`BBTree::write_topology`], validating
+    /// its structure.
+    pub fn read_topology(r: &mut ByteReader<'_>) -> PersistResult<BBTree> {
         let dim = r.take_usize()?;
         let point_count = r.take_usize()?;
         let divergence_name = r.take_str()?;
@@ -83,20 +83,7 @@ impl BBTree {
         let mut leaf_population = 0usize;
         let mut seen_points = std::collections::HashSet::new();
         for index in 0..node_count {
-            let center = r.take_f64_seq()?;
-            if center.len() != dim {
-                return Err(PersistError::Corrupt(format!(
-                    "node {index}: ball centre has {} dimensions, tree is {dim}-dimensional",
-                    center.len()
-                )));
-            }
-            let radius = r.take_f64()?;
-            if radius.is_nan() || radius < 0.0 {
-                return Err(PersistError::Corrupt(format!(
-                    "node {index}: negative or NaN ball radius {radius}"
-                )));
-            }
-            let kind = match r.take_u8()? {
+            nodes.push(match r.take_u8()? {
                 0 => {
                     NodeKind::Internal { left: NodeId(r.take_u32()?), right: NodeId(r.take_u32()?) }
                 }
@@ -117,10 +104,8 @@ impl BBTree {
                         "node {index}: unknown node kind tag {tag}"
                     )))
                 }
-            };
-            nodes.push(Node { ball: BregmanBall::new(center, radius), kind });
+            });
         }
-        r.expect_end()?;
         if nodes.is_empty() {
             return Err(PersistError::Corrupt("tree holds no nodes".into()));
         }
@@ -132,7 +117,7 @@ impl BBTree {
             )));
         }
         for (index, node) in nodes.iter().enumerate() {
-            if let NodeKind::Internal { left, right } = &node.kind {
+            if let NodeKind::Internal { left, right } = node {
                 if left.index() >= nodes.len() || right.index() >= nodes.len() {
                     return Err(PersistError::Corrupt(format!(
                         "node {index}: child reference out of range"
@@ -161,7 +146,7 @@ impl BBTree {
             }
             *slot = true;
             visited_count += 1;
-            if let NodeKind::Internal { left, right } = &nodes[id.index()].kind {
+            if let NodeKind::Internal { left, right } = &nodes[id.index()] {
                 stack.push(*left);
                 stack.push(*right);
             }
@@ -177,37 +162,74 @@ impl BBTree {
     }
 }
 
+/// BBT's tree artifact: `tree`'s topology and then `balls`, sealed.
+pub fn to_bytes(tree: &BBTree, balls: &CoveringBalls) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    tree.write_topology(&mut w);
+    for ball in &balls.0 {
+        w.put_f64_seq(ball.center());
+        w.put_f64(ball.radius());
+    }
+    seal(&TREE_MAGIC, TREE_VERSION, &w.into_vec())
+}
+
+/// Decode an artifact written by [`to_bytes`], validating the envelope,
+/// the topology and every ball.
+pub fn from_bytes(data: &[u8]) -> PersistResult<(BBTree, CoveringBalls)> {
+    let mut r = ByteReader::new(unseal(&TREE_MAGIC, TREE_VERSION, data)?);
+    let tree = BBTree::read_topology(&mut r)?;
+    let mut balls = Vec::with_capacity(tree.node_count());
+    for index in 0..tree.node_count() {
+        let (center, radius) = (r.take_f64_seq()?, r.take_f64()?);
+        if center.len() != tree.dim() || radius.is_nan() || radius < 0.0 {
+            return Err(PersistError::Corrupt(format!(
+                "node {index}: ball of {} dimensions and radius {radius} in a {}-dimensional tree",
+                center.len(),
+                tree.dim()
+            )));
+        }
+        balls.push(BregmanBall::new(center, radius));
+    }
+    r.expect_end()?;
+    Ok((tree, CoveringBalls(balls)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::{BBTreeBuilder, BBTreeConfig};
+    use bregman::kernel::phi_table;
     use bregman::{DenseDataset, ItakuraSaito, SquaredEuclidean};
 
-    fn sample_tree() -> (BBTree, DenseDataset) {
+    fn sample_tree() -> (BBTree, CoveringBalls, DenseDataset) {
         let rows: Vec<Vec<f64>> =
             (1..=48).map(|i| vec![i as f64, (49 - i) as f64, 0.25 * i as f64]).collect();
         let ds = DenseDataset::from_rows(&rows).unwrap();
         let tree = BBTreeBuilder::new(ItakuraSaito, BBTreeConfig::with_leaf_capacity(5)).build(&ds);
-        (tree, ds)
+        let balls = CoveringBalls::build(&ItakuraSaito, &tree, &ds, &phi_table(&ItakuraSaito, &ds));
+        (tree, balls, ds)
     }
 
     #[test]
     fn roundtrip_preserves_structure_and_search_behavior() {
-        let (tree, ds) = sample_tree();
-        let restored = BBTree::from_bytes(&tree.to_bytes()).unwrap();
+        let (tree, balls, ds) = sample_tree();
+        let (restored, restored_balls) = from_bytes(&to_bytes(&tree, &balls)).unwrap();
+        assert_eq!(restored, tree);
+        assert_eq!(restored_balls, balls);
         assert_eq!(restored.dim(), tree.dim());
         assert_eq!(restored.len(), tree.len());
         assert_eq!(restored.node_count(), tree.node_count());
         assert_eq!(restored.leaf_count(), tree.leaf_count());
         assert_eq!(restored.divergence_name(), tree.divergence_name());
         assert_eq!(restored.points_in_leaf_order(), tree.points_in_leaf_order());
-        assert!(restored.validate_covering(&ItakuraSaito, |pid| ds.point(pid).to_vec()));
+        assert!(restored_balls
+            .validate_covering(&restored, &ItakuraSaito, |pid| ds.point(pid).to_vec()));
         // Identical kNN answers and traversals on both trees.
         let mut s1 = crate::stats::SearchStats::new();
         let mut s2 = crate::stats::SearchStats::new();
         let query = ds.point(bregman::PointId(7));
-        let a = tree.knn(&ItakuraSaito, &ds, query, 5, &mut s1);
-        let b = restored.knn(&ItakuraSaito, &ds, query, 5, &mut s2);
+        let a = tree.knn(&balls, &ItakuraSaito, &ds, query, 5, &mut s1);
+        let b = restored.knn(&restored_balls, &ItakuraSaito, &ds, query, 5, &mut s2);
         assert_eq!(a, b);
         assert_eq!(s1, s2);
     }
@@ -216,25 +238,26 @@ mod tests {
     fn empty_tree_roundtrips() {
         let ds = DenseDataset::empty(2).unwrap();
         let tree = BBTreeBuilder::new(SquaredEuclidean, BBTreeConfig::default()).build(&ds);
-        let restored = BBTree::from_bytes(&tree.to_bytes()).unwrap();
+        let balls = CoveringBalls::build(&SquaredEuclidean, &tree, &ds, &[]);
+        let (restored, _) = from_bytes(&to_bytes(&tree, &balls)).unwrap();
         assert!(restored.is_empty());
         assert_eq!(restored.node_count(), 1);
     }
 
     #[test]
     fn corruption_is_detected() {
-        let (tree, _) = sample_tree();
-        let bytes = tree.to_bytes();
+        let (tree, balls, _) = sample_tree();
+        let bytes = to_bytes(&tree, &balls);
         // Checksum catches payload bit flips.
         let mut flipped = bytes.clone();
         let middle = flipped.len() / 2;
         flipped[middle] ^= 0xFF;
-        assert!(BBTree::from_bytes(&flipped).is_err());
+        assert!(from_bytes(&flipped).is_err());
         // Truncation is rejected.
-        assert!(BBTree::from_bytes(&bytes[..bytes.len() - 4]).is_err());
+        assert!(from_bytes(&bytes[..bytes.len() - 4]).is_err());
         // Wrong artifact type is rejected.
         let sealed = seal(b"BREPPGS1", 1, b"not a tree");
-        assert!(matches!(BBTree::from_bytes(&sealed), Err(PersistError::BadMagic { .. })));
+        assert!(matches!(from_bytes(&sealed), Err(PersistError::BadMagic { .. })));
     }
 
     #[test]
@@ -247,17 +270,13 @@ mod tests {
         w.put_str("Test");
         w.put_u32(0); // root
         w.put_u64(2); // two nodes
-        w.put_f64_seq(&[0.0]); // node 0: internal, left = itself
-        w.put_f64(0.0);
-        w.put_u8(0);
+        w.put_u8(0); // node 0: internal, left = itself
         w.put_u32(0);
         w.put_u32(1);
-        w.put_f64_seq(&[0.0]); // node 1: empty leaf
-        w.put_f64(0.0);
-        w.put_u8(1);
+        w.put_u8(1); // node 1: empty leaf
         w.put_u32_seq(&[]);
         let sealed = seal(&TREE_MAGIC, TREE_VERSION, &w.into_vec());
-        match BBTree::from_bytes(&sealed) {
+        match from_bytes(&sealed) {
             Err(PersistError::Corrupt(message)) => {
                 assert!(message.contains("reachable more than once"), "{message}")
             }
@@ -272,18 +291,14 @@ mod tests {
         w.put_u32(2); // root = internal node
         w.put_u64(3);
         for _ in 0..2 {
-            w.put_f64_seq(&[0.0]); // leaf holding point 7
-            w.put_f64(0.0);
-            w.put_u8(1);
+            w.put_u8(1); // leaf holding point 7
             w.put_u32_seq(&[7]);
         }
-        w.put_f64_seq(&[0.0]); // internal root
-        w.put_f64(0.0);
-        w.put_u8(0);
+        w.put_u8(0); // internal root
         w.put_u32(0);
         w.put_u32(1);
         let sealed = seal(&TREE_MAGIC, TREE_VERSION, &w.into_vec());
-        match BBTree::from_bytes(&sealed) {
+        match from_bytes(&sealed) {
             Err(PersistError::Corrupt(message)) => {
                 assert!(message.contains("more than one leaf"), "{message}")
             }
@@ -300,11 +315,9 @@ mod tests {
         w.put_str("Test");
         w.put_u32(5); // root out of range
         w.put_u64(1); // one node
-        w.put_f64_seq(&[0.0]);
-        w.put_f64(0.0);
         w.put_u8(1);
         w.put_u32_seq(&[]);
         let sealed = seal(&TREE_MAGIC, TREE_VERSION, &w.into_vec());
-        assert!(matches!(BBTree::from_bytes(&sealed), Err(PersistError::Corrupt(_))));
+        assert!(matches!(from_bytes(&sealed), Err(PersistError::Corrupt(_))));
     }
 }

@@ -5,7 +5,8 @@
 //! neighbours, large magnitudes where `Φ(x)` and `⟨∇φ(c), x⟩` nearly
 //! cancel, one dimension, tiny leaves, no points at all).
 
-use bbtree::{BBTreeBuilder, BBTreeConfig};
+use bbtree::{BBTreeBuilder, BBTreeConfig, CoveringBalls};
+use bregman::kernel::phi_table;
 use bregman::{
     DecomposableBregman, DenseDataset, Exponential, GeneralizedI, ItakuraSaito, SquaredEuclidean,
 };
@@ -27,8 +28,9 @@ fn assert_strictly_covered<B: DecomposableBregman>(
     let config = BBTreeConfig { leaf_capacity: leaf, ..BBTreeConfig::default() };
     let tree = BBTreeBuilder::new(b.clone(), config).build(ds);
     assert_eq!(tree.len(), ds.len(), "{case} / {}", b.name());
+    let balls = CoveringBalls::build(b, &tree, ds, &phi_table(b, ds));
     assert!(
-        tree.validate_covering(b, |pid| ds.point(pid).to_vec()),
+        balls.validate_covering(&tree, b, |pid| ds.point(pid).to_vec()),
         "{case}: a {} radius falls below a member's naive divergence (leaf capacity {leaf})",
         b.name()
     );

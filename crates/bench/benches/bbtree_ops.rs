@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for BB-tree construction and kNN search.
 
-use bbtree::{BBTreeBuilder, BBTreeConfig, SearchStats};
+use bbtree::{BBTreeBuilder, BBTreeConfig, CoveringBalls, SearchStats};
+use bregman::kernel::phi_table;
 use bregman::ItakuraSaito;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::HierarchicalSpec;
@@ -29,12 +30,13 @@ fn bench_search(c: &mut Criterion) {
         HierarchicalSpec { n: 4_000, dim: 16, clusters: 32, blocks: 4, ..Default::default() }
             .generate();
     let tree = BBTreeBuilder::new(ItakuraSaito, BBTreeConfig::with_leaf_capacity(32)).build(&data);
+    let balls = CoveringBalls::build(&ItakuraSaito, &tree, &data, &phi_table(&ItakuraSaito, &data));
     let query = data.row(99).to_vec();
     let mut group = c.benchmark_group("bbtree_search");
     group.bench_function("knn_k20", |b| {
         b.iter(|| {
             let mut stats = SearchStats::new();
-            black_box(tree.knn(&ItakuraSaito, &data, black_box(&query), 20, &mut stats))
+            black_box(tree.knn(&balls, &ItakuraSaito, &data, black_box(&query), 20, &mut stats))
         })
     });
     group.finish();

@@ -10,9 +10,9 @@
 //! by different subspaces tend to live on the same pages and the union of
 //! candidates costs few extra page reads — the effect Fig. 10 measures.
 //!
-//! Every node of every tree is tested by its bounding box, not its Bregman
-//! ball: the box bound is the exact minimum of the divergence over the box,
-//! in closed form ([`crate::node_box`]). Two searches run on it:
+//! Every node of every tree is tested by its bounding box: the box bound is
+//! the exact minimum of the divergence over the box, in closed form
+//! ([`crate::node_box`]). Two searches run on it:
 //!
 //! * `BBForest::best_first` pops the first tree's nodes in increasing
 //!   order of box bound and hands each popped leaf's pages to the caller.
@@ -23,7 +23,8 @@
 //!   at a fixed radius: the filter of Algorithm 6 at more than one
 //!   subspace, and of the approximate search.
 //!
-//! The balls stay in the trees for the build's splits.
+//! The trees are topology only, built by the same Lloyd splits as BBT's
+//! ([`BBTreeBuilder::build`]); no covering ball is computed or stored.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -40,7 +41,6 @@ use pagestore::{PageStore, PageStoreConfig, PageStoreError};
 use crate::error::Result;
 use crate::node_box::{BoxBuilder, BoxQuery, NodeBoxes};
 use crate::partition::Partitioning;
-use crate::transform::TransformedDataset;
 
 /// Dispatch a block of code over the concrete divergence selected by a
 /// [`DivergenceKind`], binding it to `$div`.
@@ -94,14 +94,10 @@ pub struct BBForest {
 impl BBForest {
     /// Build the forest: one tree per subspace over the projected data, and
     /// the shared page store laid out in the first tree's leaf order.
-    /// `transformed` is the dataset's transform under `partitioning`: each
-    /// subspace's `α_x` column is that subspace's `Φ(x)`, so the trees
-    /// price their covering radii from it instead of tabulating it again.
     pub fn build(
         kind: DivergenceKind,
         dataset: &DenseDataset,
         partitioning: &Partitioning,
-        transformed: &TransformedDataset,
         tree_config: BBTreeConfig,
         store_config: PageStoreConfig,
     ) -> Result<BBForest> {
@@ -113,12 +109,7 @@ impl BBForest {
             .map(|(i, sub)| {
                 let config =
                     BBTreeConfig { seed: tree_config.seed.wrapping_add(i as u64), ..tree_config };
-                let (alpha, _) = transformed.subspace_columns(i);
-                with_divergence!(
-                    kind,
-                    div,
-                    BBTreeBuilder::new(div, config).build_with_phi(sub, alpha)
-                )
+                with_divergence!(kind, div, BBTreeBuilder::new(div, config).build(sub))
             })
             .collect();
         // Lay the original high-dimensional points out in the first tree's
@@ -259,7 +250,7 @@ impl BBForest {
             if key > threshold {
                 break;
             }
-            match tree.node(node).kind {
+            match *tree.node(node) {
                 NodeKind::Leaf { .. } => {
                     stats.leaves_visited += 1;
                     let [first, last] = self.leaf_pages[node.index()];
@@ -315,7 +306,7 @@ impl Eq for Frontier {}
 fn leaf_page_spans(tree: &BBTree, store: &PageStore) -> Vec<[u32; 2]> {
     let mut spans = vec![[u32::MAX, 0]; tree.node_count()];
     for leaf in tree.leaves_in_order() {
-        if let NodeKind::Leaf { points } = &tree.node(leaf).kind {
+        if let NodeKind::Leaf { points } = tree.node(leaf) {
             let span = &mut spans[leaf.index()];
             for address in points.iter().filter_map(|pid| store.address_of(pid.0)) {
                 span[0] = span[0].min(address.page.0);
@@ -368,7 +359,6 @@ mod tests {
             DivergenceKind::ItakuraSaito,
             &ds,
             &p,
-            &TransformedDataset::build(DivergenceKind::ItakuraSaito, &ds, &p),
             BBTreeConfig::with_leaf_capacity(16),
             PageStoreConfig::with_page_size(4096),
         )
@@ -391,7 +381,6 @@ mod tests {
             DivergenceKind::Exponential,
             &ds,
             &p,
-            &TransformedDataset::build(DivergenceKind::Exponential, &ds, &p),
             BBTreeConfig::with_leaf_capacity(20),
             PageStoreConfig::with_page_size(8192),
         )
@@ -411,7 +400,6 @@ mod tests {
             DivergenceKind::ItakuraSaito,
             &ds,
             &p,
-            &TransformedDataset::build(DivergenceKind::ItakuraSaito, &ds, &p),
             BBTreeConfig::with_leaf_capacity(10),
             PageStoreConfig::with_page_size(4096),
         )
@@ -447,14 +435,13 @@ mod tests {
             DivergenceKind::ItakuraSaito,
             &ds,
             &p,
-            &TransformedDataset::build(DivergenceKind::ItakuraSaito, &ds, &p),
             BBTreeConfig::with_leaf_capacity(8),
             PageStoreConfig::with_page_size(24 * 8 * 8), // 8 records per page
         )
         .unwrap();
         let first_tree = forest.tree(0);
         for leaf in first_tree.leaves_in_order() {
-            if let bbtree::NodeKind::Leaf { points } = &first_tree.node(leaf).kind {
+            if let bbtree::NodeKind::Leaf { points } = first_tree.node(leaf) {
                 let pages: std::collections::HashSet<_> = points
                     .iter()
                     .map(|pid| forest.store().address_of(pid.0).unwrap().page)
@@ -465,38 +452,32 @@ mod tests {
     }
 
     #[test]
-    fn trees_priced_from_the_alpha_column_are_strictly_covered_and_unchanged() {
-        // Each tree prices its covering radii from its subspace's `α_x`
-        // column instead of tabulating `Φ(x)` itself. No radius may fall
-        // below a member's naive divergence, and the trees must be the ones
-        // a self-tabulating build makes.
+    fn trees_are_the_topology_bbt_builds_with_the_same_seed() {
+        // BP's trees hold no balls, but their children, leaf lists and leaf
+        // order are the tree BBT builds over the same subspace and seed.
         let spec = PaperDataset::Fonts.paper_spec().with_points(1_000);
         assert_eq!(spec.divergence, DivergenceKind::ItakuraSaito);
         let ds = spec.generate(7);
-        let p = pccp(&ds, 4, 256, 0xB5EED).unwrap();
         let config = BBTreeConfig::with_leaf_capacity(32);
-        let forest = BBForest::build(
-            DivergenceKind::ItakuraSaito,
-            &ds,
-            &p,
-            &TransformedDataset::build(DivergenceKind::ItakuraSaito, &ds, &p),
-            config,
-            PageStoreConfig::with_page_size(spec.page_size_bytes),
-        )
-        .unwrap();
-        assert_eq!(forest.len(), 4);
-        for (s, tree) in forest.trees().iter().enumerate() {
-            let sub = ds.project(p.subspace(s)).unwrap();
-            assert!(
-                tree.validate_covering(&ItakuraSaito, |pid| sub.point(pid).to_vec()),
-                "subspace {s}: a radius falls below a member's naive divergence"
-            );
-            let seed = BBTreeConfig { seed: config.seed.wrapping_add(s as u64), ..config };
-            let own = BBTreeBuilder::new(ItakuraSaito, seed).build(&sub);
-            assert_eq!(tree.points_in_leaf_order(), own.points_in_leaf_order(), "subspace {s}");
-            assert_eq!(tree.node_count(), own.node_count(), "subspace {s}");
-            for id in 0..tree.node_count() as u32 {
-                assert_eq!(tree.node(NodeId(id)).ball, own.node(NodeId(id)).ball, "subspace {s}");
+        let store_config = PageStoreConfig::with_page_size(spec.page_size_bytes);
+        for m in [1, 4] {
+            let p = pccp(&ds, m, 256, 0xB5EED).unwrap();
+            let forest =
+                BBForest::build(DivergenceKind::ItakuraSaito, &ds, &p, config, store_config)
+                    .unwrap();
+            assert_eq!(forest.len(), m);
+            for (s, tree) in forest.trees().iter().enumerate() {
+                let sub = ds.project(p.subspace(s)).unwrap();
+                let seed = BBTreeConfig { seed: config.seed.wrapping_add(s as u64), ..config };
+                let bbt = bbtree::DiskBBTree::build(ItakuraSaito, &sub, seed, store_config);
+                let case = format!("M = {m}, subspace {s}");
+                assert_eq!(tree.node_count(), bbt.tree().node_count(), "{case}");
+                assert_eq!(
+                    tree.points_in_leaf_order(),
+                    bbt.tree().points_in_leaf_order(),
+                    "{case}"
+                );
+                assert_eq!(tree, bbt.tree(), "{case}: children or leaf lists differ");
             }
         }
     }

@@ -22,7 +22,7 @@
 //! lowered by a rounding allowance, `1e-12` times the magnitudes of its
 //! terms: `2|φ(q_i)|` for every coordinate, plus `|φ(x_i)| +
 //! |φ′(q_i)(x_i − q_i)|` for each coordinate outside the box, with `x_i`
-//! the nearer corner. This is the same style of allowance as the covering
+//! the nearer corner. This is the same style of allowance as BBT's covering
 //! radii. A node is pruned only when
 //! `bound − allowance > radius`, so a bound that evaluates to NaN (a
 //! non-finite `φ` at a corner, say) keeps the node.
@@ -92,7 +92,7 @@ impl<'a> BoxBuilder<'a> {
         }
         let mut leaf_of = vec![u32::MAX; tree.len()];
         for leaf in tree.leaves_in_order() {
-            if let NodeKind::Leaf { points } = &tree.node(leaf).kind {
+            if let NodeKind::Leaf { points } = tree.node(leaf) {
                 for pid in points {
                     // A reopened tree's ids come from disk; size by them
                     // rather than trust `len`.
@@ -135,7 +135,7 @@ impl<'a> BoxBuilder<'a> {
         let width = 4 * d;
         for id in children_first(tree) {
             let at = id.index() * width;
-            match tree.node(id).kind {
+            match *tree.node(id) {
                 NodeKind::Leaf { .. } => {
                     let block = &mut table[at..at + width];
                     let (corners, phis) = block.split_at_mut(2 * d);
@@ -174,7 +174,7 @@ fn children_first(tree: &BBTree) -> Vec<NodeId> {
     let mut stack = vec![tree.root()];
     while let Some(id) = stack.pop() {
         pre_order.push(id);
-        if let NodeKind::Internal { left, right } = tree.node(id).kind {
+        if let NodeKind::Internal { left, right } = *tree.node(id) {
             stack.extend([left, right]);
         }
     }

@@ -10,7 +10,10 @@
 //!   `P(x) = (α_x, γ_x)` (a point-major table; memory holds them
 //!   subspace-major, so save and open transpose), the per-dimension
 //!   moments used by the approximate extension, the construction report,
-//!   and every subspace BB-tree (serialized with [`bbtree::serial`]).
+//!   and every subspace tree's topology (children and leaf point ids, in
+//!   [`bbtree::serial`]'s topology layout). No tree carries a ball: BP
+//!   tests nodes by their bounding boxes, which `open` derives from the
+//!   rows.
 //! * `pages.bin` — the shared page file holding the full-resolution points
 //!   in BB-forest leaf order (format in [`pagestore::file`]).
 //!
@@ -50,7 +53,7 @@ use crate::transform::TransformedDataset;
 pub const INDEX_MAGIC: [u8; 8] = *b"BREPIDX1";
 
 /// The only format version this build writes and reads.
-pub const INDEX_VERSION: u32 = 3;
+pub const INDEX_VERSION: u32 = 4;
 
 /// File name of the index metadata within an index directory.
 pub const META_FILE: &str = "index.meta";
@@ -94,11 +97,10 @@ impl BrePartitionIndex {
         w.put_f64(report.forest_seconds);
         w.put_u64(report.pages_written);
 
-        // Subspace trees as length-prefixed sealed blobs.
         let trees = self.forest().trees();
         w.put_usize(trees.len());
         for tree in trees {
-            w.put_bytes(&tree.to_bytes());
+            tree.write_topology(&mut w);
         }
 
         std::fs::write(dir.join(META_FILE), seal(&INDEX_MAGIC, INDEX_VERSION, &w.into_vec()))
@@ -125,7 +127,7 @@ impl BrePartitionIndex {
 
     /// Open an index directory written by [`BrePartitionIndex::save`].
     ///
-    /// The metadata (partitioning, transforms, tree structures) is loaded
+    /// The metadata (partitioning, transforms, tree topologies) is loaded
     /// into memory; data pages are served from the page file on demand. The
     /// restored index answers queries identically to the index that was
     /// saved — same neighbors, same candidate sets, same cold-pool I/O
@@ -189,8 +191,7 @@ impl BrePartitionIndex {
         }
         let mut trees = Vec::with_capacity(tree_count);
         for s in 0..tree_count {
-            let blob = r.take_bytes()?;
-            let tree = BBTree::from_bytes(blob)?;
+            let tree = BBTree::read_topology(&mut r)?;
             if tree.dim() != partitioning.subspace(s).len() {
                 return Err(PersistError::Corrupt(format!(
                     "subspace {s} tree is {}-dimensional, subspace has {} dimensions",

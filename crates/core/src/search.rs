@@ -132,7 +132,6 @@ impl BrePartitionIndex {
             kind,
             dataset,
             &partitioning,
-            &transformed,
             BBTreeConfig {
                 leaf_capacity: config.leaf_capacity,
                 max_kmeans_iters: 16,

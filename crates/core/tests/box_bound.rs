@@ -16,7 +16,7 @@ use bregman::{
     SquaredEuclidean,
 };
 use brepartition_core::partition::pccp::pccp;
-use brepartition_core::{BBForest, BoxQuery, TransformedDataset};
+use brepartition_core::{BBForest, BoxQuery};
 use datagen::proxies::PaperDataset;
 use pagestore::PageStoreConfig;
 use rand::rngs::StdRng;
@@ -28,7 +28,6 @@ fn forest(kind: DivergenceKind, ds: &DenseDataset, m: usize, leaf: usize) -> BBF
         kind,
         ds,
         &p,
-        &TransformedDataset::build(kind, ds, &p),
         BBTreeConfig { leaf_capacity: leaf, ..BBTreeConfig::default() },
         PageStoreConfig::with_page_size(4096.max(ds.dim() * 8 * 4)),
     )
@@ -38,7 +37,7 @@ fn forest(kind: DivergenceKind, ds: &DenseDataset, m: usize, leaf: usize) -> BBF
 /// The member ids below every node of `tree`, indexed by node id.
 fn members(tree: &bbtree::BBTree) -> Vec<Vec<u32>> {
     fn collect(tree: &bbtree::BBTree, id: NodeId, out: &mut Vec<Vec<u32>>) -> Vec<u32> {
-        let below = match &tree.node(id).kind {
+        let below = match tree.node(id) {
             NodeKind::Leaf { points } => points.iter().map(|p| p.0).collect(),
             NodeKind::Internal { left, right } => {
                 let mut below = collect(tree, *left, out);

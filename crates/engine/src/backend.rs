@@ -297,7 +297,7 @@ fn max_leaf_points<B: DecomposableBregman>(tree: &DiskBBTree<B>) -> usize {
     tree.tree()
         .leaves_in_order()
         .into_iter()
-        .map(|leaf| match &tree.tree().node(leaf).kind {
+        .map(|leaf| match tree.tree().node(leaf) {
             NodeKind::Leaf { points } => points.len(),
             NodeKind::Internal { .. } => 0,
         })

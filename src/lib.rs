@@ -92,8 +92,8 @@
 //! * [`core`] — the BrePartition index (bounds, partitioning, PCCP,
 //!   BB-forest, exact and approximate search),
 //! * [`bregman`] — Bregman divergences and the dense dataset container,
-//! * [`bbtree`] — Bregman ball trees (the BBT baseline and the per-subspace
-//!   index),
+//! * [`bbtree`] — BB-trees: the topology the BBT baseline and the
+//!   per-subspace index share, and BBT's covering balls,
 //! * [`vafile`] — the VA-file baseline,
 //! * [`pagestore`] — the storage layer: paged disk images (memory or file
 //!   backed), buffer pools, I/O accounting, sealed-envelope format,

@@ -264,6 +264,7 @@ fn older_format_versions_are_rejected_on_open() {
         .with_partitions(2)
         .with_page_size(1024);
     let vaf = IndexSpec::vafile(DivergenceKind::ItakuraSaito).with_page_size(1024);
+    let bbt = IndexSpec::bbtree(DivergenceKind::ItakuraSaito).with_page_size(1024);
 
     // Version 4 of the spec payload stored a partition-count tag byte
     // (0 = Auto, 1 = fixed) before M, which follows the method tag, the
@@ -293,6 +294,8 @@ fn older_format_versions_are_rejected_on_open() {
         (bp, brepartition::core::persist::PAGES_FILE),
         (vaf, brepartition::vafile::search::META_FILE),
         (vaf, brepartition::vafile::search::PAGES_FILE),
+        (bbt, brepartition::bbtree::disk::TREE_FILE),
+        (bbt, brepartition::bbtree::disk::PHI_FILE),
     ];
     for (spec, file) in artifacts {
         let dir = TempDir::new("columnar-artifact-versions");
