@@ -163,7 +163,7 @@ impl BBTree {
 }
 
 /// BBT's tree artifact: `tree`'s topology and then `balls`, sealed.
-pub fn to_bytes(tree: &BBTree, balls: &CoveringBalls) -> Vec<u8> {
+pub(crate) fn to_bytes(tree: &BBTree, balls: &CoveringBalls) -> Vec<u8> {
     let mut w = ByteWriter::new();
     tree.write_topology(&mut w);
     for ball in &balls.0 {
@@ -175,7 +175,7 @@ pub fn to_bytes(tree: &BBTree, balls: &CoveringBalls) -> Vec<u8> {
 
 /// Decode an artifact written by [`to_bytes`], validating the envelope,
 /// the topology and every ball.
-pub fn from_bytes(data: &[u8]) -> PersistResult<(BBTree, CoveringBalls)> {
+pub(crate) fn from_bytes(data: &[u8]) -> PersistResult<(BBTree, CoveringBalls)> {
     let mut r = ByteReader::new(unseal(&TREE_MAGIC, TREE_VERSION, data)?);
     let tree = BBTree::read_topology(&mut r)?;
     let mut balls = Vec::with_capacity(tree.node_count());
