@@ -1,12 +1,15 @@
 //! Loom-free seeded concurrency stress for the LSM mutable layer.
 //!
-//! Races N mutator threads, a pool of readers and an explicit compactor
-//! against one shared `Index` with background compaction armed on an
-//! aggressive trigger, then replays the mutation ledger serially and
-//! demands every version-pinned sample back id-for-id. The schedule is
-//! fully seeded — same seed, same ledger, same verdict — so a CI failure
-//! here is a repro recipe, not a flake. The process exits non-zero on any
-//! divergence (assertions propagate out of `thread::scope`).
+//! Races N mutator threads, two readers and an explicit compactor against
+//! one shared `Index` with background compaction armed on an aggressive
+//! trigger, then replays the mutation ledger serially and demands every
+//! version-pinned sample back id-for-id. One reader calls `Index::query`;
+//! the other sends its queries as `Index::run_with` batches of four on two
+//! threads, so the batch engine and its helper pool race the writers too.
+//! The schedule is fully seeded — same seed, same ledger, same verdict — so
+//! a CI failure here is a repro recipe, not a flake. The process exits
+//! non-zero on any divergence (assertions propagate out of
+//! `thread::scope`).
 //!
 //! Knobs (all environment variables):
 //!
@@ -24,6 +27,11 @@ use loadgen::SplitMix64;
 const DIM: usize = 6;
 const INITIAL_POINTS: usize = 64;
 const READERS: usize = 2;
+/// The reader that sends its queries as engine batches, so the run (and
+/// the sanitizer job that runs it) covers the batch engine's helper pool.
+const BATCHED_READER: usize = 1;
+const READER_BATCH: usize = 4;
+const BATCH_THREADS: usize = 2;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -49,6 +57,26 @@ struct Ledger {
 
 /// A version-pinned sample: (ledger version, query, k, answered ids).
 type Sample = (usize, Vec<f64>, usize, Vec<u32>);
+
+/// Answer `(query, k)` pairs, each as its neighbour ids: as one engine
+/// batch on [`BATCH_THREADS`] threads when `batched`, otherwise one
+/// `Index::query` at a time.
+fn answer(index: &Index, requests: &[(Vec<f64>, usize)], batched: bool) -> Vec<Vec<u32>> {
+    let ids = |neighbors: Vec<(PointId, f64)>| neighbors.into_iter().map(|(id, _)| id.0).collect();
+    if batched {
+        let request = Request::batch(requests.iter().map(|(q, k)| QueryRequest::new(q, *k)));
+        let config = EngineConfig::default().with_threads(BATCH_THREADS);
+        let batch = index.run_with(&request, config).expect("stress batch");
+        batch.outcomes.into_iter().map(|o| ids(o.neighbors)).collect()
+    } else {
+        requests
+            .iter()
+            .map(|(q, k)| {
+                ids(index.query(&QueryRequest::new(q, *k)).expect("stress query").neighbors)
+            })
+            .collect()
+    }
+}
 
 fn stress_round(round: u64, seed: u64, mutators: usize, ops_per_mutator: usize) {
     let spec = IndexSpec::new(Method::BrePartition, DivergenceKind::ItakuraSaito)
@@ -122,28 +150,32 @@ fn stress_round(round: u64, seed: u64, mutators: usize, ops_per_mutator: usize) 
             let index = &index;
             let ledger = &ledger;
             let samples = &samples;
-            let queries = mutators * ops_per_mutator / READERS;
+            let batched = r == BATCHED_READER;
+            let batch = if batched { READER_BATCH } else { 1 };
+            let batches = mutators * ops_per_mutator / READERS / batch;
             let mut rng = SplitMix64::new(seed ^ (round << 32) ^ (0xBEAD + ((r as u64) << 16)));
             scope.spawn(move || {
-                for i in 0..queries {
-                    let query = random_row(&mut rng);
-                    let k = 1 + rng.next_below(7) as usize;
+                for i in 0..batches {
+                    let requests: Vec<(Vec<f64>, usize)> = (0..batch)
+                        .map(|_| (random_row(&mut rng), 1 + rng.next_below(7) as usize))
+                        .collect();
                     if i % 5 == 0 {
                         // Sampled: hold the ledger closed so the version
-                        // read and the query see the same state.
+                        // read and the queries see the same state.
                         let guard = ledger.lock().unwrap();
                         let version = guard.log.len();
-                        let answer = index
-                            .query(&QueryRequest::new(&query, k))
-                            .expect("stress sampled query")
-                            .neighbors;
+                        let answers = answer(index, &requests, batched);
                         drop(guard);
-                        let ids = answer.into_iter().map(|(id, _)| id.0).collect();
-                        samples.lock().unwrap().push((version, query, k, ids));
+                        samples.lock().unwrap().extend(
+                            requests
+                                .into_iter()
+                                .zip(answers)
+                                .map(|((q, k), ids)| (version, q, k, ids)),
+                        );
                     } else {
                         // Unsampled: no harness lock — these race the
                         // mutators and the compactor's epoch swaps.
-                        index.query(&QueryRequest::new(&query, k)).expect("stress query");
+                        answer(index, &requests, batched);
                     }
                 }
             });

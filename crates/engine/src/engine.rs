@@ -1,20 +1,26 @@
 //! The concurrent batch query engine.
 
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+use bregman::kernel::KernelScratch;
 use bregman::PointId;
 use pagestore::{BufferPool, IoStats, SharedPageCache};
 
-use crate::backend::SearchBackend;
+use crate::backend::{Scratch, SearchBackend};
 use crate::error::EngineError;
-use crate::request::EngineRequest;
+use crate::pool;
+use crate::request::{EngineRequest, QueryOptions};
 
 /// Engine tuning knobs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads; `None` (the default) resolves to the machine's
+    /// Threads that serve a batch, the calling thread included: `t`
+    /// threads means the caller plus `t − 1` helpers from the engine's
+    /// shared pool. `None` (the default) resolves to the machine's
     /// available parallelism. An explicit `Some(0)` is a misconfiguration
     /// rejected at engine construction.
     pub threads: Option<usize>,
@@ -27,10 +33,10 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Use exactly `threads` workers. Passing `0` produces a configuration
-    /// that [`QueryEngine::with_config`] rejects with
-    /// [`EngineError::Config`] — use the default (auto) to size the pool
-    /// from the machine instead.
+    /// Serve batches on exactly `threads` threads, the caller included.
+    /// Passing `0` produces a configuration that
+    /// [`QueryEngine::with_config`] rejects with [`EngineError::Config`] —
+    /// use the default (auto) to size the count from the machine instead.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -56,7 +62,7 @@ impl EngineConfig {
     }
 }
 
-/// The worker-pool size to serve CPU-bound batches with: exactly the
+/// The thread count to serve CPU-bound batches with: exactly the
 /// machine's available parallelism.
 ///
 /// This deliberately does **not** floor the count above the core count.
@@ -66,11 +72,10 @@ impl EngineConfig {
 /// for *tail* latency: on a 1-core machine, 4 workers time-share the CPU
 /// and a query that loses the CPU waits out the other workers'
 /// scheduler timeslices, so batch p99 jumped from ~0.8 ms (1 thread) to
-/// ~12 ms (4 threads) on every backend while QPS stayed flat. The effect reproduces with pure busy-work and no
-/// engine code at all (p99 ≈ 4.9 ms at 2 threads, ≈ 13.9 ms at 4 — one
-/// and three ~4 ms timeslices), and thread spawn/park measures at ~17 µs
-/// per batch, so a persistent worker pool would not change it: the tail
-/// is kernel CPU scheduling, not engine overhead. Since per-query
+/// ~12 ms (4 threads) on every backend while QPS stayed flat. The effect
+/// reproduces with pure busy-work and no engine code at all (p99 ≈ 4.9 ms
+/// at 2 threads, ≈ 13.9 ms at 4 — one and three ~4 ms timeslices): the
+/// tail is kernel CPU scheduling, not engine overhead. Since per-query
 /// latency is measured inside each worker, queries themselves are
 /// CPU-bound, and extra workers add preemption without adding
 /// throughput, the recommendation is now never to exceed the hardware.
@@ -115,13 +120,17 @@ pub struct BatchResult {
 
 /// A concurrent batch query engine over any [`SearchBackend`].
 ///
-/// The engine shares one immutable index across a pool of worker threads;
-/// each worker owns its scratch state (buffer pool), pulls query indices
-/// from a shared atomic cursor and records its per-query outcomes locally,
-/// so the only cross-thread synchronization on the hot path is one
-/// `fetch_add` per query. Results are reassembled in submission order, which
-/// makes the returned neighbor sets bit-identical regardless of the thread
-/// count — the property the determinism tests pin down.
+/// The engine shares one immutable index across the threads serving a
+/// batch: the calling thread and up to `threads − 1` helpers from one
+/// process-wide pool of parked threads, which the first batch that wants a
+/// helper starts and every later batch reuses. Each serving thread owns
+/// its scratch state (buffer pool, and kernel buffers kept across
+/// batches), pulls query indices from the batch's atomic cursor and records
+/// its per-query outcomes locally, so the only cross-thread
+/// synchronization on the hot path is one `fetch_add` per query. Results
+/// are reassembled in submission order, which makes the returned neighbor
+/// sets bit-identical regardless of the thread count — the property the
+/// determinism tests pin down.
 #[derive(Clone)]
 pub struct QueryEngine {
     backend: Arc<dyn SearchBackend>,
@@ -183,14 +192,13 @@ impl QueryEngine {
         self.config
     }
 
-    /// The resolved worker-thread count.
+    /// The resolved count of threads serving a batch, the caller included.
     pub fn threads(&self) -> usize {
         self.config.threads.unwrap_or_else(recommended_pool_threads)
     }
 
-    /// Execute a batch of uniform queries (same `k`, no per-query options)
-    /// across the worker pool. Convenience wrapper over
-    /// [`QueryEngine::run_requests`].
+    /// Execute a batch of uniform queries (same `k`, no per-query options).
+    /// Convenience wrapper over [`QueryEngine::run_requests`].
     pub fn run_batch<Q: AsRef<[f64]> + Sync>(
         &self,
         queries: &[Q],
@@ -201,130 +209,230 @@ impl QueryEngine {
         self.run_requests(&requests)
     }
 
-    /// Execute a batch of per-query [`EngineRequest`]s across the worker
-    /// pool. Each request carries its own `k` and
-    /// [`QueryOptions`](crate::QueryOptions); rows are borrowed, not cloned.
+    /// Execute a batch of per-query [`EngineRequest`]s. Each request
+    /// carries its own `k` and [`QueryOptions`].
+    ///
+    /// The calling thread serves the batch itself, joined by up to
+    /// `threads − 1` helpers from a process-wide pool of parked threads
+    /// (started by the first batch that needs one, never per batch). Helper
+    /// jobs must outlive this call's borrows, so the batch's rows are
+    /// copied once into the job state.
     ///
     /// Returns per-query outcomes in submission order. If any query fails,
     /// the whole batch is abandoned and the first error (by scheduling
     /// order) is returned.
     pub fn run_requests(&self, requests: &[EngineRequest<'_>]) -> Result<BatchResult, EngineError> {
         let n = requests.len();
-        let threads = self.threads().max(1).min(n.max(1));
-        let cursor = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let first_error: Mutex<Option<(usize, EngineError)>> = Mutex::new(None);
-        let backend = self.backend.as_ref();
-        let reuse_scratch = self.config.reuse_scratch;
-        // Warm mode shares ONE scan-resistant cache across every worker of
-        // the batch: a page faulted in by any worker is a hit for all of
-        // them, so the batch-wide miss count approaches the working-set
-        // size instead of paying it once per worker. Each handle keeps its
-        // own IoStats, so per-query counters still attribute correctly.
+        let batch = Arc::new(Batch::new(self.backend.clone(), requests, self.config.reuse_scratch));
+        let helpers = self.threads().min(n).saturating_sub(1);
+        pool::submit(helpers, || {
+            let batch = batch.clone();
+            Box::new(move || batch.help())
+        });
+        let mut own = Vec::new();
+        batch.drain(&mut own);
+        batch.finish(own)
+    }
+}
+
+/// One query of a [`Batch`], holding its own copy of the row.
+struct OwnedRequest {
+    query: Vec<f64>,
+    k: usize,
+    options: QueryOptions,
+}
+
+/// Who is serving a batch, and what they have gathered so far.
+#[derive(Default)]
+struct Crew {
+    /// Helpers that joined before the caller closed the batch.
+    started: usize,
+    /// Helpers that have left, normally or by unwinding.
+    finished: usize,
+    /// Set by the caller once its cursor is drained: later helpers leave
+    /// at once, and the caller waits only for the `started` ones.
+    closed: bool,
+    outcomes: Vec<(usize, QueryOutcome)>,
+    /// The failure with the lowest query index seen so far.
+    first_error: Option<(usize, EngineError)>,
+}
+
+/// The shared state of one batch. It owns everything a helper touches,
+/// because a helper's job may still sit in the pool's queue after the
+/// batch has returned.
+struct Batch {
+    backend: Arc<dyn SearchBackend>,
+    requests: Vec<OwnedRequest>,
+    reuse_scratch: bool,
+    /// Warm mode shares ONE scan-resistant cache across every thread
+    /// serving the batch: a page faulted in by any of them is a hit for
+    /// all, so the batch-wide miss count approaches the working-set size
+    /// instead of paying it once per thread. Each handle keeps its own
+    /// IoStats, so per-query counters still attribute correctly.
+    shared_cache: Option<SharedPageCache>,
+    cursor: AtomicUsize,
+    abort: AtomicBool,
+    crew: Mutex<Crew>,
+    /// Signalled whenever a helper leaves.
+    left: Condvar,
+}
+
+thread_local! {
+    /// The prepared-query kernel buffers of the thread serving a batch,
+    /// kept across batches: they carry no observable state, so reusing
+    /// them saves every batch the first queries' allocations.
+    static KERNEL: Cell<KernelScratch> = Cell::new(KernelScratch::default());
+}
+
+impl Batch {
+    fn new(
+        backend: Arc<dyn SearchBackend>,
+        requests: &[EngineRequest<'_>],
+        reuse_scratch: bool,
+    ) -> Self {
+        let requests = requests
+            .iter()
+            .map(|r| OwnedRequest { query: r.query.to_vec(), k: r.k, options: r.options })
+            .collect();
         let shared_cache =
             reuse_scratch.then(|| SharedPageCache::new(backend.new_scratch().pool.capacity()));
+        Self {
+            backend,
+            requests,
+            reuse_scratch,
+            shared_cache,
+            cursor: AtomicUsize::new(0),
+            abort: AtomicBool::new(false),
+            crew: Mutex::new(Crew::default()),
+            left: Condvar::new(),
+        }
+    }
 
-        let mut per_thread: Vec<Vec<(usize, QueryOutcome)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let abort = &abort;
-                    let first_error = &first_error;
-                    let shared_cache = &shared_cache;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, QueryOutcome)> = Vec::new();
-                        let mut scratch = backend.new_scratch();
-                        if let Some(cache) = shared_cache {
-                            scratch.pool = BufferPool::with_shared_cache(cache.clone());
-                        }
-                        let mut scratch_used = false;
-                        loop {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            if index >= n || abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // Cold mode: every query starts from a fresh
-                            // pool so its IoStats cannot depend on
-                            // scheduling. Only the pool is replaced — the
-                            // prepared-query kernel buffers carry no
-                            // observable state, so they stay warm and the
-                            // worker performs no per-query allocation for
-                            // gradients or decoded candidates.
-                            if !reuse_scratch && scratch_used {
-                                scratch.pool = backend.new_scratch().pool;
-                            }
-                            scratch_used = true;
-                            let request = &requests[index];
-                            let query_started = Instant::now();
-                            // A panicking backend must not unwind through
-                            // the scope and poison the whole batch: catch it
-                            // at the query boundary and surface it through
-                            // the same first-error machinery as a typed
-                            // failure, tagged with the query's index.
-                            let attempt =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    backend.knn_with_options(
-                                        &mut scratch,
-                                        request.query,
-                                        request.k,
-                                        &request.options,
-                                    )
-                                }))
-                                .unwrap_or_else(|payload| {
-                                    Err(EngineError::Backend(format!(
-                                        "query worker panicked: {}",
-                                        panic_message(payload.as_ref())
-                                    )))
-                                });
-                            match attempt {
-                                Ok(answer) => {
-                                    local.push((
-                                        index,
-                                        QueryOutcome {
-                                            neighbors: answer.neighbors,
-                                            candidates: answer.candidates,
-                                            io: answer.io,
-                                            latency_seconds: query_started.elapsed().as_secs_f64(),
-                                        },
-                                    ));
-                                }
-                                Err(error) => {
-                                    let mut slot =
-                                        first_error.lock().unwrap_or_else(|e| e.into_inner());
-                                    match &*slot {
-                                        Some((held, _)) if *held <= index => {}
-                                        _ => *slot = Some((index, error)),
-                                    }
-                                    abort.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("engine worker panicked")).collect()
-        });
+    /// Every update to the crew is a counter bump, a flag, an append or a
+    /// replaced error, each valid on its own, so a poisoned guard is
+    /// recovered.
+    fn crew(&self) -> MutexGuard<'_, Crew> {
+        self.crew.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A helper's job: join the batch unless the caller has closed it,
+    /// serve from the cursor, and hand the outcomes back on leaving.
+    fn help(&self) {
+        {
+            let mut crew = self.crew();
+            if crew.closed {
+                return;
+            }
+            crew.started += 1;
+        }
+        let mut leaving = Leaving { batch: self, outcomes: Vec::new() };
+        self.drain(&mut leaving.outcomes);
+    }
+
+    /// Serve queries from the cursor until it runs out or the batch
+    /// aborts, pushing each outcome onto `local`.
+    fn drain(&self, local: &mut Vec<(usize, QueryOutcome)>) {
+        let backend = self.backend.as_ref();
+        let fresh_pool = || match &self.shared_cache {
+            Some(cache) => BufferPool::with_shared_cache(cache.clone()),
+            None => backend.new_scratch().pool,
+        };
+        let mut scratch = Scratch { pool: fresh_pool(), kernel: KERNEL.take() };
+        let mut scratch_used = false;
+        loop {
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= self.requests.len() || self.abort.load(Ordering::Relaxed) {
+                break;
+            }
+            // Cold mode: every query starts from a fresh pool so its
+            // IoStats cannot depend on scheduling. Only the pool is
+            // replaced — the kernel buffers stay warm.
+            if !self.reuse_scratch && scratch_used {
+                scratch.pool = fresh_pool();
+            }
+            scratch_used = true;
+            let request = &self.requests[index];
+            let query_started = Instant::now();
+            // A panicking backend must not unwind out of the batch: catch
+            // it at the query boundary and surface it through the same
+            // first-error machinery as a typed failure, tagged with the
+            // query's index.
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                backend.knn_with_options(&mut scratch, &request.query, request.k, &request.options)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(EngineError::Backend(format!(
+                    "query worker panicked: {}",
+                    panic_message(payload.as_ref())
+                )))
+            });
+            match attempt {
+                Ok(answer) => local.push((
+                    index,
+                    QueryOutcome {
+                        neighbors: answer.neighbors,
+                        candidates: answer.candidates,
+                        io: answer.io,
+                        latency_seconds: query_started.elapsed().as_secs_f64(),
+                    },
+                )),
+                Err(error) => {
+                    let slot = &mut self.crew().first_error;
+                    match slot {
+                        Some((held, _)) if *held <= index => {}
+                        _ => *slot = Some((index, error)),
+                    }
+                    self.abort.store(true, Ordering::Relaxed);
+                    break;
+                }
+            }
+        }
+        KERNEL.set(scratch.kernel);
+    }
+
+    /// The caller's last step: close the batch to latecomers, wait for
+    /// every helper that joined, and assemble the outcomes in submission
+    /// order — or return the first error.
+    fn finish(&self, own: Vec<(usize, QueryOutcome)>) -> Result<BatchResult, EngineError> {
+        let mut crew = self.crew();
+        crew.closed = true;
+        while crew.finished < crew.started {
+            crew = self.left.wait(crew).unwrap_or_else(|e| e.into_inner());
+        }
+        let helped = std::mem::take(&mut crew.outcomes);
 
         // Backend failures gain the failing query's index; typed errors
         // (unsupported options, config) pass through unchanged so callers
         // can match on them identically in the single-query and batch paths.
-        if let Some((index, error)) = first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        if let Some((index, error)) = crew.first_error.take() {
             return Err(match error {
                 EngineError::Backend(message) => EngineError::Query { index, message },
                 other => other,
             });
         }
 
-        let mut slots: Vec<Option<QueryOutcome>> = vec![None; n];
-        for locals in per_thread.iter_mut() {
-            for (index, outcome) in locals.drain(..) {
-                slots[index] = Some(outcome);
-            }
+        let mut slots: Vec<Option<QueryOutcome>> = vec![None; self.requests.len()];
+        for (index, outcome) in helped.into_iter().chain(own) {
+            slots[index] = Some(outcome);
         }
         let outcomes: Vec<QueryOutcome> =
             slots.into_iter().map(|s| s.expect("every query produced an outcome")).collect();
         Ok(BatchResult { outcomes })
+    }
+}
+
+/// Marks a helper finished when it leaves its batch — also when its job
+/// unwinds, so the caller never waits on a helper that is gone.
+struct Leaving<'a> {
+    batch: &'a Batch,
+    outcomes: Vec<(usize, QueryOutcome)>,
+}
+
+impl Drop for Leaving<'_> {
+    fn drop(&mut self) {
+        let mut crew = self.batch.crew();
+        crew.outcomes.append(&mut self.outcomes);
+        crew.finished += 1;
+        self.batch.left.notify_all();
     }
 }

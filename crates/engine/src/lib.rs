@@ -17,8 +17,11 @@
 //!   length, and a data page that fails its read, come back as
 //!   [`EngineError::Backend`]. Backends are immutable during search; all
 //!   mutable per-query state lives in a caller-owned [`Scratch`].
-//! * [`QueryEngine`] — fans a batch out over a pool of worker threads. Each
-//!   worker owns its scratch (buffer pool), pulls query indices from an
+//! * [`QueryEngine`] — serves a batch on the calling thread plus up to
+//!   `threads − 1` helpers from one process-wide pool of parked threads,
+//!   started by the first batch that wants a helper and reused by every
+//!   later one (no thread is spawned per batch). Each serving thread owns
+//!   its scratch (buffer pool), pulls query indices from the batch's
 //!   atomic cursor and buffers outcomes locally; per-query results are
 //!   reassembled in submission order, so neighbor sets are bit-identical
 //!   for 1 thread and N threads. Batches are submitted either as uniform
@@ -85,6 +88,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod overlay;
+mod pool;
 pub mod request;
 pub mod shard;
 

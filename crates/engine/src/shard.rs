@@ -217,11 +217,12 @@ impl ShardedEngine {
     /// Run the same request slice against every shard, returning per-shard
     /// results in shard order.
     ///
-    /// Shards are pulled from an atomic work queue by `concurrent_shards`
-    /// coordinator threads, each of which runs its shard's engine with that
-    /// shard's slice of the budget — so no more than `budget` workers are
-    /// ever searching at once. If any shard fails, the first failure by
-    /// shard index is returned.
+    /// Shards are pulled from an atomic work queue by the calling thread
+    /// and `concurrent_shards − 1` scoped threads, each of which runs its
+    /// shard's engine with that shard's slice of the budget (itself
+    /// included) — so no more than `budget` threads are ever searching at
+    /// once. If any shard fails, the first failure by shard index is
+    /// returned.
     pub fn run_requests(
         &self,
         requests: &[EngineRequest<'_>],
@@ -267,23 +268,26 @@ impl ShardedEngine {
     }
 
     /// Run `per_shard` once for every shard and return the results in
-    /// shard order. `concurrent_shards` scoped threads pull shard indices
-    /// from an atomic cursor, so at most that many shards run at once.
+    /// shard order. The calling thread and `concurrent_shards − 1` scoped
+    /// threads pull shard indices from an atomic cursor, so at most
+    /// `concurrent_shards` shards run at once.
     fn scatter<T: Send>(&self, per_shard: impl Fn(usize) -> T + Sync) -> Vec<T> {
         let shards = self.engines.len();
         let cursor = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..shards).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..self.concurrent.min(shards) {
-                scope.spawn(|| loop {
-                    let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                    if shard >= shards {
-                        break;
-                    }
-                    let result = per_shard(shard);
-                    slots.lock().unwrap_or_else(|e| e.into_inner())[shard] = Some(result);
-                });
+        let pull = || loop {
+            let shard = cursor.fetch_add(1, Ordering::Relaxed);
+            if shard >= shards {
+                break;
             }
+            let result = per_shard(shard);
+            slots.lock().unwrap_or_else(|e| e.into_inner())[shard] = Some(result);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.concurrent.min(shards) {
+                scope.spawn(pull);
+            }
+            pull();
         });
         slots
             .into_inner()

@@ -893,14 +893,20 @@ impl Index {
         })
     }
 
-    /// Execute a batch across a default worker pool (machine parallelism,
-    /// cold scratch). Use [`Index::engine`] for explicit control.
+    /// Execute a batch with the default engine configuration (machine
+    /// parallelism, cold scratch). Use [`Index::engine`] for explicit
+    /// control.
     pub fn run(&self, request: &Request<'_>) -> Result<BatchResult> {
         self.run_with(request, EngineConfig::default())
     }
 
-    /// Execute a batch with explicit engine configuration. A batch holding
-    /// any out-of-domain query is rejected whole, as in [`Index::query`].
+    /// Execute a batch with explicit engine configuration. The calling
+    /// thread serves the batch together with `threads − 1` helpers from
+    /// the engine's process-wide pool of parked threads, which the first
+    /// batch wanting a helper starts; no thread is spawned per batch, and
+    /// [`Index::build`], [`Index::save`] and [`Index::open`] start none. A
+    /// batch holding any out-of-domain query is rejected whole, as in
+    /// [`Index::query`].
     pub fn run_with(&self, request: &Request<'_>, config: EngineConfig) -> Result<BatchResult> {
         request.check_domain(self.divergence())?;
         let engine = self.engine(config)?;

@@ -293,3 +293,129 @@ fn warm_scratch_batches_hit_the_buffer_pool_for_every_method() {
         );
     }
 }
+
+/// Sequential answers through `backend` with a fresh (cold) scratch per
+/// query: the reference every engine batch must reproduce.
+fn sequential_answers(
+    backend: &dyn SearchBackend,
+    queries: &[Vec<f64>],
+    k: usize,
+) -> Vec<BackendAnswer> {
+    queries
+        .iter()
+        .map(|q| {
+            backend
+                .knn_with_options(&mut backend.new_scratch(), q, k, &QueryOptions::none())
+                .unwrap()
+        })
+        .collect()
+}
+
+/// Whether a batch outcome is the sequential answer: ids, distance bits,
+/// candidates and (cold mode) I/O counters.
+fn assert_same_answer(got: &QueryOutcome, want: &BackendAnswer, ctx: &str) {
+    let bits =
+        |n: &[(PointId, f64)]| n.iter().map(|(id, d)| (*id, d.to_bits())).collect::<Vec<_>>();
+    assert_eq!(bits(&got.neighbors), bits(&want.neighbors), "{ctx}: ids or distance bits");
+    assert_eq!(got.candidates, want.candidates, "{ctx}: candidates");
+    assert_eq!(got.io, want.io, "{ctx}: cold-mode I/O");
+}
+
+/// The engine's helper pool is process-wide, so concurrent callers share
+/// its helpers: four threads driving one engine at the same time must each
+/// get exactly the sequential answers, batch after batch.
+#[test]
+fn concurrent_callers_share_the_helper_pool_and_answer_sequentially() {
+    const CALLERS: usize = 4;
+    const BATCHES: usize = 32;
+    const BATCH: usize = 8;
+    let (data, queries) = hierarchical_workload(1_200, 256);
+    let k = 10;
+    let backend: Arc<dyn SearchBackend> = Arc::new(BrePartitionBackend::exact(build_index(&data)));
+    let sequential = sequential_answers(backend.as_ref(), &queries, k);
+    let engine =
+        QueryEngine::with_config(backend, EngineConfig::default().with_threads(2)).unwrap();
+    let start = std::sync::Barrier::new(CALLERS);
+    std::thread::scope(|scope| {
+        for caller in 0..CALLERS {
+            let (engine, queries, sequential, start) = (&engine, &queries, &sequential, &start);
+            scope.spawn(move || {
+                start.wait();
+                for b in 0..BATCHES {
+                    let first = ((caller * BATCHES + b) * BATCH) % queries.len();
+                    let rows = &queries[first..first + BATCH];
+                    let batch = engine.run_batch(rows, k).unwrap();
+                    assert_eq!(batch.outcomes.len(), BATCH);
+                    for (offset, outcome) in batch.outcomes.iter().enumerate() {
+                        let ctx = format!("caller {caller}, batch {b}, query {}", first + offset);
+                        assert_same_answer(outcome, &sequential[first + offset], &ctx);
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// A backend that panics on one poisoned query row and otherwise defers to
+/// the wrapped backend.
+struct PanicsOnRow {
+    inner: Arc<dyn SearchBackend>,
+    poison: Vec<f64>,
+}
+
+impl SearchBackend for PanicsOnRow {
+    fn name(&self) -> &str {
+        "panics-on-row"
+    }
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn new_scratch(&self) -> Scratch {
+        self.inner.new_scratch()
+    }
+    fn knn_with_options(
+        &self,
+        scratch: &mut Scratch,
+        query: &[f64],
+        k: usize,
+        options: &QueryOptions,
+    ) -> std::result::Result<BackendAnswer, EngineError> {
+        assert!(query != self.poison.as_slice(), "poisoned query row");
+        self.inner.knn_with_options(scratch, query, k, options)
+    }
+}
+
+/// A backend panic fails its batch with that query's index, and costs the
+/// pool nothing: the batches after it, in the same process, answer every
+/// query exactly as sequential search does.
+#[test]
+fn a_backend_panic_fails_its_batch_and_later_batches_answer_exactly() {
+    const BATCH: usize = 8;
+    const POISONED: usize = 5;
+    let (data, queries) = hierarchical_workload(1_200, 136);
+    let k = 10;
+    let inner: Arc<dyn SearchBackend> = Arc::new(BrePartitionBackend::exact(build_index(&data)));
+    let sequential = sequential_answers(inner.as_ref(), &queries, k);
+    let backend = Arc::new(PanicsOnRow { inner, poison: queries[POISONED].clone() });
+    let engine =
+        QueryEngine::with_config(backend, EngineConfig::default().with_threads(2)).unwrap();
+
+    match engine.run_batch(&queries[..BATCH], k) {
+        Err(EngineError::Query { index, message }) => {
+            assert_eq!(index, POISONED, "the error names the panicking query");
+            assert!(message.contains("poisoned query row"), "panic message lost: {message}");
+        }
+        other => panic!("a panicking query must fail its batch, got {other:?}"),
+    }
+    for b in 1..=16 {
+        let first = b * BATCH;
+        let batch = engine.run_batch(&queries[first..first + BATCH], k).unwrap();
+        for (offset, outcome) in batch.outcomes.iter().enumerate() {
+            let ctx = format!("batch {b} after the panic, query {}", first + offset);
+            assert_same_answer(outcome, &sequential[first + offset], &ctx);
+        }
+    }
+}
