@@ -4,8 +4,9 @@
 use bbtree::{BBTreeConfig, SearchStats};
 use bregman::kernel::{KernelScratch, PreparedQuery};
 use bregman::{DenseDataset, DivergenceKind, PointId};
-use pagestore::{BufferPool, PageId, PageStore, PageStoreConfig, PageStoreError};
-use std::collections::BinaryHeap;
+use pagestore::{BufferPool, Page, PageId, PageStore, PageStoreConfig, PageStoreError};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
 use crate::approximate::ApproximateConfig;
@@ -537,7 +538,7 @@ impl BrePartitionIndex {
         search_stats: &mut SearchStats,
     ) -> Result<BestFirst> {
         let store = self.forest.store();
-        let KernelScratch { prepared, lanes, distances, phis, .. } = kernel;
+        let KernelScratch { prepared, distances, phis, .. } = kernel;
         let offset = prepared.offset();
         let wanted = k.min(self.len());
         let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(wanted + 1);
@@ -551,10 +552,9 @@ impl BrePartitionIndex {
                 }
                 pages[word] |= bit;
                 let Some(page) = pool.try_fetch(store, PageId(page))? else { continue };
-                page.decode_all_into(lanes);
                 phis.clear();
                 phis.extend(page.point_ids().iter().map(|&pid| self.phi[pid as usize]));
-                prepared.distance_block(phis, lanes, distances);
+                prepared.distance_block(phis, page.lanes(), distances);
                 for (&pid, &dist) in page.point_ids().iter().zip(distances.iter()) {
                     let entry = Ranked { dist, pid };
                     if best.len() < wanted {
@@ -650,8 +650,11 @@ impl Ord for Ranked {
 /// re-rank at full resolution only for candidates whose estimate cannot be
 /// ruled out. `neighbors` enters holding at most `k` exactly scored rows
 /// (the seed's), which set the pruning threshold from the start, and leaves
-/// holding the `k` best of those and the screened candidates. A candidate
-/// page that fails its read aborts the screen with the read error.
+/// holding the `k` best of those and the screened candidates. Each
+/// candidate page is fetched through the pool once per screen and kept, so
+/// the screen touches a page no more often than the plain refine does. A
+/// candidate page that fails its read aborts the screen with the read
+/// error.
 ///
 /// **Safety of the skip rule.** The exact refine computes
 /// `d = Φ(x) + c_q − Σ_i φ'(q_i)·x_i` in the block kernel's
@@ -712,6 +715,7 @@ fn screen_candidates_f32(
     let mut heap: BinaryHeap<Ranked> =
         neighbors.drain(..).map(|(pid, dist)| Ranked { dist, pid: pid.0 }).collect();
     let mut one_dist = Vec::with_capacity(1);
+    let mut pages: HashMap<PageId, Page> = HashMap::new();
     for &(estimate, bound, pid) in &scored {
         if heap.len() == k {
             let worst = heap.peek().expect("heap holds k > 0 entries");
@@ -719,9 +723,15 @@ fn screen_candidates_f32(
                 continue;
             }
         }
-        if !pool.read_point_into(store, pid, coords)? {
-            continue;
-        }
+        let Some(addr) = store.address_of(pid) else { continue };
+        let page = match pages.entry(addr.page) {
+            Entry::Occupied(kept) => kept.into_mut(),
+            Entry::Vacant(slot) => match pool.try_fetch(store, addr.page)? {
+                Some(page) => slot.insert(page),
+                None => continue,
+            },
+        };
+        page.decode_slot_into(addr.slot as usize, coords);
         search_stats.distance_computations += 1;
         // A single-row block: for m = 1 the lane-major block *is* the row,
         // and the arithmetic matches the batched refine bit for bit.

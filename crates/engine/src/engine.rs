@@ -135,6 +135,9 @@ pub struct BatchResult {
 pub struct QueryEngine {
     backend: Arc<dyn SearchBackend>,
     config: EngineConfig,
+    /// The page capacity of the backend's scratch pools, read once here:
+    /// warm batches size their shared cache from it.
+    pool_capacity: usize,
 }
 
 impl std::fmt::Debug for QueryEngine {
@@ -166,7 +169,8 @@ impl QueryEngine {
         config: EngineConfig,
     ) -> Result<Self, EngineError> {
         config.validate()?;
-        if config.reuse_scratch && backend.new_scratch().pool.capacity() == 0 {
+        let pool_capacity = backend.new_scratch().pool.capacity();
+        if config.reuse_scratch && pool_capacity == 0 {
             return Err(EngineError::Config(format!(
                 "warm scratch requested but backend {} serves zero-capacity (unbuffered) \
                  pools; a warm pool with no capacity caches nothing — configure the \
@@ -174,7 +178,7 @@ impl QueryEngine {
                 backend.name()
             )));
         }
-        Ok(Self { backend, config })
+        Ok(Self { backend, config, pool_capacity })
     }
 
     /// Convenience constructor boxing a concrete backend.
@@ -223,7 +227,8 @@ impl QueryEngine {
     /// order) is returned.
     pub fn run_requests(&self, requests: &[EngineRequest<'_>]) -> Result<BatchResult, EngineError> {
         let n = requests.len();
-        let batch = Arc::new(Batch::new(self.backend.clone(), requests, self.config.reuse_scratch));
+        let shared_cache = self.config.reuse_scratch.then_some(self.pool_capacity);
+        let batch = Arc::new(Batch::new(self.backend.clone(), requests, shared_cache));
         let helpers = self.threads().min(n).saturating_sub(1);
         pool::submit(helpers, || {
             let batch = batch.clone();
@@ -263,8 +268,7 @@ struct Crew {
 struct Batch {
     backend: Arc<dyn SearchBackend>,
     requests: Vec<OwnedRequest>,
-    reuse_scratch: bool,
-    /// Warm mode shares ONE scan-resistant cache across every thread
+    /// Warm mode (`Some`) shares ONE scan-resistant cache across every thread
     /// serving the batch: a page faulted in by any of them is a hit for
     /// all, so the batch-wide miss count approaches the working-set size
     /// instead of paying it once per thread. Each handle keeps its own
@@ -285,22 +289,21 @@ thread_local! {
 }
 
 impl Batch {
+    /// A batch over `requests`; warm batches pass the capacity of their
+    /// shared cache, cold ones `None`.
     fn new(
         backend: Arc<dyn SearchBackend>,
         requests: &[EngineRequest<'_>],
-        reuse_scratch: bool,
+        shared_cache: Option<usize>,
     ) -> Self {
         let requests = requests
             .iter()
             .map(|r| OwnedRequest { query: r.query.to_vec(), k: r.k, options: r.options })
             .collect();
-        let shared_cache =
-            reuse_scratch.then(|| SharedPageCache::new(backend.new_scratch().pool.capacity()));
         Self {
             backend,
             requests,
-            reuse_scratch,
-            shared_cache,
+            shared_cache: shared_cache.map(SharedPageCache::new),
             cursor: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
             crew: Mutex::new(Crew::default()),
@@ -347,7 +350,7 @@ impl Batch {
             // Cold mode: every query starts from a fresh pool so its
             // IoStats cannot depend on scheduling. Only the pool is
             // replaced — the kernel buffers stay warm.
-            if !self.reuse_scratch && scratch_used {
+            if self.shared_cache.is_none() && scratch_used {
                 scratch.pool = fresh_pool();
             }
             scratch_used = true;

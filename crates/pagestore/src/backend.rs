@@ -4,12 +4,14 @@
 //! layout, configuration) but delegates page-image storage to a backend:
 //!
 //! * [`MemoryBackend`] — the deterministic in-memory simulation the paper's
-//!   experiments run against. Every page is resident; a "physical read" is a
-//!   cheap clone of the shared page (the I/O counters in
-//!   [`crate::BufferPool`] still model a disk).
+//!   experiments run against. Every page is resident with its lanes
+//!   decoded; a "physical read" is a cheap clone of the shared page, scored
+//!   in place (the I/O counters in [`crate::BufferPool`] still model a
+//!   disk).
 //! * [`crate::FileBackend`] — a real file with a versioned, checksummed
-//!   header; every physical read seeks into the page region and
-//!   materializes the page from disk (see [`crate::file`] for the format).
+//!   header; every physical read is one positioned read of the page image,
+//!   verified and decoded once into a new page (see [`crate::file`] for the
+//!   format).
 //!
 //! Both are served through the same [`crate::BufferPool`]/[`crate::IoStats`]
 //! path, so per-query I/O accounting is identical no matter where the bytes
@@ -86,12 +88,14 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// never a panic and never a silently missing page.
     fn read_page(&self, id: PageId) -> Result<Option<Page>, PageStoreError>;
 
-    /// Total size of the stored page images in bytes (payloads including
-    /// padding, excluding directory metadata).
+    /// Total nominal size of the stored page images in bytes (records
+    /// including padding, excluding directory metadata).
     fn size_bytes(&self) -> usize;
 }
 
-/// The in-memory backend: all pages resident, reads are clone-outs.
+/// The in-memory backend: all pages resident with their lanes decoded, so
+/// a read is a clone-out (two reference-count bumps) and the caller scores
+/// the page in place, with no copy and no decode.
 #[derive(Debug)]
 pub struct MemoryBackend {
     pages: Vec<Page>,

@@ -207,11 +207,12 @@ enum CacheSlot {
 /// the *only* sanctioned read path for indexes, which is how every index in
 /// this repository reports the paper's I/O-cost metric.
 ///
-/// Cached pages are held by value (pages are cheap to clone — their payload
-/// and id list are reference-counted), so the pool works identically over
-/// the in-memory backend and the file backend: a miss asks the store for a
-/// physical page, a hit serves the pool's own copy without touching the
-/// store at all.
+/// Cached pages are held by value (pages are cheap to clone — their decoded
+/// lanes and id list are reference-counted), so the pool works identically
+/// over the in-memory backend and the file backend: a miss asks the store
+/// for a physical page, decoded once by the backend, and a hit serves the
+/// pool's own copy without touching the store at all — the caller scores
+/// its lanes in place ([`Page::lanes`]).
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
@@ -342,9 +343,9 @@ impl BufferPool {
         Ok(true)
     }
 
-    /// Visit a batch of points one decoded *page group* at a time, grouped
+    /// Visit a batch of points one gathered *page group* at a time, grouped
     /// by page in first-seen page order so that points co-located on a page
-    /// cost a single physical read. Each group is decoded into `lanes` as a
+    /// cost a single physical read. Each group is gathered into `lanes` as a
     /// **lane-major block** — `lanes[i * m + j]` is coordinate `i` of the
     /// group's `j`-th point (of `m`), the group's points in request order —
     /// and handed to `f` once per page. This is the layout the batched

@@ -14,7 +14,7 @@
 //! ── payload ──────────────────────────────────────────────────────────────
 //! 28                8           meta_len u64
 //! 36                meta_len    metadata block (see below)
-//! 36 + meta_len     …           page region: the page payloads back to back
+//! 36 + meta_len     …           page region: the page images back to back
 //! ```
 //!
 //! The metadata block ([`crate::format::ByteWriter`] encoding, all integers
@@ -27,18 +27,21 @@
 //! point_count  u64   number of point records (for validation)
 //! page_count   u64   number of pages
 //! page_codec   u8    page-codec tag, always 1 (dimension-major), then per page:
-//!   offset     u64   byte offset of the page payload within the page region
-//!   length     u64   byte length of the page payload
+//!   offset     u64   byte offset of the page image within the page region
+//!   length     u64   byte length of the page image
 //!   point_ids  u32 sequence — resident point ids in slot order
 //! ```
 //!
-//! Page payloads are usually exactly `page_size` bytes; a page holding a
-//! single record wider than the nominal page size is stored at its true
-//! length, which is why per-page offsets are explicit.
+//! A page image is the page's lanes (see [`Page`]) as little-endian `f64`s,
+//! lane after lane, zero-padded to the page's nominal size. That is usually
+//! exactly `page_size` bytes; a page holding a single record wider than the
+//! nominal page size is stored at its true length, which is why per-page
+//! offsets are explicit. A page whose length cannot hold its records is
+//! [`PersistError::Corrupt`] at open.
 //!
 //! # One format
 //!
-//! Every page payload is dimension-major (see [`Page`]). The version-2
+//! Every page image is dimension-major (see [`Page`]). The version-2
 //! metadata block still carries a codec byte; it is always
 //! [`DIM_MAJOR_CODEC_TAG`], and any other value is
 //! [`PersistError::Corrupt`]. Any other envelope version is
@@ -52,18 +55,18 @@
 //! region is never resident in memory). A second pass then computes one
 //! XXH64 checksum per page; those live only in memory, no byte of the file
 //! records them. Afterwards only the metadata block and the per-page
-//! checksums are kept in memory, and every [`StorageBackend::read_page`]
-//! seeks into the page region and verifies the page it read against its
-//! checksum, so bit rot after open is a [`PageStoreError::Checksum`], never
-//! a wrong neighbour.
+//! checksums are kept in memory. Every [`StorageBackend::read_page`] is one
+//! positioned read of the page image into a reused per-thread buffer,
+//! verified against its checksum (padding included) and decoded once into
+//! the new page's lanes, so bit rot after open is a
+//! [`PageStoreError::Checksum`], never a wrong neighbour.
 
+use std::cell::RefCell;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::backend::{PageStoreError, StorageBackend};
 use crate::format::{
@@ -88,9 +91,9 @@ pub const DIM_MAJOR_CODEC_TAG: u8 = 1;
 /// Per-page directory entry kept in memory by a [`FileBackend`].
 #[derive(Debug, Clone)]
 struct PageEntry {
-    /// Byte offset of the payload within the page region.
+    /// Byte offset of the page image within the page region.
     offset: u64,
-    /// Byte length of the payload.
+    /// Byte length of the page image.
     length: u64,
     /// Resident point ids in slot order (shared with materialized pages).
     point_ids: Arc<[PointId]>,
@@ -120,15 +123,21 @@ impl PageFileMeta {
     }
 }
 
+thread_local! {
+    /// The byte image of the page a thread is reading, reused across reads
+    /// so a physical read neither allocates nor zero-fills it.
+    static PAGE_IMAGE: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The file-backed storage backend.
 ///
-/// Holds the page directory in memory and an open handle on the page file;
-/// every physical page read seeks into the page region. The handle sits
-/// behind a mutex so one backend can be shared across query threads (each
-/// read is one short critical section).
+/// Holds the page directory in memory and an open handle on the page file.
+/// Every physical page read is one positioned read (no seek, no lock), so
+/// one backend is shared across query threads; the page is decoded once,
+/// into lanes that every later hit on it is scored from.
 pub struct FileBackend {
     path: PathBuf,
-    file: Mutex<BufReader<File>>,
+    file: File,
     page_region_offset: u64,
     dim: usize,
     entries: Vec<PageEntry>,
@@ -210,13 +219,13 @@ impl FileBackend {
         let mut page = Vec::new();
         for entry in &meta.entries {
             page.resize(entry.length as usize, 0);
-            read_exact_or_corrupt(&mut file, &mut page, "page payload")?;
+            read_exact_or_corrupt(&mut file, &mut page, "page image")?;
             checksums.push(xxh64(&page));
         }
 
         let backend = FileBackend {
             path: path.to_path_buf(),
-            file: Mutex::new(BufReader::new(file)),
+            file,
             page_region_offset,
             dim: meta.dim,
             entries: meta.entries.clone(),
@@ -244,28 +253,35 @@ impl StorageBackend for FileBackend {
         let Some(entry) = self.entries.get(id.index()) else {
             return Ok(None);
         };
-        let mut buf = vec![0u8; entry.length as usize];
-        {
-            let mut file = self.file.lock();
-            file.seek(SeekFrom::Start(self.page_region_offset + entry.offset))
-                .and_then(|_| file.read_exact(&mut buf))
-                .map_err(|e| PageStoreError::Io {
+        PAGE_IMAGE.with_borrow_mut(|image| {
+            image.resize(entry.length as usize, 0);
+            self.file.read_exact_at(image, self.page_region_offset + entry.offset).map_err(
+                |e| PageStoreError::Io {
                     page: id,
                     message: e.to_string(),
                     path: self.path.display().to_string(),
-                })?;
-        }
-        let expected = self.checksums[id.index()];
-        let found = xxh64(&buf);
-        if found != expected {
-            return Err(PageStoreError::Checksum {
-                page: id,
-                expected,
-                found,
-                path: self.path.display().to_string(),
-            });
-        }
-        Ok(Some(Page::from_parts(id, self.dim, entry.point_ids.clone(), Bytes::from(buf))))
+                },
+            )?;
+            let expected = self.checksums[id.index()];
+            let found = xxh64(image);
+            if found != expected {
+                return Err(PageStoreError::Checksum {
+                    page: id,
+                    expected,
+                    found,
+                    path: self.path.display().to_string(),
+                });
+            }
+            // The directory was checked at open to hold every record, and
+            // the exact-length iterator collects into one allocation.
+            let records = self.dim * entry.point_ids.len() * 8;
+            let lanes: Arc<[f64]> = image[..records]
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+                .collect();
+            let size = entry.length as usize;
+            Ok(Some(Page::new(id, self.dim, entry.point_ids.clone(), lanes, size)))
+        })
     }
 
     fn size_bytes(&self) -> usize {
@@ -291,9 +307,9 @@ pub(crate) fn write_page_file(
 ) -> PersistResult<()> {
     use std::io::{BufWriter, Write};
 
-    // Pass 1: build the metadata block. Only ids and lengths are kept; page
-    // payloads are re-read during the streaming pass (cheap clones on the
-    // memory backend, sequential re-reads when copying a file-backed store).
+    // Pass 1: build the metadata block. Only ids and lengths are kept; pages
+    // are re-read during the streaming pass (cheap clones on the memory
+    // backend, sequential re-reads when copying a file-backed store).
     let page_count = backend.page_count();
     let mut meta = ByteWriter::new();
     meta.put_u64(config.page_size_bytes as u64);
@@ -314,9 +330,9 @@ pub(crate) fn write_page_file(
     for i in 0..page_count {
         let page = read(i)?;
         meta.put_u64(region_len);
-        meta.put_u64(page.payload().len() as u64);
+        meta.put_u64(page.size_bytes() as u64);
         meta.put_u32_seq(page.point_ids());
-        region_len += page.payload().len() as u64;
+        region_len += page.size_bytes() as u64;
     }
     let meta = meta.into_vec();
     let payload_len = 8 + meta.len() as u64 + region_len;
@@ -335,10 +351,18 @@ pub(crate) fn write_page_file(
     out.write_all(&meta_len_bytes)?;
     hash.update(&meta);
     out.write_all(&meta)?;
+    // Each page's image is encoded into one reused buffer: its lanes as
+    // little-endian `f64`s, zero-padded to its nominal size.
+    let mut image = Vec::new();
     for i in 0..page_count {
         let page = read(i)?;
-        hash.update(page.payload());
-        out.write_all(page.payload())?;
+        image.clear();
+        for x in page.lanes() {
+            image.extend_from_slice(&x.to_le_bytes());
+        }
+        image.resize(page.size_bytes(), 0);
+        hash.update(&image);
+        out.write_all(&image)?;
     }
 
     // Patch the checksum into the header.
@@ -374,6 +398,13 @@ fn parse_meta(bytes: &[u8]) -> PersistResult<PageFileMeta> {
             .checked_add(length)
             .ok_or_else(|| PersistError::Corrupt("page offsets overflow u64".into()))?;
         let point_ids: Arc<[PointId]> = r.take_u32_seq()?.into();
+        let records = dim.checked_mul(point_ids.len()).and_then(|n| n.checked_mul(8));
+        if records.is_none_or(|bytes| bytes as u64 > length) {
+            return Err(PersistError::Corrupt(format!(
+                "page {page} is {length} bytes, too short for {} records of dimension {dim}",
+                point_ids.len()
+            )));
+        }
         entries.push(PageEntry { offset, length, point_ids });
     }
     r.expect_end()?;
@@ -523,26 +554,39 @@ mod tests {
 
     #[test]
     fn checksum_valid_but_malformed_directory_is_rejected() {
-        // Duplicate a point id in the directory and re-seal the checksum:
-        // open must fail on directory validation, not serve a broken layout.
+        // Duplicate a point id in the directory, or claim a dimension the
+        // pages are too short to hold, and re-seal the checksum: open must
+        // fail on directory validation, not serve a broken layout.
         let (store, _) = sample_store();
         let path = temp_path("malformed");
         store.save(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
         // Layout: header (28) + meta_len (8) + fixed meta fields (5 × u64 +
         // codec byte), then page 0's entry: offset u64, length u64,
         // id-seq len u64, ids.
         let first_id_at = ENVELOPE_HEADER_BYTES + 8 + 41 + 24;
-        let second_id = bytes[first_id_at + 4..first_id_at + 8].to_vec();
-        bytes[first_id_at..first_id_at + 4].copy_from_slice(&second_id);
-        let checksum = crate::format::fnv1a64(&bytes[ENVELOPE_HEADER_BYTES..]);
-        bytes[20..28].copy_from_slice(&checksum.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        match PageStore::open(&path) {
-            Err(PersistError::Corrupt(message)) => {
-                assert!(message.contains("more than once"), "{message}");
+        let dim_at = ENVELOPE_HEADER_BYTES + 8 + 8;
+        let duplicate_id = |bytes: &mut Vec<u8>| {
+            let second_id = bytes[first_id_at + 4..first_id_at + 8].to_vec();
+            bytes[first_id_at..first_id_at + 4].copy_from_slice(&second_id);
+        };
+        let widen_dim = |bytes: &mut Vec<u8>| {
+            bytes[dim_at..dim_at + 8].copy_from_slice(&100u64.to_le_bytes());
+        };
+        for (corrupt, expected) in
+            [(&duplicate_id as &dyn Fn(&mut Vec<u8>), "more than once"), (&widen_dim, "too short")]
+        {
+            let mut bytes = pristine.clone();
+            corrupt(&mut bytes);
+            let checksum = crate::format::fnv1a64(&bytes[ENVELOPE_HEADER_BYTES..]);
+            bytes[20..28].copy_from_slice(&checksum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match PageStore::open(&path) {
+                Err(PersistError::Corrupt(message)) => {
+                    assert!(message.contains(expected), "{message}");
+                }
+                other => panic!("expected corrupt-directory error, got {other:?}"),
             }
-            other => panic!("expected corrupt-directory error, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -645,7 +689,7 @@ mod tests {
             )
         };
         let page_start = ENVELOPE_HEADER_BYTES as u64 + 8 + meta_len;
-        let page_len = store.raw_page(PageId(0)).unwrap().unwrap().payload().len() as u64;
+        let page_len = store.raw_page(PageId(0)).unwrap().unwrap().size_bytes() as u64;
         let flip = |target: u64| {
             let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
             file.seek(SeekFrom::Start(target)).unwrap();
@@ -706,6 +750,138 @@ mod tests {
         }
         std::fs::remove_file(&path).unwrap();
         let _ = std::fs::remove_file(temp_path("bit-rot-copy"));
+    }
+
+    #[test]
+    fn rotten_page_is_never_cached_in_a_buffer_pool() {
+        use crate::buffer_pool::{BufferPool, SharedPageCache};
+        use std::io::Write;
+
+        let (store, data) = sample_store();
+        let path = temp_path("rot-buffered");
+        store.save(&path).unwrap();
+        let reopened = PageStore::open(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let meta_len = u64::from_le_bytes(
+            bytes[ENVELOPE_HEADER_BYTES..ENVELOPE_HEADER_BYTES + 8].try_into().unwrap(),
+        );
+        let page_start = ENVELOPE_HEADER_BYTES as u64 + 8 + meta_len;
+        let flip = || {
+            let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
+            let mut byte = [0u8; 1];
+            file.read_exact_at(&mut byte, page_start).unwrap();
+            file.write_all_at(&[byte[0] ^ 0x01], page_start).unwrap();
+            file.flush().unwrap();
+        };
+
+        for mut pool in [BufferPool::new(4), BufferPool::with_shared_cache(SharedPageCache::new(4))]
+        {
+            flip();
+            // A page that fails its checksum is neither cached nor counted,
+            // so every later read of it goes back to the file and fails too.
+            for _ in 0..2 {
+                assert!(matches!(
+                    pool.try_fetch(&reopened, PageId(0)),
+                    Err(PageStoreError::Checksum { page: PageId(0), .. })
+                ));
+                assert_eq!(pool.resident_pages(), 0);
+            }
+            let mut coords = Vec::new();
+            assert!(matches!(
+                pool.read_point_into(&reopened, 1, &mut coords),
+                Err(PageStoreError::Checksum { .. })
+            ));
+            assert_eq!(pool.resident_pages(), 0);
+            assert_eq!(pool.stats().pages_read + pool.stats().cache_hits, 0);
+
+            // Once the byte is restored the page is read, cached and hit.
+            flip();
+            assert!(pool.read_point_into(&reopened, 1, &mut coords).unwrap());
+            assert_eq!(coords, data[1]);
+            assert!(pool.read_point_into(&reopened, 2, &mut coords).unwrap());
+            assert_eq!(coords, data[2]);
+            assert_eq!((pool.stats().pages_read, pool.stats().cache_hits), (1, 1));
+            assert_eq!(pool.resident_pages(), 1);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn decoded_lanes_carry_the_stored_bits_on_every_read_path() {
+        use crate::buffer_pool::BufferPool;
+
+        // Values a decode could plausibly disturb: signed zero, subnormals,
+        // infinities, the extremes, and NaNs whose payloads and signs differ.
+        let specials = [
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0x7FF0_0000_0000_0002),
+            f64::from_bits(0xFFF8_0000_DEAD_BEEF),
+            f64::from_bits(0xFFF4_3210_0000_0007),
+        ];
+        let dim = 3;
+        let rows: Vec<Vec<f64>> = (0..7)
+            .map(|i| (0..dim).map(|j| specials[(i * dim + j) % specials.len()]).collect())
+            .collect();
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        // 128-byte pages hold five 24-byte records and 8 bytes of padding;
+        // the second page holds two records and 80 bytes of padding.
+        let config = PageStoreConfig::with_page_size(128);
+        let store = PageStore::build_sequential(config, dim, rows.len(), |pid| &rows[pid as usize]);
+        let path = temp_path("lane-bits");
+        store.save(&path).unwrap();
+        let reopened = PageStore::open(&path).unwrap();
+
+        // The page region is the hand-encoded lanes plus zero padding.
+        let bytes = std::fs::read(&path).unwrap();
+        let meta_len = u64::from_le_bytes(
+            bytes[ENVELOPE_HEADER_BYTES..ENVELOPE_HEADER_BYTES + 8].try_into().unwrap(),
+        );
+        let mut region = Vec::new();
+        for page in rows.chunks(5) {
+            let start = region.len();
+            for i in 0..dim {
+                for row in page {
+                    region.extend_from_slice(&row[i].to_bits().to_le_bytes());
+                }
+            }
+            region.resize(start + 128, 0);
+        }
+        assert_eq!(&bytes[ENVELOPE_HEADER_BYTES + 8 + meta_len as usize..], &region[..]);
+
+        let ids: Vec<PointId> = (0..rows.len() as PointId).collect();
+        for (name, mut pool) in
+            [("unbuffered", BufferPool::unbuffered()), ("cached", BufferPool::new(2))]
+        {
+            // Twice over, so the cached pool serves the second pass from hits.
+            for _ in 0..2 {
+                let mut coords = Vec::new();
+                for &pid in &ids {
+                    assert!(reopened.address_of(pid).is_some());
+                    assert!(pool.read_point_into(&reopened, pid, &mut coords).unwrap());
+                    assert_eq!(bits(&coords), bits(&rows[pid as usize]), "{name}, point {pid}");
+                }
+                let (mut lanes, mut seen) = (Vec::new(), 0);
+                pool.read_points_block(&reopened, &ids, &mut lanes, &mut |pids, block| {
+                    let m = pids.len();
+                    for (j, &pid) in pids.iter().enumerate() {
+                        let row: Vec<f64> = (0..dim).map(|i| block[i * m + j]).collect();
+                        assert_eq!(bits(&row), bits(&rows[pid as usize]), "{name}, point {pid}");
+                        seen += 1;
+                    }
+                })
+                .unwrap();
+                assert_eq!(seen, rows.len());
+            }
+            assert_eq!(pool.stats().cache_hits > 0, name == "cached", "{name}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

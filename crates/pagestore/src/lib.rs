@@ -35,12 +35,13 @@
 //!   envelope (magic, version, FNV-1a checksum) shared by every persistent
 //!   artifact in the workspace (page files, BB-trees, index metadata).
 //!
-//! With the memory backend the store is "simulated": pages live in memory,
-//! but the byte-level layout (little-endian `f64` records packed into
-//! fixed-size pages) and the access-path accounting match what a real
-//! disk-resident implementation does. [`PageStore::save`] serializes exactly
-//! that image to a file; [`PageStore::open`] serves the same pages — same
-//! ids, same layout, same I/O counts — from disk.
+//! With the memory backend the store is "simulated": pages live in memory
+//! as decoded `f64` lanes, but the page layout (dimension-major records
+//! packed into fixed-size pages) and the access-path accounting match what
+//! a real disk-resident implementation does. [`PageStore::save`] encodes
+//! each page as little-endian `f64`s zero-padded to the page size;
+//! [`PageStore::open`] serves the same pages — same ids, same layout, same
+//! I/O counts — from disk, decoding a page once per physical read.
 //!
 //! ```
 //! use pagestore::{BufferPool, PageStore, PageStoreConfig};

@@ -1,9 +1,7 @@
-//! Fixed-size pages holding serialized point records in the dimension-major
-//! (lane-contiguous SoA) codec the refine kernel streams.
+//! Fixed-size pages holding point records as decoded, dimension-major
+//! (lane-contiguous SoA) `f64` lanes, the block the refine kernel streams.
 
 use std::sync::Arc;
-
-use bytes::{Bytes, BytesMut};
 
 use crate::PointId;
 
@@ -25,15 +23,21 @@ impl std::fmt::Display for PageId {
     }
 }
 
-/// One fixed-size disk page: a header with the resident point ids followed by
-/// their little-endian `f64` coordinates, padded to the configured page size.
+/// One fixed-size disk page: the resident point ids and their `f64`
+/// coordinates, held decoded.
 ///
 /// Coordinates are stored **dimension-major** (structure-of-arrays): one
-/// contiguous *lane* per dimension, so coordinate `i` of slot `s` lives at
-/// byte `(i·count + s)·8`, where `count` is the number of records resident
-/// in the page. This is the layout the batched SIMD refine kernel streams.
+/// contiguous *lane* per dimension, so coordinate `i` of slot `s` is
+/// `lanes()[i·count + s]`, where `count` is the number of records resident
+/// in the page. This is the block the batched SIMD refine kernel streams,
+/// so a resident page is scored in place, without a decode.
 ///
-/// Both the payload and the id list sit behind shared ownership, so cloning a
+/// The byte image exists only at the file boundary: a page file stores the
+/// lanes as little-endian `f64`s in the same order, zero-padded to the
+/// page's nominal size ([`Page::size_bytes`]), and a
+/// [`crate::FileBackend`] decodes a page once per physical read.
+///
+/// Both the lanes and the id list sit behind shared ownership, so cloning a
 /// page is cheap (two reference-count bumps). That is what lets a
 /// [`crate::BufferPool`] hand out owned pages regardless of whether the
 /// backing [`crate::StorageBackend`] keeps them in memory or reads them from
@@ -43,45 +47,41 @@ pub struct Page {
     id: PageId,
     dim: usize,
     point_ids: Arc<[PointId]>,
-    payload: Bytes,
+    lanes: Arc<[f64]>,
+    size_bytes: usize,
 }
 
 impl Page {
-    /// Serialize `points` (id + coordinates) into a dimension-major page
-    /// image.
+    /// Lay `points` (id + coordinates) out as a dimension-major page whose
+    /// nominal size is `page_size` bytes, or the records' own size if they
+    /// do not fit.
     ///
     /// The caller is responsible for ensuring the records fit in the page
-    /// size; this constructor only encodes.
+    /// size; this constructor only lays them out.
     pub fn encode(id: PageId, dim: usize, points: &[(PointId, &[f64])], page_size: usize) -> Page {
-        let mut buf = BytesMut::with_capacity(page_size);
-        for i in 0..dim {
-            for (_, coords) in points {
-                debug_assert_eq!(coords.len(), dim);
-                buf.extend_from_slice(&coords[i].to_le_bytes());
-            }
-        }
-        // Pad to the nominal page size so the simulated disk image has the
-        // same footprint a real page would.
-        if buf.len() < page_size {
-            buf.resize(page_size, 0);
-        }
-        Page {
-            id,
-            dim,
-            point_ids: points.iter().map(|(pid, _)| *pid).collect(),
-            payload: buf.freeze(),
-        }
+        debug_assert!(points.iter().all(|(_, coords)| coords.len() == dim));
+        // Pulled through an exact-length range, so the lanes are collected
+        // straight into their one shared allocation.
+        let mut coords = (0..dim).flat_map(|i| points.iter().map(move |(_, c)| c[i]));
+        let lanes: Arc<[f64]> = (0..dim * points.len())
+            .map(|_| coords.next().expect("dim × count coordinates"))
+            .collect();
+        let size_bytes = page_size.max(lanes.len() * 8);
+        Page::new(id, dim, points.iter().map(|(pid, _)| *pid).collect(), lanes, size_bytes)
     }
 
-    /// Reassemble a page from its stored parts (used by storage backends
-    /// when materializing a page read from a file image).
-    pub fn from_parts(id: PageId, dim: usize, point_ids: Arc<[PointId]>, payload: Bytes) -> Page {
-        Page { id, dim, point_ids, payload }
-    }
-
-    /// The raw serialized payload (record bytes plus padding).
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
+    /// Assemble a page from its decoded lanes (`dim × point_ids.len()`,
+    /// dimension-major) and its nominal size in bytes.
+    pub(crate) fn new(
+        id: PageId,
+        dim: usize,
+        point_ids: Arc<[PointId]>,
+        lanes: Arc<[f64]>,
+        size_bytes: usize,
+    ) -> Page {
+        debug_assert_eq!(lanes.len(), dim * point_ids.len());
+        debug_assert!(size_bytes >= lanes.len() * 8);
+        Page { id, dim, point_ids, lanes, size_bytes }
     }
 
     /// The page identifier.
@@ -104,15 +104,17 @@ impl Page {
         &self.point_ids
     }
 
-    /// Size in bytes of the serialized page image (including padding).
-    pub fn size_bytes(&self) -> usize {
-        self.payload.len()
+    /// Every record as one lane-major block, in slot order: `lanes()[i·m +
+    /// j]` is coordinate `i` of slot `j` (`m = len()`), the shape the
+    /// batched refine kernel (`distance_block`) consumes.
+    pub fn lanes(&self) -> &[f64] {
+        &self.lanes
     }
 
-    #[inline]
-    fn coord(&self, slot: usize, i: usize) -> f64 {
-        let start = (i * self.point_ids.len() + slot) * 8;
-        f64::from_le_bytes(self.payload[start..start + 8].try_into().expect("8-byte chunk"))
+    /// Nominal size in bytes of the page image on disk (records plus zero
+    /// padding).
+    pub fn size_bytes(&self) -> usize {
+        self.size_bytes
     }
 
     /// Decode the coordinates of the record in the given slot.
@@ -124,8 +126,9 @@ impl Page {
 
     /// Decode the coordinates of the record in the given slot into `out`.
     pub fn decode_slot_into(&self, slot: usize, out: &mut Vec<f64>) {
+        debug_assert!(slot < self.len());
         out.clear();
-        out.extend((0..self.dim).map(|i| self.coord(slot, i)));
+        out.extend((0..self.dim).map(|i| self.lanes[i * self.len() + slot]));
     }
 
     /// Decode a set of slots as one **lane-major block**: after the call,
@@ -135,27 +138,9 @@ impl Page {
     pub fn decode_slots_into(&self, slots: &[usize], out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.dim * slots.len());
-        let count = self.point_ids.len();
-        for i in 0..self.dim {
-            let lane = i * count * 8;
-            for &slot in slots {
-                let start = lane + slot * 8;
-                out.push(f64::from_le_bytes(
-                    self.payload[start..start + 8].try_into().expect("8-byte chunk"),
-                ));
-            }
+        for lane in self.lanes.chunks_exact(self.len().max(1)) {
+            out.extend(slots.iter().map(|&slot| lane[slot]));
         }
-    }
-
-    /// Decode every record as one lane-major block, in slot order: the
-    /// result of [`Page::decode_slots_into`] over all slots, read straight
-    /// off the payload, which already stores the records that way.
-    pub fn decode_all_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        let bytes = &self.payload[..self.dim * self.point_ids.len() * 8];
-        out.extend(
-            bytes.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-        );
     }
 }
 
@@ -178,17 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn payload_is_lane_contiguous() {
+    fn lanes_are_dimension_major() {
         let a = vec![1.5, -2.25, 3.0];
         let b = vec![0.0, 7.5, -1.0];
         let c = vec![4.25, 5.0, -6.5];
         let points: &[(PointId, &[f64])] = &[(10, &a), (11, &b), (12, &c)];
         let page = Page::encode(PageId(3), 3, points, 256);
-        let payload: Vec<f64> = page.payload()[..72]
-            .chunks_exact(8)
-            .map(|ch| f64::from_le_bytes(ch.try_into().unwrap()))
-            .collect();
-        assert_eq!(payload, vec![1.5, 0.0, 4.25, -2.25, 7.5, 5.0, 3.0, -1.0, -6.5]);
+        assert_eq!(page.lanes(), [1.5, 0.0, 4.25, -2.25, 7.5, 5.0, 3.0, -1.0, -6.5]);
     }
 
     #[test]
@@ -202,10 +183,8 @@ mod tests {
         page.decode_slots_into(&[2, 0], &mut out);
         // m = 2 slots: lane 0 = [c0, a0], lane 1 = [c1, a1].
         assert_eq!(out, vec![5.0, 1.0, 6.0, 2.0]);
-        let mut all = Vec::new();
-        page.decode_all_into(&mut all);
         page.decode_slots_into(&[0, 1, 2], &mut out);
-        assert_eq!(all, out);
+        assert_eq!(page.lanes(), out);
     }
 
     #[test]
@@ -222,6 +201,9 @@ mod tests {
         let a = vec![1.0, 2.0];
         let page = Page::encode(PageId(0), 2, &[(0, &a)], 4096);
         assert_eq!(page.size_bytes(), 4096);
+        // A record wider than the nominal size keeps its own size.
+        let page = Page::encode(PageId(0), 2, &[(0, &a)], 8);
+        assert_eq!(page.size_bytes(), 16);
     }
 
     #[test]

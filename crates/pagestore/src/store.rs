@@ -63,8 +63,8 @@ impl PageStore {
     /// `records_per_page` consecutive points into each page.
     ///
     /// `point` is a lookup closure from point id to its coordinates; the
-    /// store copies (serializes) the coordinates so the source dataset can be
-    /// dropped afterwards.
+    /// store copies the coordinates into its pages so the source dataset can
+    /// be dropped afterwards.
     pub fn build_with_order<'a, F>(
         config: PageStoreConfig,
         dim: usize,
@@ -196,7 +196,7 @@ impl PageStore {
         self.layout.get(point)
     }
 
-    /// Total size of the disk image in bytes (page payloads including
+    /// Total size of the disk image in bytes (page records including
     /// padding, excluding directory metadata).
     pub fn size_bytes(&self) -> usize {
         self.backend.size_bytes()
